@@ -6,16 +6,24 @@ Burnside cross-check), richness tests, constraint-driven enumeration of
 diagrams up to isomorphism, enumeration of abstract edge partitions, and
 classification of single-label subgraphs against a small-graph catalog.
 
-Sizes stay tiny (n <= 5, so at most 120 vertex permutations and 10 edges);
-brute force over all permutations is exact and fast, and is used throughout.
+Sizes stay tiny (n <= 5, so at most 120 vertex permutations and 10 edges).
+Symmetry questions on a single diagram (automorphisms, canonical keys) are
+brute force over all vertex permutations.  The enumerators share per-n
+tables built once: the edges, the triangles as edge-index triples, the
+triangles through each edge, and each vertex permutation as a permutation
+of edge indices; they search and dedupe on integer labelings and build a
+diagram only once per isomorphism class.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import comb
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .angles import (AngleForm, RelationSet, EMPTY_RELATIONS, format_angle,
@@ -35,6 +43,30 @@ def all_edges(n: int) -> list:
 
 def triangle_type_of(labels: Iterable[AngleForm]) -> TriangleType:
     return tuple(sorted(labels, key=lambda f: f.sort_key()))
+
+
+@dataclass(frozen=True)
+class KnTables:
+    """Index tables of K_n shared by the enumerators (edges in `all_edges` order)."""
+
+    edges: list
+    triangles: list  # vertex triples, in combinations order
+    tri_edges: list  # per triangle: its three edge indices, ascending
+    edge_tris: list  # per edge: the indices of the triangles through it
+    perms: list  # vertex permutations, in permutations order
+    edge_perms: list  # per vertex permutation p: edge i -> index of p(edge i)
+
+
+@lru_cache(maxsize=8)
+def kn_tables(n: int) -> KnTables:
+    es = all_edges(n)
+    pos = {e: i for i, e in enumerate(es)}
+    tris = list(combinations(range(n), 3))
+    tri_edges = [(pos[(i, j)], pos[(i, k)], pos[(j, k)]) for i, j, k in tris]
+    edge_tris = [[t for t, te in enumerate(tri_edges) if e in te] for e in range(len(es))]
+    perms = list(permutations(range(n)))
+    edge_perms = [tuple(pos[_edge(p[a], p[b])] for a, b in es) for p in perms]
+    return KnTables(es, tris, tri_edges, edge_tris, perms, edge_perms)
 
 
 class CoxeterDiagram:
@@ -163,6 +195,10 @@ class NotAGroupError(ValueError):
     pass
 
 
+class ConsistencyError(RuntimeError):
+    """Two independent computations of the same quantity disagree."""
+
+
 def act_on_vertex_set(perm, xs: frozenset) -> frozenset:
     return frozenset(perm[x] for x in xs)
 
@@ -193,7 +229,8 @@ def burnside_count(group: Sequence[tuple], elements: Sequence, act: Callable) ->
         raise NotAGroupError("input permutations do not form a group")
     total = sum(sum(1 for x in elements if act(g, x) == x) for g in group)
     count = Fraction(total, len(group))
-    assert count.denominator == 1
+    if count.denominator != 1:
+        raise ConsistencyError(f"Burnside average {count} is not an integer")
     return int(count)
 
 
@@ -224,7 +261,10 @@ def orbits(diagram: CoxeterDiagram, family: str = "triangles",
         raise ValueError(f"unknown family {family!r}")
     parts = orbit_partition(group, elements, act)
     # Burnside cross-check on every call; cheap at this size.
-    assert burnside_count(group, elements, act) == len(parts)
+    count = burnside_count(group, elements, act)
+    if count != len(parts):
+        raise ConsistencyError(
+            f"{len(parts)} {family} orbits found, Burnside counts {count}")
     return parts
 
 
@@ -390,8 +430,41 @@ def _allowed_table(alphabet: Sequence[AngleForm], cons: DiagramConstraints) -> d
             ok = ttype not in cons.forbidden
             if ok and cons.validity is not None:
                 ok = bool(cons.validity(ttype))
-        table[tuple(sorted(combo))] = ok
+        table[combo] = ok
     return table
+
+
+# Slot values of an edge during the search: a label index, UNSET (not yet
+# visited), or DEFER (passed over in phase 1; it gets a non-rule label).
+UNSET, DEFER = -1, -2
+
+
+def _slot_tables(size: int, table: dict, phase1: Sequence[int],
+                 rich: Optional[tuple]) -> tuple:
+    """Per-triangle lookups over its three slot values (a, b, c), at index
+    (a + 2) * B^2 + (b + 2) * B + c + 2 with B = size + 2.
+
+    ok: some allowed type contains the placed labels and leaves a non-rule
+        label for every DEFER slot (UNSET slots take any label); for three
+        placed labels, their type is allowed.
+    can_rich: the placed labels are a sub-multiset of the rich type.
+    """
+    support = set()  # (placed labels sorted, DEFER slots they leave room for)
+    for key, allowed in table.items():
+        if not allowed:
+            continue
+        for placed in range(8):
+            have = tuple(key[i] for i in range(3) if placed >> i & 1)
+            rest = [key[i] for i in range(3) if not placed >> i & 1]
+            room = sum(1 for x in rest if x not in phase1)
+            support.update((have, d) for d in range(room + 1))
+    rich_pool = Counter(rich or ())
+    ok, can_rich = [], []
+    for slots in product(range(DEFER, size), repeat=3):
+        have = tuple(sorted(x for x in slots if x >= 0))
+        ok.append((have, slots.count(DEFER)) in support)
+        can_rich.append(rich is None or not Counter(have) - rich_pool)
+    return ok, can_rich
 
 
 def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
@@ -400,64 +473,66 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
                        vertices: Optional[Sequence[str]] = None) -> list:
     """All edge labelings of K_n satisfying the constraints, up to isomorphism.
 
-    Enumeration is a two-phase backtracking: first the edges carrying the
-    rule labels (the scarce, heavily constrained ones), then the rest; a
-    completed triangle is checked against the precomputed allowed-type
-    table, and a partial labeling is abandoned as soon as fewer than four
-    triangles can still reach the rich type.  Results are deduplicated by
-    canonical form (minimum label matrix over all vertex orders).
+    Enumeration is a two-phase backtracking over the edges in index order:
+    first each edge takes a rule label (the scarce, heavily constrained
+    ones) or is deferred, then the deferred edges take the other labels.
+
+    A triangle's three slots (label, deferred, or not yet visited) index
+    two tables built once per call: whether some allowed type can still
+    complete it (a complete one must itself be allowed), and whether it
+    can still become the rich type.  Only the triangles through the edge
+    just assigned are looked up (per-edge incidence).  A running count of
+    triangles that can still become the rich type is updated on each
+    assignment and restored on backtrack, and a branch is abandoned as
+    soon as it falls below four.
+
+    A complete labeling is keyed by its minimum over all vertex orders
+    (precomputed edge permutations) and skipped if its isomorphism class
+    was already seen, so the diagram is built and tested for richness, an
+    isomorphism invariant, once per class.  Each class is represented by
+    its first labeling in search order; results are sorted by canonical
+    key.
     """
     alphabet = [relations.normalize(f) for f in alphabet]
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("alphabet labels must be distinct under the relations")
     cons = constraints
-    table = _allowed_table(alphabet, cons)
+    size = len(alphabet)
     label_ids = {f: i for i, f in enumerate(alphabet)}
-    rule_labels = [label_ids[lab] for lab, _ in cons.list_rules
-                   if lab is not None and lab in label_ids]
-    es = all_edges(n)
-    m = len(es)
-    tri_edges = []  # triangle -> its three edge indices
-    edge_pos = {e: i for i, e in enumerate(es)}
-    for tri in combinations(range(n), 3):
-        i, j, k = tri
-        tri_edges.append((edge_pos[_edge(i, j)], edge_pos[_edge(i, k)],
-                          edge_pos[_edge(j, k)]))
+    phase1 = [label_ids[lab] for lab, _ in cons.list_rules
+              if lab is not None and lab in label_ids]
+    others = [i for i in range(size) if i not in phase1]
     rich = None
     if cons.rich_type is not None:
         rich = tuple(sorted(label_ids[f] for f in cons.rich_type))
+    ok, can_rich = _slot_tables(size, _allowed_table(alphabet, cons), phase1, rich)
+    need = 0 if rich is None else 4
 
-    assign = [-1] * m  # label index per edge, -1 = unassigned
-    solutions = []
+    kn = kn_tables(n)
+    es = kn.edges
+    m = len(es)
+    base = size + 2
+    base2 = base * base
+    offset = 2 * (base2 + base + 1)
+    # per edge: (triangle index, its three edge indices) for each triangle through it
+    incident = [[(t, *kn.tri_edges[t]) for t in kn.edge_tris[e]] for e in range(m)]
+    assign = [UNSET] * m
+    live = [True] * len(kn.tri_edges)  # triangle can still become the rich type
 
-    def rich_possible() -> bool:
-        if rich is None:
-            return True
-        count = 0
-        for te in tri_edges:
-            have = sorted(assign[e] for e in te if assign[e] >= 0)
-            # can the triangle still become the rich type?
-            pool = list(rich)
-            ok = True
-            for h in have:
-                if h in pool:
-                    pool.remove(h)
-                else:
-                    ok = False
-                    break
-            if ok:
-                count += 1
-                if count >= 4:
-                    return True
-        return False
-
-    def closed_triangles_ok(edge_idx: int) -> bool:
-        for te in tri_edges:
-            if edge_idx in te and all(assign[e] >= 0 for e in te):
-                key = tuple(sorted(assign[e] for e in te))
-                if not table[key]:
-                    return False
-        return True
+    def place(idx: int, lab: int):
+        """Put `lab` on edge idx; the triangles it takes out of the rich
+        count, or None if a triangle through idx can no longer be allowed."""
+        assign[idx] = lab
+        dropped = []
+        for t, a, b, c in incident[idx]:
+            code = assign[a] * base2 + assign[b] * base + assign[c] + offset
+            if not ok[code]:
+                return None
+            if live[t] and not can_rich[code]:
+                dropped.append(t)
+        for t in dropped:
+            live[t] = False
+        return dropped
 
     if vertices is not None:
         names = list(vertices)
@@ -466,89 +541,56 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
     else:
         names = [f"v{i}" for i in range(n)]
 
+    relabel = [itemgetter(*ep) for ep in kn.edge_perms] if m > 1 else [tuple]
+    seen = set()
+    solutions = []
+
     def finish():
+        key = min(g(assign) for g in relabel)
+        if key in seen:
+            return
+        seen.add(key)
         labels = {es[i]: alphabet[assign[i]] for i in range(m)}
         diagram = CoxeterDiagram(names, labels, relations)
-        if cons.rich_type is not None and not is_rich(diagram, cons.rich_type):
-            return
-        solutions.append(diagram)
+        if cons.rich_type is None or is_rich(diagram, cons.rich_type):
+            solutions.append(diagram)
 
-    # phase 1: place rule labels (or everything at once when there are none)
-    phase1 = rule_labels
-    others = [i for i in range(len(alphabet)) if i not in phase1]
-
-    def fill_rest(idx: int):
+    def fill_rest(idx: int, count: int):
+        while idx < m and assign[idx] >= 0:
+            idx += 1
         if idx == m:
             finish()
             return
-        if assign[idx] >= 0:
-            fill_rest(idx + 1)
-            return
+        prev = assign[idx]
         for lab in others:
-            assign[idx] = lab
-            if closed_triangles_ok(idx) and rich_possible():
-                fill_rest(idx + 1)
-        assign[idx] = -1
+            dropped = place(idx, lab)
+            if dropped is None:
+                continue
+            if count - len(dropped) >= need:
+                fill_rest(idx + 1, count - len(dropped))
+            for t in dropped:
+                live[t] = True
+        assign[idx] = prev
 
-    def skeleton(idx: int):
+    def skeleton(idx: int, count: int):
         if idx == m:
-            if rich_possible():
-                fill_rest(0)
+            fill_rest(0, count)
             return
-        for lab in phase1 + [-2]:  # -2 = deferred to phase 2
-            if lab == -2:
-                assign[idx] = -1
-                if rich_possible():
-                    skeleton(idx + 1)
+        for lab in phase1 + [DEFER]:
+            dropped = place(idx, lab)
+            if dropped is None:
                 continue
-            assign[idx] = lab
-            if closed_triangles_ok_partial(idx) and rich_possible():
-                skeleton(idx + 1)
-        assign[idx] = -1
-
-    def closed_triangles_ok_partial(edge_idx: int) -> bool:
-        # during phase 1 a triangle is only fully decided if all three edges
-        # carry phase-1 labels; with wildcards, check that some allowed type
-        # matches the decided part
-        for te in tri_edges:
-            if edge_idx not in te:
-                continue
-            have = sorted(assign[e] for e in te if assign[e] >= 0)
-            free = sum(1 for e in te if assign[e] < 0)
-            if free == 0:
-                if not table[tuple(have)]:
-                    return False
-                continue
-            # wildcard check: some allowed type extends `have` using labels
-            # outside phase1 for the free slots
-            ok = False
-            for key, allowed in table.items():
-                if not allowed:
-                    continue
-                pool = list(key)
-                good = True
-                for h in have:
-                    if h in pool:
-                        pool.remove(h)
-                    else:
-                        good = False
-                        break
-                if good and all(p not in phase1 for p in pool):
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
+            if count - len(dropped) >= need:
+                skeleton(idx + 1, count - len(dropped))
+            for t in dropped:
+                live[t] = True
+        assign[idx] = UNSET
 
     if phase1:
-        skeleton(0)
+        skeleton(0, len(live))
     else:
-        fill_rest(0)
-
-    unique = {}
-    for d in solutions:
-        unique.setdefault(d.canonical_key(), d)
-    return [unique[k] for k in sorted(unique)]
+        fill_rest(0, len(live))
+    return sorted(solutions, key=lambda d: d.canonical_key())
 
 
 # ---------------------------------------------------------------------------
@@ -582,11 +624,9 @@ def _restricted_growth_strings(m: int):
 
 
 def _coloring_canonical(coloring: tuple, n: int) -> tuple:
-    es = all_edges(n)
-    pos = {e: i for i, e in enumerate(es)}
     best = None
-    for p in permutations(range(n)):
-        seq = [coloring[pos[_edge(p[a], p[b])]] for a, b in es]
+    for ep in kn_tables(n).edge_perms:
+        seq = [coloring[j] for j in ep]
         relabel, nxt = {}, 0
         out = []
         for c in seq:
@@ -601,26 +641,14 @@ def _coloring_canonical(coloring: tuple, n: int) -> tuple:
 
 
 def coloring_triangle_types(coloring: tuple, n: int) -> list:
-    es = all_edges(n)
-    pos = {e: i for i, e in enumerate(es)}
-    out = []
-    for tri in combinations(range(n), 3):
-        i, j, k = tri
-        out.append(tuple(sorted((coloring[pos[_edge(i, j)]],
-                                 coloring[pos[_edge(i, k)]],
-                                 coloring[pos[_edge(j, k)]]))))
-    return out
+    return [tuple(sorted((coloring[a], coloring[b], coloring[c])))
+            for a, b, c in kn_tables(n).tri_edges]
 
 
 def coloring_automorphisms(coloring: tuple, n: int) -> list:
-    es = all_edges(n)
-    pos = {e: i for i, e in enumerate(es)}
-    out = []
-    for p in permutations(range(n)):
-        if all(coloring[pos[_edge(p[a], p[b])]] == coloring[pos[(a, b)]]
-               for a, b in es):
-            out.append(p)
-    return out
+    kn = kn_tables(n)
+    return [p for p, ep in zip(kn.perms, kn.edge_perms)
+            if all(coloring[j] == c for j, c in zip(ep, coloring))]
 
 
 def enumerate_edge_partitions(n: int, constraints: PartitionConstraints) -> list:
@@ -663,21 +691,6 @@ def enumerate_edge_partitions(n: int, constraints: PartitionConstraints) -> list
 # ---------------------------------------------------------------------------
 
 
-def _induced_mixed_paths(ea: frozenset, eb: frozenset, n: int) -> list:
-    """Induced 2-edge paths with one edge from each set; returns (triangle, closing edge)."""
-    union = ea | eb
-    out = []
-    for tri in combinations(range(n), 3):
-        i, j, k = tri
-        tri_es = [_edge(i, j), _edge(i, k), _edge(j, k)]
-        in_a = [e for e in tri_es if e in ea]
-        in_b = [e for e in tri_es if e in eb]
-        outside = [e for e in tri_es if e not in union]
-        if len(in_a) == 1 and len(in_b) == 1 and len(outside) == 1:
-            out.append((tri, outside[0]))
-    return out
-
-
 def enumerate_two_label_skeletons(n: int = 5,
                                   alpha_shapes: tuple = ("P2+P2", "P2+P3"),
                                   min_beta: int = 2,
@@ -691,41 +704,40 @@ def enumerate_two_label_skeletons(n: int = 5,
     edge sets and fixing all remaining free edge slots may permute the four
     path triangles nontrivially (such a symmetry would survive any completion
     and collapse the mixed-triangle orbits below four).
+
+    Each edge is assigned 0 (free), 1 (alpha) or 2 (beta); the counting and
+    triangle filters run on that assignment before the alpha shape, which is
+    classified once per distinct alpha edge set.
     """
-    es = all_edges(n)
+    kn = kn_tables(n)
+    es = kn.edges
+    shapes = {}  # alpha edge indices -> shape name
     results = {}
-    for asg in _ternary_assignments(len(es)):
-        ea = frozenset(e for e, t in zip(es, asg) if t == 1)
-        eb = frozenset(e for e, t in zip(es, asg) if t == 2)
-        if len(eb) < min_beta or not ea:
+    for asg in product(range(3), repeat=len(es)):
+        if asg.count(2) < min_beta or 1 not in asg:
             continue
-        if classify_graph(sorted(ea)) not in alpha_shapes:
-            continue
-        union = ea | eb
-        if any(all(_edge(a, b) in union for a, b in combinations(tri, 2))
-               for tri in combinations(range(n), 3)):
+        tri_asg = [(asg[a], asg[b], asg[c]) for a, b, c in kn.tri_edges]
+        if any(0 not in t for t in tri_asg):
             continue  # triangle in the two-label graph
-        paths = _induced_mixed_paths(ea, eb, n)
+        # induced 2-edge paths with one edge from each label, and the free
+        # edge closing each: (triangle, closing edge)
+        paths = [(kn.triangles[k], es[te[t.index(0)]])
+                 for k, (t, te) in enumerate(zip(tri_asg, kn.tri_edges))
+                 if 1 in t and 2 in t]
         if len(paths) < min_paths:
             continue
+        alpha = tuple(i for i, x in enumerate(asg) if x == 1)
+        if alpha not in shapes:
+            shapes[alpha] = classify_graph([es[i] for i in alpha])
+        if shapes[alpha] not in alpha_shapes:
+            continue
+        ea = frozenset(es[i] for i in alpha)
+        eb = frozenset(e for e, x in zip(es, asg) if x == 2)
         if len(paths) == 4 and _forced_symmetry_collapses(ea, eb, paths, n):
             continue
         key = _pair_canonical(ea, eb, n)
         results.setdefault(key, (ea, eb))
     return [results[k] for k in sorted(results)]
-
-
-def _ternary_assignments(m: int):
-    asg = [0] * m
-    while True:
-        yield tuple(asg)
-        i = m - 1
-        while i >= 0 and asg[i] == 2:
-            asg[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        asg[i] += 1
 
 
 def _pair_canonical(ea: frozenset, eb: frozenset, n: int) -> tuple:

@@ -161,24 +161,28 @@ def _type_of(fracs) -> tuple:
 
 
 @dataclass
-class FinalCaseAnalysis:
+class CaseLists:
     tile: TileSpec
     alpha_list: list  # realizable (alpha,*,*) triples, fractions of pi
     beta_list: list
     extra_candidates: list  # expressible but rejected by the edge argument
     forbidden: list  # no-alpha-no-beta triples failing necessary conditions
+
+
+@dataclass
+class FinalCaseAnalysis(CaseLists):
     diagrams: list
 
 
-def final_case_analysis(key: str, cfg: Config, bound: Optional[int] = None,
-                        tol: Optional[float] = None) -> FinalCaseAnalysis:
-    """The one-indivisible endgame for a concrete smallest angle.
+def case_lists(key: str, cfg: Config, bound: Optional[int] = None,
+               tol: Optional[float] = None) -> CaseLists:
+    """The candidate lists of the one-indivisible endgame for a concrete smallest angle.
 
     Derives the realizable candidate lists, rejects the expressible
     candidates whose forced edge decomposition fails (an edge of length 2b
     must start with an a- or c-segment, so 2b-a or 2b-c must also be a
-    combination), builds the sound unrealizability table for triangle types
-    avoiding the two smallest angles, and enumerates all rich diagrams.
+    combination), and builds the sound unrealizability table for triangle
+    types avoiding the two smallest angles.
     """
     tile = _tile(key, cfg)
     bound = cfg.coeff_bound if bound is None else bound
@@ -206,10 +210,9 @@ def final_case_analysis(key: str, cfg: Config, bound: Optional[int] = None,
                 continue
         beta_list.append(t)
     beta_list = sorted(set(beta_list))
-    labels = sorted({x for t in alpha_list + beta_list for x in t})
     excess = tile.excess_pi
     forbidden = []
-    for combo in combinations_with_replacement(labels, 3):
+    for combo in combinations_with_replacement(_case_labels(alpha_list, beta_list), 3):
         if qa in combo or qb in combo or not is_valid(combo):
             continue
         area = sum(combo) - 1
@@ -220,16 +223,26 @@ def final_case_analysis(key: str, cfg: Config, bound: Optional[int] = None,
         if not all(isinstance(edge_combination(x, tile.edges, bound, tol), EdgeMatch)
                    for x in es):
             forbidden.append(combo)
+    return CaseLists(tile, alpha_list, beta_list, sorted(extra), sorted(forbidden))
+
+
+def _case_labels(alpha_list, beta_list) -> list:
+    return sorted({x for t in alpha_list + beta_list for x in t})
+
+
+def final_case_analysis(key: str, cfg: Config) -> FinalCaseAnalysis:
+    """The one-indivisible endgame: `case_lists` plus all rich diagrams they allow."""
+    lists = case_lists(key, cfg)
+    qa, qb, qg = lists.tile.angles_pi
     cons = DiagramConstraints(
-        list_rules=((_pi_form(qa), frozenset(_type_of(t) for t in alpha_list)),
-                    (_pi_form(qb), frozenset(_type_of(t) for t in beta_list))),
-        forbidden=frozenset(_type_of(t) for t in forbidden),
+        list_rules=((_pi_form(qa), frozenset(_type_of(t) for t in lists.alpha_list)),
+                    (_pi_form(qb), frozenset(_type_of(t) for t in lists.beta_list))),
+        forbidden=frozenset(_type_of(t) for t in lists.forbidden),
         validity=lambda ttype: bool(is_valid([f.pi_fraction() for f in ttype])),
         rich_type=_type_of((qa, qb, qg)))
-    alphabet = [_pi_form(q) for q in labels]
+    alphabet = [_pi_form(q) for q in _case_labels(lists.alpha_list, lists.beta_list)]
     diagrams = enumerate_diagrams(5, alphabet, cons)
-    return FinalCaseAnalysis(tile, alpha_list, beta_list, sorted(extra),
-                             sorted(forbidden), diagrams)
+    return FinalCaseAnalysis(**vars(lists), diagrams=diagrams)
 
 
 def _search_and_verify(rec: Recorder, key: str, cfg: Config, report: Report,
@@ -316,20 +329,20 @@ def scenario_two_indivisible(cfg: Config) -> Report:
     rec = Recorder(report)
     exp = fixtures.load("expectations")
 
-    strict = enumerate_edge_partitions(
-        5, PartitionConstraints(two_types_each_at_least=4, trivial_automorphisms=True))
+    relaxed = enumerate_edge_partitions(
+        5, PartitionConstraints(two_types_each_at_least=4))
+    # a trivial automorphism group is an isomorphism invariant, so the
+    # symmetry-free colorings are exactly the symmetry-free relaxed classes
+    aut_orders = [len(coloring_automorphisms(c, 5)) for c in relaxed]
+    strict = [c for c, order in zip(relaxed, aut_orders) if order == 1]
     rec.check("two-indivisible/empty",
               "no symmetry-free edge coloring of the 5-vertex diagram has two "
               "triangle types with four copies each",
               0, len(strict), "reference", "expectations:diagram_counts/ninth")
-
-    relaxed = enumerate_edge_partitions(
-        5, PartitionConstraints(two_types_each_at_least=4))
     rec.check("two-indivisible/all-symmetric",
               "every coloring with two frequent triangle types has a "
               "nontrivial symmetry",
-              True,
-              all(len(coloring_automorphisms(c, 5)) > 1 for c in relaxed),
+              True, all(order > 1 for order in aut_orders),
               "trivial", "expectations:table_cases/0")
 
     rich = [c for c in relaxed if max(c) + 1 >= 3]
@@ -610,7 +623,7 @@ def scenario_case_c(cfg: Config) -> Report:
                   exp["diagram_counts"][key], len(ana.diagrams),
                   "reference", f"expectations:diagram_counts/{key}")
         # the robustness re-run: wider coefficient bound, tighter tolerance
-        ana2 = final_case_analysis(key, cfg, bound=40, tol=1e-7)
+        ana2 = case_lists(key, cfg, bound=40, tol=1e-7)
         rec.check(f"case-c/stability/{key}",
                   "lists unchanged at coefficient bound 40, tolerance 1e-7",
                   (ana.alpha_list, ana.beta_list),

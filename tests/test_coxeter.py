@@ -1,12 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 
 import pytest
 
-from reptile_lab import fixtures
+import reptile_lab
+from reptile_lab import coxeter, fixtures
 from reptile_lab.angles import AngleForm, parse_angle
-from reptile_lab.coxeter import (CoxeterDiagram, DiagramConstraints, NotAGroupError,
-                                 PartitionConstraints, all_edges, burnside_count,
-                                 classify_graph, coloring_automorphisms,
+from reptile_lab.coxeter import (ConsistencyError, CoxeterDiagram, DiagramConstraints,
+                                 NotAGroupError, PartitionConstraints, all_edges,
+                                 burnside_count, classify_graph, coloring_automorphisms,
                                  enumerate_diagrams, enumerate_edge_partitions,
                                  is_group, is_rich, label_subgraph, orbits,
                                  pair_orbit_bound, subgroups_upto_two_generators,
@@ -100,6 +105,44 @@ class TestBurnside:
     def test_group_validation(self):
         assert is_group([tuple(range(3)), (1, 2, 0), (2, 0, 1)])
         assert not is_group([(1, 2, 0)])
+
+    def test_non_integral_average_raises(self):
+        # not a group action: the transposition moves 0 out of the set
+        act = lambda g, x: x if g == (0, 1) else x + 1
+        with pytest.raises(ConsistencyError):
+            burnside_count([(0, 1), (1, 0)], [0], act)
+
+    def test_orbit_miscount_raises(self, monkeypatch):
+        real = coxeter.orbit_partition
+        monkeypatch.setattr(coxeter, "orbit_partition", lambda *a: real(*a)[1:])
+        with pytest.raises(ConsistencyError):
+            orbits(distinct_k5(), "edges")
+
+    def test_checks_survive_optimize_flag(self):
+        script = textwrap.dedent("""
+            from reptile_lab import coxeter
+            from reptile_lab.coxeter import ConsistencyError, burnside_count
+
+            real = coxeter.orbit_partition
+            coxeter.orbit_partition = lambda *a: real(*a)[1:]
+            labels = {e: coxeter.parse_angle("alpha") for e in coxeter.all_edges(4)}
+            diagram = coxeter.CoxeterDiagram("abcd", labels)
+            act = lambda g, x: x if g == (0, 1) else x + 1
+            for call in (lambda: coxeter.orbits(diagram, "edges"),
+                         lambda: burnside_count([(0, 1), (1, 0)], [0], act)):
+                try:
+                    call()
+                except ConsistencyError:
+                    print("raised")
+            print("debug", __debug__)
+            """)
+        src = os.path.dirname(os.path.dirname(reptile_lab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             env=dict(os.environ, PYTHONPATH=path),
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["raised", "raised", "debug", "False"]
 
 
 class TestSubgraphClassification:

@@ -1,0 +1,104 @@
+"""Differential test: `enumerate_diagrams` against a naive enumerator.
+
+The naive side labels every edge of K_n in every possible way, applies the
+`DiagramConstraints` semantics triangle by triangle (first matching list
+rule wins; otherwise the forbidden set, then the validity predicate), keeps
+the labelings with at least four orbits of the rich type (via `is_rich`),
+and dedupes by `canonical_key`.  It shares no pruning, incidence table or
+dedupe key with the enumerator, so it checks exactly what the fixture
+counts cannot: that pruning never drops a diagram and never keeps one.
+"""
+
+import random
+from fractions import Fraction as F
+from itertools import combinations, combinations_with_replacement, permutations, product
+
+import pytest
+
+from reptile_lab.angles import AngleForm
+from reptile_lab.coxeter import (CoxeterDiagram, DiagramConstraints, all_edges,
+                                 enumerate_diagrams, is_rich, triangle_type_of)
+
+
+def naive_keys(n, alphabet, cons):
+    es = all_edges(n)
+    pos = {e: i for i, e in enumerate(es)}
+    tris = [(pos[(i, j)], pos[(i, k)], pos[(j, k)])
+            for i, j, k in combinations(range(n), 3)]
+
+    def allowed(ttype):
+        for lab, types in cons.list_rules:
+            if lab is None or lab in ttype:
+                return ttype in types
+        if ttype in cons.forbidden:
+            return False
+        return cons.validity is None or bool(cons.validity(ttype))
+
+    types = {c: triangle_type_of([alphabet[x] for x in c])
+             for c in product(range(len(alphabet)), repeat=3)}
+    ok = {c: allowed(t) for c, t in types.items()}
+    # vertex relabelings as edge permutations, only to group the labelings
+    # into isomorphism classes before the (slow) richness test
+    eperms = [[pos[tuple(sorted((p[a], p[b])))] for a, b in es]
+              for p in permutations(range(n))]
+    classes = set()
+    keys = set()
+    for labeling in product(range(len(alphabet)), repeat=len(es)):
+        trip = [(labeling[a], labeling[b], labeling[c]) for a, b, c in tris]
+        if not all(ok[t] for t in trip):
+            continue
+        if cons.rich_type is not None and \
+                sum(types[t] == cons.rich_type for t in trip) < 4:
+            continue  # fewer triangles of the type than the orbits needed
+        cls = min(tuple(labeling[i] for i in ep) for ep in eperms)
+        if cls in classes:
+            continue
+        classes.add(cls)
+        d = CoxeterDiagram(list("uvwxy")[:n],
+                           {e: alphabet[x] for e, x in zip(es, labeling)})
+        if cons.rich_type is not None and not is_rich(d, cons.rich_type):
+            continue
+        keys.add(d.canonical_key())
+    return sorted(keys)
+
+
+def random_case(seed, n, size):
+    rng = random.Random(seed)
+    alphabet = [AngleForm.pi_multiple(F(k, 23))
+                for k in sorted(rng.sample(range(1, 23), size))]
+    types = sorted({triangle_type_of(c)
+                    for c in combinations_with_replacement(alphabet, 3)},
+                   key=lambda t: [f.sort_key() for f in t])
+    rules = []
+    for lab in rng.sample(alphabet, rng.randint(0, min(2, size))):
+        rules.append((lab, frozenset(t for t in types
+                                     if lab in t and rng.random() < 0.7)))
+    if rng.random() < 0.15:
+        rules.append((None, frozenset(t for t in types if rng.random() < 0.8)))
+    forbidden = frozenset(t for t in types if rng.random() < 0.15)
+    valid = frozenset(t for t in types if rng.random() < 0.85)
+    # K4 has only four triangles, so a rich K4 is rare: there the rich type
+    # is mostly left out; on K5 it is mostly a type with three labels
+    if n == 4:
+        rich_type = rng.choice(types) if rng.random() < 0.3 else None
+    elif rng.random() < 0.7:
+        rich_type = triangle_type_of(rng.sample(alphabet, 3))
+    else:
+        rich_type = rng.choice(types)
+    cons = DiagramConstraints(
+        list_rules=tuple(rules),
+        forbidden=forbidden,
+        validity=valid.__contains__ if rng.random() < 0.5 else None,
+        rich_type=rich_type)
+    return alphabet, cons
+
+
+CASES = ([(seed, 4, 1 + seed % 4) for seed in range(24)]
+         + [(100 + seed, 5, 3) for seed in range(8)])
+
+
+@pytest.mark.parametrize("seed,n,size", CASES)
+def test_matches_naive_enumeration(seed, n, size):
+    alphabet, cons = random_case(seed, n, size)
+    got = [d.canonical_key() for d in enumerate_diagrams(n, alphabet, cons)]
+    assert got == naive_keys(n, alphabet, cons)
