@@ -129,10 +129,6 @@ class RelationSet:
 EMPTY_RELATIONS = RelationSet(())
 
 
-def normalize(form: AngleForm, relations: RelationSet) -> AngleForm:
-    return relations.normalize(form)
-
-
 @dataclass(frozen=True)
 class AngleAssignment:
     """Numeric values (radians) for alpha, beta, gamma."""
@@ -140,12 +136,6 @@ class AngleAssignment:
     alpha: Optional[float] = None
     beta: Optional[float] = None
     gamma: Optional[float] = None
-
-    def ordered_triangle(self) -> "AngleAssignment":
-        a, b, g = sorted((self.alpha, self.beta, self.gamma))
-        if not (0 < a <= b <= g < math.pi):
-            raise ValueError("not a triangle angle basis")
-        return AngleAssignment(a, b, g)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ def _parse_triple(text: str):
 
 def _cmd_run(args) -> int:
     cfg = Config(tol=args.tol, coeff_bound=args.coeff_bound,
-                 node_budget=args.node_budget, out=args.out, fmt=args.format)
+                 node_budget=args.node_budget)
     names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
     ok = True
     for name in names:

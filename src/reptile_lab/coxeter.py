@@ -7,12 +7,14 @@ diagrams up to isomorphism, enumeration of abstract edge partitions, and
 classification of single-label subgraphs against a small-graph catalog.
 
 Sizes stay tiny (n <= 5, so at most 120 vertex permutations and 10 edges).
-Symmetry questions on a single diagram (automorphisms, canonical keys) are
-brute force over all vertex permutations.  The enumerators share per-n
-tables built once: the edges, the triangles as edge-index triples, the
-triangles through each edge, and each vertex permutation as a permutation
-of edge indices; they search and dedupe on integer labelings and build a
-diagram only once per isomorphism class.
+All symmetry goes through one kernel on per-n tables built once
+(`kn_tables`): a coloring is an int tuple over the edges in `all_edges`
+order, each vertex permutation is stored as an edge permutation with its
+`itemgetter`, and two operations answer every question: `aut` (the vertex
+permutations fixing a coloring) and `canon` (its smallest image).  A
+diagram numbers its label forms once and runs on that coloring; partition
+and skeleton canonical forms, subgraph classification and the enumerators'
+dedupe are built on the same two operations.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import (combinations, combinations_with_replacement, count, permutations,
+                       product)
 from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
@@ -47,14 +50,23 @@ def triangle_type_of(labels: Iterable[AngleForm]) -> TriangleType:
 
 @dataclass(frozen=True)
 class KnTables:
-    """Index tables of K_n shared by the enumerators (edges in `all_edges` order)."""
+    """Index tables of K_n (edges in `all_edges` order) and the symmetry kernel."""
 
     edges: list
     triangles: list  # vertex triples, in combinations order
     tri_edges: list  # per triangle: its three edge indices, ascending
     edge_tris: list  # per edge: the indices of the triangles through it
     perms: list  # vertex permutations, in permutations order
-    edge_perms: list  # per vertex permutation p: edge i -> index of p(edge i)
+    getters: list  # per vertex permutation p: colors -> image, edge i colored as p(edge i)
+
+    def aut(self, colors: Sequence[int]) -> list:
+        """The vertex permutations whose image of the coloring equals it."""
+        colors = tuple(colors)
+        return [p for p, g in zip(self.perms, self.getters) if g(colors) == colors]
+
+    def canon(self, colors: Sequence[int]) -> tuple:
+        """The smallest image of the coloring; equal iff isomorphic."""
+        return min([g(colors) for g in self.getters])
 
 
 @lru_cache(maxsize=8)
@@ -65,8 +77,11 @@ def kn_tables(n: int) -> KnTables:
     tri_edges = [(pos[(i, j)], pos[(i, k)], pos[(j, k)]) for i, j, k in tris]
     edge_tris = [[t for t, te in enumerate(tri_edges) if e in te] for e in range(len(es))]
     perms = list(permutations(range(n)))
-    edge_perms = [tuple(pos[_edge(p[a], p[b])] for a, b in es) for p in perms]
-    return KnTables(es, tris, tri_edges, edge_tris, perms, edge_perms)
+    # with fewer than two edges every edge permutation is the identity, and
+    # itemgetter of one index would return a scalar (of none, raise)
+    getters = [itemgetter(*(pos[_edge(p[a], p[b])] for a, b in es)) if len(es) > 1 else tuple
+               for p in perms]
+    return KnTables(es, tris, tri_edges, edge_tris, perms, getters)
 
 
 class CoxeterDiagram:
@@ -83,9 +98,14 @@ class CoxeterDiagram:
             a, b = tuple(key)
             i, j = (index[a], index[b]) if a in index else (a, b)
             canon[_edge(i, j)] = relations.normalize(form)
-        if set(canon) != set(all_edges(n)):
+        es = all_edges(n)
+        if set(canon) != set(es):
             raise ValueError("labels must cover every edge exactly once")
         self.labels = canon
+        # label forms numbered once, in sort_key order; symmetry runs on ids
+        self.forms = tuple(sorted(set(canon.values()), key=lambda f: f.sort_key()))
+        ids = {f: i for i, f in enumerate(self.forms)}
+        self.colors = tuple(ids[canon[e]] for e in es)
 
     @property
     def n(self) -> int:
@@ -108,9 +128,6 @@ class CoxeterDiagram:
         return triangle_type_of(
             (self.labels[_edge(i, j)], self.labels[_edge(i, k)], self.labels[_edge(j, k)]))
 
-    def triangles_of_type(self, ttype: TriangleType) -> list:
-        return [t for t in self.triangles() if self.triangle_type(t) == ttype]
-
     def label_set(self) -> set:
         return set(self.labels.values())
 
@@ -118,29 +135,12 @@ class CoxeterDiagram:
 
     def automorphisms(self) -> list:
         """All vertex permutations preserving every edge label."""
-        out = []
-        es = self.edges()
-        for p in permutations(range(self.n)):
-            if all(self.labels[_edge(p[i], p[j])] == self.labels[(i, j)]
-                   for i, j in es):
-                out.append(p)
-        return out
+        return kn_tables(self.n).aut(self.colors)
 
     def canonical_key(self):
-        """Minimum label matrix over all vertex orders; equal iff isomorphic."""
-        ids = {}
-        for f in sorted(self.label_set(), key=lambda f: f.sort_key()):
-            ids[f] = len(ids)
-        es = self.edges()
-        best = None
-        for p in permutations(range(self.n)):
-            key = tuple(ids[self.labels[_edge(p[i], p[j])]] for i, j in es)
-            if best is None or key < best:
-                best = key
-        # the key alone identifies the labeled graph only up to renaming of
-        # labels; append the label forms in id order to pin them
-        forms = tuple(f.coeffs for f, _ in sorted(ids.items(), key=lambda kv: kv[1]))
-        return (best, forms)
+        """Minimum label-id matrix over all vertex orders, with the label
+        forms in id order to pin the ids; equal iff isomorphic."""
+        return (kn_tables(self.n).canon(self.colors), tuple(f.coeffs for f in self.forms))
 
     # -- fixture IO ----------------------------------------------------------
 
@@ -288,7 +288,7 @@ def subgroups_upto_two_generators(n: int = 5) -> list:
     is a breadth-first walk from the identity multiplying by the generators
     (finiteness makes inverses come for free).
     """
-    perms = list(permutations(range(n)))
+    perms = kn_tables(n).perms
     index = {p: i for i, p in enumerate(perms)}
     size = len(perms)
     table = [[index[_compose(perms[a], perms[b])] for b in range(size)]
@@ -328,18 +328,15 @@ def subgroups_upto_two_generators(n: int = 5) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _graph_cert(edges: Sequence[Edge]) -> tuple:
-    """Canonical certificate of a graph on its non-isolated vertices."""
+def _graph_key(edges: Sequence[Edge]) -> tuple:
+    """Canonical 0/1 edge indicator in K5 of a graph on at most 5 vertices."""
     support = sorted({v for e in edges for v in e})
+    if len(support) > 5:
+        raise ValueError(f"graph on {len(support)} vertices; at most 5 supported")
     idx = {v: i for i, v in enumerate(support)}
-    es = [frozenset((idx[a], idx[b])) for a, b in edges]
-    k = len(support)
-    best = None
-    for p in permutations(range(k)):
-        key = tuple(sorted(tuple(sorted((p[a], p[b]))) for a, b in (tuple(e) for e in es)))
-        if best is None or key < best:
-            best = key
-    return (k, best)
+    on = {_edge(idx[a], idx[b]) for a, b in edges}
+    kn = kn_tables(5)
+    return kn.canon([int(e in on) for e in kn.edges])
 
 
 def _catalog() -> dict:
@@ -375,15 +372,15 @@ def _catalog() -> dict:
         "P2+triangle": [(0, 1)] + [(2, 3), (3, 4), (2, 4)],
         "paw": cycle(3) + [(0, 3)],
     }
-    return {_graph_cert(es): name for name, es in named.items()}
+    return {_graph_key(es): name for name, es in named.items()}
 
 
 _CATALOG = _catalog()
 
 
 def classify_graph(edges: Sequence[Edge]) -> str:
-    cert = _graph_cert(list(edges))
-    return _CATALOG.get(cert, f"graph{cert}")
+    key = _graph_key(edges)
+    return _CATALOG.get(key, f"graph{key}")
 
 
 def label_subgraph(diagram: CoxeterDiagram, label: AngleForm) -> str:
@@ -487,7 +484,7 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
     soon as it falls below four.
 
     A complete labeling is keyed by its minimum over all vertex orders
-    (precomputed edge permutations) and skipped if its isomorphism class
+    (`canon` of the kernel) and skipped if its isomorphism class
     was already seen, so the diagram is built and tested for richness, an
     isomorphism invariant, once per class.  Each class is represented by
     its first labeling in search order; results are sorted by canonical
@@ -541,12 +538,11 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
     else:
         names = [f"v{i}" for i in range(n)]
 
-    relabel = [itemgetter(*ep) for ep in kn.edge_perms] if m > 1 else [tuple]
     seen = set()
     solutions = []
 
     def finish():
-        key = min(g(assign) for g in relabel)
+        key = kn.canon(assign)
         if key in seen:
             return
         seen.add(key)
@@ -623,21 +619,13 @@ def _restricted_growth_strings(m: int):
             maxes[j] = maxes[i]
 
 
-def _coloring_canonical(coloring: tuple, n: int) -> tuple:
-    best = None
-    for ep in kn_tables(n).edge_perms:
-        seq = [coloring[j] for j in ep]
-        relabel, nxt = {}, 0
-        out = []
-        for c in seq:
-            if c not in relabel:
-                relabel[c] = nxt
-                nxt += 1
-            out.append(relabel[c])
-        key = tuple(out)
-        if best is None or key < best:
-            best = key
-    return best
+def coloring_canonical(coloring: tuple, n: int) -> tuple:
+    """Smallest image of the coloring, each renumbered by first occurrence;
+    equal iff the edge partitions are isomorphic."""
+    def renumbered(image):
+        relabel = {}
+        return tuple([relabel.setdefault(c, len(relabel)) for c in image])
+    return min(renumbered(g(coloring)) for g in kn_tables(n).getters)
 
 
 def coloring_triangle_types(coloring: tuple, n: int) -> list:
@@ -646,9 +634,7 @@ def coloring_triangle_types(coloring: tuple, n: int) -> list:
 
 
 def coloring_automorphisms(coloring: tuple, n: int) -> list:
-    kn = kn_tables(n)
-    return [p for p, ep in zip(kn.perms, kn.edge_perms)
-            if all(coloring[j] == c for j, c in zip(ep, coloring))]
+    return kn_tables(n).aut(coloring)
 
 
 def enumerate_edge_partitions(n: int, constraints: PartitionConstraints) -> list:
@@ -682,7 +668,7 @@ def enumerate_edge_partitions(n: int, constraints: PartitionConstraints) -> list
             trivial = len(coloring_automorphisms(coloring, n)) == 1
             if trivial != cons.trivial_automorphisms:
                 continue
-        seen.setdefault(_coloring_canonical(coloring, n), coloring)
+        seen.setdefault(coloring_canonical(coloring, n), coloring)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -719,53 +705,50 @@ def enumerate_two_label_skeletons(n: int = 5,
         tri_asg = [(asg[a], asg[b], asg[c]) for a, b, c in kn.tri_edges]
         if any(0 not in t for t in tri_asg):
             continue  # triangle in the two-label graph
-        # induced 2-edge paths with one edge from each label, and the free
-        # edge closing each: (triangle, closing edge)
-        paths = [(kn.triangles[k], es[te[t.index(0)]])
-                 for k, (t, te) in enumerate(zip(tri_asg, kn.tri_edges))
-                 if 1 in t and 2 in t]
-        if len(paths) < min_paths:
+        # induced 2-edge paths with one edge from each label (the third
+        # edge of their triangle is free)
+        paths = sum(1 for t in tri_asg if 1 in t and 2 in t)
+        if paths < min_paths:
             continue
         alpha = tuple(i for i, x in enumerate(asg) if x == 1)
         if alpha not in shapes:
             shapes[alpha] = classify_graph([es[i] for i in alpha])
         if shapes[alpha] not in alpha_shapes:
             continue
+        if paths == 4 and forced_symmetry_collapses(asg, n):
+            continue
         ea = frozenset(es[i] for i in alpha)
         eb = frozenset(e for e, x in zip(es, asg) if x == 2)
-        if len(paths) == 4 and _forced_symmetry_collapses(ea, eb, paths, n):
-            continue
-        key = _pair_canonical(ea, eb, n)
-        results.setdefault(key, (ea, eb))
+        results.setdefault(pair_canonical(ea, eb, n), (ea, eb))
     return [results[k] for k in sorted(results)]
 
 
-def _pair_canonical(ea: frozenset, eb: frozenset, n: int) -> tuple:
-    es = all_edges(n)
-    best = None
-    for p in permutations(range(n)):
-        pa = tuple(sorted(_edge(p[a], p[b]) for a, b in ea))
-        pb = tuple(sorted(_edge(p[a], p[b]) for a, b in eb))
-        key = (pa, pb)
-        if best is None or key < best:
-            best = key
-    return best
+def pair_canonical(ea: frozenset, eb: frozenset, n: int) -> tuple:
+    """Smallest (alpha edges, beta edges) image over all vertex orders, each
+    as a sorted edge tuple; equal iff the pairs are isomorphic."""
+    kn = kn_tables(n)
+    colors = tuple(1 if e in ea else 2 if e in eb else 0 for e in kn.edges)
+
+    def split(image):
+        return (tuple(i for i, x in enumerate(image) if x == 1),
+                tuple(i for i, x in enumerate(image) if x == 2))
+    ia, ib = min(split(g(colors)) for g in kn.getters)
+    return (tuple(kn.edges[i] for i in ia), tuple(kn.edges[i] for i in ib))
 
 
-def _forced_symmetry_collapses(ea, eb, paths, n) -> bool:
-    closings = {closing for _, closing in paths}
-    free = [e for e in all_edges(n) if e not in ea and e not in eb and e not in closings]
-    tris = [frozenset(t) for t, _ in paths]
-    for p in permutations(range(n)):
-        if p == tuple(range(n)):
-            continue
-        if {_edge(p[a], p[b]) for a, b in ea} != ea:
-            continue
-        if {_edge(p[a], p[b]) for a, b in eb} != eb:
-            continue
-        if any(_edge(p[e[0]], p[e[1]]) != e for e in free):
-            continue
-        mapped = [frozenset(p[v] for v in t) for t in tris]
-        if mapped != tris and set(mapped) == set(tris):
-            return True
-    return False
+def forced_symmetry_collapses(asg: tuple, n: int) -> bool:
+    """Does a symmetry that survives every completion move a mixed path?
+
+    `asg` gives each edge 0 (free), 1 (alpha) or 2 (beta); a mixed path is a
+    triangle with one edge of each.  Each free edge that closes no path gets
+    a color of its own, so the automorphisms of this refined coloring are
+    the vertex permutations that keep both label sets and fix every such
+    edge, whatever it is labeled later.
+    """
+    kn = kn_tables(n)
+    paths = [k for k, te in enumerate(kn.tri_edges) if {asg[i] for i in te} == {0, 1, 2}]
+    closing = {i for k in paths for i in kn.tri_edges[k] if asg[i] == 0}
+    fresh = count(3)
+    colors = [x if x or i in closing else next(fresh) for i, x in enumerate(asg)]
+    tris = [frozenset(kn.triangles[k]) for k in paths]
+    return any(frozenset(p[v] for v in t) != t for p in kn.aut(colors) for t in tris)

@@ -105,7 +105,7 @@ class LatticeTile:
                 and self.signed_perm[-1][1] != other.signed_perm[-1][1])
 
 
-def _signed_perms(d: int):
+def signed_perms(d: int):
     for axes in permutations(range(d), d - 1):
         for signs in product((1, -1), repeat=d - 1):
             yield tuple(zip(signs, axes))
@@ -160,7 +160,7 @@ def lattice_tiles_in(poly: Polytope, d: int, m: int) -> list:
     cube, so this covers every scaled Hill target.
     """
     out = []
-    perms = list(_signed_perms(d))
+    perms = list(signed_perms(d))
     for n in product(range(m), repeat=d):
         center2 = tuple(2 * c + 1 for c in n)
         if not poly.contains2(center2):
@@ -187,10 +187,6 @@ def generate_h2_h1_tiles(d: int, m: int) -> list:
 # ---------------------------------------------------------------------------
 # Exact volumes and congruence
 # ---------------------------------------------------------------------------
-
-
-def simplex_volume(simplex: EuclideanSimplex) -> Fraction:
-    return simplex.volume()
 
 
 def tile_volume(d: int) -> Fraction:
@@ -292,7 +288,6 @@ class TilingReport:
     total_volume: Fraction
     all_congruent: bool
     component_sizes: list
-    pairing_ok: Optional[bool] = None
 
 
 def pair_h2_tiling(d: int, m: int) -> list:

@@ -318,9 +318,6 @@ class _Region:
         best = min(tuple(rows[(i + j) % k] for j in range(k)) for i in range(k))
         return best
 
-    def area(self) -> float:
-        return sphgeo.spherical_polygon_area(self.points, self.angles)
-
 
 def _orientations(tile: TileSpec) -> list:
     ang = tile.angles

@@ -24,17 +24,17 @@ from . import fixtures
 from .angles import AngleForm, RelationSet, parse_angle
 from .coxeter import (DiagramConstraints, PartitionConstraints,
                       act_on_vertex_set, all_edges, burnside_count,
-                      coloring_automorphisms, enumerate_diagrams,
-                      enumerate_edge_partitions, enumerate_two_label_skeletons,
+                      coloring_automorphisms, coloring_canonical,
+                      enumerate_diagrams, enumerate_edge_partitions,
+                      enumerate_two_label_skeletons,
                       edge_orbit_count_transitive, label_subgraph,
-                      orbit_partition, pair_orbit_bound,
-                      subgroups_upto_two_generators, triangle_type_of,
-                      _pair_canonical)
+                      orbit_partition, pair_canonical, pair_orbit_bound,
+                      subgroups_upto_two_generators, triangle_type_of)
 from .exactmath import Poly, QuadExt, isolate_roots
 from .gram import fiedler_check, gram_from_diagram, parametric_fiedler
 from .hill import (compatibility_graph, congruent, generate_h1_tiling,
                    generate_h2_h1_tiles, hill_simplex, pair_h2_tiling,
-                   tiling_report, LatticeTile, _signed_perms)
+                   signed_perms, tiling_report, LatticeTile)
 from .realize import (EdgeMatch, TileSpec, edge_combination,
                       enumerate_candidates, search_tiling, verify_tiling)
 from .spherical import (corner_angle_solutions,
@@ -49,8 +49,6 @@ class Config:
     tol: float = 1e-5
     coeff_bound: int = 20
     node_budget: int = 10 ** 6
-    out: Optional[str] = None
-    fmt: str = "text"
 
     def snapshot(self) -> dict:
         return {"tol": self.tol, "coeff_bound": self.coeff_bound,
@@ -347,19 +345,12 @@ def scenario_two_indivisible(cfg: Config) -> Report:
 
     rich = [c for c in relaxed if max(c) + 1 >= 3]
     catalog_keys = [f"two-indivisible-{s}" for s in "abcdef"]
-    catalog = {}
-    for key in catalog_keys:
-        d = fixtures.diagram(key)
-        ids = {}
-        coloring = []
-        for e in all_edges(5):
-            lab = d.labels[e]
-            ids.setdefault(lab, len(ids))
-            coloring.append(ids[lab])
-        catalog[_canon_coloring(tuple(coloring))] = key
+    # coloring_canonical renumbers colors, so a diagram's label ids will do
+    catalog = {coloring_canonical(fixtures.diagram(key).colors, 5): key
+               for key in catalog_keys}
     rec.check("two-indivisible/catalog-match",
               "colorings with >= 3 classes match the six catalog diagrams",
-              sorted(catalog), sorted(_canon_coloring(c) for c in rich),
+              sorted(catalog), sorted(coloring_canonical(c, 5) for c in rich),
               "reference", "diagrams:two-indivisible-a")
 
     counts_seen = sorted(sorted(_edge_class_counts(c), reverse=True) for c in rich)
@@ -405,11 +396,6 @@ def scenario_two_indivisible(cfg: Config) -> Report:
               True, frozenset(gen) in tight,
               "reference", "expectations:pair_orbit_bounds/5")
     return report
-
-
-def _canon_coloring(coloring):
-    from .coxeter import _coloring_canonical
-    return _coloring_canonical(coloring, 5)
 
 
 def _edge_class_counts(coloring):
@@ -691,10 +677,10 @@ def scenario_case_c(cfg: Config) -> Report:
     def canon_of(entry):
         ea = frozenset(tuple(sorted((order[a], order[b]))) for a, b in entry["alpha"])
         eb = frozenset(tuple(sorted((order[a], order[b]))) for a, b in entry["beta"])
-        return _pair_canonical(ea, eb, 5)
+        return pair_canonical(ea, eb, 5)
 
     want = sorted(canon_of(ab[k]) for k in ab)
-    got = sorted(_pair_canonical(a, b, 5) for a, b in skels)
+    got = sorted(pair_canonical(a, b, 5) for a, b in skels)
     rec.check("case-c/two-label-identity",
               "the classes match the catalog", want, got,
               "reference", "ab_pairs:a")
@@ -743,7 +729,7 @@ def scenario_hill(cfg: Config, d: Optional[int] = None, m: Optional[int] = None)
 
     for dd in sorted({c[0] for c in h1_cases}):
         center = tuple(1 for _ in range(dd))
-        cube = [LatticeTile(center, sp) for sp in _signed_perms(dd)]
+        cube = [LatticeTile(center, sp) for sp in signed_perms(dd)]
         graph = compatibility_graph(cube)
         sizes = set(graph.component_sizes())
         per = {len([e for e in graph.edges if e[0] in c or e[1] in c])

@@ -98,10 +98,6 @@ class SphTriangle:
         return edge_lengths(self.angles)
 
 
-def area(triangle: SphTriangle) -> float:
-    return triangle.area
-
-
 def edge_lengths(angles: Sequence[AngleLike]) -> tuple:
     """Edges (a, b, c) from the law of cosines for angles; edge x opposite x.
 

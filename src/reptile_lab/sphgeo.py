@@ -38,19 +38,6 @@ def rotate_tangent(axis: np.ndarray, tangent: np.ndarray, angle: float) -> np.nd
     return tangent * math.cos(angle) + np.cross(axis, tangent) * math.sin(angle)
 
 
-def signed_turn(axis: np.ndarray, frm: np.ndarray, to: np.ndarray) -> float:
-    """Angle in [0, 2pi) rotating `frm` counterclockwise around `axis` onto `to`."""
-    s = float(np.dot(axis, np.cross(frm, to)))
-    c = float(np.dot(frm, to))
-    ang = math.atan2(s, c)
-    return ang + 2 * math.pi if ang < 0 else ang
-
-
-def interior_angle(v: np.ndarray, prev: np.ndarray, nxt: np.ndarray) -> float:
-    """Interior angle at v of a CCW polygon ... prev, v, nxt ... (interior left)."""
-    return signed_turn(v, tangent_toward(v, nxt), tangent_toward(v, prev))
-
-
 def triangle_vertices(angles, edges) -> list:
     """Place a spherical triangle with given angles/opposite edges on the sphere.
 
@@ -118,12 +105,6 @@ def arcs_conflict(a1, b1, a2, b2, snap: float) -> bool:
             if not shared:
                 return True
     return False
-
-
-def spherical_polygon_area(vertices, angles) -> float:
-    """Area from the interior angles: angle sum minus (k-2)*pi."""
-    k = len(angles)
-    return math.fsum(angles) - (k - 2) * math.pi
 
 
 def point_in_convex_polygon(p: np.ndarray, pts, snap: float = 1e-9) -> bool:

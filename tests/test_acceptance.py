@@ -19,7 +19,7 @@ from reptile_lab.coxeter import (all_edges, burnside_count,
 from reptile_lab.exactmath import Poly, QuadExt, isolate_roots, sturm_count
 from reptile_lab.gram import (EuclideanSimplex, dihedral_angles, fiedler_check,
                               gram_from_angles, gram_from_diagram)
-from reptile_lab.hill import (LatticeTile, _signed_perms, compatibility_graph,
+from reptile_lab.hill import (LatticeTile, signed_perms, compatibility_graph,
                               generate_h1_tiling, generate_h2_h1_tiles,
                               hill_simplex, pair_h2_tiling, tiling_report)
 from reptile_lab.realize import (EdgeMatch, TileSpec, algebraic_degree,
@@ -213,7 +213,7 @@ def test_criterion_12_hill_tilings():
         ok &= rep.all_congruent
     for d in (2, 3, 4):
         cube = [LatticeTile(tuple(1 for _ in range(d)), sp)
-                for sp in _signed_perms(d)]
+                for sp in signed_perms(d)]
         ok &= set(compatibility_graph(cube).component_sizes()) == {4}
     for d, m in EXP["hill"]["pair_cases"]:
         graph = compatibility_graph(generate_h2_h1_tiles(d, m))

@@ -7,7 +7,7 @@ from reptile_lab.hill import (LatticeTile, PairingError, compatibility_graph,
                               congruent, generate_h1_tiling, generate_h2_h1_tiles,
                               hill_simplex, pair_h2_tiling, pair_union_simplex,
                               tile_volume, tiling_from_json, tiling_report,
-                              tiling_to_json, tiling_to_off, _signed_perms)
+                              tiling_to_json, tiling_to_off, signed_perms)
 
 H = F(1, 2)
 
@@ -69,7 +69,7 @@ class TestCompatibility:
     def test_full_cube_components_are_four_cycles(self):
         for d in (2, 3, 4):
             tiles = [LatticeTile(tuple(1 for _ in range(d)), sp)
-                     for sp in _signed_perms(d)]
+                     for sp in signed_perms(d)]
             graph = compatibility_graph(tiles)
             assert set(graph.component_sizes()) == {4}
             for comp in graph.components:
