@@ -286,7 +286,7 @@ class SphTiling:
 
     @staticmethod
     def from_json(data: dict) -> "SphTiling":
-        verts = [sphgeo.unit(np.array(v, dtype=float)) for v in data["vertices"]]
+        verts = [np.array(sphgeo.unit(sphgeo.vec(v))) for v in data["vertices"]]
         tiles = [TilePlacement([verts[i] for i in t["vertices"]],
                                tuple(t["corners"])) for t in data["tiles"]]
         return SphTiling([verts[i] for i in data["target"]],
@@ -313,7 +313,7 @@ class _Region:
 
     def signature(self):
         k = len(self.points)
-        rows = [tuple(round(float(c), 7) for c in self.points[i]) +
+        rows = [tuple(round(c, 7) for c in self.points[i]) +
                 (round(self.angles[i], 7),) for i in range(k)]
         best = min(tuple(rows[(i + j) % k] for j in range(k)) for i in range(k))
         return best
@@ -484,7 +484,7 @@ def _placement_geometry_ok(old: _Region, new: _Region, tile_points, eps: float) 
     return True
 
 
-def _area_tile_count(target_angles, tile: TileSpec, eps: float):
+def _area_tile_count(target_angles, tile: TileSpec):
     t_area = math.fsum(target_angles) - math.pi
     ratio = t_area / tile.excess
     n = round(ratio)
@@ -510,7 +510,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     rep = is_valid(target_angles)
     if not rep:
         raise InvalidTriangleError(rep.reason)
-    n = _area_tile_count(target_angles, tile, eps)
+    n = _area_tile_count(target_angles, tile)
     if n is None or n == 0:
         return SearchResult("exhausted", None, 0,
                             "target area is not a positive multiple of the tile area")
@@ -528,7 +528,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     def pick_vertex(region):
         best, bi = None, -1
         for i, a in enumerate(region.angles):
-            key = (a,) + tuple(round(float(c), 9) for c in region.points[i])
+            key = (a,) + tuple(round(c, 9) for c in region.points[i])
             if best is None or key < best:
                 best, bi = key, i
         return bi
@@ -549,7 +549,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
             if res is None:
                 continue
             state, tile_points = res
-            placement = TilePlacement(tile_points, orient["corners"])
+            placement = (tile_points, orient["corners"])
             if state == "closed":
                 if len(placed) + 1 == n:
                     solution.extend(placed + [placement])
@@ -563,18 +563,20 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
         failed.add(sig)
         return None
 
+    def tiling(placements):
+        return SphTiling([np.array(p) for p in t_points], target_angles,
+                         [TilePlacement([np.array(p) for p in pts], corners)
+                          for pts, corners in placements])
+
     if n == 1:
         # trivial: the target must be congruent to the tile itself
         if all(abs(x - y) <= 1e-9 for x, y in zip(sorted(target_angles), tile.angles)):
-            placement = TilePlacement(list(t_points), (0, 1, 2))
-            tiling = SphTiling(list(t_points), target_angles, [placement])
-            return SearchResult("found", tiling, 0)
+            return SearchResult("found", tiling([(t_points, (0, 1, 2))]), 0)
         return SearchResult("exhausted", None, 0, "single tile is not congruent")
 
     out = dfs(region0, [])
     if out == "found":
-        tiling = SphTiling(list(t_points), target_angles, solution)
-        return SearchResult("found", tiling, nodes)
+        return SearchResult("found", tiling(solution), nodes)
     if out == "aborted":
         return SearchResult("aborted", None, nodes,
                             f"node budget {node_budget} exceeded")
@@ -599,8 +601,8 @@ def _triple_angle_edge_pairs(points):
     out = []
     for i in range(3):
         p, q, r = points[i], points[(i + 1) % 3], points[(i + 2) % 3]
-        ang = math.acos(max(-1.0, min(1.0, float(
-            np.dot(sphgeo.tangent_toward(p, q), sphgeo.tangent_toward(p, r))))))
+        ang = math.acos(max(-1.0, min(1.0, sphgeo.dot(
+            sphgeo.tangent_toward(p, q), sphgeo.tangent_toward(p, r)))))
         opp = sphgeo.arc_length(q, r)
         out.append((ang, opp))
     return sorted(out)
@@ -610,56 +612,55 @@ def verify_tiling(tiling: SphTiling, tile: TileSpec, eps: float = 1e-7) -> Verif
     """Independent re-check: congruence of each tile to the base tile,
     containment in the target, pairwise interior disjointness, and exact
     area conservation."""
+    tiles = [[sphgeo.vec(p) for p in t.points] for t in tiling.tiles]
+    boundary = [sphgeo.vec(p) for p in tiling.target_points]
     ref = sorted(zip(tile.angles, tile.edges))
-    for idx, t in enumerate(tiling.tiles):
-        pairs = _triple_angle_edge_pairs(t.points)
+    for idx, pts in enumerate(tiles):
+        pairs = _triple_angle_edge_pairs(pts)
         for (a1, e1), (a2, e2) in zip(pairs, ref):
             if abs(a1 - a2) > eps or abs(e1 - e2) > eps:
                 return VerifyReport(False, f"tile {idx} is not congruent to the base tile")
-    boundary = tiling.target_points
-    for idx, t in enumerate(tiling.tiles):
-        for p in t.points:
+    for idx, pts in enumerate(tiles):
+        for p in pts:
             if not sphgeo.point_in_convex_polygon(p, boundary, snap=eps):
                 return VerifyReport(False, f"tile {idx} leaves the target")
-    for i in range(len(tiling.tiles)):
-        for j in range(i + 1, len(tiling.tiles)):
-            if _tiles_overlap(tiling.tiles[i], tiling.tiles[j], eps):
+    for i in range(len(tiles)):
+        for j in range(i + 1, len(tiles)):
+            if _tiles_overlap(tiles[i], tiles[j], eps):
                 return VerifyReport(False, f"tiles {i} and {j} overlap")
-    k = len(tiling.target_points)
+    k = len(boundary)
     target_area = math.fsum(tiling.target_angles) - (k - 2) * math.pi
     tiles_area = 0.0
-    for t in tiling.tiles:
-        pairs = _triple_angle_edge_pairs(t.points)
+    for pts in tiles:
+        pairs = _triple_angle_edge_pairs(pts)
         tiles_area += math.fsum(a for a, _ in pairs) - math.pi
-    if abs(tiles_area - target_area) > max(1, len(tiling.tiles)) * 1e-9:
+    if abs(tiles_area - target_area) > max(1, len(tiles)) * 1e-9:
         return VerifyReport(False, "tile areas do not sum to the target area")
     return VerifyReport(True)
 
 
 def _segments_cross_transversally(a1, b1, a2, b2, snap):
-    n1 = np.cross(a1, b1)
-    n2 = np.cross(a2, b2)
-    d = np.cross(n1, n2)
-    nd = np.linalg.norm(d)
+    d = sphgeo.cross(sphgeo.cross(a1, b1), sphgeo.cross(a2, b2))
+    nd = sphgeo.norm(d)
     if nd < 1e-12:
         return False  # collinear contact is not a transversal crossing
-    d = d / nd
-    for p in (d, -d):
+    d = (d[0] / nd, d[1] / nd, d[2] / nd)
+    for p in (d, (-d[0], -d[1], -d[2])):
         if sphgeo.on_arc(p, a1, b1, snap) and sphgeo.on_arc(p, a2, b2, snap):
             if all(sphgeo.arc_length(p, e) > 10 * snap for e in (a1, b1, a2, b2)):
                 return True
     return False
 
 
-def _tiles_overlap(t1: TilePlacement, t2: TilePlacement, eps: float) -> bool:
-    pts1, pts2 = t1.points, t2.points
+def _tiles_overlap(pts1, pts2, eps: float) -> bool:
+    """Do two tiles, each three float 3-tuples, share interior points."""
     for i in range(3):
         for j in range(3):
             if _segments_cross_transversally(pts1[i], pts1[(i + 1) % 3],
                                              pts2[j], pts2[(j + 1) % 3], eps):
                 return True
-    c1 = sphgeo.unit(sum(pts1))
-    c2 = sphgeo.unit(sum(pts2))
+    c1 = sphgeo.unit([sum(c) for c in zip(*pts1)])
+    c2 = sphgeo.unit([sum(c) for c in zip(*pts2)])
     if sphgeo.point_in_triangle(c1, pts2, snap=-eps):
         return True
     if sphgeo.point_in_triangle(c2, pts1, snap=-eps):
@@ -694,16 +695,17 @@ def lune_two_tile_tiling(alpha: float) -> tuple:
 
 
 def render_tiling_svg(tiling: SphTiling, path: str, size: int = 480) -> None:
-    center = sphgeo.unit(sum(tiling.target_points))
-    ref = np.array([1.0, 0.0, 0.0])
-    if abs(float(np.dot(ref, center))) > 0.9:
-        ref = np.array([0.0, 1.0, 0.0])
-    e1 = sphgeo.unit(np.cross(center, ref))
-    e2 = np.cross(center, e1)
+    target = [sphgeo.vec(p) for p in tiling.target_points]
+    center = sphgeo.unit([sum(c) for c in zip(*target)])
+    ref = (1.0, 0.0, 0.0)
+    if abs(sphgeo.dot(ref, center)) > 0.9:
+        ref = (0.0, 1.0, 0.0)
+    e1 = sphgeo.unit(sphgeo.cross(center, ref))
+    e2 = sphgeo.cross(center, e1)
 
     def project(p):
-        w = float(np.dot(p, center))
-        return (float(np.dot(p, e1)) / (1 + w), float(np.dot(p, e2)) / (1 + w))
+        w = sphgeo.dot(p, center)
+        return (sphgeo.dot(p, e1) / (1 + w), sphgeo.dot(p, e2) / (1 + w))
 
     def arc_points(a, b, segments=64):
         ang = sphgeo.arc_length(a, b)
@@ -712,7 +714,8 @@ def render_tiling_svg(tiling: SphTiling, path: str, size: int = 480) -> None:
         out = []
         for s in range(segments + 1):
             t = s / segments
-            p = sphgeo.unit(a * math.sin((1 - t) * ang) + b * math.sin(t * ang))
+            sa, sb = math.sin((1 - t) * ang), math.sin(t * ang)
+            p = sphgeo.unit([x * sa + y * sb for x, y in zip(a, b)])
             out.append(project(p))
         return out
 
@@ -727,19 +730,19 @@ def render_tiling_svg(tiling: SphTiling, path: str, size: int = 480) -> None:
         polylines.append((points, fill, stroke))
 
     for idx, t in enumerate(tiling.tiles):
+        tri = [sphgeo.vec(p) for p in t.points]
         pts = []
         for i in range(3):
-            pts.extend(arc_points(t.points[i], t.points[(i + 1) % 3])[:-1])
+            pts.extend(arc_points(tri[i], tri[(i + 1) % 3])[:-1])
         pts.append(pts[0])
         hue = (idx * 0.618034) % 1.0
         r, g, b = colorsys.hls_to_rgb(hue, 0.72, 0.65)
         fill = f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
         emit(pts, fill, "#444444")
     tpts = []
-    k = len(tiling.target_points)
+    k = len(target)
     for i in range(k):
-        tpts.extend(arc_points(tiling.target_points[i],
-                               tiling.target_points[(i + 1) % k])[:-1])
+        tpts.extend(arc_points(target[i], target[(i + 1) % k])[:-1])
     tpts.append(tpts[0])
     emit(tpts, "none", "#000000")
 

@@ -1,41 +1,71 @@
-"""Unit-sphere geometry helpers: points as numpy unit 3-vectors, geodesic
-arcs by their endpoints (minor-arc convention, all lengths < pi)."""
+"""Unit-sphere geometry kernel: points as float 3-tuples, geodesic arcs by
+their endpoints (minor-arc convention, all lengths < pi).
+
+Stdlib only.  The tiling search calls these helpers for every pair of
+boundary arcs at every node, where numpy's per-call overhead on 3-element
+arrays costs about a hundred times the arithmetic.  Callers holding numpy
+arrays or lists convert them once with `vec`.
+"""
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
+
+def vec(v) -> tuple:
+    """Any 3-sequence (tuple, list, numpy array) as a float 3-tuple."""
+    x, y, z = v
+    return (float(x), float(y), float(z))
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+def dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cross(a, b) -> tuple:
+    ax, ay, az = a
+    bx, by, bz = b
+    return (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+
+
+def norm(v) -> float:
+    return math.sqrt(dot(v, v))
+
+
+def unit(v) -> tuple:
+    n = norm(v)
     if n == 0:
         raise ValueError("zero vector")
-    return v / n
+    return (v[0] / n, v[1] / n, v[2] / n)
 
 
-def arc_length(a: np.ndarray, b: np.ndarray) -> float:
-    return math.atan2(np.linalg.norm(np.cross(a, b)), float(np.dot(a, b)))
+def arc_length(a, b) -> float:
+    return math.atan2(norm(cross(a, b)), dot(a, b))
 
 
-def tangent_toward(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def tangent_toward(a, b) -> tuple:
     """Unit tangent at a pointing along the geodesic toward b."""
-    t = b - float(np.dot(a, b)) * a
-    n = np.linalg.norm(t)
+    d = dot(a, b)
+    t = (b[0] - d * a[0], b[1] - d * a[1], b[2] - d * a[2])
+    n = norm(t)
     if n < 1e-13:
         raise ValueError("tangent undefined for coincident/antipodal points")
-    return t / n
+    return (t[0] / n, t[1] / n, t[2] / n)
 
 
-def point_at(a: np.ndarray, tangent: np.ndarray, dist: float) -> np.ndarray:
-    return unit(a * math.cos(dist) + tangent * math.sin(dist))
+def point_at(a, tangent, dist: float) -> tuple:
+    c, s = math.cos(dist), math.sin(dist)
+    return unit((a[0] * c + tangent[0] * s, a[1] * c + tangent[1] * s,
+                 a[2] * c + tangent[2] * s))
 
 
-def rotate_tangent(axis: np.ndarray, tangent: np.ndarray, angle: float) -> np.ndarray:
+def rotate_tangent(axis, tangent, angle: float) -> tuple:
     """Rotate a tangent vector at `axis` by `angle` (counterclockwise seen
     from outside the sphere)."""
-    return tangent * math.cos(angle) + np.cross(axis, tangent) * math.sin(angle)
+    c, s = math.cos(angle), math.sin(angle)
+    w = cross(axis, tangent)
+    return (tangent[0] * c + w[0] * s, tangent[1] * c + w[1] * s,
+            tangent[2] * c + w[2] * s)
 
 
 def triangle_vertices(angles, edges) -> list:
@@ -46,9 +76,9 @@ def triangle_vertices(angles, edges) -> list:
     """
     a0, _, _ = angles
     e0, e1, e2 = edges  # edge i opposite vertex i
-    v0 = np.array([0.0, 0.0, 1.0])
+    v0 = (0.0, 0.0, 1.0)
     # |v0 v1| is the edge opposite vertex 2
-    v1 = np.array([math.sin(e2), 0.0, math.cos(e2)])
+    v1 = (math.sin(e2), 0.0, math.cos(e2))
     # rotate the tangent toward v1 by the interior angle at v0 to aim at v2
     t01 = tangent_toward(v0, v1)
     t02 = rotate_tangent(v0, t01, a0)
@@ -56,17 +86,16 @@ def triangle_vertices(angles, edges) -> list:
     return [v0, v1, v2]
 
 
-def on_arc(p: np.ndarray, a: np.ndarray, b: np.ndarray, snap: float) -> bool:
+def on_arc(p, a, b, snap: float) -> bool:
     """Is p on the (closed) minor arc a-b, within snap distances."""
-    n = np.cross(a, b)
-    nn = np.linalg.norm(n)
+    n = cross(a, b)
+    nn = norm(n)
     if nn < 1e-13:
         return False
-    n = n / nn
-    if abs(float(np.dot(p, n))) > snap:
+    n = (n[0] / nn, n[1] / nn, n[2] / nn)
+    if abs(dot(p, n)) > snap:
         return False
-    return (float(np.dot(np.cross(a, p), n)) > -snap
-            and float(np.dot(np.cross(p, b), n)) > -snap)
+    return dot(cross(a, p), n) > -snap and dot(cross(p, b), n) > -snap
 
 
 def arcs_conflict(a1, b1, a2, b2, snap: float) -> bool:
@@ -75,17 +104,17 @@ def arcs_conflict(a1, b1, a2, b2, snap: float) -> bool:
     Transversal interior crossings, endpoint-in-interior touches, and
     collinear overlaps of positive length all count as conflicts.
     """
-    n1 = np.cross(a1, b1)
-    n2 = np.cross(a2, b2)
-    d = np.cross(n1, n2)
-    nd = np.linalg.norm(d)
+    n1 = cross(a1, b1)
+    n2 = cross(a2, b2)
+    d = cross(n1, n2)
+    nd = norm(d)
     ends1 = (a1, b1)
     ends2 = (a2, b2)
 
     def near(p, q):
         return arc_length(p, q) <= snap
 
-    if nd < 1e-12 * max(np.linalg.norm(n1) * np.linalg.norm(n2), 1e-30):
+    if nd < 1e-12 * max(norm(n1) * norm(n2), 1e-30):
         # same great circle: conflict iff an endpoint of one arc lies strictly
         # inside the other, or the arcs coincide
         for p in ends1:
@@ -97,8 +126,8 @@ def arcs_conflict(a1, b1, a2, b2, snap: float) -> bool:
         if (near(a1, a2) and near(b1, b2)) or (near(a1, b2) and near(b1, a2)):
             return True
         return False
-    d = d / nd
-    for p in (d, -d):
+    d = (d[0] / nd, d[1] / nd, d[2] / nd)
+    for p in (d, (-d[0], -d[1], -d[2])):
         if on_arc(p, a1, b1, snap) and on_arc(p, a2, b2, snap):
             shared = any(near(p, e1) and any(near(p, e2) for e2 in ends2)
                          for e1 in ends1)
@@ -107,17 +136,17 @@ def arcs_conflict(a1, b1, a2, b2, snap: float) -> bool:
     return False
 
 
-def point_in_convex_polygon(p: np.ndarray, pts, snap: float = 1e-9) -> bool:
+def point_in_convex_polygon(p, pts, snap: float = 1e-9) -> bool:
     """Is p inside or on the convex CCW spherical polygon (interior left)."""
     k = len(pts)
     for i in range(k):
         a, b = pts[i], pts[(i + 1) % k]
-        n = np.cross(a, b)
-        if float(np.dot(p, n)) < -snap * np.linalg.norm(n):
+        n = cross(a, b)
+        if dot(p, n) < -snap * norm(n):
             return False
     return True
 
 
-def point_in_triangle(p: np.ndarray, tri, snap: float = 1e-9) -> bool:
+def point_in_triangle(p, tri, snap: float = 1e-9) -> bool:
     """Is p inside or on the (CCW) spherical triangle."""
     return point_in_convex_polygon(p, tri, snap)

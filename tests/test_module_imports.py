@@ -1,7 +1,9 @@
-"""No module of the package imports an underscored name from a sibling.
+"""Import rules of the package, checked on the source.
 
-A name with a leading underscore is private to its module; a caller in
-another module means the name belongs in the public interface.
+No module imports an underscored name from a sibling: a name with a
+leading underscore is private to its module, and a caller in another module
+means the name belongs in the public interface.  The `sphgeo` kernel
+imports only `math`.
 """
 
 import ast
@@ -30,3 +32,28 @@ def test_check_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from .coxeter import _edge\n")
     assert list(private_imports(bad)) == ["bad.py:1 imports _edge"]
+
+
+def imported_modules(path):
+    """Top-level names of the modules a file imports, `__future__` aside."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add("." if node.level else node.module.split(".")[0])
+    names.discard("__future__")
+    return names
+
+
+def test_sphgeo_kernel_is_stdlib_math_only():
+    # the tiling search calls sphgeo at every node; numpy there costs about
+    # a hundred times the arithmetic on 3-vectors
+    assert imported_modules(PACKAGE / "sphgeo.py") == {"math"}
+
+
+def test_check_sees_a_numpy_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import math\nimport numpy.linalg as la\nfrom numpy import cross\n")
+    assert imported_modules(bad) == {"math", "numpy"}

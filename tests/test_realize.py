@@ -14,6 +14,7 @@ from reptile_lab.realize import (EdgeMatch, EdgeNearest,
 QUARTER = TileSpec.from_pi_fractions(F(1, 4), F(1, 3), F(1, 2))
 NINTH = TileSpec.from_pi_fractions(F(2, 9), F(1, 3), F(1, 2))
 CASE_B = TileSpec.from_pi_fractions(F(1, 3), F(1, 3), F(1, 2))
+FIFTH = TileSpec.from_pi_fractions(F(1, 5), F(1, 3), F(1, 2))
 
 
 class TestEdgeCombination:
@@ -117,6 +118,43 @@ class TestSearch:
         assert r1.nodes == r2.nodes
         assert all(np.allclose(a.points, b.points)
                    for a, b in zip(r1.tiling.tiles, r2.tiling.tiles))
+
+
+# The 19 fixture found tilings and the exhausted ninth-tile target, with the
+# status, tile count and node count of the search.  A geometry change that
+# reshapes the search tree, or flips a verdict, fails here.
+SEARCH_TREE = [
+    ("case-b", (F(1, 3), F(1, 3), F(2, 3)), "found", 2, 2),
+    ("case-b", (F(1, 3), F(1, 2), F(2, 3)), "found", 3, 19),
+    ("case-b", (F(1, 2), F(2, 3), F(2, 3)), "found", 5, 24),
+    ("case-b", (F(2, 3), F(2, 3), F(2, 3)), "found", 6, 42),
+    ("quarter", (F(1, 4), F(1, 4), F(2, 3)), "found", 2, 3),
+    ("quarter", (F(1, 4), F(1, 2), F(1, 2)), "found", 3, 8),
+    ("quarter", (F(1, 4), F(1, 3), F(3, 4)), "found", 4, 30),
+    ("quarter", (F(1, 4), F(1, 2), F(2, 3)), "found", 5, 34),
+    ("quarter", (F(1, 3), F(1, 3), F(1, 2)), "found", 2, 16),
+    ("quarter", (F(1, 3), F(1, 3), F(2, 3)), "found", 4, 80),
+    ("fifth", (F(1, 5), F(1, 5), F(2, 3)), "found", 2, 3),
+    ("fifth", (F(1, 5), F(2, 5), F(1, 2)), "found", 3, 4),
+    ("fifth", (F(1, 5), F(1, 3), F(3, 5)), "found", 4, 63),
+    ("fifth", (F(1, 3), F(1, 3), F(2, 5)), "found", 2, 10),
+    ("ninth", (F(2, 9), F(2, 9), F(2, 3)), "found", 2, 3),
+    ("ninth", (F(2, 9), F(4, 9), F(1, 2)), "found", 3, 4),
+    ("ninth", (F(2, 9), F(1, 3), F(2, 3)), "found", 4, 63),
+    ("ninth", (F(2, 9), F(1, 2), F(5, 9)), "found", 5, 61),
+    ("ninth", (F(1, 3), F(1, 3), F(4, 9)), "found", 2, 10),
+    ("ninth", (F(1, 3), F(1, 3), F(7, 9)), "exhausted", 0, 1326),
+]
+TILES = {"case-b": CASE_B, "quarter": QUARTER, "fifth": FIFTH, "ninth": NINTH}
+
+
+@pytest.mark.parametrize(
+    "base, target, status, tiles, nodes", SEARCH_TREE,
+    ids=[f"{base}:{','.join(map(str, target))}" for base, target, *_ in SEARCH_TREE])
+def test_search_tree_pinned(base, target, status, tiles, nodes):
+    res = search_tiling(target, TILES[base])
+    assert (res.status, res.nodes) == (status, nodes)
+    assert (len(res.tiling.tiles) if res.tiling else 0) == tiles
 
 
 class TestVerify:

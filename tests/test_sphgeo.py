@@ -1,0 +1,386 @@
+"""Differential oracle for the `sphgeo` kernel on float 3-tuples.
+
+Each helper is compared with the numpy formulas it replaced, kept below as
+the reference, on seeded random unit vectors and on degenerate inputs:
+coincident points, near-antipodal points, arcs on one great circle and arcs
+sharing an endpoint.  Vectors and lengths agree within 1e-12.  The
+predicates give the reference's answer wherever that answer does not change
+when the snap threshold moves by 1e-8 either way, i.e. wherever the input is
+farther than 1e-8 from the threshold; so they are compared at snap values
+above 1e-8.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from reptile_lab import sphgeo
+from reptile_lab.spherical import edge_lengths
+
+TOL = 1e-12
+MARGIN = 1e-8
+
+
+# ---------------------------------------------------------------------------
+# numpy reference formulas
+# ---------------------------------------------------------------------------
+
+
+def ref_unit(v):
+    n = np.linalg.norm(v)
+    if n == 0:
+        raise ValueError("zero vector")
+    return v / n
+
+
+def ref_arc_length(a, b):
+    return math.atan2(np.linalg.norm(np.cross(a, b)), float(np.dot(a, b)))
+
+
+def ref_tangent_toward(a, b):
+    t = b - float(np.dot(a, b)) * a
+    n = np.linalg.norm(t)
+    if n < 1e-13:
+        raise ValueError("tangent undefined for coincident/antipodal points")
+    return t / n
+
+
+def ref_point_at(a, tangent, dist):
+    return ref_unit(a * math.cos(dist) + tangent * math.sin(dist))
+
+
+def ref_rotate_tangent(axis, tangent, angle):
+    return tangent * math.cos(angle) + np.cross(axis, tangent) * math.sin(angle)
+
+
+def ref_triangle_vertices(angles, edges):
+    a0, _, _ = angles
+    e0, e1, e2 = edges
+    v0 = np.array([0.0, 0.0, 1.0])
+    v1 = np.array([math.sin(e2), 0.0, math.cos(e2)])
+    t01 = ref_tangent_toward(v0, v1)
+    t02 = ref_rotate_tangent(v0, t01, a0)
+    v2 = ref_point_at(v0, t02, e1)
+    return [v0, v1, v2]
+
+
+def ref_on_arc(p, a, b, snap):
+    n = np.cross(a, b)
+    nn = np.linalg.norm(n)
+    if nn < 1e-13:
+        return False
+    n = n / nn
+    if abs(float(np.dot(p, n))) > snap:
+        return False
+    return (float(np.dot(np.cross(a, p), n)) > -snap
+            and float(np.dot(np.cross(p, b), n)) > -snap)
+
+
+def ref_arcs_conflict(a1, b1, a2, b2, snap):
+    n1 = np.cross(a1, b1)
+    n2 = np.cross(a2, b2)
+    d = np.cross(n1, n2)
+    nd = np.linalg.norm(d)
+    ends1 = (a1, b1)
+    ends2 = (a2, b2)
+
+    def near(p, q):
+        return ref_arc_length(p, q) <= snap
+
+    if nd < 1e-12 * max(np.linalg.norm(n1) * np.linalg.norm(n2), 1e-30):
+        for p in ends1:
+            if ref_on_arc(p, a2, b2, snap) and not (near(p, a2) or near(p, b2)):
+                return True
+        for p in ends2:
+            if ref_on_arc(p, a1, b1, snap) and not (near(p, a1) or near(p, b1)):
+                return True
+        if (near(a1, a2) and near(b1, b2)) or (near(a1, b2) and near(b1, a2)):
+            return True
+        return False
+    d = d / nd
+    for p in (d, -d):
+        if ref_on_arc(p, a1, b1, snap) and ref_on_arc(p, a2, b2, snap):
+            shared = any(near(p, e1) and any(near(p, e2) for e2 in ends2)
+                         for e1 in ends1)
+            if not shared:
+                return True
+    return False
+
+
+def ref_point_in_convex_polygon(p, pts, snap=1e-9):
+    k = len(pts)
+    for i in range(k):
+        a, b = pts[i], pts[(i + 1) % k]
+        n = np.cross(a, b)
+        if float(np.dot(p, n)) < -snap * np.linalg.norm(n):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# inputs
+# ---------------------------------------------------------------------------
+
+
+def rand_unit(rng):
+    return ref_unit(np.array([rng.gauss(0, 1) for _ in range(3)]))
+
+
+def rand_tangent(rng, p):
+    return ref_tangent_toward(p, rand_unit(rng))
+
+
+def toward(rng, p, dist):
+    """A point at arc distance dist from p, in a random direction."""
+    return ref_point_at(p, rand_tangent(rng, p), dist)
+
+
+def slerp(a, b, t):
+    ang = ref_arc_length(a, b)
+    return ref_unit(a * math.sin((1 - t) * ang) + b * math.sin(t * ang))
+
+
+def off_arc(a, b, t, h):
+    """The point of arc a-b at fraction t, moved by h off its great circle
+    (to the left of a -> b for h > 0)."""
+    n = ref_unit(np.cross(a, b))
+    return ref_unit(slerp(a, b, t) + h * n)
+
+
+def great_circle(rng):
+    u = rand_unit(rng)
+    w = rand_tangent(rng, u)
+    return lambda s: u * math.cos(s) + w * math.sin(s)
+
+
+def point_pairs(rng, count):
+    """(a, b) pairs: random, coincident, almost coincident, near-antipodal,
+    antipodal."""
+    out = []
+    for _ in range(count):
+        a = rand_unit(rng)
+        out += [(a, rand_unit(rng)), (a, a.copy()), (a, toward(rng, a, 1e-9)),
+                (a, toward(rng, -a, 1e-4)), (a, toward(rng, -a, 1e-6)), (a, -a)]
+    return out
+
+
+def arc_pairs(rng, count):
+    """(a1, b1, a2, b2): random arcs, crossing arcs, arcs sharing an
+    endpoint, an endpoint in the other's interior or just beside it, arcs on
+    one great circle (overlapping, touching, disjoint, coincident, reversed),
+    zero-length and near-antipodal arcs."""
+    out = []
+    for _ in range(count):
+        a1, b1 = rand_unit(rng), rand_unit(rng)
+        out.append((a1, b1, rand_unit(rng), rand_unit(rng)))
+        x = rand_unit(rng)
+        t1, t2 = rand_tangent(rng, x), rand_tangent(rng, x)
+        s = [rng.uniform(0.05, 1.2) for _ in range(4)]
+        out.append((ref_point_at(x, t1, s[0]), ref_point_at(x, -t1, s[1]),
+                    ref_point_at(x, t2, s[2]), ref_point_at(x, -t2, s[3])))
+        out.append((a1, b1, b1.copy(), rand_unit(rng)))
+        out.append((a1, b1, a1.copy(), rand_unit(rng)))
+        out.append((a1, b1, rand_unit(rng), b1.copy()))
+        mid = slerp(a1, b1, rng.uniform(0.1, 0.9))
+        out.append((a1, b1, mid, rand_unit(rng)))
+        for h in (-3e-7, 3e-8, 5e-9):
+            out.append((a1, b1, off_arc(a1, b1, rng.uniform(0.1, 0.9), h),
+                        rand_unit(rng)))
+        circ = great_circle(rng)
+        u = sorted(rng.uniform(0, 2.5) for _ in range(4))
+        p = [circ(v) for v in u]
+        out += [(p[0], p[2], p[1], p[3]), (p[0], p[1], p[1].copy(), p[3]),
+                (p[0], p[1], p[2], p[3]), (p[0], p[2], p[0].copy(), p[2].copy()),
+                (p[0], p[2], p[2].copy(), p[0].copy()), (p[0], p[3], p[1], p[2])]
+        out.append((a1, a1.copy(), rand_unit(rng), rand_unit(rng)))
+        out.append((a1, toward(rng, -a1, 1e-6), rand_unit(rng), rand_unit(rng)))
+    return out
+
+
+def tup(*vs):
+    return [sphgeo.vec(v) for v in vs]
+
+
+def assert_vec_close(got, want, tol=TOL):
+    assert isinstance(got, tuple) and len(got) == 3
+    assert all(type(c) is float for c in got)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= tol
+
+
+def same_answer(fn, ref, args, ref_args, snap):
+    """Compare a predicate with its reference unless the reference's answer
+    moves with the snap threshold within MARGIN.  Returns the answer, or None
+    for an input too close to the threshold to compare."""
+    want = ref(*ref_args, snap)
+    if (ref(*ref_args, snap - MARGIN) != want
+            or ref(*ref_args, snap + MARGIN) != want):
+        return None
+    assert fn(*args, snap) == want
+    return want
+
+
+# ---------------------------------------------------------------------------
+# vector helpers
+# ---------------------------------------------------------------------------
+
+
+def test_vec_converts_any_sequence():
+    for v in ([1, 2, 3], np.array([0.5, -1.0, 2.0]), (np.float64(1.0), 0, 2.5)):
+        out = sphgeo.vec(v)
+        assert out == tuple(float(c) for c in v)
+        assert all(type(c) is float for c in out)
+    with pytest.raises(ValueError):
+        sphgeo.vec([1.0, 2.0])
+
+
+def test_cross_dot_norm():
+    rng = random.Random(11)
+    for _ in range(300):
+        a = np.array([rng.uniform(-3, 3) for _ in range(3)])
+        b = np.array([rng.uniform(-3, 3) for _ in range(3)])
+        ta, tb = tup(a, b)
+        assert sphgeo.cross(ta, tb) == tuple(float(c) for c in np.cross(a, b))
+        assert abs(sphgeo.dot(ta, tb) - float(np.dot(a, b))) <= TOL
+        assert abs(sphgeo.norm(ta) - float(np.linalg.norm(a))) <= TOL
+
+
+def test_unit():
+    rng = random.Random(12)
+    for _ in range(300):
+        v = np.array([rng.uniform(-5, 5) for _ in range(3)])
+        assert_vec_close(sphgeo.unit(sphgeo.vec(v)), ref_unit(v))
+    with pytest.raises(ValueError):
+        sphgeo.unit((0.0, 0.0, 0.0))
+
+
+def test_arc_length():
+    rng = random.Random(13)
+    for a, b in point_pairs(rng, 100):
+        ta, tb = tup(a, b)
+        assert abs(sphgeo.arc_length(ta, tb) - ref_arc_length(a, b)) <= TOL
+
+
+def test_tangent_toward():
+    # The tangent is t / |t| with t = b - (a.b) a and |t| = sin(arc a-b).
+    # numpy's dot sums in another order than a.b here, and the last-bit
+    # difference in a.b is divided by |t|: near-coincident and
+    # near-antipodal pairs agree within 1e-12 / |t|.
+    rng = random.Random(14)
+    raised = 0
+    for a, b in point_pairs(rng, 100):
+        ta, tb = tup(a, b)
+        try:
+            want = ref_tangent_toward(a, b)
+        except ValueError:
+            raised += 1
+            with pytest.raises(ValueError):
+                sphgeo.tangent_toward(ta, tb)
+            continue
+        sin_ab = float(np.linalg.norm(np.cross(a, b)))
+        assert_vec_close(sphgeo.tangent_toward(ta, tb), want, TOL / min(1.0, sin_ab))
+    assert raised >= 200  # the coincident and the antipodal pairs
+
+
+def test_point_at_and_rotate_tangent():
+    rng = random.Random(15)
+    for _ in range(300):
+        a = rand_unit(rng)
+        t = rand_tangent(rng, a)
+        dist = rng.choice([0.0, 1e-9, rng.uniform(0, math.pi), math.pi])
+        angle = rng.uniform(-2 * math.pi, 2 * math.pi)
+        ta, tt = tup(a, t)
+        assert_vec_close(sphgeo.point_at(ta, tt, dist), ref_point_at(a, t, dist))
+        assert_vec_close(sphgeo.rotate_tangent(ta, tt, angle),
+                         ref_rotate_tangent(a, t, angle))
+
+
+def test_triangle_vertices():
+    rng = random.Random(16)
+    checked = 0
+    while checked < 200:
+        angles = sorted(rng.uniform(0.05, math.pi - 0.05) for _ in range(3))
+        if not (sum(angles) > math.pi and angles[1] + angles[2] < math.pi + angles[0]):
+            continue
+        edges = edge_lengths(tuple(angles))
+        got = sphgeo.triangle_vertices(angles, edges)
+        assert isinstance(got, list) and len(got) == 3
+        for g, w in zip(got, ref_triangle_vertices(angles, edges)):
+            assert_vec_close(g, w)
+        checked += 1
+
+
+# ---------------------------------------------------------------------------
+# predicates
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("snap", [1e-7, 1e-6])
+def test_on_arc(snap):
+    rng = random.Random(f"on_arc:{snap}")
+    answers = []
+    for a, b in point_pairs(rng, 40):
+        points = [rand_unit(rng), a.copy(), b.copy(), -a]
+        if ref_arc_length(a, b) > 1e-6 and ref_arc_length(a, -b) > 1e-4:
+            points += [slerp(a, b, 0.5), slerp(a, b, rng.uniform(-0.3, 1.3))]
+            points += [off_arc(a, b, rng.uniform(0, 1), h * snap)
+                       for h in (-3.0, -0.5, 0.0, 0.5, 3.0)]
+        for p in points:
+            answers.append(same_answer(sphgeo.on_arc, ref_on_arc, tup(p, a, b),
+                                       (p, a, b), snap))
+    compared = [x for x in answers if x is not None]
+    assert len(compared) >= 0.95 * len(answers)
+    assert compared.count(True) >= 100 and compared.count(False) >= 100
+
+
+@pytest.mark.parametrize("snap", [1e-7, 1e-6])
+def test_arcs_conflict(snap):
+    rng = random.Random(f"arcs_conflict:{snap}")
+    answers = []
+    for arcs in arc_pairs(rng, 15):
+        for a1, b1, a2, b2 in (arcs, arcs[2:] + arcs[:2]):
+            answers.append(same_answer(sphgeo.arcs_conflict, ref_arcs_conflict,
+                                       tup(a1, b1, a2, b2), (a1, b1, a2, b2), snap))
+    compared = [x for x in answers if x is not None]
+    assert len(compared) >= 0.95 * len(answers)
+    assert compared.count(True) >= 100 and compared.count(False) >= 100
+
+
+@pytest.mark.parametrize("snap", [1e-7, -1e-7, 1e-6])
+def test_point_in_convex_polygon(snap):
+    rng = random.Random(f"polygon:{snap}")
+    answers = []
+    polygons = []
+    while len(polygons) < 40:
+        angles = [rng.uniform(0.1, math.pi - 0.1) for _ in range(3)]
+        s = sorted(angles)
+        if not (sum(s) > math.pi and s[1] + s[2] < math.pi + s[0]):
+            continue
+        rot, _ = np.linalg.qr(np.array([[rng.gauss(0, 1) for _ in range(3)]
+                                        for _ in range(3)]))
+        if np.linalg.det(rot) < 0:
+            rot = -rot
+        tri = ref_triangle_vertices(angles, edge_lengths(tuple(angles)))
+        polygons.append([rot @ v for v in tri])
+    alpha = 2 * math.pi / 5
+    polygons.append([np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+                     np.array([0.0, 0.0, -1.0]),
+                     np.array([math.cos(alpha), math.sin(alpha), 0.0])])
+    for pts in polygons:
+        k = len(pts)
+        probes = [rand_unit(rng) for _ in range(4)]
+        probes.append(ref_unit(sum(pts)))
+        probes += [p.copy() for p in pts]
+        for i in range(k):
+            a, b = pts[i], pts[(i + 1) % k]
+            probes += [off_arc(a, b, rng.uniform(0, 1), h * abs(snap))
+                       for h in (-3.0, -0.5, 0.0, 0.5, 3.0)]
+        tpts = tup(*pts)
+        for p in probes:
+            answers.append(same_answer(sphgeo.point_in_convex_polygon,
+                                       ref_point_in_convex_polygon,
+                                       (sphgeo.vec(p), tpts), (p, pts), snap))
+    compared = [x for x in answers if x is not None]
+    assert len(compared) >= 0.9 * len(answers)
+    assert compared.count(True) >= 100 and compared.count(False) >= 100
