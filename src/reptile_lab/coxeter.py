@@ -10,11 +10,20 @@ Sizes stay tiny (n <= 5, so at most 120 vertex permutations and 10 edges).
 All symmetry goes through one kernel on per-n tables built once
 (`kn_tables`): a coloring is an int tuple over the edges in `all_edges`
 order, each vertex permutation is stored as an edge permutation with its
-`itemgetter`, and two operations answer every question: `aut` (the vertex
-permutations fixing a coloring) and `canon` (its smallest image).  A
-diagram numbers its label forms once and runs on that coloring; partition
-and skeleton canonical forms, subgraph classification and the enumerators'
-dedupe are built on the same two operations.
+`itemgetter`, and three operations answer every question: `aut` (the vertex
+permutations fixing a coloring), `canon` (its smallest image) and
+`is_first` (no image is smaller).  A diagram numbers its label forms once
+and runs on that coloring; partition and skeleton canonical forms and
+subgraph classification are built on `canon`.
+
+The enumerators color the edges depth-first in index order, so complete
+colorings arrive in lexicographic order, and the first coloring of an
+isomorphism class is the one `is_first` accepts.  They ask it of partial
+colorings too (`enumerate_diagrams` in its first phase), under the
+permutations that map the colored edges onto themselves, and cut the
+branch when it fails: no completion can then be first of its class either
+(orderly generation, after R. C. Read, "Every one a winner", Ann. Discrete
+Math. 2, 1978).
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import (combinations, combinations_with_replacement, count, permutations,
                        product)
 from math import comb
@@ -56,6 +65,8 @@ class KnTables:
     triangles: list  # vertex triples, in combinations order
     tri_edges: list  # per triangle: its three edge indices, ascending
     edge_tris: list  # per edge: the indices of the triangles through it
+    closes: list  # per edge: the other two edges of each triangle whose last edge it is
+    open_after: list  # per edge e: the number of triangles whose last edge is after e
     perms: list  # vertex permutations, in permutations order
     getters: list  # per vertex permutation p: colors -> image, edge i colored as p(edge i)
 
@@ -68,6 +79,39 @@ class KnTables:
         """The smallest image of the coloring; equal iff isomorphic."""
         return min([g(colors) for g in self.getters])
 
+    def is_first(self, colors: Sequence[int], renumber: bool = False) -> bool:
+        """No image of the coloring is smaller: it is the first of its
+        isomorphism class in lexicographic order.  With `renumber`, each
+        image first has its colors renumbered by first occurrence (the
+        classes of a partition are unnamed).
+
+        `colors` may cover only the first k edges; it is then compared with
+        its images under the permutations that map those edges onto
+        themselves.  If one is smaller, so is that image of every completion.
+        """
+        colors = tuple(colors)
+        getters = self._prefix_getters[len(colors)]
+        if renumber:
+            return not any(_renumbered(g(colors)) < colors for g in getters)
+        return not any(g(colors) < colors for g in getters)
+
+    @cached_property
+    def _prefix_getters(self) -> list:
+        """Per k = 0..len(edges): the getters, over the first k edges, of the
+        permutations other than the identity that map those edges onto
+        themselves.  Built on first use, not with the other tables."""
+        pos = {e: i for i, e in enumerate(self.edges)}
+        out = [[], []]  # no permutation moves a single edge's color
+        for k in range(2, len(self.edges) + 1):
+            images = [[pos[_edge(p[a], p[b])] for a, b in self.edges[:k]] for p in self.perms[1:]]
+            out.append([itemgetter(*im) for im in images if max(im) < k])
+        return out
+
+
+def _renumbered(coloring: tuple) -> tuple:
+    relabel = {}
+    return tuple([relabel.setdefault(c, len(relabel)) for c in coloring])
+
 
 @lru_cache(maxsize=8)
 def kn_tables(n: int) -> KnTables:
@@ -76,12 +120,14 @@ def kn_tables(n: int) -> KnTables:
     tris = list(combinations(range(n), 3))
     tri_edges = [(pos[(i, j)], pos[(i, k)], pos[(j, k)]) for i, j, k in tris]
     edge_tris = [[t for t, te in enumerate(tri_edges) if e in te] for e in range(len(es))]
+    closes = [[te[:2] for te in tri_edges if te[2] == e] for e in range(len(es))]
+    open_after = [sum(te[2] > e for te in tri_edges) for e in range(len(es))]
     perms = list(permutations(range(n)))
     # with fewer than two edges every edge permutation is the identity, and
     # itemgetter of one index would return a scalar (of none, raise)
     getters = [itemgetter(*(pos[_edge(p[a], p[b])] for a, b in es)) if len(es) > 1 else tuple
                for p in perms]
-    return KnTables(es, tris, tri_edges, edge_tris, perms, getters)
+    return KnTables(es, tris, tri_edges, edge_tris, closes, open_after, perms, getters)
 
 
 class CoxeterDiagram:
@@ -285,8 +331,11 @@ def subgroups_upto_two_generators(n: int = 5) -> list:
     """All subgroups of the symmetric group on n points generated by <= 2 elements.
 
     Uses a precomputed Cayley table over element indices; a subgroup closure
-    is a breadth-first walk from the identity multiplying by the generators
-    (finiteness makes inverses come for free).
+    is a walk from the identity multiplying by the generators
+    (finiteness makes inverses come for free).  <a, b> depends only on <a>
+    and <b>, so the two-generator closures run over pairs of distinct cyclic
+    subgroups (67 in S5), each given by its first generator, not over all
+    pairs of elements.
     """
     perms = kn_tables(n).perms
     index = {p: i for i, p in enumerate(perms)}
@@ -307,18 +356,15 @@ def subgroups_upto_two_generators(n: int = 5) -> list:
                     frontier.append(y)
         return frozenset(els)
 
-    seen = {}
-    cyclic = {}
+    cyclic = {}  # cyclic subgroup -> its first generator
     for g in range(size):
-        grp = closure([g])
-        cyclic[g] = grp
-        seen[grp] = None
-    for a in range(size):
-        grp_a = cyclic[a]
-        for b in range(a + 1, size):
-            if b in grp_a:
-                continue  # <a, b> == <a>
-            seen[closure([a, b])] = None
+        cyclic.setdefault(closure([g]), g)
+    seen = set(cyclic)
+    pairs = list(cyclic.items())
+    for i, (grp_a, a) in enumerate(pairs):
+        for grp_b, b in pairs[i + 1:]:
+            if b not in grp_a and a not in grp_b:  # else <a, b> is <a> or <b>
+                seen.add(closure([a, b]))
     return sorted((frozenset(perms[i] for i in grp) for grp in seen),
                   key=lambda s: (len(s), sorted(s)))
 
@@ -403,7 +449,9 @@ class DiagramConstraints:
         set.  A rule label of None matches every triangle.
     forbidden: types never allowed, applied to triangles no rule matched.
     validity: optional predicate on types, applied to triangles no rule
-        matched (types inside rule lists are taken as already vetted).
+        matched (types inside rule lists are taken as already vetted).  It
+        must depend on the triangle type alone: `enumerate_diagrams`
+        completes one skeleton per isomorphism class, which relies on it.
     rich_type: if set, only diagrams with >= 4 orbits of this triangle type
         are returned.
     """
@@ -483,6 +531,14 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
     assignment and restored on backtrack, and a branch is abandoned as
     soon as it falls below four.
 
+    Phase 1 runs in lexicographic order of the labels' places in its try
+    order and is cut by `is_first` on those places, so one skeleton (each
+    edge a rule label or deferred) per isomorphism class is completed.
+    This is sound because every constraint is a function of the triangle
+    types and richness is an isomorphism invariant: the completions of an
+    isomorphic skeleton are images of the first one's, and each class of
+    labelings keeps its first labeling in search order.
+
     A complete labeling is keyed by its minimum over all vertex orders
     (`canon` of the kernel) and skipped if its isomorphism class
     was already seen, so the diagram is built and tested for richness, an
@@ -503,6 +559,8 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
     if cons.rich_type is not None:
         rich = tuple(sorted(label_ids[f] for f in cons.rich_type))
     ok, can_rich = _slot_tables(size, _allowed_table(alphabet, cons), phase1, rich)
+    choices = phase1 + [DEFER]  # phase 1 tries these at each edge, in this order
+    rank = {lab: r for r, lab in enumerate(choices)}
     need = 0 if rich is None else 4
 
     kn = kn_tables(n)
@@ -572,11 +630,12 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
         if idx == m:
             fill_rest(0, count)
             return
-        for lab in phase1 + [DEFER]:
+        for lab in choices:
             dropped = place(idx, lab)
             if dropped is None:
                 continue
-            if count - len(dropped) >= need:
+            if count - len(dropped) >= need and \
+                    kn.is_first([rank[x] for x in assign[:idx + 1]]):
                 skeleton(idx + 1, count - len(dropped))
             for t in dropped:
                 live[t] = True
@@ -602,35 +661,10 @@ class PartitionConstraints:
     class_count: Optional[tuple] = None  # (min, max)
 
 
-def _restricted_growth_strings(m: int):
-    rgs = [0] * m
-    maxes = [0] * m
-    while True:
-        yield tuple(rgs)
-        i = m - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for j in range(i + 1, m):
-            rgs[j] = 0
-            maxes[j] = maxes[i]
-
-
 def coloring_canonical(coloring: tuple, n: int) -> tuple:
     """Smallest image of the coloring, each renumbered by first occurrence;
     equal iff the edge partitions are isomorphic."""
-    def renumbered(image):
-        relabel = {}
-        return tuple([relabel.setdefault(c, len(relabel)) for c in image])
-    return min(renumbered(g(coloring)) for g in kn_tables(n).getters)
-
-
-def coloring_triangle_types(coloring: tuple, n: int) -> list:
-    return [tuple(sorted((coloring[a], coloring[b], coloring[c])))
-            for a, b, c in kn_tables(n).tri_edges]
+    return min(_renumbered(g(coloring)) for g in kn_tables(n).getters)
 
 
 def coloring_automorphisms(coloring: tuple, n: int) -> list:
@@ -640,36 +674,53 @@ def coloring_automorphisms(coloring: tuple, n: int) -> list:
 def enumerate_edge_partitions(n: int, constraints: PartitionConstraints) -> list:
     """Set partitions of the K_n edges satisfying the constraints, up to iso.
 
-    Exhaustive over all Bell(C(n,2)) partitions; n <= 5 keeps this around
-    10^5 cases, each filtered by cheap triangle-type counting before the
-    automorphism test.
+    The search gives each edge a class already used or the next new one, so
+    each class is represented by its `coloring_canonical` form (its first
+    coloring, classes numbered by first occurrence), and results come out
+    in that order.  A triangle's type is counted when its last edge is
+    colored; a branch is cut when the class count or the triangles still
+    open cannot meet a constraint, or when `is_first` (images renumbered)
+    fails.  The automorphism test runs only on complete colorings.
     """
-    m = len(all_edges(n))
     cons = constraints
-    seen = {}
-    for coloring in _restricted_growth_strings(m):
-        k = max(coloring) + 1
-        if cons.class_count is not None:
-            lo, hi = cons.class_count
-            if not (lo <= k <= hi):
-                continue
-        types = coloring_triangle_types(coloring, n)
-        counts = {}
-        for t in types:
-            counts[t] = counts.get(t, 0) + 1
-        if cons.one_type_at_least is not None:
-            if not any(c >= cons.one_type_at_least for c in counts.values()):
-                continue
-        if cons.two_types_each_at_least is not None:
-            big = [t for t, c in counts.items() if c >= cons.two_types_each_at_least]
-            if len(big) < 2:
-                continue
-        if cons.trivial_automorphisms is not None:
-            trivial = len(coloring_automorphisms(coloring, n)) == 1
-            if trivial != cons.trivial_automorphisms:
-                continue
-        seen.setdefault(coloring_canonical(coloring, n), coloring)
-    return [seen[k] for k in sorted(seen)]
+    kn = kn_tables(n)
+    m = len(kn.edges)
+    lo, hi = cons.class_count or (0, m)
+    # a frequent type must occur, even for a threshold of 0
+    one, two = (None if t is None else max(t, 1)
+                for t in (cons.one_type_at_least, cons.two_types_each_at_least))
+    coloring = [0] * m
+    counts = Counter()  # triangle type -> closed triangles of that type
+    found = []
+
+    def reachable(e: int, k: int) -> bool:
+        """Can a completion of edges 0..e, with k classes, meet the constraints?"""
+        if k > hi or k + m - 1 - e < lo:
+            return False
+        left = kn.open_after[e]
+        c1, c2 = (sorted(counts.values(), reverse=True) + [0, 0])[:2]
+        if one is not None and c1 + left < one:
+            return False
+        return two is None or max(two - c1, 0) + max(two - c2, 0) <= left
+
+    def extend(e: int, k: int):
+        if e == m:
+            if cons.trivial_automorphisms is None or \
+                    (len(coloring_automorphisms(coloring, n)) == 1) == cons.trivial_automorphisms:
+                found.append(tuple(coloring))
+            return
+        for c in range(k + 1):
+            coloring[e] = c
+            types = [tuple(sorted((coloring[a], coloring[b], c))) for a, b in kn.closes[e]]
+            for t in types:
+                counts[t] += 1
+            if reachable(e, max(k, c + 1)) and kn.is_first(coloring[:e + 1], renumber=True):
+                extend(e + 1, max(k, c + 1))
+            for t in types:
+                counts[t] -= 1
+
+    extend(0, 0)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -691,35 +742,49 @@ def enumerate_two_label_skeletons(n: int = 5,
     path triangles nontrivially (such a symmetry would survive any completion
     and collapse the mixed-triangle orbits below four).
 
-    Each edge is assigned 0 (free), 1 (alpha) or 2 (beta); the counting and
-    triangle filters run on that assignment before the alpha shape, which is
-    classified once per distinct alpha edge set.
+    The search gives each edge 0 (free), 1 (alpha) or 2 (beta) and tests a
+    triangle when its last edge is set: it must keep a free edge, and it is
+    a mixed path if its edges are free, alpha and beta.  A branch is cut
+    when the paths plus the triangles still open fall short of `min_paths`,
+    or when `is_first` fails, so the alpha shape and forced-symmetry tests
+    (both isomorphism invariants) and `pair_canonical` run once per class.
+    Results are sorted by `pair_canonical`.
     """
     kn = kn_tables(n)
     es = kn.edges
-    shapes = {}  # alpha edge indices -> shape name
+    m = len(es)
+    asg = [0] * m
     results = {}
-    for asg in product(range(3), repeat=len(es)):
+
+    def finish(paths: int):
         if asg.count(2) < min_beta or 1 not in asg:
-            continue
-        tri_asg = [(asg[a], asg[b], asg[c]) for a, b, c in kn.tri_edges]
-        if any(0 not in t for t in tri_asg):
-            continue  # triangle in the two-label graph
-        # induced 2-edge paths with one edge from each label (the third
-        # edge of their triangle is free)
-        paths = sum(1 for t in tri_asg if 1 in t and 2 in t)
-        if paths < min_paths:
-            continue
-        alpha = tuple(i for i, x in enumerate(asg) if x == 1)
-        if alpha not in shapes:
-            shapes[alpha] = classify_graph([es[i] for i in alpha])
-        if shapes[alpha] not in alpha_shapes:
-            continue
+            return
+        ea = frozenset(e for e, x in zip(es, asg) if x == 1)
+        if classify_graph(ea) not in alpha_shapes:
+            return
         if paths == 4 and forced_symmetry_collapses(asg, n):
-            continue
-        ea = frozenset(es[i] for i in alpha)
+            return
         eb = frozenset(e for e, x in zip(es, asg) if x == 2)
-        results.setdefault(pair_canonical(ea, eb, n), (ea, eb))
+        results[pair_canonical(ea, eb, n)] = (ea, eb)
+
+    def extend(e: int, paths: int):
+        if e == m:
+            finish(paths)
+            return
+        for x in range(3):
+            asg[e] = x
+            mixed = paths
+            for a, b in kn.closes[e]:
+                labels = {asg[a], asg[b], x}
+                if 0 not in labels:
+                    break  # triangle in the two-label graph
+                mixed += len(labels) == 3
+            else:
+                if mixed + kn.open_after[e] >= min_paths and kn.is_first(asg[:e + 1]):
+                    extend(e + 1, mixed)
+        asg[e] = 0
+
+    extend(0, 0)
     return [results[k] for k in sorted(results)]
 
 

@@ -1,0 +1,221 @@
+"""Differential tests: the partition and skeleton searches against naive walks.
+
+`enumerate_edge_partitions` and `enumerate_two_label_skeletons` are pruned
+depth-first searches that cut every branch holding no first coloring of an
+isomorphism class.  The naive sides here walk every coloring with no
+pruning: all restricted growth strings of the K_n edges (one per set
+partition), and all 0/1/2 assignments in `itertools.product` order.  They
+apply each constraint to the complete coloring and keep the first coloring
+of each class in walk order; a class is decided on its first member and
+all its images under the vertex permutations (from `itertools.permutations`,
+not the kernel) are marked, so later members are skipped.  The full
+returned lists are compared, so the representatives and their order are
+checked, not only the counts.
+
+Each walk runs once per module; every constraint set is then a filter over
+its records.
+"""
+
+import random
+from itertools import permutations, product
+
+import pytest
+
+from reptile_lab.coxeter import (PartitionConstraints, all_edges, classify_graph,
+                                 coloring_automorphisms, enumerate_edge_partitions,
+                                 enumerate_two_label_skeletons, forced_symmetry_collapses,
+                                 pair_canonical)
+
+
+def edge_perms(n):
+    es = all_edges(n)
+    pos = {e: i for i, e in enumerate(es)}
+    return [[pos[tuple(sorted((p[a], p[b])))] for a, b in es]
+            for p in permutations(range(n))]
+
+
+def triangles(n):
+    pos = {e: i for i, e in enumerate(all_edges(n))}
+    return [(pos[(i, j)], pos[(i, k)], pos[(j, k)])
+            for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)]
+
+
+def images(coloring, eperms, renumber=False):
+    out = set()
+    for ep in eperms:
+        image = tuple(coloring[i] for i in ep)
+        if renumber:
+            first = {}
+            image = tuple(first.setdefault(c, len(first)) for c in image)
+        out.add(image)
+    return out
+
+
+def restricted_growth_strings(m):
+    rgs = [0] * m
+    maxes = [0] * m
+    while True:
+        yield tuple(rgs)
+        i = m - 1
+        while i > 0 and rgs[i] == maxes[i - 1] + 1:
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        maxes[i] = max(maxes[i - 1], rgs[i])
+        for j in range(i + 1, m):
+            rgs[j] = 0
+            maxes[j] = maxes[i]
+
+
+def partition_walk(n):
+    """(coloring, class count, triangle type counts) for every partition."""
+    tris = triangles(n)
+    bit = [1 << 4 * c for c in range(len(all_edges(n)))]  # a type as a multiset of classes
+    out = []
+    for coloring in restricted_growth_strings(len(all_edges(n))):
+        types = [bit[coloring[a]] + bit[coloring[b]] + bit[coloring[c]] for a, b, c in tris]
+        out.append((coloring, max(coloring) + 1, [types.count(t) for t in set(types)]))
+    return out
+
+
+def naive_partitions(n, walk, cons):
+    eperms = edge_perms(n)
+    decided = set()
+    found = []
+    for coloring, k, counts in walk:
+        if cons.class_count is not None:
+            lo, hi = cons.class_count
+            if not (lo <= k <= hi):
+                continue
+        if cons.one_type_at_least is not None:
+            if not any(c >= cons.one_type_at_least for c in counts):
+                continue
+        if cons.two_types_each_at_least is not None:
+            if sum(c >= cons.two_types_each_at_least for c in counts) < 2:
+                continue
+        if coloring in decided:
+            continue
+        same = images(coloring, eperms, renumber=True)
+        decided |= same
+        if cons.trivial_automorphisms is not None:
+            trivial = len(coloring_automorphisms(coloring, n)) == 1
+            if trivial != cons.trivial_automorphisms:
+                continue
+        found.append((min(same), coloring))
+    return [coloring for _, coloring in sorted(found)]
+
+
+@pytest.fixture(scope="module")
+def walk4():
+    return partition_walk(4)
+
+
+@pytest.fixture(scope="module")
+def walk5():
+    return partition_walk(5)
+
+
+THRESHOLDS_4 = [None, 0, 1, 2, 3, 4, 5]  # K4 has four triangles
+TRIVIAL = [None, True, False]
+
+
+def check_partitions(n, walk, sets):
+    for cons in sets:
+        assert enumerate_edge_partitions(n, cons) == naive_partitions(n, walk, cons), cons
+
+
+def test_k4_thresholds(walk4):
+    check_partitions(4, walk4, [
+        PartitionConstraints(two, one, trivial, cc)
+        for two in THRESHOLDS_4 for one in THRESHOLDS_4 for trivial in TRIVIAL
+        for cc in (None, (1, 2), (3, 4), (5, 6))])
+
+
+def test_k4_class_counts(walk4):
+    check_partitions(4, walk4, [
+        PartitionConstraints(class_count=(lo, hi), trivial_automorphisms=trivial)
+        for lo in range(8) for hi in range(lo - 1, 8) for trivial in TRIVIAL])
+
+
+def test_k5_constraint_sets_in_use(walk5):
+    check_partitions(5, walk5, [
+        PartitionConstraints(two_types_each_at_least=4),
+        PartitionConstraints(one_type_at_least=4),
+        PartitionConstraints(two_types_each_at_least=4, trivial_automorphisms=True),
+    ])
+
+
+def random_k5_constraints(seed):
+    """Thresholds near where the answer runs out: K5 has ten triangles."""
+    rng = random.Random(seed)
+    lo = rng.randint(1, 9)
+    return PartitionConstraints(
+        two_types_each_at_least=rng.choice([None, 3, 4, 5]),
+        one_type_at_least=rng.choice([None, 4, 5, 6, 7, 10]),
+        trivial_automorphisms=rng.choice(TRIVIAL),
+        class_count=rng.choice([None, (lo, lo + rng.randint(0, 2))]))
+
+
+def test_k5_seeded_sets(walk5):
+    sets = [random_k5_constraints(seed) for seed in range(10)]
+    check_partitions(5, walk5, sets)
+
+
+def skeleton_walk(n):
+    """(assignment, mixed paths) for every 0/1/2 edge assignment of K_n
+    whose two-label graph is triangle-free, in product order."""
+    tris = triangles(n)
+    out = []
+    for asg in product(range(3), repeat=len(all_edges(n))):
+        tri_asg = [(asg[a], asg[b], asg[c]) for a, b, c in tris]
+        if any(0 not in t for t in tri_asg):
+            continue
+        out.append((asg, sum(1 for t in tri_asg if 1 in t and 2 in t)))
+    return out
+
+
+def naive_skeletons(n, walk, alpha_shapes, min_beta, min_paths):
+    es = all_edges(n)
+    eperms = edge_perms(n)
+    decided = set()
+    results = {}
+    for asg, paths in walk:
+        if asg.count(2) < min_beta or 1 not in asg or paths < min_paths:
+            continue
+        if asg in decided:
+            continue
+        decided |= images(asg, eperms)
+        if classify_graph([e for e, x in zip(es, asg) if x == 1]) not in alpha_shapes:
+            continue
+        if paths == 4 and forced_symmetry_collapses(asg, n):
+            continue
+        ea = frozenset(e for e, x in zip(es, asg) if x == 1)
+        eb = frozenset(e for e, x in zip(es, asg) if x == 2)
+        results[pair_canonical(ea, eb, n)] = (ea, eb)
+    return [results[k] for k in sorted(results)]
+
+
+SKELETON_VARIANTS = [
+    (("P2+P2", "P2+P3"), 2, 4),  # the defaults, as case-c uses them
+    (("P2+P2", "P2+P3"), 0, 0),
+    (("P2+P2",), 1, 3),
+    (("P3",), 3, 2),
+    (("P2", "P3", "K1,3", "P4"), 0, 5),
+    (("C4", "P2+P2", "P5"), 3, 4),
+]
+
+
+def test_skeletons_match_naive_walk():
+    walk = skeleton_walk(5)
+    for variant in SKELETON_VARIANTS:
+        assert enumerate_two_label_skeletons(5, *variant) == \
+            naive_skeletons(5, walk, *variant), variant
+
+
+def test_k4_skeletons_match_naive_walk():
+    walk = skeleton_walk(4)
+    shapes = ("P2", "P3", "P2+P2", "K1,3", "triangle")
+    for min_paths in range(4):
+        assert enumerate_two_label_skeletons(4, shapes, 1, min_paths) == \
+            naive_skeletons(4, walk, shapes, 1, min_paths), min_paths

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
@@ -101,6 +102,26 @@ class TestBurnside:
             if cnt == 7 and len(group) == 2:
                 tight = True
         assert tight
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_subgroups_match_closure_of_all_pairs(self, n):
+        # brute force: close every pair of elements under composition
+        def closure(gens):
+            group = {tuple(range(n))}
+            while True:
+                new = {tuple(g[x] for x in p) for p in group for g in gens} - group
+                if not new:
+                    return frozenset(group)
+                group |= new
+        elements = list(permutations(range(n)))
+        want = sorted({closure([a, b]) for a in elements for b in elements},
+                      key=lambda s: (len(s), sorted(s)))
+        assert subgroups_upto_two_generators(n) == want
+
+    def test_subgroup_count_on_five_points(self):
+        groups = subgroups_upto_two_generators(5)
+        assert len(groups) == 156
+        assert len(set(groups)) == 156
 
     def test_group_validation(self):
         assert is_group([tuple(range(3)), (1, 2, 0), (2, 0, 1)])
