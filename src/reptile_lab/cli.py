@@ -41,14 +41,16 @@ def _cmd_run(args) -> int:
     cfg = Config(tol=args.tol, coeff_bound=args.coeff_bound,
                  node_budget=args.node_budget)
     names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
+    hill_case = {}
+    if "hill" in names and (args.d, args.m) != (None, None):
+        if args.m is None:
+            raise ValueError("--d needs --m as well")
+        if args.d is None:
+            raise ValueError("--m needs --d as well")
+        hill_case = {"d": args.d, "m": args.m}
     ok = True
     for name in names:
-        kwargs = {}
-        if name == "hill" and args.d is not None:
-            if args.m is None:
-                raise ValueError("--d needs --m as well")
-            kwargs = {"d": args.d, "m": args.m}
-        report = run_scenario(name, cfg, **kwargs)
+        report = run_scenario(name, cfg, **(hill_case if name == "hill" else {}))
         ok = ok and report.passed
         if args.format == "json":
             print(report.json_lines())

@@ -14,7 +14,9 @@ exact facet-inequality filtering yields the rep-tilings; compatible tile
 pairs (union congruent to H2_d) sit in four-cycle components of the
 compatibility graph and give the pairing that re-tiles scaled H2 copies.
 
-All geometry is exact: tiles internally use doubled integer coordinates.
+All geometry is exact and runs on integers: tiles use doubled integer
+coordinates, and congruence compares integer squared-distance tables of the
+vertices scaled by the lcm of their denominators.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Optional, Sequence
+from operator import le, mul
+from typing import Sequence
 
 from .gram import EuclideanSimplex
 
@@ -117,10 +120,6 @@ class Polytope:
 
     ineqs: tuple  # of (coeff tuple, rhs) in doubled coordinates
 
-    def contains2(self, point2: Sequence[int]) -> bool:
-        return all(sum(c * x for c, x in zip(coeffs, point2)) <= rhs
-                   for coeffs, rhs in self.ineqs)
-
 
 def scaled_hill_polytope(d: int, i: int, m: int) -> Polytope:
     """Facet system of m * H^i_d, in doubled coordinates (y = 2x)."""
@@ -157,18 +156,24 @@ def lattice_tiles_in(poly: Polytope, d: int, m: int) -> list:
     """All H1 lattice tiles with every vertex inside the polytope.
 
     Cube centers are scanned over the [0, m]^d box; tiles never leave their
-    cube, so this covers every scaled Hill target.
+    cube, so this covers every scaled Hill target.  A tile's vertices are its
+    center plus offsets fixed by its signed permutation, so it lies inside iff
+    each inequality's reach (its largest value over the offsets, found once
+    per signed permutation) is at most its slack at the center.  The center
+    is a vertex of every tile, so a center outside has no tile.
     """
+    reaches = []
+    for sp in signed_perms(d):
+        offsets = LatticeTile((0,) * d, sp).vertices2()
+        reaches.append((sp, [max([sum(map(mul, a, v)) for v in offsets])
+                             for a, _ in poly.ineqs]))
     out = []
-    perms = list(signed_perms(d))
     for n in product(range(m), repeat=d):
         center2 = tuple(2 * c + 1 for c in n)
-        if not poly.contains2(center2):
-            continue
-        for sp in perms:
-            tile = LatticeTile(center2, sp)
-            if all(poly.contains2(v) for v in tile.vertices2()):
-                out.append(tile)
+        slack = [rhs - sum(map(mul, a, center2)) for a, rhs in poly.ineqs]
+        if min(slack) >= 0:
+            out.extend(LatticeTile(center2, sp) for sp, reach in reaches
+                       if all(map(le, reach, slack)))
     return out
 
 
@@ -194,57 +199,37 @@ def tile_volume(d: int) -> Fraction:
     return Fraction(2, 2 ** d * math.factorial(d))
 
 
-def _sq_dist(u, v) -> Fraction:
-    return sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(u, v))
+def _scaled_sq_distances(vertices) -> tuple:
+    """Squared distances times q^2 as ints, and q^2, where q is the lcm of
+    the coordinate denominators (a float is the binary rational it holds)."""
+    ratios = [[c.as_integer_ratio() for c in v] for v in vertices]
+    q = math.lcm(*(den for v in ratios for _, den in v))
+    pts = [[num * (q // den) for num, den in v] for v in ratios]
+    return [[sum((a - b) ** 2 for a, b in zip(u, v)) for v in pts] for u in pts], q * q
 
 
-def congruent(s1: EuclideanSimplex, s2: EuclideanSimplex,
-              tol: Optional[float] = None) -> bool:
-    """Congruence by vertex correspondence matching all pairwise distances.
+def congruent(s1: EuclideanSimplex, s2: EuclideanSimplex) -> bool:
+    """Exact congruence: a vertex correspondence matching all distances.
 
-    Exact for rational vertices (tol ignored); with tol, squared distances
-    are compared numerically.  Mirror images are congruent by construction
-    (distances see no orientation).
+    Entries a and b of the two integer tables, with squared scales q1 and q2,
+    are the same distance iff a * q2 == b * q1.  A backtracking search
+    extends the correspondence one vertex at a time.  Mirror images are
+    congruent: distances see no orientation.
     """
     if s1.dim != s2.dim:
         return False
-    v1, v2 = s1.vertices, s2.vertices
-    n = len(v1)
+    (t1, q1), (t2, q2) = _scaled_sq_distances(s1.vertices), _scaled_sq_distances(s2.vertices)
+    d1 = [[a * q2 for a in row] for row in t1]
+    d2 = [[b * q1 for b in row] for row in t2]
+    n = len(d1)
 
-    def dist_table(vs):
-        return [[_sq_dist(vs[i], vs[j]) for j in range(n)] for i in range(n)]
+    def extend(assign):
+        i = len(assign)
+        return i == n or any(
+            all(d1[i][k] == d2[j][assign[k]] for k in range(i)) and extend(assign + (j,))
+            for j in range(n) if j not in assign)
 
-    d1, d2 = dist_table(v1), dist_table(v2)
-
-    def close(a, b):
-        if tol is None:
-            return a == b
-        return abs(float(a) - float(b)) <= tol
-
-    def rows_match(i, j):
-        return sorted(map(float, d1[i])) == sorted(map(float, d2[j])) if tol is None \
-            else all(abs(x - y) <= tol for x, y in
-                     zip(sorted(map(float, d1[i])), sorted(map(float, d2[j]))))
-
-    assign = [-1] * n
-    used = [False] * n
-
-    def rec(i):
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j]:
-                continue
-            if all(close(d1[i][k], d2[j][assign[k]]) for k in range(i)):
-                used[j] = True
-                assign[i] = j
-                if rec(i + 1):
-                    return True
-                used[j] = False
-                assign[i] = -1
-        return False
-
-    return rec(0)
+    return extend(())
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +349,26 @@ def tiling_to_json(tiles: Sequence[LatticeTile]) -> dict:
 
 
 def tiling_from_json(data: dict) -> list:
+    """Tiles from `tiling_to_json` output.  Raises ValueError for a center
+    that is not half-odd, a signed_perm that is not d - 1 signed distinct
+    axes, or stored vertices other than the ones the tile defines."""
     out = []
     for entry in data["tiles"]:
-        center2 = tuple(int(Fraction(s) * 2) for s in entry["center"])
+        center2 = [2 * Fraction(s) for s in entry["center"]]
+        if any(c.denominator != 1 or c.numerator % 2 == 0 for c in center2):
+            raise ValueError(f"center {entry['center']} is not half-odd")
+        d = len(center2)
         sp = tuple((int(e), int(a)) for e, a in entry["signed_perm"])
-        out.append(LatticeTile(center2, sp))
+        axes = {a for _, a in sp}
+        if (len(sp) != d - 1 or len(axes) != d - 1 or not axes <= set(range(d))
+                or any(e not in (1, -1) for e, _ in sp)):
+            raise ValueError(f"malformed signed_perm {entry['signed_perm']}")
+        tile = LatticeTile(tuple(int(c) for c in center2), sp)
+        stored = tuple(tuple(Fraction(s) for s in v) for v in entry["vertices"])
+        if stored != tile.vertices():
+            raise ValueError(f"stored vertices of the tile at {entry['center']} "
+                             "are not its own")
+        out.append(tile)
     return out
 
 

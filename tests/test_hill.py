@@ -141,6 +141,38 @@ class TestExport:
         back = tiling_from_json(data)
         assert back == tiles
 
+    @pytest.mark.parametrize("d,m", [(2, 3), (4, 2)])
+    def test_json_round_trip_h2_tiles(self, d, m):
+        tiles = generate_h2_h1_tiles(d, m)
+        assert tiling_from_json(tiling_to_json(tiles)) == tiles
+
+    @pytest.mark.parametrize("center", ["1/3", "1", "3/4"])
+    def test_json_rejects_center_not_half_odd(self, center):
+        data = tiling_to_json(generate_h1_tiling(2, 1))
+        data["tiles"][0]["center"][0] = center
+        with pytest.raises(ValueError, match="half-odd"):
+            tiling_from_json(data)
+
+    @pytest.mark.parametrize("signed_perm", [[[5, 7], [1, 0]], [[1, 0], [1, 3]],
+                                             [[2, 0], [1, 1]], [[1, 0]], [],
+                                             [[1, 0], [1, 1], [1, 2]],
+                                             [[1, 0], [-1, 0]]])
+    def test_json_rejects_malformed_signed_perm(self, signed_perm):
+        data = tiling_to_json(generate_h1_tiling(3, 1))
+        data["tiles"][0]["signed_perm"] = signed_perm
+        with pytest.raises(ValueError, match="signed_perm"):
+            tiling_from_json(data)
+
+    def test_json_rejects_foreign_vertices(self):
+        data = tiling_to_json(generate_h1_tiling(3, 2))
+        data["tiles"][1]["vertices"][2][0] = "5/2"
+        with pytest.raises(ValueError, match="vertices"):
+            tiling_from_json(data)
+        data = tiling_to_json(generate_h1_tiling(3, 2))
+        data["tiles"][0]["signed_perm"] = data["tiles"][1]["signed_perm"]
+        with pytest.raises(ValueError, match="vertices"):
+            tiling_from_json(data)
+
     def test_off_export(self):
         tiles = generate_h1_tiling(3, 1)
         text = tiling_to_off(tiles)

@@ -104,6 +104,13 @@ class TestCli:
         proc = _cli("tile", "not-an-angle", "1/2 pi,1/2 pi,1/2 pi")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flags,missing", [(("--m", "2"), "--d"), (("--d", "2"), "--m")])
+    def test_hill_case_needs_d_and_m(self, flags, missing):
+        proc = _cli("run", "hill", *flags)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert f"needs {missing} as well" in proc.stderr
+
     def test_unknown_scenario(self):
         proc = _cli("run", "nonsense")
         assert proc.returncode == 2
