@@ -1,6 +1,6 @@
 """Command line interface.
 
-    reptile-lab run <scenario> [--tol --coeff-bound --node-budget --out --format]
+    reptile-lab run <scenario> [--tol --coeff-bound --node-budget --out --format --d --m]
     reptile-lab tile <T0> <target> [--n-max --node-budget --out]
     reptile-lab diagram <fixture.json> {auts|orbits|gram} [--type a,b,c]
 
@@ -42,7 +42,9 @@ def _cmd_run(args) -> int:
                  node_budget=args.node_budget)
     names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
     hill_case = {}
-    if "hill" in names and (args.d, args.m) != (None, None):
+    if (args.d, args.m) != (None, None):
+        if "hill" not in names:
+            raise ValueError("--d and --m apply to the hill scenario only")
         if args.m is None:
             raise ValueError("--d needs --m as well")
         if args.d is None:

@@ -16,14 +16,8 @@ permutations fixing a coloring), `canon` (its smallest image) and
 and runs on that coloring; partition and skeleton canonical forms and
 subgraph classification are built on `canon`.
 
-The enumerators color the edges depth-first in index order, so complete
-colorings arrive in lexicographic order, and the first coloring of an
-isomorphism class is the one `is_first` accepts.  They ask it of partial
-colorings too (`enumerate_diagrams` in its first phase), under the
-permutations that map the colored edges onto themselves, and cut the
-branch when it fails: no completion can then be first of its class either
-(orderly generation, after R. C. Read, "Every one a winner", Ann. Discrete
-Math. 2, 1978).
+The three enumerators (diagrams, edge partitions, two-label skeletons) are
+clients of one orderly search over the edge colorings, `coloring_search`.
 """
 
 from __future__ import annotations
@@ -436,6 +430,47 @@ def label_subgraph(diagram: CoxeterDiagram, label: AngleForm) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Orderly coloring search
+# ---------------------------------------------------------------------------
+
+
+def coloring_search(colors: list, slots: Sequence[int], values: Callable, step: Callable,
+                    state, first: Optional[Callable] = None):
+    """Fill `colors[e]` for `e` in `slots`, in order, depth-first; yield the
+    state at each complete filling.
+
+    At each slot every value of `values(e)` is tried, in that order, so
+    complete fillings arrive in lexicographic order of the try order.  After
+    a value is placed, `step(e, state)` returns the next state, or None to
+    cut the branch.  `first(e)`, if given, is then asked whether the colors
+    up to slot `e` are the first of their isomorphism class (`is_first` of
+    the kernel, under the permutations that map those edges onto
+    themselves); if not, no completion can be first either, and the branch
+    is cut (orderly generation, after R. C. Read, "Every one a winner", Ann.
+    Discrete Math. 2, 1978).  So each class reaches a complete filling once,
+    as its first member in search order.
+
+    `colors` is shared: at a yield it holds the filling, and each slot gets
+    its start value back on backtrack, so a caller may run a second search
+    over other slots of the same list from inside the loop.
+    """
+    def walk(i: int, state):
+        if i == len(slots):
+            yield state
+            return
+        e = slots[i]
+        start = colors[e]
+        for v in values(e):
+            colors[e] = v
+            nxt = step(e, state)
+            if nxt is not None and (first is None or first(e)):
+                yield from walk(i + 1, nxt)
+        colors[e] = start
+
+    return walk(0, state)
+
+
+# ---------------------------------------------------------------------------
 # Constraint-driven enumeration of diagrams up to isomorphism
 # ---------------------------------------------------------------------------
 
@@ -518,33 +553,28 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
                        vertices: Optional[Sequence[str]] = None) -> list:
     """All edge labelings of K_n satisfying the constraints, up to isomorphism.
 
-    Enumeration is a two-phase backtracking over the edges in index order:
-    first each edge takes a rule label (the scarce, heavily constrained
-    ones) or is deferred, then the deferred edges take the other labels.
+    Two searches share one labeling: phase 1 gives each edge a rule label
+    (the scarce, heavily constrained ones) or defers it, cut by `is_first`
+    on the labels' places in its try order; phase 2 gives the deferred
+    edges the other labels.  So one skeleton (each edge a rule label or
+    deferred) per isomorphism class is completed.  This is sound because
+    every constraint is a function of the triangle types and richness is an
+    isomorphism invariant: the completions of an isomorphic skeleton are
+    images of the first one's, and each class of labelings keeps its first
+    labeling in search order.
 
     A triangle's three slots (label, deferred, or not yet visited) index
     two tables built once per call: whether some allowed type can still
     complete it (a complete one must itself be allowed), and whether it
-    can still become the rich type.  Only the triangles through the edge
-    just assigned are looked up (per-edge incidence).  A running count of
-    triangles that can still become the rich type is updated on each
-    assignment and restored on backtrack, and a branch is abandoned as
-    soon as it falls below four.
+    can still become the rich type.  The state is the bitmask of triangles
+    that still can; a branch is cut when a triangle through the edge just
+    labeled can no longer be allowed, or when fewer than four can still
+    become the rich type.
 
-    Phase 1 runs in lexicographic order of the labels' places in its try
-    order and is cut by `is_first` on those places, so one skeleton (each
-    edge a rule label or deferred) per isomorphism class is completed.
-    This is sound because every constraint is a function of the triangle
-    types and richness is an isomorphism invariant: the completions of an
-    isomorphic skeleton are images of the first one's, and each class of
-    labelings keeps its first labeling in search order.
-
-    A complete labeling is keyed by its minimum over all vertex orders
-    (`canon` of the kernel) and skipped if its isomorphism class
-    was already seen, so the diagram is built and tested for richness, an
-    isomorphism invariant, once per class.  Each class is represented by
-    its first labeling in search order; results are sorted by canonical
-    key.
+    A complete labeling is skipped if its `canon` was already seen, so
+    each diagram is built and tested for richness once per class.  Each
+    class is represented by its first labeling in search order; results are
+    sorted by canonical key.
     """
     alphabet = [relations.normalize(f) for f in alphabet]
     if len(set(alphabet)) != len(alphabet):
@@ -569,25 +599,18 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
     base = size + 2
     base2 = base * base
     offset = 2 * (base2 + base + 1)
-    # per edge: (triangle index, its three edge indices) for each triangle through it
-    incident = [[(t, *kn.tri_edges[t]) for t in kn.edge_tris[e]] for e in range(m)]
+    # per edge: (triangle bit, its three edge indices) for each triangle through it
+    incident = [[(1 << t, *kn.tri_edges[t]) for t in kn.edge_tris[e]] for e in range(m)]
     assign = [UNSET] * m
-    live = [True] * len(kn.tri_edges)  # triangle can still become the rich type
 
-    def place(idx: int, lab: int):
-        """Put `lab` on edge idx; the triangles it takes out of the rich
-        count, or None if a triangle through idx can no longer be allowed."""
-        assign[idx] = lab
-        dropped = []
-        for t, a, b, c in incident[idx]:
+    def step(e: int, live: int):
+        for bit, a, b, c in incident[e]:
             code = assign[a] * base2 + assign[b] * base + assign[c] + offset
             if not ok[code]:
                 return None
-            if live[t] and not can_rich[code]:
-                dropped.append(t)
-        for t in dropped:
-            live[t] = False
-        return dropped
+            if not can_rich[code]:
+                live &= ~bit
+        return live if live.bit_count() >= need else None
 
     if vertices is not None:
         names = list(vertices)
@@ -598,53 +621,19 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
 
     seen = set()
     solutions = []
-
-    def finish():
-        key = kn.canon(assign)
-        if key in seen:
-            return
-        seen.add(key)
-        labels = {es[i]: alphabet[assign[i]] for i in range(m)}
-        diagram = CoxeterDiagram(names, labels, relations)
-        if cons.rich_type is None or is_rich(diagram, cons.rich_type):
-            solutions.append(diagram)
-
-    def fill_rest(idx: int, count: int):
-        while idx < m and assign[idx] >= 0:
-            idx += 1
-        if idx == m:
-            finish()
-            return
-        prev = assign[idx]
-        for lab in others:
-            dropped = place(idx, lab)
-            if dropped is None:
+    for live in coloring_search(assign, range(m), lambda e: choices, step,
+                                (1 << len(kn.tri_edges)) - 1,
+                                lambda e: kn.is_first([rank[x] for x in assign[:e + 1]])):
+        deferred = [e for e in range(m) if assign[e] == DEFER]
+        for _ in coloring_search(assign, deferred, lambda e: others, step, live):
+            key = kn.canon(assign)
+            if key in seen:
                 continue
-            if count - len(dropped) >= need:
-                fill_rest(idx + 1, count - len(dropped))
-            for t in dropped:
-                live[t] = True
-        assign[idx] = prev
-
-    def skeleton(idx: int, count: int):
-        if idx == m:
-            fill_rest(0, count)
-            return
-        for lab in choices:
-            dropped = place(idx, lab)
-            if dropped is None:
-                continue
-            if count - len(dropped) >= need and \
-                    kn.is_first([rank[x] for x in assign[:idx + 1]]):
-                skeleton(idx + 1, count - len(dropped))
-            for t in dropped:
-                live[t] = True
-        assign[idx] = UNSET
-
-    if phase1:
-        skeleton(0, len(live))
-    else:
-        fill_rest(0, len(live))
+            seen.add(key)
+            labels = {es[i]: alphabet[assign[i]] for i in range(m)}
+            diagram = CoxeterDiagram(names, labels, relations)
+            if cons.rich_type is None or is_rich(diagram, cons.rich_type):
+                solutions.append(diagram)
     return sorted(solutions, key=lambda d: d.canonical_key())
 
 
@@ -674,13 +663,14 @@ def coloring_automorphisms(coloring: tuple, n: int) -> list:
 def enumerate_edge_partitions(n: int, constraints: PartitionConstraints) -> list:
     """Set partitions of the K_n edges satisfying the constraints, up to iso.
 
-    The search gives each edge a class already used or the next new one, so
-    each class is represented by its `coloring_canonical` form (its first
-    coloring, classes numbered by first occurrence), and results come out
-    in that order.  A triangle's type is counted when its last edge is
-    colored; a branch is cut when the class count or the triangles still
-    open cannot meet a constraint, or when `is_first` (images renumbered)
-    fails.  The automorphism test runs only on complete colorings.
+    Each edge gets a class already used or the next new one, so each class
+    is represented by its `coloring_canonical` form (its first coloring,
+    classes numbered by first occurrence), and results come out in that
+    order.  The state counts the triangles of each type, a type counted
+    when its last edge is colored; a branch is cut when the class count or
+    the triangles still open cannot meet a constraint, or when `is_first`
+    (images renumbered) fails.  The automorphism test runs only on complete
+    colorings.
     """
     cons = constraints
     kn = kn_tables(n)
@@ -690,36 +680,29 @@ def enumerate_edge_partitions(n: int, constraints: PartitionConstraints) -> list
     one, two = (None if t is None else max(t, 1)
                 for t in (cons.one_type_at_least, cons.two_types_each_at_least))
     coloring = [0] * m
-    counts = Counter()  # triangle type -> closed triangles of that type
-    found = []
 
-    def reachable(e: int, k: int) -> bool:
-        """Can a completion of edges 0..e, with k classes, meet the constraints?"""
+    def step(e: int, counts: dict):
+        k = max(coloring[:e + 1]) + 1
         if k > hi or k + m - 1 - e < lo:
-            return False
+            return None
+        counts = dict(counts)
+        for a, b in kn.closes[e]:
+            t = tuple(sorted((coloring[a], coloring[b], coloring[e])))
+            counts[t] = counts.get(t, 0) + 1
         left = kn.open_after[e]
         c1, c2 = (sorted(counts.values(), reverse=True) + [0, 0])[:2]
         if one is not None and c1 + left < one:
-            return False
-        return two is None or max(two - c1, 0) + max(two - c2, 0) <= left
+            return None
+        if two is not None and max(two - c1, 0) + max(two - c2, 0) > left:
+            return None
+        return counts
 
-    def extend(e: int, k: int):
-        if e == m:
-            if cons.trivial_automorphisms is None or \
-                    (len(coloring_automorphisms(coloring, n)) == 1) == cons.trivial_automorphisms:
-                found.append(tuple(coloring))
-            return
-        for c in range(k + 1):
-            coloring[e] = c
-            types = [tuple(sorted((coloring[a], coloring[b], c))) for a, b in kn.closes[e]]
-            for t in types:
-                counts[t] += 1
-            if reachable(e, max(k, c + 1)) and kn.is_first(coloring[:e + 1], renumber=True):
-                extend(e + 1, max(k, c + 1))
-            for t in types:
-                counts[t] -= 1
-
-    extend(0, 0)
+    found = []
+    for _ in coloring_search(coloring, range(m), lambda e: range(max(coloring[:e], default=-1) + 2),
+                             step, {}, lambda e: kn.is_first(coloring[:e + 1], renumber=True)):
+        if cons.trivial_automorphisms is None or \
+                (len(coloring_automorphisms(coloring, n)) == 1) == cons.trivial_automorphisms:
+            found.append(tuple(coloring))
     return found
 
 
@@ -742,49 +725,40 @@ def enumerate_two_label_skeletons(n: int = 5,
     path triangles nontrivially (such a symmetry would survive any completion
     and collapse the mixed-triangle orbits below four).
 
-    The search gives each edge 0 (free), 1 (alpha) or 2 (beta) and tests a
-    triangle when its last edge is set: it must keep a free edge, and it is
-    a mixed path if its edges are free, alpha and beta.  A branch is cut
-    when the paths plus the triangles still open fall short of `min_paths`,
-    or when `is_first` fails, so the alpha shape and forced-symmetry tests
-    (both isomorphism invariants) and `pair_canonical` run once per class.
-    Results are sorted by `pair_canonical`.
+    Each edge gets 0 (free), 1 (alpha) or 2 (beta), and the state counts
+    the mixed paths: a triangle is tested when its last edge is set; it
+    must keep a free edge, and it is a mixed path if its edges are free,
+    alpha and beta.  A branch is cut when the paths plus the triangles
+    still open fall short of `min_paths`, or when `is_first` fails, so the
+    alpha shape and forced-symmetry tests (both isomorphism invariants) and
+    `pair_canonical` run once per class.  Results are sorted by
+    `pair_canonical`.
     """
     kn = kn_tables(n)
     es = kn.edges
     m = len(es)
     asg = [0] * m
-    results = {}
 
-    def finish(paths: int):
+    def step(e: int, paths: int):
+        for a, b in kn.closes[e]:
+            labels = {asg[a], asg[b], asg[e]}
+            if 0 not in labels:
+                return None  # triangle in the two-label graph
+            paths += len(labels) == 3
+        return paths if paths + kn.open_after[e] >= min_paths else None
+
+    results = {}
+    for paths in coloring_search(asg, range(m), lambda e: range(3), step, 0,
+                                 lambda e: kn.is_first(asg[:e + 1])):
         if asg.count(2) < min_beta or 1 not in asg:
-            return
+            continue
         ea = frozenset(e for e, x in zip(es, asg) if x == 1)
         if classify_graph(ea) not in alpha_shapes:
-            return
+            continue
         if paths == 4 and forced_symmetry_collapses(asg, n):
-            return
+            continue
         eb = frozenset(e for e, x in zip(es, asg) if x == 2)
         results[pair_canonical(ea, eb, n)] = (ea, eb)
-
-    def extend(e: int, paths: int):
-        if e == m:
-            finish(paths)
-            return
-        for x in range(3):
-            asg[e] = x
-            mixed = paths
-            for a, b in kn.closes[e]:
-                labels = {asg[a], asg[b], x}
-                if 0 not in labels:
-                    break  # triangle in the two-label graph
-                mixed += len(labels) == 3
-            else:
-                if mixed + kn.open_after[e] >= min_paths and kn.is_first(asg[:e + 1]):
-                    extend(e + 1, mixed)
-        asg[e] = 0
-
-    extend(0, 0)
     return [results[k] for k in sorted(results)]
 
 

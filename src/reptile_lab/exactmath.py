@@ -578,9 +578,6 @@ class ExactMatrix:
         m = self.rows[0][0].m
         return QuadExt(Fraction(0), Fraction(0), m)
 
-    def to_float(self):
-        return [[_entry_float(e) for e in row] for row in self.rows]
-
 
 def sum2(items):
     items = list(items)
@@ -604,9 +601,3 @@ def _exact_div_entry(num, den):
     if isinstance(num, QuadExt):
         return num / den
     return num / den
-
-
-def _entry_float(e):
-    if isinstance(e, (Fraction, QuadExt)):
-        return float(e)
-    raise TypeError("no generic float value for polynomial entries")

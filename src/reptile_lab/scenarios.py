@@ -790,10 +790,6 @@ def run_scenario(name: str, cfg: Optional[Config] = None, **kwargs) -> Report:
     return report
 
 
-def run_all(cfg: Optional[Config] = None) -> list:
-    return [run_scenario(name, cfg) for name in SCENARIOS]
-
-
 def emit_figures(report: Report, out_dir: str) -> list:
     """One SVG per found tiling; stable file names; returns the paths."""
     import os

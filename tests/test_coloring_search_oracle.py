@@ -21,10 +21,12 @@ from itertools import permutations, product
 
 import pytest
 
-from reptile_lab.coxeter import (PartitionConstraints, all_edges, classify_graph,
-                                 coloring_automorphisms, enumerate_edge_partitions,
+from reptile_lab.angles import parse_angle
+from reptile_lab.coxeter import (DiagramConstraints, PartitionConstraints, all_edges,
+                                 classify_graph, coloring_automorphisms, coloring_search,
+                                 enumerate_diagrams, enumerate_edge_partitions,
                                  enumerate_two_label_skeletons, forced_symmetry_collapses,
-                                 pair_canonical)
+                                 pair_canonical, triangle_type_of)
 
 
 def edge_perms(n):
@@ -219,3 +221,86 @@ def test_k4_skeletons_match_naive_walk():
     for min_paths in range(4):
         assert enumerate_two_label_skeletons(4, shapes, 1, min_paths) == \
             naive_skeletons(4, walk, shapes, 1, min_paths), min_paths
+
+
+TRY = (2, 0, 1)  # a try order other than the natural one
+
+
+def recording(colors):
+    """A `step` that accepts every value and appends it to the state."""
+    return lambda e, state: state + (colors[e],)
+
+
+class TestColoringSearch:
+    """`coloring_search` itself, on a few slots with plain callables."""
+
+    def test_accepting_step_yields_every_filling_in_try_order(self):
+        colors = [9] * 4
+        got = [(state, tuple(colors)) for state in
+               coloring_search(colors, [0, 2, 3], lambda e: TRY, recording(colors), ())]
+        want = list(product(TRY, repeat=3))
+        assert [state for state, _ in got] == want
+        assert [filled for _, filled in got] == [(a, 9, b, c) for a, b, c in want]
+
+    def test_values_per_slot(self):
+        colors = [0] * 3
+        got = list(coloring_search(colors, range(3), lambda e: range(e + 1),
+                                   recording(colors), ()))
+        assert got == list(product(range(1), range(2), range(3)))
+
+    def test_step_none_removes_exactly_that_subtree(self):
+        colors = [0] * 3
+
+        def step(e, state):
+            state += (colors[e],)
+            return None if state[:2] == (0, 1) or state == (1, 2, 2) else state
+
+        got = list(coloring_search(colors, range(3), lambda e: TRY, step, ()))
+        assert got == [p for p in product(TRY, repeat=3) if p[:2] != (0, 1) and p != (1, 2, 2)]
+
+    def test_false_first_removes_exactly_that_subtree(self):
+        colors = [0] * 3
+        cut = {(2, 2), (1, 0, 1)}
+        got = list(coloring_search(colors, range(3), lambda e: TRY, recording(colors), (),
+                                   lambda e: tuple(colors[:e + 1]) not in cut))
+        assert got == [p for p in product(TRY, repeat=3) if p[:2] != (2, 2) and p != (1, 0, 1)]
+
+    def test_zero_slots_yield_the_start_state_once(self):
+        def never(e, state):
+            raise AssertionError("no slot to step")
+
+        colors = [4, 5]
+        assert list(coloring_search(colors, [], lambda e: TRY, never, "start")) == ["start"]
+        assert colors == [4, 5]
+
+    def test_diagram_skeleton_with_no_deferred_edge(self):
+        # one rule label and nothing else: phase 1 labels every edge, and
+        # phase 2 runs over no slot at all
+        a = parse_angle("alpha")
+        cons = DiagramConstraints(list_rules=((a, frozenset({triangle_type_of([a, a, a])})),))
+        found = enumerate_diagrams(4, [a], cons)
+        assert len(found) == 1
+        assert set(found[0].labels.values()) == {a}
+
+    def test_colors_restored_when_exhausted(self):
+        colors = [7, 8, 9]
+        searches = [
+            coloring_search(colors, [0, 2], lambda e: TRY, recording(colors), ()),
+            coloring_search(colors, [2, 0], lambda e: TRY, lambda e, s: None, ()),
+            coloring_search(colors, [0, 2], lambda e: TRY, recording(colors), (),
+                            lambda e: colors[0] != 0),
+        ]
+        for search in searches:
+            for _ in search:
+                assert colors[1] == 8
+            assert colors == [7, 8, 9]
+
+    def test_nested_search_on_shared_colors(self):
+        colors = [-1, -1]
+        got = []
+        for _ in coloring_search(colors, [0], lambda e: (0, 1), recording(colors), ()):
+            for _ in coloring_search(colors, [1], lambda e: (5, 6), recording(colors), ()):
+                got.append(tuple(colors))
+            assert colors[1] == -1
+        assert got == [(0, 5), (0, 6), (1, 5), (1, 6)]
+        assert colors == [-1, -1]

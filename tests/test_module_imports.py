@@ -1,9 +1,11 @@
-"""Import rules of the package, checked on the source.
+"""Import and design rules of the package, checked on the source.
 
 No module imports an underscored name from a sibling: a name with a
 leading underscore is private to its module, and a caller in another module
 means the name belongs in the public interface.  The `sphgeo` kernel
-imports only `math`.
+imports only `math`.  The only function in `coxeter` that calls itself is
+the walk of `coloring_search`: the enumerators are its clients and keep no
+recursion of their own.
 """
 
 import ast
@@ -57,3 +59,48 @@ def test_check_sees_a_numpy_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("import math\nimport numpy.linalg as la\nfrom numpy import cross\n")
     assert imported_modules(bad) == {"math", "numpy"}
+
+
+def self_recursive_functions(path):
+    """Dotted names of the functions whose body calls them by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                       and n.func.id == child.name for n in ast.walk(child)):
+                    found.append(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_coxeter_recursion_only_in_coloring_search():
+    assert self_recursive_functions(PACKAGE / "coxeter.py") == ["coloring_search.walk"]
+
+
+def test_check_sees_a_recursive_function(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text(
+        "def enumerate_things(m):\n"
+        "    def extend(e):\n"
+        "        if e < m:\n"
+        "            extend(e + 1)\n"
+        "    extend(0)\n"
+        "\n"
+        "class Tree:\n"
+        "    def height(self):\n"
+        "        def depth(node):\n"
+        "            return 1 + max((depth(c) for c in node), default=0)\n"
+        "        return depth(self.root)\n"
+        "\n"
+        "def flat(xs):\n"
+        "    return sum(xs)\n")
+    assert self_recursive_functions(bad) == ["enumerate_things.extend", "Tree.height.depth"]

@@ -111,6 +111,14 @@ class TestCli:
         assert proc.stdout == ""
         assert f"needs {missing} as well" in proc.stderr
 
+    @pytest.mark.parametrize("args", [("three-dim", "--m", "2"),
+                                      ("case-b", "--d", "3", "--m", "2")])
+    def test_hill_flags_rejected_for_other_scenarios(self, args):
+        proc = _cli("run", *args)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "apply to the hill scenario only" in proc.stderr
+
     def test_unknown_scenario(self):
         proc = _cli("run", "nonsense")
         assert proc.returncode == 2
