@@ -15,6 +15,7 @@ pairs (union congruent to H2_d) sit in four-cycle components of the
 compatibility graph and give the pairing that re-tiles scaled H2 copies.
 
 All geometry is exact and runs on integers: tiles use doubled integer
+coordinates, tile volumes come from integer determinants of those
 coordinates, and congruence compares integer squared-distance tables of the
 vertices scaled by the lcm of their denominators.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import le, mul
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .gram import EuclideanSimplex
 
@@ -100,6 +101,13 @@ class LatticeTile:
 
     def simplex(self) -> EuclideanSimplex:
         return EuclideanSimplex(self.vertices())
+
+    def volume(self) -> Fraction:
+        """Exact volume |det(v_i - v_0)| / d!, from the doubled integer
+        vertices: their differences scale the determinant by 2^d."""
+        v0, *rest = self.vertices2()
+        det = _int_det([[a - b for a, b in zip(v, v0)] for v in rest])
+        return Fraction(abs(det), 2 ** self.d * math.factorial(self.d))
 
     def compatible_with(self, other: "LatticeTile") -> bool:
         """Union congruent to H2: same cube, same prefix, different last index."""
@@ -194,6 +202,26 @@ def generate_h2_h1_tiles(d: int, m: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination; every division is exact, so everything stays an int."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
 def tile_volume(d: int) -> Fraction:
     """Volume of one H1 lattice tile: two H0 copies."""
     return Fraction(2, 2 ** d * math.factorial(d))
@@ -275,15 +303,19 @@ class TilingReport:
     component_sizes: list
 
 
-def pair_h2_tiling(d: int, m: int) -> list:
+def pair_h2_tiling(d: int, m: int,
+                   graph: Optional[CompatibilityGraph] = None) -> list:
     """Match the 2*m^d H1-tiles of m*H2_d into m^d pairs forming H2 copies.
 
     Every compatibility component contributes an even number of tiles; pairs
     are taken inside components, and each union is verified congruent to
-    H2_d exactly.
+    H2_d exactly.  A caller that already holds the compatibility graph of
+    `generate_h2_h1_tiles(d, m)` passes it as `graph`; otherwise it is built
+    here.
     """
-    tiles = generate_h2_h1_tiles(d, m)
-    graph = compatibility_graph(tiles)
+    if graph is None:
+        graph = compatibility_graph(generate_h2_h1_tiles(d, m))
+    tiles = graph.tiles
     h2 = hill_simplex(d, 2)
     pairs = []
     for comp in graph.components:
@@ -325,7 +357,7 @@ def pair_union_simplex(t1: LatticeTile, t2: LatticeTile) -> EuclideanSimplex:
 
 
 def tiling_report(tiles: Sequence[LatticeTile], base: EuclideanSimplex) -> TilingReport:
-    vol = sum((t.simplex().volume() for t in tiles), Fraction(0))
+    vol = sum((t.volume() for t in tiles), Fraction(0))
     all_cong = all(congruent(t.simplex(), base) for t in tiles)
     graph = compatibility_graph(tiles)
     return TilingReport(len(tiles), vol, all_cong, graph.component_sizes())

@@ -305,11 +305,19 @@ class SearchResult:
 
 
 class _Region:
-    __slots__ = ("points", "angles")
+    """A boundary cycle: points (float 3-tuples, CCW), interior angles, and
+    arcs (start, end) from each point to the next.  `checked` holds the arcs
+    known to pass `_placement_geometry_ok` together: all arcs of a region
+    the search accepted, none for any other."""
+
+    __slots__ = ("points", "angles", "arcs", "checked")
 
     def __init__(self, points, angles):
         self.points = points
         self.angles = angles
+        k = len(points)
+        self.arcs = [(points[i], points[(i + 1) % k]) for i in range(k)]
+        self.checked = frozenset()
 
     def signature(self):
         k = len(self.points)
@@ -412,12 +420,9 @@ def _place(region: _Region, vi: int, orient: dict, eps: float):
     if state == "closed":
         return ("closed", tile_points)
     new_region = state
-    if any(sphgeo.arc_length(new_region.points[i],
-                             new_region.points[(i + 1) % len(new_region.points)])
-           >= math.pi - 1e-6 for i in range(len(new_region.points))):
-        return None  # minor-arc convention breaks past pi
-    if not _placement_geometry_ok(region, new_region, tile_points, eps):
+    if not _placement_geometry_ok(region, new_region, eps):
         return None
+    new_region.checked = frozenset(new_region.arcs)
     return (new_region, tile_points)
 
 
@@ -464,23 +469,46 @@ def _cleanup_cycle(cycle, eps):
     return _Region(out_pts, out_angs)
 
 
-def _placement_geometry_ok(old: _Region, new: _Region, tile_points, eps: float) -> bool:
-    """Reject placements whose new boundary self-intersects.
+def _fresh_arcs(old: _Region, new: _Region) -> list:
+    """Per arc of `new`: is it fresh?  An arc is fresh unless its (start,
+    end) pair is a checked arc of `old` -- the same float tuples -- and no
+    earlier arc of `new` repeats it.  So arcs a placement created or
+    `_cleanup_cycle` merged are fresh."""
+    seen = set()
+    out = []
+    for arc in new.arcs:
+        out.append(arc not in old.checked or arc in seen)
+        seen.add(arc)
+    return out
+
+
+def _placement_geometry_ok(old: _Region, new: _Region, eps: float) -> bool:
+    """Reject placements whose new boundary self-intersects or has an arc
+    too long for the minor-arc convention.
 
     The tile sides start inside the corner wedge; if no arc of the new
     boundary crosses another (beyond shared endpoints), the tile stayed
-    inside the region.
+    inside the region.  Only fresh arcs (`_fresh_arcs`) and pairs with a
+    fresh arc are tested.  That gives the all-pairs answer because every
+    region the search accepts has all its arcs below pi - 1e-6 and all
+    their pairs conflict-free (the root triangle is checked once in
+    `search_tiling`, every later region here), and a pair of arcs that are
+    not fresh is a pair of distinct arcs of `old`, the same float tuples.
     """
     snap = max(eps, 1e-9) * 10
-    pts = new.points
-    k = len(pts)
-    arcs = [(pts[i], pts[(i + 1) % k]) for i in range(k)]
+    arcs = new.arcs
+    fresh = _fresh_arcs(old, new)
+    if any(f and sphgeo.arc_length(a, b) >= math.pi - 1e-6
+           for f, (a, b) in zip(fresh, arcs)):
+        return False  # minor-arc convention breaks past pi
+    k = len(arcs)
     for i in range(k):
+        a1, b1 = arcs[i]
         for j in range(i + 1, k):
-            a1, b1 = arcs[i]
-            a2, b2 = arcs[j]
-            if sphgeo.arcs_conflict(a1, b1, a2, b2, snap):
-                return False
+            if fresh[i] or fresh[j]:
+                a2, b2 = arcs[j]
+                if sphgeo.arcs_conflict(a1, b1, a2, b2, snap):
+                    return False
     return True
 
 
@@ -520,6 +548,8 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     t_edges = edge_lengths(target_angles)
     t_points = sphgeo.triangle_vertices(target_angles, t_edges)
     region0 = _Region(list(t_points), list(target_angles))
+    if _placement_geometry_ok(_Region([], []), region0, eps):
+        region0.checked = frozenset(region0.arcs)
     orients = _orientations(tile)
     failed = set()
     nodes = 0

@@ -741,13 +741,12 @@ def scenario_hill(cfg: Config, d: Optional[int] = None, m: Optional[int] = None)
                   "reference", "expectations:hill/h1_cases")
 
     for dd, mm in pair_cases:
-        tiles = generate_h2_h1_tiles(dd, mm)
-        graph = compatibility_graph(tiles)
+        graph = compatibility_graph(generate_h2_h1_tiles(dd, mm))
         parity_ok = all(len(c) in (2, 4) for c in graph.components)
         rec.check(f"hill/h2-even-components/d{dd}m{mm}",
                   "each compatibility component meets the region evenly",
                   True, parity_ok, "reference", "expectations:hill/pair_cases")
-        pairs = pair_h2_tiling(dd, mm)
+        pairs = pair_h2_tiling(dd, mm, graph)
         rec.check(f"hill/h2-pairing/d{dd}m{mm}",
                   "pairing into base-H2 copies succeeds",
                   mm ** dd, len(pairs),

@@ -1,8 +1,11 @@
 """Unit-sphere geometry kernel: points as float 3-tuples, geodesic arcs by
 their endpoints (minor-arc convention, all lengths < pi).
 
-Stdlib only.  The tiling search calls these helpers for every pair of
-boundary arcs at every node, where numpy's per-call overhead on 3-element
+Stdlib only.  The tiling search calls `arcs_conflict` on every pair of
+boundary arcs of a new region that involves at least one fresh arc (one the
+placement created or merged); the other pairs are arcs of the parent region,
+unchanged, and passed the same test when it was built.  These calls run
+thousands of times per search, where numpy's per-call overhead on 3-element
 arrays costs about a hundred times the arithmetic.  Callers holding numpy
 arrays or lists convert them once with `vec`.
 """
@@ -103,9 +106,35 @@ def arcs_conflict(a1, b1, a2, b2, snap: float) -> bool:
 
     Transversal interior crossings, endpoint-in-interior touches, and
     collinear overlaps of positive length all count as conflicts.
+
+    Early exit: the arcs are apart when both endpoints of one arc lie
+    strictly on the same side of the other arc's great-circle plane, at
+    least 4 * snap from it.  Along a minor arc the signed distance to a
+    plane is A * sin(theta - theta0) over an interval shorter than pi; if it
+    is positive at both ends it is positive throughout, with its minimum at
+    an end.  `on_arc` accepts points at most about snap off the arc and
+    snap past its ends, which moves that distance by about 2 * snap at
+    most, so no point `on_arc` accepts on one arc lies within snap of the
+    other circle, and neither the crossing nor the shared-circle test below
+    can find a conflict.  The margin also covers rounding: the computed
+    normal n = a x b is off by about 6e-16 in each coordinate, so an arc's
+    own endpoints may sit up to about 1e-15 / |n| off its computed circle
+    (much more than snap for arcs shorter than about 1e-7).  Zero-length
+    arcs take no early exit.
     """
     n1 = cross(a1, b1)
     n2 = cross(a2, b2)
+    l1, l2 = norm(n1), norm(n2)
+    if l1 and l2:
+        tol = 4 * snap + 1e-15 / l1 + 1e-15 / l2
+        m = tol * l1
+        s, t = dot(a2, n1), dot(b2, n1)
+        if (s > m and t > m) or (s < -m and t < -m):
+            return False
+        m = tol * l2
+        s, t = dot(a1, n2), dot(b1, n2)
+        if (s > m and t > m) or (s < -m and t < -m):
+            return False
     d = cross(n1, n2)
     nd = norm(d)
     ends1 = (a1, b1)
@@ -114,7 +143,7 @@ def arcs_conflict(a1, b1, a2, b2, snap: float) -> bool:
     def near(p, q):
         return arc_length(p, q) <= snap
 
-    if nd < 1e-12 * max(norm(n1) * norm(n2), 1e-30):
+    if nd < 1e-12 * max(l1 * l2, 1e-30):
         # same great circle: conflict iff an endpoint of one arc lies strictly
         # inside the other, or the arcs coincide
         for p in ends1:

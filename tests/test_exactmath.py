@@ -3,6 +3,7 @@ from decimal import Decimal, getcontext
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reptile_lab.exactmath import (ExactMatrix, Poly, QuadExt, RingMismatchError,
                                    ZeroPolynomialError, isolate_roots,
@@ -169,3 +170,72 @@ class TestDeterminant:
         with pytest.raises(RingMismatchError):
             ExactMatrix([[Poly([1]), QuadExt(F(1), F(1), 2)],
                          [F(0), F(1)]])
+
+
+# ---------------------------------------------------------------------------
+# Bareiss det against independent oracles
+# ---------------------------------------------------------------------------
+
+# Q, Q(sqrt m) by m, and Q[t]
+RINGS = ("Q", 2, 3, 5, "Q[t]")
+
+# zero-heavy, so that pivots need row swaps and some matrices are singular
+RATIONALS = st.one_of(st.just(F(0)),
+                      st.builds(F, st.integers(-6, 6), st.integers(1, 4)))
+
+
+def ring_entries(ring):
+    if ring == "Q":
+        return RATIONALS
+    if ring == "Q[t]":
+        return st.lists(RATIONALS, max_size=3).map(Poly)
+    return st.builds(QuadExt, RATIONALS, RATIONALS, st.just(ring))
+
+
+@st.composite
+def square_matrices(draw):
+    """(ring, rows): a random 2x2 to 5x5 matrix over one of RINGS."""
+    ring = draw(st.sampled_from(RINGS))
+    n = draw(st.integers(2, 5))
+    row = st.lists(ring_entries(ring), min_size=n, max_size=n)
+    return ring, draw(st.lists(row, min_size=n, max_size=n))
+
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = 0
+    for j, a in enumerate(rows[0]):
+        term = a * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(square_matrices())
+def test_det_matches_cofactor_expansion(case):
+    _, rows = case
+    assert ExactMatrix(rows).det() == cofactor_det(rows)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(square_matrices())
+def test_det_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    _, rows = case
+    t = sympy.Symbol("t")
+
+    def to_sympy(e):
+        if isinstance(e, Poly):
+            return sum(sympy.Rational(c.numerator, c.denominator) * t ** i
+                       for i, c in enumerate(e.coeffs))
+        if isinstance(e, QuadExt):
+            return (sympy.Rational(e.a.numerator, e.a.denominator)
+                    + sympy.Rational(e.b.numerator, e.b.denominator) * sympy.sqrt(e.m))
+        return sympy.Rational(e.numerator, e.denominator)
+
+    # Berkowitz divides by nothing, so `expand` brings both sides to the
+    # canonical a + b*sqrt(m) or polynomial form
+    want = sympy.Matrix([[to_sympy(e) for e in r] for r in rows]).det(method="berkowitz")
+    assert sympy.expand(to_sympy(ExactMatrix(rows).det()) - want) == 0

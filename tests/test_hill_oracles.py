@@ -4,6 +4,9 @@
 backtracking over vertex correspondences on `Fraction` squared distances.
 `lattice_tiles_in` compares per-inequality reaches with slacks; its oracle
 evaluates every facet inequality on every vertex of every candidate tile.
+`LatticeTile.volume` takes an integer determinant of the doubled
+coordinates; its oracle is the `Fraction` Bareiss volume of the tile's
+simplex.
 """
 
 import random
@@ -12,9 +15,12 @@ from itertools import combinations, product
 
 import pytest
 
+from reptile_lab.exactmath import ExactMatrix
 from reptile_lab.gram import EuclideanSimplex
-from reptile_lab.hill import (LatticeTile, congruent, lattice_tiles_in,
-                              scaled_hill_polytope, signed_perms)
+from reptile_lab.hill import (LatticeTile, _int_det, congruent,
+                              generate_h1_tiling, generate_h2_h1_tiles,
+                              lattice_tiles_in, scaled_hill_polytope,
+                              signed_perms, tile_volume)
 
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12)
 
@@ -170,3 +176,27 @@ def test_lattice_tiles_in_matches_oracle(i, d):
         assert expected or m == 1
         if i:
             assert len(expected) == i * m ** d
+
+
+def test_int_det_matches_exact_matrix():
+    """Zero-heavy random integer matrices, so that pivots need row swaps
+    and some matrices are singular."""
+    rng = random.Random(17)
+    for n in range(6):
+        for _ in range(60):
+            rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                    for _ in range(n)]
+            assert _int_det(rows) == ExactMatrix(rows).det()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_tile_volume_matches_simplex_volume(d):
+    """Every tile of m * H1_d and m * H2_d for m = 1..3, and 100 signed
+    permutations around one cube."""
+    perms = list(signed_perms(d))
+    perms = random.Random(d).sample(perms, min(100, len(perms)))
+    cube = [LatticeTile(tuple(range(1, 2 * d, 2)), sp) for sp in perms]
+    for tiles in [cube] + [gen(d, m) for m in (1, 2, 3)
+                           for gen in (generate_h1_tiling, generate_h2_h1_tiles)]:
+        for t in tiles:
+            assert t.volume() == t.simplex().volume() == tile_volume(d)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from reptile_lab import realize, sphgeo
 from reptile_lab.realize import (EdgeMatch, EdgeNearest,
                                  SphTiling, TileSpec, algebraic_degree,
                                  edge_combination, enumerate_candidates,
@@ -120,9 +121,11 @@ class TestSearch:
                    for a, b in zip(r1.tiling.tiles, r2.tiling.tiles))
 
 
-# The 19 fixture found tilings and the exhausted ninth-tile target, with the
-# status, tile count and node count of the search.  A geometry change that
-# reshapes the search tree, or flips a verdict, fails here.
+# The 19 fixture found tilings, the exhausted ninth-tile target and the ten
+# next heaviest searches of the benchmark's target pool (node counts of
+# perfbench/recorded.json), with the status, tile count and node count of
+# the search.  A geometry change that reshapes the search tree, or flips a
+# verdict, fails here.
 SEARCH_TREE = [
     ("case-b", (F(1, 3), F(1, 3), F(2, 3)), "found", 2, 2),
     ("case-b", (F(1, 3), F(1, 2), F(2, 3)), "found", 3, 19),
@@ -144,6 +147,17 @@ SEARCH_TREE = [
     ("ninth", (F(2, 9), F(1, 2), F(5, 9)), "found", 5, 61),
     ("ninth", (F(1, 3), F(1, 3), F(4, 9)), "found", 2, 10),
     ("ninth", (F(1, 3), F(1, 3), F(7, 9)), "exhausted", 0, 1326),
+    # the ten heaviest other searches of the benchmark's target pool
+    ("quarter", (F(1, 2), F(1, 2), F(2, 3)), "exhausted", 0, 1470),
+    ("quarter", (F(1, 2), F(1, 2), F(7, 12)), "exhausted", 0, 1398),
+    ("quarter", (F(1, 2), F(7, 12), F(7, 12)), "exhausted", 0, 894),
+    ("ninth", (F(1, 3), F(5, 9), F(5, 9)), "exhausted", 0, 870),
+    ("ninth", (F(1, 3), F(1, 3), F(13, 18)), "exhausted", 0, 864),
+    ("ninth", (F(4, 9), F(4, 9), F(5, 9)), "exhausted", 0, 852),
+    ("fifth", (F(1, 3), F(1, 3), F(3, 5)), "exhausted", 0, 846),
+    ("quarter", (F(1, 3), F(1, 3), F(11, 12)), "exhausted", 0, 756),
+    ("quarter", (F(1, 3), F(1, 2), F(3, 4)), "found", 7, 715),
+    ("ninth", (F(1, 3), F(1, 2), F(5, 9)), "exhausted", 0, 600),
 ]
 TILES = {"case-b": CASE_B, "quarter": QUARTER, "fifth": FIFTH, "ninth": NINTH}
 
@@ -155,6 +169,40 @@ def test_search_tree_pinned(base, target, status, tiles, nodes):
     res = search_tiling(target, TILES[base])
     assert (res.status, res.nodes) == (status, nodes)
     assert (len(res.tiling.tiles) if res.tiling else 0) == tiles
+
+
+def all_pairs_geometry_ok(points, eps):
+    """The boundary check of a placement without the fresh-arc shortcut:
+    every arc below pi - 1e-6 and no pair of arcs in conflict."""
+    snap = max(eps, 1e-9) * 10
+    k = len(points)
+    arcs = [(points[i], points[(i + 1) % k]) for i in range(k)]
+    if any(sphgeo.arc_length(a, b) >= math.pi - 1e-6 for a, b in arcs):
+        return False
+    return not any(sphgeo.arcs_conflict(*arcs[i], *arcs[j], snap)
+                   for i in range(k) for j in range(i + 1, k))
+
+
+def test_fresh_arc_check_equals_all_pairs_check(monkeypatch):
+    """On every pinned search, each call of the incremental boundary check
+    gives the all-pairs answer, and the search trees stay as pinned."""
+    incremental = realize._placement_geometry_ok
+    answers, partial = [], 0
+
+    def checked(old, new, eps):
+        nonlocal partial
+        got = incremental(old, new, eps)
+        assert got == all_pairs_geometry_ok(new.points, eps)
+        answers.append(got)
+        partial += not all(realize._fresh_arcs(old, new))
+        return got
+
+    monkeypatch.setattr(realize, "_placement_geometry_ok", checked)
+    for base, target, status, tiles, nodes in SEARCH_TREE:
+        res = search_tiling(target, TILES[base])
+        assert (res.status, res.nodes) == (status, nodes)
+    assert answers.count(True) > 100 and answers.count(False) > 100
+    assert partial > 0.9 * len(answers)
 
 
 class TestVerify:

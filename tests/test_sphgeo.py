@@ -8,6 +8,11 @@ predicates give the reference's answer wherever that answer does not change
 when the snap threshold moves by 1e-8 either way, i.e. wherever the input is
 farther than 1e-8 from the threshold; so they are compared at snap values
 above 1e-8.
+
+`arcs_conflict`'s early exit is held to exact agreement instead: the tuple
+kernel as it was before the exit is kept below as the oracle, and every
+case must get its answer, at the search's snap 1e-8 and at 1e-7 and 1e-6,
+including cases at the exit's margin down to the last bits.
 """
 
 import math
@@ -384,3 +389,127 @@ def test_point_in_convex_polygon(snap):
     compared = [x for x in answers if x is not None]
     assert len(compared) >= 0.9 * len(answers)
     assert compared.count(True) >= 100 and compared.count(False) >= 100
+
+
+# ---------------------------------------------------------------------------
+# arcs_conflict against the tuple kernel before its early exit
+# ---------------------------------------------------------------------------
+
+
+def tuple_arcs_conflict(a1, b1, a2, b2, snap):
+    """`sphgeo.arcs_conflict` as it was before the early exit, on tuples."""
+    cross, dot, norm = sphgeo.cross, sphgeo.dot, sphgeo.norm
+    n1 = cross(a1, b1)
+    n2 = cross(a2, b2)
+    d = cross(n1, n2)
+    nd = norm(d)
+    ends1 = (a1, b1)
+    ends2 = (a2, b2)
+
+    def near(p, q):
+        return sphgeo.arc_length(p, q) <= snap
+
+    if nd < 1e-12 * max(norm(n1) * norm(n2), 1e-30):
+        for p in ends1:
+            if sphgeo.on_arc(p, a2, b2, snap) and not (near(p, a2) or near(p, b2)):
+                return True
+        for p in ends2:
+            if sphgeo.on_arc(p, a1, b1, snap) and not (near(p, a1) or near(p, b1)):
+                return True
+        return (near(a1, a2) and near(b1, b2)) or (near(a1, b2) and near(b1, a2))
+    d = (d[0] / nd, d[1] / nd, d[2] / nd)
+    for p in (d, (-d[0], -d[1], -d[2])):
+        if sphgeo.on_arc(p, a1, b1, snap) and sphgeo.on_arc(p, a2, b2, snap):
+            shared = any(near(p, e1) and any(near(p, e2) for e2 in ends2)
+                         for e1 in ends1)
+            if not shared:
+                return True
+    return False
+
+
+def lift(a, b, t, h):
+    """The point at signed distance h from the great-circle plane of arc
+    a-b (left of a -> b for h > 0), over its point at fraction t."""
+    n = ref_unit(np.cross(a, b))
+    return slerp(a, b, t) * math.sqrt(1 - h * h) + h * n
+
+
+def margin_arcs(rng, snap, count):
+    """Arcs placed around the early exit's margin of 4 * snap: endpoints at
+    +-(margin +- 1e-12) from the other arc's plane, on one side or on both;
+    a far endpoint with a near one just outside or inside the margin, over
+    the other arc's interior or beyond its ends; and steep crossings ending
+    at k * snap * (1 + j * 2**-44) from the other circle, i.e. at the snap
+    threshold of `on_arc` (k = 1) and at the margin (k = 4), down to the
+    last bits."""
+    out = []
+    margin = 4 * snap
+    for _ in range(count):
+        a1, b1 = rand_unit(rng), rand_unit(rng)
+        for e1, e2 in ((1e-12, 1e-12), (1e-12, -1e-12), (-1e-12, -1e-12)):
+            for side in (1, -1):
+                ha, hb = side * (margin + e1), side * (margin + e2)
+                t = [rng.uniform(-0.3, 1.3) for _ in range(2)]
+                out.append((a1, b1, lift(a1, b1, t[0], ha), lift(a1, b1, t[1], hb)))
+                out.append((a1, b1, lift(a1, b1, t[0], ha), lift(a1, b1, t[1], -hb)))
+                far = lift(a1, b1, rng.uniform(-0.3, 1.3), side * rng.uniform(0.05, 0.9))
+                out.append((a1, b1, far, lift(a1, b1, t[1], hb)))
+                out.append((a1, b1, far, lift(a1, b1, rng.choice((0.0, 1.0)), hb)))
+        x = rand_unit(rng)
+        t1 = rand_tangent(rng, x)
+        phi = rng.choice([math.pi / 2, rng.uniform(0.2, math.pi - 0.2)])
+        t2 = ref_rotate_tangent(x, t1, phi)
+        c1 = (ref_point_at(x, -t1, rng.uniform(0.1, 1.0)),
+              ref_point_at(x, t1, rng.uniform(0.1, 1.0)))
+        for k in (1, 4):
+            for j in range(-4, 5):
+                h = k * snap * (1 + j * 2.0 ** -44)
+                gap = math.asin(h / math.sin(phi))
+                c2 = (ref_point_at(x, -t2, rng.uniform(0.1, 1.0)),
+                      ref_point_at(x, -t2, gap))
+                out += [c1 + c2, c2 + c1]
+    return out
+
+
+def edge_arcs(rng, snap, count):
+    """Arcs close to pi long and arcs sharing endpoints, against random,
+    crossing and touching arcs; and arcs from 1e-9 down to 1e-15 long, whose
+    computed normals are off by far more than snap, just outside the margin
+    (4 to 5 snap) from the interior of another arc."""
+    out = []
+    for _ in range(count):
+        a1, b1 = rand_unit(rng), rand_unit(rng)
+        for gap in (1e-3, 1e-5, 2e-6, 1e-6):
+            a = rand_unit(rng)
+            long_arc = (a, toward(rng, -a, gap))
+            mid = slerp(*long_arc, rng.uniform(0.1, 0.9))
+            out += [long_arc + (a1, b1), long_arc + (mid, toward(rng, mid, 0.3)),
+                    long_arc + (long_arc[1].copy(), a1),
+                    long_arc + (a.copy(), toward(rng, -a, gap * 2))]
+        c = rand_unit(rng)
+        out += [(a1, b1, b1.copy(), c), (a1, b1, c, a1.copy()),
+                (a1, b1, b1.copy(), a1.copy()), (a1, b1, b1.copy(), slerp(a1, b1, 0.5))]
+        for length in (1e-9, 1e-10, 1e-11, 1e-12, 1e-13, 1e-15):
+            for _ in range(8):
+                h = rng.choice((1, -1)) * rng.uniform(4, 5) * snap
+                x = off_arc(a1, b1, rng.uniform(0.05, 0.95), h)
+                out.append((a1, b1, x, toward(rng, x, length)))
+            y = toward(rng, x, length)
+            out += [(x, y, y.copy(), toward(rng, y, length)),
+                    (x, y, toward(rng, x, length), toward(rng, y, length))]
+    return out
+
+
+@pytest.mark.parametrize("snap", [1e-8, 1e-7, 1e-6])
+def test_arcs_conflict_early_exit_keeps_every_answer(snap):
+    """The early exit changes no answer, on every case: no robust-cases
+    filter.  1e-8 is the snap of the tiling search."""
+    rng = random.Random(f"early-exit:{snap}")
+    cases = arc_pairs(rng, 20) + margin_arcs(rng, snap, 20) + edge_arcs(rng, snap, 20)
+    answers = []
+    for a1, b1, a2, b2 in cases:
+        for args in (tup(a1, b1, a2, b2), tup(a2, b2, a1, b1)):
+            want = tuple_arcs_conflict(*args, snap)
+            assert sphgeo.arcs_conflict(*args, snap) == want, (args, want)
+            answers.append(want)
+    assert answers.count(True) >= 300 and answers.count(False) >= 300
