@@ -1,12 +1,14 @@
 """Command line interface.
 
-    reptile-lab run <scenario> [--tol --coeff-bound --node-budget --out --format --d --m]
+    reptile-lab run <scenario> [--out --format --d --m]
     reptile-lab tile <T0> <target> [--n-max --node-budget --out]
     reptile-lab diagram <fixture.json> {auts|orbits|gram} [--type a,b,c]
 
 Angle triples on the command line are comma-separated angle literals in the
 "p/q pi" syntax, e.g. "1/4 pi,1/3 pi,1/2 pi".  Exit codes: 0 all checkpoints
-passed, 1 some failed, 2 usage or configuration error.
+passed, 1 some failed, 2 usage or configuration error.  `run` has no
+tolerance or budget flags: the edge tolerance 1e-5 and the search node
+budget 10^6 are fixed, and each report head echoes them as `config`.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ import sys
 from .angles import parse_angle
 from .coxeter import CoxeterDiagram, orbits, triangle_type_of
 from .gram import fiedler_check, gram_from_diagram
-from .realize import TileSpec, search_tiling, verify_tiling
-from .scenarios import Config, emit_figures, run_scenario, SCENARIOS
+from .realize import NODE_BUDGET, TileSpec, search_tiling, verify_tiling
+from .scenarios import emit_figures, run_scenario, SCENARIOS
 
 
 def _parse_triple(text: str):
@@ -38,8 +40,6 @@ def _parse_triple(text: str):
 
 
 def _cmd_run(args) -> int:
-    cfg = Config(tol=args.tol, coeff_bound=args.coeff_bound,
-                 node_budget=args.node_budget)
     names = list(SCENARIOS) if args.scenario == "all" else [args.scenario]
     hill_case = {}
     if (args.d, args.m) != (None, None):
@@ -52,7 +52,7 @@ def _cmd_run(args) -> int:
         hill_case = {"d": args.d, "m": args.m}
     ok = True
     for name in names:
-        report = run_scenario(name, cfg, **(hill_case if name == "hill" else {}))
+        report = run_scenario(name, **(hill_case if name == "hill" else {}))
         ok = ok and report.passed
         if args.format == "json":
             print(report.json_lines())
@@ -129,9 +129,6 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a verification scenario")
     p_run.add_argument("scenario", choices=list(SCENARIOS) + ["all"])
-    p_run.add_argument("--tol", type=float, default=1e-5)
-    p_run.add_argument("--coeff-bound", type=int, default=20)
-    p_run.add_argument("--node-budget", type=int, default=10 ** 6)
     p_run.add_argument("--out", default=None)
     p_run.add_argument("--format", choices=("json", "text"), default="text")
     p_run.add_argument("--d", type=int, default=None,
@@ -143,7 +140,7 @@ def main(argv=None) -> int:
     p_tile.add_argument("tile", help='base tile angles, e.g. "1/4 pi,1/3 pi,1/2 pi"')
     p_tile.add_argument("target", help="target triangle angles")
     p_tile.add_argument("--n-max", type=int, default=None)
-    p_tile.add_argument("--node-budget", type=int, default=10 ** 6)
+    p_tile.add_argument("--node-budget", type=int, default=NODE_BUDGET)
     p_tile.add_argument("--out", default=None)
 
     p_diag = sub.add_parser("diagram", help="inspect a diagram fixture file")

@@ -472,9 +472,6 @@ class QuadExt:
             return hash(self.a)
         return hash((self.a, self.b, self.m))
 
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
     def __float__(self):
         # binary64 evaluation: two roundings (sqrt and the fma-less combine);
         # error is a few ulp, far below the 1e-9 tolerances used downstream.
@@ -553,9 +550,9 @@ class ExactMatrix:
         sign = 1
         prev = None
         for k in range(n - 1):
-            if _is_zero_entry(a[k][k]):
+            if a[k][k] == 0:
                 for i in range(k + 1, n):
-                    if not _is_zero_entry(a[i][k]):
+                    if a[i][k] != 0:
                         a[k], a[i] = a[i], a[k]
                         sign = -sign
                         break
@@ -587,17 +584,7 @@ def sum2(items):
     return out
 
 
-def _is_zero_entry(e) -> bool:
-    if isinstance(e, Poly):
-        return e.is_zero()
-    if isinstance(e, QuadExt):
-        return e.is_zero()
-    return e == 0
-
-
 def _exact_div_entry(num, den):
     if isinstance(num, Poly):
         return num.exact_div(den)
-    if isinstance(num, QuadExt):
-        return num / den
     return num / den

@@ -23,7 +23,7 @@ import numpy as np
 
 from .angles import AngleAssignment, NoExactCosineError, exact_cos
 from .coxeter import CoxeterDiagram, all_edges
-from .exactmath import ExactMatrix, Poly, QuadExt, RingMismatchError, sturm_count
+from .exactmath import ExactMatrix, Poly, RingMismatchError, sturm_count
 
 
 @dataclass
@@ -108,7 +108,7 @@ def fiedler_check(gram: Union[GramMatrix, np.ndarray], tol: float = 1e-9) -> Fie
         gram = GramMatrix(None, gram, "binary64", inexact_fallback=True)
     if gram.exact is not None:
         det = gram.exact.det()
-        singular = _exact_is_zero(det)
+        singular = det == 0
         if not np.isnan(gram.numeric).any():
             rank, neg_semi, kernel, positive = _numeric_analysis(gram.numeric, tol)
         else:
@@ -122,14 +122,6 @@ def fiedler_check(gram: Union[GramMatrix, np.ndarray], tol: float = 1e-9) -> Fie
         and (neg_semi is None or neg_semi) and (positive is None or positive)
     return FiedlerReport(det, singular, rank, neg_semi, kernel, positive,
                          "consistent-with-simplex" if ok else "cannot-be-a-simplex")
-
-
-def _exact_is_zero(x) -> bool:
-    if isinstance(x, Poly):
-        return x.is_zero()
-    if isinstance(x, QuadExt):
-        return x.is_zero()
-    return x == 0
 
 
 @dataclass

@@ -8,7 +8,8 @@ Four pieces:
   combinations of the tile angles, filtered by the spherical triangle
   inequality and annotated with an edge-combination status;
 * edge combinations -- can a length be written as a nonnegative integer
-  combination of the tile's edges, within tolerance;
+  combination of the tile's edges, within the one tolerance EDGE_TOL; each
+  verdict also reports its gap, the distance to the nearest combination;
 * an exhaustive corner-filling backtracking search for actual tilings by
   congruent copies (mirror images allowed), with verification and SVG/JSON
   export;
@@ -28,6 +29,7 @@ import colorsys
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -47,30 +49,26 @@ TWO_PI = 2 * math.pi
 class TileSpec:
     """Base tile T0 by its angles; exact pi-fractions preferred.
 
-    coeff_bound and tol drive the edge-combination tests (the defaults match
-    the bounded search used throughout: coefficients below 20, tolerance
-    1e-5).
+    Edge-combination tests against the tile's edges use the one module
+    tolerance EDGE_TOL; see `edge_combination`.
     """
 
     angles_pi: Optional[tuple] = None  # 3 Fractions of pi, ascending
     angles_rad: Optional[tuple] = None  # 3 floats, ascending
-    coeff_bound: int = 20
-    tol: float = 1e-5
 
     @staticmethod
-    def from_pi_fractions(*qs, coeff_bound: int = 20, tol: float = 1e-5) -> "TileSpec":
+    def from_pi_fractions(*qs) -> "TileSpec":
         qs = tuple(sorted(Fraction(q) for q in qs))
-        spec = TileSpec(angles_pi=qs, coeff_bound=coeff_bound, tol=tol)
         if not is_valid(qs):
             raise InvalidTriangleError(is_valid(qs).reason)
-        return spec
+        return TileSpec(angles_pi=qs)
 
     @staticmethod
-    def from_radians(*vs, coeff_bound: int = 20, tol: float = 1e-5) -> "TileSpec":
+    def from_radians(*vs) -> "TileSpec":
         vs = tuple(sorted(float(v) for v in vs))
         if not is_valid(vs):
             raise InvalidTriangleError(is_valid(vs).reason)
-        return TileSpec(angles_rad=vs, coeff_bound=coeff_bound, tol=tol)
+        return TileSpec(angles_rad=vs)
 
     @property
     def angles(self) -> tuple:
@@ -98,39 +96,48 @@ class TileSpec:
 # ---------------------------------------------------------------------------
 
 
+# A length within EDGE_TOL of a combination counts as that combination.
+EDGE_TOL = 1e-5
+
+
 @dataclass(frozen=True)
 class EdgeMatch:
     coeffs: tuple
     value: float
+    gap: float  # distance from x to the nearest combination, at most EDGE_TOL
 
 
 @dataclass(frozen=True)
 class EdgeNearest:
-    below: Optional[tuple]  # (coeffs, value) or None
-    above: Optional[tuple]
+    below: tuple  # (coeffs, value) of the nearest combination below x
+    above: tuple
+    gap: float  # distance from x to the nearest combination, above EDGE_TOL
 
 
 EdgeStatus = Union[EdgeMatch, EdgeNearest]
 
 
-def edge_combination(x: float, edges: Sequence[float], bound: int = 20,
-                     tol: float = 1e-5) -> EdgeStatus:
+def edge_combination(x: float, edges: Sequence[float]) -> EdgeStatus:
     """Match x against nonnegative integer combinations of the edges.
 
-    Returns an EdgeMatch when some i*a + j*b + k*c lies within tol of x
-    (ties resolved toward the smallest coefficient vector), otherwise the
-    closest combinations from below and above.
+    Every combination up to the first one past x is visited, so no
+    coefficient bound can hide a match.  Returns an EdgeMatch when some
+    i*a + j*b + k*c lies within EDGE_TOL of x (the one from below when both
+    sides do, ties resolved toward the smallest coefficient vector),
+    otherwise the closest combinations from below and above.
     """
-    if x <= 0:
-        raise ValueError("length must be positive")
+    if not 0 < x < math.inf:
+        raise ValueError("length must be positive and finite")
+    if not all(e > 0 for e in edges):
+        raise ValueError("edges must be positive")
     a, b, c = edges
     best_below = None  # (gap, coeffs, value)
     best_above = None
-    for i in range(bound):
+    for i in count():
         va = i * a
-        for j in range(bound):
+        for j in count():
             vb = va + j * b
-            for k in range(bound):
+            for k in count():
                 v = vb + k * c
                 gap = x - v
                 if gap >= 0:
@@ -145,12 +152,12 @@ def edge_combination(x: float, edges: Sequence[float], bound: int = 20,
                 break
         if va > x:
             break
+    gap = min(best_below[0], best_above[0])
     for cand in (best_below, best_above):
-        if cand is not None and cand[0] <= tol:
-            return EdgeMatch(cand[1], cand[2])
-    return EdgeNearest(
-        below=None if best_below is None else (best_below[1], best_below[2]),
-        above=None if best_above is None else (best_above[1], best_above[2]))
+        if cand[0] <= EDGE_TOL:
+            return EdgeMatch(cand[1], cand[2], gap)
+    return EdgeNearest((best_below[1], best_below[2]),
+                       (best_above[1], best_above[2]), gap)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +186,7 @@ class Candidate:
 
 
 def enumerate_candidates(tile: TileSpec, tau: Fraction,
-                         phi_min: Fraction = Fraction(0),
-                         bound: Optional[int] = None,
-                         tol: Optional[float] = None) -> list:
+                         phi_min: Fraction = Fraction(0)) -> list:
     """All candidate (tau, phi, psi) with phi_min < phi <= psi, deduplicated.
 
     Works in exact pi-fraction arithmetic: for each tile count n in
@@ -194,8 +199,6 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
         raise ValueError("candidate enumeration needs an exact tile")
     tau = Fraction(tau)
     phi_min = Fraction(phi_min)
-    bound = tile.coeff_bound if bound is None else bound
-    tol = tile.tol if tol is None else tol
     qa, qb, qc = tile.angles_pi
     excess = tile.excess_pi
     edges = tile.edges
@@ -229,7 +232,7 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
                             x = _edge_opposite(float(tau) * math.pi,
                                                float(phi) * math.pi,
                                                float(psi) * math.pi)
-                            status = edge_combination(x, edges, bound, tol)
+                            status = edge_combination(x, edges)
                             seen[(phi, psi)] = Candidate(
                                 tau, phi, psi, n,
                                 (i, j, k),
@@ -521,8 +524,13 @@ def _area_tile_count(target_angles, tile: TileSpec):
     return n
 
 
+# Default search-node budget: the largest catalog search stays far below it,
+# and it keeps a search on an arbitrary user target finite.
+NODE_BUDGET = 10 ** 6
+
+
 def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
-                  eps: float = 1e-9, node_budget: int = 10 ** 6) -> SearchResult:
+                  eps: float = 1e-9, node_budget: int = NODE_BUDGET) -> SearchResult:
     """Exhaustive backtracking search for a tiling of the target triangle.
 
     target: three angles (Fractions of pi or radians).  The tile count is

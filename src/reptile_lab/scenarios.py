@@ -5,13 +5,16 @@ principles and records checkpoints.  A checkpoint carries the expected
 value with a provenance tag ("reference" for externally known values,
 "trivial" for immediate facts, "derived" for values computed here by an
 independent oracle), the actual value, and an anchor into the fixture
-catalog.  Reports are deterministic for a fixed configuration; timings are
-kept out of the comparison payload.
+catalog.  Scenarios take no settings: the edge tolerance and the search
+node budget are the constants of `realize`, echoed in each report head as
+`config`.  Reports are deterministic; timings are kept out of the
+comparison payload.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,8 +38,9 @@ from .gram import fiedler_check, gram_from_diagram, parametric_fiedler
 from .hill import (compatibility_graph, congruent, generate_h1_tiling,
                    generate_h2_h1_tiles, hill_simplex, pair_h2_tiling,
                    signed_perms, tiling_report, LatticeTile)
-from .realize import (EdgeMatch, TileSpec, edge_combination,
-                      enumerate_candidates, search_tiling, verify_tiling)
+from .realize import (EDGE_TOL, NODE_BUDGET, EdgeMatch, TileSpec,
+                      edge_combination, enumerate_candidates, search_tiling,
+                      verify_tiling)
 from .spherical import (corner_angle_solutions,
                         corner_angle_solutions_rational_scan, edge_lengths,
                         is_valid, straight_angle_combinations)
@@ -44,15 +48,8 @@ from .spherical import (corner_angle_solutions,
 SCENARIOS = ("three-dim", "two-indivisible", "case-a", "case-b", "case-c", "hill")
 
 
-@dataclass
-class Config:
-    tol: float = 1e-5
-    coeff_bound: int = 20
-    node_budget: int = 10 ** 6
-
-    def snapshot(self) -> dict:
-        return {"tol": self.tol, "coeff_bound": self.coeff_bound,
-                "node_budget": self.node_budget}
+# The constants every verdict rests on, echoed in each report head.
+CONFIG = {"tol": EDGE_TOL, "node_budget": NODE_BUDGET}
 
 
 @dataclass
@@ -76,7 +73,6 @@ class Checkpoint:
 @dataclass
 class Report:
     scenario: str
-    config: dict
     checkpoints: list = field(default_factory=list)
     seconds: float = 0.0
     tilings: list = field(default_factory=list)  # (name, SphTiling, tile)
@@ -87,7 +83,7 @@ class Report:
 
     def json_lines(self, include_timing: bool = True) -> str:
         head = {"format": "report/1", "scenario": self.scenario,
-                "config": self.config, "pass": self.passed}
+                "config": CONFIG, "pass": self.passed}
         if include_timing:
             head["seconds"] = round(self.seconds, 3)
         lines = [json.dumps(head, sort_keys=True)]
@@ -141,9 +137,9 @@ class Recorder:
 # ---------------------------------------------------------------------------
 
 
-def _tile(key: str, cfg: Config) -> TileSpec:
+def _tile(key: str) -> TileSpec:
     qs = [Fraction(s) for s in fixtures.load("expectations")["tile_bases"][key]]
-    return TileSpec.from_pi_fractions(*qs, coeff_bound=cfg.coeff_bound, tol=cfg.tol)
+    return TileSpec.from_pi_fractions(*qs)
 
 
 def _triples(entries) -> list:
@@ -165,6 +161,10 @@ class CaseLists:
     beta_list: list
     extra_candidates: list  # expressible but rejected by the edge argument
     forbidden: list  # no-alpha-no-beta triples failing necessary conditions
+    # over every edge verdict consulted: the largest gap of a match and the
+    # smallest gap of a miss; no verdict changes for any tolerance between
+    max_match_gap: float
+    min_miss_gap: float
 
 
 @dataclass
@@ -172,22 +172,21 @@ class FinalCaseAnalysis(CaseLists):
     diagrams: list
 
 
-def case_lists(key: str, cfg: Config, bound: Optional[int] = None,
-               tol: Optional[float] = None) -> CaseLists:
+def case_lists(key: str) -> CaseLists:
     """The candidate lists of the one-indivisible endgame for a concrete smallest angle.
 
     Derives the realizable candidate lists, rejects the expressible
     candidates whose forced edge decomposition fails (an edge of length 2b
     must start with an a- or c-segment, so 2b-a or 2b-c must also be a
     combination), and builds the sound unrealizability table for triangle
-    types avoiding the two smallest angles.
+    types avoiding the two smallest angles.  Also reports the gap margins
+    of every edge verdict it consulted (see `CaseLists`).
     """
-    tile = _tile(key, cfg)
-    bound = cfg.coeff_bound if bound is None else bound
-    tol = cfg.tol if tol is None else tol
+    tile = _tile(key)
     qa, qb, qg = tile.angles_pi
-    acands = enumerate_candidates(tile, qa, Fraction(0), bound=bound, tol=tol)
-    bcands = enumerate_candidates(tile, qb, qa, bound=bound, tol=tol)
+    acands = enumerate_candidates(tile, qa, Fraction(0))
+    bcands = enumerate_candidates(tile, qb, qa)
+    verdicts = [c.edge_status for c in acands + bcands]
     t0 = tuple(sorted((qa, qb, qg)))
     alpha_list = sorted({c.angles_pi() for c in acands if c.expressible} | {t0})
     a_e, b_e, c_e = tile.edges
@@ -201,8 +200,9 @@ def case_lists(key: str, cfg: Config, bound: Optional[int] = None,
         if t == tuple(sorted((qb, qb, 2 * qa + qb))):
             # edges 2b, 2b, 2a+2b: a corner tile forces an a- or c-piece on a
             # 2b-side, so 2b-a or 2b-c must be expressible too
-            m1 = edge_combination(2 * b_e - a_e, tile.edges, bound, tol)
-            m2 = edge_combination(2 * b_e - c_e, tile.edges, bound, tol)
+            m1 = edge_combination(2 * b_e - a_e, tile.edges)
+            m2 = edge_combination(2 * b_e - c_e, tile.edges)
+            verdicts += [m1, m2]
             if not (isinstance(m1, EdgeMatch) or isinstance(m2, EdgeMatch)):
                 extra.append(t)
                 continue
@@ -217,20 +217,26 @@ def case_lists(key: str, cfg: Config, bound: Optional[int] = None,
         if (area / excess).denominator != 1:
             forbidden.append(combo)
             continue
-        es = edge_lengths(combo)
-        if not all(isinstance(edge_combination(x, tile.edges, bound, tol), EdgeMatch)
-                   for x in es):
-            forbidden.append(combo)
-    return CaseLists(tile, alpha_list, beta_list, sorted(extra), sorted(forbidden))
+        for x in edge_lengths(combo):
+            status = edge_combination(x, tile.edges)
+            verdicts.append(status)
+            if not isinstance(status, EdgeMatch):
+                forbidden.append(combo)
+                break
+    return CaseLists(
+        tile, alpha_list, beta_list, sorted(extra), sorted(forbidden),
+        max((v.gap for v in verdicts if isinstance(v, EdgeMatch)), default=0.0),
+        min((v.gap for v in verdicts if not isinstance(v, EdgeMatch)),
+            default=math.inf))
 
 
 def _case_labels(alpha_list, beta_list) -> list:
     return sorted({x for t in alpha_list + beta_list for x in t})
 
 
-def final_case_analysis(key: str, cfg: Config) -> FinalCaseAnalysis:
+def final_case_analysis(key: str) -> FinalCaseAnalysis:
     """The one-indivisible endgame: `case_lists` plus all rich diagrams they allow."""
-    lists = case_lists(key, cfg)
+    lists = case_lists(key)
     qa, qb, qg = lists.tile.angles_pi
     cons = DiagramConstraints(
         list_rules=((_pi_form(qa), frozenset(_type_of(t) for t in lists.alpha_list)),
@@ -243,14 +249,14 @@ def final_case_analysis(key: str, cfg: Config) -> FinalCaseAnalysis:
     return FinalCaseAnalysis(**vars(lists), diagrams=diagrams)
 
 
-def _search_and_verify(rec: Recorder, key: str, cfg: Config, report: Report,
+def _search_and_verify(rec: Recorder, key: str, report: Report,
                        anchor_prefix: str):
     """Run the frozen found-tiling list for one tile base."""
     exp = fixtures.load("expectations")
-    tile = _tile(key, cfg)
+    tile = _tile(key)
     for idx, entry in enumerate(exp["found_tilings"][key]):
         target = tuple(Fraction(s) for s in entry["target"])
-        res = search_tiling(target, tile, node_budget=cfg.node_budget)
+        res = search_tiling(target, tile)
         ok = res.status == "found" and bool(verify_tiling(res.tiling, tile))
         rec.check(f"{anchor_prefix}/tiling-{idx}",
                   f"{entry['n']}-tile tiling of ({', '.join(entry['target'])})*pi "
@@ -270,8 +276,8 @@ def _search_and_verify(rec: Recorder, key: str, cfg: Config, report: Report,
 # ---------------------------------------------------------------------------
 
 
-def scenario_three_dim(cfg: Config) -> Report:
-    report = Report("three-dim", cfg.snapshot())
+def scenario_three_dim() -> Report:
+    report = Report("three-dim")
     rec = Recorder(report)
     exp = fixtures.load("expectations")
     for key in ("k4-two-triples-star", "k4-two-triples-paths",
@@ -322,8 +328,8 @@ def scenario_three_dim(cfg: Config) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def scenario_two_indivisible(cfg: Config) -> Report:
-    report = Report("two-indivisible", cfg.snapshot())
+def scenario_two_indivisible() -> Report:
+    report = Report("two-indivisible")
     rec = Recorder(report)
     exp = fixtures.load("expectations")
 
@@ -430,10 +436,10 @@ def case_a_enumeration() -> list:
     return enumerate_diagrams(5, alphabet, cons, relations=rel)
 
 
-def scenario_case_a(cfg: Config) -> Report:
+def scenario_case_a() -> Report:
     from .spherical import is_valid_symbolic
 
-    report = Report("case-a", cfg.snapshot())
+    report = Report("case-a")
     rec = Recorder(report)
     exp = fixtures.load("expectations")
     rel = CASE_A_RELATIONS
@@ -498,8 +504,8 @@ def scenario_case_a(cfg: Config) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def scenario_case_b(cfg: Config) -> Report:
-    report = Report("case-b", cfg.snapshot())
+def scenario_case_b() -> Report:
+    report = Report("case-b")
     rec = Recorder(report)
     exp = fixtures.load("expectations")
 
@@ -522,7 +528,7 @@ def scenario_case_b(cfg: Config) -> Report:
                   f"supplement (base {q} pi)",
                   0, len(cands), "derived", "expectations:realizable/case-b")
 
-    tile = _tile("case-b", cfg)
+    tile = _tile("case-b")
     qa, qb = Fraction(1, 3), Fraction(1, 2)
     acands = enumerate_candidates(tile, qa, Fraction(0))
     rec.check("case-b/alpha-candidates",
@@ -537,7 +543,7 @@ def scenario_case_b(cfg: Config) -> Report:
               sorted(c.angles_pi() for c in bcands if c.expressible),
               "reference", "expectations:realizable/case-b")
 
-    _search_and_verify(rec, "case-b", cfg, report, "case-b")
+    _search_and_verify(rec, "case-b", report, "case-b")
 
     allowed = [tuple(sorted(Fraction(s) for s in t))
                for t in (exp["realizable"]["case-b"]["alpha"]
@@ -561,8 +567,8 @@ def scenario_case_b(cfg: Config) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def scenario_case_c(cfg: Config) -> Report:
-    report = Report("case-c", cfg.snapshot())
+def scenario_case_c() -> Report:
+    report = Report("case-c")
     rec = Recorder(report)
     exp = fixtures.load("expectations")
 
@@ -580,14 +586,14 @@ def scenario_case_c(cfg: Config) -> Report:
 
     analyses = {}
     for key in ("quarter", "fifth", "ninth"):
-        tile = _tile(key, cfg)
+        tile = _tile(key)
         qa = tile.angles_pi[0]
         es = [round(x, 3) for x in tile.edges]
         rec.check(f"case-c/edge-lengths/{key}",
                   "tile edges to three decimals",
                   exp["edge_lengths_3dp"][str(qa)], es,
                   "reference", f"expectations:edge_lengths_3dp/{qa}")
-        ana = final_case_analysis(key, cfg)
+        ana = final_case_analysis(key)
         analyses[key] = ana
         rec.check(f"case-c/alpha-list/{key}",
                   "realizable list for the smallest angle",
@@ -608,13 +614,15 @@ def scenario_case_c(cfg: Config) -> Report:
                   "rich diagrams surviving the realizable-list constraints",
                   exp["diagram_counts"][key], len(ana.diagrams),
                   "reference", f"expectations:diagram_counts/{key}")
-        # the robustness re-run: wider coefficient bound, tighter tolerance
-        ana2 = case_lists(key, cfg, bound=40, tol=1e-7)
         rec.check(f"case-c/stability/{key}",
-                  "lists unchanged at coefficient bound 40, tolerance 1e-7",
-                  (ana.alpha_list, ana.beta_list),
-                  (ana2.alpha_list, ana2.beta_list),
-                  "derived", f"expectations:realizable/{key}")
+                  "every edge verdict is the same for any tolerance from "
+                  "1e-7 to 1e-5: matches within 1e-7, misses beyond 1e-5",
+                  {"max_match_gap": 1e-7, "min_miss_gap": EDGE_TOL},
+                  {"max_match_gap": ana.max_match_gap,
+                   "min_miss_gap": ana.min_miss_gap},
+                  "derived", f"expectations:realizable/{key}",
+                  equal=lambda e, a: (a["max_match_gap"] <= e["max_match_gap"]
+                                      and a["min_miss_gap"] > e["min_miss_gap"]))
 
     ana9 = analyses["ninth"]
     rec.check("case-c/extra-candidate",
@@ -625,7 +633,7 @@ def scenario_case_c(cfg: Config) -> Report:
     tile9 = analyses["ninth"].tile
     a_e, b_e, c_e = tile9.edges
     for name, val in (("2b-a", 2 * b_e - a_e), ("2b-c", 2 * b_e - c_e)):
-        status = edge_combination(val, tile9.edges, cfg.coeff_bound, cfg.tol)
+        status = edge_combination(val, tile9.edges)
         rec.check(f"case-c/edge-argument/{name}",
                   f"{name} ({val:.3f}) is not an edge combination",
                   False, isinstance(status, EdgeMatch),
@@ -686,7 +694,7 @@ def scenario_case_c(cfg: Config) -> Report:
               "reference", "ab_pairs:a")
 
     for key in ("quarter", "fifth", "ninth"):
-        _search_and_verify(rec, key, cfg, report, f"case-c/{key}")
+        _search_and_verify(rec, key, report, f"case-c/{key}")
     return report
 
 
@@ -695,8 +703,8 @@ def scenario_case_c(cfg: Config) -> Report:
 # ---------------------------------------------------------------------------
 
 
-def scenario_hill(cfg: Config, d: Optional[int] = None, m: Optional[int] = None) -> Report:
-    report = Report("hill", cfg.snapshot())
+def scenario_hill(d: Optional[int] = None, m: Optional[int] = None) -> Report:
+    report = Report("hill")
     rec = Recorder(report)
     exp = fixtures.load("expectations")
     h1_cases = exp["hill"]["h1_cases"] if d is None else [[d, m]]
@@ -771,8 +779,7 @@ def scenario_hill(cfg: Config, d: Optional[int] = None, m: Optional[int] = None)
 # ---------------------------------------------------------------------------
 
 
-def run_scenario(name: str, cfg: Optional[Config] = None, **kwargs) -> Report:
-    cfg = cfg or Config()
+def run_scenario(name: str, **kwargs) -> Report:
     table = {
         "three-dim": scenario_three_dim,
         "two-indivisible": scenario_two_indivisible,
@@ -784,7 +791,7 @@ def run_scenario(name: str, cfg: Optional[Config] = None, **kwargs) -> Report:
     if name not in table:
         raise KeyError(f"unknown scenario {name!r}")
     start = time.perf_counter()
-    report = table[name](cfg, **kwargs)
+    report = table[name](**kwargs)
     report.seconds = time.perf_counter() - start
     return report
 

@@ -149,12 +149,16 @@ class Lune:
 # ---------------------------------------------------------------------------
 
 
-def straight_angle_combinations(angles: Sequence[AngleLike], bound: int = 20,
-                                tol: float = 1e-9) -> set:
+# Numeric straight-angle fillings may miss pi by this much (radians).
+STRAIGHT_TOL = 1e-9
+
+
+def straight_angle_combinations(angles: Sequence[AngleLike]) -> set:
     """All nonnegative integer coefficient vectors m with sum(m_i * phi_i) = pi.
 
-    Exact when every angle is a Fraction of pi; otherwise numeric to tol.
-    Coefficients are searched in [0, bound].
+    Exact when every angle is a Fraction of pi; otherwise numeric to
+    STRAIGHT_TOL.  The angles are positive, so each coefficient is at most
+    pi over its angle and the search is finite.
     """
     if any(_rad(a) <= 0 for a in angles):
         raise ValueError("angles must be positive")
@@ -172,8 +176,7 @@ def straight_angle_combinations(angles: Sequence[AngleLike], bound: int = 20,
                     out.add(tuple(coeffs))
                 return
             q = angles[i]
-            top = min(bound, int(remaining / q) if q > 0 else 0)
-            for m in range(top + 1):
+            for m in range(int(remaining / q) + 1):
                 coeffs[i] = m
                 rec(i + 1, remaining - m * q)
             coeffs[i] = 0
@@ -185,11 +188,11 @@ def straight_angle_combinations(angles: Sequence[AngleLike], bound: int = 20,
 
     def recf(i, remaining):
         if i == k:
-            if abs(remaining) <= tol:
+            if abs(remaining) <= STRAIGHT_TOL:
                 out.add(tuple(coeffs))
             return
         v = vals[i]
-        top = min(bound, int((remaining + tol) / v))
+        top = int((remaining + STRAIGHT_TOL) / v)
         for m in range(max(0, top) + 1):
             coeffs[i] = m
             recf(i + 1, remaining - m * v)
@@ -199,16 +202,19 @@ def straight_angle_combinations(angles: Sequence[AngleLike], bound: int = 20,
     return out
 
 
-def corner_angle_solutions(fixed: Sequence[Fraction], lo: Fraction, hi: Fraction,
-                           max_mult: int = 64) -> list:
+def corner_angle_solutions(fixed: Sequence[Fraction], lo: Fraction,
+                           hi: Fraction) -> list:
     """Solve m*q + sum(n_j * f_j) = 1 for q in (lo, hi), m >= 1, n_j >= 0.
 
     Everything is in units of pi.  Returns the sorted list of admissible
     rational q, i.e. the free angles q*pi that can complete a straight angle
-    together with the fixed ones.
+    together with the fixed ones.  The fixed angles are positive and lo > 0,
+    so every loop ends.
     """
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
+    if any(f <= 0 for f in fixed):
+        raise ValueError("fixed angles must be positive")
     sols = set()
 
     def rec(j, used):
@@ -217,7 +223,7 @@ def corner_angle_solutions(fixed: Sequence[Fraction], lo: Fraction, hi: Fraction
         if j == len(fixed):
             rest = 1 - used
             m = 1
-            while m <= max_mult and Fraction(rest, m) > lo:
+            while Fraction(rest, m) > lo:
                 q = Fraction(rest, m)
                 if lo < q < hi:
                     sols.add(q)
@@ -236,28 +242,19 @@ def corner_angle_solutions_rational_scan(fixed: Sequence[Fraction], lo: Fraction
                                          hi: Fraction, max_denominator: int = 100) -> list:
     """Same solution set by scanning rationals q = s/r, r <= max_denominator.
 
-    Independent route kept as a guard: enumerate candidate rational angles in
-    (lo, hi) and keep q admitting m >= 1, n_j >= 0 with m*q + sum n_j f_j = 1.
+    Independent route kept as a guard: list the positive residuals
+    1 - sum(n_j * f_j) once, then keep each rational q in (lo, hi) of which
+    some residual is an integer multiple.
     """
+    residuals = {Fraction(1)}
+    for f in fixed:
+        residuals = {r - n * f for r in residuals for n in range(-(-r // f))}
     found = set()
     for r in range(2, max_denominator + 1):
         for s in range(1, r):
             q = Fraction(s, r)
-            if not (lo < q < hi) or q in found:
-                continue
-            # residual after n_j fixed angles must be a positive multiple of q
-            def feasible(j, used):
-                if j == len(fixed):
-                    rest = 1 - used
-                    return rest > 0 and (rest / q).denominator == 1
-                n = 0
-                while used + n * fixed[j] < 1:
-                    if feasible(j + 1, used + n * fixed[j]):
-                        return True
-                    n += 1
-                return False
-
-            if feasible(0, Fraction(0)):
+            if lo < q < hi and q not in found and any(
+                    (rest / q).denominator == 1 for rest in residuals):
                 found.add(q)
     return sorted(found)
 

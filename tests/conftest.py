@@ -2,18 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from reptile_lab.scenarios import (Config, case_a_enumeration,
-                                   final_case_analysis, run_scenario)
+from reptile_lab.scenarios import (case_a_enumeration, final_case_analysis,
+                                   run_scenario)
 
 
 @pytest.fixture(scope="session")
-def config():
-    return Config()
-
-
-@pytest.fixture(scope="session")
-def case_analyses(config):
-    return {key: final_case_analysis(key, config)
+def case_analyses():
+    return {key: final_case_analysis(key)
             for key in ("quarter", "fifth", "ninth")}
 
 
@@ -23,12 +18,12 @@ def case_a_diagrams():
 
 
 @pytest.fixture(scope="session")
-def reports(config):
+def reports():
     cache = {}
 
     def get(name: str):
         if name not in cache:
-            cache[name] = run_scenario(name, config)
+            cache[name] = run_scenario(name)
         return cache[name]
 
     return get

@@ -1,12 +1,13 @@
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
 from reptile_lab import realize, sphgeo
-from reptile_lab.realize import (EdgeMatch, EdgeNearest,
+from reptile_lab.realize import (EDGE_TOL, EdgeMatch, EdgeNearest,
                                  SphTiling, TileSpec, algebraic_degree,
                                  edge_combination, enumerate_candidates,
                                  minimal_polynomial_degree_bruteforce,
@@ -34,14 +35,51 @@ class TestEdgeCombination:
         for x in (2 * b - a, 2 * b - c):
             assert isinstance(edge_combination(x, NINTH.edges), EdgeNearest)
 
-    def test_monotone_in_tolerance(self):
+    def test_match_iff_gap_within_tolerance(self):
         a, b, c = QUARTER.edges
-        xs = [a + b, 2 * math.pi / 3, 2 * b - a if 2 * b > a else b, 1.0, 1.5708]
-        for x in xs:
-            small = edge_combination(x, QUARTER.edges, tol=1e-7)
-            big = edge_combination(x, QUARTER.edges, tol=1e-4)
-            if isinstance(small, EdgeMatch):
-                assert isinstance(big, EdgeMatch)
+        for x in (a + b, 2 * math.pi / 3, 2 * b - a, 1.0, 1.5708,
+                  a + b + 0.5 * EDGE_TOL, a + b + 2 * EDGE_TOL):
+            res = edge_combination(x, QUARTER.edges)
+            assert isinstance(res, EdgeMatch) == (res.gap <= EDGE_TOL)
+
+    def test_large_coefficients_found(self):
+        res = edge_combination(20 * 0.1, (0.1, 5.0, 7.0))
+        assert isinstance(res, EdgeMatch) and res.coeffs == (20, 0, 0)
+        res = edge_combination(45 * 0.1, (0.1, 5.0, 7.0))
+        assert isinstance(res, EdgeMatch) and res.coeffs == (45, 0, 0)
+
+    @pytest.mark.parametrize("edges", [(0.0, 1.0, 2.0), (0.5, -1.0, 2.0),
+                                       (0.5, float("nan"), 2.0)])
+    def test_nonpositive_edge_rejected(self, edges):
+        with pytest.raises(ValueError):
+            edge_combination(1.0, edges)
+
+    def test_against_brute_force(self):
+        rng = random.Random(7)
+        cases = [(20 * 0.1, (0.1, 5.0, 7.0)), (2.05, (0.1, 5.0, 7.0)),
+                 (3.3 + 1e-7, (0.1, 0.7, 1.1)), (25 * 0.12 + 1e-3, (0.12, 0.9, 2.0))]
+        for _ in range(150):
+            edges = tuple(rng.uniform(0.2, 1.5) for _ in range(3))
+            if rng.random() < 0.5:
+                coeffs = [rng.randrange(4) for _ in range(3)]
+                x = sum(n * e for n, e in zip(coeffs, edges))
+                x = max(x, 0.05) + rng.choice((0.0, 3e-6, -3e-6, 2e-5, 1e-3))
+            else:
+                x = rng.uniform(0.05, 3.0)
+            cases.append((x, edges))
+        for x, edges in cases:
+            res = edge_combination(x, edges)
+            a, b, c = edges
+            gap = min(abs(x - (i * a + j * b + k * c))
+                      for i in range(int(x / a) + 2)
+                      for j in range(int(x / b) + 2)
+                      for k in range(int(x / c) + 2))
+            assert abs(res.gap - gap) <= 1e-12, (x, edges)
+            assert isinstance(res, EdgeMatch) == (gap <= EDGE_TOL), (x, edges)
+            if isinstance(res, EdgeMatch):
+                i, j, k = res.coeffs
+                assert res.value == i * a + j * b + k * c
+                assert abs(res.value - x) <= EDGE_TOL
 
 
 class TestCandidates:

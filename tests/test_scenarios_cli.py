@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from reptile_lab import fixtures
-from reptile_lab.scenarios import SCENARIOS, Config, emit_figures, run_scenario
+from reptile_lab.scenarios import SCENARIOS, emit_figures, run_scenario
 
 
 @pytest.mark.parametrize("name", SCENARIOS)
@@ -23,14 +23,13 @@ def test_anchors_resolve(reports):
 
 @pytest.mark.parametrize("name", ["three-dim", "case-b", "hill"])
 def test_report_deterministic(name):
-    cfg = Config()
-    a = run_scenario(name, cfg).json_lines(include_timing=False)
-    b = run_scenario(name, cfg).json_lines(include_timing=False)
+    a = run_scenario(name).json_lines(include_timing=False)
+    b = run_scenario(name).json_lines(include_timing=False)
     assert a == b
 
 
 def test_hill_scenario_single_case():
-    report = run_scenario("hill", Config(), d=2, m=1)
+    report = run_scenario("hill", d=2, m=1)
     assert report.passed
     counts = [c for c in report.checkpoints if c.id == "hill/h1-count/d2m1"]
     assert counts and counts[0].actual == 1
@@ -118,6 +117,19 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "apply to the hill scenario only" in proc.stderr
+
+    @pytest.mark.parametrize("flag,value", [("--tol", "1e-7"), ("--coeff-bound", "40"),
+                                            ("--node-budget", "5")])
+    def test_run_has_no_tuning_flags(self, flag, value):
+        proc = _cli("run", "case-b", flag, value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
+    def test_tile_node_budget(self):
+        proc = _cli("tile", "1/3 pi,1/3 pi,1/2 pi", "1/2 pi,2/3 pi,2/3 pi",
+                    "--node-budget", "3")
+        assert proc.returncode == 1
+        assert json.loads(proc.stdout)["status"] == "aborted"
 
     def test_unknown_scenario(self):
         proc = _cli("run", "nonsense")

@@ -110,14 +110,64 @@ class TestStraightAngles:
         with pytest.raises(ValueError):
             straight_angle_combinations([F(0)])
 
+    def test_coefficient_above_twenty(self):
+        assert straight_angle_combinations([F(1, 25)]) == {(25,)}
+        assert straight_angle_combinations([PI / 25]) == {(25,)}
+        assert straight_angle_combinations([F(1, 25), F(1, 2)]) == {(25, 0), (0, 2)}
+
 
 class TestCornerSolver:
     def test_reference_set(self):
         sols = corner_angle_solutions([F(1, 3), F(1, 2)], F(1, 6), F(1, 3))
         assert sols == [F(1, 5), F(2, 9), F(1, 4)]
 
+    def test_multiplier_above_sixty_four(self):
+        sols = corner_angle_solutions([F(1, 2)], F(1, 200), F(1, 100))
+        assert sols == [F(1, m) for m in range(199, 100, -1)]
+
+    def test_positive_fixed_angles_required(self):
+        with pytest.raises(ValueError):
+            corner_angle_solutions([F(0), F(1, 2)], F(1, 6), F(1, 3))
+
+    def test_rational_scan_matches_per_q_oracle(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            fixed = [F(rng.randint(1, 4), rng.randint(5, 7))
+                     for _ in range(rng.randint(0, 3))]
+            lo = F(rng.randint(1, 4), rng.randint(10, 20))
+            hi = lo + F(rng.randint(1, 6), rng.randint(8, 20))
+            want = _rational_scan_per_q(fixed, lo, hi, 24)
+            assert corner_angle_solutions_rational_scan(fixed, lo, hi, 24) == want
+            assert [q for q in corner_angle_solutions(fixed, lo, hi)
+                    if q.denominator <= 24] == want
+
     def test_rational_scan_agrees(self):
         sols = corner_angle_solutions([F(1, 3), F(1, 2)], F(1, 6), F(1, 3))
         scan = corner_angle_solutions_rational_scan([F(1, 3), F(1, 2)],
                                                     F(1, 6), F(1, 3))
         assert sols == scan
+
+
+def _rational_scan_per_q(fixed, lo, hi, max_denominator):
+    """The rational scan with a fresh residual search for every q."""
+    found = set()
+    for r in range(2, max_denominator + 1):
+        for s in range(1, r):
+            q = F(s, r)
+            if not (lo < q < hi) or q in found:
+                continue
+
+            def feasible(j, used):
+                if j == len(fixed):
+                    rest = 1 - used
+                    return rest > 0 and (rest / q).denominator == 1
+                n = 0
+                while used + n * fixed[j] < 1:
+                    if feasible(j + 1, used + n * fixed[j]):
+                        return True
+                    n += 1
+                return False
+
+            if feasible(0, F(0)):
+                found.add(q)
+    return sorted(found)
