@@ -8,7 +8,7 @@ cannot come from a simplex.
 
 Matrices are built over the narrowest ring supporting the labels' exact
 cosines (Q, a quadratic field, or Q[t] for the cos-parametrised families),
-falling back to binary64 when no exact cosine exists.
+falling back to binary64 when the exact cosines share no such ring.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .angles import AngleAssignment, NoExactCosineError, exact_cos
+from .angles import NoExactCosineError, exact_cos
 from .coxeter import CoxeterDiagram, all_edges
 from .exactmath import ExactMatrix, Poly, RingMismatchError, sturm_count
 
@@ -33,13 +33,14 @@ class GramMatrix:
     exact: Optional[ExactMatrix]
     numeric: np.ndarray
     ring: str  # "Q", "Q(sqrt(m))", "Q[t]" or "binary64"
-    inexact_fallback: bool = False
 
 
 def gram_from_diagram(diagram: CoxeterDiagram,
-                      assignment: Optional[AngleAssignment] = None,
                       as_poly_in: Optional[str] = None) -> GramMatrix:
-    """Cosine matrix of a diagram, rows/columns in diagram vertex order."""
+    """Cosine matrix of a diagram, rows/columns in diagram vertex order.
+
+    Raises ValueError when some label has no exact cosine.
+    """
     n = diagram.n
     entries = [[None] * n for _ in range(n)]
     numeric = np.full((n, n), -1.0)
@@ -54,9 +55,7 @@ def gram_from_diagram(diagram: CoxeterDiagram,
             c = None
             exact_ok = False
         entries[i][j] = entries[j][i] = c
-        if assignment is not None:
-            numeric[i, j] = numeric[j, i] = math.cos(label.eval(assignment))
-        elif c is not None and not isinstance(c, Poly):
+        if c is not None and not isinstance(c, Poly):
             numeric[i, j] = numeric[j, i] = float(c)
         else:
             numeric[i, j] = numeric[j, i] = math.nan
@@ -67,8 +66,8 @@ def gram_from_diagram(diagram: CoxeterDiagram,
         except RingMismatchError:
             pass
     if np.isnan(numeric).any():
-        raise ValueError("no exact cosine for some label and no assignment given")
-    return GramMatrix(None, numeric, "binary64", inexact_fallback=True)
+        raise ValueError("no exact cosine for some label")
+    return GramMatrix(None, numeric, "binary64")
 
 
 @dataclass
@@ -105,7 +104,7 @@ def fiedler_check(gram: Union[GramMatrix, np.ndarray], tol: float = 1e-9) -> Fie
     numerically evaluated entries.  Numeric input: everything at `tol`.
     """
     if isinstance(gram, np.ndarray):
-        gram = GramMatrix(None, gram, "binary64", inexact_fallback=True)
+        gram = GramMatrix(None, gram, "binary64")
     if gram.exact is not None:
         det = gram.exact.det()
         singular = det == 0

@@ -16,6 +16,11 @@ Four pieces:
 * the algebraic-degree obstruction for rep-counts k: the minimal polynomial
   degree of k^(1/d) lower-bounds the number of distinct edge lengths.
 
+Tiles and targets enter by their angles as Fractions of pi, so tile counts
+and the congruence of a one-tile target are exact; radians exist only in
+the float geometry of the search, its placements and the tilings it
+returns.  A float angle raises TypeError.
+
 The search fills the open corner with the smallest interior angle first and
 places tiles flush against the boundary.  Degenerate pinch configurations
 (a tile corner landing in the middle of a far boundary arc) are rejected
@@ -29,13 +34,14 @@ import colorsys
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import sphgeo
-from .spherical import (InvalidTriangleError, edge_lengths, is_valid)
+from .spherical import InvalidTriangleError, is_valid, law_of_cosines
 
 TWO_PI = 2 * math.pi
 
@@ -47,47 +53,34 @@ TWO_PI = 2 * math.pi
 
 @dataclass(frozen=True)
 class TileSpec:
-    """Base tile T0 by its angles; exact pi-fractions preferred.
+    """Base tile T0 by its angles, Fractions of pi in ascending order.
 
+    The radian angles and the edges are computed once per tile.
     Edge-combination tests against the tile's edges use the one module
     tolerance EDGE_TOL; see `edge_combination`.
     """
 
-    angles_pi: Optional[tuple] = None  # 3 Fractions of pi, ascending
-    angles_rad: Optional[tuple] = None  # 3 floats, ascending
+    angles_pi: tuple  # 3 Fractions of pi, ascending
 
     @staticmethod
     def from_pi_fractions(*qs) -> "TileSpec":
-        qs = tuple(sorted(Fraction(q) for q in qs))
-        if not is_valid(qs):
-            raise InvalidTriangleError(is_valid(qs).reason)
-        return TileSpec(angles_pi=qs)
+        rep = is_valid(qs)
+        if not rep:
+            raise InvalidTriangleError(rep.reason)
+        return TileSpec(tuple(sorted(Fraction(q) for q in qs)))
 
-    @staticmethod
-    def from_radians(*vs) -> "TileSpec":
-        vs = tuple(sorted(float(v) for v in vs))
-        if not is_valid(vs):
-            raise InvalidTriangleError(is_valid(vs).reason)
-        return TileSpec(angles_rad=vs)
-
-    @property
+    @cached_property
     def angles(self) -> tuple:
-        if self.angles_rad is not None:
-            return self.angles_rad
+        """The angles in radians, ascending."""
         return tuple(float(q) * math.pi for q in self.angles_pi)
 
-    @property
+    @cached_property
     def edges(self) -> tuple:
-        return edge_lengths(self.angles)
+        """Edges in radians, each opposite the angle at the same index."""
+        return law_of_cosines(*self.angles)
 
     @property
-    def excess(self) -> float:
-        return math.fsum(self.angles) - math.pi
-
-    @property
-    def excess_pi(self) -> Optional[Fraction]:
-        if self.angles_pi is None:
-            return None
+    def excess_pi(self) -> Fraction:
         return sum(self.angles_pi) - 1
 
 
@@ -194,11 +187,11 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
     over nonnegative integers, split the combination into (phi, psi) in all
     ways, keep triples that satisfy the spherical triangle inequality, and
     annotate each with the edge-combination status of the edge opposite tau.
+    tau and phi_min are Fractions of pi (ints allowed); a float raises
+    TypeError.
     """
-    if tile.angles_pi is None:
-        raise ValueError("candidate enumeration needs an exact tile")
-    tau = Fraction(tau)
-    phi_min = Fraction(phi_min)
+    if not all(isinstance(q, (int, Fraction)) for q in (tau, phi_min)):
+        raise TypeError("tau and phi_min are Fractions of pi")
     qa, qb, qc = tile.angles_pi
     excess = tile.excess_pi
     edges = tile.edges
@@ -229,9 +222,9 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
                             qs = sorted((tau, phi, psi))
                             if qs[1] + qs[2] >= one + qs[0]:
                                 continue
-                            x = _edge_opposite(float(tau) * math.pi,
+                            x = law_of_cosines(float(tau) * math.pi,
                                                float(phi) * math.pi,
-                                               float(psi) * math.pi)
+                                               float(psi) * math.pi)[0]
                             status = edge_combination(x, edges)
                             seen[(phi, psi)] = Candidate(
                                 tau, phi, psi, n,
@@ -240,12 +233,6 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
                                 status)
         n += 1
     return sorted(seen.values(), key=lambda cand: (cand.n, cand.phi, cand.psi))
-
-
-def _edge_opposite(tau: float, phi: float, psi: float) -> float:
-    num = math.cos(tau) + math.cos(phi) * math.cos(psi)
-    den = math.sin(phi) * math.sin(psi)
-    return math.acos(max(-1.0, min(1.0, num / den)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,15 +502,6 @@ def _placement_geometry_ok(old: _Region, new: _Region, eps: float) -> bool:
     return True
 
 
-def _area_tile_count(target_angles, tile: TileSpec):
-    t_area = math.fsum(target_angles) - math.pi
-    ratio = t_area / tile.excess
-    n = round(ratio)
-    if abs(ratio - n) > 1e-6:
-        return None
-    return n
-
-
 # Default search-node budget: the largest catalog search stays far below it,
 # and it keeps a search on an arbitrary user target finite.
 NODE_BUDGET = 10 ** 6
@@ -533,27 +511,28 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
                   eps: float = 1e-9, node_budget: int = NODE_BUDGET) -> SearchResult:
     """Exhaustive backtracking search for a tiling of the target triangle.
 
-    target: three angles (Fractions of pi or radians).  The tile count is
-    fixed by the exact area ratio; if it is not a positive integer, or
-    exceeds n_max, no tiling exists with the allowed count and the search
-    reports `exhausted` immediately.  Otherwise corners are filled smallest
-    angle first and every tile orientation (rotations and mirror images)
-    is tried flush against the boundary.  Deterministic; `aborted` when the
-    node budget runs out.
+    target: three angles, Fractions of pi (a float raises TypeError).  The
+    tile count is the exact area ratio (sum(target) - 1) / tile.excess_pi;
+    if it is not an integer, or exceeds n_max, no tiling exists with the
+    allowed count and the search reports `exhausted` immediately.  One
+    tile tiles the target iff their angles agree exactly.  Otherwise
+    corners are filled smallest angle first and every tile orientation
+    (rotations and mirror images) is tried flush against the boundary.
+    Deterministic; `aborted` when the node budget runs out.
     """
-    target_angles = tuple(float(q) * math.pi if isinstance(q, Fraction) else float(q)
-                          for q in target)
-    rep = is_valid(target_angles)
+    rep = is_valid(target)
     if not rep:
         raise InvalidTriangleError(rep.reason)
-    n = _area_tile_count(target_angles, tile)
-    if n is None or n == 0:
+    n = (sum(target) - 1) / tile.excess_pi
+    if n.denominator != 1:
         return SearchResult("exhausted", None, 0,
                             "target area is not a positive multiple of the tile area")
+    n = int(n)
     if n_max is not None and n > n_max:
         return SearchResult("exhausted", None, 0,
                             f"needs exactly {n} tiles, above the bound {n_max}")
-    t_edges = edge_lengths(target_angles)
+    target_angles = tuple(float(q) * math.pi for q in target)
+    t_edges = law_of_cosines(*target_angles)
     t_points = sphgeo.triangle_vertices(target_angles, t_edges)
     region0 = _Region(list(t_points), list(target_angles))
     if _placement_geometry_ok(_Region([], []), region0, eps):
@@ -608,7 +587,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
 
     if n == 1:
         # trivial: the target must be congruent to the tile itself
-        if all(abs(x - y) <= 1e-9 for x, y in zip(sorted(target_angles), tile.angles)):
+        if tuple(sorted(target)) == tile.angles_pi:
             return SearchResult("found", tiling([(t_points, (0, 1, 2))]), 0)
         return SearchResult("exhausted", None, 0, "single tile is not congruent")
 
@@ -706,24 +685,23 @@ def _tiles_overlap(pts1, pts2, eps: float) -> bool:
     return False
 
 
-def lune_two_tile_tiling(alpha: float) -> tuple:
-    """The alpha-lune tiled by two copies of the (alpha, pi/2, pi/2) tile.
+def lune_two_tile_tiling(alpha: Fraction) -> tuple:
+    """The (alpha*pi)-lune tiled by two copies of the (alpha, 1/2, 1/2)*pi tile.
 
-    The tile's right-angle corners sit on the equator, so the two mirror
-    copies meet along the equatorial edge and fill the lune.  Returns the
-    tiling (lune boundary encoded with its edge midpoints) and the tile.
+    alpha is a Fraction of pi in (0, 1).  The tile's right-angle corners
+    sit on the equator, so the two mirror copies meet along the equatorial
+    edge and fill the lune.  Returns the tiling (lune boundary encoded with
+    its edge midpoints) and the tile.
     """
-    if not (0 < alpha < math.pi):
-        raise ValueError("lune angle must be in (0, pi)")
+    tile = TileSpec.from_pi_fractions(alpha, Fraction(1, 2), Fraction(1, 2))
+    a = float(alpha) * math.pi
     north = np.array([0.0, 0.0, 1.0])
     south = -north
     m1 = np.array([1.0, 0.0, 0.0])
-    m2 = np.array([math.cos(alpha), math.sin(alpha), 0.0])
+    m2 = np.array([math.cos(a), math.sin(a), 0.0])
     tiles = [TilePlacement([north, m1, m2], (0, 1, 2)),
              TilePlacement([south, m1, m2], (0, 1, 2))]
-    tiling = SphTiling([north, m1, south, m2],
-                       (alpha, math.pi, alpha, math.pi), tiles)
-    tile = TileSpec.from_radians(alpha, math.pi / 2, math.pi / 2)
+    tiling = SphTiling([north, m1, south, m2], (a, math.pi, a, math.pi), tiles)
     return tiling, tile
 
 

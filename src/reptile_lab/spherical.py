@@ -1,10 +1,12 @@
 """Spherical triangle primitives on the unit 2-sphere.
 
-Angles are the source of truth; edges are always derived through the law of
-cosines for angles.  Validity follows the classical facts for spherical
-triangles: angle sum above pi, each angle in (0, pi), and the spherical
-triangle inequality (the two largest angles sum to less than pi plus the
-smallest), which is equivalent to the area bound 2*min-angle.
+Angles are the source of truth.  They enter as Fractions of pi (ints
+allowed); a float raises TypeError, so no angle is ever read in two ways.
+Edges are derived in radians through the law of cosines for angles, the
+one radian formula here.  Validity follows the classical facts for
+spherical triangles: angle sum above pi, each angle in (0, pi), and the
+spherical triangle inequality (the two largest angles sum to less than pi
+plus the smallest), which is equivalent to the area bound 2*min-angle.
 """
 
 from __future__ import annotations
@@ -12,18 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .angles import AngleForm, RelationSet
 
-AngleLike = Union[float, Fraction]
 
-
-def _rad(x: AngleLike) -> float:
-    # Fractions are interpreted as fractions of pi; floats as radians.
-    if isinstance(x, Fraction):
-        return float(x) * math.pi
-    return float(x)
+def _require_exact(angles: Sequence[Fraction]) -> None:
+    for a in angles:
+        if not isinstance(a, (int, Fraction)):
+            raise TypeError(f"angles are Fractions of pi, not {type(a).__name__}")
 
 
 @dataclass(frozen=True)
@@ -35,29 +34,17 @@ class ValidityReport:
         return self.ok
 
 
-def is_valid(angles: Sequence[AngleLike]) -> ValidityReport:
-    """Strict spherical-triangle validity for an angle triple.
-
-    Exact when all three angles are Fractions of pi; numeric otherwise.
-    """
+def is_valid(angles: Sequence[Fraction]) -> ValidityReport:
+    """Exact strict spherical-triangle validity for three Fractions of pi."""
+    _require_exact(angles)
     if len(angles) != 3:
         return ValidityReport(False, "need exactly three angles")
-    if all(isinstance(a, Fraction) for a in angles):
-        one = Fraction(1)
-        qs = sorted(angles)
-        if any(q <= 0 or q >= one for q in qs):
-            return ValidityReport(False, "angle outside (0, pi)")
-        if qs[0] + qs[1] + qs[2] <= one:
-            return ValidityReport(False, "angle sum not above pi")
-        if qs[1] + qs[2] >= one + qs[0]:
-            return ValidityReport(False, "spherical triangle inequality fails")
-        return ValidityReport(True)
-    vs = sorted(_rad(a) for a in angles)
-    if any(v <= 0 or v >= math.pi for v in vs):
+    qs = sorted(angles)
+    if any(q <= 0 or q >= 1 for q in qs):
         return ValidityReport(False, "angle outside (0, pi)")
-    if vs[0] + vs[1] + vs[2] <= math.pi:
+    if qs[0] + qs[1] + qs[2] <= 1:
         return ValidityReport(False, "angle sum not above pi")
-    if vs[1] + vs[2] >= math.pi + vs[0]:
+    if qs[1] + qs[2] >= 1 + qs[0]:
         return ValidityReport(False, "spherical triangle inequality fails")
     return ValidityReport(True)
 
@@ -66,48 +53,12 @@ class InvalidTriangleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SphTriangle:
-    """Spherical triangle given by its three angles (radians).
-
-    Edge a is opposite the first angle, b the second, c the third.
-    """
-
-    angles: tuple  # 3 floats, radians
-
-    def __post_init__(self):
-        report = is_valid(self.angles)
-        if not report:
-            raise InvalidTriangleError(report.reason)
-        object.__setattr__(self, "angles", tuple(float(a) for a in self.angles))
-
-    @staticmethod
-    def from_pi_fractions(*qs: Fraction) -> "SphTriangle":
-        report = is_valid(qs)
-        if not report:
-            raise InvalidTriangleError(report.reason)
-        return SphTriangle(tuple(float(q) * math.pi for q in qs))
-
-    @property
-    def area(self) -> float:
-        """Spherical excess: angle sum minus pi."""
-        return math.fsum(self.angles) - math.pi
-
-    @property
-    def edges(self) -> tuple:
-        return edge_lengths(self.angles)
-
-
-def edge_lengths(angles: Sequence[AngleLike]) -> tuple:
-    """Edges (a, b, c) from the law of cosines for angles; edge x opposite x.
+def law_of_cosines(va: float, vb: float, vc: float) -> tuple:
+    """Edges (a, b, c) from the angles in radians; edge x opposite angle x.
 
     cos(c) = (cos gamma' + cos alpha' cos beta') / (sin alpha' sin beta'),
-    cyclically.
+    cyclically.  The caller has checked that the angles form a triangle.
     """
-    report = is_valid(angles)
-    if not report:
-        raise InvalidTriangleError(report.reason)
-    va, vb, vc = (_rad(a) for a in angles)
 
     def edge(opp, l, r):
         num = math.cos(opp) + math.cos(l) * math.cos(r)
@@ -115,6 +66,15 @@ def edge_lengths(angles: Sequence[AngleLike]) -> tuple:
         return math.acos(max(-1.0, min(1.0, num / den)))
 
     return (edge(va, vb, vc), edge(vb, vc, va), edge(vc, va, vb))
+
+
+def edge_lengths(angles: Sequence[Fraction]) -> tuple:
+    """Edges (a, b, c) in radians of the triangle with these angles
+    (Fractions of pi), after `is_valid`; edge x opposite angle x."""
+    report = is_valid(angles)
+    if not report:
+        raise InvalidTriangleError(report.reason)
+    return law_of_cosines(*(float(q) * math.pi for q in angles))
 
 
 def angles_from_edges(edges: Sequence[float]) -> tuple:
@@ -129,76 +89,36 @@ def angles_from_edges(edges: Sequence[float]) -> tuple:
     return (ang(a, b, c), ang(b, c, a), ang(c, a, b))
 
 
-@dataclass(frozen=True)
-class Lune:
-    """Spherical 2-gon between half great circles meeting at angle phi."""
-
-    phi: float
-
-    def __post_init__(self):
-        if not (0 < self.phi < math.pi):
-            raise ValueError("lune angle must be in (0, pi)")
-
-    @property
-    def area(self) -> float:
-        return 2 * self.phi
-
-
 # ---------------------------------------------------------------------------
 # Straight-angle (pi) combinations
 # ---------------------------------------------------------------------------
 
 
-# Numeric straight-angle fillings may miss pi by this much (radians).
-STRAIGHT_TOL = 1e-9
-
-
-def straight_angle_combinations(angles: Sequence[AngleLike]) -> set:
+def straight_angle_combinations(angles: Sequence[Fraction]) -> set:
     """All nonnegative integer coefficient vectors m with sum(m_i * phi_i) = pi.
 
-    Exact when every angle is a Fraction of pi; otherwise numeric to
-    STRAIGHT_TOL.  The angles are positive, so each coefficient is at most
-    pi over its angle and the search is finite.
+    The angles are Fractions of pi and positive, so each coefficient is at
+    most pi over its angle and the search is finite.
     """
-    if any(_rad(a) <= 0 for a in angles):
+    _require_exact(angles)
+    if any(a <= 0 for a in angles):
         raise ValueError("angles must be positive")
-    exact = all(isinstance(a, Fraction) for a in angles)
     k = len(angles)
     out = set()
     coeffs = [0] * k
 
-    if exact:
-        target = Fraction(1)
-
-        def rec(i, remaining):
-            if i == k:
-                if remaining == 0:
-                    out.add(tuple(coeffs))
-                return
-            q = angles[i]
-            for m in range(int(remaining / q) + 1):
-                coeffs[i] = m
-                rec(i + 1, remaining - m * q)
-            coeffs[i] = 0
-
-        rec(0, target)
-        return out
-
-    vals = [_rad(a) for a in angles]
-
-    def recf(i, remaining):
+    def rec(i, remaining):
         if i == k:
-            if abs(remaining) <= STRAIGHT_TOL:
+            if remaining == 0:
                 out.add(tuple(coeffs))
             return
-        v = vals[i]
-        top = int((remaining + STRAIGHT_TOL) / v)
-        for m in range(max(0, top) + 1):
+        q = angles[i]
+        for m in range(int(remaining / q) + 1):
             coeffs[i] = m
-            recf(i + 1, remaining - m * v)
+            rec(i + 1, remaining - m * q)
         coeffs[i] = 0
 
-    recf(0, math.pi)
+    rec(0, Fraction(1))
     return out
 
 
@@ -292,7 +212,7 @@ def is_valid_symbolic(forms, relations: RelationSet, beta_lo: Fraction,
     The forms must reduce (under the relations) to linear forms in pi and
     beta with interval-constant comparison signs.  An identical equality
     (the degenerate case of the spherical triangle inequality) makes the
-    triple invalid, matching the strict inequalities of the numeric check.
+    triple invalid, matching the strict inequalities of `is_valid`.
     """
     reduced = [relations.normalize(f) for f in forms]
 

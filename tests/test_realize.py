@@ -110,10 +110,14 @@ class TestCandidates:
         again = {c.angles_pi() for c in enumerate_candidates(QUARTER, F(1, 4))}
         assert base == again
 
-    def test_needs_exact_tile(self):
-        t = TileSpec.from_radians(0.8, 1.1, 1.6)
-        with pytest.raises(ValueError):
-            enumerate_candidates(t, F(1, 4))
+    def test_float_raises(self):
+        # angles are Fractions of pi only; a float is never read as radians
+        with pytest.raises(TypeError):
+            TileSpec.from_pi_fractions(0.5, 0.5, 0.5)
+        with pytest.raises(TypeError):
+            enumerate_candidates(QUARTER, 0.25)
+        with pytest.raises(TypeError):
+            search_tiling((0.5, 0.5, 0.5), QUARTER)
 
 
 class TestSearch:
@@ -146,6 +150,17 @@ class TestSearch:
     def test_single_tile(self):
         res = search_tiling((F(1, 4), F(1, 3), F(1, 2)), QUARTER)
         assert res.status == "found" and len(res.tiling.tiles) == 1
+
+    def test_area_ratio_is_exact(self):
+        # area ratio 2 + 1.2e-7: no integer tile count, so nothing to search
+        res = search_tiling((F(1, 2), F(1, 2), F(1, 6) + F(1, 10 ** 8)), QUARTER)
+        assert res.status == "exhausted" and res.nodes == 0
+
+    def test_single_tile_congruence_is_exact(self):
+        # same area as the tile, angles off by 1e-12 pi: not congruent
+        d = F(1, 10 ** 12)
+        res = search_tiling((F(1, 4) + d, F(1, 3) - d, F(1, 2)), QUARTER)
+        assert res.status == "exhausted" and res.nodes == 0
 
     def test_aborted_on_budget(self):
         res = search_tiling((F(1, 2), F(1, 2), F(1, 2)), QUARTER, node_budget=3)
@@ -262,7 +277,7 @@ class TestVerify:
 
     def test_lune_two_tiles(self):
         from reptile_lab.realize import lune_two_tile_tiling
-        tiling, tile = lune_two_tile_tiling(2 * math.pi / 5)
+        tiling, tile = lune_two_tile_tiling(F(2, 5))
         assert verify_tiling(tiling, tile)
 
 

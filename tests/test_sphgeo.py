@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from reptile_lab import sphgeo
-from reptile_lab.spherical import edge_lengths
+from reptile_lab.spherical import law_of_cosines
 
 TOL = 1e-12
 MARGIN = 1e-8
@@ -308,7 +308,7 @@ def test_triangle_vertices():
         angles = sorted(rng.uniform(0.05, math.pi - 0.05) for _ in range(3))
         if not (sum(angles) > math.pi and angles[1] + angles[2] < math.pi + angles[0]):
             continue
-        edges = edge_lengths(tuple(angles))
+        edges = law_of_cosines(*angles)
         got = sphgeo.triangle_vertices(angles, edges)
         assert isinstance(got, list) and len(got) == 3
         for g, w in zip(got, ref_triangle_vertices(angles, edges)):
@@ -366,7 +366,7 @@ def test_point_in_convex_polygon(snap):
                                         for _ in range(3)]))
         if np.linalg.det(rot) < 0:
             rot = -rot
-        tri = ref_triangle_vertices(angles, edge_lengths(tuple(angles)))
+        tri = ref_triangle_vertices(angles, law_of_cosines(*angles))
         polygons.append([rot @ v for v in tri])
     alpha = 2 * math.pi / 5
     polygons.append([np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
