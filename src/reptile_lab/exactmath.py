@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -33,6 +34,10 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +477,19 @@ class QuadExt:
             return hash(self.a)
         return hash((self.a, self.b, self.m))
 
+    def sign(self) -> int:
+        """Exact sign of a + b*sqrt(m): -1, 0 or 1.
+
+        With a and b of opposite signs, |a| and |b|*sqrt(m) compare as
+        a^2 and m*b^2, so the sign of a^2 - m*b^2 says which term wins.
+        """
+        sa, sb = _sign(self.a), _sign(self.b)
+        if sa == sb or sb == 0:
+            return sa
+        if sa == 0:
+            return sb
+        return sa * _sign(self.a * self.a - self.m * self.b * self.b)
+
     def __float__(self):
         # binary64 evaluation: two roundings (sqrt and the fma-less combine);
         # error is a few ulp, far below the 1e-9 tolerances used downstream.
@@ -479,6 +497,11 @@ class QuadExt:
 
     def __repr__(self):
         return f"QuadExt({self.a} + {self.b}*sqrt({self.m}))"
+
+
+def sign(x) -> int:
+    """Exact sign of a rational or quadratic-field element: -1, 0 or 1."""
+    return x.sign() if isinstance(x, QuadExt) else _sign(x)
 
 
 # ---------------------------------------------------------------------------
@@ -543,29 +566,26 @@ class ExactMatrix:
         All intermediate divisions are exact in the coefficient ring, so no
         fractions of polynomials ever appear and nothing is rounded.
         """
-        n = self.n
-        a = [list(r) for r in self.rows]
-        if n == 0:
-            return Fraction(1)
-        sign = 1
-        prev = None
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return self._zero()
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                    a[i][j] = num if prev is None else _exact_div_entry(num, prev)
-                a[i][k] = self._zero()
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return d if sign == 1 else -d
+        return self._elimination[0]
+
+    def leading_minors(self):
+        """Leading principal minors of orders 1..n, the pivots of the
+        elimination `det` runs (computed once per matrix).
+
+        None when a leading minor below order n vanishes: the elimination
+        then swaps rows, and its later pivots are minors of another matrix.
+        """
+        return self._elimination[1]
+
+    def minor(self, rows: Sequence[int], cols: Sequence[int]):
+        """Determinant of the submatrix on these row and column indices,
+        by the same elimination as `det`; the empty minor is 1."""
+        sub = [[self.rows[i][j] for j in cols] for i in rows]
+        return _bareiss(sub, self._zero())[0]
+
+    @cached_property
+    def _elimination(self):
+        return _bareiss(self.rows, self._zero())
 
     def _zero(self):
         if self.ring == _RING_POLY:
@@ -574,6 +594,39 @@ class ExactMatrix:
             return Fraction(0)
         m = self.rows[0][0].m
         return QuadExt(Fraction(0), Fraction(0), m)
+
+
+def _bareiss(rows, zero):
+    """(determinant, leading principal minors or None) of a square matrix."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    if n == 0:
+        return Fraction(1), []
+    sign = 1
+    prev = None
+    minors = []
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            minors = None
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return zero, None
+        elif minors is not None:
+            minors.append(a[k][k])
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
+                a[i][j] = num if prev is None else _exact_div_entry(num, prev)
+            a[i][k] = zero
+        prev = a[k][k]
+    d = a[n - 1][n - 1]
+    if minors is not None:
+        minors.append(d)
+    return (d if sign == 1 else -d), minors
 
 
 def sum2(items):

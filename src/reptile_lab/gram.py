@@ -1,14 +1,16 @@
-"""Gram matrices of dihedral-angle cosines and the singularity obstruction.
+"""Gram matrices of dihedral-angle cosines and the Fiedler conditions.
 
 A genuine d-simplex has a (d+1)x(d+1) cosine matrix (diagonal -1, entries
 cos of the dihedral angles) that is negative semidefinite of rank d with a
-strictly positive kernel vector.  The contradiction machine only needs the
+strictly positive kernel vector (M. Fiedler, *Matrices and Graphs in
+Geometry*, CUP 2011).  The contradiction machine only needs the
 singularity half: a candidate diagram whose matrix has nonzero determinant
 cannot come from a simplex.
 
 Matrices are built over the narrowest ring supporting the labels' exact
-cosines (Q, a quadratic field, or Q[t] for the cos-parametrised families),
-falling back to binary64 when the exact cosines share no such ring.
+cosines: Q, a quadratic field, or Q[t] for the cos-parametrised families.
+A diagram whose cosines share no such ring is rejected.  Every condition is
+decided exactly; nothing is rounded.
 """
 
 from __future__ import annotations
@@ -19,108 +21,117 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-import numpy as np
-
 from .angles import NoExactCosineError, exact_cos
 from .coxeter import CoxeterDiagram, all_edges
-from .exactmath import ExactMatrix, Poly, RingMismatchError, sturm_count
+from .exactmath import ExactMatrix, Poly, RingMismatchError, sign, sturm_count
 
 
 @dataclass
 class GramMatrix:
-    """Cosine matrix plus provenance: exact matrix when possible."""
+    """Exact cosine matrix plus the name of its ring."""
 
-    exact: Optional[ExactMatrix]
-    numeric: np.ndarray
-    ring: str  # "Q", "Q(sqrt(m))", "Q[t]" or "binary64"
+    exact: ExactMatrix
+    ring: str  # "Q", "Q(sqrt(m))" or "Q[t]"
 
 
 def gram_from_diagram(diagram: CoxeterDiagram,
                       as_poly_in: Optional[str] = None) -> GramMatrix:
     """Cosine matrix of a diagram, rows/columns in diagram vertex order.
 
-    Raises ValueError when some label has no exact cosine.
+    Raises ValueError when some label has no exact cosine, or when the
+    exact cosines share no ring (say sqrt(2) and sqrt(5)).
     """
     n = diagram.n
-    entries = [[None] * n for _ in range(n)]
-    numeric = np.full((n, n), -1.0)
-    exact_ok = True
-    for i in range(n):
-        entries[i][i] = Fraction(-1)
+    entries = [[Fraction(-1) if i == j else None for j in range(n)] for i in range(n)]
     for i, j in all_edges(n):
         label = diagram.labels[(i, j)]
         try:
             c = exact_cos(label, diagram.relations, as_poly_in=as_poly_in)
-        except NoExactCosineError:
-            c = None
-            exact_ok = False
+        except NoExactCosineError as exc:
+            raise ValueError("no exact cosine for some label") from exc
         entries[i][j] = entries[j][i] = c
-        if c is not None and not isinstance(c, Poly):
-            numeric[i, j] = numeric[j, i] = float(c)
-        else:
-            numeric[i, j] = numeric[j, i] = math.nan
-    if exact_ok:
-        try:
-            exact = ExactMatrix(entries)
-            return GramMatrix(exact, numeric, exact.ring)
-        except RingMismatchError:
-            pass
-    if np.isnan(numeric).any():
-        raise ValueError("no exact cosine for some label")
-    return GramMatrix(None, numeric, "binary64")
+    try:
+        exact = ExactMatrix(entries)
+    except RingMismatchError as exc:
+        raise ValueError(f"the exact cosines share no ring: {exc}") from exc
+    return GramMatrix(exact, exact.ring)
 
 
 @dataclass
 class FiedlerReport:
-    determinant: object  # exact ring element, or float for numeric input
+    determinant: object  # exact ring element
     is_singular: bool
     rank: Optional[int]
     negative_semidefinite: Optional[bool]
-    kernel_vector: Optional[np.ndarray]
+    kernel_vector: Optional[tuple]  # exact, up to a positive factor
     kernel_strictly_positive: Optional[bool]
     verdict: str  # "consistent-with-simplex" or "cannot-be-a-simplex"
 
 
-def _numeric_analysis(m: np.ndarray, tol: float):
-    vals, vecs = np.linalg.eigh(m)
-    rank = int(np.sum(np.abs(vals) > tol))
-    neg_semi = bool(vals[-1] <= tol)
-    near_zero = np.abs(vals) <= tol
-    kernel = None
-    positive = None
-    if near_zero.sum() == 1:
-        kernel = vecs[:, int(np.argmax(near_zero))]
-        if kernel.sum() < 0:
-            kernel = -kernel
-        positive = bool(np.all(kernel > tol))
-    return rank, neg_semi, kernel, positive
+def fiedler_check(gram: Union[GramMatrix, ExactMatrix]) -> FiedlerReport:
+    """Singularity, rank, semidefiniteness and kernel of a symmetric
+    cosine matrix, all decided exactly over Q or Q(sqrt m).
 
-
-def fiedler_check(gram: Union[GramMatrix, np.ndarray], tol: float = 1e-9) -> FiedlerReport:
-    """Singularity / semidefiniteness / kernel test for a cosine matrix.
-
-    Exact input: the determinant decides singularity exactly; the sign
-    analysis (semidefiniteness, kernel) is delegated to binary64 on the
-    numerically evaluated entries.  Numeric input: everything at `tol`.
+    A nonsingular matrix costs the one elimination of its determinant: its
+    rank is n, and by Sylvester's criterion it is negative (semi)definite
+    iff its leading principal minors alternate in sign, starting negative.
+    A singular matrix is negative semidefinite iff every principal minor of
+    -G is nonnegative; its rank is the order of its largest nonzero
+    principal minor; at rank n-1, adj G = c*k*k^T, so a nonzero column of
+    the adjugate spans the kernel.  Over Q[t] only the determinant is
+    computed and the other fields are None.
     """
-    if isinstance(gram, np.ndarray):
-        gram = GramMatrix(None, gram, "binary64")
-    if gram.exact is not None:
-        det = gram.exact.det()
-        singular = det == 0
-        if not np.isnan(gram.numeric).any():
-            rank, neg_semi, kernel, positive = _numeric_analysis(gram.numeric, tol)
+    matrix = gram.exact if isinstance(gram, GramMatrix) else gram
+    n = matrix.n
+    rows = matrix.rows
+    if any(rows[i][j] != rows[j][i] for i, j in itertools.combinations(range(n), 2)):
+        raise ValueError("the cosine matrix is not symmetric")
+    det = matrix.det()
+    singular = det == 0
+    rank = neg_semi = kernel = positive = None
+    if matrix.ring != "Q[t]":
+        if not singular:
+            rank = n
+            minors = matrix.leading_minors()
+            neg_semi = minors is not None and all(
+                sign(d) == (-1) ** k for k, d in enumerate(minors, 1))
         else:
-            rank = neg_semi = kernel = positive = None
-    else:
-        det = float(np.linalg.det(gram.numeric))
-        singular = abs(det) <= tol
-        rank, neg_semi, kernel, positive = _numeric_analysis(gram.numeric, tol)
-    n = gram.numeric.shape[0]
+            rank, neg_semi = _principal_minor_analysis(matrix)
+            if rank == n - 1:
+                kernel = _kernel_from_adjugate(matrix)
+                positive = all(sign(x) > 0 for x in kernel)
     ok = singular and (rank is None or rank == n - 1) \
         and (neg_semi is None or neg_semi) and (positive is None or positive)
     return FiedlerReport(det, singular, rank, neg_semi, kernel, positive,
                          "consistent-with-simplex" if ok else "cannot-be-a-simplex")
+
+
+def _principal_minor_analysis(matrix: ExactMatrix) -> tuple:
+    """(rank, negative semidefinite) of a symmetric matrix from all its
+    principal minors."""
+    rank, neg_semi = 0, True
+    for k in range(1, matrix.n + 1):
+        for idx in itertools.combinations(range(matrix.n), k):
+            s = sign(matrix.minor(idx, idx))
+            if s:
+                rank = k
+                # the minor of -G on idx is (-1)^k times this one
+                neg_semi = neg_semi and s == (-1) ** k
+    return rank, neg_semi
+
+
+def _kernel_from_adjugate(matrix: ExactMatrix) -> tuple:
+    """Kernel vector of a symmetric matrix of rank n-1: the column of the
+    adjugate at a nonzero diagonal cofactor, signed to a positive sum."""
+    n = matrix.n
+    others = [[k for k in range(n) if k != i] for i in range(n)]
+    j = next(j for j in range(n) if matrix.minor(others[j], others[j]) != 0)
+    # adj[i][j] = (-1)^(i+j) * det(G without row j and column i)
+    kernel = tuple((-1) ** (i + j) * matrix.minor(others[j], others[i])
+                   for i in range(n))
+    if sign(sum(kernel)) < 0:
+        kernel = tuple(-x for x in kernel)
+    return kernel
 
 
 @dataclass
@@ -147,12 +158,8 @@ def parametric_fiedler(diagram: CoxeterDiagram, lo: Fraction, hi: Fraction,
 
 
 # ---------------------------------------------------------------------------
-# Euclidean simplices and dihedral angles
+# Euclidean simplices
 # ---------------------------------------------------------------------------
-
-
-class DegenerateSimplexError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -182,72 +189,3 @@ class EuclideanSimplex:
 
     def is_degenerate(self) -> bool:
         return self.volume() == 0
-
-
-def facet_normals(simplex: EuclideanSimplex) -> np.ndarray:
-    """Outward unit normal of each facet F_i (the one opposite vertex i)."""
-    vs = np.array([[float(c) for c in v] for v in simplex.vertices])
-    d = simplex.dim
-    normals = np.zeros((d + 1, d))
-    for i in range(d + 1):
-        others = [j for j in range(d + 1) if j != i]
-        base = vs[others[0]]
-        span = np.array([vs[j] - base for j in others[1:]])
-        # kernel of the span: the facet's normal direction
-        _, _, vh = np.linalg.svd(span)
-        n = vh[-1]
-        if np.linalg.norm(span @ n) > 1e-9 * max(1.0, np.abs(span).max()):
-            raise DegenerateSimplexError("facet span is rank deficient")
-        if np.dot(n, vs[i] - base) > 0:
-            n = -n
-        normals[i] = n / np.linalg.norm(n)
-    return normals
-
-
-def dihedral_angles(simplex: EuclideanSimplex) -> np.ndarray:
-    """Matrix of dihedral angles between facet pairs (pi on the diagonal).
-
-    The dihedral angle between facets is pi minus the angle between their
-    outward normals.
-    """
-    if simplex.is_degenerate():
-        raise DegenerateSimplexError("affinely dependent vertices")
-    normals = facet_normals(simplex)
-    d1 = normals.shape[0]
-    out = np.full((d1, d1), math.pi)
-    for i, j in itertools.combinations(range(d1), 2):
-        c = float(np.clip(np.dot(normals[i], normals[j]), -1.0, 1.0))
-        out[i, j] = out[j, i] = math.pi - math.acos(c)
-    return out
-
-
-def gram_from_angles(angle_matrix: np.ndarray) -> np.ndarray:
-    """Numeric cosine matrix from a dihedral-angle matrix (diagonal -> -1)."""
-    out = np.cos(angle_matrix)
-    np.fill_diagonal(out, -1.0)
-    return out
-
-
-def dihedral_angle_at_ridge(simplex: EuclideanSimplex, i: int, j: int) -> float:
-    """Dihedral angle along the ridge shared by facets i and j, measured
-    inside the simplex from vectors orthogonal to the ridge.
-
-    Independent of the normal-based route; used as a cross-check oracle.
-    """
-    vs = np.array([[float(c) for c in v] for v in simplex.vertices])
-    ridge = [k for k in range(simplex.dim + 1) if k not in (i, j)]
-    base = vs[ridge[0]]
-    ridge_span = np.array([vs[k] - base for k in ridge[1:]])
-
-    def ortho_component(vec):
-        v = vec.copy()
-        if len(ridge_span):
-            q, _ = np.linalg.qr(ridge_span.T)
-            v = v - q @ (q.T @ v)
-        return v
-
-    # facet i contains vertex j and the ridge; direction into facet i
-    u = ortho_component(vs[j] - base)
-    w = ortho_component(vs[i] - base)
-    c = float(np.clip(np.dot(u, w) / (np.linalg.norm(u) * np.linalg.norm(w)), -1, 1))
-    return math.acos(c)

@@ -38,8 +38,6 @@ from functools import cached_property
 from itertools import count
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
 from . import sphgeo
 from .spherical import InvalidTriangleError, is_valid, law_of_cosines
 
@@ -242,7 +240,7 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
 
 @dataclass
 class TilePlacement:
-    points: list  # [V, P, Q] unit vectors
+    points: list  # [V, P, Q] unit vectors, float 3-tuples
     corners: tuple  # tile corner indices at (V, P, Q)
 
 
@@ -252,7 +250,7 @@ class SphTiling:
     triangle in the usual case, or a lune encoded with its two edge
     midpoints as straight vertices (angles alpha, pi, alpha, pi)."""
 
-    target_points: list  # boundary unit vectors, CCW
+    target_points: list  # boundary unit vectors (float 3-tuples), CCW
     target_angles: tuple  # interior angles at those points, radians
     tiles: list  # of TilePlacement
 
@@ -276,7 +274,7 @@ class SphTiling:
 
     @staticmethod
     def from_json(data: dict) -> "SphTiling":
-        verts = [np.array(sphgeo.unit(sphgeo.vec(v))) for v in data["vertices"]]
+        verts = [sphgeo.unit(sphgeo.vec(v)) for v in data["vertices"]]
         tiles = [TilePlacement([verts[i] for i in t["vertices"]],
                                tuple(t["corners"])) for t in data["tiles"]]
         return SphTiling([verts[i] for i in data["target"]],
@@ -581,8 +579,8 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
         return None
 
     def tiling(placements):
-        return SphTiling([np.array(p) for p in t_points], target_angles,
-                         [TilePlacement([np.array(p) for p in pts], corners)
+        return SphTiling(list(t_points), target_angles,
+                         [TilePlacement(list(pts), corners)
                           for pts, corners in placements])
 
     if n == 1:
@@ -695,10 +693,10 @@ def lune_two_tile_tiling(alpha: Fraction) -> tuple:
     """
     tile = TileSpec.from_pi_fractions(alpha, Fraction(1, 2), Fraction(1, 2))
     a = float(alpha) * math.pi
-    north = np.array([0.0, 0.0, 1.0])
-    south = -north
-    m1 = np.array([1.0, 0.0, 0.0])
-    m2 = np.array([math.cos(a), math.sin(a), 0.0])
+    north = (0.0, 0.0, 1.0)
+    south = (-0.0, -0.0, -1.0)
+    m1 = (1.0, 0.0, 0.0)
+    m2 = (math.cos(a), math.sin(a), 0.0)
     tiles = [TilePlacement([north, m1, m2], (0, 1, 2)),
              TilePlacement([south, m1, m2], (0, 1, 2))]
     tiling = SphTiling([north, m1, south, m2], (a, math.pi, a, math.pi), tiles)

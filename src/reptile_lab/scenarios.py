@@ -40,8 +40,8 @@ from .realize import (EDGE_TOL, NODE_BUDGET, EdgeMatch, TileSpec,
                       edge_combination, enumerate_candidates, search_tiling,
                       verify_tiling)
 from .spherical import (corner_angle_solutions,
-                        corner_angle_solutions_rational_scan, edge_lengths,
-                        is_valid, straight_angle_combinations)
+                        corner_angle_solutions_rational_scan, is_valid,
+                        law_of_cosines, straight_angle_combinations)
 
 SCENARIOS = ("three-dim", "two-indivisible", "case-a", "case-b", "case-c", "hill")
 
@@ -211,7 +211,7 @@ def case_lists(key: str) -> CaseLists:
         if (area / excess).denominator != 1:
             forbidden.append(combo)
             continue
-        for x in edge_lengths(combo):
+        for x in law_of_cosines(*(float(q) * math.pi for q in combo)):
             status = edge_combination(x, tile.edges)
             verdicts.append(status)
             if not isinstance(status, EdgeMatch):

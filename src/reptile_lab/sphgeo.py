@@ -6,8 +6,8 @@ boundary arcs of a new region that involves at least one fresh arc (one the
 placement created or merged); the other pairs are arcs of the parent region,
 unchanged, and passed the same test when it was built.  These calls run
 thousands of times per search, where numpy's per-call overhead on 3-element
-arrays costs about a hundred times the arithmetic.  Callers holding numpy
-arrays or lists convert them once with `vec`.
+arrays would cost about a hundred times the arithmetic.  Callers holding
+other 3-sequences convert them once with `vec`.
 """
 
 from __future__ import annotations

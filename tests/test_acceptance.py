@@ -16,9 +16,8 @@ from reptile_lab.coxeter import (all_edges, burnside_count,
                                  subgroups_upto_two_generators,
                                  edge_orbit_count_transitive, orbits,
                                  triangle_type_of)
-from reptile_lab.exactmath import Poly, QuadExt, isolate_roots, sturm_count
-from reptile_lab.gram import (EuclideanSimplex, dihedral_angles, fiedler_check,
-                              gram_from_angles, gram_from_diagram)
+from reptile_lab.exactmath import ExactMatrix, Poly, QuadExt, isolate_roots, sturm_count
+from reptile_lab.gram import EuclideanSimplex, fiedler_check, gram_from_diagram
 from reptile_lab.hill import (LatticeTile, signed_perms, compatibility_graph,
                               generate_h1_tiling, generate_h2_h1_tiles,
                               hill_simplex, pair_h2_tiling, tiling_report)
@@ -27,6 +26,8 @@ from reptile_lab.realize import (EdgeMatch, TileSpec, algebraic_degree,
                                  minimal_polynomial_degree_bruteforce,
                                  search_tiling, verify_tiling)
 from reptile_lab.spherical import corner_angle_solutions, edge_lengths, is_valid_symbolic
+
+from oracles import normal_gram
 
 EXP = fixtures.load("expectations")
 
@@ -195,11 +196,14 @@ def test_criterion_11_fiedler_round_trip():
                 continue
             count += 1
             checked += 1
-            rep = fiedler_check(gram_from_angles(dihedral_angles(s)), tol=1e-9)
+            # -N, N the Gram matrix of the rational outward normals, is a
+            # positive-diagonal congruence of the cosine matrix
+            n = normal_gram(s)
+            rep = fiedler_check(ExactMatrix([[-x for x in r] for r in n.rows]))
             ok &= rep.is_singular and rep.rank == d
             ok &= bool(rep.negative_semidefinite) and bool(rep.kernel_strictly_positive)
     ok &= checked == 100
-    _report(11, "100 random rational simplices pass the cosine-matrix checks", ok)
+    _report(11, "100 random rational simplices pass the exact cosine-matrix checks", ok)
 
 
 def test_criterion_12_hill_tilings():

@@ -8,11 +8,12 @@ import pytest
 from reptile_lab import fixtures
 from reptile_lab.angles import parse_angle
 from reptile_lab.coxeter import CoxeterDiagram, all_edges
-from reptile_lab.exactmath import QuadExt
-from reptile_lab.gram import (DegenerateSimplexError, EuclideanSimplex,
-                              dihedral_angle_at_ridge, dihedral_angles,
-                              fiedler_check, gram_from_angles,
+from reptile_lab.exactmath import ExactMatrix, QuadExt
+from reptile_lab.gram import (EuclideanSimplex, fiedler_check,
                               gram_from_diagram, parametric_fiedler)
+
+from oracles import (DegenerateSimplexError, dihedral_angle_at_ridge,
+                     dihedral_angles, eigh_analysis, normal_gram)
 
 
 class TestGramConstruction:
@@ -32,20 +33,29 @@ class TestGramConstruction:
         d = CoxeterDiagram(list("uvwxy"), labels)
         g = gram_from_diagram(d)
         assert g.ring == "Q"
-        assert np.allclose(g.numeric, -np.eye(5))
+        assert g.exact.rows == tuple(tuple(F(-1) if i == j else F(0) for j in range(5))
+                                     for i in range(5))
+
+    def test_mixed_fields_rejected(self):
+        # cos(pi/4) lies in Q(sqrt 2), cos(pi/5) in Q(sqrt 5): no common ring
+        labels = {(0, 1): parse_angle("1/4 pi"), (0, 2): parse_angle("1/5 pi"),
+                  (1, 2): parse_angle("1/2 pi")}
+        d = CoxeterDiagram(list("uvw"), labels)
+        with pytest.raises(ValueError, match="share no ring"):
+            gram_from_diagram(d)
 
 
 class TestFiedler:
     def test_regular_simplex_gram(self):
         # cosine matrix of the regular 4-simplex: off-diagonal 1/4
-        m = np.full((5, 5), 0.25)
-        np.fill_diagonal(m, -1.0)
+        m = ExactMatrix([[F(-1) if i == j else F(1, 4) for j in range(5)]
+                         for i in range(5)])
         # eigen-decomposition oracle: (1/4)(J - I) - I has eigenvalues
         # (1/4)(5) - 1/4 - 1 = 0 (once, all-ones) and -1/4 - 1 = -5/4 (x4)
         rep = fiedler_check(m)
         assert rep.is_singular and rep.rank == 4
         assert rep.negative_semidefinite and rep.kernel_strictly_positive
-        assert np.allclose(rep.kernel_vector, np.ones(5) / math.sqrt(5))
+        assert np.allclose(_unit(rep.kernel_vector), np.ones(5) / math.sqrt(5))
         assert rep.verdict == "consistent-with-simplex"
 
     @pytest.mark.parametrize("key,a,b,m", [
@@ -133,9 +143,102 @@ class TestRoundTrip:
         rng = random.Random(100 + d)
         for _ in range(20):
             s = random_rational_simplex(rng, d)
-            gram = gram_from_angles(dihedral_angles(s))
-            rep = fiedler_check(gram, tol=1e-9)
+            n = normal_gram(s)
+            rep = fiedler_check(ExactMatrix([[-x for x in r] for r in n.rows]))
             assert rep.is_singular
             assert rep.rank == d
             assert rep.negative_semidefinite
             assert rep.kernel_strictly_positive
+            # -N is congruent to the cosine matrix of the float oracle
+            scale = np.sqrt([float(n.rows[i][i]) for i in range(d + 1)])
+            cosines = -np.array([[float(x) for x in r] for r in n.rows]) / np.outer(scale, scale)
+            angles = dihedral_angles(s)
+            off = ~np.eye(d + 1, dtype=bool)
+            assert np.allclose(np.cos(angles)[off], cosines[off], atol=1e-9)
+
+
+def _unit(v):
+    v = np.array([float(x) for x in v])
+    return v / np.linalg.norm(v)
+
+
+def _matches_oracle(matrix):
+    """The exact report of a symmetric matrix against the eigh oracle."""
+    floats = [[float(x) for x in r] for r in matrix.rows]
+    vals = np.linalg.eigvalsh(floats)
+    # the seeded data keep the oracle decisive: eigenvalues are clearly
+    # zero or clearly not
+    assert all(abs(v) < 1e-10 or abs(v) > 1e-6 for v in vals), vals
+    rank, neg_semi, kernel = eigh_analysis(floats)
+    rep = fiedler_check(matrix)
+    assert rep.rank == rank
+    assert rep.negative_semidefinite == neg_semi
+    assert rep.is_singular == (rank < matrix.n)
+    if kernel is None:
+        assert rep.kernel_vector is None and rep.kernel_strictly_positive is None
+    else:
+        u = _unit(rep.kernel_vector)
+        assert abs(abs(u @ kernel) - 1) < 1e-9
+        if abs(kernel.sum()) > 1e-9:  # else the sign convention is moot
+            assert np.allclose(u, kernel, atol=1e-9)
+        assert rep.kernel_strictly_positive == bool(np.all(kernel > 1e-9))
+    return rep
+
+
+def _random_symmetric(rng, n):
+    """B diag(s) B^T for a random n x r rational B and random signs s: rank
+    at most r, semidefinite when the signs agree."""
+    r = rng.randint(1, n)
+    b = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r)] for _ in range(n)]
+    if rng.random() < 0.5:
+        s = [-1] * r
+    else:
+        s = [rng.choice((-1, 1)) for _ in range(r)]
+    return ExactMatrix([[sum(b[i][k] * s[k] * b[j][k] for k in range(r)) for j in range(n)]
+                        for i in range(n)])
+
+
+class TestAgainstEighOracle:
+    def test_criterion_11_simplices(self):
+        rng = random.Random(20260809)
+        for d in (3, 4):
+            for _ in range(50):
+                n = normal_gram(random_rational_simplex(rng, d))
+                rep = _matches_oracle(ExactMatrix([[-x for x in r] for r in n.rows]))
+                assert rep.verdict == "consistent-with-simplex"
+
+    def test_random_symmetric_matrices(self):
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(300):
+            m = _random_symmetric(rng, rng.randint(2, 5))
+            rep = _matches_oracle(m)
+            seen.add((rep.is_singular, rep.rank == m.n - 1, rep.negative_semidefinite,
+                      rep.kernel_strictly_positive))
+        # singular and not, rank n-1 and lower, semidefinite and not, positive
+        # kernels and mixed ones all occur
+        assert {(True, True, True, True), (True, True, True, False),
+                (True, True, False, False), (True, False, True, None),
+                (True, False, False, None), (False, False, True, None),
+                (False, False, False, None)} <= seen
+
+    @pytest.mark.parametrize("key", ["quarter-1", "quarter-2", "quarter-3",
+                                     "fifth-1", "fifth-2", "fifth-3"])
+    def test_catalog_diagrams(self, key):
+        _matches_oracle(gram_from_diagram(fixtures.diagram(key)).exact)
+
+    def test_leading_minors_are_the_pivots(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            m = _random_symmetric(rng, rng.randint(1, 5))
+            minors = m.leading_minors()
+            direct = [m.minor(range(k), range(k)) for k in range(1, m.n + 1)]
+            if all(x != 0 for x in direct[:-1]):
+                assert minors == direct
+            else:
+                assert minors is None
+            assert m.det() == direct[-1]
+
+    def test_not_symmetric_rejected(self):
+        with pytest.raises(ValueError):
+            fiedler_check(ExactMatrix([[-1, F(1, 2)], [0, -1]]))

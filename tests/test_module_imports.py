@@ -3,12 +3,14 @@
 No module imports an underscored name from a sibling: a name with a
 leading underscore is private to its module, and a caller in another module
 means the name belongs in the public interface.  The `sphgeo` kernel
-imports only `math`.  The only function in `coxeter` that calls itself is
+imports only `math`, and no module imports numpy.  The only function in `coxeter` that calls itself is
 the walk of `coloring_search`: the enumerators are its clients and keep no
 recursion of their own.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import reptile_lab
@@ -53,6 +55,21 @@ def test_sphgeo_kernel_is_stdlib_math_only():
     # the tiling search calls sphgeo at every node; numpy there costs about
     # a hundred times the arithmetic on 3-vectors
     assert imported_modules(PACKAGE / "sphgeo.py") == {"math"}
+
+
+def test_no_module_imports_numpy():
+    # every verdict is exact; numpy would only add import time and memory
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "numpy" in imported_modules(path)]
+    assert found == []
+
+
+def test_cli_and_scenarios_load_no_numpy():
+    code = ("import sys, reptile_lab.cli, reptile_lab.scenarios; "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_check_sees_a_numpy_import(tmp_path):

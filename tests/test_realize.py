@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -268,10 +269,9 @@ class TestVerify:
     def test_scaled_tile_rejected(self):
         tiling = self._found()
         bad = tiling.tiles[0]
-        center = sum(bad.points) / 3
-        bad.points = [p + 0.01 * (p - center / np.linalg.norm(center))
+        center = sphgeo.unit([sum(c) / 3 for c in zip(*bad.points)])
+        bad.points = [sphgeo.unit([x + 0.01 * (x - c) for x, c in zip(p, center)])
                       for p in bad.points]
-        bad.points = [p / np.linalg.norm(p) for p in bad.points]
         rep = verify_tiling(tiling, QUARTER)
         assert not rep and "congruent" in rep.violation
 
@@ -296,6 +296,48 @@ class TestSerializationAndSvg:
         tiling.render_svg(str(path))
         body = path.read_text()
         assert body.startswith("<svg") and body.count("<polygon") == 6
+
+
+# First 16 hex digits of the sha256 of the tiling JSON as `reptile-lab tile
+# --out` writes it, and of the SVG bytes, for the 19 fixture found tilings
+# and the (2/5 pi)-lune; recorded while tilings still held numpy arrays.
+TILING_DIGESTS = {
+    "case-b:1/3,1/3,2/3": ("0add86982cbd6139", "191ee61752262117"),
+    "case-b:1/3,1/2,2/3": ("9493e45ca17779f2", "6b3ba4815a71037c"),
+    "case-b:1/2,2/3,2/3": ("8698a79f3d504306", "1dbc50407775395d"),
+    "case-b:2/3,2/3,2/3": ("644145f675efaabf", "c1a251fd66e9a7cf"),
+    "quarter:1/4,1/4,2/3": ("be99cda16b3a4d52", "74a13455545cb759"),
+    "quarter:1/4,1/2,1/2": ("14b5d710993c949a", "b2873629d37fa831"),
+    "quarter:1/4,1/3,3/4": ("192c104b8863087c", "613f5800cf38cd76"),
+    "quarter:1/4,1/2,2/3": ("5fc66ca6f235e93a", "b695dc37efcc8d13"),
+    "quarter:1/3,1/3,1/2": ("c9f14929beaf4c86", "a111c38a955fab6d"),
+    "quarter:1/3,1/3,2/3": ("a335805e589d6633", "7282c48e48afa482"),
+    "fifth:1/5,1/5,2/3": ("97db2cd32dadb8d5", "fc49709557488f52"),
+    "fifth:1/5,2/5,1/2": ("f9a35cc69dca82b0", "123b1b98f82d5bf6"),
+    "fifth:1/5,1/3,3/5": ("3c075bc3a7292e07", "890eded4c83dee15"),
+    "fifth:1/3,1/3,2/5": ("2c38c3e829126b5d", "3b448a1d9d24b055"),
+    "ninth:2/9,2/9,2/3": ("c748eadc85450e79", "683f4c74e256d0d1"),
+    "ninth:2/9,4/9,1/2": ("bc363f9116dbc3d1", "2d07d79660ce2c26"),
+    "ninth:2/9,1/3,2/3": ("d2f8c39da0219c7e", "a2d6e361bad0e3ab"),
+    "ninth:2/9,1/2,5/9": ("c5828ccfed557eee", "99f01dbe5d93dc8c"),
+    "ninth:1/3,1/3,4/9": ("9aa66f0aa80ea016", "15e27d565f5be9eb"),
+    "lune:2/5": ("042c075c14b8d92e", "e7e994aa5d7696e1"),
+}
+
+
+@pytest.mark.parametrize("key", list(TILING_DIGESTS))
+def test_tiling_output_bytes_pinned(key, tmp_path):
+    base, angles = key.split(":")
+    if base == "lune":
+        tiling = realize.lune_two_tile_tiling(F(angles))[0]
+    else:
+        tiling = search_tiling(tuple(F(q) for q in angles.split(",")), TILES[base]).tiling
+    text = json.dumps(tiling.to_json(), indent=1, sort_keys=True)
+    path = tmp_path / "tiling.svg"
+    tiling.render_svg(str(path))
+    digests = tuple(hashlib.sha256(b).hexdigest()[:16]
+                    for b in (text.encode(), path.read_bytes()))
+    assert digests == TILING_DIGESTS[key]
 
 
 class TestAlgebraicDegree:

@@ -99,6 +99,16 @@ class TestCli:
         proc = _cli("diagram", str(path), "gram")
         assert proc.returncode == 2  # abstract labels have no numeric value
 
+    def test_diagram_gram_without_common_ring(self, tmp_path):
+        # cos(pi/4) and cos(pi/5) lie in different quadratic fields
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps({"vertices": ["u", "v", "w"],
+                                    "edges": {"u,v": "1/4 pi", "u,w": "1/5 pi",
+                                              "v,w": "1/2 pi"}}))
+        proc = _cli("diagram", str(path), "gram")
+        assert proc.returncode == 2
+        assert "share no ring" in proc.stderr
+
     def test_usage_error(self):
         proc = _cli("tile", "not-an-angle", "1/2 pi,1/2 pi,1/2 pi")
         assert proc.returncode == 2
