@@ -110,33 +110,19 @@ def normal_gram(simplex: EuclideanSimplex) -> ExactMatrix:
     With E the matrix of rows v_i - v_0 (i = 1..d), the barycentric
     coordinate of vertex i is row i of E^-T applied to x - v_0, so facet i
     has outward normal -row_i(E^-T) and facet 0 has the sum of the rows.
-    The normals are rational but not unit; the cosine matrix of the
-    simplex is C = -D^-1 N D^-1 with D = diag(|n_i|), a positive-diagonal
-    congruence of -N, so -N and C share rank, semidefiniteness and the
-    sign pattern of their kernel vectors.
+    The normals here are those times det E, rows of the cofactor matrix of
+    E, so N is rational and scaled by det(E)^2 > 0.  The cosine matrix of
+    the simplex is C = -D^-1 N D^-1 with D = diag(|n_i|), a positive-
+    diagonal congruence of -N, so -N and C share rank, semidefiniteness
+    and the sign pattern of their kernel vectors.
     """
     d = simplex.dim
     v0 = simplex.vertices[0]
-    e = [[Fraction(simplex.vertices[i + 1][k]) - Fraction(v0[k]) for k in range(d)]
-         for i in range(d)]
-    rows = _inverse(e)
-    # E^-T has the columns of E^-1 as rows
-    inv_t = [[rows[k][i] for k in range(d)] for i in range(d)]
-    normals = [[sum(col) for col in zip(*inv_t)]] + [[-x for x in r] for r in inv_t]
+    e = ExactMatrix([[Fraction(simplex.vertices[i + 1][k]) - Fraction(v0[k])
+                      for k in range(d)] for i in range(d)])
+    rest = [[k for k in range(d) if k != i] for i in range(d)]
+    cof = [[(-1) ** (i + k) * e.minor(rest[i], rest[k]) for k in range(d)]
+           for i in range(d)]
+    normals = [[sum(col) for col in zip(*cof)]] + [[-x for x in r] for r in cof]
     return ExactMatrix([[sum(a * b for a, b in zip(p, q)) for q in normals]
                         for p in normals])
-
-
-def _inverse(m):
-    """Gauss-Jordan inverse of a nonsingular rational matrix."""
-    n = len(m)
-    a = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(m)]
-    for k in range(n):
-        p = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[p] = a[p], a[k]
-        a[k] = [x / a[k][k] for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k] != 0:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [r[n:] for r in a]

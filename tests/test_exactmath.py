@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from reptile_lab.exactmath import (ExactMatrix, Poly, QuadExt, RingMismatchError,
-                                   ZeroPolynomialError, isolate_roots,
+                                   ZeroPolynomialError, isolate_roots, sign,
                                    sturm_count)
 
 
@@ -122,6 +122,25 @@ class TestQuadExt:
         precise = (Decimal(5).sqrt() + 1) / 4
         assert abs(float(x) - float(precise)) < 1e-12
         assert round(float(x), 4) == 0.809
+
+    def test_sign(self):
+        assert QuadExt(F(3), F(-2), 2).sign() == 1  # 3 - 2 sqrt2 = 0.17
+        assert QuadExt(F(1), F(-1), 2).sign() == -1
+        assert QuadExt(F(0), F(0), 5).sign() == 0
+        for m in (2, 3, 5):
+            for a in range(-6, 7):
+                for b in range(-6, 7):
+                    x = QuadExt(F(a, 2), F(b, 3), m)
+                    v = float(x)
+                    assert x.sign() == (v > 0) - (v < 0)
+        # x - y sqrt2 with x^2 - 2y^2 = 1 is positive but about 1/(2x), far
+        # below what binary64 resolves at this size
+        x, y = 3, 2
+        for _ in range(20):
+            x, y = 3 * x + 4 * y, 2 * x + 3 * y
+        assert QuadExt(F(x), F(-y), 2).sign() == 1
+        assert QuadExt(F(-x), F(y), 2).sign() == -1
+        assert [sign(F(-1, 3)), sign(0), sign(QuadExt(F(0), F(1), 7))] == [-1, 0, 1]
 
     def test_binary64_agreement_random(self):
         rng = random.Random(3)

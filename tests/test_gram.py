@@ -13,7 +13,8 @@ from reptile_lab.gram import (EuclideanSimplex, fiedler_check,
                               gram_from_diagram, parametric_fiedler)
 
 from oracles import (DegenerateSimplexError, dihedral_angle_at_ridge,
-                     dihedral_angles, eigh_analysis, normal_gram)
+                     dihedral_angles, eigh_analysis, gram_from_angles,
+                     normal_gram)
 
 
 class TestGramConstruction:
@@ -152,9 +153,7 @@ class TestRoundTrip:
             # -N is congruent to the cosine matrix of the float oracle
             scale = np.sqrt([float(n.rows[i][i]) for i in range(d + 1)])
             cosines = -np.array([[float(x) for x in r] for r in n.rows]) / np.outer(scale, scale)
-            angles = dihedral_angles(s)
-            off = ~np.eye(d + 1, dtype=bool)
-            assert np.allclose(np.cos(angles)[off], cosines[off], atol=1e-9)
+            assert np.allclose(gram_from_angles(dihedral_angles(s)), cosines, atol=1e-9)
 
 
 def _unit(v):
@@ -185,11 +184,16 @@ def _matches_oracle(matrix):
     return rep
 
 
-def _random_symmetric(rng, n):
-    """B diag(s) B^T for a random n x r rational B and random signs s: rank
-    at most r, semidefinite when the signs agree."""
+def _random_symmetric(rng, n, m=None):
+    """B diag(s) B^T for a random n x r matrix B over Q (or Q(sqrt m)) and
+    random signs s: rank at most r, semidefinite when the signs agree."""
     r = rng.randint(1, n)
-    b = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(r)] for _ in range(n)]
+
+    def entry():
+        a = F(rng.randint(-3, 3), rng.randint(1, 3))
+        return a if m is None else QuadExt(a, F(rng.randint(-2, 2), rng.randint(1, 2)), m)
+
+    b = [[entry() for _ in range(r)] for _ in range(n)]
     if rng.random() < 0.5:
         s = [-1] * r
     else:
@@ -207,11 +211,12 @@ class TestAgainstEighOracle:
                 rep = _matches_oracle(ExactMatrix([[-x for x in r] for r in n.rows]))
                 assert rep.verdict == "consistent-with-simplex"
 
-    def test_random_symmetric_matrices(self):
+    @pytest.mark.parametrize("field", [None, 2, 5])
+    def test_random_symmetric_matrices(self, field):
         rng = random.Random(11)
         seen = set()
-        for _ in range(300):
-            m = _random_symmetric(rng, rng.randint(2, 5))
+        for _ in range(300 if field is None else 100):
+            m = _random_symmetric(rng, rng.randint(2, 5), field)
             rep = _matches_oracle(m)
             seen.add((rep.is_singular, rep.rank == m.n - 1, rep.negative_semidefinite,
                       rep.kernel_strictly_positive))
