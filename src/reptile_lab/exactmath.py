@@ -244,7 +244,10 @@ def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of the square-free part of p."""
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial")
-    f = p.square_free_part()
+    return _chain_of_square_free(p.square_free_part())
+
+
+def _chain_of_square_free(f: Poly) -> list[Poly]:
     chain = [f, f.derivative()]
     while not chain[-1].is_zero():
         chain.append(-(chain[-2].divmod(chain[-1])[1]))
@@ -252,22 +255,37 @@ def sturm_chain(p: Poly) -> list[Poly]:
     return chain
 
 
-def _sign_at(p: Poly, x) -> int:
-    # x is a Fraction, or +/- infinity encoded as the strings "+inf"/"-inf"
-    if p.is_zero():
-        return 0
-    if x == "+inf":
-        return 1 if p.leading() > 0 else -1
-    if x == "-inf":
-        s = 1 if p.leading() > 0 else -1
-        return s if p.degree % 2 == 0 else -s
-    v = p(x)
-    return 0 if v == 0 else (1 if v > 0 else -1)
+# The sign kernel.  A polynomial is cleared to integer coefficients once (a
+# positive factor keeps every sign), and its sign at a/b, b > 0, is the sign
+# of the homogeneous sum  sum c_i a^i b^(n-i) = b^n p(a/b), all in integers
+# (C. Yap, Fundamental Problems of Algorithmic Algebra, OUP 2000, ch. 7).
+# The point (a, b) = (+-1, 0) gives the sign at +-infinity: c_n (+-1)^n.
 
 
-def _variations(chain: Sequence[Poly], x) -> int:
-    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _integer_coeffs(p: Poly) -> tuple[int, ...]:
+    """p times a positive rational, with coprime integer coefficients."""
+    den = math.lcm(*[c.denominator for c in p.coeffs])
+    cs = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    g = math.gcd(*cs)
+    return tuple(c // g for c in cs)
+
+
+def _int_sign(cs: Sequence[int], a: int, b: int) -> int:
+    """Sign of p(a/b) for b > 0 (or of p at +-infinity for b = 0, a = +-1),
+    p given by its integer coefficients cs in ascending degree."""
+    v, bk = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        bk *= b
+        v = v * a + c * bk
+    return (v > 0) - (v < 0)
+
+
+def _count_variations(chain: Sequence[Sequence[int]], a: int, b: int) -> tuple[int, int]:
+    """(sign variations of the integer chain at a/b, sign of chain[0] there);
+    zero signs are skipped."""
+    signs = [_int_sign(cs, a, b) for cs in chain]
+    nonzero = [s for s in signs if s]
+    return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0]
 
 
 def sturm_count(p: Poly, lo=None, hi=None) -> int:
@@ -281,14 +299,12 @@ def sturm_count(p: Poly, lo=None, hi=None) -> int:
         raise ZeroPolynomialError("zero polynomial")
     if lo is not None and hi is not None and _frac(lo) >= _frac(hi):
         raise ValueError("empty interval")
-    chain = sturm_chain(p)
-    f = chain[0]
-    a = "-inf" if lo is None else _frac(lo)
-    b = "+inf" if hi is None else _frac(hi)
-    count = _variations(chain, a) - _variations(chain, b)
-    if b != "+inf" and f(b) == 0:
-        count -= 1  # V(a)-V(b) counts roots in (a, b]
-    return count
+    chain = [_integer_coeffs(q) for q in sturm_chain(p)]
+    a = (-1, 0) if lo is None else _frac(lo).as_integer_ratio()
+    b = (1, 0) if hi is None else _frac(hi).as_integer_ratio()
+    vb, fb = _count_variations(chain, *b)
+    # V(a) - V(b) counts the roots in (a, b]
+    return _count_variations(chain, *a)[0] - vb - (fb == 0)
 
 
 @dataclass(frozen=True)
@@ -314,21 +330,12 @@ def _rational_roots(p: Poly) -> list[Fraction]:
         raise ZeroPolynomialError("zero polynomial")
     roots = []
     # strip t^k
-    cs = list(p.coeffs)
-    k = 0
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        k += 1
+    k = next(i for i, c in enumerate(p.coeffs) if c != 0)
     if k:
         roots.append(Fraction(0))
-    if not cs or len(cs) == 1:
+    cs = _integer_coeffs(Poly(p.coeffs[k:]))
+    if len(cs) == 1:
         return roots
-    q = Poly(cs)
-    den = math.lcm(*[c.denominator for c in q.coeffs])
-    ints = [int(c * den) for c in q.coeffs]
-    g = math.gcd(*[abs(c) for c in ints if c != 0])
-    ints = [c // g for c in ints]
-    a0, an = abs(ints[0]), abs(ints[-1])
 
     def divisors(n):
         out = []
@@ -340,11 +347,13 @@ def _rational_roots(p: Poly) -> list[Fraction]:
             d += 1
         return sorted(set(out))
 
-    for num in divisors(a0):
-        for dnm in divisors(an):
-            for cand in (Fraction(num, dnm), Fraction(-num, dnm)):
-                if q(cand) == 0 and cand not in roots:
-                    roots.append(cand)
+    for num in divisors(abs(cs[0])):
+        for den in divisors(abs(cs[-1])):
+            if math.gcd(num, den) != 1:
+                continue  # the same rational as num/g over den/g
+            for a in (num, -num):
+                if _int_sign(cs, a, den) == 0:
+                    roots.append(Fraction(a, den))
     return sorted(roots)
 
 
@@ -353,11 +362,14 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
 
     Rational roots are detected by exact evaluation and reported as exact
     point intervals; the remaining roots are isolated by Sturm bisection on
-    open intervals with rational non-root endpoints.
+    open intervals with rational non-root endpoints.  precision must be
+    positive.
     """
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial")
     precision = _frac(precision)
+    if precision <= 0:
+        raise ValueError("precision must be positive")
     f = p.square_free_part()
     out = [RootInterval(r, r, True) for r in _rational_roots(f)]
     for r in out:
@@ -367,23 +379,32 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
         # are never roots and open-interval Sturm counts are clean.
         lc = abs(f.leading())
         bound = 1 + max(abs(c) for c in f.coeffs) / lc
-        chain = sturm_chain(f)
-        stack = [(-bound, bound, _variations(chain, -bound) - _variations(chain, bound))]
+        chain = [_integer_coeffs(q) for q in _chain_of_square_free(f)]
+        fi = chain[0]
+        vlo, slo = _count_variations(chain, -bound.numerator, bound.denominator)
+        vhi = _count_variations(chain, bound.numerator, bound.denominator)[0]
+        # stack entries: lo, hi, variations at lo and hi, sign of f at lo
+        stack = [(-bound, bound, vlo, vhi, slo)]
         while stack:
-            lo, hi, cnt = stack.pop()
+            lo, hi, vlo, vhi, slo = stack.pop()
+            cnt = vlo - vhi
             if cnt == 0:
                 continue
-            if cnt == 1 and hi - lo <= precision:
+            if cnt == 1:
+                # one simple root, so f changes sign across it: bisect on
+                # the sign of f alone, the same halvings the counts would take
+                while hi - lo > precision:
+                    mid = (lo + hi) / 2
+                    if _int_sign(fi, mid.numerator, mid.denominator) == slo:
+                        lo = mid
+                    else:
+                        hi = mid
                 out.append(RootInterval(lo, hi, False))
                 continue
             mid = (lo + hi) / 2
-            if f(mid) == 0:  # cannot happen (no rational roots), keep safe
-                mid += (hi - lo) / 4
-            vm = _variations(chain, mid)
-            vl = _variations(chain, lo)
-            vh = _variations(chain, hi)
-            stack.append((lo, mid, vl - vm))
-            stack.append((mid, hi, vm - vh))
+            vmid, smid = _count_variations(chain, mid.numerator, mid.denominator)
+            stack.append((lo, mid, vlo, vmid, slo))
+            stack.append((mid, hi, vmid, vhi, smid))
     return sorted(out, key=lambda r: r.midpoint)
 
 
@@ -393,7 +414,9 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
 
 
 def _square_free(m: int) -> bool:
-    if m < 1:
+    """m > 1 and no square above 1 divides m.  Q(sqrt 1) is Q itself,
+    whose elements stay Fractions."""
+    if m < 2:
         return False
     d = 2
     while d * d <= m:
@@ -405,7 +428,7 @@ def _square_free(m: int) -> bool:
 
 @dataclass(frozen=True)
 class QuadExt:
-    """Element a + b*sqrt(m) of Q(sqrt(m)), m square-free positive."""
+    """Element a + b*sqrt(m) of Q(sqrt(m)), m square-free and m > 1."""
 
     a: Fraction
     b: Fraction
@@ -415,7 +438,7 @@ class QuadExt:
         object.__setattr__(self, "a", _frac(self.a))
         object.__setattr__(self, "b", _frac(self.b))
         if not _square_free(self.m):
-            raise ValueError(f"field tag {self.m} is not square-free positive")
+            raise ValueError(f"field tag {self.m} is not square-free and above 1")
 
     def _match(self, other) -> "QuadExt":
         if isinstance(other, (int, Fraction)):

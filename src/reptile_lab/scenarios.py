@@ -469,8 +469,8 @@ def scenario_case_a() -> Report:
     # determinant identities, root sets, and root-freeness on (0, 1/2)
     for i in range(1, 5):
         key = f"case-a-{i}"
-        d = fixtures.diagram(key)
-        det = gram_from_diagram(d, as_poly_in="beta").exact.det()
+        excl = parametric_fiedler(fixtures.diagram(key), Fraction(0), Fraction(1, 2))
+        det = excl.det_poly
         entry = exp["det_factored"][key]
         expected = Poly([entry["scalar"]])
         for f in entry["factors"]:
@@ -484,7 +484,6 @@ def scenario_case_a() -> Report:
         rec.check(f"case-a/root-set/{key}", "real roots to two decimals",
                   sorted(exp["root_sets_2dp"][key]), mids,
                   "reference", f"expectations:root_sets_2dp/{key}")
-        excl = parametric_fiedler(d, Fraction(0), Fraction(1, 2))
         rec.check(f"case-a/no-root-in-interval/{key}",
                   "determinant has no root with cos(beta) in (0, 1/2)",
                   {"roots": 0, "excluded": True},

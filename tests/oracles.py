@@ -1,4 +1,5 @@
-"""Float oracles for the Gram-matrix tests, and the exact normal Gram matrix.
+"""Float oracles for the Gram-matrix tests, the exact normal Gram matrix,
+and the slow reference for Sturm root isolation.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -11,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from reptile_lab.exactmath import ExactMatrix
+from reptile_lab.exactmath import ExactMatrix, Poly, RootInterval, sturm_chain
 from reptile_lab.gram import EuclideanSimplex
 
 
@@ -126,3 +127,104 @@ def normal_gram(simplex: EuclideanSimplex) -> ExactMatrix:
     normals = [[sum(col) for col in zip(*cof)]] + [[-x for x in r] for r in cof]
     return ExactMatrix([[sum(a * b for a, b in zip(p, q)) for q in normals]
                         for p in normals])
+
+
+# ---------------------------------------------------------------------------
+# Sturm root isolation by Fraction Horner evaluation: the package's former
+# `isolate_roots`, kept as the reference for its integer sign kernel.
+# ---------------------------------------------------------------------------
+
+
+def _sign_at(p: Poly, x) -> int:
+    # x is a Fraction, or +/- infinity encoded as the strings "+inf"/"-inf"
+    if p.is_zero():
+        return 0
+    if x == "+inf":
+        return 1 if p.leading() > 0 else -1
+    if x == "-inf":
+        s = 1 if p.leading() > 0 else -1
+        return s if p.degree % 2 == 0 else -s
+    v = p(x)
+    return 0 if v == 0 else (1 if v > 0 else -1)
+
+
+def _variations(chain, x) -> int:
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def sturm_count_reference(p: Poly, lo=None, hi=None) -> int:
+    """Distinct real roots of p in the open interval (lo, hi), None = infinite."""
+    chain = sturm_chain(p)
+    a = "-inf" if lo is None else Fraction(lo)
+    b = "+inf" if hi is None else Fraction(hi)
+    count = _variations(chain, a) - _variations(chain, b)
+    if b != "+inf" and chain[0](b) == 0:
+        count -= 1  # V(a)-V(b) counts roots in (a, b]
+    return count
+
+
+def _rational_roots(p: Poly) -> list:
+    roots = []
+    cs = list(p.coeffs)
+    k = 0
+    while cs and cs[0] == 0:
+        cs.pop(0)
+        k += 1
+    if k:
+        roots.append(Fraction(0))
+    if not cs or len(cs) == 1:
+        return roots
+    q = Poly(cs)
+    den = math.lcm(*[c.denominator for c in q.coeffs])
+    ints = [int(c * den) for c in q.coeffs]
+    g = math.gcd(*[abs(c) for c in ints if c != 0])
+    ints = [c // g for c in ints]
+    a0, an = abs(ints[0]), abs(ints[-1])
+
+    def divisors(n):
+        out = []
+        d = 1
+        while d * d <= n:
+            if n % d == 0:
+                out.append(d)
+                out.append(n // d)
+            d += 1
+        return sorted(set(out))
+
+    for num in divisors(a0):
+        for dnm in divisors(an):
+            for cand in (Fraction(num, dnm), Fraction(-num, dnm)):
+                if q(cand) == 0 and cand not in roots:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def isolate_roots_reference(p: Poly, precision=Fraction(1, 10000)) -> list:
+    """Sturm bisection recomputing every count from Fraction evaluations."""
+    precision = Fraction(precision)
+    f = p.square_free_part()
+    out = [RootInterval(r, r, True) for r in _rational_roots(f)]
+    for r in out:
+        f = f.exact_div(Poly([-r.lo, 1]))
+    if f.degree >= 1:
+        lc = abs(f.leading())
+        bound = 1 + max(abs(c) for c in f.coeffs) / lc
+        chain = sturm_chain(f)
+        stack = [(-bound, bound, _variations(chain, -bound) - _variations(chain, bound))]
+        while stack:
+            lo, hi, cnt = stack.pop()
+            if cnt == 0:
+                continue
+            if cnt == 1 and hi - lo <= precision:
+                out.append(RootInterval(lo, hi, False))
+                continue
+            mid = (lo + hi) / 2
+            if f(mid) == 0:  # cannot happen (no rational roots), keep safe
+                mid += (hi - lo) / 4
+            vm = _variations(chain, mid)
+            vl = _variations(chain, lo)
+            vh = _variations(chain, hi)
+            stack.append((lo, mid, vl - vm))
+            stack.append((mid, hi, vm - vh))
+    return sorted(out, key=lambda r: r.midpoint)

@@ -5,9 +5,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import isolate_roots_reference, sturm_count_reference
+from reptile_lab import fixtures
 from reptile_lab.exactmath import (ExactMatrix, Poly, QuadExt, RingMismatchError,
                                    ZeroPolynomialError, isolate_roots, sign,
                                    sturm_count)
+from reptile_lab.gram import gram_from_diagram
 
 
 def P(*cs):
@@ -95,6 +98,12 @@ class TestIsolation:
             if not r.exact:
                 assert p(r.lo) * p(r.hi) < 0
 
+    @pytest.mark.parametrize("precision", [0, F(0), F(-1, 10), -1])
+    def test_precision_must_be_positive(self, precision):
+        # a width <= 0 is never reached, so bisection would not stop
+        with pytest.raises(ValueError):
+            isolate_roots(P(-2, 0, 1), precision)
+
 
 class TestQuadExt:
     def test_norm_identity(self):
@@ -115,6 +124,14 @@ class TestQuadExt:
     def test_field_mismatch(self):
         with pytest.raises(RingMismatchError):
             QuadExt(F(1), F(1), 2) + QuadExt(F(1), F(1), 3)
+
+    def test_sqrt_one_rejected(self):
+        # Q(sqrt 1) is Q: 1 - sqrt(1) would be a second, unequal form of 0
+        with pytest.raises(ValueError):
+            QuadExt(F(1), F(-1), 1)
+        for m in (0, -2, 4, 12):
+            with pytest.raises(ValueError):
+                QuadExt(F(1), F(1), m)
 
     def test_numeric_high_precision_oracle(self):
         getcontext().prec = 50
@@ -189,6 +206,113 @@ class TestDeterminant:
         with pytest.raises(RingMismatchError):
             ExactMatrix([[Poly([1]), QuadExt(F(1), F(1), 2)],
                          [F(0), F(1)]])
+
+
+# ---------------------------------------------------------------------------
+# Sturm layer against the Fraction-Horner reference and sympy
+# ---------------------------------------------------------------------------
+
+PRECISIONS = (F(1, 10), F(1, 1000), F(1, 10 ** 5))
+
+
+def random_poly(rng):
+    """(p, its chosen rational roots): up to three rational roots of
+    multiplicity 1-3 times a random integer factor of degree 1-3, whose
+    roots are mostly irrational."""
+    p = P(F(rng.randint(1, 5), rng.randint(1, 4)) * rng.choice((1, -1)))
+    roots = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+    for r in roots:
+        p = p * P(-r, 1) ** rng.randint(1, 3)
+    extra = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
+    return p * P(*extra, rng.choice((-3, -2, -1, 1, 2, 3))), roots
+
+
+def test_isolation_matches_reference_on_case_a():
+    for i in range(1, 5):
+        det = gram_from_diagram(fixtures.diagram(f"case-a-{i}"),
+                                as_poly_in="beta").exact.det()
+        for prec in PRECISIONS:
+            assert isolate_roots(det, prec) == isolate_roots_reference(det, prec)
+
+
+def test_isolation_matches_reference_on_random_polys():
+    rng = random.Random(12)
+    seen_repeated = seen_rational = seen_irrational = 0
+    for _ in range(300):
+        p, roots = random_poly(rng)
+        for prec in PRECISIONS:
+            got = isolate_roots(p, prec)
+            assert got == isolate_roots_reference(p, prec)
+        seen_repeated += p.square_free_part().degree < p.degree
+        seen_rational += any(r.exact for r in got)
+        seen_irrational += any(not r.exact for r in got)
+        # interval ends: none (infinite), a root of p, or a small rational
+        lo, hi = sorted((F(rng.randint(-12, 12), rng.randint(1, 3)),
+                         rng.choice(roots or [F(7, 2)])))
+        lo, hi = rng.choice(((None, hi), (lo, None), (lo, hi + (lo == hi)), (None, None)))
+        assert sturm_count(p, lo, hi) == sturm_count_reference(p, lo, hi)
+    assert min(seen_repeated, seen_rational, seen_irrational) >= 50
+
+
+SMALL_RATIONALS = st.builds(F, st.integers(-8, 8), st.integers(1, 4))
+
+
+@st.composite
+def polys_with_roots(draw):
+    """(p, its rational roots): rational roots, some repeated, times a
+    random factor of degree 0-3."""
+    roots = draw(st.lists(SMALL_RATIONALS, max_size=3))
+    p = P(1)
+    for r in roots:
+        p = p * P(-r, 1) ** draw(st.integers(1, 3))
+    extra = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4)
+                 .filter(any).map(Poly))
+    return p * extra, roots
+
+
+def _sympy_poly(sympy, p):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(p.coeffs)], sympy.Symbol("t"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(polys_with_roots(), st.sampled_from(PRECISIONS))
+def test_isolation_matches_sympy(case, precision):
+    sympy = pytest.importorskip("sympy")
+    p, _ = case
+    sp = _sympy_poly(sympy, p)
+    sqf = sp.sqf_part()
+    want_rational = sorted(F(int(r.p), int(r.q)) for r in set(sympy.real_roots(sp))
+                           if r.is_Rational)
+    got = isolate_roots(p, precision)
+    assert len(got) == len(sp.intervals())
+    assert [r.lo for r in got if r.exact] == want_rational
+    for r in got:
+        assert r.lo <= r.hi
+        if not r.exact:
+            lo, hi = sympy.Rational(r.lo), sympy.Rational(r.hi)
+            assert r.hi - r.lo <= precision
+            assert sqf.eval(lo) != 0 and sqf.eval(hi) != 0
+            assert sqf.count_roots(lo, hi) == 1
+    for a, b in zip(got, got[1:]):
+        assert a.hi <= b.lo
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(polys_with_roots(), st.data())
+def test_sturm_count_matches_sympy(case, data):
+    sympy = pytest.importorskip("sympy")
+    p, roots = case
+    # interval ends: none (infinite), a root of p, or any small rational
+    end = st.one_of(st.none(), st.sampled_from(roots or [F(0)]), SMALL_RATIONALS)
+    lo, hi = data.draw(end), data.draw(end)
+    if lo is not None and hi is not None:
+        lo, hi = min(lo, hi), max(lo, hi) + (lo == hi)
+    sqf = _sympy_poly(sympy, p).sqf_part()
+    ends = [sympy.Rational(x) for x in (lo, hi) if x is not None]
+    want = sqf.count_roots(*[None if x is None else sympy.Rational(x) for x in (lo, hi)])
+    want -= sum(sqf.eval(x) == 0 for x in ends)  # the interval is open
+    assert sturm_count(p, lo, hi) == want
 
 
 # ---------------------------------------------------------------------------
