@@ -12,7 +12,6 @@ beta, for integer combinations k*pi + r*beta (values in Q[t], t = cos beta).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,14 +80,6 @@ class AngleForm:
         base[i] = Fraction(0)
         return AngleForm(tuple(base)) + c * replacement
 
-    def eval(self, assignment: "AngleAssignment") -> float:
-        """Numeric value in radians."""
-        values = (math.pi, assignment.alpha, assignment.beta, assignment.gamma)
-        for c, name, v in zip(self.coeffs, SYMBOLS, values):
-            if c != 0 and name != "pi" and v is None:
-                raise KeyError(f"assignment missing symbol {name}")
-        return float(sum(float(c) * v for c, v in zip(self.coeffs, values) if c != 0))
-
     def sort_key(self):
         return tuple(self.coeffs)
 
@@ -127,15 +118,6 @@ class RelationSet:
 
 
 EMPTY_RELATIONS = RelationSet(())
-
-
-@dataclass(frozen=True)
-class AngleAssignment:
-    """Numeric values (radians) for alpha, beta, gamma."""
-
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    gamma: Optional[float] = None
 
 
 # ---------------------------------------------------------------------------

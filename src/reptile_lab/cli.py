@@ -102,12 +102,11 @@ def _cmd_diagram(args) -> int:
         print(json.dumps({"order": len(auts),
                           "generators": [list(p) for p in auts]}, sort_keys=True))
     elif args.action == "orbits":
+        ttype = None
         if args.type:
             ttype = triangle_type_of([parse_angle(p.strip())
                                       for p in args.type.split(",")])
-            parts = orbits(diagram, "triangles", ttype)
-        else:
-            parts = orbits(diagram, "triangles")
+        parts = orbits(diagram, ttype)
         print(json.dumps({"orbit_count": len(parts),
                           "orbits": [sorted(sorted(t) for t in o) for o in parts]},
                          sort_keys=True))

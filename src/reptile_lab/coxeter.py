@@ -281,36 +281,25 @@ def pair_orbit_bound(m: int) -> int:
     return comb(m, 2) - m + 2
 
 
-def orbits(diagram: CoxeterDiagram, family: str = "triangles",
-           ttype: Optional[TriangleType] = None) -> list:
-    """Orbit partition of vertices / edges / triangles-of-type under Aut."""
+def orbits(diagram: CoxeterDiagram, ttype: Optional[TriangleType] = None) -> list:
+    """Orbit partition under Aut of the triangles (of type ttype, if given)."""
     group = diagram.automorphisms()
-    if family == "vertices":
-        elements = list(range(diagram.n))
-        act = lambda g, x: g[x]
-    elif family == "edges":
-        elements = [frozenset(e) for e in diagram.edges()]
-        act = act_on_vertex_set
-    elif family == "triangles":
-        tris = diagram.triangles()
-        if ttype is not None:
-            tris = [t for t in tris if diagram.triangle_type(t) == ttype]
-        elements = [frozenset(t) for t in tris]
-        act = act_on_vertex_set
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    parts = orbit_partition(group, elements, act)
+    tris = diagram.triangles()
+    if ttype is not None:
+        tris = [t for t in tris if diagram.triangle_type(t) == ttype]
+    elements = [frozenset(t) for t in tris]
+    parts = orbit_partition(group, elements, act_on_vertex_set)
     # Burnside cross-check on every call; cheap at this size.
-    count = burnside_count(group, elements, act)
+    count = burnside_count(group, elements, act_on_vertex_set)
     if count != len(parts):
         raise ConsistencyError(
-            f"{len(parts)} {family} orbits found, Burnside counts {count}")
+            f"{len(parts)} triangle orbits found, Burnside counts {count}")
     return parts
 
 
 def is_rich(diagram: CoxeterDiagram, ttype: TriangleType) -> bool:
     """At least four orbits of triangles of the given type."""
-    return len(orbits(diagram, "triangles", ttype)) >= 4
+    return len(orbits(diagram, ttype)) >= 4
 
 
 def edge_orbit_count_transitive(diagram: CoxeterDiagram, label: AngleForm) -> bool:
@@ -549,8 +538,7 @@ def _slot_tables(size: int, table: dict, phase1: Sequence[int],
 
 def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
                        constraints: DiagramConstraints,
-                       relations: RelationSet = EMPTY_RELATIONS,
-                       vertices: Optional[Sequence[str]] = None) -> list:
+                       relations: RelationSet = EMPTY_RELATIONS) -> list:
     """All edge labelings of K_n satisfying the constraints, up to isomorphism.
 
     Two searches share one labeling: phase 1 gives each edge a rule label
@@ -612,9 +600,7 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
                 live &= ~bit
         return live if live.bit_count() >= need else None
 
-    if vertices is not None:
-        names = list(vertices)
-    elif n <= 5:
+    if n <= 5:
         names = [chr(ord("u") + i) for i in range(n)]
     else:
         names = [f"v{i}" for i in range(n)]

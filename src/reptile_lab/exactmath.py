@@ -362,8 +362,8 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
 
     Rational roots are detected by exact evaluation and reported as exact
     point intervals; the remaining roots are isolated by Sturm bisection on
-    open intervals with rational non-root endpoints.  precision must be
-    positive.
+    open intervals with rational non-root endpoints, each narrowed until it
+    also excludes every rational root.  precision must be positive.
     """
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial")
@@ -371,9 +371,10 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
     if precision <= 0:
         raise ValueError("precision must be positive")
     f = p.square_free_part()
-    out = [RootInterval(r, r, True) for r in _rational_roots(f)]
-    for r in out:
-        f = f.exact_div(Poly([-r.lo, 1]))
+    rational = _rational_roots(f)
+    out = [RootInterval(r, r, True) for r in rational]
+    for r in rational:
+        f = f.exact_div(Poly([-r, 1]))
     if f.degree >= 1:
         # Cauchy bound; f has no rational roots left, so rational endpoints
         # are never roots and open-interval Sturm counts are clean.
@@ -392,8 +393,10 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
                 continue
             if cnt == 1:
                 # one simple root, so f changes sign across it: bisect on
-                # the sign of f alone, the same halvings the counts would take
-                while hi - lo > precision:
+                # the sign of f alone, the same halvings the counts would
+                # take.  The rational roots were divided out of f, so its
+                # sign cannot see them: keep halving while one lies inside.
+                while hi - lo > precision or any(lo < r < hi for r in rational):
                     mid = (lo + hi) / 2
                     if _int_sign(fi, mid.numerator, mid.denominator) == slo:
                         lo = mid
@@ -474,8 +477,6 @@ class QuadExt:
     def inverse(self) -> "QuadExt":
         n = self.a * self.a - self.m * self.b * self.b
         if n == 0:
-            if self.a == 0 and self.b == 0:
-                raise ZeroDivisionError("inverse of zero")
             # a^2 = m b^2 with m square-free > 1 forces a = b = 0
             raise ZeroDivisionError("inverse of zero")
         return QuadExt(self.a / n, -self.b / n, self.m)
@@ -571,18 +572,6 @@ class ExactMatrix:
         self.rows = tuple(tuple(r) for r in rows)
         self.ring = ring
 
-    @staticmethod
-    def identity(n: int) -> "ExactMatrix":
-        return ExactMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
-        return ExactMatrix(
-            [[sum2(self.rows[i][k] * other.rows[k][j] for k in range(n))
-              for j in range(n)] for i in range(n)])
-
     def det(self):
         """Exact determinant via fraction-free (Bareiss) elimination.
 
@@ -650,14 +639,6 @@ def _bareiss(rows, zero):
     if minors is not None:
         minors.append(d)
     return (d if sign == 1 else -d), minors
-
-
-def sum2(items):
-    items = list(items)
-    out = items[0]
-    for x in items[1:]:
-        out = out + x
-    return out
 
 
 def _exact_div_entry(num, den):

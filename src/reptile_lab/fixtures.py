@@ -2,7 +2,7 @@
 
 Checkpoint anchors have the form "<file>:<path>" where <file> is one of the
 JSON fixtures in the package data directory and <path> walks its keys with
-slashes.  Every anchor used in a report must resolve here.
+slashes.  Every anchor used in a report must name an entry of these files.
 """
 
 from __future__ import annotations
@@ -28,38 +28,3 @@ def load(name: str) -> dict:
 @lru_cache(maxsize=None)
 def diagram(key: str) -> CoxeterDiagram:
     return CoxeterDiagram.from_fixture(load("diagrams")[key])
-
-
-def resolve_anchor(anchor: str) -> bool:
-    """True iff the anchor points at an existing fixture entry.
-
-    The path after the colon walks keys separated by slashes; since some
-    keys are fractions and contain a slash themselves, adjacent parts are
-    joined greedily until one matches.
-    """
-    try:
-        name, path = anchor.split(":", 1)
-    except ValueError:
-        return False
-
-    def walk(node, parts) -> bool:
-        if not parts:
-            return True
-        if isinstance(node, list):
-            try:
-                idx = int(parts[0])
-                return 0 <= idx < len(node) and walk(node[idx], parts[1:])
-            except ValueError:
-                return False
-        if not isinstance(node, dict):
-            return False
-        for i in range(1, len(parts) + 1):
-            key = "/".join(parts[:i])
-            if key in node and walk(node[key], parts[i:]):
-                return True
-        return False
-
-    try:
-        return walk(load(name), path.split("/"))
-    except KeyError:
-        return False

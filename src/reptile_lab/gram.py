@@ -141,15 +141,15 @@ class ParametricExclusion:
     excluded: bool
 
 
-def parametric_fiedler(diagram: CoxeterDiagram, lo: Fraction, hi: Fraction,
-                       parameter: str = "beta") -> ParametricExclusion:
-    """Root count of det over an open parameter interval; 0 roots = excluded.
+def parametric_fiedler(diagram: CoxeterDiagram, lo: Fraction,
+                       hi: Fraction) -> ParametricExclusion:
+    """Root count of det over an open interval of t; 0 roots = excluded.
 
-    The diagram's labels must have polynomial cosines in t = cos(parameter);
+    The diagram's labels must have polynomial cosines in t = cos(beta);
     a family of simplices would need a singular matrix somewhere on the
     interval, so a root-free determinant excludes the whole family.
     """
-    gram = gram_from_diagram(diagram, as_poly_in=parameter)
+    gram = gram_from_diagram(diagram, as_poly_in="beta")
     if gram.ring != "Q[t]":
         raise ValueError(f"expected a Q[t] matrix, got {gram.ring}")
     det = gram.exact.det()
@@ -186,6 +186,3 @@ class EuclideanSimplex:
                  for k in range(d)] for i in range(d)]
         det = ExactMatrix(rows).det()
         return abs(det) / math.factorial(d)
-
-    def is_degenerate(self) -> bool:
-        return self.volume() == 0

@@ -222,11 +222,6 @@ def _int_det(rows) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def tile_volume(d: int) -> Fraction:
-    """Volume of one H1 lattice tile: two H0 copies."""
-    return Fraction(2, 2 ** d * math.factorial(d))
-
-
 def _scaled_sq_distances(vertices) -> tuple:
     """Squared distances times q^2 as ints, and q^2, where q is the lcm of
     the coordinate denominators (a float is the binary rational it holds)."""
@@ -361,69 +356,3 @@ def tiling_report(tiles: Sequence[LatticeTile], base: EuclideanSimplex) -> Tilin
     all_cong = all(congruent(t.simplex(), base) for t in tiles)
     graph = compatibility_graph(tiles)
     return TilingReport(len(tiles), vol, all_cong, graph.component_sizes())
-
-
-# ---------------------------------------------------------------------------
-# Export
-# ---------------------------------------------------------------------------
-
-
-def tiling_to_json(tiles: Sequence[LatticeTile]) -> dict:
-    return {
-        "format": "hill-tiling/1",
-        "tiles": [
-            {"center": [str(Fraction(c, 2)) for c in t.center2],
-             "signed_perm": [[eps, axis] for eps, axis in t.signed_perm],
-             "vertices": [[str(Fraction(c, 2)) for c in v] for v in t.vertices2()]}
-            for t in tiles
-        ],
-    }
-
-
-def tiling_from_json(data: dict) -> list:
-    """Tiles from `tiling_to_json` output.  Raises ValueError for a center
-    that is not half-odd, a signed_perm that is not d - 1 signed distinct
-    axes, or stored vertices other than the ones the tile defines."""
-    out = []
-    for entry in data["tiles"]:
-        center2 = [2 * Fraction(s) for s in entry["center"]]
-        if any(c.denominator != 1 or c.numerator % 2 == 0 for c in center2):
-            raise ValueError(f"center {entry['center']} is not half-odd")
-        d = len(center2)
-        sp = tuple((int(e), int(a)) for e, a in entry["signed_perm"])
-        axes = {a for _, a in sp}
-        if (len(sp) != d - 1 or len(axes) != d - 1 or not axes <= set(range(d))
-                or any(e not in (1, -1) for e, _ in sp)):
-            raise ValueError(f"malformed signed_perm {entry['signed_perm']}")
-        tile = LatticeTile(tuple(int(c) for c in center2), sp)
-        stored = tuple(tuple(Fraction(s) for s in v) for v in entry["vertices"])
-        if stored != tile.vertices():
-            raise ValueError(f"stored vertices of the tile at {entry['center']} "
-                             "are not its own")
-        out.append(tile)
-    return out
-
-
-def tiling_to_off(tiles: Sequence[LatticeTile]) -> str:
-    """OFF export of the tile boundaries (3D only)."""
-    if tiles and tiles[0].d != 3:
-        raise ValueError("OFF export supports d = 3 only")
-    verts = []
-    index = {}
-    faces = []
-    for t in tiles:
-        ids = []
-        for v in t.vertices():
-            key = tuple(v)
-            if key not in index:
-                index[key] = len(verts)
-                verts.append(v)
-            ids.append(index[key])
-        for face in combinations(ids, 3):
-            faces.append(face)
-    lines = ["OFF", f"{len(verts)} {len(faces)} 0"]
-    for v in verts:
-        lines.append(" ".join(f"{float(c):.6f}" for c in v))
-    for f in faces:
-        lines.append("3 " + " ".join(map(str, f)))
-    return "\n".join(lines) + "\n"

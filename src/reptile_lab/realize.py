@@ -237,11 +237,20 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
 # Tiling search
 # ---------------------------------------------------------------------------
 
+# Angles and lengths of the search within SEARCH_EPS (radians) are equal; two
+# boundary points within SNAP of each other are one point.
+SEARCH_EPS = 1e-9
+SNAP = SEARCH_EPS * 10
+
 
 @dataclass
 class TilePlacement:
     points: list  # [V, P, Q] unit vectors, float 3-tuples
     corners: tuple  # tile corner indices at (V, P, Q)
+
+
+# Width and height in pixels of the SVG `SphTiling.render_svg` writes.
+SVG_SIZE = 480
 
 
 @dataclass
@@ -272,16 +281,78 @@ class SphTiling:
                 "target": target, "target_angles": list(self.target_angles),
                 "tiles": tiles}
 
-    @staticmethod
-    def from_json(data: dict) -> "SphTiling":
-        verts = [sphgeo.unit(sphgeo.vec(v)) for v in data["vertices"]]
-        tiles = [TilePlacement([verts[i] for i in t["vertices"]],
-                               tuple(t["corners"])) for t in data["tiles"]]
-        return SphTiling([verts[i] for i in data["target"]],
-                         tuple(data["target_angles"]), tiles)
+    def render_svg(self, path: str) -> None:
+        """Write the tiling as an SVG_SIZE-square SVG, in stereographic
+        projection from the point opposite the target's centre."""
+        target = [sphgeo.vec(p) for p in self.target_points]
+        center = sphgeo.unit([sum(c) for c in zip(*target)])
+        ref = (1.0, 0.0, 0.0)
+        if abs(sphgeo.dot(ref, center)) > 0.9:
+            ref = (0.0, 1.0, 0.0)
+        e1 = sphgeo.unit(sphgeo.cross(center, ref))
+        e2 = sphgeo.cross(center, e1)
 
-    def render_svg(self, path: str, size: int = 480) -> None:
-        render_tiling_svg(self, path, size)
+        def project(p):
+            w = sphgeo.dot(p, center)
+            return (sphgeo.dot(p, e1) / (1 + w), sphgeo.dot(p, e2) / (1 + w))
+
+        def arc_points(a, b, segments=64):
+            ang = sphgeo.arc_length(a, b)
+            if ang < 1e-12:
+                return [project(a)]
+            out = []
+            for s in range(segments + 1):
+                t = s / segments
+                sa, sb = math.sin((1 - t) * ang), math.sin(t * ang)
+                p = sphgeo.unit([x * sa + y * sb for x, y in zip(a, b)])
+                out.append(project(p))
+            return out
+
+        polylines = []
+        bounds = [math.inf, math.inf, -math.inf, -math.inf]
+
+        def emit(points, fill, stroke):
+            nonlocal bounds
+            for x, y in points:
+                bounds = [min(bounds[0], x), min(bounds[1], y),
+                          max(bounds[2], x), max(bounds[3], y)]
+            polylines.append((points, fill, stroke))
+
+        for idx, t in enumerate(self.tiles):
+            tri = [sphgeo.vec(p) for p in t.points]
+            pts = []
+            for i in range(3):
+                pts.extend(arc_points(tri[i], tri[(i + 1) % 3])[:-1])
+            pts.append(pts[0])
+            hue = (idx * 0.618034) % 1.0
+            r, g, b = colorsys.hls_to_rgb(hue, 0.72, 0.65)
+            fill = f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
+            emit(pts, fill, "#444444")
+        tpts = []
+        k = len(target)
+        for i in range(k):
+            tpts.extend(arc_points(target[i], target[(i + 1) % k])[:-1])
+        tpts.append(tpts[0])
+        emit(tpts, "none", "#000000")
+
+        x0, y0, x1, y1 = bounds
+        span = max(x1 - x0, y1 - y0, 1e-9)
+        pad = 0.05 * span
+
+        def svg_xy(p):
+            x = (p[0] - x0 + pad) / (span + 2 * pad) * SVG_SIZE
+            y = SVG_SIZE - (p[1] - y0 + pad) / (span + 2 * pad) * SVG_SIZE
+            return f"{x:.2f},{y:.2f}"
+
+        parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+                 f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">']
+        for points, fill, stroke in polylines:
+            pstr = " ".join(svg_xy(p) for p in points)
+            parts.append(f'<polygon points="{pstr}" fill="{fill}" stroke="{stroke}" '
+                         f'stroke-width="1.2" fill-opacity="0.85"/>')
+        parts.append("</svg>")
+        with open(path, "w") as f:
+            f.write("\n".join(parts))
 
 
 @dataclass
@@ -336,7 +407,7 @@ def _orientations(tile: TileSpec) -> list:
     return out
 
 
-def _place(region: _Region, vi: int, orient: dict, eps: float):
+def _place(region: _Region, vi: int, orient: dict):
     """Try one tile placement at region vertex vi, flush along the outgoing arc.
 
     Returns (new_region_or_None_if_closed, tile_points) or None if the
@@ -350,22 +421,22 @@ def _place(region: _Region, vi: int, orient: dict, eps: float):
     N, aN = pts[iN], angs[iN]
     th, L, thP = orient["theta"], orient["L"], orient["thetaP"]
     M, thQ = orient["M"], orient["thetaQ"]
-    if th > aV + eps:
+    if th > aV + SEARCH_EPS:
         return None
-    corner_exact = abs(th - aV) <= eps
+    corner_exact = abs(th - aV) <= SEARCH_EPS
     t_out = sphgeo.tangent_toward(V, N)
     E1 = sphgeo.arc_length(V, N)
 
-    if L <= E1 - eps:
+    if L <= E1 - SEARCH_EPS:
         P = sphgeo.point_at(V, t_out, L)
         n_seg = [(P, math.pi - thP), (N, aN)]
-    elif abs(L - E1) <= eps:
+    elif abs(L - E1) <= SEARCH_EPS:
         P = N
-        if aN - thP < -eps:
+        if aN - thP < -SEARCH_EPS:
             return None
         n_seg = [(N, aN - thP)]
     else:
-        if aN <= math.pi + eps:
+        if aN <= math.pi + SEARCH_EPS:
             return None  # flush side may pass a vertex only where it is reflex
         P = sphgeo.point_at(V, t_out, L)
         n_seg = [(P, TWO_PI - thP), (N, aN - math.pi)]
@@ -373,16 +444,16 @@ def _place(region: _Region, vi: int, orient: dict, eps: float):
     if corner_exact:
         t_in = sphgeo.tangent_toward(V, Pp)
         E2 = sphgeo.arc_length(V, Pp)
-        if M <= E2 - eps:
+        if M <= E2 - SEARCH_EPS:
             Q = sphgeo.point_at(V, t_in, M)
             q_seg = [(Pp, aPp), (Q, math.pi - thQ)]
-        elif abs(M - E2) <= eps:
+        elif abs(M - E2) <= SEARCH_EPS:
             Q = Pp
-            if aPp - thQ < -eps:
+            if aPp - thQ < -SEARCH_EPS:
                 return None
             q_seg = [(Pp, aPp - thQ)]
         else:
-            if aPp <= math.pi + eps:
+            if aPp <= math.pi + SEARCH_EPS:
                 return None
             Q = sphgeo.point_at(V, t_in, M)
             q_seg = [(Pp, aPp - math.pi), (Q, TWO_PI - thQ)]
@@ -402,19 +473,19 @@ def _place(region: _Region, vi: int, orient: dict, eps: float):
         cycle.append((pts[i], angs[i]))
     cycle = new_nodes + cycle
 
-    state = _cleanup_cycle(cycle, eps)
+    state = _cleanup_cycle(cycle)
     if state is None:
         return None
     if state == "closed":
         return ("closed", tile_points)
     new_region = state
-    if not _placement_geometry_ok(region, new_region, eps):
+    if not _placement_geometry_ok(region, new_region):
         return None
     new_region.checked = frozenset(new_region.arcs)
     return (new_region, tile_points)
 
 
-def _cleanup_cycle(cycle, eps):
+def _cleanup_cycle(cycle):
     """Normalize a provisional boundary cycle.
 
     Removes straight vertices (their arcs merge), collapses zero-width
@@ -424,28 +495,27 @@ def _cleanup_cycle(cycle, eps):
     genuine slits or overlaps.  Returns "closed", a _Region, or None.
     """
     nodes = list(cycle)
-    snap = max(eps, 1e-9) * 10
     while True:
         k = len(nodes)
-        if any(a < -eps for _, a in nodes):
+        if any(a < -SEARCH_EPS for _, a in nodes):
             return None
-        if all(a <= eps for _, a in nodes):
+        if all(a <= SEARCH_EPS for _, a in nodes):
             return "closed"
         if k < 3:
             return None
         for i in range(k):
             _, a = nodes[i]
-            if abs(a - math.pi) <= eps:
+            if abs(a - math.pi) <= SEARCH_EPS:
                 del nodes[i]
                 break
-            if a <= eps:
+            if a <= SEARCH_EPS:
                 jp, jn = (i - 1) % k, (i + 1) % k
                 pp, ap = nodes[jp]
                 pn, an = nodes[jn]
-                if sphgeo.arc_length(pp, pn) > snap:
+                if sphgeo.arc_length(pp, pn) > SNAP:
                     return None  # real slit: not representable here
                 merged = ap + an - TWO_PI
-                if merged < -eps:
+                if merged < -SEARCH_EPS:
                     return None
                 rest = [nodes[(jn + t) % k] for t in range(1, k - 2)]
                 nodes = [(pp, max(merged, 0.0))] + rest
@@ -470,7 +540,7 @@ def _fresh_arcs(old: _Region, new: _Region) -> list:
     return out
 
 
-def _placement_geometry_ok(old: _Region, new: _Region, eps: float) -> bool:
+def _placement_geometry_ok(old: _Region, new: _Region) -> bool:
     """Reject placements whose new boundary self-intersects or has an arc
     too long for the minor-arc convention.
 
@@ -483,7 +553,6 @@ def _placement_geometry_ok(old: _Region, new: _Region, eps: float) -> bool:
     `search_tiling`, every later region here), and a pair of arcs that are
     not fresh is a pair of distinct arcs of `old`, the same float tuples.
     """
-    snap = max(eps, 1e-9) * 10
     arcs = new.arcs
     fresh = _fresh_arcs(old, new)
     if any(f and sphgeo.arc_length(a, b) >= math.pi - 1e-6
@@ -495,7 +564,7 @@ def _placement_geometry_ok(old: _Region, new: _Region, eps: float) -> bool:
         for j in range(i + 1, k):
             if fresh[i] or fresh[j]:
                 a2, b2 = arcs[j]
-                if sphgeo.arcs_conflict(a1, b1, a2, b2, snap):
+                if sphgeo.arcs_conflict(a1, b1, a2, b2, SNAP):
                     return False
     return True
 
@@ -506,7 +575,7 @@ NODE_BUDGET = 10 ** 6
 
 
 def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
-                  eps: float = 1e-9, node_budget: int = NODE_BUDGET) -> SearchResult:
+                  node_budget: int = NODE_BUDGET) -> SearchResult:
     """Exhaustive backtracking search for a tiling of the target triangle.
 
     target: three angles, Fractions of pi (a float raises TypeError).  The
@@ -533,7 +602,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     t_edges = law_of_cosines(*target_angles)
     t_points = sphgeo.triangle_vertices(target_angles, t_edges)
     region0 = _Region(list(t_points), list(target_angles))
-    if _placement_geometry_ok(_Region([], []), region0, eps):
+    if _placement_geometry_ok(_Region([], []), region0):
         region0.checked = frozenset(region0.arcs)
     orients = _orientations(tile)
     failed = set()
@@ -560,7 +629,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
             nodes += 1
             if nodes > node_budget:
                 return "aborted"
-            res = _place(region, vi, orient, eps)
+            res = _place(region, vi, orient)
             if res is None:
                 continue
             state, tile_points = res
@@ -602,6 +671,10 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
 # Verification
 # ---------------------------------------------------------------------------
 
+# The float tolerance (radians) of `verify_tiling`'s congruence, containment
+# and overlap tests.
+VERIFY_EPS = 1e-7
+
 
 @dataclass
 class VerifyReport:
@@ -623,25 +696,26 @@ def _triple_angle_edge_pairs(points):
     return sorted(out)
 
 
-def verify_tiling(tiling: SphTiling, tile: TileSpec, eps: float = 1e-7) -> VerifyReport:
-    """Independent re-check: congruence of each tile to the base tile,
-    containment in the target, pairwise interior disjointness, and exact
-    area conservation."""
+def verify_tiling(tiling: SphTiling, tile: TileSpec) -> VerifyReport:
+    """Independent re-check in binary64: congruence of each tile to the
+    base tile, containment in the target and pairwise interior disjointness,
+    each within VERIFY_EPS, and area conservation: the tiles' float angle
+    excesses sum to the target's within n * 1e-9 for n tiles."""
     tiles = [[sphgeo.vec(p) for p in t.points] for t in tiling.tiles]
     boundary = [sphgeo.vec(p) for p in tiling.target_points]
     ref = sorted(zip(tile.angles, tile.edges))
     for idx, pts in enumerate(tiles):
         pairs = _triple_angle_edge_pairs(pts)
         for (a1, e1), (a2, e2) in zip(pairs, ref):
-            if abs(a1 - a2) > eps or abs(e1 - e2) > eps:
+            if abs(a1 - a2) > VERIFY_EPS or abs(e1 - e2) > VERIFY_EPS:
                 return VerifyReport(False, f"tile {idx} is not congruent to the base tile")
     for idx, pts in enumerate(tiles):
         for p in pts:
-            if not sphgeo.point_in_convex_polygon(p, boundary, snap=eps):
+            if not sphgeo.point_in_convex_polygon(p, boundary, snap=VERIFY_EPS):
                 return VerifyReport(False, f"tile {idx} leaves the target")
     for i in range(len(tiles)):
         for j in range(i + 1, len(tiles)):
-            if _tiles_overlap(tiles[i], tiles[j], eps):
+            if _tiles_overlap(tiles[i], tiles[j]):
                 return VerifyReport(False, f"tiles {i} and {j} overlap")
     k = len(boundary)
     target_area = math.fsum(tiling.target_angles) - (k - 2) * math.pi
@@ -667,117 +741,20 @@ def _segments_cross_transversally(a1, b1, a2, b2, snap):
     return False
 
 
-def _tiles_overlap(pts1, pts2, eps: float) -> bool:
+def _tiles_overlap(pts1, pts2) -> bool:
     """Do two tiles, each three float 3-tuples, share interior points."""
     for i in range(3):
         for j in range(3):
             if _segments_cross_transversally(pts1[i], pts1[(i + 1) % 3],
-                                             pts2[j], pts2[(j + 1) % 3], eps):
+                                             pts2[j], pts2[(j + 1) % 3], VERIFY_EPS):
                 return True
     c1 = sphgeo.unit([sum(c) for c in zip(*pts1)])
     c2 = sphgeo.unit([sum(c) for c in zip(*pts2)])
-    if sphgeo.point_in_triangle(c1, pts2, snap=-eps):
+    if sphgeo.point_in_convex_polygon(c1, pts2, snap=-VERIFY_EPS):
         return True
-    if sphgeo.point_in_triangle(c2, pts1, snap=-eps):
+    if sphgeo.point_in_convex_polygon(c2, pts1, snap=-VERIFY_EPS):
         return True
     return False
-
-
-def lune_two_tile_tiling(alpha: Fraction) -> tuple:
-    """The (alpha*pi)-lune tiled by two copies of the (alpha, 1/2, 1/2)*pi tile.
-
-    alpha is a Fraction of pi in (0, 1).  The tile's right-angle corners
-    sit on the equator, so the two mirror copies meet along the equatorial
-    edge and fill the lune.  Returns the tiling (lune boundary encoded with
-    its edge midpoints) and the tile.
-    """
-    tile = TileSpec.from_pi_fractions(alpha, Fraction(1, 2), Fraction(1, 2))
-    a = float(alpha) * math.pi
-    north = (0.0, 0.0, 1.0)
-    south = (-0.0, -0.0, -1.0)
-    m1 = (1.0, 0.0, 0.0)
-    m2 = (math.cos(a), math.sin(a), 0.0)
-    tiles = [TilePlacement([north, m1, m2], (0, 1, 2)),
-             TilePlacement([south, m1, m2], (0, 1, 2))]
-    tiling = SphTiling([north, m1, south, m2], (a, math.pi, a, math.pi), tiles)
-    return tiling, tile
-
-
-# ---------------------------------------------------------------------------
-# SVG rendering (stereographic projection)
-# ---------------------------------------------------------------------------
-
-
-def render_tiling_svg(tiling: SphTiling, path: str, size: int = 480) -> None:
-    target = [sphgeo.vec(p) for p in tiling.target_points]
-    center = sphgeo.unit([sum(c) for c in zip(*target)])
-    ref = (1.0, 0.0, 0.0)
-    if abs(sphgeo.dot(ref, center)) > 0.9:
-        ref = (0.0, 1.0, 0.0)
-    e1 = sphgeo.unit(sphgeo.cross(center, ref))
-    e2 = sphgeo.cross(center, e1)
-
-    def project(p):
-        w = sphgeo.dot(p, center)
-        return (sphgeo.dot(p, e1) / (1 + w), sphgeo.dot(p, e2) / (1 + w))
-
-    def arc_points(a, b, segments=64):
-        ang = sphgeo.arc_length(a, b)
-        if ang < 1e-12:
-            return [project(a)]
-        out = []
-        for s in range(segments + 1):
-            t = s / segments
-            sa, sb = math.sin((1 - t) * ang), math.sin(t * ang)
-            p = sphgeo.unit([x * sa + y * sb for x, y in zip(a, b)])
-            out.append(project(p))
-        return out
-
-    polylines = []
-    bounds = [math.inf, math.inf, -math.inf, -math.inf]
-
-    def emit(points, fill, stroke):
-        nonlocal bounds
-        for x, y in points:
-            bounds = [min(bounds[0], x), min(bounds[1], y),
-                      max(bounds[2], x), max(bounds[3], y)]
-        polylines.append((points, fill, stroke))
-
-    for idx, t in enumerate(tiling.tiles):
-        tri = [sphgeo.vec(p) for p in t.points]
-        pts = []
-        for i in range(3):
-            pts.extend(arc_points(tri[i], tri[(i + 1) % 3])[:-1])
-        pts.append(pts[0])
-        hue = (idx * 0.618034) % 1.0
-        r, g, b = colorsys.hls_to_rgb(hue, 0.72, 0.65)
-        fill = f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
-        emit(pts, fill, "#444444")
-    tpts = []
-    k = len(target)
-    for i in range(k):
-        tpts.extend(arc_points(target[i], target[(i + 1) % k])[:-1])
-    tpts.append(tpts[0])
-    emit(tpts, "none", "#000000")
-
-    x0, y0, x1, y1 = bounds
-    span = max(x1 - x0, y1 - y0, 1e-9)
-    pad = 0.05 * span
-
-    def svg_xy(p):
-        x = (p[0] - x0 + pad) / (span + 2 * pad) * size
-        y = size - (p[1] - y0 + pad) / (span + 2 * pad) * size
-        return f"{x:.2f},{y:.2f}"
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
-             f'height="{size}" viewBox="0 0 {size} {size}">']
-    for points, fill, stroke in polylines:
-        pstr = " ".join(svg_xy(p) for p in points)
-        parts.append(f'<polygon points="{pstr}" fill="{fill}" stroke="{stroke}" '
-                     f'stroke-width="1.2" fill-opacity="0.85"/>')
-    parts.append("</svg>")
-    with open(path, "w") as f:
-        f.write("\n".join(parts))
 
 
 # ---------------------------------------------------------------------------
@@ -821,31 +798,3 @@ def algebraic_degree(k: int, d: int) -> DegreeReport:
         if d % e == 0 and _integer_root(k, e) is not None:
             best = e
     return DegreeReport(k, d, d // best)
-
-
-def minimal_polynomial_degree_bruteforce(k: int, d: int) -> int:
-    """Oracle: factor x^d - k over Z by trial monic integer factors.
-
-    Only degrees up to 4 are needed; the candidate coefficient ranges come
-    from the root bound |root| = k^(1/d).
-    """
-    if d not in (2, 3, 4):
-        raise ValueError("oracle supports d in {2, 3, 4}")
-    root_bound = int(math.ceil(k ** (1.0 / d))) + 1
-    # degree-1 factors: rational (hence integer) roots
-    lin = [r for r in range(1, root_bound + 1) if r ** d == k]
-    if lin:
-        return 1
-    if d == 2:
-        return 2
-    if d == 3:
-        return 3  # no linear factor of x^3 - k means irreducible (degree 3)
-    # d == 4: look for quadratic factors x^2 + u x + v with integer u, v
-    for u in range(-2 * root_bound, 2 * root_bound + 1):
-        for v in range(-k, k + 1):
-            if v == 0 or k % abs(v) != 0:
-                continue
-            # x^4 - k = (x^2+ux+v)(x^2-ux+(u^2-v)) + (2uv-u^3)x + (v^2-u^2v-k)
-            if 2 * u * v - u ** 3 == 0 and v * v - u * u * v - k == 0:
-                return 2
-    return 4

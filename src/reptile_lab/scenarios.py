@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,7 +33,8 @@ from .coxeter import (DiagramConstraints, PartitionConstraints,
                       orbit_partition, pair_canonical, pair_orbit_bound,
                       subgroups_upto_two_generators, triangle_type_of)
 from .exactmath import Poly, QuadExt, isolate_roots
-from .gram import fiedler_check, gram_from_diagram, parametric_fiedler
+from .gram import (EuclideanSimplex, fiedler_check, gram_from_diagram,
+                   parametric_fiedler)
 from .hill import (compatibility_graph, congruent, generate_h1_tiling,
                    generate_h2_h1_tiles, hill_simplex, pair_h2_tiling,
                    signed_perms, tiling_report, LatticeTile)
@@ -41,7 +43,8 @@ from .realize import (EDGE_TOL, NODE_BUDGET, EdgeMatch, TileSpec,
                       verify_tiling)
 from .spherical import (corner_angle_solutions,
                         corner_angle_solutions_rational_scan, is_valid,
-                        law_of_cosines, straight_angle_combinations)
+                        is_valid_symbolic, law_of_cosines,
+                        straight_angle_combinations)
 
 SCENARIOS = ("three-dim", "two-indivisible", "case-a", "case-b", "case-c", "hill")
 
@@ -73,7 +76,7 @@ class Report:
     scenario: str
     checkpoints: list = field(default_factory=list)
     seconds: float = 0.0
-    tilings: list = field(default_factory=list)  # (name, SphTiling, tile)
+    tilings: list = field(default_factory=list)  # (name, SphTiling)
 
     @property
     def passed(self) -> bool:
@@ -262,7 +265,7 @@ def _search_and_verify(rec: Recorder, key: str, report: Report,
                   "reference", f"expectations:found_tilings/{key}/{idx}")
         if res.tiling is not None:
             name = f"{key}-" + "-".join(s.replace("/", "_") for s in entry["target"])
-            report.tilings.append((name, res.tiling, tile))
+            report.tilings.append((name, res.tiling))
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +434,6 @@ def case_a_enumeration() -> list:
 
 
 def scenario_case_a() -> Report:
-    from .spherical import is_valid_symbolic
-
     report = Report("case-a")
     rec = Recorder(report)
     exp = fixtures.load("expectations")
@@ -755,7 +756,6 @@ def scenario_hill(d: Optional[int] = None, m: Optional[int] = None) -> Report:
     s = hill_simplex(3, 0)
     mirror = tuple(tuple(-c if i == 0 else c for i, c in enumerate(v))
                    for v in s.vertices)
-    from .gram import EuclideanSimplex
     rec.check("hill/congruent-mirror", "a simplex is congruent to its mirror image",
               True, congruent(s, EuclideanSimplex(mirror)),
               "trivial", "expectations:hill/h1_cases")
@@ -790,11 +790,9 @@ def run_scenario(name: str, **kwargs) -> Report:
 
 def emit_figures(report: Report, out_dir: str) -> list:
     """One SVG per found tiling; stable file names; returns the paths."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for name, tiling, _tile_spec in report.tilings:
+    for name, tiling in report.tilings:
         path = os.path.join(out_dir, f"{report.scenario}-{name}.svg")
         tiling.render_svg(path)
         paths.append(path)

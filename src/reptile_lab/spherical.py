@@ -77,18 +77,6 @@ def edge_lengths(angles: Sequence[Fraction]) -> tuple:
     return law_of_cosines(*(float(q) * math.pi for q in angles))
 
 
-def angles_from_edges(edges: Sequence[float]) -> tuple:
-    """Dual direction (law of cosines for sides); used as a round-trip check."""
-    a, b, c = edges
-
-    def ang(opp, l, r):
-        num = math.cos(opp) - math.cos(l) * math.cos(r)
-        den = math.sin(l) * math.sin(r)
-        return math.acos(max(-1.0, min(1.0, num / den)))
-
-    return (ang(a, b, c), ang(b, c, a), ang(c, a, b))
-
-
 # ---------------------------------------------------------------------------
 # Straight-angle (pi) combinations
 # ---------------------------------------------------------------------------

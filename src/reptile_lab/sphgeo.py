@@ -174,8 +174,3 @@ def point_in_convex_polygon(p, pts, snap: float = 1e-9) -> bool:
         if dot(p, n) < -snap * norm(n):
             return False
     return True
-
-
-def point_in_triangle(p, tri, snap: float = 1e-9) -> bool:
-    """Is p inside or on the (CCW) spherical triangle."""
-    return point_in_convex_polygon(p, tri, snap)

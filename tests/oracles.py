@@ -1,5 +1,6 @@
 """Float oracles for the Gram-matrix tests, the exact normal Gram matrix,
-and the slow reference for Sturm root isolation.
+the slow reference for Sturm root isolation, and the trial-factoring oracle
+of `realize.algebraic_degree`.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -46,7 +47,7 @@ def dihedral_angles(simplex: EuclideanSimplex) -> np.ndarray:
     The dihedral angle between facets is pi minus the angle between their
     outward normals.
     """
-    if simplex.is_degenerate():
+    if simplex.volume() == 0:
         raise DegenerateSimplexError("affinely dependent vertices")
     normals = facet_normals(simplex)
     d1 = normals.shape[0]
@@ -228,3 +229,31 @@ def isolate_roots_reference(p: Poly, precision=Fraction(1, 10000)) -> list:
             stack.append((lo, mid, vl - vm))
             stack.append((mid, hi, vm - vh))
     return sorted(out, key=lambda r: r.midpoint)
+
+
+def minimal_polynomial_degree_bruteforce(k: int, d: int) -> int:
+    """Oracle: factor x^d - k over Z by trial monic integer factors.
+
+    Only degrees up to 4 are needed; the candidate coefficient ranges come
+    from the root bound |root| = k^(1/d).
+    """
+    if d not in (2, 3, 4):
+        raise ValueError("oracle supports d in {2, 3, 4}")
+    root_bound = int(math.ceil(k ** (1.0 / d))) + 1
+    # degree-1 factors: rational (hence integer) roots
+    lin = [r for r in range(1, root_bound + 1) if r ** d == k]
+    if lin:
+        return 1
+    if d == 2:
+        return 2
+    if d == 3:
+        return 3  # no linear factor of x^3 - k means irreducible (degree 3)
+    # d == 4: look for quadratic factors x^2 + u x + v with integer u, v
+    for u in range(-2 * root_bound, 2 * root_bound + 1):
+        for v in range(-k, k + 1):
+            if v == 0 or k % abs(v) != 0:
+                continue
+            # x^4 - k = (x^2+ux+v)(x^2-ux+(u^2-v)) + (2uv-u^3)x + (v^2-u^2v-k)
+            if 2 * u * v - u ** 3 == 0 and v * v - u * u * v - k == 0:
+                return 2
+    return 4

@@ -22,12 +22,10 @@ from reptile_lab.hill import (LatticeTile, signed_perms, compatibility_graph,
                               generate_h1_tiling, generate_h2_h1_tiles,
                               hill_simplex, pair_h2_tiling, tiling_report)
 from reptile_lab.realize import (EdgeMatch, TileSpec, algebraic_degree,
-                                 edge_combination,
-                                 minimal_polynomial_degree_bruteforce,
-                                 search_tiling, verify_tiling)
+                                 edge_combination, search_tiling, verify_tiling)
 from reptile_lab.spherical import corner_angle_solutions, edge_lengths, is_valid_symbolic
 
-from oracles import normal_gram
+from oracles import minimal_polynomial_degree_bruteforce, normal_gram
 
 EXP = fixtures.load("expectations")
 
@@ -160,7 +158,7 @@ def test_criterion_09_symmetry_fixtures():
     d = fixtures.diagram("case-a-4")
     abg = triangle_type_of([d.relations.normalize(parse_angle(s))
                             for s in ("alpha", "beta", "gamma")])
-    ok &= len(orbits(d, "triangles", abg)) == EXP["abg_orbit_counts"]["case-a-4"]
+    ok &= len(orbits(d, abg)) == EXP["abg_orbit_counts"]["case-a-4"]
     _report(9, "automorphism orders, transitivity, and orbit counts", ok)
 
 
@@ -192,7 +190,7 @@ def test_criterion_11_fiedler_round_trip():
             verts = tuple(tuple(F(rng.randint(-8, 8), rng.randint(1, 4))
                                 for _ in range(d)) for _ in range(d + 1))
             s = EuclideanSimplex(verts)
-            if s.is_degenerate():
+            if s.volume() == 0:
                 continue
             count += 1
             checked += 1

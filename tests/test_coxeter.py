@@ -50,13 +50,13 @@ class TestOrbits:
     def test_monochromatic_triangles_one_orbit(self):
         d = all_same_k5()
         t = d.triangle_type((0, 1, 2))
-        assert len(orbits(d, "triangles", t)) == 1
+        assert len(orbits(d, t)) == 1
 
     def test_case_a_4_mixed_triangles(self):
         d = fixtures.diagram("case-a-4")
         t = triangle_type_of([d.relations.normalize(parse_angle(s))
                               for s in ("alpha", "beta", "gamma")])
-        assert len(orbits(d, "triangles", t)) == 4
+        assert len(orbits(d, t)) == 4
         assert is_rich(d, t)
 
     def test_not_rich(self):
@@ -137,7 +137,7 @@ class TestBurnside:
         real = coxeter.orbit_partition
         monkeypatch.setattr(coxeter, "orbit_partition", lambda *a: real(*a)[1:])
         with pytest.raises(ConsistencyError):
-            orbits(distinct_k5(), "edges")
+            orbits(distinct_k5())
 
     def test_checks_survive_optimize_flag(self):
         script = textwrap.dedent("""
@@ -149,7 +149,7 @@ class TestBurnside:
             labels = {e: coxeter.parse_angle("alpha") for e in coxeter.all_edges(4)}
             diagram = coxeter.CoxeterDiagram("abcd", labels)
             act = lambda g, x: x if g == (0, 1) else x + 1
-            for call in (lambda: coxeter.orbits(diagram, "edges"),
+            for call in (lambda: coxeter.orbits(diagram),
                          lambda: burnside_count([(0, 1), (1, 0)], [0], act)):
                 try:
                     call()

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from oracles import isolate_roots_reference, sturm_count_reference
 from reptile_lab import fixtures
 from reptile_lab.exactmath import (ExactMatrix, Poly, QuadExt, RingMismatchError,
-                                   ZeroPolynomialError, isolate_roots, sign,
-                                   sturm_count)
+                                   RootInterval, ZeroPolynomialError, isolate_roots,
+                                   sign, sturm_count)
 from reptile_lab.gram import gram_from_diagram
 
 
@@ -18,6 +18,13 @@ def P(*cs):
 
 
 t = Poly.x()
+
+
+def matmul(a, b):
+    """The product of two exact n x n matrices, entries summed in their ring."""
+    n = a.n
+    return ExactMatrix([[sum(a.rows[i][k] * b.rows[k][j] for k in range(n))
+                         for j in range(n)] for i in range(n)])
 
 
 class TestPoly:
@@ -173,7 +180,7 @@ class TestQuadExt:
 
 class TestDeterminant:
     def test_identity(self):
-        assert ExactMatrix.identity(5).det() == 1
+        assert ExactMatrix([[int(i == j) for j in range(5)] for i in range(5)]).det() == 1
 
     def test_singular(self):
         m = ExactMatrix([[1, 2], [2, 4]])
@@ -200,7 +207,7 @@ class TestDeterminant:
             n = rng.randint(2, 4)
             a = self._random_matrix(rng, ring, n)
             b = self._random_matrix(rng, ring, n)
-            assert (a @ b).det() == a.det() * b.det()
+            assert matmul(a, b).det() == a.det() * b.det()
 
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
@@ -227,6 +234,24 @@ def random_poly(rng):
     return p * P(*extra, rng.choice((-3, -2, -1, 1, 2, 3))), roots
 
 
+def assert_matches_reference(p, prec):
+    """isolate_roots against the reference, which stops at width <= prec
+    even when its interval still holds a rational root of p: the interval
+    is then narrowed past that root, so it lies inside the reference's."""
+    got, want = isolate_roots(p, prec), isolate_roots_reference(p, prec)
+    rational = [r.lo for r in want if r.exact]
+    assert [r.lo for r in got if r.exact] == rational
+    got_irr = [r for r in got if not r.exact]
+    want_irr = [r for r in want if not r.exact]
+    assert len(got_irr) == len(want_irr)
+    for g, w in zip(got_irr, want_irr):
+        if any(w.lo < r < w.hi for r in rational):
+            assert w.lo <= g.lo < g.hi <= w.hi
+        else:
+            assert g == w
+    return got
+
+
 def test_isolation_matches_reference_on_case_a():
     for i in range(1, 5):
         det = gram_from_diagram(fixtures.diagram(f"case-a-{i}"),
@@ -235,14 +260,35 @@ def test_isolation_matches_reference_on_case_a():
             assert isolate_roots(det, prec) == isolate_roots_reference(det, prec)
 
 
+def test_open_intervals_exclude_rational_roots():
+    # (t + 10/7)(t^2 - 2): at width 1/10 the bisection reaches (-3/2, -45/32)
+    # around -sqrt 2, which holds -10/7 as well
+    p = (t + F(10, 7)) * (t * t - 2)
+    assert isolate_roots_reference(p, F(1, 10))[0] == RootInterval(F(-3, 2), F(-45, 32), False)
+    assert isolate_roots(p, F(1, 10))[1] == RootInterval(F(-363, 256), F(-45, 32), False)
+    straddled = 0
+    for c in (2, 3, 5, 6, 7):
+        for r in {F(a, b) for a in range(-12, 13) for b in (1, 2, 3, 4, 5, 7)}:
+            p = (t - r) * (t * t - c)
+            for prec in (F(1, 10), F(1, 2)):
+                got = isolate_roots(p, prec)
+                for a, b in zip(got, got[1:]):
+                    assert a.hi <= b.lo
+                for g in got:
+                    if not g.exact:
+                        assert sturm_count(p, g.lo, g.hi) == 1
+            # the reference stops at width 1/2 with r inside 44 times
+            straddled += any(w.lo < r < w.hi for w in isolate_roots_reference(p, F(1, 2)))
+    assert straddled == 44
+
+
 def test_isolation_matches_reference_on_random_polys():
     rng = random.Random(12)
     seen_repeated = seen_rational = seen_irrational = 0
     for _ in range(300):
         p, roots = random_poly(rng)
         for prec in PRECISIONS:
-            got = isolate_roots(p, prec)
-            assert got == isolate_roots_reference(p, prec)
+            got = assert_matches_reference(p, prec)
         seen_repeated += p.square_free_part().degree < p.degree
         seen_rational += any(r.exact for r in got)
         seen_irrational += any(not r.exact for r in got)

@@ -134,7 +134,7 @@ def random_rational_simplex(rng, d):
         verts = tuple(tuple(F(rng.randint(-8, 8), rng.randint(1, 4))
                             for _ in range(d)) for _ in range(d + 1))
         s = EuclideanSimplex(verts)
-        if not s.is_degenerate():
+        if s.volume() != 0:
             return s
 
 

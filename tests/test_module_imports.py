@@ -5,12 +5,15 @@ leading underscore is private to its module, and a caller in another module
 means the name belongs in the public interface.  The `sphgeo` kernel
 imports only `math`, and no module imports numpy.  The only function in `coxeter` that calls itself is
 the walk of `coloring_search`: the enumerators are its clients and keep no
-recursion of their own.
+recursion of their own.  Every definition in the package is named by the
+package outside its own body, so none is kept only for the tests; the few
+exceptions are listed with their reasons.
 """
 
 import ast
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import reptile_lab
@@ -121,3 +124,85 @@ def test_check_sees_a_recursive_function(tmp_path):
         "def flat(xs):\n"
         "    return sum(xs)\n")
     assert self_recursive_functions(bad) == ["enumerate_things.extend", "Tree.height.depth"]
+
+
+def referenced_names(node):
+    """Names a subtree uses: variables, attributes and imported names."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+        elif isinstance(n, ast.alias):
+            yield n.name.split(".")[-1]
+
+
+def definitions(tree):
+    """(dotted name, node) of the top-level functions and classes and of
+    the methods that are not dunders."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (sub.name.startswith("__") and sub.name.endswith("__"))):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def unreferenced_definitions(paths):
+    """Module-qualified names of the definitions that no file names outside
+    the definition's own body.  A method counts as named by any attribute
+    of its name."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
+    everywhere = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    found = []
+    for path, tree in trees.items():
+        for dotted, node in definitions(tree):
+            name = dotted.rsplit(".", 1)[-1]
+            if everywhere[name] == Counter(referenced_names(node))[name]:
+                found.append(f"{path.stem}.{dotted}")
+    return found
+
+
+# Definitions no verdict or command reaches, kept on purpose.
+KEPT = {
+    # the benchmark's tracer lists it as a `spherical` layer function and
+    # raises if it is missing
+    "spherical.edge_lengths",
+    # acceptance criterion 13 checks the algebraic-degree obstruction
+    "realize.algebraic_degree",
+    "realize.DegreeReport.min_distinct_edge_lengths",
+    # writes the format `from_fixture` reads; the enumerator's output is
+    # pinned through it
+    "coxeter.CoxeterDiagram.to_fixture",
+}
+
+
+def test_every_definition_is_used_by_the_package():
+    assert sorted(unreferenced_definitions(sorted(PACKAGE.glob("*.py")))) == sorted(KEPT)
+
+
+def test_check_sees_an_unused_definition(tmp_path):
+    lib = tmp_path / "lib.py"
+    lib.write_text(
+        "import math\n"
+        "\n"
+        "def used(x):\n"
+        "    return math.floor(x)\n"
+        "\n"
+        "def only_itself(n):\n"
+        "    return n and only_itself(n - 1)\n"
+        "\n"
+        "class Shape:\n"
+        "    def __init__(self, r):\n"
+        "        self.r = r\n"
+        "\n"
+        "    def area(self):\n"
+        "        return used(self.r)\n"
+        "\n"
+        "    def export(self):\n"
+        "        return {'r': self.r}\n")
+    app = tmp_path / "app.py"
+    app.write_text("from .lib import Shape\n\nprint(Shape(2).area())\n")
+    assert unreferenced_definitions([lib, app]) == ["lib.only_itself", "lib.Shape.export"]

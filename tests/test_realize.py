@@ -7,12 +7,43 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from oracles import minimal_polynomial_degree_bruteforce
 from reptile_lab import realize, sphgeo
 from reptile_lab.realize import (EDGE_TOL, EdgeMatch, EdgeNearest,
-                                 SphTiling, TileSpec, algebraic_degree,
-                                 edge_combination, enumerate_candidates,
-                                 minimal_polynomial_degree_bruteforce,
-                                 search_tiling, verify_tiling)
+                                 SphTiling, TilePlacement, TileSpec,
+                                 algebraic_degree, edge_combination,
+                                 enumerate_candidates, search_tiling,
+                                 verify_tiling)
+
+
+def tiling_from_json(data: dict) -> SphTiling:
+    """The tiling `SphTiling.to_json` wrote, its vertices renormalized."""
+    verts = [sphgeo.unit(sphgeo.vec(v)) for v in data["vertices"]]
+    tiles = [TilePlacement([verts[i] for i in t["vertices"]],
+                           tuple(t["corners"])) for t in data["tiles"]]
+    return SphTiling([verts[i] for i in data["target"]],
+                     tuple(data["target_angles"]), tiles)
+
+
+def lune_two_tile_tiling(alpha: F) -> tuple:
+    """The (alpha*pi)-lune tiled by two copies of the (alpha, 1/2, 1/2)*pi tile.
+
+    alpha is a Fraction of pi in (0, 1).  The tile's right-angle corners
+    sit on the equator, so the two mirror copies meet along the equatorial
+    edge and fill the lune.  Returns the tiling (lune boundary encoded with
+    its edge midpoints) and the tile.
+    """
+    tile = TileSpec.from_pi_fractions(alpha, F(1, 2), F(1, 2))
+    a = float(alpha) * math.pi
+    north = (0.0, 0.0, 1.0)
+    south = (-0.0, -0.0, -1.0)
+    m1 = (1.0, 0.0, 0.0)
+    m2 = (math.cos(a), math.sin(a), 0.0)
+    tiles = [TilePlacement([north, m1, m2], (0, 1, 2)),
+             TilePlacement([south, m1, m2], (0, 1, 2))]
+    tiling = SphTiling([north, m1, south, m2], (a, math.pi, a, math.pi), tiles)
+    return tiling, tile
+
 
 QUARTER = TileSpec.from_pi_fractions(F(1, 4), F(1, 3), F(1, 2))
 NINTH = TileSpec.from_pi_fractions(F(2, 9), F(1, 3), F(1, 2))
@@ -225,10 +256,10 @@ def test_search_tree_pinned(base, target, status, tiles, nodes):
     assert (len(res.tiling.tiles) if res.tiling else 0) == tiles
 
 
-def all_pairs_geometry_ok(points, eps):
+def all_pairs_geometry_ok(points):
     """The boundary check of a placement without the fresh-arc shortcut:
     every arc below pi - 1e-6 and no pair of arcs in conflict."""
-    snap = max(eps, 1e-9) * 10
+    snap = realize.SNAP
     k = len(points)
     arcs = [(points[i], points[(i + 1) % k]) for i in range(k)]
     if any(sphgeo.arc_length(a, b) >= math.pi - 1e-6 for a, b in arcs):
@@ -243,10 +274,10 @@ def test_fresh_arc_check_equals_all_pairs_check(monkeypatch):
     incremental = realize._placement_geometry_ok
     answers, partial = [], 0
 
-    def checked(old, new, eps):
+    def checked(old, new):
         nonlocal partial
-        got = incremental(old, new, eps)
-        assert got == all_pairs_geometry_ok(new.points, eps)
+        got = incremental(old, new)
+        assert got == all_pairs_geometry_ok(new.points)
         answers.append(got)
         partial += not all(realize._fresh_arcs(old, new))
         return got
@@ -276,7 +307,6 @@ class TestVerify:
         assert not rep and "congruent" in rep.violation
 
     def test_lune_two_tiles(self):
-        from reptile_lab.realize import lune_two_tile_tiling
         tiling, tile = lune_two_tile_tiling(F(2, 5))
         assert verify_tiling(tiling, tile)
 
@@ -286,7 +316,7 @@ class TestSerializationAndSvg:
         tiling = search_tiling((F(1, 4), F(1, 4), F(2, 3)), QUARTER).tiling
         data = tiling.to_json()
         text = json.dumps(data)
-        back = SphTiling.from_json(json.loads(text))
+        back = tiling_from_json(json.loads(text))
         assert len(back.tiles) == len(tiling.tiles)
         assert verify_tiling(back, QUARTER)
 
@@ -329,7 +359,7 @@ TILING_DIGESTS = {
 def test_tiling_output_bytes_pinned(key, tmp_path):
     base, angles = key.split(":")
     if base == "lune":
-        tiling = realize.lune_two_tile_tiling(F(angles))[0]
+        tiling = lune_two_tile_tiling(F(angles))[0]
     else:
         tiling = search_tiling(tuple(F(q) for q in angles.split(",")), TILES[base]).tiling
     text = json.dumps(tiling.to_json(), indent=1, sort_keys=True)

@@ -5,13 +5,25 @@ from fractions import Fraction as F
 import pytest
 
 from reptile_lab.angles import parse_angle
-from reptile_lab.spherical import (InvalidTriangleError, angles_from_edges,
-                                   corner_angle_solutions,
+from reptile_lab.spherical import (InvalidTriangleError, corner_angle_solutions,
                                    corner_angle_solutions_rational_scan,
                                    edge_lengths, is_valid, is_valid_symbolic,
                                    straight_angle_combinations)
 
 PI = math.pi
+
+
+def angles_from_edges(edges):
+    """Angles in radians from the edges, by the law of cosines for sides:
+    the dual direction of `edge_lengths`, for a round-trip check."""
+    a, b, c = edges
+
+    def ang(opp, l, r):
+        num = math.cos(opp) - math.cos(l) * math.cos(r)
+        den = math.sin(l) * math.sin(r)
+        return math.acos(max(-1.0, min(1.0, num / den)))
+
+    return (ang(a, b, c), ang(b, c, a), ang(c, a, b))
 
 
 class TestValidity:
