@@ -104,7 +104,7 @@ def _cmd_diagram(args) -> int:
     elif args.action == "orbits":
         ttype = None
         if args.type:
-            ttype = triangle_type_of([parse_angle(p.strip())
+            ttype = triangle_type_of([diagram.relations.normalize(parse_angle(p.strip()))
                                       for p in args.type.split(",")])
         parts = orbits(diagram, ttype)
         print(json.dumps({"orbit_count": len(parts),

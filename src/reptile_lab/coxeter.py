@@ -14,7 +14,10 @@ order, each vertex permutation is stored as an edge permutation with its
 permutations fixing a coloring), `canon` (its smallest image) and
 `is_first` (no image is smaller).  A diagram numbers its label forms once
 and runs on that coloring; partition and skeleton canonical forms and
-subgraph classification are built on `canon`.
+subgraph classification are built on `canon`.  Beside the kernel, the
+tables hold the Cayley table of S_n over permutation indices (`cayley`,
+built on first use), on which `subgroups_upto_two_generators` walks its
+closures.
 
 The three enumerators (diagrams, edge partitions, two-label skeletons) are
 clients of one orderly search over the edge colorings, `coloring_search`.
@@ -22,7 +25,6 @@ clients of one orderly search over the edge colorings, `coloring_search`.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -100,6 +102,16 @@ class KnTables:
             images = [[pos[_edge(p[a], p[b])] for a, b in self.edges[:k]] for p in self.perms[1:]]
             out.append([itemgetter(*im) for im in images if max(im) < k])
         return out
+
+    @cached_property
+    def cayley(self) -> list:
+        """cayley[a][b]: the index of perms[a] composed with perms[b] (x ->
+        perms[a][perms[b][x]]), one itemgetter per permutation.  Built on
+        first use, not with the other tables."""
+        index = {p: i for i, p in enumerate(self.perms)}
+        # with fewer than two points the only permutation is the identity
+        getters = [itemgetter(*q) if len(q) > 1 else tuple for q in self.perms]
+        return [[index[g(p)] for g in getters] for p in self.perms]
 
 
 def _renumbered(coloring: tuple) -> tuple:
@@ -208,10 +220,6 @@ class CoxeterDiagram:
 # ---------------------------------------------------------------------------
 
 
-def _compose(p, q):
-    return tuple(p[x] for x in q)
-
-
 def is_group(perms: Sequence[tuple]) -> bool:
     s = set(perms)
     if not s:
@@ -219,14 +227,18 @@ def is_group(perms: Sequence[tuple]) -> bool:
     n = len(next(iter(s)))
     if tuple(range(n)) not in s:
         return False
+    # p composed with q is q's getter applied to p; an itemgetter of fewer
+    # than two indices would not return a tuple
+    getters = [itemgetter(*q) if len(q) > 1 else (lambda p, q=q: tuple(p[x] for x in q))
+               for q in s]
     for p in s:
         inv = [0] * n
         for i, x in enumerate(p):
             inv[x] = i
         if tuple(inv) not in s:
             return False
-        for q in s:
-            if _compose(p, q) not in s:
+        for g in getters:
+            if g(p) not in s:
                 return False
     return True
 
@@ -313,30 +325,32 @@ def edge_orbit_count_transitive(diagram: CoxeterDiagram, label: AngleForm) -> bo
 def subgroups_upto_two_generators(n: int = 5) -> list:
     """All subgroups of the symmetric group on n points generated by <= 2 elements.
 
-    Uses a precomputed Cayley table over element indices; a subgroup closure
-    is a walk from the identity multiplying by the generators
-    (finiteness makes inverses come for free).  <a, b> depends only on <a>
-    and <b>, so the two-generator closures run over pairs of distinct cyclic
-    subgroups (67 in S5), each given by its first generator, not over all
-    pairs of elements.
+    Walks the kernel's Cayley table over permutation indices; a subgroup
+    closure is a walk from the identity multiplying by the generators
+    (finiteness makes inverses come for free).  A closure holding more
+    than half of S_n is S_n, by Lagrange, and stops there.  <a, b> depends
+    only on <a> and <b>, so the two-generator closures run over pairs of
+    distinct cyclic subgroups (67 in S5), each given by its first
+    generator, not over all pairs of elements.
     """
-    perms = kn_tables(n).perms
-    index = {p: i for i, p in enumerate(perms)}
+    kn = kn_tables(n)
+    perms, table = kn.perms, kn.cayley
     size = len(perms)
-    table = [[index[_compose(perms[a], perms[b])] for b in range(size)]
-             for a in range(size)]
-    ident = index[tuple(range(n))]
+    everything = frozenset(range(size))
+    ident = 0  # permutations order starts with the identity
 
     def closure(gens):
         els = {ident}
         frontier = [ident]
         while frontier:
-            x = frontier.pop()
+            row = table[frontier.pop()]
             for g in gens:
-                y = table[x][g]
+                y = row[g]
                 if y not in els:
                     els.add(y)
                     frontier.append(y)
+            if 2 * len(els) > size:
+                return everything
         return frozenset(els)
 
     cyclic = {}  # cyclic subgroup -> its first generator
@@ -527,12 +541,14 @@ def _slot_tables(size: int, table: dict, phase1: Sequence[int],
             rest = [key[i] for i in range(3) if not placed >> i & 1]
             room = sum(1 for x in rest if x not in phase1)
             support.update((have, d) for d in range(room + 1))
-    rich_pool = Counter(rich or ())
+    # the sorted sub-multisets of the rich type (it is sorted itself)
+    rich_subs = None if rich is None else {tuple(x for i, x in enumerate(rich) if placed >> i & 1)
+                                           for placed in range(1 << len(rich))}
     ok, can_rich = [], []
     for slots in product(range(DEFER, size), repeat=3):
         have = tuple(sorted(x for x in slots if x >= 0))
         ok.append((have, slots.count(DEFER)) in support)
-        can_rich.append(rich is None or not Counter(have) - rich_pool)
+        can_rich.append(rich_subs is None or have in rich_subs)
     return ok, can_rich
 
 

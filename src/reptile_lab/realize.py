@@ -180,55 +180,50 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
                          phi_min: Fraction = Fraction(0)) -> list:
     """All candidate (tau, phi, psi) with phi_min < phi <= psi, deduplicated.
 
-    Works in exact pi-fraction arithmetic: for each tile count n in
-    [2, 2*tau/excess), solve m1*a1 + m2*a2 + m3*a3 = n*excess + pi - tau
-    over nonnegative integers, split the combination into (phi, psi) in all
-    ways, keep triples that satisfy the spherical triangle inequality, and
-    annotate each with the edge-combination status of the edge opposite tau.
-    tau and phi_min are Fractions of pi (ints allowed); a float raises
-    TypeError.
+    Works in exact integer arithmetic over den, the lcm of the denominators
+    of the tile angles, tau and phi_min (an angle q is the integer q*den):
+    for each tile count n in [2, 2*tau/excess), solve
+    m1*a1 + m2*a2 + m3*a3 = n*excess + pi - tau over nonnegative integers,
+    split the combination into (phi, psi) in all ways, keep triples that
+    satisfy the spherical triangle inequality, and annotate each with the
+    edge-combination status of the edge opposite tau.  Each (phi, psi) keeps
+    the first split that reaches it.  tau and phi_min are Fractions of pi
+    (ints allowed); a float raises TypeError.
     """
     if not all(isinstance(q, (int, Fraction)) for q in (tau, phi_min)):
         raise TypeError("tau and phi_min are Fractions of pi")
-    qa, qb, qc = tile.angles_pi
-    excess = tile.excess_pi
+    den = math.lcm(*(Fraction(q).denominator for q in (*tile.angles_pi, tau, phi_min)))
+    qa, qb, qc = (int(q * den) for q in tile.angles_pi)
+    excess = qa + qb + qc - den
+    t, lo = int(tau * den), int(phi_min * den)
+    ftau = float(tau) * math.pi
     edges = tile.edges
-    one = Fraction(1)
     seen = {}
     n = 2
-    while n * excess < 2 * tau:
-        target = n * excess + one - tau
-        m3_max = int(target / qc)
-        for m3 in range(m3_max + 1):
+    while n * excess < 2 * t:
+        target = n * excess + den - t
+        for m3 in range(target // qc + 1):
             r3 = target - m3 * qc
-            m2_max = int(r3 / qb)
-            for m2 in range(m2_max + 1):
-                r2 = r3 - m2 * qb
-                m1 = r2 / qa
-                if m1.denominator != 1 or m1 < 0:
+            for m2 in range(r3 // qb + 1):
+                m1, rem = divmod(r3 - m2 * qb, qa)
+                if rem:
                     continue
-                m1 = int(m1)
                 for i in range(m1 + 1):
                     for j in range(m2 + 1):
                         for k in range(m3 + 1):
                             phi = i * qa + j * qb + k * qc
                             psi = target - phi
-                            if not (phi_min < phi <= psi < one):
+                            if not (lo < phi <= psi < den) or (phi, psi) in seen:
                                 continue
-                            if (phi, psi) in seen:
+                            qs = sorted((t, phi, psi))
+                            if qs[1] + qs[2] >= den + qs[0]:
                                 continue
-                            qs = sorted((tau, phi, psi))
-                            if qs[1] + qs[2] >= one + qs[0]:
-                                continue
-                            x = law_of_cosines(float(tau) * math.pi,
-                                               float(phi) * math.pi,
-                                               float(psi) * math.pi)[0]
-                            status = edge_combination(x, edges)
+                            fphi, fpsi = Fraction(phi, den), Fraction(psi, den)
+                            x = law_of_cosines(ftau, float(fphi) * math.pi,
+                                               float(fpsi) * math.pi)[0]
                             seen[(phi, psi)] = Candidate(
-                                tau, phi, psi, n,
-                                (i, j, k),
-                                (m1 - i, m2 - j, m3 - k),
-                                status)
+                                tau, fphi, fpsi, n, (i, j, k),
+                                (m1 - i, m2 - j, m3 - k), edge_combination(x, edges))
         n += 1
     return sorted(seen.values(), key=lambda cand: (cand.n, cand.phi, cand.psi))
 

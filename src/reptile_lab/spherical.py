@@ -151,19 +151,24 @@ def corner_angle_solutions_rational_scan(fixed: Sequence[Fraction], lo: Fraction
     """Same solution set by scanning rationals q = s/r, r <= max_denominator.
 
     Independent route kept as a guard: list the positive residuals
-    1 - sum(n_j * f_j) once, then keep each rational q in (lo, hi) of which
-    some residual is an integer multiple.
+    1 - sum(n_j * f_j) once, as integer numerators over one denominator D,
+    then keep each rational q = s/r in (lo, hi), in lowest terms, of which
+    some residual N/D is an integer multiple: D*s divides N*r.
     """
-    residuals = {Fraction(1)}
+    den = math.lcm(*(Fraction(f).denominator for f in fixed))
+    residuals = {den}
     for f in fixed:
-        residuals = {r - n * f for r in residuals for n in range(-(-r // f))}
-    found = set()
+        step = int(f * den)
+        residuals = {r - n * step for r in residuals for n in range(-(-r // step))}
+    lo, hi = Fraction(lo), Fraction(hi)
+    found = []
     for r in range(2, max_denominator + 1):
-        for s in range(1, r):
-            q = Fraction(s, r)
-            if lo < q < hi and q not in found and any(
-                    (rest / q).denominator == 1 for rest in residuals):
-                found.add(q)
+        # the s in [1, r - 1] with lo < s/r < hi
+        s_min = max(1, lo.numerator * r // lo.denominator + 1)
+        s_max = min(r - 1, -(-hi.numerator * r // hi.denominator) - 1)
+        for s in range(s_min, s_max + 1):
+            if math.gcd(s, r) == 1 and any(rest * r % (den * s) == 0 for rest in residuals):
+                found.append(Fraction(s, r))
     return sorted(found)
 
 

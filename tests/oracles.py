@@ -1,6 +1,7 @@
 """Float oracles for the Gram-matrix tests, the exact normal Gram matrix,
-the slow reference for Sturm root isolation, and the trial-factoring oracle
-of `realize.algebraic_degree`.
+the slow reference for Sturm root isolation, the trial-factoring oracle
+of `realize.algebraic_degree`, and tuple-composition references for the
+permutation-group layer of `coxeter`.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -257,3 +258,64 @@ def minimal_polynomial_degree_bruteforce(k: int, d: int) -> int:
             if 2 * u * v - u ** 3 == 0 and v * v - u * u * v - k == 0:
                 return 2
     return 4
+
+
+def _compose(p, q):
+    return tuple(p[x] for x in q)
+
+
+def is_group_reference(perms) -> bool:
+    """Group test composing permutation tuples directly (the former
+    `coxeter.is_group`)."""
+    s = set(perms)
+    if not s:
+        return False
+    n = len(next(iter(s)))
+    if tuple(range(n)) not in s:
+        return False
+    for p in s:
+        inv = [0] * n
+        for i, x in enumerate(p):
+            inv[x] = i
+        if tuple(inv) not in s:
+            return False
+        for q in s:
+            if _compose(p, q) not in s:
+                return False
+    return True
+
+
+def subgroups_reference(n: int) -> list:
+    """Subgroups of S_n generated by <= 2 elements, each closure a full walk
+    over a Cayley table of tuple compositions (the former
+    `coxeter.subgroups_upto_two_generators`)."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    size = len(perms)
+    table = [[index[_compose(perms[a], perms[b])] for b in range(size)]
+             for a in range(size)]
+    ident = index[tuple(range(n))]
+
+    def closure(gens):
+        els = {ident}
+        frontier = [ident]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = table[x][g]
+                if y not in els:
+                    els.add(y)
+                    frontier.append(y)
+        return frozenset(els)
+
+    cyclic = {}
+    for g in range(size):
+        cyclic.setdefault(closure([g]), g)
+    seen = set(cyclic)
+    pairs = list(cyclic.items())
+    for i, (grp_a, a) in enumerate(pairs):
+        for grp_b, b in pairs[i + 1:]:
+            if b not in grp_a and a not in grp_b:
+                seen.add(closure([a, b]))
+    return sorted((frozenset(perms[i] for i in grp) for grp in seen),
+                  key=lambda s: (len(s), sorted(s)))

@@ -1,13 +1,16 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
 import reptile_lab
+from oracles import is_group_reference, subgroups_reference
 from reptile_lab import coxeter, fixtures
 from reptile_lab.angles import AngleForm, parse_angle
 from reptile_lab.coxeter import (ConsistencyError, CoxeterDiagram, DiagramConstraints,
@@ -127,6 +130,41 @@ class TestBurnside:
         assert is_group([tuple(range(3)), (1, 2, 0), (2, 0, 1)])
         assert not is_group([(1, 2, 0)])
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_subgroups_match_reference(self, n):
+        # the reference walks every closure in full over tuple compositions
+        assert subgroups_upto_two_generators(n) == subgroups_reference(n)
+
+    def test_is_group_matches_reference(self):
+        def outcome(f, perms):
+            try:
+                return f(perms)
+            except Exception as exc:  # the same error type counts as agreement
+                return type(exc)
+
+        rng = random.Random(14)
+        cases = [[], [()], [(0,)], [(0,), (1,)], [(1,)], [(0,), (0, 1)],
+                 [(0, 0, 1)], [(0, 1, 2), (0, 0, 1)], [(0, 1, 2), (1, 0, 2), (0, 0, 1)],
+                 [(0, 1, 2), (0, 1, 5)], [(0, 1), (1, 0), (0, 1, 2)],
+                 [(1,), (2,), (0, 1)], [(2,), (0, 1), (1, 0), (1, 0, 0)]]
+        for _ in range(200):  # tuples of mixed lengths, permutations or not
+            ids = [(0,), (0, 1), (0, 1, 2)][:rng.randint(0, 3)]
+            cases.append(ids + [tuple(rng.randrange(3) for _ in range(rng.randint(1, 3)))
+                                for _ in range(rng.randint(1, 4))])
+        for n in (3, 4):
+            elements = list(permutations(range(n)))
+            groups = [sorted(g) for g in subgroups_upto_two_generators(n)]
+            for _ in range(150):
+                cases.append(rng.sample(elements, rng.randint(1, len(elements))))
+            for g in groups:
+                cases.append(g)
+                cases.append(g[:1] + rng.sample(g[1:], len(g) - 2) if len(g) > 1 else g)
+                cases.append(g + [rng.choice(elements)])
+                cases.append(g + [tuple(rng.randrange(n) for _ in range(n))])
+        assert sum(outcome(is_group_reference, c) is True for c in cases) > 20  # groups too
+        for perms in cases:
+            assert outcome(is_group, perms) == outcome(is_group_reference, perms), perms
+
     def test_non_integral_average_raises(self):
         # not a group action: the transposition moves 0 out of the set
         act = lambda g, x: x if g == (0, 1) else x + 1
@@ -164,6 +202,41 @@ class TestBurnside:
                              capture_output=True, text=True, timeout=60)
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["raised", "raised", "debug", "False"]
+
+
+def test_slot_tables_can_rich_is_sub_multiset():
+    # can_rich by membership among the rich type's sub-multisets, against
+    # a multiset difference on every slot triple
+    size = 4
+    table = {c: True for c in combinations_with_replacement(range(size), 3)}
+    for rich in combinations_with_replacement(range(size), 3):
+        _, can_rich = coxeter._slot_tables(size, table, [0], rich)
+        want = [not Counter(x for x in slots if x >= 0) - Counter(rich)
+                for slots in product(range(coxeter.DEFER, size), repeat=3)]
+        assert can_rich == want, rich
+    assert all(coxeter._slot_tables(size, table, [0], None)[1])
+
+
+def test_cayley_table_is_lazy():
+    # the package and its fixtures load without building S5's Cayley table,
+    # which only the subgroup pass needs
+    script = textwrap.dedent("""
+        import reptile_lab.cli
+        from reptile_lab import coxeter, fixtures
+
+        for name in ("diagrams", "expectations", "ab_pairs"):
+            fixtures.load(name)
+        kn = coxeter.kn_tables(5)
+        print("cayley" in vars(kn))
+        kn.cayley
+        print("cayley" in vars(kn))
+        """)
+    src = os.path.dirname(os.path.dirname(reptile_lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]
 
 
 class TestSubgraphClassification:

@@ -14,6 +14,7 @@ from reptile_lab.realize import (EDGE_TOL, EdgeMatch, EdgeNearest,
                                  algebraic_degree, edge_combination,
                                  enumerate_candidates, search_tiling,
                                  verify_tiling)
+from reptile_lab.spherical import is_valid
 
 
 def tiling_from_json(data: dict) -> SphTiling:
@@ -114,7 +115,72 @@ class TestEdgeCombination:
                 assert abs(res.value - x) <= EDGE_TOL
 
 
+def _candidate_scan(tile, tau, phi_min):
+    """Every (n, phi, psi) of `enumerate_candidates`, by a direct scan.
+
+    phi runs over the grid p/den (den the lcm of the denominators of the
+    tile angles, tau and phi_min) and psi = n * excess + 1 - tau - phi; a
+    pair is kept when phi_min < phi <= psi < 1, both are nonnegative integer
+    combinations of the tile angles and the triangle inequality holds.
+    Returns {(n, phi, psi): (phi_combo, psi_combo)}, the split the
+    enumeration's loop order reaches first: smallest total coefficient of
+    the third angle, then of the second.  That split is unique: two splits
+    of one total differ by a vector of value 0, and adding it to the total
+    or taking it away lowers the third coefficient, or else the second.
+    """
+    qa, qb, qc = tile.angles_pi
+    den = math.lcm(*(F(q).denominator for q in (qa, qb, qc, tau, phi_min)))
+    reps = {}  # value up to pi -> its coefficient vectors
+    for i in range(int(1 / qa) + 1):
+        for j in range(int((1 - i * qa) / qb) + 1):
+            for k in range(int((1 - i * qa - j * qb) / qc) + 1):
+                reps.setdefault(i * qa + j * qb + k * qc, []).append((i, j, k))
+    out = {}
+    n = 2
+    while n * tile.excess_pi < 2 * tau:
+        total = n * tile.excess_pi + 1 - tau
+        for p in range(den + 1):
+            phi = F(p, den)
+            psi = total - phi
+            if not (phi_min < phi <= psi < 1) or phi not in reps or psi not in reps:
+                continue
+            lo, mid, hi = sorted((F(tau), phi, psi))
+            if mid + hi >= 1 + lo:
+                continue
+            out[(n, phi, psi)] = min(
+                ((c1, c2) for c1 in reps[phi] for c2 in reps[psi]),
+                key=lambda s: (s[0][2] + s[1][2], s[0][1] + s[1][1]))
+        n += 1
+    return out
+
+
 class TestCandidates:
+    def test_matches_direct_scan(self):
+        rng = random.Random(8)
+        cases = []
+        # with two equal angles a pair has several totals; the first one found is kept
+        isosceles = TileSpec.from_pi_fractions(F(1, 3), F(1, 2), F(1, 2))
+        for tile in (QUARTER, FIFTH, NINTH, CASE_B, isosceles):
+            qa, qb, qc = tile.angles_pi
+            cases += [(tile, qa, F(0)), (tile, qb, qa), (tile, qc, F(0)), (tile, qc, qb)]
+        while len(cases) < 64:
+            qs = [F(rng.randint(1, 9), rng.randint(2, 12)) for _ in range(3)]
+            if is_valid(qs):
+                tile = TileSpec.from_pi_fractions(*qs)
+                tau = rng.choice([*tile.angles_pi, F(rng.randint(1, 11), 12)])
+                cases.append((tile, tau, rng.choice([F(0), tile.angles_pi[0]])))
+        found = 0
+        for tile, tau, phi_min in cases:
+            cands = enumerate_candidates(tile, tau, phi_min)
+            want = _candidate_scan(tile, tau, phi_min)
+            assert {(c.n, c.phi, c.psi): (c.phi_combo, c.psi_combo) for c in cands} == want
+            assert len(cands) == len(want)  # no pair listed twice
+            for c in cands:
+                for combo, angle in ((c.phi_combo, c.phi), (c.psi_combo, c.psi)):
+                    assert sum(m * q for m, q in zip(combo, tile.angles_pi)) == angle
+            found += len(cands)
+        assert found > 400  # the cases are not all empty
+
     def test_octant_empty(self):
         octant = TileSpec.from_pi_fractions(F(1, 2), F(1, 2), F(1, 2))
         assert enumerate_candidates(octant, F(1, 2)) == []

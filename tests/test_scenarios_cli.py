@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -133,6 +134,16 @@ class TestCli:
         assert json.loads(proc.stdout)["order"] == 8
         proc = _cli("diagram", str(path), "gram")
         assert proc.returncode == 2  # abstract labels have no numeric value
+
+    def test_diagram_orbits_type_under_relations(self):
+        # case-a-4 carries relations, so the typed labels are normalized first
+        catalog = resources.files("reptile_lab") / "fixtures" / "diagrams.json"
+        proc = _cli("diagram", str(catalog), "orbits", "--id", "case-a-4",
+                    "--type", "alpha,beta,gamma")
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        expected = fixtures.load("expectations")["abg_orbit_counts"]["case-a-4"]
+        assert data["orbit_count"] == len(data["orbits"]) == expected == 4
 
     def test_diagram_gram_without_common_ring(self, tmp_path):
         # cos(pi/4) and cos(pi/5) lie in different quadratic fields

@@ -140,15 +140,32 @@ class TestCornerSolver:
 
     def test_rational_scan_matches_per_q_oracle(self):
         rng = random.Random(11)
+        cases = [([F(1, 3), F(1, 2)], F(1, 6), F(1, 3), 100)]  # case-c's own call
         for _ in range(60):
             fixed = [F(rng.randint(1, 4), rng.randint(5, 7))
                      for _ in range(rng.randint(0, 3))]
             lo = F(rng.randint(1, 4), rng.randint(10, 20))
             hi = lo + F(rng.randint(1, 6), rng.randint(8, 20))
-            want = _rational_scan_per_q(fixed, lo, hi, 24)
-            assert corner_angle_solutions_rational_scan(fixed, lo, hi, 24) == want
-            assert [q for q in corner_angle_solutions(fixed, lo, hi)
-                    if q.denominator <= 24] == want
+            cases.append((fixed, lo, hi, 24))
+        # lo = 0, hi above 1, empty intervals, and bounds whose denominators
+        # exceed max_denominator
+        rng = random.Random(12)
+        for _ in range(30):
+            fixed = [F(rng.randint(1, 4), rng.randint(5, 9))
+                     for _ in range(rng.randint(0, 3))]
+            mden = rng.randint(2, 30)
+            fine = F(rng.randint(1, 2 * mden), rng.randint(2 * mden + 1, 5 * mden))
+            lo, hi = rng.choice([(F(0), fine), (fine, F(rng.randint(11, 30), 10)),
+                                 (fine, fine), (fine, fine - F(1, 7)),
+                                 (fine, fine + F(rng.randint(1, 997), 1009)), (F(0), F(2))])
+            cases.append((fixed, lo, hi, mden))
+        for fixed, lo, hi, mden in cases:
+            want = _rational_scan_per_q(fixed, lo, hi, mden)
+            assert corner_angle_solutions_rational_scan(fixed, lo, hi, mden) == want, \
+                (fixed, lo, hi, mden)
+            if 0 < lo < hi:  # the scan lists proper fractions only, so never q = 1
+                assert [q for q in corner_angle_solutions(fixed, lo, hi)
+                        if q.denominator <= mden and q < 1] == want
 
     def test_rational_scan_agrees(self):
         sols = corner_angle_solutions([F(1, 3), F(1, 2)], F(1, 6), F(1, 3))
