@@ -13,9 +13,8 @@ beta, for integer combinations k*pi + r*beta (values in Q[t], t = cos beta).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .exactmath import Poly, QuadExt, Rational
 
@@ -30,11 +29,26 @@ def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
 class AngleForm:
     """Rational linear form over (pi, alpha, beta, gamma)."""
 
-    coeffs: tuple  # 4 Fractions, ordered as SYMBOLS
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):  # 4 Fractions, ordered as SYMBOLS
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError("AngleForm is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
 
     @staticmethod
     def of(pi=0, alpha=0, beta=0, gamma=0) -> "AngleForm":
@@ -93,8 +107,7 @@ BETA = AngleForm.of(beta=1)
 GAMMA = AngleForm.of(gamma=1)
 
 
-@dataclass(frozen=True)
-class RelationSet:
+class RelationSet(NamedTuple):
     """Ordered substitution rules, each eliminating one symbol.
 
     Rules are applied left to right; the rule list must be acyclic in the

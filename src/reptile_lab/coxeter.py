@@ -25,14 +25,13 @@ clients of one orderly search over the edge colorings, `coloring_search`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import (combinations, combinations_with_replacement, count, permutations,
                        product)
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .angles import (AngleForm, RelationSet, EMPTY_RELATIONS, format_angle,
                      parse_angle)
@@ -53,18 +52,33 @@ def triangle_type_of(labels: Iterable[AngleForm]) -> TriangleType:
     return tuple(sorted(labels, key=lambda f: f.sort_key()))
 
 
-@dataclass(frozen=True)
 class KnTables:
-    """Index tables of K_n (edges in `all_edges` order) and the symmetry kernel."""
+    """Index tables of K_n (edges in `all_edges` order) and the symmetry kernel.
 
-    edges: list
-    triangles: list  # vertex triples, in combinations order
-    tri_edges: list  # per triangle: its three edge indices, ascending
-    edge_tris: list  # per edge: the indices of the triangles through it
-    closes: list  # per edge: the other two edges of each triangle whose last edge it is
-    open_after: list  # per edge e: the number of triangles whose last edge is after e
-    perms: list  # vertex permutations, in permutations order
-    getters: list  # per vertex permutation p: colors -> image, edge i colored as p(edge i)
+    triangles: vertex triples, in combinations order.
+    tri_edges: per triangle, its three edge indices, ascending.
+    edge_tris: per edge, the indices of the triangles through it.
+    closes: per edge, the other two edges of each triangle whose last edge it is.
+    open_after: per edge e, the number of triangles whose last edge is after e.
+    perms: vertex permutations, in permutations order.
+    getters: per vertex permutation p, colors -> image, edge i colored as p(edge i).
+    """
+
+    def __init__(self, edges: list, triangles: list, tri_edges: list, edge_tris: list,
+                 closes: list, open_after: list, perms: list, getters: list):
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "triangles", triangles)
+        object.__setattr__(self, "tri_edges", tri_edges)
+        object.__setattr__(self, "edge_tris", edge_tris)
+        object.__setattr__(self, "closes", closes)
+        object.__setattr__(self, "open_after", open_after)
+        object.__setattr__(self, "perms", perms)
+        object.__setattr__(self, "getters", getters)
+
+    def __setattr__(self, *a):  # immutable; cached_property writes __dict__
+        raise AttributeError("KnTables is immutable")
+
+    __delattr__ = __setattr__
 
     def aut(self, colors: Sequence[int]) -> list:
         """The vertex permutations whose image of the coloring equals it."""
@@ -328,16 +342,26 @@ def subgroups_upto_two_generators(n: int = 5) -> list:
     Walks the kernel's Cayley table over permutation indices; a subgroup
     closure is a walk from the identity multiplying by the generators
     (finiteness makes inverses come for free).  A closure holding more
-    than half of S_n is S_n, by Lagrange, and stops there.  <a, b> depends
-    only on <a> and <b>, so the two-generator closures run over pairs of
-    distinct cyclic subgroups (67 in S5), each given by its first
-    generator, not over all pairs of elements.
+    than half of S_n is S_n, by Lagrange, and stops there.  For n >= 5 the
+    only subgroups of index below n are A_n and S_n, so a closure stops
+    once it holds more than |S_n|/n elements: it is A_n if every generator
+    is even, else S_n.  <a, b> depends only on <a> and <b>, so the
+    two-generator closures run over pairs of distinct cyclic subgroups (67
+    in S5), each given by its first generator, not over all pairs of
+    elements.
     """
     kn = kn_tables(n)
     perms, table = kn.perms, kn.cayley
     size = len(perms)
     everything = frozenset(range(size))
     ident = 0  # permutations order starts with the identity
+    if n >= 5:
+        bound = size // n
+        # a permutation is even iff its inversion count is
+        alternating = frozenset(i for i, p in enumerate(perms)
+                                if sum(x > y for x, y in combinations(p, 2)) % 2 == 0)
+    else:
+        bound = size // 2
 
     def closure(gens):
         els = {ident}
@@ -349,7 +373,9 @@ def subgroups_upto_two_generators(n: int = 5) -> list:
                 if y not in els:
                     els.add(y)
                     frontier.append(y)
-            if 2 * len(els) > size:
+            if len(els) > bound:
+                if n >= 5 and all(g in alternating for g in gens):
+                    return alternating
                 return everything
         return frozenset(els)
 
@@ -478,8 +504,7 @@ def coloring_search(colors: list, slots: Sequence[int], values: Callable, step: 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DiagramConstraints:
+class DiagramConstraints(NamedTuple):
     """Constraint language for diagram enumeration.
 
     list_rules: ordered (label, allowed-types); a triangle containing the
@@ -644,8 +669,7 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PartitionConstraints:
+class PartitionConstraints(NamedTuple):
     two_types_each_at_least: Optional[int] = None
     one_type_at_least: Optional[int] = None
     trivial_automorphisms: Optional[bool] = None

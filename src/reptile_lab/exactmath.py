@@ -12,10 +12,9 @@ except in the explicitly numeric evaluation helpers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Rational = Fraction
 
@@ -307,8 +306,7 @@ def sturm_count(p: Poly, lo=None, hi=None) -> int:
     return _count_variations(chain, *a)[0] - vb - (fb == 0)
 
 
-@dataclass(frozen=True)
-class RootInterval:
+class RootInterval(NamedTuple):
     """Isolating interval for one distinct real root.
 
     For a root found exactly (rational), lo == hi == the root.
@@ -429,19 +427,23 @@ def _square_free(m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
 class QuadExt:
     """Element a + b*sqrt(m) of Q(sqrt(m)), m square-free and m > 1."""
 
-    a: Fraction
-    b: Fraction
-    m: int
+    __slots__ = ("a", "b", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _frac(self.a))
-        object.__setattr__(self, "b", _frac(self.b))
-        if not _square_free(self.m):
-            raise ValueError(f"field tag {self.m} is not square-free and above 1")
+    def __init__(self, a: Fraction, b: Fraction, m: int):
+        a, b = _frac(a), _frac(b)
+        if not _square_free(m):
+            raise ValueError(f"field tag {m} is not square-free and above 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError("QuadExt is immutable")
+
+    __delattr__ = __setattr__
 
     def _match(self, other) -> "QuadExt":
         if isinstance(other, (int, Fraction)):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -26,12 +25,14 @@ from .coxeter import CoxeterDiagram, all_edges
 from .exactmath import ExactMatrix, Poly, RingMismatchError, sign, sturm_count
 
 
-@dataclass
 class GramMatrix:
     """Exact cosine matrix plus the name of its ring."""
 
-    exact: ExactMatrix
-    ring: str  # "Q", "Q(sqrt(m))" or "Q[t]"
+    __slots__ = ("exact", "ring")
+
+    def __init__(self, exact: ExactMatrix, ring: str):
+        self.exact = exact
+        self.ring = ring  # "Q", "Q(sqrt(m))" or "Q[t]"
 
 
 def gram_from_diagram(diagram: CoxeterDiagram,
@@ -57,15 +58,20 @@ def gram_from_diagram(diagram: CoxeterDiagram,
     return GramMatrix(exact, exact.ring)
 
 
-@dataclass
 class FiedlerReport:
-    determinant: object  # exact ring element
-    is_singular: bool
-    rank: Optional[int]
-    negative_semidefinite: Optional[bool]
-    kernel_vector: Optional[tuple]  # exact, up to a positive factor
-    kernel_strictly_positive: Optional[bool]
-    verdict: str  # "consistent-with-simplex" or "cannot-be-a-simplex"
+    __slots__ = ("determinant", "is_singular", "rank", "negative_semidefinite",
+                 "kernel_vector", "kernel_strictly_positive", "verdict")
+
+    def __init__(self, determinant, is_singular: bool, rank: Optional[int],
+                 negative_semidefinite: Optional[bool], kernel_vector: Optional[tuple],
+                 kernel_strictly_positive: Optional[bool], verdict: str):
+        self.determinant = determinant  # exact ring element
+        self.is_singular = is_singular
+        self.rank = rank
+        self.negative_semidefinite = negative_semidefinite
+        self.kernel_vector = kernel_vector  # exact, up to a positive factor
+        self.kernel_strictly_positive = kernel_strictly_positive
+        self.verdict = verdict  # "consistent-with-simplex" or "cannot-be-a-simplex"
 
 
 def fiedler_check(gram: Union[GramMatrix, ExactMatrix]) -> FiedlerReport:
@@ -134,11 +140,13 @@ def _kernel_from_adjugate(matrix: ExactMatrix) -> tuple:
     return kernel
 
 
-@dataclass
 class ParametricExclusion:
-    det_poly: Poly
-    roots_in_interval: int
-    excluded: bool
+    __slots__ = ("det_poly", "roots_in_interval", "excluded")
+
+    def __init__(self, det_poly: Poly, roots_in_interval: int, excluded: bool):
+        self.det_poly = det_poly
+        self.roots_in_interval = roots_in_interval
+        self.excluded = excluded
 
 
 def parametric_fiedler(diagram: CoxeterDiagram, lo: Fraction,
@@ -162,18 +170,22 @@ def parametric_fiedler(diagram: CoxeterDiagram, lo: Fraction,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class EuclideanSimplex:
     """d+1 affinely independent vertices in R^d (rational or float coords)."""
 
-    vertices: tuple  # of coordinate tuples
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        vs = tuple(tuple(c for c in v) for v in self.vertices)
-        object.__setattr__(self, "vertices", vs)
+    def __init__(self, vertices: tuple):  # of coordinate tuples
+        vs = tuple(tuple(c for c in v) for v in vertices)
         d = len(vs[0])
         if len(vs) != d + 1 or any(len(v) != d for v in vs):
             raise ValueError("need d+1 vertices in R^d")
+        object.__setattr__(self, "vertices", vs)
+
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError("EuclideanSimplex is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def dim(self) -> int:

@@ -23,11 +23,10 @@ vertices scaled by the lcm of their denominators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import le, mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .gram import EuclideanSimplex
 
@@ -60,7 +59,6 @@ def hill_simplex(d: int, i: int) -> EuclideanSimplex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LatticeTile:
     """One tile of the H1 lattice tiling: cube center + signed permutation.
 
@@ -69,8 +67,24 @@ class LatticeTile:
     the i_j distinct 0-based axes; the remaining axis i_d is implied.
     """
 
-    center2: tuple
-    signed_perm: tuple
+    __slots__ = ("center2", "signed_perm")
+
+    def __init__(self, center2: tuple, signed_perm: tuple):
+        object.__setattr__(self, "center2", center2)
+        object.__setattr__(self, "signed_perm", signed_perm)
+
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError("LatticeTile is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.center2, self.signed_perm) == (other.center2, other.signed_perm)
+
+    def __hash__(self):
+        return hash((self.center2, self.signed_perm))
 
     @property
     def d(self) -> int:
@@ -122,8 +136,7 @@ def signed_perms(d: int):
             yield tuple(zip(signs, axes))
 
 
-@dataclass(frozen=True)
-class Polytope:
+class Polytope(NamedTuple):
     """Intersection of half-spaces a.x <= b, doubled integer coefficients."""
 
     ineqs: tuple  # of (coeff tuple, rhs) in doubled coordinates
@@ -260,11 +273,13 @@ def congruent(s1: EuclideanSimplex, s2: EuclideanSimplex) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CompatibilityGraph:
-    tiles: list
-    edges: list  # index pairs
-    components: list  # lists of tile indices (grouped by cube + prefix)
+    __slots__ = ("tiles", "edges", "components")
+
+    def __init__(self, tiles: list, edges: list, components: list):
+        self.tiles = tiles
+        self.edges = edges  # index pairs
+        self.components = components  # lists of tile indices (grouped by cube + prefix)
 
     def component_sizes(self) -> list:
         return sorted(len(c) for c in self.components)
@@ -290,12 +305,15 @@ class PairingError(RuntimeError):
     pass
 
 
-@dataclass
 class TilingReport:
-    tile_count: int
-    total_volume: Fraction
-    all_congruent: bool
-    component_sizes: list
+    __slots__ = ("tile_count", "total_volume", "all_congruent", "component_sizes")
+
+    def __init__(self, tile_count: int, total_volume: Fraction, all_congruent: bool,
+                 component_sizes: list):
+        self.tile_count = tile_count
+        self.total_volume = total_volume
+        self.all_congruent = all_congruent
+        self.component_sizes = component_sizes
 
 
 def pair_h2_tiling(d: int, m: int,

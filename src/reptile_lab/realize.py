@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import colorsys
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import sphgeo
 from .spherical import InvalidTriangleError, is_valid, law_of_cosines
@@ -49,7 +48,6 @@ TWO_PI = 2 * math.pi
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TileSpec:
     """Base tile T0 by its angles, Fractions of pi in ascending order.
 
@@ -58,7 +56,13 @@ class TileSpec:
     tolerance EDGE_TOL; see `edge_combination`.
     """
 
-    angles_pi: tuple  # 3 Fractions of pi, ascending
+    def __init__(self, angles_pi: tuple):  # 3 Fractions of pi, ascending
+        object.__setattr__(self, "angles_pi", angles_pi)
+
+    def __setattr__(self, *a):  # immutable; cached_property writes __dict__
+        raise AttributeError("TileSpec is immutable")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def from_pi_fractions(*qs) -> "TileSpec":
@@ -91,15 +95,13 @@ class TileSpec:
 EDGE_TOL = 1e-5
 
 
-@dataclass(frozen=True)
-class EdgeMatch:
+class EdgeMatch(NamedTuple):
     coeffs: tuple
     value: float
     gap: float  # distance from x to the nearest combination, at most EDGE_TOL
 
 
-@dataclass(frozen=True)
-class EdgeNearest:
+class EdgeNearest(NamedTuple):
     below: tuple  # (coeffs, value) of the nearest combination below x
     above: tuple
     gap: float  # distance from x to the nearest combination, above EDGE_TOL
@@ -156,8 +158,7 @@ def edge_combination(x: float, edges: Sequence[float]) -> EdgeStatus:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """A (tau, phi, psi) triple passing the exact area and validity filters."""
 
     tau: Fraction  # fractions of pi
@@ -238,25 +239,29 @@ SEARCH_EPS = 1e-9
 SNAP = SEARCH_EPS * 10
 
 
-@dataclass
 class TilePlacement:
-    points: list  # [V, P, Q] unit vectors, float 3-tuples
-    corners: tuple  # tile corner indices at (V, P, Q)
+    __slots__ = ("points", "corners")
+
+    def __init__(self, points: list, corners: tuple):
+        self.points = points  # [V, P, Q] unit vectors, float 3-tuples
+        self.corners = corners  # tile corner indices at (V, P, Q)
 
 
 # Width and height in pixels of the SVG `SphTiling.render_svg` writes.
 SVG_SIZE = 480
 
 
-@dataclass
 class SphTiling:
     """A placed tiling.  The target is a convex CCW boundary polygon; a
     triangle in the usual case, or a lune encoded with its two edge
     midpoints as straight vertices (angles alpha, pi, alpha, pi)."""
 
-    target_points: list  # boundary unit vectors (float 3-tuples), CCW
-    target_angles: tuple  # interior angles at those points, radians
-    tiles: list  # of TilePlacement
+    __slots__ = ("target_points", "target_angles", "tiles")
+
+    def __init__(self, target_points: list, target_angles: tuple, tiles: list):
+        self.target_points = target_points  # boundary unit vectors (float 3-tuples), CCW
+        self.target_angles = target_angles  # interior angles at those points, radians
+        self.tiles = tiles  # of TilePlacement
 
     def to_json(self) -> dict:
         verts = []
@@ -350,12 +355,15 @@ class SphTiling:
             f.write("\n".join(parts))
 
 
-@dataclass
 class SearchResult:
-    status: str  # "found" | "exhausted" | "aborted"
-    tiling: Optional[SphTiling]
-    nodes: int
-    reason: str = ""
+    __slots__ = ("status", "tiling", "nodes", "reason")
+
+    def __init__(self, status: str, tiling: Optional[SphTiling], nodes: int,
+                 reason: str = ""):
+        self.status = status  # "found" | "exhausted" | "aborted"
+        self.tiling = tiling
+        self.nodes = nodes
+        self.reason = reason
 
 
 class _Region:
@@ -671,10 +679,12 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
 VERIFY_EPS = 1e-7
 
 
-@dataclass
 class VerifyReport:
-    ok: bool
-    violation: str = ""
+    __slots__ = ("ok", "violation")
+
+    def __init__(self, ok: bool, violation: str = ""):
+        self.ok = ok
+        self.violation = violation
 
     def __bool__(self):
         return self.ok
@@ -757,8 +767,7 @@ def _tiles_overlap(pts1, pts2) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     k: int
     d: int
     degree: int

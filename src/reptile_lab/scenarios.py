@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
@@ -53,15 +52,19 @@ SCENARIOS = ("three-dim", "two-indivisible", "case-a", "case-b", "case-c", "hill
 CONFIG = {"tol": EDGE_TOL, "node_budget": NODE_BUDGET}
 
 
-@dataclass
 class Checkpoint:
-    id: str
-    description: str
-    expected: object
-    actual: object
-    passed: bool
-    provenance: str
-    anchor: str
+    __slots__ = ("id", "description", "expected", "actual", "passed", "provenance",
+                 "anchor")
+
+    def __init__(self, id: str, description: str, expected, actual, passed: bool,
+                 provenance: str, anchor: str):
+        self.id = id
+        self.description = description
+        self.expected = expected
+        self.actual = actual
+        self.passed = passed
+        self.provenance = provenance
+        self.anchor = anchor
 
     def to_json(self) -> dict:
         return {"id": self.id, "description": self.description,
@@ -71,12 +74,14 @@ class Checkpoint:
                 "anchor": self.anchor}
 
 
-@dataclass
 class Report:
-    scenario: str
-    checkpoints: list = field(default_factory=list)
-    seconds: float = 0.0
-    tilings: list = field(default_factory=list)  # (name, SphTiling)
+    __slots__ = ("scenario", "checkpoints", "seconds", "tilings")
+
+    def __init__(self, scenario: str):
+        self.scenario = scenario
+        self.checkpoints = []
+        self.seconds = 0.0
+        self.tilings = []  # (name, SphTiling)
 
     @property
     def passed(self) -> bool:
@@ -151,22 +156,31 @@ def _type_of(fracs) -> tuple:
     return triangle_type_of([_pi_form(q) for q in fracs])
 
 
-@dataclass
 class CaseLists:
-    tile: TileSpec
-    alpha_list: list  # realizable (alpha,*,*) triples, fractions of pi
-    beta_list: list
-    extra_candidates: list  # expressible but rejected by the edge argument
-    forbidden: list  # no-alpha-no-beta triples failing necessary conditions
-    # over every edge verdict consulted: the largest gap of a match and the
-    # smallest gap of a miss; no verdict changes for any tolerance between
-    max_match_gap: float
-    min_miss_gap: float
+    __slots__ = ("tile", "alpha_list", "beta_list", "extra_candidates", "forbidden",
+                 "max_match_gap", "min_miss_gap")
+
+    def __init__(self, tile: TileSpec, alpha_list: list, beta_list: list,
+                 extra_candidates: list, forbidden: list, max_match_gap: float,
+                 min_miss_gap: float):
+        self.tile = tile
+        self.alpha_list = alpha_list  # realizable (alpha,*,*) triples, fractions of pi
+        self.beta_list = beta_list
+        # expressible but rejected by the edge argument
+        self.extra_candidates = extra_candidates
+        self.forbidden = forbidden  # no-alpha-no-beta triples failing necessary conditions
+        # over every edge verdict consulted: the largest gap of a match and the
+        # smallest gap of a miss; no verdict changes for any tolerance between
+        self.max_match_gap = max_match_gap
+        self.min_miss_gap = min_miss_gap
 
 
-@dataclass
 class FinalCaseAnalysis(CaseLists):
-    diagrams: list
+    __slots__ = ("diagrams",)
+
+    def __init__(self, lists: CaseLists, diagrams: list):
+        super().__init__(*(getattr(lists, name) for name in CaseLists.__slots__))
+        self.diagrams = diagrams
 
 
 def case_lists(key: str) -> CaseLists:
@@ -243,7 +257,7 @@ def final_case_analysis(key: str) -> FinalCaseAnalysis:
         rich_type=_type_of((qa, qb, qg)))
     alphabet = [_pi_form(q) for q in _case_labels(lists.alpha_list, lists.beta_list)]
     diagrams = enumerate_diagrams(5, alphabet, cons)
-    return FinalCaseAnalysis(**vars(lists), diagrams=diagrams)
+    return FinalCaseAnalysis(lists, diagrams)
 
 
 def _search_and_verify(rec: Recorder, key: str, report: Report,

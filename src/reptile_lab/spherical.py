@@ -12,9 +12,8 @@ plus the smallest), which is equivalent to the area bound 2*min-angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .angles import AngleForm, RelationSet
 
@@ -25,8 +24,7 @@ def _require_exact(angles: Sequence[Fraction]) -> None:
             raise TypeError(f"angles are Fractions of pi, not {type(a).__name__}")
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(NamedTuple):
     ok: bool
     reason: str = "ok"
 
@@ -162,10 +160,11 @@ def corner_angle_solutions_rational_scan(fixed: Sequence[Fraction], lo: Fraction
         residuals = {r - n * step for r in residuals for n in range(-(-r // step))}
     lo, hi = Fraction(lo), Fraction(hi)
     found = []
-    for r in range(2, max_denominator + 1):
-        # the s in [1, r - 1] with lo < s/r < hi
+    for r in range(1, max_denominator + 1):
+        # the s in [1, r] with lo < s/r < hi; of s = r only q = 1/1 is in
+        # lowest terms
         s_min = max(1, lo.numerator * r // lo.denominator + 1)
-        s_max = min(r - 1, -(-hi.numerator * r // hi.denominator) - 1)
+        s_max = min(r, -(-hi.numerator * r // hi.denominator) - 1)
         for s in range(s_min, s_max + 1):
             if math.gcd(s, r) == 1 and any(rest * r % (den * s) == 0 for rest in residuals):
                 found.append(Fraction(s, r))

@@ -3,7 +3,12 @@
 No module imports an underscored name from a sibling: a name with a
 leading underscore is private to its module, and a caller in another module
 means the name belongs in the public interface.  The `sphgeo` kernel
-imports only `math`, and no module imports numpy.  The only function in `coxeter` that calls itself is
+imports only `math`, and no module imports numpy.  No module imports
+`dataclasses` either: it loads `inspect`, and its decorator generates and
+compiles the methods of each record at import, together about 45 ms of
+every command's start-up.  Records are plain classes with `__slots__` or
+`typing.NamedTuple`s, and importing the CLI loads neither `dataclasses` nor
+`inspect`.  The only function in `coxeter` that calls itself is
 the walk of `coloring_search`: the enumerators are its clients and keep no
 recursion of their own.  Every definition in the package is named by the
 package outside its own body, so none is kept only for the tests; the few
@@ -73,6 +78,20 @@ def test_cli_and_scenarios_load_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_no_module_imports_dataclasses():
+    found = [path.name for path in sorted(PACKAGE.glob("*.py"))
+             if "dataclasses" in imported_modules(path)]
+    assert found == []
+
+
+def test_cli_loads_no_dataclasses_or_inspect():
+    code = ("import sys, reptile_lab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_check_sees_a_numpy_import(tmp_path):

@@ -1,0 +1,125 @@
+"""The package's records keep the semantics callers rely on.
+
+Immutable records reject assignment and deletion of a field.  The hashed
+value types hash as the tuple of their fields, so set and dict iteration
+orders, and with them the enumerators' output orders, do not depend on how
+a record is written.  A record class with an `__eq__` of its own compares
+equal only to instances of the same class.
+"""
+
+from collections import namedtuple
+from fractions import Fraction as F
+from types import SimpleNamespace
+
+import pytest
+
+from reptile_lab.angles import PI, AngleForm, RelationSet
+from reptile_lab.coxeter import (DiagramConstraints, KnTables, PartitionConstraints,
+                                 kn_tables)
+from reptile_lab.exactmath import QuadExt, RootInterval
+from reptile_lab.gram import EuclideanSimplex
+from reptile_lab.hill import LatticeTile, Polytope, scaled_hill_polytope
+from reptile_lab.realize import (Candidate, DegreeReport, EdgeMatch, EdgeNearest, TileSpec,
+                                 algebraic_degree, edge_combination, enumerate_candidates)
+from reptile_lab.spherical import ValidityReport, is_valid
+
+TILE = TileSpec.from_pi_fractions(F(1, 4), F(1, 3), F(1, 2))
+
+
+def immutable_records():
+    """(record, one of its fields) for every immutable record class."""
+    cand = enumerate_candidates(TILE, F(1, 4))[0]
+    return [
+        (AngleForm.of(pi=F(1, 2), beta=1), "coeffs"),
+        (RelationSet.of(("gamma", F(1, 2) * PI)), "rules"),
+        (RootInterval(F(0), F(1), False), "lo"),
+        (QuadExt(F(1), F(2), 2), "a"),
+        (is_valid([F(1, 4), F(1, 3), F(1, 2)]), "ok"),
+        (EuclideanSimplex(((0, 0), (1, 0), (0, 1))), "vertices"),
+        (LatticeTile((1, 1), ((1, 0),)), "center2"),
+        (scaled_hill_polytope(2, 1, 1), "ineqs"),
+        (TILE, "angles_pi"),
+        (edge_combination(TILE.edges[0], TILE.edges), "gap"),
+        (edge_combination(0.01, TILE.edges), "below"),
+        (cand, "edge_status"),
+        (algebraic_degree(2, 3), "degree"),
+        (kn_tables(3), "edges"),
+        (DiagramConstraints(), "forbidden"),
+        (PartitionConstraints(one_type_at_least=2), "one_type_at_least"),
+    ]
+
+
+def test_every_immutable_record_class_is_listed():
+    classes = {type(rec) for rec, _ in immutable_records()}
+    assert classes == {AngleForm, RelationSet, RootInterval, QuadExt, ValidityReport,
+                       EuclideanSimplex, LatticeTile, Polytope, TileSpec, EdgeMatch,
+                       EdgeNearest, Candidate, DegreeReport, KnTables,
+                       DiagramConstraints, PartitionConstraints}
+
+
+@pytest.mark.parametrize("rec,name", immutable_records(),
+                         ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
+def test_immutable_records_reject_assignment(rec, name):
+    before = getattr(rec, name)
+    with pytest.raises(AttributeError):
+        setattr(rec, name, before)
+    with pytest.raises(AttributeError):
+        delattr(rec, name)
+    assert getattr(rec, name) is before
+
+
+def test_cached_properties_still_fill_in():
+    tile = TileSpec.from_pi_fractions(F(1, 5), F(1, 3), F(1, 2))
+    assert "edges" not in vars(tile)
+    assert tile.edges is tile.edges and "edges" in vars(tile)
+
+
+def fields(rec) -> tuple:
+    slots = type(rec).__slots__
+    return tuple(getattr(rec, name) for name in slots) if slots else tuple(rec)
+
+
+@pytest.mark.parametrize("rec", [
+    AngleForm.of(pi=F(1, 3), alpha=F(-2, 7)),
+    LatticeTile((1, -1, 3), ((1, 2), (-1, 0))),
+    QuadExt(F(1, 2), F(-3), 5),
+    RelationSet.of(("gamma", F(1, 2) * PI)),
+    RootInterval(F(1, 3), F(1, 2), False),
+    ValidityReport(False, "angle outside (0, pi)"),
+    Polytope((((2, 0), 1),)),
+    EdgeMatch((1, 0, 2), 1.5, 1e-9),
+    EdgeNearest(((1, 0, 0), 1.0), ((0, 1, 0), 1.2), 0.1),
+    DegreeReport(2, 3, 3),
+    PartitionConstraints(class_count=(2, 3)),
+], ids=lambda rec: type(rec).__name__)
+def test_hash_is_the_hash_of_the_fields(rec):
+    assert hash(rec) == hash(fields(rec))
+    assert rec == type(rec)(*fields(rec))
+
+
+def test_quadratic_element_equals_numbers_not_records():
+    # a + 0*sqrt(m) equals the Fraction a, so it hashes as a
+    x = QuadExt(F(3, 4), F(0), 2)
+    assert x == F(3, 4) and hash(x) == hash(F(3, 4))
+    y = QuadExt(F(1), F(1), 3)
+    for other in (fields(y), SimpleNamespace(a=y.a, b=y.b, m=y.m)):
+        assert y != other and not y == other
+
+
+@pytest.mark.parametrize("rec", [
+    AngleForm.of(pi=1, gamma=F(1, 2)),
+    LatticeTile((1, 1), ((-1, 1),)),
+], ids=lambda rec: type(rec).__name__)
+def test_equality_is_limited_to_the_same_class(rec):
+    cls = type(rec)
+    twin = cls(*fields(rec))
+    assert rec == twin and not rec != twin
+
+    class Sub(cls):
+        __slots__ = ()
+
+    look_alikes = [Sub(*fields(rec)), SimpleNamespace(**dict(zip(cls.__slots__, fields(rec)))),
+                   fields(rec), namedtuple("Twin", cls.__slots__)(*fields(rec))]
+    for other in look_alikes:
+        assert rec != other and not rec == other
+        assert other != rec and not other == rec

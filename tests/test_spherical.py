@@ -140,7 +140,8 @@ class TestCornerSolver:
 
     def test_rational_scan_matches_per_q_oracle(self):
         rng = random.Random(11)
-        cases = [([F(1, 3), F(1, 2)], F(1, 6), F(1, 3), 100)]  # case-c's own call
+        cases = [([F(1, 3), F(1, 2)], F(1, 6), F(1, 3), 100),  # case-c's own call
+                 ([], F(1, 7), F(2), 24)]  # q = 1 is a solution
         for _ in range(60):
             fixed = [F(rng.randint(1, 4), rng.randint(5, 7))
                      for _ in range(rng.randint(0, 3))]
@@ -163,9 +164,9 @@ class TestCornerSolver:
             want = _rational_scan_per_q(fixed, lo, hi, mden)
             assert corner_angle_solutions_rational_scan(fixed, lo, hi, mden) == want, \
                 (fixed, lo, hi, mden)
-            if 0 < lo < hi:  # the scan lists proper fractions only, so never q = 1
+            if 0 < lo < hi:
                 assert [q for q in corner_angle_solutions(fixed, lo, hi)
-                        if q.denominator <= mden and q < 1] == want
+                        if q.denominator <= mden] == want
 
     def test_rational_scan_agrees(self):
         sols = corner_angle_solutions([F(1, 3), F(1, 2)], F(1, 6), F(1, 3))
@@ -177,8 +178,8 @@ class TestCornerSolver:
 def _rational_scan_per_q(fixed, lo, hi, max_denominator):
     """The rational scan with a fresh residual search for every q."""
     found = set()
-    for r in range(2, max_denominator + 1):
-        for s in range(1, r):
+    for r in range(1, max_denominator + 1):
+        for s in range(1, r + 1):
             q = F(s, r)
             if not (lo < q < hi) or q in found:
                 continue
