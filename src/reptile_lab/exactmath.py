@@ -51,7 +51,7 @@ class Poly:
     coefficient is nonzero.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_square_free")  # the second is set by `_square_free_part`
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]] = ()):
         cs = [_frac(c) for c in coeffs]
@@ -243,7 +243,18 @@ def sturm_chain(p: Poly) -> list[Poly]:
     """Sturm chain of the square-free part of p."""
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial")
-    return _chain_of_square_free(p.square_free_part())
+    return _chain_of_square_free(_square_free_part(p))
+
+
+def _square_free_part(p: Poly) -> Poly:
+    """`p.square_free_part()`, computed once per polynomial and kept on it:
+    case-a both counts and isolates the roots of each determinant."""
+    try:
+        return p._square_free
+    except AttributeError:
+        f = p.square_free_part()
+        object.__setattr__(p, "_square_free", f)
+        return f
 
 
 def _chain_of_square_free(f: Poly) -> list[Poly]:
@@ -368,7 +379,7 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
     precision = _frac(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
-    f = p.square_free_part()
+    f = _square_free_part(p)
     rational = _rational_roots(f)
     out = [RootInterval(r, r, True) for r in rational]
     for r in rational:

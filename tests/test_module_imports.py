@@ -189,9 +189,6 @@ KEPT = {
     # the benchmark's tracer lists it as a `spherical` layer function and
     # raises if it is missing
     "spherical.edge_lengths",
-    # acceptance criterion 13 checks the algebraic-degree obstruction
-    "realize.algebraic_degree",
-    "realize.DegreeReport.min_distinct_edge_lengths",
     # writes the format `from_fixture` reads; the enumerator's output is
     # pinned through it
     "coxeter.CoxeterDiagram.to_fixture",

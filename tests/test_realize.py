@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from oracles import minimal_polynomial_degree_bruteforce
+from test_acceptance import algebraic_degree
 from reptile_lab import realize, sphgeo
 from reptile_lab.realize import (EDGE_TOL, EdgeMatch, EdgeNearest,
                                  SphTiling, TilePlacement, TileSpec,
-                                 algebraic_degree, edge_combination,
-                                 enumerate_candidates, search_tiling,
-                                 verify_tiling)
+                                 edge_combination, enumerate_candidates,
+                                 search_tiling, verify_tiling)
 from reptile_lab.spherical import is_valid
 
 
@@ -272,11 +272,12 @@ class TestSearch:
                    for a, b in zip(r1.tiling.tiles, r2.tiling.tiles))
 
 
-# The 19 fixture found tilings, the exhausted ninth-tile target and the ten
+# The 19 fixture found tilings, the exhausted ninth-tile target, the ten
 # next heaviest searches of the benchmark's target pool (node counts of
-# perfbench/recorded.json), with the status, tile count and node count of
-# the search.  A geometry change that reshapes the search tree, or flips a
-# verdict, fails here.
+# perfbench/recorded.json) and three larger list entries beyond the
+# fixtures, with the status, tile count and node count of the search.  A
+# geometry change that reshapes the search tree, or flips a verdict, fails
+# here.
 SEARCH_TREE = [
     ("case-b", (F(1, 3), F(1, 3), F(2, 3)), "found", 2, 2),
     ("case-b", (F(1, 3), F(1, 2), F(2, 3)), "found", 3, 19),
@@ -309,6 +310,10 @@ SEARCH_TREE = [
     ("quarter", (F(1, 3), F(1, 3), F(11, 12)), "exhausted", 0, 756),
     ("quarter", (F(1, 3), F(1, 2), F(3, 4)), "found", 7, 715),
     ("ninth", (F(1, 3), F(1, 2), F(5, 9)), "exhausted", 0, 600),
+    # alpha- and beta-list entries the scenarios do not tile
+    ("fifth", (F(1, 3), F(1, 2), F(4, 5)), "found", 19, 13405),
+    ("ninth", (F(1, 3), F(1, 2), F(7, 9)), "exhausted", 0, 2766),
+    ("ninth", (F(1, 3), F(5, 9), F(2, 3)), "exhausted", 0, 1992),
 ]
 TILES = {"case-b": CASE_B, "quarter": QUARTER, "fifth": FIFTH, "ninth": NINTH}
 
@@ -354,6 +359,52 @@ def test_fresh_arc_check_equals_all_pairs_check(monkeypatch):
         assert (res.status, res.nodes) == (status, nodes)
     assert answers.count(True) > 100 and answers.count(False) > 100
     assert partial > 0.9 * len(answers)
+
+
+def pick_vertex_by_key(region):
+    """Reference pick: the first index with the smallest key (angle, point
+    rounded to 9 decimals), every point rounded."""
+    best, bi = None, -1
+    for i, a in enumerate(region.angles):
+        key = (a,) + tuple(round(c, 9) for c in region.points[i])
+        if best is None or key < best:
+            best, bi = key, i
+    return bi
+
+
+def test_pick_vertex_matches_key_on_exact_ties(monkeypatch):
+    """On synthetic regions whose smallest angle is shared exactly, with
+    points that differ, agree to 9 decimals or repeat, and on every region
+    of two pinned searches, the pick is the old key's."""
+    rng = random.Random(17)
+    ties = 0
+    for _ in range(500):
+        k = rng.randint(3, 9)
+        angles = [rng.choice((0.5, 1.25, math.pi / 3, 2.0)) for _ in range(k)]
+        pts = [sphgeo.unit((rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1)))
+               for _ in range(k)]
+        for i in range(1, k):
+            if rng.random() < 0.3:
+                j = rng.randrange(i)
+                pts[i] = rng.choice((pts[j], tuple(c + 1e-12 for c in pts[j])))
+        region = realize._Region(pts, angles)
+        ties += angles.count(min(angles)) > 1
+        assert realize._pick_vertex(region) == pick_vertex_by_key(region)
+    assert ties > 250
+
+    picked = realize._pick_vertex
+    regions = []
+
+    def checked(region):
+        regions.append(region.angles.count(min(region.angles)) > 1)
+        got = picked(region)
+        assert got == pick_vertex_by_key(region)
+        return got
+
+    monkeypatch.setattr(realize, "_pick_vertex", checked)
+    assert search_tiling((F(1, 3), F(1, 3), F(7, 9)), NINTH).nodes == 1326
+    assert search_tiling((F(1, 3), F(1, 2), F(3, 4)), QUARTER).nodes == 715
+    assert sum(regions) > 10
 
 
 class TestVerify:

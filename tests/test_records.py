@@ -4,7 +4,8 @@ Immutable records reject assignment and deletion of a field.  The hashed
 value types hash as the tuple of their fields, so set and dict iteration
 orders, and with them the enumerators' output orders, do not depend on how
 a record is written.  A record class with an `__eq__` of its own compares
-equal only to instances of the same class.
+equal only to instances of the same class.  `DegreeReport`, the record of
+acceptance criterion 13's degree step, is held to the same rules.
 """
 
 from collections import namedtuple
@@ -19,9 +20,10 @@ from reptile_lab.coxeter import (DiagramConstraints, KnTables, PartitionConstrai
 from reptile_lab.exactmath import QuadExt, RootInterval
 from reptile_lab.gram import EuclideanSimplex
 from reptile_lab.hill import LatticeTile, Polytope, scaled_hill_polytope
-from reptile_lab.realize import (Candidate, DegreeReport, EdgeMatch, EdgeNearest, TileSpec,
-                                 algebraic_degree, edge_combination, enumerate_candidates)
+from reptile_lab.realize import (Candidate, EdgeMatch, EdgeNearest, TileSpec,
+                                 edge_combination, enumerate_candidates)
 from reptile_lab.spherical import ValidityReport, is_valid
+from test_acceptance import DegreeReport, algebraic_degree
 
 TILE = TileSpec.from_pi_fractions(F(1, 4), F(1, 3), F(1, 2))
 

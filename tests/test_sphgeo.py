@@ -9,10 +9,11 @@ when the snap threshold moves by 1e-8 either way, i.e. wherever the input is
 farther than 1e-8 from the threshold; so they are compared at snap values
 above 1e-8.
 
-`arcs_conflict`'s early exit is held to exact agreement instead: the tuple
-kernel as it was before the exit is kept below as the oracle, and every
+`arcs_conflict`'s early exits are held to exact agreement instead: the
+tuple kernel as it was before them is kept below as the oracle, and every
 case must get its answer, at the search's snap 1e-8 and at 1e-7 and 1e-6,
-including cases at the exit's margin down to the last bits.
+including cases at the exits' margin down to the last bits: arcs on either
+side of a plane, and neighbouring arcs that share an endpoint.
 """
 
 import math
@@ -392,12 +393,12 @@ def test_point_in_convex_polygon(snap):
 
 
 # ---------------------------------------------------------------------------
-# arcs_conflict against the tuple kernel before its early exit
+# arcs_conflict against the tuple kernel before its early exits
 # ---------------------------------------------------------------------------
 
 
 def tuple_arcs_conflict(a1, b1, a2, b2, snap):
-    """`sphgeo.arcs_conflict` as it was before the early exit, on tuples."""
+    """`sphgeo.arcs_conflict` as it was before the early exits, on tuples."""
     cross, dot, norm = sphgeo.cross, sphgeo.dot, sphgeo.norm
     n1 = cross(a1, b1)
     n2 = cross(a2, b2)
@@ -513,3 +514,56 @@ def test_arcs_conflict_early_exit_keeps_every_answer(snap):
             assert sphgeo.arcs_conflict(*args, snap) == want, (args, want)
             answers.append(want)
     assert answers.count(True) >= 300 and answers.count(False) >= 300
+
+
+def neighbour_arcs(rng, snap, count):
+    """Triples (p, q, r) for arcs p-q and q-r that share the endpoint q.
+    Each arc is 1e-14 to 1 long, or 0.05 to 3, or pi - 1e-2 to pi - 1e-6;
+    arc q-r leaves q at 1e-16 to 1e-1 from arc q-p's direction, from its
+    opposite direction, or at any angle between, to either side; or it
+    leaves at the angle that puts r at 4 * snap, or at the exit's full
+    margin 4 * snap + 1e-15 / sin|pq| + 1e-15 / sin|qr|, from the plane of
+    p-q, times 1 + j * 2**-44 for j = -4..4."""
+    out = []
+
+    def length():
+        return rng.choice((10 ** rng.uniform(-14, 0), rng.uniform(0.05, 3.0),
+                           math.pi - 10 ** rng.uniform(-6, -2)))
+
+    for _ in range(count):
+        q = rand_unit(rng)
+        t1 = rand_tangent(rng, q)
+        l1, l2 = length(), length()
+        p = ref_point_at(q, t1, l1)
+        s1, s2 = math.sin(l1), math.sin(l2)
+        angles = [10 ** rng.uniform(-16, -1), math.pi - 10 ** rng.uniform(-16, -1),
+                  rng.uniform(0.1, math.pi - 0.1)]
+        for k in (4 * snap, 4 * snap + 1e-15 / s1 + 1e-15 / s2):
+            for j in range(-4, 5):
+                h = k * (1 + j * 2.0 ** -44)
+                if h < s2:
+                    phi = math.asin(h / s2)
+                    angles.append(rng.choice((phi, math.pi - phi)))
+        for phi in angles:
+            t2 = ref_rotate_tangent(q, t1, rng.choice((phi, -phi)))
+            out.append((p, q, ref_point_at(q, t2, l2)))
+    return out
+
+
+@pytest.mark.parametrize("snap", [1e-8, 1e-7, 1e-6])
+def test_arcs_conflict_neighbour_exit_keeps_every_answer(snap):
+    """Arcs sharing one endpoint get the answer of the kernel before the
+    early exits, in every argument order: either arc first, each arc
+    either way round."""
+    rng = random.Random(f"neighbour-exit:{snap}")
+    answers = []
+    for p, q, r in neighbour_arcs(rng, snap, 60):
+        p, q, r = tup(p, q, r)
+        for first, second in (((p, q), (q, r)), ((q, r), (p, q))):
+            for a1, b1 in (first, first[::-1]):
+                for a2, b2 in (second, second[::-1]):
+                    want = tuple_arcs_conflict(a1, b1, a2, b2, snap)
+                    assert sphgeo.arcs_conflict(a1, b1, a2, b2, snap) == want, \
+                        ((a1, b1, a2, b2), want)
+                    answers.append(want)
+    assert answers.count(True) >= 100 and answers.count(False) >= 1000
