@@ -5,24 +5,25 @@ A relation set rewrites symbols away (e.g. gamma -> pi/2, alpha -> pi - 2*beta)
 and gives every form a unique canonical representative, so label equality in
 diagrams is decidable.
 
-Exact cosines are available for rational multiples of pi with denominator up
-to 6 (values in Q or a quadratic field), and, under a cos-parametrisation of
-beta, for integer combinations k*pi + r*beta (values in Q[t], t = cos beta).
+Exact cosines are available for every rational multiple of pi (values in Q
+or in the field Q(cos(pi/n))), and, under a cos-parametrisation of beta, for
+integer combinations k*pi + r*beta (values in Q[t], t = cos beta).
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
-from .exactmath import Poly, QuadExt, Rational
+from .exactmath import chebyshev, cos_pi
 
 SYMBOLS = ("pi", "alpha", "beta", "gamma")
 
 
 class NoExactCosineError(ValueError):
-    """The angle has no supported exact cosine; fall back to numerics."""
+    """The angle has no exact cosine: a symbol is left that no relation or
+    parametrisation resolves."""
 
 
 def _frac(x) -> Fraction:
@@ -199,66 +200,23 @@ def format_angle(form: AngleForm) -> str:
 # Exact cosines
 # ---------------------------------------------------------------------------
 
-_SUPPORTED_DENOMS = (1, 2, 3, 4, 5, 6)
-
-
-def _cos_pi_fraction(q: Fraction) -> Union[Rational, QuadExt]:
-    """cos(q*pi) exactly, for q with reduced denominator in 1..6."""
-    q = q % 2
-    if q > 1:
-        q = 2 - q  # cos(2pi - x) = cos(x)
-    d = q.denominator
-    if d not in _SUPPORTED_DENOMS:
-        raise NoExactCosineError(f"no exact cosine for {q} pi (denominator {d})")
-    n = q.numerator
-    if d == 1:
-        return Fraction(1) if n == 0 else Fraction(-1)
-    if d == 2:
-        return Fraction(0)
-    if d == 3:
-        return Fraction(1, 2) if n == 1 else Fraction(-1, 2)
-    if d == 4:
-        half = Fraction(1, 2) if n == 1 else Fraction(-1, 2)
-        return QuadExt(Fraction(0), half, 2)
-    if d == 6:
-        half = Fraction(1, 2) if n == 1 else Fraction(-1, 2)
-        return QuadExt(Fraction(0), half, 3)
-    # d == 5: cos(pi/5) = (1+sqrt5)/4, cos(2pi/5) = (sqrt5-1)/4
-    table = {
-        1: QuadExt(Fraction(1, 4), Fraction(1, 4), 5),
-        2: QuadExt(Fraction(-1, 4), Fraction(1, 4), 5),
-        3: QuadExt(Fraction(1, 4), Fraction(-1, 4), 5),
-        4: QuadExt(Fraction(-1, 4), Fraction(-1, 4), 5),
-    }
-    return table[n]
-
-
-def _chebyshev(r: int) -> Poly:
-    # T_r with T_r(cos x) = cos(r x)
-    t0, t1 = Poly.constant(1), Poly.x()
-    if r == 0:
-        return t0
-    for _ in range(r - 1):
-        t0, t1 = t1, Poly([0, 2]) * t1 - t0
-    return t1
-
 
 def exact_cos(form: AngleForm, relations: RelationSet = EMPTY_RELATIONS,
               as_poly_in: Optional[str] = None):
     """Exact cosine of the angle under the given relations.
 
-    Returns a Fraction or QuadExt for rational multiples of pi with
-    denominator up to 6.  With as_poly_in="beta", forms reducing to
-    k*pi + r*beta (k, r integers) yield a Poly in t = cos(beta).
-    Raises NoExactCosineError otherwise.
+    Returns a Fraction or a `RealCyclotomic` for every rational multiple
+    of pi (a Fraction exactly when the value is rational).  With
+    as_poly_in="beta", forms reducing to k*pi + r*beta (k, r integers)
+    yield a Poly in t = cos(beta).  Raises NoExactCosineError otherwise.
     """
     f = relations.normalize(form)
     q = f.pi_fraction()
     if q is not None:
-        return _cos_pi_fraction(q)
+        return cos_pi(q)
     if as_poly_in == "beta" and f.coefficient("alpha") == 0 == f.coefficient("gamma"):
         k, r = f.coefficient("pi"), f.coefficient("beta")
         if k.denominator == 1 and r.denominator == 1:
-            p = _chebyshev(abs(int(r)))
+            p = chebyshev(abs(int(r)))
             return p if int(k) % 2 == 0 else -p
     raise NoExactCosineError(f"no exact cosine for {format_angle(f)}")

@@ -9,6 +9,8 @@ Angle triples on the command line are comma-separated angle literals in the
 passed, 1 some failed, 2 usage or configuration error.  `run` has no
 tolerance or budget flags: the edge tolerance 1e-5 and the search node
 budget 10^6 are fixed, and each report head echoes them as `config`.
+`diagram ... gram` works over Q or Q(cos(pi/n)) for any rational multiples
+of pi as labels; a symbol that no relation resolves exits 2.
 """
 
 from __future__ import annotations
@@ -111,12 +113,11 @@ def _cmd_diagram(args) -> int:
                           "orbits": [sorted(sorted(t) for t in o) for o in parts]},
                          sort_keys=True))
     else:  # gram
-        gram = gram_from_diagram(diagram)
-        report = fiedler_check(gram)
+        matrix = gram_from_diagram(diagram)
+        report = fiedler_check(matrix)
         det = report.determinant
-        print(json.dumps({"ring": gram.ring, "determinant": repr(det),
-                          "determinant_float": float(det)
-                          if not hasattr(det, "coeffs") else None,
+        print(json.dumps({"ring": matrix.ring, "determinant": repr(det),
+                          "determinant_float": float(det),
                           "singular": report.is_singular,
                           "verdict": report.verdict}, sort_keys=True))
     return 0

@@ -1,9 +1,10 @@
 """Exact arithmetic substrate.
 
-Rationals (stdlib Fraction), dense univariate polynomials over Q,
-quadratic field elements a + b*sqrt(m), exact determinants of small
-matrices via fraction-free (Bareiss) elimination, and Sturm-sequence
-real root counting / isolation.
+Rationals (stdlib Fraction), dense univariate polynomials over Q, Sturm-
+sequence real root counting / isolation, the one number field every
+rational-angle cosine lives in, Q(cos(pi/n)) (cos(q pi) exactly for every
+rational q), and exact determinants of small matrices via fraction-free
+(Bareiss) elimination.
 
 Everything here is immutable and pure; no rounding happens anywhere
 except in the explicitly numeric evaluation helpers.
@@ -13,14 +14,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence, Union
-
-Rational = Fraction
 
 
 class RingMismatchError(TypeError):
-    """Operands live in different coefficient rings (e.g. sqrt(2) vs sqrt(5))."""
+    """Polynomial and field entries in one matrix."""
 
 
 class ZeroPolynomialError(ValueError):
@@ -51,7 +50,7 @@ class Poly:
     coefficient is nonzero.
     """
 
-    __slots__ = ("coeffs", "_square_free")  # the second is set by `_square_free_part`
+    __slots__ = ("coeffs", "_sqf")  # the second is set by `_square_free_part`
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]] = ()):
         cs = [_frac(c) for c in coeffs]
@@ -175,24 +174,21 @@ class Poly:
         q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
         rem = list(self.coeffs)
         d, lc = other.degree, other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lc
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return Poly(q), Poly(rem)
+        for k in reversed(range(len(q))):
+            # rem[k + d] is the leading coefficient left; the step cancels it
+            q[k] = f = rem[k + d] / lc
+            if f:
+                for i, c in enumerate(other.coeffs[:d]):
+                    rem[k + i] -= f * c
+        return Poly(q), Poly(rem[:d])
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = self.divmod(other)
         if not r.is_zero():
             raise ArithmeticError("inexact polynomial division")
         return q
+
+    __truediv__ = exact_div  # the division Bareiss elimination needs
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -250,10 +246,10 @@ def _square_free_part(p: Poly) -> Poly:
     """`p.square_free_part()`, computed once per polynomial and kept on it:
     case-a both counts and isolates the roots of each determinant."""
     try:
-        return p._square_free
+        return p._sqf
     except AttributeError:
         f = p.square_free_part()
-        object.__setattr__(p, "_square_free", f)
+        object.__setattr__(p, "_sqf", f)
         return f
 
 
@@ -309,7 +305,11 @@ def sturm_count(p: Poly, lo=None, hi=None) -> int:
         raise ZeroPolynomialError("zero polynomial")
     if lo is not None and hi is not None and _frac(lo) >= _frac(hi):
         raise ValueError("empty interval")
-    chain = [_integer_coeffs(q) for q in sturm_chain(p)]
+    return _roots_between([_integer_coeffs(q) for q in sturm_chain(p)], lo, hi)
+
+
+def _roots_between(chain: Sequence[Sequence[int]], lo, hi) -> int:
+    """`sturm_count` from the integer Sturm chain."""
     a = (-1, 0) if lo is None else _frac(lo).as_integer_ratio()
     b = (1, 0) if hi is None else _frac(hi).as_integer_ratio()
     vb, fb = _count_variations(chain, *b)
@@ -421,124 +421,183 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic field Q(sqrt(m))
+# The field Q(cos(pi/n))
 # ---------------------------------------------------------------------------
 
 
-def _square_free(m: int) -> bool:
-    """m > 1 and no square above 1 divides m.  Q(sqrt 1) is Q itself,
-    whose elements stay Fractions."""
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % (d * d) == 0:
-            return False
-        d += 1
-    return True
+@lru_cache(maxsize=None)
+def chebyshev(r: int) -> Poly:
+    """T_r, with T_r(cos x) = cos(r x)."""
+    t0, t1 = Poly.constant(1), Poly.x()
+    if r == 0:
+        return t0
+    for _ in range(r - 1):
+        t0, t1 = t1, Poly([0, 2]) * t1 - t0
+    return t1
 
 
-class QuadExt:
-    """Element a + b*sqrt(m) of Q(sqrt(m)), m square-free and m > 1."""
+@lru_cache(maxsize=None)
+def minimal_polynomial(n: int) -> Poly:
+    """The monic minimal polynomial of cos(pi/n) over Q.
 
-    __slots__ = ("a", "b", "m")
+    The roots of T_n + 1 are the cos(k pi/n) with k odd, and cos(k pi/n) is
+    a conjugate of cos(pi/e) for e = n/gcd(k, n), a divisor of n with n/e
+    odd.  So the square-free part of T_n + 1 is the product of the minimal
+    polynomials of those cos(pi/e); dividing out every e < n leaves n's.
+    """
+    p = (chebyshev(n) + 1).square_free_part()
+    for e in range(1, n):
+        if n % e == 0 and (n // e) % 2:
+            p = p.exact_div(minimal_polynomial(e))
+    return p
 
-    def __init__(self, a: Fraction, b: Fraction, m: int):
-        a, b = _frac(a), _frac(b)
-        if not _square_free(m):
-            raise ValueError(f"field tag {m} is not square-free and above 1")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "m", m)
+
+@lru_cache(maxsize=None)
+def _cos_pi_interval(n: int) -> RootInterval:
+    # cos(pi/n) is the largest of its conjugates cos(k pi/n), k odd
+    return isolate_roots(minimal_polynomial(n))[-1]
+
+
+class RealCyclotomic:
+    """Element p(c) of the field Q(cos(pi/n)), c = cos(pi/n).
+
+    p is a Poly over Q in c, of degree below that of c's minimal
+    polynomial: a product is reduced modulo that polynomial only when it
+    reaches its degree.  Elements with different n meet in the field of
+    lcm(n, n'), since cos(pi/n) = T_{m/n}(cos(pi/m)) for n dividing m.
+    Equal to the Fraction of the same value; unhashable, since one value
+    has a representation in every field above its own.
+    """
+
+    __slots__ = ("poly", "n", "_inverse")  # the third is set by `inverse`
+
+    def __init__(self, poly: Poly, n: int):
+        f = minimal_polynomial(n)
+        if poly.degree >= f.degree:
+            poly = poly.divmod(f)[1]
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "n", n)
 
     def __setattr__(self, *a):  # immutable
-        raise AttributeError("QuadExt is immutable")
+        raise AttributeError("RealCyclotomic is immutable")
 
     __delattr__ = __setattr__
+    __hash__ = None
 
-    def _match(self, other) -> "QuadExt":
+    def lift(self, m: int) -> "RealCyclotomic":
+        """The same number in Q(cos(pi/m)), for m a multiple of n."""
+        if m == self.n:
+            return self
+        return RealCyclotomic(self.poly(chebyshev(m // self.n)), m)
+
+    def _polys(self, other):
+        """(n, p, q): self and other as polynomials in one cos(pi/n)."""
+        if isinstance(other, RealCyclotomic):
+            if other.n == self.n:
+                return self.n, self.poly, other.poly
+            m = math.lcm(self.n, other.n)
+            return m, self.lift(m).poly, other.lift(m).poly
         if isinstance(other, (int, Fraction)):
-            return QuadExt(_frac(other), Fraction(0), self.m)
-        if isinstance(other, QuadExt):
-            if other.m != self.m:
-                raise RingMismatchError(f"sqrt({self.m}) vs sqrt({other.m})")
-            return other
+            return self.n, self.poly, Poly.constant(other)
         raise TypeError(type(other).__name__)
 
     def __add__(self, other):
-        o = self._match(other)
-        return QuadExt(self.a + o.a, self.b + o.b, self.m)
+        n, p, q = self._polys(other)
+        return RealCyclotomic(p + q, n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.m)
+        return RealCyclotomic(-self.poly, self.n)
 
     def __sub__(self, other):
-        return self + (-self._match(other))
+        n, p, q = self._polys(other)
+        return RealCyclotomic(p - q, n)
 
     def __rsub__(self, other):
-        return self._match(other) - self
+        n, p, q = self._polys(other)
+        return RealCyclotomic(q - p, n)
 
     def __mul__(self, other):
-        o = self._match(other)
-        return QuadExt(self.a * o.a + self.m * self.b * o.b,
-                       self.a * o.b + self.b * o.a, self.m)
+        n, p, q = self._polys(other)
+        return RealCyclotomic(p * q, n)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QuadExt":
-        n = self.a * self.a - self.m * self.b * self.b
-        if n == 0:
-            # a^2 = m b^2 with m square-free > 1 forces a = b = 0
+    def inverse(self) -> "RealCyclotomic":
+        """By the extended Euclidean algorithm on p and the minimal
+        polynomial f, which is irreducible: s p = r modulo f throughout,
+        and the last nonzero remainder r is a constant.  Kept on the
+        element: elimination divides a whole step by one pivot."""
+        try:
+            return self._inverse
+        except AttributeError:
+            pass
+        r0, r1 = minimal_polynomial(self.n), self.poly
+        s0, s1 = Poly(), Poly.constant(1)
+        if r1.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return QuadExt(self.a / n, -self.b / n, self.m)
+        while r1.degree > 0:
+            q, r = r0.divmod(r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+        inverse = RealCyclotomic(s1 * (1 / r1.coeffs[0]), self.n)
+        object.__setattr__(self, "_inverse", inverse)
+        return inverse
 
     def __truediv__(self, other):
-        return self * self._match(other).inverse()
+        if not isinstance(other, RealCyclotomic):
+            other = RealCyclotomic(Poly.constant(other), self.n)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._match(other) * self.inverse()
+        return other * self.inverse()
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        if isinstance(other, QuadExt):
-            if other.m != self.m:
-                return self.b == 0 == other.b and self.a == other.a
-            return self.a == other.a and self.b == other.b
+        if isinstance(other, (int, Fraction, RealCyclotomic)):
+            _, p, q = self._polys(other)
+            return p == q
         return NotImplemented
 
-    def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.m))
-
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(m): -1, 0 or 1.
-
-        With a and b of opposite signs, |a| and |b|*sqrt(m) compare as
-        a^2 and m*b^2, so the sign of a^2 - m*b^2 says which term wins.
-        """
-        sa, sb = _sign(self.a), _sign(self.b)
-        if sa == sb or sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        return sa * _sign(self.a * self.a - self.m * self.b * self.b)
+        """Exact sign: c's isolating interval is halved until p has no
+        root in it, and p's sign there is its sign at c."""
+        p = self.poly
+        if p.degree <= 0:
+            return _sign(p.coeffs[0]) if p.coeffs else 0
+        chain = [_integer_coeffs(q) for q in sturm_chain(p)]
+        f = _integer_coeffs(minimal_polynomial(self.n))
+        lo, hi, _ = _cos_pi_interval(self.n)
+        f_lo = _int_sign(f, *lo.as_integer_ratio())
+        while _roots_between(chain, lo, hi):
+            mid = (lo + hi) / 2
+            if _int_sign(f, *mid.as_integer_ratio()) == f_lo:
+                lo = mid
+            else:
+                hi = mid
+        return _int_sign(_integer_coeffs(p), *((lo + hi) / 2).as_integer_ratio())
 
     def __float__(self):
-        # binary64 evaluation: two roundings (sqrt and the fma-less combine);
-        # error is a few ulp, far below the 1e-9 tolerances used downstream.
-        return float(self.a) + float(self.b) * math.sqrt(self.m)
+        # p evaluated exactly at binary64's cos(pi/n), then rounded once
+        return float(self.poly(Fraction(math.cos(math.pi / self.n))))
 
     def __repr__(self):
-        return f"QuadExt({self.a} + {self.b}*sqrt({self.m}))"
+        return f"RealCyclotomic({self.poly!r}, {self.n})"
+
+
+@lru_cache(maxsize=None)
+def cos_pi(q: Fraction):
+    """cos(q pi) exactly: a Fraction when the value is rational, else an
+    element of Q(cos(pi/n)) for n the denominator of q."""
+    n = q.denominator
+    x = RealCyclotomic(chebyshev(abs(q.numerator) % (2 * n)), n)
+    if x.poly.degree > 0:
+        return x
+    return x.poly.coeffs[0] if x.poly.coeffs else Fraction(0)
 
 
 def sign(x) -> int:
-    """Exact sign of a rational or quadratic-field element: -1, 0 or 1."""
-    return x.sign() if isinstance(x, QuadExt) else _sign(x)
+    """Exact sign of a rational or a field element: -1, 0 or 1."""
+    return x.sign() if isinstance(x, RealCyclotomic) else _sign(x)
 
 
 # ---------------------------------------------------------------------------
@@ -549,37 +608,30 @@ _RING_RATIONAL = "Q"
 _RING_POLY = "Q[t]"
 
 
-def _ring_of(entries) -> str:
-    has_poly = any(isinstance(e, Poly) for row in entries for e in row)
-    quad_ms = {e.m for row in entries for e in row if isinstance(e, QuadExt)}
-    if has_poly and quad_ms:
-        raise RingMismatchError("polynomial and quadratic-field entries mixed")
-    if len(quad_ms) > 1:
-        raise RingMismatchError(f"mixed quadratic fields {sorted(quad_ms)}")
-    if has_poly:
-        return _RING_POLY
-    if quad_ms:
-        return f"Q(sqrt({quad_ms.pop()}))"
-    return _RING_RATIONAL
-
-
 class ExactMatrix:
-    """Square matrix over Q, Q[t] or Q(sqrt(m)); rationals are coerced up."""
+    """Square matrix over Q, Q[t] or Q(cos(pi/n)); rationals are coerced
+    up, and field entries of different n are lifted to their lcm."""
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("matrix must be square")
-        ring = _ring_of(rows)
-        if ring == _RING_POLY:
+        entries = [e for r in rows for e in r]
+        ns = {e.n for e in entries if isinstance(e, RealCyclotomic)}
+        if any(isinstance(e, Poly) for e in entries):
+            if ns:
+                raise RingMismatchError("polynomial and field entries mixed")
+            ring = _RING_POLY
             rows = [[e if isinstance(e, Poly) else Poly.constant(e) for e in r]
                     for r in rows]
-        elif ring != _RING_RATIONAL:
-            m = next(e.m for r in rows for e in r if isinstance(e, QuadExt))
-            rows = [[e if isinstance(e, QuadExt) else QuadExt(_frac(e), Fraction(0), m)
-                     for e in r] for r in rows]
+        elif ns:
+            m = math.lcm(*ns)
+            ring = f"Q(cos(pi/{m}))"
+            rows = [[e.lift(m) if isinstance(e, RealCyclotomic)
+                     else RealCyclotomic(Poly.constant(e), m) for e in r] for r in rows]
         else:
+            ring = _RING_RATIONAL
             rows = [[_frac(e) for e in r] for r in rows]
         self.n = n
         self.rows = tuple(tuple(r) for r in rows)
@@ -606,27 +658,20 @@ class ExactMatrix:
         """Determinant of the submatrix on these row and column indices,
         by the same elimination as `det`; the empty minor is 1."""
         sub = [[self.rows[i][j] for j in cols] for i in rows]
-        return _bareiss(sub, self._zero())[0]
+        return _bareiss(sub)[0]
 
     @cached_property
     def _elimination(self):
-        return _bareiss(self.rows, self._zero())
-
-    def _zero(self):
-        if self.ring == _RING_POLY:
-            return Poly()
-        if self.ring == _RING_RATIONAL:
-            return Fraction(0)
-        m = self.rows[0][0].m
-        return QuadExt(Fraction(0), Fraction(0), m)
+        return _bareiss(self.rows)
 
 
-def _bareiss(rows, zero):
+def _bareiss(rows):
     """(determinant, leading principal minors or None) of a square matrix."""
     n = len(rows)
     a = [list(r) for r in rows]
     if n == 0:
         return Fraction(1), []
+    zero = a[0][0] * 0
     sign = 1
     prev = None
     minors = []
@@ -645,7 +690,7 @@ def _bareiss(rows, zero):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else _exact_div_entry(num, prev)
+                a[i][j] = num if prev is None else num / prev
             a[i][k] = zero
         prev = a[k][k]
     d = a[n - 1][n - 1]
@@ -653,8 +698,3 @@ def _bareiss(rows, zero):
         minors.append(d)
     return (d if sign == 1 else -d), minors
 
-
-def _exact_div_entry(num, den):
-    if isinstance(num, Poly):
-        return num.exact_div(den)
-    return num / den

@@ -7,10 +7,10 @@ Geometry*, CUP 2011).  The contradiction machine only needs the
 singularity half: a candidate diagram whose matrix has nonzero determinant
 cannot come from a simplex.
 
-Matrices are built over the narrowest ring supporting the labels' exact
-cosines: Q, a quadratic field, or Q[t] for the cos-parametrised families.
-A diagram whose cosines share no such ring is rejected.  Every condition is
-decided exactly; nothing is rounded.
+Matrices are built over the narrowest ring holding the labels' exact
+cosines: Q, the field Q(cos(pi/n)) for n the lcm of the denominators of
+the irrational ones, or Q[t] for the cos-parametrised families.  Every condition
+is decided exactly; nothing is rounded.
 """
 
 from __future__ import annotations
@@ -18,29 +18,20 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .angles import NoExactCosineError, exact_cos
 from .coxeter import CoxeterDiagram, all_edges
 from .exactmath import ExactMatrix, Poly, RingMismatchError, sign, sturm_count
 
 
-class GramMatrix:
-    """Exact cosine matrix plus the name of its ring."""
-
-    __slots__ = ("exact", "ring")
-
-    def __init__(self, exact: ExactMatrix, ring: str):
-        self.exact = exact
-        self.ring = ring  # "Q", "Q(sqrt(m))" or "Q[t]"
-
-
 def gram_from_diagram(diagram: CoxeterDiagram,
-                      as_poly_in: Optional[str] = None) -> GramMatrix:
+                      as_poly_in: Optional[str] = None) -> ExactMatrix:
     """Cosine matrix of a diagram, rows/columns in diagram vertex order.
 
     Raises ValueError when some label has no exact cosine, or when the
-    exact cosines share no ring (say sqrt(2) and sqrt(5)).
+    exact cosines share no ring (a polynomial in t = cos(beta) beside an
+    irrational cosine of a rational angle).
     """
     n = diagram.n
     entries = [[Fraction(-1) if i == j else None for j in range(n)] for i in range(n)]
@@ -52,10 +43,9 @@ def gram_from_diagram(diagram: CoxeterDiagram,
             raise ValueError("no exact cosine for some label") from exc
         entries[i][j] = entries[j][i] = c
     try:
-        exact = ExactMatrix(entries)
+        return ExactMatrix(entries)
     except RingMismatchError as exc:
         raise ValueError(f"the exact cosines share no ring: {exc}") from exc
-    return GramMatrix(exact, exact.ring)
 
 
 class FiedlerReport:
@@ -74,9 +64,9 @@ class FiedlerReport:
         self.verdict = verdict  # "consistent-with-simplex" or "cannot-be-a-simplex"
 
 
-def fiedler_check(gram: Union[GramMatrix, ExactMatrix]) -> FiedlerReport:
+def fiedler_check(matrix: ExactMatrix) -> FiedlerReport:
     """Singularity, rank, semidefiniteness and kernel of a symmetric
-    cosine matrix, all decided exactly over Q or Q(sqrt m).
+    cosine matrix, all decided exactly over Q or Q(cos(pi/n)).
 
     A nonsingular matrix costs the one elimination of its determinant: its
     rank is n, and by Sylvester's criterion it is negative (semi)definite
@@ -87,7 +77,6 @@ def fiedler_check(gram: Union[GramMatrix, ExactMatrix]) -> FiedlerReport:
     the adjugate spans the kernel.  Over Q[t] only the determinant is
     computed and the other fields are None.
     """
-    matrix = gram.exact if isinstance(gram, GramMatrix) else gram
     n = matrix.n
     rows = matrix.rows
     if any(rows[i][j] != rows[j][i] for i, j in itertools.combinations(range(n), 2)):
@@ -157,10 +146,10 @@ def parametric_fiedler(diagram: CoxeterDiagram, lo: Fraction,
     a family of simplices would need a singular matrix somewhere on the
     interval, so a root-free determinant excludes the whole family.
     """
-    gram = gram_from_diagram(diagram, as_poly_in="beta")
-    if gram.ring != "Q[t]":
-        raise ValueError(f"expected a Q[t] matrix, got {gram.ring}")
-    det = gram.exact.det()
+    matrix = gram_from_diagram(diagram, as_poly_in="beta")
+    if matrix.ring != "Q[t]":
+        raise ValueError(f"expected a Q[t] matrix, got {matrix.ring}")
+    det = matrix.det()
     count = sturm_count(det, lo, hi)
     return ParametricExclusion(det, count, count == 0)
 

@@ -380,11 +380,12 @@ class _Region:
         self.checked = frozenset()
 
     def signature(self):
-        k = len(self.points)
-        rows = [tuple(round(c, 7) for c in self.points[i]) +
-                (round(self.angles[i], 7),) for i in range(k)]
-        best = min(tuple(rows[(i + j) % k] for j in range(k)) for i in range(k))
-        return best
+        # the least rotation of the rows starts at a smallest row
+        rows = [tuple(round(c, 7) for c in p) + (round(a, 7),)
+                for p, a in zip(self.points, self.angles)]
+        first, twice = min(rows), rows + rows
+        return min(tuple(twice[i:i + len(rows)])
+                   for i, row in enumerate(rows) if row == first)
 
 
 def _orientations(tile: TileSpec) -> list:

@@ -31,7 +31,7 @@ from .coxeter import (DiagramConstraints, PartitionConstraints,
                       edge_orbit_count_transitive, label_subgraph,
                       orbit_partition, pair_canonical, pair_orbit_bound,
                       subgroups_upto_two_generators, triangle_type_of)
-from .exactmath import Poly, QuadExt, isolate_roots
+from .exactmath import Poly, cos_pi, isolate_roots
 from .gram import (EuclideanSimplex, fiedler_check, gram_from_diagram,
                    parametric_fiedler)
 from .hill import (compatibility_graph, congruent, generate_h1_tiling,
@@ -117,8 +117,6 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (QuadExt, Poly, AngleForm)):
-        return repr(x)
     return x
 
 
@@ -148,6 +146,10 @@ def _triples(entries) -> list:
     return sorted(tuple(sorted(Fraction(s) for s in t)) for t in entries)
 
 
+# sqrt m = k cos(q pi) + s, for the fields of the fixture's {a, b, m}
+_SQRTS = {2: (2, Fraction(1, 4), 0), 5: (4, Fraction(1, 5), -1)}
+
+
 def _pi_form(q) -> AngleForm:
     return AngleForm.pi_multiple(Fraction(q))
 
@@ -164,8 +166,8 @@ class CaseLists:
                  extra_candidates: list, forbidden: list, max_match_gap: float,
                  min_miss_gap: float):
         self.tile = tile
-        self.alpha_list = alpha_list  # realizable (alpha,*,*) triples, fractions of pi
-        self.beta_list = beta_list
+        self.alpha_list = alpha_list  # expressible (alpha,*,*) triples, fractions of pi
+        self.beta_list = beta_list  # expressible (beta,*,*) triples not in alpha_list
         # expressible but rejected by the edge argument
         self.extra_candidates = extra_candidates
         self.forbidden = forbidden  # no-alpha-no-beta triples failing necessary conditions
@@ -186,8 +188,9 @@ class FinalCaseAnalysis(CaseLists):
 def case_lists(key: str) -> CaseLists:
     """The candidate lists of the one-indivisible endgame for a concrete smallest angle.
 
-    Derives the realizable candidate lists, rejects the expressible
-    candidates whose forced edge decomposition fails (an edge of length 2b
+    Derives the expressible candidate lists (candidates whose edges are
+    combinations of the tile's, not yet shown to be tiled), rejects the
+    expressible candidates whose forced edge decomposition fails (an edge of length 2b
     must start with an a- or c-segment, so 2b-a or 2b-c must also be a
     combination), and builds the sound unrealizability table for triangle
     types avoiding the two smallest angles.  Also reports the gap margins
@@ -660,7 +663,8 @@ def scenario_case_c() -> Report:
             fiedler = fiedler_check(gram_from_diagram(fixtures.diagram(i)))
             det = fiedler.determinant
             entry = exp["gram_dets"][i]
-            want = QuadExt(Fraction(entry["a"]), Fraction(entry["b"]), entry["m"])
+            k, q, s = _SQRTS[entry["m"]]
+            want = Fraction(entry["a"]) + Fraction(entry["b"]) * (k * cos_pi(q) + s)
             rec.check(f"case-c/det/{i}", "exact determinant", True, det == want,
                       "derived", f"expectations:gram_dets/{i}")
             rec.check(f"case-c/det-2dp/{i}",

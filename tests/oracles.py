@@ -1,7 +1,9 @@
 """Float oracles for the Gram-matrix tests, the exact normal Gram matrix,
 the slow reference for Sturm root isolation, the trial-factoring oracle
-of `algebraic_degree` (in test_acceptance.py, beside criterion 13), and
-tuple-composition references for the permutation-group layer of `coxeter`.
+of `algebraic_degree` (in test_acceptance.py, beside criterion 13),
+tuple-composition references for the permutation-group layer of `coxeter`,
+and `QuadExt`, the closed-form quadratic fields Q(sqrt m) that check
+`RealCyclotomic` for n = 4, 6 and 5.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -14,7 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from reptile_lab.exactmath import ExactMatrix, Poly, RootInterval, sturm_chain
+from reptile_lab.exactmath import (ExactMatrix, Poly, RingMismatchError, RootInterval,
+                                   cos_pi, sturm_chain)
 from reptile_lab.gram import EuclideanSimplex
 
 
@@ -319,3 +322,135 @@ def subgroups_reference(n: int) -> list:
                 seen.add(closure([a, b]))
     return sorted((frozenset(perms[i] for i in grp) for grp in seen),
                   key=lambda s: (len(s), sorted(s)))
+
+
+# ---------------------------------------------------------------------------
+# Quadratic fields Q(sqrt m): the reference for Q(cos(pi/n)), n = 4, 6, 5
+# ---------------------------------------------------------------------------
+
+
+def _square_free(m: int) -> bool:
+    """m > 1 and no square above 1 divides m.  Q(sqrt 1) is Q itself,
+    whose elements stay Fractions."""
+    if m < 2:
+        return False
+    d = 2
+    while d * d <= m:
+        if m % (d * d) == 0:
+            return False
+        d += 1
+    return True
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+class QuadExt:
+    """Element a + b*sqrt(m) of Q(sqrt(m)), m square-free and m > 1."""
+
+    __slots__ = ("a", "b", "m")
+
+    def __init__(self, a: Fraction, b: Fraction, m: int):
+        a, b = Fraction(a), Fraction(b)
+        if not _square_free(m):
+            raise ValueError(f"field tag {m} is not square-free and above 1")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError("QuadExt is immutable")
+
+    __delattr__ = __setattr__
+
+    def _match(self, other) -> "QuadExt":
+        if isinstance(other, (int, Fraction)):
+            return QuadExt(Fraction(other), Fraction(0), self.m)
+        if isinstance(other, QuadExt):
+            if other.m != self.m:
+                raise RingMismatchError(f"sqrt({self.m}) vs sqrt({other.m})")
+            return other
+        raise TypeError(type(other).__name__)
+
+    def __add__(self, other):
+        o = self._match(other)
+        return QuadExt(self.a + o.a, self.b + o.b, self.m)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadExt(-self.a, -self.b, self.m)
+
+    def __sub__(self, other):
+        return self + (-self._match(other))
+
+    def __rsub__(self, other):
+        return self._match(other) - self
+
+    def __mul__(self, other):
+        o = self._match(other)
+        return QuadExt(self.a * o.a + self.m * self.b * o.b,
+                       self.a * o.b + self.b * o.a, self.m)
+
+    __rmul__ = __mul__
+
+    def inverse(self) -> "QuadExt":
+        n = self.a * self.a - self.m * self.b * self.b
+        if n == 0:
+            # a^2 = m b^2 with m square-free > 1 forces a = b = 0
+            raise ZeroDivisionError("inverse of zero")
+        return QuadExt(self.a / n, -self.b / n, self.m)
+
+    def __truediv__(self, other):
+        return self * self._match(other).inverse()
+
+    def __rtruediv__(self, other):
+        return self._match(other) * self.inverse()
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        if isinstance(other, QuadExt):
+            if other.m != self.m:
+                return self.b == 0 == other.b and self.a == other.a
+            return self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.m))
+
+    def sign(self) -> int:
+        """Exact sign of a + b*sqrt(m): -1, 0 or 1.
+
+        With a and b of opposite signs, |a| and |b|*sqrt(m) compare as
+        a^2 and m*b^2, so the sign of a^2 - m*b^2 says which term wins.
+        """
+        sa, sb = _sign(self.a), _sign(self.b)
+        if sa == sb or sb == 0:
+            return sa
+        if sa == 0:
+            return sb
+        return sa * _sign(self.a * self.a - self.m * self.b * self.b)
+
+    def __float__(self):
+        return float(self.a) + float(self.b) * math.sqrt(self.m)
+
+    def __repr__(self):
+        return f"QuadExt({self.a} + {self.b}*sqrt({self.m}))"
+
+
+# sqrt m = k cos(q pi) + s; m = 2, 3, 5 are the fields of cos(pi/n) for n = 4, 6, 5
+SQRT_AS_COSINE = {2: (2, Fraction(1, 4), 0), 3: (2, Fraction(1, 6), 0),
+                  5: (4, Fraction(1, 5), -1)}
+
+
+def in_field(x):
+    """A QuadExt over m = 2, 3 or 5 as the same number in Q(cos(pi/n));
+    rationals pass through."""
+    if not isinstance(x, QuadExt):
+        return x
+    k, q, s = SQRT_AS_COSINE[x.m]
+    return x.a + x.b * (k * cos_pi(q) + s)

@@ -17,7 +17,7 @@ from reptile_lab.coxeter import (all_edges, burnside_count,
                                  subgroups_upto_two_generators,
                                  edge_orbit_count_transitive, orbits,
                                  triangle_type_of)
-from reptile_lab.exactmath import ExactMatrix, Poly, QuadExt, isolate_roots, sturm_count
+from reptile_lab.exactmath import ExactMatrix, Poly, isolate_roots, sturm_count
 from reptile_lab.gram import EuclideanSimplex, fiedler_check, gram_from_diagram
 from reptile_lab.hill import (LatticeTile, signed_perms, compatibility_graph,
                               generate_h1_tiling, generate_h2_h1_tiles,
@@ -26,7 +26,7 @@ from reptile_lab.realize import (EdgeMatch, TileSpec, edge_combination,
                                  search_tiling, verify_tiling)
 from reptile_lab.spherical import corner_angle_solutions, edge_lengths, is_valid_symbolic
 
-from oracles import minimal_polynomial_degree_bruteforce, normal_gram
+from oracles import QuadExt, in_field, minimal_polynomial_degree_bruteforce, normal_gram
 
 EXP = fixtures.load("expectations")
 
@@ -38,7 +38,7 @@ def _report(num, name, ok):
 
 def _det_of(key):
     d = fixtures.diagram(key)
-    return gram_from_diagram(d, as_poly_in="beta").exact.det()
+    return gram_from_diagram(d, as_poly_in="beta").det()
 
 
 def _expected_poly(key):
@@ -69,10 +69,10 @@ def test_criterion_02_root_sets():
 def test_criterion_03_concrete_determinants():
     ok = True
     for key, want in EXP["gram_dets"].items():
-        det = gram_from_diagram(fixtures.diagram(key)).exact.det()
-        ok &= det == QuadExt(F(want["a"]), F(want["b"]), want["m"])
+        det = gram_from_diagram(fixtures.diagram(key)).det()
+        ok &= det == in_field(QuadExt(F(want["a"]), F(want["b"]), want["m"]))
     for key, ref in EXP["gram_dets_reference_2dp"].items():
-        det = gram_from_diagram(fixtures.diagram(key)).exact.det()
+        det = gram_from_diagram(fixtures.diagram(key)).det()
         ok &= abs(float(det) - ref) <= 0.005 + 1e-9
     _report(3, "exact quadratic-field determinants and 2-dp reference values", ok)
 

@@ -1,15 +1,17 @@
+import math
 import random
 from decimal import Decimal, getcontext
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import isolate_roots_reference, sturm_count_reference
+from oracles import QuadExt, in_field, isolate_roots_reference, sturm_count_reference
 from reptile_lab import fixtures
-from reptile_lab.exactmath import (ExactMatrix, Poly, QuadExt, RingMismatchError,
-                                   RootInterval, ZeroPolynomialError, isolate_roots,
-                                   sign, sturm_count)
+from reptile_lab.exactmath import (ExactMatrix, Poly, RealCyclotomic, RingMismatchError,
+                                   RootInterval, ZeroPolynomialError, cos_pi,
+                                   isolate_roots, minimal_polynomial, sign,
+                                   sturm_count)
 from reptile_lab.gram import gram_from_diagram
 
 
@@ -164,7 +166,7 @@ class TestQuadExt:
             x, y = 3 * x + 4 * y, 2 * x + 3 * y
         assert QuadExt(F(x), F(-y), 2).sign() == 1
         assert QuadExt(F(-x), F(y), 2).sign() == -1
-        assert [sign(F(-1, 3)), sign(0), sign(QuadExt(F(0), F(1), 7))] == [-1, 0, 1]
+        assert [sign(F(-1, 3)), sign(0), sign(in_field(QuadExt(F(0), F(1), 5)))] == [-1, 0, 1]
 
     def test_binary64_agreement_random(self):
         rng = random.Random(3)
@@ -196,7 +198,7 @@ class TestDeterminant:
                 return F(rng.randint(-4, 4), rng.randint(1, 3))
             if ring == "Qt":
                 return P(rng.randint(-3, 3), rng.randint(-2, 2))
-            return QuadExt(F(rng.randint(-3, 3)), F(rng.randint(-2, 2)), 2)
+            return in_field(QuadExt(F(rng.randint(-3, 3)), F(rng.randint(-2, 2)), 2))
 
         return ExactMatrix([[entry() for _ in range(n)] for _ in range(n)])
 
@@ -211,7 +213,7 @@ class TestDeterminant:
 
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
-            ExactMatrix([[Poly([1]), QuadExt(F(1), F(1), 2)],
+            ExactMatrix([[Poly([1]), cos_pi(F(1, 4))],
                          [F(0), F(1)]])
 
 
@@ -255,7 +257,7 @@ def assert_matches_reference(p, prec):
 def test_isolation_matches_reference_on_case_a():
     for i in range(1, 5):
         det = gram_from_diagram(fixtures.diagram(f"case-a-{i}"),
-                                as_poly_in="beta").exact.det()
+                                as_poly_in="beta").det()
         for prec in PRECISIONS:
             assert isolate_roots(det, prec) == isolate_roots_reference(det, prec)
 
@@ -365,8 +367,10 @@ def test_sturm_count_matches_sympy(case, data):
 # Bareiss det against independent oracles
 # ---------------------------------------------------------------------------
 
-# Q, Q(sqrt m) by m, and Q[t]
-RINGS = ("Q", 2, 3, 5, "Q[t]")
+# Q, Q(sqrt m) by m (in Q(cos(pi/n)) for n = 4, 6, 5), Q[t], and entries
+# from Q(sqrt 2) and Q(sqrt 5) in one matrix (n = 4 and 5, lifted to 20)
+MIXED = "2+5"
+RINGS = ("Q", 2, 3, 5, "Q[t]", MIXED)
 
 # zero-heavy, so that pivots need row swaps and some matrices are singular
 RATIONALS = st.one_of(st.just(F(0)),
@@ -378,7 +382,9 @@ def ring_entries(ring):
         return RATIONALS
     if ring == "Q[t]":
         return st.lists(RATIONALS, max_size=3).map(Poly)
-    return st.builds(QuadExt, RATIONALS, RATIONALS, st.just(ring))
+    if ring == MIXED:
+        return st.one_of(ring_entries(2), ring_entries(5))
+    return st.builds(QuadExt, RATIONALS, RATIONALS, st.just(ring)).map(in_field)
 
 
 @st.composite
@@ -412,19 +418,138 @@ def test_det_matches_cofactor_expansion(case):
 @given(square_matrices())
 def test_det_matches_sympy(case):
     sympy = pytest.importorskip("sympy")
-    _, rows = case
+    ring, rows = case
+    # sympy writes cos(pi/n) in radicals for n = 4, 5, 6, not for n = 20
+    assume(ring != MIXED)
     t = sympy.Symbol("t")
 
     def to_sympy(e):
         if isinstance(e, Poly):
             return sum(sympy.Rational(c.numerator, c.denominator) * t ** i
                        for i, c in enumerate(e.coeffs))
-        if isinstance(e, QuadExt):
-            return (sympy.Rational(e.a.numerator, e.a.denominator)
-                    + sympy.Rational(e.b.numerator, e.b.denominator) * sympy.sqrt(e.m))
+        if isinstance(e, RealCyclotomic):
+            c = sympy.cos(sympy.pi / e.n)
+            return sum(sympy.Rational(a.numerator, a.denominator) * c ** i
+                       for i, a in enumerate(e.poly.coeffs))
         return sympy.Rational(e.numerator, e.denominator)
 
     # Berkowitz divides by nothing, so `expand` brings both sides to the
     # canonical a + b*sqrt(m) or polynomial form
     want = sympy.Matrix([[to_sympy(e) for e in r] for r in rows]).det(method="berkowitz")
     assert sympy.expand(to_sympy(ExactMatrix(rows).det()) - want) == 0
+
+
+# ---------------------------------------------------------------------------
+# The field Q(cos(pi/n)) against QuadExt, mpmath and sympy
+# ---------------------------------------------------------------------------
+
+# n -> m with Q(cos(pi/n)) = Q(sqrt m)
+QUADRATIC = {4: 2, 6: 3, 5: 5}
+
+
+def euler_phi(k):
+    return sum(math.gcd(j, k) == 1 for j in range(1, k + 1))
+
+
+def mp_value(mpmath, x):
+    """x at the working precision of mpmath, from its coefficients."""
+    c = mpmath.cos(mpmath.pi / x.n)
+    return sum(mpmath.mpf(a.numerator) / a.denominator * c ** i
+               for i, a in enumerate(x.poly.coeffs))
+
+
+@pytest.mark.parametrize("n", sorted(QUADRATIC))
+def test_field_matches_quadratic_reference(n):
+    m = QUADRATIC[n]
+    rng = random.Random(n)
+
+    def quad():
+        return QuadExt(F(rng.randint(-9, 9), rng.randint(1, 6)),
+                       F(rng.randint(-9, 9), rng.randint(1, 6)), m)
+
+    seen_equal = 0
+    for _ in range(200):
+        x = quad()
+        y = rng.choice((quad(), quad(), x, QuadExt(x.a, F(0), m)))
+        fx, fy = in_field(x), in_field(y)
+        assert fx.n == n
+        assert fx + fy == in_field(x + y)
+        assert fx - fy == in_field(x - y)
+        assert fx * fy == in_field(x * y)
+        if y != 0:
+            assert fx / fy == in_field(x / y)
+            assert x.a / fy == in_field(x.a / y)
+        assert fx.sign() == x.sign()
+        assert float(fx) == pytest.approx(float(x), rel=1e-12, abs=1e-12)
+        assert (fx == fy) == (x == y) and (fx != fy) == (x != y)
+        assert (fx == x.a) == (x.b == 0)
+        seen_equal += x == y
+    assert seen_equal >= 40
+
+
+def test_cosines_of_every_rational_multiple_of_pi():
+    for n in range(1, 31):
+        for a in range(-2 * n, 2 * n + 1):
+            c = cos_pi(F(a, n))
+            # cos(a pi/n) in lowest terms is rational only for denominators 1-3
+            assert isinstance(c, F) == (F(a, n).denominator <= 3)
+            assert float(c) == pytest.approx(math.cos(a * math.pi / n), abs=1e-12)
+            assert c == cos_pi(F(-a, n)) == cos_pi(F(a, n) + 2)
+    # cos(pi/4) = T_5(cos(pi/20)): elements of different n meet at the lcm
+    c4, c5 = cos_pi(F(1, 4)), cos_pi(F(1, 5))
+    assert c4.lift(20) == c4 and c4.lift(20).n == 20
+    assert RealCyclotomic(Poly([0, 5, 0, -20, 0, 16]), 20) == c4
+    assert (c4 * c4, (4 * c5 - 1) * (4 * c5 - 1)) == (F(1, 2), 5)
+    assert (c4 + c5).n == 20 and (c4 + c5) - c5 == c4
+
+
+def test_field_rejects_zero_divisors_and_polynomials():
+    # immutability and unhashability are checked in test_records.py
+    x = cos_pi(F(1, 5))
+    with pytest.raises(ZeroDivisionError):
+        (x - x).inverse()
+    with pytest.raises(ZeroDivisionError):
+        1 / (x - x)
+    with pytest.raises(TypeError):
+        x + Poly([1, 1])
+
+
+def test_minimal_polynomial_degree_and_residual():
+    # a monic polynomial of degree phi(2n)/2 = [Q(cos(pi/n)) : Q] with
+    # cos(pi/n) as a root is its minimal polynomial
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for n in range(1, 61):
+            f = minimal_polynomial(n)
+            assert f.degree == max(1, euler_phi(2 * n) // 2) and f.leading() == 1
+            assert abs(mp_value(mpmath, RealCyclotomic(Poly(f.coeffs[:-1]), n))
+                       + mpmath.cos(mpmath.pi / n) ** f.degree) < mpmath.mpf(10) ** -40
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 12, 15, 20])
+def test_minimal_polynomial_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    want = sympy.Poly(sympy.minimal_polynomial(sympy.cos(sympy.pi / n), x), x).monic()
+    assert minimal_polynomial(n).coeffs == tuple(
+        F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs()))
+
+
+def test_sign_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(30)
+    tiny = 0
+    for n in range(4, 31):
+        d = minimal_polynomial(n).degree
+        for _ in range(20):
+            x = RealCyclotomic(Poly([F(rng.randint(-20, 20), rng.randint(1, 9))
+                                     for _ in range(d)]), n)
+            if rng.random() < 0.5:
+                # minus a rational within binary64's error of it: |x| is
+                # then about 1e-15, a sign no float evaluation decides
+                x = x - F(float(x)).limit_denominator(10 ** 9)
+            with mpmath.workdps(60):
+                v = mp_value(mpmath, x)
+                tiny += abs(v) < 1e-12
+            assert x.sign() == (v > 0) - (v < 0)
+    assert tiny >= 200

@@ -8,12 +8,12 @@ import pytest
 from reptile_lab import fixtures
 from reptile_lab.angles import parse_angle
 from reptile_lab.coxeter import CoxeterDiagram, all_edges
-from reptile_lab.exactmath import ExactMatrix, QuadExt
+from reptile_lab.exactmath import ExactMatrix
 from reptile_lab.gram import (EuclideanSimplex, fiedler_check,
                               gram_from_diagram, parametric_fiedler)
 
-from oracles import (DegenerateSimplexError, dihedral_angle_at_ridge,
-                     dihedral_angles, eigh_analysis, gram_from_angles,
+from oracles import (DegenerateSimplexError, QuadExt, dihedral_angle_at_ridge,
+                     dihedral_angles, eigh_analysis, gram_from_angles, in_field,
                      normal_gram)
 
 
@@ -25,25 +25,30 @@ class TestGramConstruction:
 
     def test_quadratic_ring(self):
         g = gram_from_diagram(fixtures.diagram("quarter-1"))
-        assert g.ring == "Q(sqrt(2))"
+        assert g.ring == "Q(cos(pi/4))"
         g5 = gram_from_diagram(fixtures.diagram("fifth-1"))
-        assert g5.ring == "Q(sqrt(5))"
+        assert g5.ring == "Q(cos(pi/5))"
 
     def test_all_right_angles(self):
         labels = {e: parse_angle("1/2 pi") for e in all_edges(5)}
         d = CoxeterDiagram(list("uvwxy"), labels)
         g = gram_from_diagram(d)
         assert g.ring == "Q"
-        assert g.exact.rows == tuple(tuple(F(-1) if i == j else F(0) for j in range(5))
+        assert g.rows == tuple(tuple(F(-1) if i == j else F(0) for j in range(5))
                                      for i in range(5))
 
     def test_mixed_fields_rejected(self):
-        # cos(pi/4) lies in Q(sqrt 2), cos(pi/5) in Q(sqrt 5): no common ring
+        # cos(pi/4) in Q(sqrt 2) and cos(pi/5) in Q(sqrt 5) meet in
+        # Q(cos(pi/20)); only a polynomial in t = cos(beta) beside an
+        # irrational cosine has no common ring
         labels = {(0, 1): parse_angle("1/4 pi"), (0, 2): parse_angle("1/5 pi"),
                   (1, 2): parse_angle("1/2 pi")}
-        d = CoxeterDiagram(list("uvw"), labels)
+        g = gram_from_diagram(CoxeterDiagram(list("uvw"), labels))
+        assert g.ring == "Q(cos(pi/20))"
+        assert g.det() == in_field(QuadExt(F(-1, 8), F(1, 8), 5))
+        labels[(1, 2)] = parse_angle("beta")
         with pytest.raises(ValueError, match="share no ring"):
-            gram_from_diagram(d)
+            gram_from_diagram(CoxeterDiagram(list("uvw"), labels), as_poly_in="beta")
 
 
 class TestFiedler:
@@ -69,8 +74,8 @@ class TestFiedler:
     ])
     def test_concrete_determinants(self, key, a, b, m):
         g = gram_from_diagram(fixtures.diagram(key))
-        det = g.exact.det()
-        assert det == QuadExt(F(a), F(b), m)
+        det = g.det()
+        assert det == in_field(QuadExt(F(a), F(b), m))
         rep = fiedler_check(g)
         assert not rep.is_singular
         assert rep.verdict == "cannot-be-a-simplex"
@@ -191,7 +196,8 @@ def _random_symmetric(rng, n, m=None):
 
     def entry():
         a = F(rng.randint(-3, 3), rng.randint(1, 3))
-        return a if m is None else QuadExt(a, F(rng.randint(-2, 2), rng.randint(1, 2)), m)
+        return a if m is None else in_field(
+            QuadExt(a, F(rng.randint(-2, 2), rng.randint(1, 2)), m))
 
     b = [[entry() for _ in range(r)] for _ in range(n)]
     if rng.random() < 0.5:
@@ -230,7 +236,7 @@ class TestAgainstEighOracle:
     @pytest.mark.parametrize("key", ["quarter-1", "quarter-2", "quarter-3",
                                      "fifth-1", "fifth-2", "fifth-3"])
     def test_catalog_diagrams(self, key):
-        _matches_oracle(gram_from_diagram(fixtures.diagram(key)).exact)
+        _matches_oracle(gram_from_diagram(fixtures.diagram(key)))
 
     def test_leading_minors_are_the_pivots(self):
         rng = random.Random(5)

@@ -407,6 +407,45 @@ def test_pick_vertex_matches_key_on_exact_ties(monkeypatch):
     assert sum(regions) > 10
 
 
+def signature_all_rotations(region):
+    """Reference signature: the least of all k rotations of the rows."""
+    k = len(region.points)
+    rows = [tuple(round(c, 7) for c in region.points[i]) +
+            (round(region.angles[i], 7),) for i in range(k)]
+    return min(tuple(rows[(i + j) % k] for j in range(k)) for i in range(k))
+
+
+def test_signature_matches_all_rotations(monkeypatch):
+    """On synthetic regions whose rows repeat, so that several rotations
+    start at a smallest row, and on every region of two pinned searches,
+    the signature is the least of all rotations."""
+    rng = random.Random(23)
+    repeats = 0
+    for _ in range(500):
+        k = rng.randint(3, 9)
+        pool = [(sphgeo.unit((rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))),
+                 rng.choice((0.5, 1.25, 2.0))) for _ in range(rng.randint(1, 3))]
+        rows = [rng.choice(pool) for _ in range(k)]
+        region = realize._Region([p for p, _ in rows], [a for _, a in rows])
+        repeats += rows.count(min(rows)) > 1
+        assert region.signature() == signature_all_rotations(region)
+    assert repeats > 250
+
+    signature = realize._Region.signature
+    seen = []
+
+    def checked(region):
+        got = signature(region)
+        assert got == signature_all_rotations(region)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(realize._Region, "signature", checked)
+    assert search_tiling((F(1, 3), F(1, 3), F(7, 9)), NINTH).nodes == 1326
+    assert search_tiling((F(1, 3), F(1, 2), F(3, 4)), QUARTER).nodes == 715
+    assert len(seen) > 100
+
+
 class TestVerify:
     def _found(self):
         return search_tiling((F(1, 4), F(1, 2), F(1, 2)), QUARTER).tiling

@@ -3,9 +3,11 @@
 Immutable records reject assignment and deletion of a field.  The hashed
 value types hash as the tuple of their fields, so set and dict iteration
 orders, and with them the enumerators' output orders, do not depend on how
-a record is written.  A record class with an `__eq__` of its own compares
-equal only to instances of the same class.  `DegreeReport`, the record of
-acceptance criterion 13's degree step, is held to the same rules.
+a record is written.  The field elements of Q(cos(pi/n)) are numbers, not
+records: they compare by value and are not hashed.  A record class with an
+`__eq__` of its own compares equal only to instances of the same class.
+`DegreeReport`, the record of acceptance criterion 13's degree step, is
+held to the same rules.
 """
 
 from collections import namedtuple
@@ -17,7 +19,7 @@ import pytest
 from reptile_lab.angles import PI, AngleForm, RelationSet
 from reptile_lab.coxeter import (DiagramConstraints, KnTables, PartitionConstraints,
                                  kn_tables)
-from reptile_lab.exactmath import QuadExt, RootInterval
+from reptile_lab.exactmath import RealCyclotomic, RootInterval, cos_pi
 from reptile_lab.gram import EuclideanSimplex
 from reptile_lab.hill import LatticeTile, Polytope, scaled_hill_polytope
 from reptile_lab.realize import (Candidate, EdgeMatch, EdgeNearest, TileSpec,
@@ -35,7 +37,7 @@ def immutable_records():
         (AngleForm.of(pi=F(1, 2), beta=1), "coeffs"),
         (RelationSet.of(("gamma", F(1, 2) * PI)), "rules"),
         (RootInterval(F(0), F(1), False), "lo"),
-        (QuadExt(F(1), F(2), 2), "a"),
+        (cos_pi(F(1, 5)), "poly"),
         (is_valid([F(1, 4), F(1, 3), F(1, 2)]), "ok"),
         (EuclideanSimplex(((0, 0), (1, 0), (0, 1))), "vertices"),
         (LatticeTile((1, 1), ((1, 0),)), "center2"),
@@ -53,7 +55,7 @@ def immutable_records():
 
 def test_every_immutable_record_class_is_listed():
     classes = {type(rec) for rec, _ in immutable_records()}
-    assert classes == {AngleForm, RelationSet, RootInterval, QuadExt, ValidityReport,
+    assert classes == {AngleForm, RelationSet, RootInterval, RealCyclotomic, ValidityReport,
                        EuclideanSimplex, LatticeTile, Polytope, TileSpec, EdgeMatch,
                        EdgeNearest, Candidate, DegreeReport, KnTables,
                        DiagramConstraints, PartitionConstraints}
@@ -84,7 +86,6 @@ def fields(rec) -> tuple:
 @pytest.mark.parametrize("rec", [
     AngleForm.of(pi=F(1, 3), alpha=F(-2, 7)),
     LatticeTile((1, -1, 3), ((1, 2), (-1, 0))),
-    QuadExt(F(1, 2), F(-3), 5),
     RelationSet.of(("gamma", F(1, 2) * PI)),
     RootInterval(F(1, 3), F(1, 2), False),
     ValidityReport(False, "angle outside (0, pi)"),
@@ -100,11 +101,16 @@ def test_hash_is_the_hash_of_the_fields(rec):
 
 
 def test_quadratic_element_equals_numbers_not_records():
-    # a + 0*sqrt(m) equals the Fraction a, so it hashes as a
-    x = QuadExt(F(3, 4), F(0), 2)
-    assert x == F(3, 4) and hash(x) == hash(F(3, 4))
-    y = QuadExt(F(1), F(1), 3)
-    for other in (fields(y), SimpleNamespace(a=y.a, b=y.b, m=y.m)):
+    # cos(pi/4)^2 + 1/4 equals the Fraction 3/4, also lifted to Q(cos(pi/20));
+    # one value has a representation in every field above its own, so no
+    # hash could agree with this equality, and there is none
+    c = cos_pi(F(1, 4))
+    x = c * c + F(1, 4)
+    assert x == F(3, 4) and x.lift(20) == F(3, 4) and x.lift(20).n == 20
+    with pytest.raises(TypeError):
+        hash(x)
+    y = cos_pi(F(1, 6))
+    for other in ((y.poly, y.n), SimpleNamespace(poly=y.poly, n=y.n)):
         assert y != other and not y == other
 
 

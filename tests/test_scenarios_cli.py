@@ -146,14 +146,35 @@ class TestCli:
         assert data["orbit_count"] == len(data["orbits"]) == expected == 4
 
     def test_diagram_gram_without_common_ring(self, tmp_path):
-        # cos(pi/4) and cos(pi/5) lie in different quadratic fields
+        # cos(pi/4) in Q(sqrt 2) and cos(pi/5) in Q(sqrt 5) meet in
+        # Q(cos(pi/20)); the determinant is (sqrt 5 - 1)/8
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps({"vertices": ["u", "v", "w"],
                                     "edges": {"u,v": "1/4 pi", "u,w": "1/5 pi",
                                               "v,w": "1/2 pi"}}))
         proc = _cli("diagram", str(path), "gram")
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        assert data["ring"] == "Q(cos(pi/20))"
+        assert data["determinant_float"] == pytest.approx(0.1545084972, abs=1e-10)
+        # a ninth-tile diagram: cos(pi/9) is cubic; numpy gives -1.4521513990
+        path.write_text(json.dumps({"vertices": ["u", "v", "w", "x"],
+                                    "edges": {"u,v": "1/9 pi", "u,w": "2/9 pi",
+                                              "u,x": "1/2 pi", "v,w": "1/3 pi",
+                                              "v,x": "4/9 pi", "w,x": "1/2 pi"}}))
+        proc = _cli("diagram", str(path), "gram")
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        assert data["ring"] == "Q(cos(pi/9))"
+        assert data["determinant_float"] == pytest.approx(-1.4521513990, abs=1e-10)
+        assert data["verdict"] == "cannot-be-a-simplex"
+        # a bare symbol with no relations still has no exact cosine
+        path.write_text(json.dumps({"vertices": ["u", "v", "w"],
+                                    "edges": {"u,v": "1/4 pi", "u,w": "alpha",
+                                              "v,w": "1/2 pi"}}))
+        proc = _cli("diagram", str(path), "gram")
         assert proc.returncode == 2
-        assert "share no ring" in proc.stderr
+        assert "no exact cosine" in proc.stderr
 
     def test_usage_error(self):
         proc = _cli("tile", "not-an-angle", "1/2 pi,1/2 pi,1/2 pi")
