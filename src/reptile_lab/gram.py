@@ -10,13 +10,13 @@ cannot come from a simplex.
 Matrices are built over the narrowest ring holding the labels' exact
 cosines: Q, the field Q(cos(pi/n)) for n the lcm of the denominators of
 the irrational ones, or Q[t] for the cos-parametrised families.  Every condition
-is decided exactly; nothing is rounded.
+is decided exactly; nothing is rounded.  The module works on cosine
+matrices only; simplices given by their vertices live in `hill`.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import Optional
 
@@ -153,37 +153,3 @@ def parametric_fiedler(diagram: CoxeterDiagram, lo: Fraction,
     count = sturm_count(det, lo, hi)
     return ParametricExclusion(det, count, count == 0)
 
-
-# ---------------------------------------------------------------------------
-# Euclidean simplices
-# ---------------------------------------------------------------------------
-
-
-class EuclideanSimplex:
-    """d+1 affinely independent vertices in R^d (rational or float coords)."""
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: tuple):  # of coordinate tuples
-        vs = tuple(tuple(c for c in v) for v in vertices)
-        d = len(vs[0])
-        if len(vs) != d + 1 or any(len(v) != d for v in vs):
-            raise ValueError("need d+1 vertices in R^d")
-        object.__setattr__(self, "vertices", vs)
-
-    def __setattr__(self, *a):  # immutable
-        raise AttributeError("EuclideanSimplex is immutable")
-
-    __delattr__ = __setattr__
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    def volume(self) -> Fraction:
-        """Exact volume |det| / d! for rational vertices."""
-        d = self.dim
-        rows = [[Fraction(self.vertices[i + 1][k]) - Fraction(self.vertices[0][k])
-                 for k in range(d)] for i in range(d)]
-        det = ExactMatrix(rows).det()
-        return abs(det) / math.factorial(d)

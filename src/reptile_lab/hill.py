@@ -14,10 +14,13 @@ exact facet-inequality filtering yields the rep-tilings; compatible tile
 pairs (union congruent to H2_d) sit in four-cycle components of the
 compatibility graph and give the pairing that re-tiles scaled H2 copies.
 
-All geometry is exact and runs on integers: tiles use doubled integer
-coordinates, tile volumes come from integer determinants of those
-coordinates, and congruence compares integer squared-distance tables of the
-vertices scaled by the lcm of their denominators.
+All geometry is exact and runs on integers.  A simplex holds its vertices
+as integer rows over one positive denominator; rational input is brought
+to that form once, when the simplex is built, and tiles go straight from
+their doubled integer coordinates to rows over 2.  A volume is one integer
+determinant of the rows, and congruence compares the integer
+squared-distance tables of the rows, each scaled by the other simplex's
+squared denominator.
 """
 
 from __future__ import annotations
@@ -28,30 +31,68 @@ from itertools import combinations, permutations, product
 from operator import le, mul
 from typing import NamedTuple, Optional, Sequence
 
-from .gram import EuclideanSimplex
+
+class EuclideanSimplex:
+    """d+1 vertices in R^d, held as integer rows over one positive
+    denominator: vertex i is rows[i] / den."""
+
+    __slots__ = ("rows", "den")
+
+    def __init__(self, vertices: tuple):
+        """From rational coordinates: ints, Fractions, or floats as the
+        binary rationals they hold."""
+        ratios = [[c.as_integer_ratio() for c in v] for v in vertices]
+        den = math.lcm(*(q for v in ratios for _, q in v))
+        self._fill([[p * (den // q) for p, q in v] for v in ratios], den)
+
+    @classmethod
+    def from_rows(cls, rows, den: int) -> "EuclideanSimplex":
+        """The simplex with vertices rows[i] / den, for integer rows."""
+        s = cls.__new__(cls)
+        s._fill(rows, den)
+        return s
+
+    def _fill(self, rows, den: int):
+        rows = tuple(map(tuple, rows))
+        if not rows or len(rows) != len(rows[0]) + 1 \
+                or any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("need d+1 vertices in R^d")
+        if den <= 0:
+            raise ValueError("need a positive denominator")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, *a):  # immutable
+        raise AttributeError("EuclideanSimplex is immutable")
+
+    __delattr__ = __setattr__
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows) - 1
+
+    @property
+    def vertices(self) -> tuple:
+        return tuple(tuple(Fraction(c, self.den) for c in r) for r in self.rows)
+
+    def volume(self) -> Fraction:
+        """Exact volume |det(v_i - v_0)| / d!: the differences of the
+        integer rows scale the determinant by den^d."""
+        r0, *rest = self.rows
+        det = _int_det([[a - b for a, b in zip(r, r0)] for r in rest])
+        return Fraction(abs(det), self.den ** self.dim * math.factorial(self.dim))
 
 
 def hill_simplex(d: int, i: int) -> EuclideanSimplex:
-    """The base simplex H^i_d for i in {0, 1, 2}, exact rational vertices."""
+    """The base simplex H^i_d for i in {0, 1, 2}: vertex k has its first k
+    coordinates 1 if k <= i, else 1/2, and the rest 0."""
     if d < 2:
         raise ValueError("need d >= 2")
-    half = Fraction(1, 2)
-
-    def halves(k):
-        return tuple(half if t < k else Fraction(0) for t in range(d))
-
-    if i == 0:
-        verts = [halves(k) for k in range(d + 1)]
-    elif i == 1:
-        e1 = tuple(Fraction(1) if t == 0 else Fraction(0) for t in range(d))
-        verts = [halves(0), e1] + [halves(k) for k in range(2, d + 1)]
-    elif i == 2:
-        e1 = tuple(Fraction(1) if t == 0 else Fraction(0) for t in range(d))
-        e12 = tuple(Fraction(1) if t <= 1 else Fraction(0) for t in range(d))
-        verts = [halves(0), e1, e12] + [halves(k) for k in range(3, d + 1)]
-    else:
+    if i not in (0, 1, 2):
         raise ValueError("i must be 0, 1 or 2")
-    return EuclideanSimplex(tuple(verts))
+    return EuclideanSimplex.from_rows(
+        [[(2 if k <= i else 1) if t < k else 0 for t in range(d)]
+         for k in range(d + 1)], 2)
 
 
 # ---------------------------------------------------------------------------
@@ -110,18 +151,8 @@ class LatticeTile:
             out.append(tuple(v))
         return tuple(out)
 
-    def vertices(self) -> tuple:
-        return tuple(tuple(Fraction(c, 2) for c in v) for v in self.vertices2())
-
     def simplex(self) -> EuclideanSimplex:
-        return EuclideanSimplex(self.vertices())
-
-    def volume(self) -> Fraction:
-        """Exact volume |det(v_i - v_0)| / d!, from the doubled integer
-        vertices: their differences scale the determinant by 2^d."""
-        v0, *rest = self.vertices2()
-        det = _int_det([[a - b for a, b in zip(v, v0)] for v in rest])
-        return Fraction(abs(det), 2 ** self.d * math.factorial(self.d))
+        return EuclideanSimplex.from_rows(self.vertices2(), 2)
 
     def compatible_with(self, other: "LatticeTile") -> bool:
         """Union congruent to H2: same cube, same prefix, different last index."""
@@ -235,28 +266,22 @@ def _int_det(rows) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def _scaled_sq_distances(vertices) -> tuple:
-    """Squared distances times q^2 as ints, and q^2, where q is the lcm of
-    the coordinate denominators (a float is the binary rational it holds)."""
-    ratios = [[c.as_integer_ratio() for c in v] for v in vertices]
-    q = math.lcm(*(den for v in ratios for _, den in v))
-    pts = [[num * (q // den) for num, den in v] for v in ratios]
-    return [[sum((a - b) ** 2 for a, b in zip(u, v)) for v in pts] for u in pts], q * q
-
-
 def congruent(s1: EuclideanSimplex, s2: EuclideanSimplex) -> bool:
     """Exact congruence: a vertex correspondence matching all distances.
 
-    Entries a and b of the two integer tables, with squared scales q1 and q2,
-    are the same distance iff a * q2 == b * q1.  A backtracking search
-    extends the correspondence one vertex at a time.  Mirror images are
-    congruent: distances see no orientation.
+    Squared distances a and b of the integer rows, over denominators q1 and
+    q2, are the same distance iff a * q2^2 == b * q1^2.  A backtracking
+    search extends the correspondence one vertex at a time.  Mirror images
+    are congruent: distances see no orientation.
     """
     if s1.dim != s2.dim:
         return False
-    (t1, q1), (t2, q2) = _scaled_sq_distances(s1.vertices), _scaled_sq_distances(s2.vertices)
-    d1 = [[a * q2 for a in row] for row in t1]
-    d2 = [[b * q1 for b in row] for row in t2]
+
+    def table(s, scale):
+        return [[scale * sum((a - b) ** 2 for a, b in zip(u, v)) for v in s.rows]
+                for u in s.rows]
+
+    d1, d2 = table(s1, s2.den ** 2), table(s2, s1.den ** 2)
     n = len(d1)
 
     def extend(assign):
@@ -306,14 +331,12 @@ class PairingError(RuntimeError):
 
 
 class TilingReport:
-    __slots__ = ("tile_count", "total_volume", "all_congruent", "component_sizes")
+    __slots__ = ("tile_count", "total_volume", "all_congruent")
 
-    def __init__(self, tile_count: int, total_volume: Fraction, all_congruent: bool,
-                 component_sizes: list):
+    def __init__(self, tile_count: int, total_volume: Fraction, all_congruent: bool):
         self.tile_count = tile_count
         self.total_volume = total_volume
         self.all_congruent = all_congruent
-        self.component_sizes = component_sizes
 
 
 def pair_h2_tiling(d: int, m: int,
@@ -366,11 +389,11 @@ def pair_union_simplex(t1: LatticeTile, t2: LatticeTile) -> EuclideanSimplex:
     if absorbed is None:
         raise PairingError("no shared vertex lies between the private vertices")
     verts2 = [v for v in sorted(shared) if v != absorbed] + extras
-    return EuclideanSimplex(tuple(tuple(Fraction(c, 2) for c in v) for v in verts2))
+    return EuclideanSimplex.from_rows(verts2, 2)
 
 
 def tiling_report(tiles: Sequence[LatticeTile], base: EuclideanSimplex) -> TilingReport:
-    vol = sum((t.volume() for t in tiles), Fraction(0))
-    all_cong = all(congruent(t.simplex(), base) for t in tiles)
-    graph = compatibility_graph(tiles)
-    return TilingReport(len(tiles), vol, all_cong, graph.component_sizes())
+    simplices = [t.simplex() for t in tiles]
+    vol = sum((s.volume() for s in simplices), Fraction(0))
+    all_cong = all(congruent(s, base) for s in simplices)
+    return TilingReport(len(tiles), vol, all_cong)

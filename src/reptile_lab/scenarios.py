@@ -32,11 +32,10 @@ from .coxeter import (DiagramConstraints, PartitionConstraints,
                       orbit_partition, pair_canonical, pair_orbit_bound,
                       subgroups_upto_two_generators, triangle_type_of)
 from .exactmath import Poly, cos_pi, isolate_roots
-from .gram import (EuclideanSimplex, fiedler_check, gram_from_diagram,
-                   parametric_fiedler)
-from .hill import (compatibility_graph, congruent, generate_h1_tiling,
-                   generate_h2_h1_tiles, hill_simplex, pair_h2_tiling,
-                   signed_perms, tiling_report, LatticeTile)
+from .gram import fiedler_check, gram_from_diagram, parametric_fiedler
+from .hill import (EuclideanSimplex, compatibility_graph, congruent,
+                   generate_h1_tiling, generate_h2_h1_tiles, hill_simplex,
+                   pair_h2_tiling, signed_perms, tiling_report, LatticeTile)
 from .realize import (EDGE_TOL, NODE_BUDGET, EdgeMatch, TileSpec,
                       edge_combination, enumerate_candidates, search_tiling,
                       verify_tiling)
@@ -44,8 +43,6 @@ from .spherical import (corner_angle_solutions,
                         corner_angle_solutions_rational_scan, is_valid,
                         is_valid_symbolic, law_of_cosines,
                         straight_angle_combinations)
-
-SCENARIOS = ("three-dim", "two-indivisible", "case-a", "case-b", "case-c", "hill")
 
 
 # The constants every verdict rests on, echoed in each report head.
@@ -789,19 +786,22 @@ def scenario_hill(d: Optional[int] = None, m: Optional[int] = None) -> Report:
 # ---------------------------------------------------------------------------
 
 
+_RUNNERS = {
+    "three-dim": scenario_three_dim,
+    "two-indivisible": scenario_two_indivisible,
+    "case-a": scenario_case_a,
+    "case-b": scenario_case_b,
+    "case-c": scenario_case_c,
+    "hill": scenario_hill,
+}
+SCENARIOS = tuple(_RUNNERS)
+
+
 def run_scenario(name: str, **kwargs) -> Report:
-    table = {
-        "three-dim": scenario_three_dim,
-        "two-indivisible": scenario_two_indivisible,
-        "case-a": scenario_case_a,
-        "case-b": scenario_case_b,
-        "case-c": scenario_case_c,
-        "hill": scenario_hill,
-    }
-    if name not in table:
+    if name not in _RUNNERS:
         raise KeyError(f"unknown scenario {name!r}")
     start = time.perf_counter()
-    report = table[name](**kwargs)
+    report = _RUNNERS[name](**kwargs)
     report.seconds = time.perf_counter() - start
     return report
 

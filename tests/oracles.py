@@ -18,7 +18,7 @@ import numpy as np
 
 from reptile_lab.exactmath import (ExactMatrix, Poly, RingMismatchError, RootInterval,
                                    cos_pi, sturm_chain)
-from reptile_lab.gram import EuclideanSimplex
+from reptile_lab.hill import EuclideanSimplex
 
 
 class DegenerateSimplexError(ValueError):

@@ -18,10 +18,11 @@ from reptile_lab.coxeter import (all_edges, burnside_count,
                                  edge_orbit_count_transitive, orbits,
                                  triangle_type_of)
 from reptile_lab.exactmath import ExactMatrix, Poly, isolate_roots, sturm_count
-from reptile_lab.gram import EuclideanSimplex, fiedler_check, gram_from_diagram
-from reptile_lab.hill import (LatticeTile, signed_perms, compatibility_graph,
-                              generate_h1_tiling, generate_h2_h1_tiles,
-                              hill_simplex, pair_h2_tiling, tiling_report)
+from reptile_lab.gram import fiedler_check, gram_from_diagram
+from reptile_lab.hill import (EuclideanSimplex, LatticeTile, signed_perms,
+                              compatibility_graph, generate_h1_tiling,
+                              generate_h2_h1_tiles, hill_simplex,
+                              pair_h2_tiling, tiling_report)
 from reptile_lab.realize import (EdgeMatch, TileSpec, edge_combination,
                                  search_tiling, verify_tiling)
 from reptile_lab.spherical import corner_angle_solutions, edge_lengths, is_valid_symbolic

@@ -9,8 +9,8 @@ from reptile_lab import fixtures
 from reptile_lab.angles import parse_angle
 from reptile_lab.coxeter import CoxeterDiagram, all_edges
 from reptile_lab.exactmath import ExactMatrix
-from reptile_lab.gram import (EuclideanSimplex, fiedler_check,
-                              gram_from_diagram, parametric_fiedler)
+from reptile_lab.gram import fiedler_check, gram_from_diagram, parametric_fiedler
+from reptile_lab.hill import EuclideanSimplex
 
 from oracles import (DegenerateSimplexError, QuadExt, dihedral_angle_at_ridge,
                      dihedral_angles, eigh_analysis, gram_from_angles, in_field,

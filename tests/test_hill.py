@@ -3,16 +3,30 @@ from fractions import Fraction as F
 
 import pytest
 
-from reptile_lab.gram import EuclideanSimplex
-from reptile_lab.hill import (LatticeTile, PairingError, compatibility_graph,
-                              congruent, generate_h1_tiling, generate_h2_h1_tiles,
-                              hill_simplex, pair_h2_tiling, pair_union_simplex,
-                              tiling_report, signed_perms)
+from reptile_lab.hill import (EuclideanSimplex, LatticeTile, PairingError,
+                              compatibility_graph, congruent, generate_h1_tiling,
+                              generate_h2_h1_tiles, hill_simplex, pair_h2_tiling,
+                              pair_union_simplex, tiling_report, signed_perms)
 
 H = F(1, 2)
 
 
+def displayed_vertices(d, i):
+    """The vertex displays of H0_d, H1_d and H2_d in the `hill` docstring,
+    built from Fractions."""
+    zero = (F(0),) * d
+    e1 = (F(1),) + (F(0),) * (d - 1)
+    e12 = (F(1), F(1)) + (F(0),) * (d - 2)
+    halves = tuple((H,) * k + (F(0),) * (d - k) for k in range(d + 1))
+    return (halves, (zero, e1) + halves[2:], (zero, e1, e12) + halves[3:])[i]
+
+
 class TestBaseSimplices:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_vertices_match_the_displays(self, i, d):
+        assert hill_simplex(d, i).vertices == displayed_vertices(d, i)
+
     def test_h0_3_vertices(self):
         s = hill_simplex(3, 0)
         assert s.vertices == ((F(0),) * 3, (H, F(0), F(0)), (H, H, F(0)), (H, H, H))
@@ -34,6 +48,40 @@ class TestBaseSimplices:
             hill_simplex(3, 3)
 
 
+class TestEuclideanSimplex:
+    def test_rational_input_becomes_rows_over_one_denominator(self):
+        s = EuclideanSimplex(((0, 0), (F(1, 2), 0), (0, 0.25)))
+        assert (s.rows, s.den) == (((0, 0), (2, 0), (0, 1)), 4)
+        assert s.vertices == ((0, 0), (H, 0), (0, F(1, 4)))
+        assert s.volume() == F(1, 16)
+
+    def test_rows_over_a_given_denominator(self):
+        s = EuclideanSimplex.from_rows([[0, 0], [2, 0], [0, 1]], 4)
+        assert (s.rows, s.den) == (((0, 0), (2, 0), (0, 1)), 4)
+        assert congruent(s, EuclideanSimplex(s.vertices))
+
+    @pytest.mark.parametrize("vertices", [
+        (), ((0, 0), (1, 0)), ((0, 0), (1, 0), (0, 1), (1, 1))])
+    def test_wrong_vertex_count_rejected(self, vertices):
+        with pytest.raises(ValueError):
+            EuclideanSimplex(vertices)
+        with pytest.raises(ValueError):
+            EuclideanSimplex.from_rows(vertices, 1)
+
+    @pytest.mark.parametrize("vertices", [
+        ((0, 0), (1,), (0, 1)), ((0, 0), (1, 0), (0, 1, 1))])
+    def test_ragged_row_rejected(self, vertices):
+        with pytest.raises(ValueError):
+            EuclideanSimplex(vertices)
+        with pytest.raises(ValueError):
+            EuclideanSimplex.from_rows(vertices, 1)
+
+    @pytest.mark.parametrize("den", [0, -2])
+    def test_nonpositive_denominator_rejected(self, den):
+        with pytest.raises(ValueError):
+            EuclideanSimplex.from_rows(((0, 0), (1, 0), (0, 1)), den)
+
+
 class TestTilings:
     @pytest.mark.parametrize("d,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2),
                                      (3, 3), (4, 2)])
@@ -53,7 +101,7 @@ class TestTilings:
     def test_distance_multisets_match(self):
         tiles = generate_h1_tiling(3, 2)
         def dists(t):
-            vs = t.vertices()
+            vs = t.simplex().vertices
             return sorted(sum((a - b) ** 2 for a, b in zip(u, v))
                           for i, u in enumerate(vs) for v in vs[i + 1:])
         ref = dists(tiles[0])

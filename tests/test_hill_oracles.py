@@ -4,9 +4,9 @@
 backtracking over vertex correspondences on `Fraction` squared distances.
 `lattice_tiles_in` compares per-inequality reaches with slacks; its oracle
 evaluates every facet inequality on every vertex of every candidate tile.
-`LatticeTile.volume` takes an integer determinant of the doubled
-coordinates; its oracle is the `Fraction` Bareiss volume of the tile's
-simplex.
+`EuclideanSimplex.volume` takes one integer determinant of the simplex's
+rows; `_int_det` is checked against the `Fraction` Bareiss determinant of
+`ExactMatrix`, and every tile's volume against the exact value 2 / (2^d d!).
 """
 
 import math
@@ -17,11 +17,10 @@ from itertools import combinations, product
 import pytest
 
 from reptile_lab.exactmath import ExactMatrix
-from reptile_lab.gram import EuclideanSimplex
-from reptile_lab.hill import (LatticeTile, _int_det, congruent,
-                              generate_h1_tiling, generate_h2_h1_tiles,
-                              lattice_tiles_in, scaled_hill_polytope,
-                              signed_perms)
+from reptile_lab.hill import (EuclideanSimplex, LatticeTile, _int_det,
+                              congruent, generate_h1_tiling,
+                              generate_h2_h1_tiles, lattice_tiles_in,
+                              scaled_hill_polytope, signed_perms)
 
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12)
 
@@ -202,4 +201,4 @@ def test_tile_volume_matches_simplex_volume(d):
     for tiles in [cube] + [gen(d, m) for m in (1, 2, 3)
                            for gen in (generate_h1_tiling, generate_h2_h1_tiles)]:
         for t in tiles:
-            assert t.volume() == t.simplex().volume() == volume
+            assert t.simplex().volume() == volume

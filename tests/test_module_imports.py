@@ -3,7 +3,9 @@
 No module imports an underscored name from a sibling: a name with a
 leading underscore is private to its module, and a caller in another module
 means the name belongs in the public interface.  The `sphgeo` kernel
-imports only `math`, and no module imports numpy.  No module imports
+imports only `math`, `hill` imports no sibling module, so the simplex format
+(integer rows over one denominator) stays behind one module, and no module
+imports numpy.  No module imports
 `dataclasses` either: it loads `inspect`, and its decorator generates and
 compiles the methods of each record at import, together about 45 ms of
 every command's start-up.  Records are plain classes with `__slots__` or
@@ -63,6 +65,10 @@ def test_sphgeo_kernel_is_stdlib_math_only():
     # the tiling search calls sphgeo at every node; numpy there costs about
     # a hundred times the arithmetic on 3-vectors
     assert imported_modules(PACKAGE / "sphgeo.py") == {"math"}
+
+
+def test_hill_imports_no_sibling_module():
+    assert not imported_modules(PACKAGE / "hill.py") & {".", "reptile_lab"}
 
 
 def test_no_module_imports_numpy():

@@ -20,8 +20,7 @@ from reptile_lab.angles import PI, AngleForm, RelationSet
 from reptile_lab.coxeter import (DiagramConstraints, KnTables, PartitionConstraints,
                                  kn_tables)
 from reptile_lab.exactmath import RealCyclotomic, RootInterval, cos_pi
-from reptile_lab.gram import EuclideanSimplex
-from reptile_lab.hill import LatticeTile, Polytope, scaled_hill_polytope
+from reptile_lab.hill import EuclideanSimplex, LatticeTile, Polytope, scaled_hill_polytope
 from reptile_lab.realize import (Candidate, EdgeMatch, EdgeNearest, TileSpec,
                                  edge_combination, enumerate_candidates)
 from reptile_lab.spherical import ValidityReport, is_valid
@@ -39,7 +38,7 @@ def immutable_records():
         (RootInterval(F(0), F(1), False), "lo"),
         (cos_pi(F(1, 5)), "poly"),
         (is_valid([F(1, 4), F(1, 3), F(1, 2)]), "ok"),
-        (EuclideanSimplex(((0, 0), (1, 0), (0, 1))), "vertices"),
+        (EuclideanSimplex(((0, 0), (1, 0), (0, 1))), "rows"),
         (LatticeTile((1, 1), ((1, 0),)), "center2"),
         (scaled_hill_polytope(2, 1, 1), "ineqs"),
         (TILE, "angles_pi"),
