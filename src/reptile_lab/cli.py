@@ -106,8 +106,11 @@ def _cmd_diagram(args) -> int:
     elif args.action == "orbits":
         ttype = None
         if args.type:
-            ttype = triangle_type_of([diagram.relations.normalize(parse_angle(p.strip()))
-                                      for p in args.type.split(",")])
+            labels = [p.strip() for p in args.type.split(",")]
+            if len(labels) != 3:
+                raise ValueError("--type: expected three comma-separated labels")
+            ttype = triangle_type_of([diagram.relations.normalize(parse_angle(p))
+                                      for p in labels])
         parts = orbits(diagram, ttype)
         print(json.dumps({"orbit_count": len(parts),
                           "orbits": [sorted(sorted(t) for t in o) for o in parts]},

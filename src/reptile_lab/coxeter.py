@@ -480,8 +480,8 @@ def coloring_search(colors: list, slots: Sequence[int], values: Callable, step: 
     as its first member in search order.
 
     `colors` is shared: at a yield it holds the filling, and each slot gets
-    its start value back on backtrack, so a caller may run a second search
-    over other slots of the same list from inside the loop.
+    its start value back on backtrack, so `step` may read the slots not yet
+    visited as holding their start value.
     """
     def walk(i: int, state):
         if i == len(slots):
@@ -514,7 +514,8 @@ class DiagramConstraints(NamedTuple):
     validity: optional predicate on types, applied to triangles no rule
         matched (types inside rule lists are taken as already vetted).  It
         must depend on the triangle type alone: `enumerate_diagrams`
-        completes one skeleton per isomorphism class, which relies on it.
+        builds only the smallest labeling of each isomorphism class, which
+        relies on it.
     rich_type: if set, only diagrams with >= 4 orbits of this triangle type
         are returned.
     """
@@ -542,37 +543,28 @@ def _allowed_table(alphabet: Sequence[AngleForm], cons: DiagramConstraints) -> d
     return table
 
 
-# Slot values of an edge during the search: a label index, UNSET (not yet
-# visited), or DEFER (passed over in phase 1; it gets a non-rule label).
-UNSET, DEFER = -1, -2
+# Slot value of an edge the search has not visited yet; a visited edge holds
+# its label index.
+UNSET = -1
 
 
-def _slot_tables(size: int, table: dict, phase1: Sequence[int],
-                 rich: Optional[tuple]) -> tuple:
+def _slot_tables(size: int, table: dict, rich: Optional[tuple]) -> tuple:
     """Per-triangle lookups over its three slot values (a, b, c), at index
-    (a + 2) * B^2 + (b + 2) * B + c + 2 with B = size + 2.
+    (a + 1) * B^2 + (b + 1) * B + c + 1 with B = size + 1.
 
-    ok: some allowed type contains the placed labels and leaves a non-rule
-        label for every DEFER slot (UNSET slots take any label); for three
-        placed labels, their type is allowed.
+    ok: the placed labels are a sub-multiset of some allowed type (UNSET
+        slots take any label); for three placed labels, their type is allowed.
     can_rich: the placed labels are a sub-multiset of the rich type.
     """
-    support = set()  # (placed labels sorted, DEFER slots they leave room for)
-    for key, allowed in table.items():
-        if not allowed:
-            continue
-        for placed in range(8):
-            have = tuple(key[i] for i in range(3) if placed >> i & 1)
-            rest = [key[i] for i in range(3) if not placed >> i & 1]
-            room = sum(1 for x in rest if x not in phase1)
-            support.update((have, d) for d in range(room + 1))
-    # the sorted sub-multisets of the rich type (it is sorted itself)
-    rich_subs = None if rich is None else {tuple(x for i, x in enumerate(rich) if placed >> i & 1)
-                                           for placed in range(1 << len(rich))}
+    def subs(key):  # the sorted sub-multisets of a sorted triple
+        return {tuple(x for i, x in enumerate(key) if placed >> i & 1) for placed in range(8)}
+
+    support = set().union(*(subs(key) for key, allowed in table.items() if allowed))
+    rich_subs = None if rich is None else subs(rich)
     ok, can_rich = [], []
-    for slots in product(range(DEFER, size), repeat=3):
-        have = tuple(sorted(x for x in slots if x >= 0))
-        ok.append((have, slots.count(DEFER)) in support)
+    for slots in product(range(UNSET, size), repeat=3):
+        have = tuple(sorted(x for x in slots if x != UNSET))
+        ok.append(have in support)
         can_rich.append(rich_subs is None or have in rich_subs)
     return ok, can_rich
 
@@ -582,52 +574,47 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
                        relations: RelationSet = EMPTY_RELATIONS) -> list:
     """All edge labelings of K_n satisfying the constraints, up to isomorphism.
 
-    Two searches share one labeling: phase 1 gives each edge a rule label
-    (the scarce, heavily constrained ones) or defers it, cut by `is_first`
-    on the labels' places in its try order; phase 2 gives the deferred
-    edges the other labels.  So one skeleton (each edge a rule label or
-    deferred) per isomorphism class is completed.  This is sound because
-    every constraint is a function of the triangle types and richness is an
-    isomorphism invariant: the completions of an isomorphic skeleton are
-    images of the first one's, and each class of labelings keeps its first
-    labeling in search order.
+    One orderly search labels the edges in `all_edges` order, trying the
+    alphabet's labels in alphabet order at each edge, so complete labelings
+    arrive in lexicographic order of their label ids.  A branch is cut by
+    `step` (below) or when the labels placed so far are not `is_first`.
+    Each isomorphism class is reached exactly once, at its smallest
+    labeling (its `canon` over label ids), and only that labeling is built
+    and tested for richness.  This is sound because every constraint is a
+    function of the triangle types and richness is an isomorphism
+    invariant: a class satisfies them in all its labelings or in none.
+    `step` cuts only prefixes that no satisfying labeling extends, so it
+    never cuts a prefix of the smallest labeling of a satisfying class; and
+    every prefix of that labeling passes `is_first`, since an image of the
+    prefix smaller than it would give an image of the whole labeling
+    smaller than it.
 
-    A triangle's three slots (label, deferred, or not yet visited) index
-    two tables built once per call: whether some allowed type can still
+    A triangle's three slots (a label, or not yet visited) index two
+    tables built once per call: whether some allowed type can still
     complete it (a complete one must itself be allowed), and whether it
     can still become the rich type.  The state is the bitmask of triangles
     that still can; a branch is cut when a triangle through the edge just
     labeled can no longer be allowed, or when fewer than four can still
-    become the rich type.
-
-    A complete labeling is skipped if its `canon` was already seen, so
-    each diagram is built and tested for richness once per class.  Each
-    class is represented by its first labeling in search order; results are
-    sorted by canonical key.
+    become the rich type.  Results are sorted by canonical key.
     """
     alphabet = [relations.normalize(f) for f in alphabet]
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("alphabet labels must be distinct under the relations")
     cons = constraints
     size = len(alphabet)
-    label_ids = {f: i for i, f in enumerate(alphabet)}
-    phase1 = [label_ids[lab] for lab, _ in cons.list_rules
-              if lab is not None and lab in label_ids]
-    others = [i for i in range(size) if i not in phase1]
     rich = None
     if cons.rich_type is not None:
+        label_ids = {f: i for i, f in enumerate(alphabet)}
         rich = tuple(sorted(label_ids[f] for f in cons.rich_type))
-    ok, can_rich = _slot_tables(size, _allowed_table(alphabet, cons), phase1, rich)
-    choices = phase1 + [DEFER]  # phase 1 tries these at each edge, in this order
-    rank = {lab: r for r, lab in enumerate(choices)}
+    ok, can_rich = _slot_tables(size, _allowed_table(alphabet, cons), rich)
     need = 0 if rich is None else 4
 
     kn = kn_tables(n)
     es = kn.edges
     m = len(es)
-    base = size + 2
+    base = size + 1
     base2 = base * base
-    offset = 2 * (base2 + base + 1)
+    offset = base2 + base + 1
     # per edge: (triangle bit, its three edge indices) for each triangle through it
     incident = [[(1 << t, *kn.tri_edges[t]) for t in kn.edge_tris[e]] for e in range(m)]
     assign = [UNSET] * m
@@ -646,21 +633,14 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
     else:
         names = [f"v{i}" for i in range(n)]
 
-    seen = set()
     solutions = []
-    for live in coloring_search(assign, range(m), lambda e: choices, step,
-                                (1 << len(kn.tri_edges)) - 1,
-                                lambda e: kn.is_first([rank[x] for x in assign[:e + 1]])):
-        deferred = [e for e in range(m) if assign[e] == DEFER]
-        for _ in coloring_search(assign, deferred, lambda e: others, step, live):
-            key = kn.canon(assign)
-            if key in seen:
-                continue
-            seen.add(key)
-            labels = {es[i]: alphabet[assign[i]] for i in range(m)}
-            diagram = CoxeterDiagram(names, labels, relations)
-            if cons.rich_type is None or is_rich(diagram, cons.rich_type):
-                solutions.append(diagram)
+    for _ in coloring_search(assign, range(m), lambda e: range(size), step,
+                             (1 << len(kn.tri_edges)) - 1,
+                             lambda e: kn.is_first(assign[:e + 1])):
+        labels = {es[i]: alphabet[assign[i]] for i in range(m)}
+        diagram = CoxeterDiagram(names, labels, relations)
+        if cons.rich_type is None or is_rich(diagram, cons.rich_type):
+            solutions.append(diagram)
     return sorted(solutions, key=lambda d: d.canonical_key())
 
 
@@ -671,9 +651,7 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
 
 class PartitionConstraints(NamedTuple):
     two_types_each_at_least: Optional[int] = None
-    one_type_at_least: Optional[int] = None
     trivial_automorphisms: Optional[bool] = None
-    class_count: Optional[tuple] = None  # (min, max)
 
 
 def coloring_canonical(coloring: tuple, n: int) -> tuple:
@@ -693,33 +671,26 @@ def enumerate_edge_partitions(n: int, constraints: PartitionConstraints) -> list
     is represented by its `coloring_canonical` form (its first coloring,
     classes numbered by first occurrence), and results come out in that
     order.  The state counts the triangles of each type, a type counted
-    when its last edge is colored; a branch is cut when the class count or
-    the triangles still open cannot meet a constraint, or when `is_first`
+    when its last edge is colored; a branch is cut when the triangles still
+    open cannot bring two types up to the threshold, or when `is_first`
     (images renumbered) fails.  The automorphism test runs only on complete
     colorings.
     """
     cons = constraints
     kn = kn_tables(n)
     m = len(kn.edges)
-    lo, hi = cons.class_count or (0, m)
-    # a frequent type must occur, even for a threshold of 0
-    one, two = (None if t is None else max(t, 1)
-                for t in (cons.one_type_at_least, cons.two_types_each_at_least))
+    two = cons.two_types_each_at_least
+    if two is not None:
+        two = max(two, 1)  # a frequent type must occur, even for a threshold of 0
     coloring = [0] * m
 
     def step(e: int, counts: dict):
-        k = max(coloring[:e + 1]) + 1
-        if k > hi or k + m - 1 - e < lo:
-            return None
         counts = dict(counts)
         for a, b in kn.closes[e]:
             t = tuple(sorted((coloring[a], coloring[b], coloring[e])))
             counts[t] = counts.get(t, 0) + 1
-        left = kn.open_after[e]
         c1, c2 = (sorted(counts.values(), reverse=True) + [0, 0])[:2]
-        if one is not None and c1 + left < one:
-            return None
-        if two is not None and max(two - c1, 0) + max(two - c2, 0) > left:
+        if two is not None and max(two - c1, 0) + max(two - c2, 0) > kn.open_after[e]:
             return None
         return counts
 

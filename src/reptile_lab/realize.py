@@ -714,9 +714,9 @@ def verify_tiling(tiling: SphTiling, tile: TileSpec) -> VerifyReport:
     tiles = [[sphgeo.vec(p) for p in t.points] for t in tiling.tiles]
     boundary = [sphgeo.vec(p) for p in tiling.target_points]
     ref = sorted(zip(tile.angles, tile.edges))
-    for idx, pts in enumerate(tiles):
-        pairs = _triple_angle_edge_pairs(pts)
-        for (a1, e1), (a2, e2) in zip(pairs, ref):
+    pairs = [_triple_angle_edge_pairs(pts) for pts in tiles]
+    for idx, tile_pairs in enumerate(pairs):
+        for (a1, e1), (a2, e2) in zip(tile_pairs, ref):
             if abs(a1 - a2) > VERIFY_EPS or abs(e1 - e2) > VERIFY_EPS:
                 return VerifyReport(False, f"tile {idx} is not congruent to the base tile")
     for idx, pts in enumerate(tiles):
@@ -730,9 +730,8 @@ def verify_tiling(tiling: SphTiling, tile: TileSpec) -> VerifyReport:
     k = len(boundary)
     target_area = math.fsum(tiling.target_angles) - (k - 2) * math.pi
     tiles_area = 0.0
-    for pts in tiles:
-        pairs = _triple_angle_edge_pairs(pts)
-        tiles_area += math.fsum(a for a, _ in pairs) - math.pi
+    for tile_pairs in pairs:
+        tiles_area += math.fsum(a for a, _ in tile_pairs) - math.pi
     if abs(tiles_area - target_area) > max(1, len(tiles)) * 1e-9:
         return VerifyReport(False, "tile areas do not sum to the target area")
     return VerifyReport(True)

@@ -391,13 +391,12 @@ def scenario_two_indivisible() -> Report:
               exp["pair_orbit_bounds"]["5"], pair_orbit_bound(5),
               "reference", "expectations:pair_orbit_bounds/5")
     pairs = [frozenset(p) for p in all_edges(5)]
-    act = lambda g, s: frozenset(g[x] for x in s)
     worst = 0
     tight = set()
     for group in subgroups_upto_two_generators(5):
         if len(group) == 1:
             continue
-        cnt = burnside_count(sorted(group), pairs, act)
+        cnt = burnside_count(sorted(group), pairs, act_on_vertex_set)
         worst = max(worst, cnt)
         if cnt == pair_orbit_bound(5):
             tight.add(frozenset(group))

@@ -71,13 +71,13 @@ def restricted_growth_strings(m):
 
 
 def partition_walk(n):
-    """(coloring, class count, triangle type counts) for every partition."""
+    """(coloring, triangle type counts) for every partition."""
     tris = triangles(n)
     bit = [1 << 4 * c for c in range(len(all_edges(n)))]  # a type as a multiset of classes
     out = []
     for coloring in restricted_growth_strings(len(all_edges(n))):
         types = [bit[coloring[a]] + bit[coloring[b]] + bit[coloring[c]] for a, b, c in tris]
-        out.append((coloring, max(coloring) + 1, [types.count(t) for t in set(types)]))
+        out.append((coloring, [types.count(t) for t in set(types)]))
     return out
 
 
@@ -85,14 +85,7 @@ def naive_partitions(n, walk, cons):
     eperms = edge_perms(n)
     decided = set()
     found = []
-    for coloring, k, counts in walk:
-        if cons.class_count is not None:
-            lo, hi = cons.class_count
-            if not (lo <= k <= hi):
-                continue
-        if cons.one_type_at_least is not None:
-            if not any(c >= cons.one_type_at_least for c in counts):
-                continue
+    for coloring, counts in walk:
         if cons.two_types_each_at_least is not None:
             if sum(c >= cons.two_types_each_at_least for c in counts) < 2:
                 continue
@@ -128,22 +121,13 @@ def check_partitions(n, walk, sets):
 
 
 def test_k4_thresholds(walk4):
-    check_partitions(4, walk4, [
-        PartitionConstraints(two, one, trivial, cc)
-        for two in THRESHOLDS_4 for one in THRESHOLDS_4 for trivial in TRIVIAL
-        for cc in (None, (1, 2), (3, 4), (5, 6))])
-
-
-def test_k4_class_counts(walk4):
-    check_partitions(4, walk4, [
-        PartitionConstraints(class_count=(lo, hi), trivial_automorphisms=trivial)
-        for lo in range(8) for hi in range(lo - 1, 8) for trivial in TRIVIAL])
+    check_partitions(4, walk4, [PartitionConstraints(two, trivial)
+                                for two in THRESHOLDS_4 for trivial in TRIVIAL])
 
 
 def test_k5_constraint_sets_in_use(walk5):
     check_partitions(5, walk5, [
         PartitionConstraints(two_types_each_at_least=4),
-        PartitionConstraints(one_type_at_least=4),
         PartitionConstraints(two_types_each_at_least=4, trivial_automorphisms=True),
     ])
 
@@ -151,12 +135,9 @@ def test_k5_constraint_sets_in_use(walk5):
 def random_k5_constraints(seed):
     """Thresholds near where the answer runs out: K5 has ten triangles."""
     rng = random.Random(seed)
-    lo = rng.randint(1, 9)
     return PartitionConstraints(
         two_types_each_at_least=rng.choice([None, 3, 4, 5]),
-        one_type_at_least=rng.choice([None, 4, 5, 6, 7, 10]),
-        trivial_automorphisms=rng.choice(TRIVIAL),
-        class_count=rng.choice([None, (lo, lo + rng.randint(0, 2))]))
+        trivial_automorphisms=rng.choice(TRIVIAL))
 
 
 def test_k5_seeded_sets(walk5):
@@ -274,8 +255,8 @@ class TestColoringSearch:
         assert colors == [4, 5]
 
     def test_diagram_skeleton_with_no_deferred_edge(self):
-        # one rule label and nothing else: phase 1 labels every edge, and
-        # phase 2 runs over no slot at all
+        # a one-label alphabet under a rule on that label: the search has a
+        # single value to try at every edge and reaches one labeling
         a = parse_angle("alpha")
         cons = DiagramConstraints(list_rules=((a, frozenset({triangle_type_of([a, a, a])})),))
         found = enumerate_diagrams(4, [a], cons)

@@ -7,6 +7,8 @@ the labelings with at least four orbits of the rich type (via `is_rich`),
 and dedupes by `canonical_key`.  It shares no pruning, incidence table or
 dedupe key with the enumerator, so it checks exactly what the fixture
 counts cannot: that pruning never drops a diagram and never keeps one.
+Each returned diagram must also be the smallest labeling of its class over
+alphabet ids, the one labeling of the class the orderly search reaches.
 """
 
 import random
@@ -17,7 +19,7 @@ import pytest
 
 from reptile_lab.angles import AngleForm
 from reptile_lab.coxeter import (CoxeterDiagram, DiagramConstraints, all_edges,
-                                 enumerate_diagrams, is_rich, triangle_type_of)
+                                 enumerate_diagrams, is_rich, kn_tables, triangle_type_of)
 
 
 def naive_keys(n, alphabet, cons):
@@ -100,5 +102,8 @@ CASES = ([(seed, 4, 1 + seed % 4) for seed in range(24)]
 @pytest.mark.parametrize("seed,n,size", CASES)
 def test_matches_naive_enumeration(seed, n, size):
     alphabet, cons = random_case(seed, n, size)
-    got = [d.canonical_key() for d in enumerate_diagrams(n, alphabet, cons)]
-    assert got == naive_keys(n, alphabet, cons)
+    found = enumerate_diagrams(n, alphabet, cons)
+    assert [d.canonical_key() for d in found] == naive_keys(n, alphabet, cons)
+    for d in found:  # each class is represented by its smallest labeling
+        ids = [alphabet.index(d.labels[e]) for e in all_edges(n)]
+        assert tuple(ids) == kn_tables(n).canon(ids)

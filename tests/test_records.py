@@ -48,7 +48,7 @@ def immutable_records():
         (algebraic_degree(2, 3), "degree"),
         (kn_tables(3), "edges"),
         (DiagramConstraints(), "forbidden"),
-        (PartitionConstraints(one_type_at_least=2), "one_type_at_least"),
+        (PartitionConstraints(two_types_each_at_least=2), "two_types_each_at_least"),
     ]
 
 
@@ -92,7 +92,7 @@ def fields(rec) -> tuple:
     EdgeMatch((1, 0, 2), 1.5, 1e-9),
     EdgeNearest(((1, 0, 0), 1.0), ((0, 1, 0), 1.2), 0.1),
     DegreeReport(2, 3, 3),
-    PartitionConstraints(class_count=(2, 3)),
+    PartitionConstraints(4, True),
 ], ids=lambda rec: type(rec).__name__)
 def test_hash_is_the_hash_of_the_fields(rec):
     assert hash(rec) == hash(fields(rec))

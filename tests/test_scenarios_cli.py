@@ -145,6 +145,14 @@ class TestCli:
         expected = fixtures.load("expectations")["abg_orbit_counts"]["case-a-4"]
         assert data["orbit_count"] == len(data["orbits"]) == expected == 4
 
+    @pytest.mark.parametrize("labels", ["1/4 pi,1/3 pi", "1/4 pi,1/3 pi,1/2 pi,1/2 pi"])
+    def test_diagram_orbits_type_needs_three_labels(self, labels):
+        catalog = resources.files("reptile_lab") / "fixtures" / "diagrams.json"
+        proc = _cli("diagram", str(catalog), "orbits", "--id", "quarter-1", "--type", labels)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "three comma-separated labels" in proc.stderr
+
     def test_diagram_gram_without_common_ring(self, tmp_path):
         # cos(pi/4) in Q(sqrt 2) and cos(pi/5) in Q(sqrt 5) meet in
         # Q(cos(pi/20)); the determinant is (sqrt 5 - 1)/8
