@@ -77,9 +77,6 @@ class AngleForm:
     def coefficient(self, symbol: str) -> Fraction:
         return self.coeffs[SYMBOLS.index(symbol)]
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def pi_fraction(self) -> Optional[Fraction]:
         """The q with self == q*pi, or None if a symbol is present."""
         if any(c != 0 for c in self.coeffs[1:]):

@@ -177,12 +177,6 @@ class CoxeterDiagram:
     def n(self) -> int:
         return len(self.vertices)
 
-    def label(self, a, b) -> AngleForm:
-        if isinstance(a, str):
-            a = self.vertices.index(a)
-            b = self.vertices.index(b)
-        return self.labels[_edge(a, b)]
-
     def edges(self) -> list:
         return all_edges(self.n)
 

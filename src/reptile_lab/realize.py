@@ -389,6 +389,11 @@ class _Region:
 
 
 def _orientations(tile: TileSpec) -> list:
+    """Distinct placements of the tile at a corner: tuples (theta, L, thetaP,
+    M, thetaQ, corners).  The tile angle theta fills the corner; the side L
+    runs along the outgoing arc to a tile angle thetaP, the side M along the
+    incoming arc to thetaQ; corners are the tile's corner indices at the
+    region corner, at the end of L and at the end of M."""
     ang = tile.angles
     side = tile.edges
     seen = set()
@@ -403,13 +408,35 @@ def _orientations(tile: TileSpec) -> list:
             if key in seen:
                 continue
             seen.add(key)
-            out.append({"theta": ang[c], "L": side[f], "thetaP": ang[e],
-                        "M": side[e], "thetaQ": ang[f], "side3": side[c],
-                        "corners": (c, e, f)})
+            out.append((ang[c], side[f], ang[e], side[e], ang[f], (c, e, f)))
     return out
 
 
-def _place(region: _Region, vi: int, orient: dict):
+def _flush_side(V, W, aW, length, theta):
+    """Lay a tile side of `length` from V along the boundary arc to W, with
+    tile angle `theta` at its far end.
+
+    The side ends inside the arc, exactly at W (rejected if theta exceeds
+    W's angle aW), or past W (allowed only where W is reflex).  Returns
+    (far end, boundary nodes from the far end to W, tangent at V toward W),
+    or None if the side does not fit.
+    """
+    t = sphgeo.tangent_toward(V, W)
+    E = sphgeo.arc_length(V, W)
+    if length <= E - SEARCH_EPS:
+        P = sphgeo.point_at(V, t, length)
+        return P, [(P, math.pi - theta), (W, aW)], t
+    if abs(length - E) <= SEARCH_EPS:
+        if aW - theta < -SEARCH_EPS:
+            return None
+        return W, [(W, aW - theta)], t
+    if aW <= math.pi + SEARCH_EPS:
+        return None  # a flush side may pass a vertex only where it is reflex
+    P = sphgeo.point_at(V, t, length)
+    return P, [(P, TWO_PI - theta), (W, aW - math.pi)], t
+
+
+def _place(region: _Region, vi: int, orient: tuple):
     """Try one tile placement at region vertex vi, flush along the outgoing arc.
 
     Returns (new_region_or_None_if_closed, tile_points) or None if the
@@ -419,50 +446,24 @@ def _place(region: _Region, vi: int, orient: dict):
     k = len(pts)
     V, aV = pts[vi], angs[vi]
     ip, iN = (vi - 1) % k, (vi + 1) % k
-    Pp, aPp = pts[ip], angs[ip]
-    N, aN = pts[iN], angs[iN]
-    th, L, thP = orient["theta"], orient["L"], orient["thetaP"]
-    M, thQ = orient["M"], orient["thetaQ"]
+    th, L, thP, M, thQ, _ = orient
     if th > aV + SEARCH_EPS:
         return None
-    corner_exact = abs(th - aV) <= SEARCH_EPS
-    t_out = sphgeo.tangent_toward(V, N)
-    E1 = sphgeo.arc_length(V, N)
-
-    if L <= E1 - SEARCH_EPS:
-        P = sphgeo.point_at(V, t_out, L)
-        n_seg = [(P, math.pi - thP), (N, aN)]
-    elif abs(L - E1) <= SEARCH_EPS:
-        P = N
-        if aN - thP < -SEARCH_EPS:
+    out = _flush_side(V, pts[iN], angs[iN], L, thP)
+    if out is None:
+        return None
+    P, n_seg, t_out = out
+    if abs(th - aV) <= SEARCH_EPS:
+        # the tile fills the corner: its other side lies flush on the incoming arc
+        inc = _flush_side(V, pts[ip], angs[ip], M, thQ)
+        if inc is None:
             return None
-        n_seg = [(N, aN - thP)]
-    else:
-        if aN <= math.pi + SEARCH_EPS:
-            return None  # flush side may pass a vertex only where it is reflex
-        P = sphgeo.point_at(V, t_out, L)
-        n_seg = [(P, TWO_PI - thP), (N, aN - math.pi)]
-
-    if corner_exact:
-        t_in = sphgeo.tangent_toward(V, Pp)
-        E2 = sphgeo.arc_length(V, Pp)
-        if M <= E2 - SEARCH_EPS:
-            Q = sphgeo.point_at(V, t_in, M)
-            q_seg = [(Pp, aPp), (Q, math.pi - thQ)]
-        elif abs(M - E2) <= SEARCH_EPS:
-            Q = Pp
-            if aPp - thQ < -SEARCH_EPS:
-                return None
-            q_seg = [(Pp, aPp - thQ)]
-        else:
-            if aPp <= math.pi + SEARCH_EPS:
-                return None
-            Q = sphgeo.point_at(V, t_in, M)
-            q_seg = [(Pp, aPp - math.pi), (Q, TWO_PI - thQ)]
+        Q, q_seg, _ = inc
+        q_seg.reverse()
     else:
         t2 = sphgeo.rotate_tangent(V, t_out, th)
         Q = sphgeo.point_at(V, t2, M)
-        q_seg = [(Pp, aPp), (V, aV - th), (Q, TWO_PI - thQ)]
+        q_seg = [(pts[ip], angs[ip]), (V, aV - th), (Q, TWO_PI - thQ)]
 
     tile_points = [V, P, Q]
     new_nodes = q_seg + n_seg
@@ -601,8 +602,13 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     tile tiles the target iff their angles agree exactly.  Otherwise
     corners are filled smallest angle first and every tile orientation
     (rotations and mirror images) is tried flush against the boundary.
-    Deterministic; `aborted` when the node budget runs out.
+    Deterministic; `aborted` when the node budget runs out.  A negative
+    node budget or an n_max below 1 raises ValueError.
     """
+    if node_budget < 0:
+        raise ValueError(f"node budget must be at least 0, got {node_budget}")
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     rep = is_valid(target)
     if not rep:
         raise InvalidTriangleError(rep.reason)
@@ -627,8 +633,6 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
 
     def dfs(region, placed):
         nonlocal nodes
-        if nodes > node_budget:
-            return "aborted"
         sig = (len(placed), region.signature())
         if sig in failed:
             return None
@@ -641,7 +645,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
             if res is None:
                 continue
             state, tile_points = res
-            placement = (tile_points, orient["corners"])
+            placement = (tile_points, orient[5])
             if state == "closed":
                 if len(placed) + 1 == n:
                     solution.extend(placed + [placement])

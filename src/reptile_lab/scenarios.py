@@ -17,6 +17,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Callable, Optional
@@ -104,6 +105,12 @@ class Report:
                 rows.append(f"         expected {c.expected!r}, got {c.actual!r}")
         return "\n".join(rows)
 
+    def check(self, cid, description, expected, actual, provenance, anchor,
+              equal: Optional[Callable] = None) -> None:
+        ok = equal(expected, actual) if equal else expected == actual
+        self.checkpoints.append(
+            Checkpoint(cid, description, expected, actual, bool(ok), provenance, anchor))
+
 
 def _jsonable(x):
     if isinstance(x, Fraction):
@@ -115,18 +122,6 @@ def _jsonable(x):
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
     return x
-
-
-class Recorder:
-    def __init__(self, report: Report):
-        self.report = report
-
-    def check(self, cid, description, expected, actual, provenance, anchor,
-              equal: Optional[Callable] = None):
-        ok = equal(expected, actual) if equal else expected == actual
-        self.report.checkpoints.append(
-            Checkpoint(cid, description, expected, actual, bool(ok), provenance, anchor))
-        return ok
 
 
 # ---------------------------------------------------------------------------
@@ -155,13 +150,13 @@ def _type_of(fracs) -> tuple:
     return triangle_type_of([_pi_form(q) for q in fracs])
 
 
-class CaseLists:
+class FinalCaseAnalysis:
     __slots__ = ("tile", "alpha_list", "beta_list", "extra_candidates", "forbidden",
-                 "max_match_gap", "min_miss_gap")
+                 "max_match_gap", "min_miss_gap", "diagrams")
 
     def __init__(self, tile: TileSpec, alpha_list: list, beta_list: list,
                  extra_candidates: list, forbidden: list, max_match_gap: float,
-                 min_miss_gap: float):
+                 min_miss_gap: float, diagrams: list):
         self.tile = tile
         self.alpha_list = alpha_list  # expressible (alpha,*,*) triples, fractions of pi
         self.beta_list = beta_list  # expressible (beta,*,*) triples not in alpha_list
@@ -172,26 +167,20 @@ class CaseLists:
         # smallest gap of a miss; no verdict changes for any tolerance between
         self.max_match_gap = max_match_gap
         self.min_miss_gap = min_miss_gap
+        self.diagrams = diagrams  # the rich K5 diagrams the lists allow
 
 
-class FinalCaseAnalysis(CaseLists):
-    __slots__ = ("diagrams",)
-
-    def __init__(self, lists: CaseLists, diagrams: list):
-        super().__init__(*(getattr(lists, name) for name in CaseLists.__slots__))
-        self.diagrams = diagrams
-
-
-def case_lists(key: str) -> CaseLists:
-    """The candidate lists of the one-indivisible endgame for a concrete smallest angle.
+def final_case_analysis(key: str) -> FinalCaseAnalysis:
+    """The one-indivisible endgame for a concrete smallest angle.
 
     Derives the expressible candidate lists (candidates whose edges are
     combinations of the tile's, not yet shown to be tiled), rejects the
     expressible candidates whose forced edge decomposition fails (an edge of length 2b
     must start with an a- or c-segment, so 2b-a or 2b-c must also be a
-    combination), and builds the sound unrealizability table for triangle
-    types avoiding the two smallest angles.  Also reports the gap margins
-    of every edge verdict it consulted (see `CaseLists`).
+    combination), builds the sound unrealizability table for triangle
+    types avoiding the two smallest angles, and enumerates all rich
+    diagrams the lists allow.  Also reports the gap margins of every edge
+    verdict it consulted (see `FinalCaseAnalysis`).
     """
     tile = _tile(key)
     qa, qb, qg = tile.angles_pi
@@ -219,9 +208,10 @@ def case_lists(key: str) -> CaseLists:
                 continue
         beta_list.append(t)
     beta_list = sorted(set(beta_list))
+    labels = sorted({x for t in alpha_list + beta_list for x in t})
     excess = tile.excess_pi
     forbidden = []
-    for combo in combinations_with_replacement(_case_labels(alpha_list, beta_list), 3):
+    for combo in combinations_with_replacement(labels, 3):
         if qa in combo or qb in combo or not is_valid(combo):
             continue
         area = sum(combo) - 1
@@ -234,34 +224,22 @@ def case_lists(key: str) -> CaseLists:
             if not isinstance(status, EdgeMatch):
                 forbidden.append(combo)
                 break
-    return CaseLists(
+    cons = DiagramConstraints(
+        list_rules=((_pi_form(qa), frozenset(_type_of(t) for t in alpha_list)),
+                    (_pi_form(qb), frozenset(_type_of(t) for t in beta_list))),
+        forbidden=frozenset(_type_of(t) for t in forbidden),
+        validity=lambda ttype: bool(is_valid([f.pi_fraction() for f in ttype])),
+        rich_type=_type_of((qa, qb, qg)))
+    diagrams = enumerate_diagrams(5, [_pi_form(q) for q in labels], cons)
+    return FinalCaseAnalysis(
         tile, alpha_list, beta_list, sorted(extra), sorted(forbidden),
         max((v.gap for v in verdicts if isinstance(v, EdgeMatch)), default=0.0),
         min((v.gap for v in verdicts if not isinstance(v, EdgeMatch)),
-            default=math.inf))
+            default=math.inf),
+        diagrams)
 
 
-def _case_labels(alpha_list, beta_list) -> list:
-    return sorted({x for t in alpha_list + beta_list for x in t})
-
-
-def final_case_analysis(key: str) -> FinalCaseAnalysis:
-    """The one-indivisible endgame: `case_lists` plus all rich diagrams they allow."""
-    lists = case_lists(key)
-    qa, qb, qg = lists.tile.angles_pi
-    cons = DiagramConstraints(
-        list_rules=((_pi_form(qa), frozenset(_type_of(t) for t in lists.alpha_list)),
-                    (_pi_form(qb), frozenset(_type_of(t) for t in lists.beta_list))),
-        forbidden=frozenset(_type_of(t) for t in lists.forbidden),
-        validity=lambda ttype: bool(is_valid([f.pi_fraction() for f in ttype])),
-        rich_type=_type_of((qa, qb, qg)))
-    alphabet = [_pi_form(q) for q in _case_labels(lists.alpha_list, lists.beta_list)]
-    diagrams = enumerate_diagrams(5, alphabet, cons)
-    return FinalCaseAnalysis(lists, diagrams)
-
-
-def _search_and_verify(rec: Recorder, key: str, report: Report,
-                       anchor_prefix: str):
+def _search_and_verify(report: Report, key: str, anchor_prefix: str):
     """Run the frozen found-tiling list for one tile base."""
     exp = fixtures.load("expectations")
     tile = _tile(key)
@@ -269,14 +247,14 @@ def _search_and_verify(rec: Recorder, key: str, report: Report,
         target = tuple(Fraction(s) for s in entry["target"])
         res = search_tiling(target, tile)
         ok = res.status == "found" and bool(verify_tiling(res.tiling, tile))
-        rec.check(f"{anchor_prefix}/tiling-{idx}",
-                  f"{entry['n']}-tile tiling of ({', '.join(entry['target'])})*pi "
-                  f"found and verified",
-                  {"status": "found", "n": entry["n"], "verified": True},
-                  {"status": res.status,
-                   "n": len(res.tiling.tiles) if res.tiling else 0,
-                   "verified": ok},
-                  "reference", f"expectations:found_tilings/{key}/{idx}")
+        report.check(f"{anchor_prefix}/tiling-{idx}",
+                     f"{entry['n']}-tile tiling of "
+                     f"({', '.join(entry['target'])})*pi found and verified",
+                     {"status": "found", "n": entry["n"], "verified": True},
+                     {"status": res.status,
+                      "n": len(res.tiling.tiles) if res.tiling else 0,
+                      "verified": ok},
+                     "reference", f"expectations:found_tilings/{key}/{idx}")
         if res.tiling is not None:
             name = f"{key}-" + "-".join(s.replace("/", "_") for s in entry["target"])
             report.tilings.append((name, res.tiling))
@@ -287,17 +265,15 @@ def _search_and_verify(rec: Recorder, key: str, report: Report,
 # ---------------------------------------------------------------------------
 
 
-def scenario_three_dim() -> Report:
-    report = Report("three-dim")
-    rec = Recorder(report)
+def scenario_three_dim(report: Report) -> None:
     exp = fixtures.load("expectations")
     for key in ("k4-two-triples-star", "k4-two-triples-paths",
                 "k4-alpha-path", "k4-alpha-cycle"):
         d = fixtures.diagram(key)
-        rec.check(f"three-dim/aut-order/{key}",
-                  f"automorphism group order of {key}",
-                  exp["aut_orders"][key], len(d.automorphisms()),
-                  "reference", f"expectations:aut_orders/{key}")
+        report.check(f"three-dim/aut-order/{key}",
+                     f"automorphism group order of {key}",
+                     exp["aut_orders"][key], len(d.automorphisms()),
+                     "reference", f"expectations:aut_orders/{key}")
     # both two-label configurations admit a symmetry swapping two edges of
     # each label
     for key in ("k4-two-triples-star", "k4-two-triples-paths"):
@@ -308,30 +284,29 @@ def scenario_three_dim() -> Report:
                 for p in d.automorphisms() for (i, j) in d.edges()
                 if d.labels[(i, j)] == lab)
             for lab in d.label_set())
-        rec.check(f"three-dim/label-swapping-symmetry/{key}",
-                  "a symmetry moves an edge of every label",
-                  True, moved, "reference", f"diagrams:{key}")
+        report.check(f"three-dim/label-swapping-symmetry/{key}",
+                     "a symmetry moves an edge of every label",
+                     True, moved, "reference", f"diagrams:{key}")
     path = fixtures.diagram("k4-alpha-path")
     al = parse_angle("alpha")
     alpha_edges = [frozenset(e) for e in path.edges() if path.labels[e] == al]
     parts = orbit_partition(path.automorphisms(), alpha_edges, act_on_vertex_set)
-    rec.check("three-dim/path-alpha-orbits",
-              "path configuration: the three path edges fall into two orbits "
-              "(the symmetry swaps the outer pair)",
-              2, len(parts), "derived", "diagrams:k4-alpha-path")
+    report.check("three-dim/path-alpha-orbits",
+                 "path configuration: the three path edges fall into two orbits "
+                 "(the symmetry swaps the outer pair)",
+                 2, len(parts), "derived", "diagrams:k4-alpha-path")
     cyc = fixtures.diagram("k4-alpha-cycle")
-    rec.check("three-dim/cycle-transitive",
-              "four-cycle configuration: symmetries act transitively on the "
-              "cycle edges",
-              True, edge_orbit_count_transitive(cyc, parse_angle("alpha")),
-              "reference", "diagrams:k4-alpha-cycle")
+    report.check("three-dim/cycle-transitive",
+                 "four-cycle configuration: symmetries act transitively on the "
+                 "cycle edges",
+                 True, edge_orbit_count_transitive(cyc, parse_angle("alpha")),
+                 "reference", "diagrams:k4-alpha-cycle")
     res = enumerate_edge_partitions(
         4, PartitionConstraints(two_types_each_at_least=3, trivial_automorphisms=True))
-    rec.check("three-dim/k4-two-types-empty",
-              "no symmetry-free edge coloring of the 4-vertex diagram has two "
-              "triangle types with three copies each",
-              0, len(res), "derived", "expectations:diagram_counts/case-b")
-    return report
+    report.check("three-dim/k4-two-types-empty",
+                 "no symmetry-free edge coloring of the 4-vertex diagram has two "
+                 "triangle types with three copies each",
+                 0, len(res), "derived", "expectations:diagram_counts/case-b")
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +314,7 @@ def scenario_three_dim() -> Report:
 # ---------------------------------------------------------------------------
 
 
-def scenario_two_indivisible() -> Report:
-    report = Report("two-indivisible")
-    rec = Recorder(report)
+def scenario_two_indivisible(report: Report) -> None:
     exp = fixtures.load("expectations")
 
     relaxed = enumerate_edge_partitions(
@@ -350,46 +323,46 @@ def scenario_two_indivisible() -> Report:
     # symmetry-free colorings are exactly the symmetry-free relaxed classes
     aut_orders = [len(coloring_automorphisms(c, 5)) for c in relaxed]
     strict = [c for c, order in zip(relaxed, aut_orders) if order == 1]
-    rec.check("two-indivisible/empty",
-              "no symmetry-free edge coloring of the 5-vertex diagram has two "
-              "triangle types with four copies each",
-              0, len(strict), "reference", "expectations:diagram_counts/ninth")
-    rec.check("two-indivisible/all-symmetric",
-              "every coloring with two frequent triangle types has a "
-              "nontrivial symmetry",
-              True, all(order > 1 for order in aut_orders),
-              "trivial", "expectations:table_cases/0")
+    report.check("two-indivisible/empty",
+                 "no symmetry-free edge coloring of the 5-vertex diagram has two "
+                 "triangle types with four copies each",
+                 0, len(strict), "reference", "expectations:diagram_counts/ninth")
+    report.check("two-indivisible/all-symmetric",
+                 "every coloring with two frequent triangle types has a "
+                 "nontrivial symmetry",
+                 True, all(order > 1 for order in aut_orders),
+                 "trivial", "expectations:table_cases/0")
 
     rich = [c for c in relaxed if max(c) + 1 >= 3]
     catalog_keys = [f"two-indivisible-{s}" for s in "abcdef"]
     # coloring_canonical renumbers colors, so a diagram's label ids will do
     catalog = {coloring_canonical(fixtures.diagram(key).colors, 5): key
                for key in catalog_keys}
-    rec.check("two-indivisible/catalog-match",
-              "colorings with >= 3 classes match the six catalog diagrams",
-              sorted(catalog), sorted(coloring_canonical(c, 5) for c in rich),
-              "reference", "diagrams:two-indivisible-a")
+    report.check("two-indivisible/catalog-match",
+                 "colorings with >= 3 classes match the six catalog diagrams",
+                 sorted(catalog), sorted(coloring_canonical(c, 5) for c in rich),
+                 "reference", "diagrams:two-indivisible-a")
 
-    counts_seen = sorted(sorted(_edge_class_counts(c), reverse=True) for c in rich)
+    counts_seen = sorted(sorted(Counter(c).values(), reverse=True) for c in rich)
     counts_expected = sorted(sorted(r["counts"], reverse=True)
                              for r in exp["table_cases"]) + [[4, 4, 2]]
-    rec.check("two-indivisible/edge-counts",
-              "per-class edge counts match the five case rows "
-              "(the last row is realized twice)",
-              sorted(counts_expected), counts_seen,
-              "reference", "expectations:table_cases/0")
+    report.check("two-indivisible/edge-counts",
+                 "per-class edge counts match the five case rows "
+                 "(the last row is realized twice)",
+                 sorted(counts_expected), counts_seen,
+                 "reference", "expectations:table_cases/0")
 
     for key in catalog_keys:
         d = fixtures.diagram(key)
-        rec.check(f"two-indivisible/aut-order/{key}",
-                  f"automorphism group order of {key}",
-                  exp["aut_orders"][key], len(d.automorphisms()),
-                  "reference", f"expectations:aut_orders/{key}")
+        report.check(f"two-indivisible/aut-order/{key}",
+                     f"automorphism group order of {key}",
+                     exp["aut_orders"][key], len(d.automorphisms()),
+                     "reference", f"expectations:aut_orders/{key}")
 
-    rec.check("two-indivisible/pair-bound-formula",
-              "pair-orbit bound at five points",
-              exp["pair_orbit_bounds"]["5"], pair_orbit_bound(5),
-              "reference", "expectations:pair_orbit_bounds/5")
+    report.check("two-indivisible/pair-bound-formula",
+                 "pair-orbit bound at five points",
+                 exp["pair_orbit_bounds"]["5"], pair_orbit_bound(5),
+                 "reference", "expectations:pair_orbit_bounds/5")
     pairs = [frozenset(p) for p in all_edges(5)]
     worst = 0
     tight = set()
@@ -400,25 +373,17 @@ def scenario_two_indivisible() -> Report:
         worst = max(worst, cnt)
         if cnt == pair_orbit_bound(5):
             tight.add(frozenset(group))
-    rec.check("two-indivisible/pair-bound-exhaustive",
-              "every nontrivial subgroup of the 5-point symmetric group has "
-              "at most seven pair orbits",
-              True, worst <= pair_orbit_bound(5),
-              "derived", "expectations:pair_orbit_bounds/5")
+    report.check("two-indivisible/pair-bound-exhaustive",
+                 "every nontrivial subgroup of the 5-point symmetric group has "
+                 "at most seven pair orbits",
+                 True, worst <= pair_orbit_bound(5),
+                 "derived", "expectations:pair_orbit_bounds/5")
     transposition = tuple([1, 0, 2, 3, 4])
     gen = {tuple(range(5)), transposition}
-    rec.check("two-indivisible/pair-bound-tight",
-              "the bound is attained by the group generated by one transposition",
-              True, frozenset(gen) in tight,
-              "reference", "expectations:pair_orbit_bounds/5")
-    return report
-
-
-def _edge_class_counts(coloring):
-    counts = {}
-    for c in coloring:
-        counts[c] = counts.get(c, 0) + 1
-    return list(counts.values())
+    report.check("two-indivisible/pair-bound-tight",
+                 "the bound is attained by the group generated by one transposition",
+                 True, frozenset(gen) in tight,
+                 "reference", "expectations:pair_orbit_bounds/5")
 
 
 # ---------------------------------------------------------------------------
@@ -446,22 +411,20 @@ def case_a_enumeration() -> list:
     return enumerate_diagrams(5, alphabet, cons, relations=rel)
 
 
-def scenario_case_a() -> Report:
-    report = Report("case-a")
-    rec = Recorder(report)
+def scenario_case_a(report: Report) -> None:
     exp = fixtures.load("expectations")
     rel = CASE_A_RELATIONS
 
     diagrams = case_a_enumeration()
-    rec.check("case-a/diagram-count", "rich diagrams with the half-turn relation",
-              exp["diagram_counts"]["case-a"], len(diagrams),
-              "reference", "expectations:diagram_counts/case-a")
+    report.check("case-a/diagram-count", "rich diagrams with the half-turn relation",
+                 exp["diagram_counts"]["case-a"], len(diagrams),
+                 "reference", "expectations:diagram_counts/case-a")
     keys = {fixtures.diagram(f"case-a-{i}").canonical_key(): f"case-a-{i}"
             for i in range(1, 6)}
     matched = sorted(keys.get(d.canonical_key(), "unknown") for d in diagrams)
-    rec.check("case-a/diagram-identity", "enumerated diagrams match the catalog",
-              [f"case-a-{i}" for i in range(1, 6)], matched,
-              "reference", "diagrams:case-a-1")
+    report.check("case-a/diagram-identity", "enumerated diagrams match the catalog",
+                 [f"case-a-{i}" for i in range(1, 6)], matched,
+                 "reference", "diagrams:case-a-1")
 
     # validity filter: exactly the catalog's fifth diagram contains a triangle
     # degenerating on the whole parameter interval
@@ -475,10 +438,10 @@ def scenario_case_a() -> Report:
                  for t in d.triangles())
         if ok:
             valid_keys.append(f"case-a-{i}")
-    rec.check("case-a/validity-filter",
-              "the triangle validity filter keeps exactly the first four diagrams",
-              [f"case-a-{i}" for i in range(1, 5)], valid_keys,
-              "reference", "expectations:diagram_counts/case-a-after-validity")
+    report.check("case-a/validity-filter",
+                 "the triangle validity filter keeps exactly the first four diagrams",
+                 [f"case-a-{i}" for i in range(1, 5)], valid_keys,
+                 "reference", "expectations:diagram_counts/case-a-after-validity")
 
     # determinant identities, root sets, and root-freeness on (0, 1/2)
     for i in range(1, 5):
@@ -489,21 +452,20 @@ def scenario_case_a() -> Report:
         expected = Poly([entry["scalar"]])
         for f in entry["factors"]:
             expected = expected * Poly(f)
-        rec.check(f"case-a/det-identity/{key}",
-                  "matrix determinant equals the factored polynomial, expanded",
-                  True, det == expected, "reference",
-                  f"expectations:det_factored/{key}")
+        report.check(f"case-a/det-identity/{key}",
+                     "matrix determinant equals the factored polynomial, expanded",
+                     True, det == expected, "reference",
+                     f"expectations:det_factored/{key}")
         mids = sorted(round(float(r.midpoint), 2)
                       for r in isolate_roots(det, Fraction(1, 10 ** 5)))
-        rec.check(f"case-a/root-set/{key}", "real roots to two decimals",
-                  sorted(exp["root_sets_2dp"][key]), mids,
-                  "reference", f"expectations:root_sets_2dp/{key}")
-        rec.check(f"case-a/no-root-in-interval/{key}",
-                  "determinant has no root with cos(beta) in (0, 1/2)",
-                  {"roots": 0, "excluded": True},
-                  {"roots": excl.roots_in_interval, "excluded": excl.excluded},
-                  "reference", f"expectations:root_sets_2dp/{key}")
-    return report
+        report.check(f"case-a/root-set/{key}", "real roots to two decimals",
+                     sorted(exp["root_sets_2dp"][key]), mids,
+                     "reference", f"expectations:root_sets_2dp/{key}")
+        report.check(f"case-a/no-root-in-interval/{key}",
+                     "determinant has no root with cos(beta) in (0, 1/2)",
+                     {"roots": 0, "excluded": True},
+                     {"roots": excl.roots_in_interval, "excluded": excl.excluded},
+                     "reference", f"expectations:root_sets_2dp/{key}")
 
 
 # ---------------------------------------------------------------------------
@@ -511,46 +473,44 @@ def scenario_case_a() -> Report:
 # ---------------------------------------------------------------------------
 
 
-def scenario_case_b() -> Report:
-    report = Report("case-b")
-    rec = Recorder(report)
+def scenario_case_b(report: Report) -> None:
     exp = fixtures.load("expectations")
 
-    rec.check("case-b/straight-right-angle", "fillings of pi by right angles",
-              {(2,)}, straight_angle_combinations([Fraction(1, 2)]),
-              "trivial", "expectations:tile_bases/case-b")
-    rec.check("case-b/straight-combinations",
-              "fillings of pi by thirds and halves",
-              {(3, 0), (0, 2)},
-              straight_angle_combinations([Fraction(1, 3), Fraction(1, 2)]),
-              "trivial", "expectations:tile_bases/case-b")
+    report.check("case-b/straight-right-angle", "fillings of pi by right angles",
+                 {(2,)}, straight_angle_combinations([Fraction(1, 2)]),
+                 "trivial", "expectations:tile_bases/case-b")
+    report.check("case-b/straight-combinations",
+                 "fillings of pi by thirds and halves",
+                 {(3, 0), (0, 2)},
+                 straight_angle_combinations([Fraction(1, 3), Fraction(1, 2)]),
+                 "trivial", "expectations:tile_bases/case-b")
 
     # first subcase: apex angle pi - 2*base would force every further
     # candidate to exceed the lune area; the candidate enumeration is empty
     for q in (Fraction(2, 5), Fraction(3, 7)):
         tile = TileSpec.from_pi_fractions(q, q, 1 - q)
         cands = enumerate_candidates(tile, q, Fraction(0))
-        rec.check(f"case-b/supplementary-empty/{q}",
-                  f"no candidate beyond the tile itself when the apex is the "
-                  f"supplement (base {q} pi)",
-                  0, len(cands), "derived", "expectations:realizable/case-b")
+        report.check(f"case-b/supplementary-empty/{q}",
+                     f"no candidate beyond the tile itself when the apex is the "
+                     f"supplement (base {q} pi)",
+                     0, len(cands), "derived", "expectations:realizable/case-b")
 
     tile = _tile("case-b")
     qa, qb = Fraction(1, 3), Fraction(1, 2)
     acands = enumerate_candidates(tile, qa, Fraction(0))
-    rec.check("case-b/alpha-candidates",
-              "expressible candidates sharing the small angle",
-              _triples(exp["realizable"]["case-b"]["alpha"]),
-              sorted(c.angles_pi() for c in acands if c.expressible),
-              "reference", "expectations:realizable/case-b")
+    report.check("case-b/alpha-candidates",
+                 "expressible candidates sharing the small angle",
+                 _triples(exp["realizable"]["case-b"]["alpha"]),
+                 sorted(c.angles_pi() for c in acands if c.expressible),
+                 "reference", "expectations:realizable/case-b")
     bcands = enumerate_candidates(tile, qb, qa)
-    rec.check("case-b/beta-candidates",
-              "expressible candidates sharing the right angle",
-              _triples(exp["realizable"]["case-b"]["beta"]),
-              sorted(c.angles_pi() for c in bcands if c.expressible),
-              "reference", "expectations:realizable/case-b")
+    report.check("case-b/beta-candidates",
+                 "expressible candidates sharing the right angle",
+                 _triples(exp["realizable"]["case-b"]["beta"]),
+                 sorted(c.angles_pi() for c in bcands if c.expressible),
+                 "reference", "expectations:realizable/case-b")
 
-    _search_and_verify(rec, "case-b", report, "case-b")
+    _search_and_verify(report, "case-b", "case-b")
 
     allowed = [tuple(sorted(Fraction(s) for s in t))
                for t in (exp["realizable"]["case-b"]["alpha"]
@@ -562,11 +522,10 @@ def scenario_case_b() -> Report:
         rich_type=_type_of(("1/3", "1/3", "1/2")))
     alphabet = [_pi_form(q) for q in ("1/3", "1/2", "2/3")]
     found = enumerate_diagrams(5, alphabet, cons)
-    rec.check("case-b/diagram-contradiction",
-              "no rich diagram exists over the realizable triangle types",
-              exp["diagram_counts"]["case-b"], len(found),
-              "reference", "expectations:diagram_counts/case-b")
-    return report
+    report.check("case-b/diagram-contradiction",
+                 "no rich diagram exists over the realizable triangle types",
+                 exp["diagram_counts"]["case-b"], len(found),
+                 "reference", "expectations:diagram_counts/case-b")
 
 
 # ---------------------------------------------------------------------------
@@ -574,77 +533,75 @@ def scenario_case_b() -> Report:
 # ---------------------------------------------------------------------------
 
 
-def scenario_case_c() -> Report:
-    report = Report("case-c")
-    rec = Recorder(report)
+def scenario_case_c(report: Report) -> None:
     exp = fixtures.load("expectations")
 
     sols = corner_angle_solutions([Fraction(1, 3), Fraction(1, 2)],
                                   Fraction(1, 6), Fraction(1, 3))
-    rec.check("case-c/corner-angles",
-              "small angles completing a straight angle with thirds and halves",
-              sorted(Fraction(s) for s in exp["corner_angles"]), sols,
-              "reference", "expectations:corner_angles")
+    report.check("case-c/corner-angles",
+                 "small angles completing a straight angle with thirds and halves",
+                 sorted(Fraction(s) for s in exp["corner_angles"]), sols,
+                 "reference", "expectations:corner_angles")
     scan = corner_angle_solutions_rational_scan([Fraction(1, 3), Fraction(1, 2)],
                                                 Fraction(1, 6), Fraction(1, 3))
-    rec.check("case-c/corner-angles-scan",
-              "bounded rational scan agrees with the exact solver",
-              sols, scan, "derived", "expectations:corner_angles")
+    report.check("case-c/corner-angles-scan",
+                 "bounded rational scan agrees with the exact solver",
+                 sols, scan, "derived", "expectations:corner_angles")
 
     analyses = {}
     for key in ("quarter", "fifth", "ninth"):
         tile = _tile(key)
         qa = tile.angles_pi[0]
         es = [round(x, 3) for x in tile.edges]
-        rec.check(f"case-c/edge-lengths/{key}",
-                  "tile edges to three decimals",
-                  exp["edge_lengths_3dp"][str(qa)], es,
-                  "reference", f"expectations:edge_lengths_3dp/{qa}")
+        report.check(f"case-c/edge-lengths/{key}",
+                     "tile edges to three decimals",
+                     exp["edge_lengths_3dp"][str(qa)], es,
+                     "reference", f"expectations:edge_lengths_3dp/{qa}")
         ana = final_case_analysis(key)
         analyses[key] = ana
-        rec.check(f"case-c/alpha-list/{key}",
-                  "realizable list for the smallest angle",
-                  _triples(exp["realizable"][key]["alpha"]
-                           + [[str(q) for q in tile.angles_pi]]),
-                  ana.alpha_list,
-                  "reference", f"expectations:realizable/{key}")
-        rec.check(f"case-c/beta-list/{key}",
-                  "realizable list for the middle angle",
-                  _triples(exp["realizable"][key]["beta"]), ana.beta_list,
-                  "reference", f"expectations:realizable/{key}")
+        report.check(f"case-c/alpha-list/{key}",
+                     "realizable list for the smallest angle",
+                     _triples(exp["realizable"][key]["alpha"]
+                              + [[str(q) for q in tile.angles_pi]]),
+                     ana.alpha_list,
+                     "reference", f"expectations:realizable/{key}")
+        report.check(f"case-c/beta-list/{key}",
+                     "realizable list for the middle angle",
+                     _triples(exp["realizable"][key]["beta"]), ana.beta_list,
+                     "reference", f"expectations:realizable/{key}")
         cited = _triples(exp["unrealizable_cited"][key])
-        rec.check(f"case-c/unrealizable-cited/{key}",
-                  "edge-combination argument rejects the cited triples",
-                  cited, sorted(set(cited) & set(ana.forbidden)),
-                  "reference", f"expectations:unrealizable_cited/{key}")
-        rec.check(f"case-c/diagram-count/{key}",
-                  "rich diagrams surviving the realizable-list constraints",
-                  exp["diagram_counts"][key], len(ana.diagrams),
-                  "reference", f"expectations:diagram_counts/{key}")
-        rec.check(f"case-c/stability/{key}",
-                  "every edge verdict is the same for any tolerance from "
-                  "1e-7 to 1e-5: matches within 1e-7, misses beyond 1e-5",
-                  {"max_match_gap": 1e-7, "min_miss_gap": EDGE_TOL},
-                  {"max_match_gap": ana.max_match_gap,
-                   "min_miss_gap": ana.min_miss_gap},
-                  "derived", f"expectations:realizable/{key}",
-                  equal=lambda e, a: (a["max_match_gap"] <= e["max_match_gap"]
-                                      and a["min_miss_gap"] > e["min_miss_gap"]))
+        report.check(f"case-c/unrealizable-cited/{key}",
+                     "edge-combination argument rejects the cited triples",
+                     cited, sorted(set(cited) & set(ana.forbidden)),
+                     "reference", f"expectations:unrealizable_cited/{key}")
+        report.check(f"case-c/diagram-count/{key}",
+                     "rich diagrams surviving the realizable-list constraints",
+                     exp["diagram_counts"][key], len(ana.diagrams),
+                     "reference", f"expectations:diagram_counts/{key}")
+        report.check(f"case-c/stability/{key}",
+                     "every edge verdict is the same for any tolerance from "
+                     "1e-7 to 1e-5: matches within 1e-7, misses beyond 1e-5",
+                     {"max_match_gap": 1e-7, "min_miss_gap": EDGE_TOL},
+                     {"max_match_gap": ana.max_match_gap,
+                      "min_miss_gap": ana.min_miss_gap},
+                     "derived", f"expectations:realizable/{key}",
+                     equal=lambda e, a: (a["max_match_gap"] <= e["max_match_gap"]
+                                         and a["min_miss_gap"] > e["min_miss_gap"]))
 
     ana9 = analyses["ninth"]
-    rec.check("case-c/extra-candidate",
-              "exactly one expressible candidate fails the edge decomposition",
-              [_triples([exp["extra_candidate_ninth_beta"]])[0]],
-              ana9.extra_candidates,
-              "reference", "expectations:extra_candidate_ninth_beta")
+    report.check("case-c/extra-candidate",
+                 "exactly one expressible candidate fails the edge decomposition",
+                 [_triples([exp["extra_candidate_ninth_beta"]])[0]],
+                 ana9.extra_candidates,
+                 "reference", "expectations:extra_candidate_ninth_beta")
     tile9 = analyses["ninth"].tile
     a_e, b_e, c_e = tile9.edges
     for name, val in (("2b-a", 2 * b_e - a_e), ("2b-c", 2 * b_e - c_e)):
         status = edge_combination(val, tile9.edges)
-        rec.check(f"case-c/edge-argument/{name}",
-                  f"{name} ({val:.3f}) is not an edge combination",
-                  False, isinstance(status, EdgeMatch),
-                  "reference", "expectations:extra_candidate_ninth_beta")
+        report.check(f"case-c/edge-argument/{name}",
+                     f"{name} ({val:.3f}) is not an edge combination",
+                     False, isinstance(status, EdgeMatch),
+                     "reference", "expectations:extra_candidate_ninth_beta")
 
     # identify the surviving diagrams and their exact determinants
     for key, ids in (("quarter", ["quarter-1", "quarter-2", "quarter-3"]),
@@ -652,40 +609,40 @@ def scenario_case_c() -> Report:
         keys = {fixtures.diagram(i).canonical_key(): i for i in ids}
         got = sorted(keys.get(d.canonical_key(), "unknown")
                      for d in analyses[key].diagrams)
-        rec.check(f"case-c/diagram-identity/{key}",
-                  "surviving diagrams match the catalog", ids, got,
-                  "reference", f"diagrams:{ids[0]}")
+        report.check(f"case-c/diagram-identity/{key}",
+                     "surviving diagrams match the catalog", ids, got,
+                     "reference", f"diagrams:{ids[0]}")
         for i in ids:
             fiedler = fiedler_check(gram_from_diagram(fixtures.diagram(i)))
             det = fiedler.determinant
             entry = exp["gram_dets"][i]
             k, q, s = _SQRTS[entry["m"]]
             want = Fraction(entry["a"]) + Fraction(entry["b"]) * (k * cos_pi(q) + s)
-            rec.check(f"case-c/det/{i}", "exact determinant", True, det == want,
-                      "derived", f"expectations:gram_dets/{i}")
-            rec.check(f"case-c/det-2dp/{i}",
-                      "determinant within 0.005 of the reference rounding",
-                      True,
-                      abs(float(det) - exp["gram_dets_reference_2dp"][i])
-                      <= 0.005 + 1e-9,
-                      "reference", f"expectations:gram_dets_reference_2dp/{i}")
-            rec.check(f"case-c/not-simplex/{i}",
-                      "nonzero determinant rules the diagram out",
-                      "cannot-be-a-simplex", fiedler.verdict,
-                      "reference", f"expectations:gram_dets/{i}")
+            report.check(f"case-c/det/{i}", "exact determinant", True, det == want,
+                         "derived", f"expectations:gram_dets/{i}")
+            report.check(f"case-c/det-2dp/{i}",
+                         "determinant within 0.005 of the reference rounding",
+                         True,
+                         abs(float(det) - exp["gram_dets_reference_2dp"][i])
+                         <= 0.005 + 1e-9,
+                         "reference", f"expectations:gram_dets_reference_2dp/{i}")
+            report.check(f"case-c/not-simplex/{i}",
+                         "nonzero determinant rules the diagram out",
+                         "cannot-be-a-simplex", fiedler.verdict,
+                         "reference", f"expectations:gram_dets/{i}")
         for i in ids:
             d = fixtures.diagram(i)
             shape = label_subgraph(d, _pi_form(analyses[key].tile.angles_pi[0]))
-            rec.check(f"case-c/alpha-shape/{i}",
-                      "smallest-angle edges form one of the two allowed shapes",
-                      True, shape in ("P2+P2", "P2+P3"),
-                      "reference", f"diagrams:{i}")
+            report.check(f"case-c/alpha-shape/{i}",
+                         "smallest-angle edges form one of the two allowed shapes",
+                         True, shape in ("P2+P2", "P2+P3"),
+                         "reference", f"diagrams:{i}")
 
     skels = enumerate_two_label_skeletons()
-    rec.check("case-c/two-label-classes",
-              "two-smallest-label subgraph classes",
-              exp["diagram_counts"]["two-label-classes"], len(skels),
-              "reference", "ab_pairs:a")
+    report.check("case-c/two-label-classes",
+                 "two-smallest-label subgraph classes",
+                 exp["diagram_counts"]["two-label-classes"], len(skels),
+                 "reference", "ab_pairs:a")
     ab = fixtures.load("ab_pairs")
     order = {v: i for i, v in enumerate("uvwxy")}
 
@@ -696,13 +653,12 @@ def scenario_case_c() -> Report:
 
     want = sorted(canon_of(ab[k]) for k in ab)
     got = sorted(pair_canonical(a, b, 5) for a, b in skels)
-    rec.check("case-c/two-label-identity",
-              "the classes match the catalog", want, got,
-              "reference", "ab_pairs:a")
+    report.check("case-c/two-label-identity",
+                 "the classes match the catalog", want, got,
+                 "reference", "ab_pairs:a")
 
     for key in ("quarter", "fifth", "ninth"):
-        _search_and_verify(rec, key, report, f"case-c/{key}")
-    return report
+        _search_and_verify(report, key, f"case-c/{key}")
 
 
 # ---------------------------------------------------------------------------
@@ -710,9 +666,8 @@ def scenario_case_c() -> Report:
 # ---------------------------------------------------------------------------
 
 
-def scenario_hill(d: Optional[int] = None, m: Optional[int] = None) -> Report:
-    report = Report("hill")
-    rec = Recorder(report)
+def scenario_hill(report: Report, d: Optional[int] = None,
+                  m: Optional[int] = None) -> None:
     exp = fixtures.load("expectations")
     h1_cases = exp["hill"]["h1_cases"] if d is None else [[d, m]]
     pair_cases = exp["hill"]["pair_cases"] if d is None else [[d, m]]
@@ -721,26 +676,26 @@ def scenario_hill(d: Optional[int] = None, m: Optional[int] = None) -> Report:
         v0 = hill_simplex(dd, 0).volume()
         v1 = hill_simplex(dd, 1).volume()
         v2 = hill_simplex(dd, 2).volume()
-        rec.check(f"hill/volume-ratios/d{dd}",
-                  "base simplex volume ratios 4:2:1",
-                  True, v2 == 2 * v1 == 4 * v0,
-                  "reference", "expectations:hill/h1_cases")
+        report.check(f"hill/volume-ratios/d{dd}",
+                     "base simplex volume ratios 4:2:1",
+                     True, v2 == 2 * v1 == 4 * v0,
+                     "reference", "expectations:hill/h1_cases")
 
     for dd, mm in h1_cases:
         tiles = generate_h1_tiling(dd, mm)
         base = hill_simplex(dd, 1)
         rep = tiling_report(tiles, base)
-        rec.check(f"hill/h1-count/d{dd}m{mm}", "tile count is m^d",
-                  mm ** dd, rep.tile_count,
-                  "derived", "expectations:hill/h1_cases")
-        rec.check(f"hill/h1-volume/d{dd}m{mm}",
-                  "exact volume conservation",
-                  True, rep.total_volume == base.volume() * mm ** dd,
-                  "derived", "expectations:hill/h1_cases")
-        rec.check(f"hill/h1-congruent/d{dd}m{mm}",
-                  "all tiles congruent to the base simplex",
-                  True, rep.all_congruent,
-                  "derived", "expectations:hill/h1_cases")
+        report.check(f"hill/h1-count/d{dd}m{mm}", "tile count is m^d",
+                     mm ** dd, rep.tile_count,
+                     "derived", "expectations:hill/h1_cases")
+        report.check(f"hill/h1-volume/d{dd}m{mm}",
+                     "exact volume conservation",
+                     True, rep.total_volume == base.volume() * mm ** dd,
+                     "derived", "expectations:hill/h1_cases")
+        report.check(f"hill/h1-congruent/d{dd}m{mm}",
+                     "all tiles congruent to the base simplex",
+                     True, rep.all_congruent,
+                     "derived", "expectations:hill/h1_cases")
 
     for dd in sorted({c[0] for c in h1_cases}):
         center = tuple(1 for _ in range(dd))
@@ -749,35 +704,34 @@ def scenario_hill(d: Optional[int] = None, m: Optional[int] = None) -> Report:
         sizes = set(graph.component_sizes())
         per = {len([e for e in graph.edges if e[0] in c or e[1] in c])
                for c in graph.components}
-        rec.check(f"hill/four-cycles/d{dd}",
-                  "full-tiling compatibility components are four-cycles",
-                  {"sizes": [4], "edges": [4]},
-                  {"sizes": sorted(sizes), "edges": sorted(per)},
-                  "reference", "expectations:hill/h1_cases")
+        report.check(f"hill/four-cycles/d{dd}",
+                     "full-tiling compatibility components are four-cycles",
+                     {"sizes": [4], "edges": [4]},
+                     {"sizes": sorted(sizes), "edges": sorted(per)},
+                     "reference", "expectations:hill/h1_cases")
 
     for dd, mm in pair_cases:
         graph = compatibility_graph(generate_h2_h1_tiles(dd, mm))
         parity_ok = all(len(c) in (2, 4) for c in graph.components)
-        rec.check(f"hill/h2-even-components/d{dd}m{mm}",
-                  "each compatibility component meets the region evenly",
-                  True, parity_ok, "reference", "expectations:hill/pair_cases")
+        report.check(f"hill/h2-even-components/d{dd}m{mm}",
+                     "each compatibility component meets the region evenly",
+                     True, parity_ok, "reference", "expectations:hill/pair_cases")
         pairs = pair_h2_tiling(dd, mm, graph)
-        rec.check(f"hill/h2-pairing/d{dd}m{mm}",
-                  "pairing into base-H2 copies succeeds",
-                  mm ** dd, len(pairs),
-                  "derived", "expectations:hill/pair_cases")
+        report.check(f"hill/h2-pairing/d{dd}m{mm}",
+                     "pairing into base-H2 copies succeeds",
+                     mm ** dd, len(pairs),
+                     "derived", "expectations:hill/pair_cases")
 
     s = hill_simplex(3, 0)
     mirror = tuple(tuple(-c if i == 0 else c for i, c in enumerate(v))
                    for v in s.vertices)
-    rec.check("hill/congruent-mirror", "a simplex is congruent to its mirror image",
-              True, congruent(s, EuclideanSimplex(mirror)),
-              "trivial", "expectations:hill/h1_cases")
+    report.check("hill/congruent-mirror", "a simplex is congruent to its mirror image",
+                 True, congruent(s, EuclideanSimplex(mirror)),
+                 "trivial", "expectations:hill/h1_cases")
     half = tuple(tuple(c / 2 for c in v) for v in s.vertices)
-    rec.check("hill/congruent-scaled", "a half-scaled copy is not congruent",
-              False, congruent(s, EuclideanSimplex(half)),
-              "trivial", "expectations:hill/h1_cases")
-    return report
+    report.check("hill/congruent-scaled", "a half-scaled copy is not congruent",
+                 False, congruent(s, EuclideanSimplex(half)),
+                 "trivial", "expectations:hill/h1_cases")
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +753,9 @@ SCENARIOS = tuple(_RUNNERS)
 def run_scenario(name: str, **kwargs) -> Report:
     if name not in _RUNNERS:
         raise KeyError(f"unknown scenario {name!r}")
+    report = Report(name)
     start = time.perf_counter()
-    report = _RUNNERS[name](**kwargs)
+    _RUNNERS[name](report, **kwargs)
     report.seconds = time.perf_counter() - start
     return report
 

@@ -151,13 +151,16 @@ def test_check_sees_a_recursive_function(tmp_path):
     assert self_recursive_functions(bad) == ["enumerate_things.extend", "Tree.height.depth"]
 
 
-def referenced_names(node):
-    """Names a subtree uses: variables, attributes and imported names."""
+def referenced_names(node, attributes_only=False):
+    """Names a subtree uses: variables, attributes and imported names, or
+    only the attribute names."""
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
+        if isinstance(n, ast.Attribute):
             yield n.attr
+        elif attributes_only:
+            continue
+        elif isinstance(n, ast.Name):
+            yield n.id
         elif isinstance(n, ast.alias):
             yield n.name.split(".")[-1]
 
@@ -177,15 +180,18 @@ def definitions(tree):
 
 def unreferenced_definitions(paths):
     """Module-qualified names of the definitions that no file names outside
-    the definition's own body.  A method counts as named by any attribute
-    of its name."""
+    the definition's own body.  A method counts as named only by an
+    attribute of its name, so a variable of the same name does not keep it."""
     trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in paths}
-    everywhere = Counter(name for tree in trees.values() for name in referenced_names(tree))
+    everywhere = {method: Counter(name for tree in trees.values()
+                                  for name in referenced_names(tree, method))
+                  for method in (False, True)}
     found = []
     for path, tree in trees.items():
         for dotted, node in definitions(tree):
             name = dotted.rsplit(".", 1)[-1]
-            if everywhere[name] == Counter(referenced_names(node))[name]:
+            method = "." in dotted
+            if everywhere[method][name] == Counter(referenced_names(node, method))[name]:
                 found.append(f"{path.stem}.{dotted}")
     return found
 
@@ -224,7 +230,11 @@ def test_check_sees_an_unused_definition(tmp_path):
         "        return used(self.r)\n"
         "\n"
         "    def export(self):\n"
-        "        return {'r': self.r}\n")
+        "        return {'r': self.r}\n"
+        "\n"
+        "    def label(self):\n"
+        "        return str(self.r)\n")
     app = tmp_path / "app.py"
-    app.write_text("from .lib import Shape\n\nprint(Shape(2).area())\n")
-    assert unreferenced_definitions([lib, app]) == ["lib.only_itself", "lib.Shape.export"]
+    app.write_text("from .lib import Shape\n\nlabel = Shape(2).area()\nprint(label)\n")
+    assert unreferenced_definitions([lib, app]) == ["lib.only_itself", "lib.Shape.export",
+                                                    "lib.Shape.label"]

@@ -264,6 +264,15 @@ class TestSearch:
         res = search_tiling((F(1, 2), F(1, 2), F(1, 2)), QUARTER, node_budget=3)
         assert res.status == "aborted"
 
+    def test_zero_budget_aborts_at_the_first_node(self):
+        res = search_tiling((F(1, 2), F(1, 2), F(1, 2)), QUARTER, node_budget=0)
+        assert (res.status, res.nodes) == ("aborted", 1)
+
+    @pytest.mark.parametrize("bound", [{"node_budget": -1}, {"n_max": 0}])
+    def test_meaningless_bounds_raise(self, bound):
+        with pytest.raises(ValueError):
+            search_tiling((F(1, 2), F(1, 2), F(1, 2)), QUARTER, **bound)
+
     def test_deterministic(self):
         r1 = search_tiling((F(1, 4), F(1, 2), F(2, 3)), QUARTER)
         r2 = search_tiling((F(1, 4), F(1, 2), F(2, 3)), QUARTER)
@@ -325,6 +334,50 @@ def test_search_tree_pinned(base, target, status, tiles, nodes):
     res = search_tiling(target, TILES[base])
     assert (res.status, res.nodes) == (status, nodes)
     assert (len(res.tiling.tiles) if res.tiling else 0) == tiles
+
+
+# A boundary arc of length pi/2 along the equator, from V to W.
+FLUSH_V, FLUSH_W = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+
+
+def test_flush_side_ends_inside_the_arc():
+    P, nodes, t = realize._flush_side(FLUSH_V, FLUSH_W, math.pi / 2, math.pi / 4,
+                                      math.pi / 3)
+    assert np.allclose(P, (math.sqrt(0.5), math.sqrt(0.5), 0.0))
+    assert nodes == [(P, math.pi - math.pi / 3), (FLUSH_W, math.pi / 2)]
+    assert np.allclose(t, (0.0, 1.0, 0.0))
+
+
+def test_flush_side_ends_at_the_vertex():
+    P, nodes, _ = realize._flush_side(FLUSH_V, FLUSH_W, math.pi / 2, math.pi / 2,
+                                      math.pi / 3)
+    assert P is FLUSH_W and nodes == [(FLUSH_W, math.pi / 2 - math.pi / 3)]
+    # the tile angle at W is larger than the region's angle there
+    assert realize._flush_side(FLUSH_V, FLUSH_W, math.pi / 2, math.pi / 2,
+                               2 * math.pi / 3) is None
+
+
+def test_flush_side_passes_the_vertex_only_where_reflex():
+    P, nodes, _ = realize._flush_side(FLUSH_V, FLUSH_W, 3 * math.pi / 2,
+                                      3 * math.pi / 4, math.pi / 3)
+    assert np.allclose(P, (-math.sqrt(0.5), math.sqrt(0.5), 0.0))
+    assert nodes == [(P, 2 * math.pi - math.pi / 3), (FLUSH_W, math.pi / 2)]
+    for aW in (math.pi / 2, math.pi):
+        assert realize._flush_side(FLUSH_V, FLUSH_W, aW, 3 * math.pi / 4,
+                                   math.pi / 3) is None
+
+
+@pytest.mark.parametrize("tile, count", [(QUARTER, 6), (CASE_B, 3)],
+                         ids=["quarter", "case-b"])
+def test_orientations_are_the_distinct_placements(tile, count):
+    orients = realize._orientations(tile)
+    assert len(orients) == count
+    for theta, L, thetaP, M, thetaQ, corners in orients:
+        assert sorted(corners) == [0, 1, 2]
+        c, e, f = corners
+        assert (theta, thetaP, thetaQ) == (tile.angles[c], tile.angles[e], tile.angles[f])
+        # each side lies opposite the corner it does not touch
+        assert (L, M) == (tile.edges[f], tile.edges[e])
 
 
 def all_pairs_geometry_ok(points):

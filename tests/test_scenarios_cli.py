@@ -216,6 +216,12 @@ class TestCli:
         assert proc.returncode == 1
         assert json.loads(proc.stdout)["status"] == "aborted"
 
+    @pytest.mark.parametrize("flag,value", [("--node-budget", "-5"), ("--n-max", "0")])
+    def test_tile_rejects_meaningless_bounds(self, flag, value):
+        proc = _cli("tile", "1/4 pi,1/3 pi,1/2 pi", "1/3 pi,1/2 pi,1/2 pi", flag, value)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+
     def test_unknown_scenario(self):
         proc = _cli("run", "nonsense")
         assert proc.returncode == 2
