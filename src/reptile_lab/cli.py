@@ -92,12 +92,14 @@ def _cmd_tile(args) -> int:
 def _cmd_diagram(args) -> int:
     with open(args.fixture) as f:
         data = json.load(f)
-    if "edges" not in data:
-        if args.id and args.id in data:
-            data = data[args.id]
-        else:
-            raise ValueError("catalog file: pick one entry with --id "
-                             f"(available: {', '.join(sorted(data))})")
+    if "edges" in data:
+        if args.id is not None:
+            raise ValueError(f"--id {args.id}: the file holds one diagram, not a catalog")
+    elif args.id and args.id in data:
+        data = data[args.id]
+    else:
+        raise ValueError("catalog file: pick one entry with --id "
+                         f"(available: {', '.join(sorted(data))})")
     diagram = CoxeterDiagram.from_fixture(data)
     if args.action == "auts":
         auts = diagram.automorphisms()

@@ -3,8 +3,8 @@
 Rationals (stdlib Fraction), dense univariate polynomials over Q, Sturm-
 sequence real root counting / isolation, the one number field every
 rational-angle cosine lives in, Q(cos(pi/n)) (cos(q pi) exactly for every
-rational q), and exact determinants of small matrices via fraction-free
-(Bareiss) elimination.
+rational q, signs by bisecting cos(pi/n)'s interval), and exact
+determinants of small matrices via fraction-free (Bareiss) elimination.
 
 Everything here is immutable and pure; no rounding happens anywhere
 except in the explicitly numeric evaluation helpers.
@@ -243,8 +243,7 @@ def sturm_chain(p: Poly) -> list[Poly]:
 
 
 def _square_free_part(p: Poly) -> Poly:
-    """`p.square_free_part()`, computed once per polynomial and kept on it:
-    case-a both counts and isolates the roots of each determinant."""
+    """`p.square_free_part()`, kept on p: case-a counts and isolates roots."""
     try:
         return p._sqf
     except AttributeError:
@@ -261,9 +260,9 @@ def _chain_of_square_free(f: Poly) -> list[Poly]:
     return chain
 
 
-# The sign kernel.  A polynomial is cleared to integer coefficients once (a
-# positive factor keeps every sign), and its sign at a/b, b > 0, is the sign
-# of the homogeneous sum  sum c_i a^i b^(n-i) = b^n p(a/b), all in integers
+# The evaluation kernel.  A polynomial is cleared to integer coefficients
+# once (a positive factor keeps every sign), and its value at a/b, b > 0,
+# times b^n is the homogeneous sum  sum c_i a^i b^(n-i), all in integers
 # (C. Yap, Fundamental Problems of Algorithmic Algebra, OUP 2000, ch. 7).
 # The point (a, b) = (+-1, 0) gives the sign at +-infinity: c_n (+-1)^n.
 
@@ -276,20 +275,20 @@ def _integer_coeffs(p: Poly) -> tuple[int, ...]:
     return tuple(c // g for c in cs)
 
 
-def _int_sign(cs: Sequence[int], a: int, b: int) -> int:
-    """Sign of p(a/b) for b > 0 (or of p at +-infinity for b = 0, a = +-1),
-    p given by its integer coefficients cs in ascending degree."""
+def _int_value(cs: Sequence[int], a: int, b: int) -> int:
+    """b^n p(a/b) for b > 0, n = deg p (p's sign at +-infinity for b = 0,
+    a = +-1), p given by its integer coefficients cs in ascending degree."""
     v, bk = cs[-1], 1
     for c in reversed(cs[:-1]):
         bk *= b
         v = v * a + c * bk
-    return (v > 0) - (v < 0)
+    return v
 
 
 def _count_variations(chain: Sequence[Sequence[int]], a: int, b: int) -> tuple[int, int]:
     """(sign variations of the integer chain at a/b, sign of chain[0] there);
     zero signs are skipped."""
-    signs = [_int_sign(cs, a, b) for cs in chain]
+    signs = [_sign(_int_value(cs, a, b)) for cs in chain]
     nonzero = [s for s in signs if s]
     return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0]
 
@@ -305,11 +304,7 @@ def sturm_count(p: Poly, lo=None, hi=None) -> int:
         raise ZeroPolynomialError("zero polynomial")
     if lo is not None and hi is not None and _frac(lo) >= _frac(hi):
         raise ValueError("empty interval")
-    return _roots_between([_integer_coeffs(q) for q in sturm_chain(p)], lo, hi)
-
-
-def _roots_between(chain: Sequence[Sequence[int]], lo, hi) -> int:
-    """`sturm_count` from the integer Sturm chain."""
+    chain = [_integer_coeffs(q) for q in sturm_chain(p)]
     a = (-1, 0) if lo is None else _frac(lo).as_integer_ratio()
     b = (1, 0) if hi is None else _frac(hi).as_integer_ratio()
     vb, fb = _count_variations(chain, *b)
@@ -361,7 +356,7 @@ def _rational_roots(p: Poly) -> list[Fraction]:
             if math.gcd(num, den) != 1:
                 continue  # the same rational as num/g over den/g
             for a in (num, -num):
-                if _int_sign(cs, a, den) == 0:
+                if _int_value(cs, a, den) == 0:
                     roots.append(Fraction(a, den))
     return sorted(roots)
 
@@ -407,10 +402,8 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
                 # sign cannot see them: keep halving while one lies inside.
                 while hi - lo > precision or any(lo < r < hi for r in rational):
                     mid = (lo + hi) / 2
-                    if _int_sign(fi, mid.numerator, mid.denominator) == slo:
-                        lo = mid
-                    else:
-                        hi = mid
+                    s = _sign(_int_value(fi, mid.numerator, mid.denominator))
+                    lo, hi = (mid, hi) if s == slo else (lo, mid)
                 out.append(RootInterval(lo, hi, False))
                 continue
             mid = (lo + hi) / 2
@@ -461,10 +454,10 @@ def _cos_pi_interval(n: int) -> RootInterval:
 class RealCyclotomic:
     """Element p(c) of the field Q(cos(pi/n)), c = cos(pi/n).
 
-    p is a Poly over Q in c, of degree below that of c's minimal
-    polynomial: a product is reduced modulo that polynomial only when it
-    reaches its degree.  Elements with different n meet in the field of
-    lcm(n, n'), since cos(pi/n) = T_{m/n}(cos(pi/m)) for n dividing m.
+    p is a Poly over Q in c of degree below that of f, c's minimal (so
+    irreducible) polynomial, reduced modulo f when it reaches f's degree:
+    p(c) = 0 only for p = 0.  Elements with different n meet in the field
+    of lcm(n, n'), since cos(pi/n) = T_{m/n}(cos(pi/m)) for n dividing m.
     Equal to the Fraction of the same value; unhashable, since one value
     has a representation in every field above its own.
     """
@@ -559,22 +552,28 @@ class RealCyclotomic:
         return NotImplemented
 
     def sign(self) -> int:
-        """Exact sign: c's isolating interval is halved until p has no
-        root in it, and p's sign there is its sign at c."""
+        """Exact sign.  With p cleared to integer coefficients c_i, c's
+        isolating interval (lo, hi) is halved on the sign of f until
+        |p(mid)| > L (hi - lo) / 2, L = sum i |c_i| R^(i-1) >= |p'| on
+        [-R, R], R = max(1, -lo, hi): by the mean value theorem p(c) then
+        has p(mid)'s sign.  It ends, since p(c) != 0."""
         p = self.poly
         if p.degree <= 0:
             return _sign(p.coeffs[0]) if p.coeffs else 0
-        chain = [_integer_coeffs(q) for q in sturm_chain(p)]
+        cs = _integer_coeffs(p)
         f = _integer_coeffs(minimal_polynomial(self.n))
         lo, hi, _ = _cos_pi_interval(self.n)
-        f_lo = _int_sign(f, *lo.as_integer_ratio())
-        while _roots_between(chain, lo, hi):
+        r = max(1, -lo, hi)
+        # from i = 1: at i = 0, an int r would give the float r ** -1
+        bound = sum(i * abs(c) * r ** (i - 1) for i, c in enumerate(cs[1:], 1))
+        f_lo = _sign(_int_value(f, *lo.as_integer_ratio()))
+        while True:
             mid = (lo + hi) / 2
-            if _int_sign(f, *mid.as_integer_ratio()) == f_lo:
-                lo = mid
-            else:
-                hi = mid
-        return _int_sign(_integer_coeffs(p), *((lo + hi) / 2).as_integer_ratio())
+            a, b = mid.as_integer_ratio()
+            v = _int_value(cs, a, b)  # b^d p(mid), d = deg p
+            if 2 * abs(v) > bound * (hi - lo) * b ** p.degree:
+                return _sign(v)
+            lo, hi = (mid, hi) if _sign(_int_value(f, a, b)) == f_lo else (lo, mid)
 
     def __float__(self):
         # p evaluated exactly at binary64's cos(pi/n), then rounded once

@@ -10,8 +10,8 @@ The cube lattice cut by the hyperplanes x_i = n, x_i + x_j = n, x_i - x_j = n
 tiles space with copies of H1_d; each tile is encoded by the center of its
 unit cube plus a signed permutation prefix, with vertices at half-integer
 steps from the center.  Restricting to a scaled copy of H1_d or H2_d by
-exact facet-inequality filtering yields the rep-tilings; compatible tile
-pairs (union congruent to H2_d) sit in four-cycle components of the
+the facet inequalities of its own rows yields the rep-tilings; compatible
+tile pairs (union congruent to H2_d) sit in four-cycle components of the
 compatibility graph and give the pairing that re-tiles scaled H2 copies.
 
 All geometry is exact and runs on integers.  A simplex holds its vertices
@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from operator import le, mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class EuclideanSimplex:
@@ -167,45 +167,27 @@ def signed_perms(d: int):
             yield tuple(zip(signs, axes))
 
 
-class Polytope(NamedTuple):
-    """Intersection of half-spaces a.x <= b, doubled integer coefficients."""
-
-    ineqs: tuple  # of (coeff tuple, rhs) in doubled coordinates
-
-
-def scaled_hill_polytope(d: int, i: int, m: int) -> Polytope:
-    """Facet system of m * H^i_d, in doubled coordinates (y = 2x)."""
-    def e(axis, val=1):
-        return tuple(val if t == axis else 0 for t in range(d))
-
-    def minus(a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    ineqs = []
-    if i == 0:
-        ineqs.append((e(0), m))  # x1 <= m/2  ->  y1 <= m
-        for j in range(d - 1):
-            ineqs.append((minus(e(j + 1), e(j)), 0))
-    elif i == 1:
-        ineqs.append((tuple(1 if t in (0, 1) else 0 for t in range(d)), 2 * m))
-        ineqs.append((minus(e(1), e(0)), 0))
-        for j in range(1, d - 1):
-            ineqs.append((minus(e(j + 1), e(j)), 0))
-    elif i == 2:
-        if d >= 3:
-            ineqs.append((tuple(1 if t in (0, 2) else 0 for t in range(d)), 2 * m))
-        else:
-            ineqs.append((e(0), 2 * m))
-        for j in range(d - 1):
-            ineqs.append((minus(e(j + 1), e(j)), 0))
-    else:
-        raise ValueError("i must be 0, 1 or 2")
-    ineqs.append((e(d - 1, -1), 0))  # x_d >= 0
-    return Polytope(tuple(ineqs))
+def facets(rows) -> tuple:
+    """Facet inequalities (a, b), a . x <= b, of the simplex with these
+    integer vertex rows; facet k is the one opposite vertex k.  a is the
+    cofactor vector of the facet's edge differences, so it is normal to
+    the facet, signed so that vertex k satisfies the inequality."""
+    out = []
+    for k, v in enumerate(rows):
+        base, *others = [r for j, r in enumerate(rows) if j != k]
+        diffs = [[x - y for x, y in zip(r, base)] for r in others]
+        a = [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in diffs])
+             for j in range(len(base))]
+        b = sum(map(mul, a, base))
+        if sum(map(mul, a, v)) > b:
+            a, b = [-c for c in a], -b
+        out.append((tuple(a), b))
+    return tuple(out)
 
 
-def lattice_tiles_in(poly: Polytope, d: int, m: int) -> list:
-    """All H1 lattice tiles with every vertex inside the polytope.
+def lattice_tiles_in(ineqs: tuple, d: int, m: int) -> list:
+    """All H1 lattice tiles with every vertex inside the polytope of these
+    inequalities (a, b), a . x <= b in doubled coordinates.
 
     Cube centers are scanned over the [0, m]^d box; tiles never leave their
     cube, so this covers every scaled Hill target.  A tile's vertices are its
@@ -214,15 +196,17 @@ def lattice_tiles_in(poly: Polytope, d: int, m: int) -> list:
     per signed permutation) is at most its slack at the center.  The center
     is a vertex of every tile, so a center outside has no tile.
     """
+    if m < 1:
+        raise ValueError("need m >= 1")
     reaches = []
     for sp in signed_perms(d):
         offsets = LatticeTile((0,) * d, sp).vertices2()
         reaches.append((sp, [max([sum(map(mul, a, v)) for v in offsets])
-                             for a, _ in poly.ineqs]))
+                             for a, _ in ineqs]))
     out = []
     for n in product(range(m), repeat=d):
         center2 = tuple(2 * c + 1 for c in n)
-        slack = [rhs - sum(map(mul, a, center2)) for a, rhs in poly.ineqs]
+        slack = [rhs - sum(map(mul, a, center2)) for a, rhs in ineqs]
         if min(slack) >= 0:
             out.extend(LatticeTile(center2, sp) for sp, reach in reaches
                        if all(map(le, reach, slack)))
@@ -231,14 +215,14 @@ def lattice_tiles_in(poly: Polytope, d: int, m: int) -> list:
 
 def generate_h1_tiling(d: int, m: int) -> list:
     """The m^d tiles of the scaled simplex m * H1_d."""
-    if m < 1:
-        raise ValueError("need m >= 1")
-    return lattice_tiles_in(scaled_hill_polytope(d, 1, m), d, m)
+    rows = [[m * c for c in r] for r in hill_simplex(d, 1).rows]
+    return lattice_tiles_in(facets(rows), d, m)
 
 
 def generate_h2_h1_tiles(d: int, m: int) -> list:
     """The 2*m^d H1-tiles of the scaled simplex m * H2_d."""
-    return lattice_tiles_in(scaled_hill_polytope(d, 2, m), d, m)
+    rows = [[m * c for c in r] for r in hill_simplex(d, 2).rows]
+    return lattice_tiles_in(facets(rows), d, m)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from itertools import count
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import sphgeo
-from .spherical import InvalidTriangleError, is_valid, law_of_cosines
+from .spherical import InvalidTriangleError, edge_lengths, is_valid, law_of_cosines
 
 TWO_PI = 2 * math.pi
 
@@ -609,9 +609,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
         raise ValueError(f"node budget must be at least 0, got {node_budget}")
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    rep = is_valid(target)
-    if not rep:
-        raise InvalidTriangleError(rep.reason)
+    t_edges = edge_lengths(target)
     n = (sum(target) - 1) / tile.excess_pi
     if n.denominator != 1:
         return SearchResult("exhausted", None, 0,
@@ -621,7 +619,6 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
         return SearchResult("exhausted", None, 0,
                             f"needs exactly {n} tiles, above the bound {n_max}")
     target_angles = tuple(float(q) * math.pi for q in target)
-    t_edges = law_of_cosines(*target_angles)
     t_points = sphgeo.triangle_vertices(target_angles, t_edges)
     region0 = _Region(list(t_points), list(target_angles))
     if _placement_geometry_ok(_Region([], []), region0):

@@ -1,9 +1,9 @@
 """Float oracles for the Gram-matrix tests, the exact normal Gram matrix,
-the slow reference for Sturm root isolation, the trial-factoring oracle
-of `algebraic_degree` (in test_acceptance.py, beside criterion 13),
-tuple-composition references for the permutation-group layer of `coxeter`,
-and `QuadExt`, the closed-form quadratic fields Q(sqrt m) that check
-`RealCyclotomic` for n = 4, 6 and 5.
+the slow references for Sturm root isolation and for the sign of a field
+element, the trial-factoring oracle of `algebraic_degree` (in
+test_acceptance.py, beside criterion 13), tuple-composition references for
+the permutation-group layer of `coxeter`, and `QuadExt`, the closed-form
+quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from reptile_lab.exactmath import (ExactMatrix, Poly, RingMismatchError, RootInterval,
-                                   cos_pi, sturm_chain)
+                                   cos_pi, isolate_roots, minimal_polynomial, sturm_chain)
 from reptile_lab.hill import EuclideanSimplex
 
 
@@ -233,6 +233,28 @@ def isolate_roots_reference(p: Poly, precision=Fraction(1, 10000)) -> list:
             stack.append((lo, mid, vl - vm))
             stack.append((mid, hi, vm - vh))
     return sorted(out, key=lambda r: r.midpoint)
+
+
+def field_sign_reference(x) -> int:
+    """The package's former `RealCyclotomic.sign`, kept as the reference
+    for its bisection bound: c's isolating interval is halved until the
+    Sturm chain of p counts no root of p in it, and p's sign at the
+    midpoint is then its sign at c."""
+    p = x.poly
+    if p.degree <= 0:
+        return _sign(p.coeffs[0]) if p.coeffs else 0
+    chain = sturm_chain(p)
+    f = minimal_polynomial(x.n)
+    lo, hi, _ = isolate_roots(f)[-1]
+    f_lo, v_lo, v_hi = _sign(f(lo)), _variations(chain, lo), _variations(chain, hi)
+    # V(lo) - V(hi) counts the roots in (lo, hi]
+    while v_lo - v_hi - (p(hi) == 0):
+        mid = (lo + hi) / 2
+        if _sign(f(mid)) == f_lo:
+            lo, v_lo = mid, _variations(chain, mid)
+        else:
+            hi, v_hi = mid, _variations(chain, mid)
+    return _sign(p((lo + hi) / 2))
 
 
 def minimal_polynomial_degree_bruteforce(k: int, d: int) -> int:

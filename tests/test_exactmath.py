@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import QuadExt, in_field, isolate_roots_reference, sturm_count_reference
+from oracles import (QuadExt, field_sign_reference, in_field, isolate_roots_reference,
+                     sturm_count_reference)
 from reptile_lab import fixtures
 from reptile_lab.exactmath import (ExactMatrix, Poly, RealCyclotomic, RingMismatchError,
                                    RootInterval, ZeroPolynomialError, cos_pi,
@@ -535,21 +536,40 @@ def test_minimal_polynomial_matches_sympy(n):
         F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs()))
 
 
-def test_sign_matches_mpmath():
-    mpmath = pytest.importorskip("mpmath")
-    rng = random.Random(30)
-    tiny = 0
-    for n in range(4, 31):
+def near_zero_elements(rng, ns, count):
+    """count seeded elements per n, half of them minus a rational within
+    binary64's error of them: |x| is then about 1e-15, a sign no float
+    evaluation decides."""
+    for n in ns:
         d = minimal_polynomial(n).degree
-        for _ in range(20):
+        for _ in range(count):
             x = RealCyclotomic(Poly([F(rng.randint(-20, 20), rng.randint(1, 9))
                                      for _ in range(d)]), n)
-            if rng.random() < 0.5:
-                # minus a rational within binary64's error of it: |x| is
-                # then about 1e-15, a sign no float evaluation decides
-                x = x - F(float(x)).limit_denominator(10 ** 9)
-            with mpmath.workdps(60):
-                v = mp_value(mpmath, x)
-                tiny += abs(v) < 1e-12
-            assert x.sign() == (v > 0) - (v < 0)
+            yield x - F(float(x)).limit_denominator(10 ** 9) if rng.random() < 0.5 else x
+
+
+def test_sign_matches_sturm_reference():
+    xs = list(near_zero_elements(random.Random(31), range(4, 31), 6))
+    assert [x.sign() for x in xs] == [field_sign_reference(x) for x in xs]
+    assert sum(abs(float(x)) < 1e-12 for x in xs) >= 70
+
+
+@pytest.mark.parametrize("n", [72, 84, 90])
+def test_sign_bound_stays_exact(n):
+    """Degree-23 elements near zero: their midpoints a/b reach b^23 far
+    beyond binary64's range, so a bound that turned float would overflow."""
+    y = RealCyclotomic(Poly(range(1, 25)), n)
+    assert y.poly.degree == 23
+    x = y - F(float(y))
+    assert x.sign() == field_sign_reference(x) == -(-x).sign() != 0
+
+
+def test_sign_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    tiny = 0
+    for x in near_zero_elements(random.Random(30), [*range(4, 31), 72, 84, 90], 20):
+        with mpmath.workdps(60):
+            v = mp_value(mpmath, x)
+            tiny += abs(v) < 1e-12
+        assert x.sign() == (v > 0) - (v < 0)
     assert tiny >= 200

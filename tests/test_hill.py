@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from reptile_lab.hill import (EuclideanSimplex, LatticeTile, PairingError,
-                              compatibility_graph, congruent, generate_h1_tiling,
+                              compatibility_graph, congruent, facets, generate_h1_tiling,
                               generate_h2_h1_tiles, hill_simplex, pair_h2_tiling,
                               pair_union_simplex, tiling_report, signed_perms)
 
@@ -46,6 +46,20 @@ class TestBaseSimplices:
     def test_bad_index(self):
         with pytest.raises(ValueError):
             hill_simplex(3, 3)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_facets_pass_through_every_vertex_but_one(self, i, d):
+        """Vertex k of m * H^i_d lies on every facet but facet k, and
+        strictly inside facet k."""
+        for m in (1, 2, 3):
+            rows = [[m * c for c in r] for r in hill_simplex(d, i).rows]
+            ineqs = facets(rows)
+            assert len(ineqs) == d + 1
+            for k, v in enumerate(rows):
+                slack = [b - sum(x * y for x, y in zip(a, v)) for a, b in ineqs]
+                assert slack[k] > 0
+                assert slack[:k] + slack[k + 1:] == [0] * d
 
 
 class TestEuclideanSimplex:
@@ -92,6 +106,13 @@ class TestTilings:
         assert rep.tile_count == m ** d
         assert rep.total_volume == base.volume() * m ** d
         assert rep.all_congruent
+
+    @pytest.mark.parametrize("gen", [generate_h1_tiling, generate_h2_h1_tiles,
+                                     pair_h2_tiling])
+    @pytest.mark.parametrize("d,m", [(1, 1), (1, 2), (3, 0), (3, -1)])
+    def test_bad_dimension_or_scale_rejected(self, gen, d, m):
+        with pytest.raises(ValueError):
+            gen(d, m)
 
     def test_single_tile(self):
         tiles = generate_h1_tiling(2, 1)

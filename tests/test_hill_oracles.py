@@ -2,8 +2,10 @@
 
 `congruent` runs on integer squared-distance tables; its oracle is the plain
 backtracking over vertex correspondences on `Fraction` squared distances.
-`lattice_tiles_in` compares per-inequality reaches with slacks; its oracle
-evaluates every facet inequality on every vertex of every candidate tile.
+`lattice_tiles_in` compares per-inequality reaches with slacks, here on
+the facets `facets` computes from the scaled simplex's rows; its oracle
+evaluates every inequality of a hand-written facet system on every vertex
+of every candidate tile.
 `EuclideanSimplex.volume` takes one integer determinant of the simplex's
 rows; `_int_det` is checked against the `Fraction` Bareiss determinant of
 `ExactMatrix`, and every tile's volume against the exact value 2 / (2^d d!).
@@ -18,9 +20,9 @@ import pytest
 
 from reptile_lab.exactmath import ExactMatrix
 from reptile_lab.hill import (EuclideanSimplex, LatticeTile, _int_det,
-                              congruent, generate_h1_tiling,
-                              generate_h2_h1_tiles, lattice_tiles_in,
-                              scaled_hill_polytope, signed_perms)
+                              congruent, facets, generate_h1_tiling,
+                              generate_h2_h1_tiles, hill_simplex, lattice_tiles_in,
+                              signed_perms)
 
 DENOMINATORS = (1, 2, 3, 4, 5, 6, 7, 9, 12)
 
@@ -152,9 +154,39 @@ def test_congruent_equal_distance_multisets():
         assert congruent(s, t) is False
 
 
-def lattice_tiles_oracle(poly, d, m):
+def hand_written_facets(d, i, m):
+    """Facet system (a, b), a . y <= b, of m * H^i_d in doubled
+    coordinates y = 2x, written out from the vertex displays."""
+    def e(axis, val=1):
+        return tuple(val if t == axis else 0 for t in range(d))
+
+    def minus(a, b):
+        return tuple(x - y for x, y in zip(a, b))
+
+    ineqs = []
+    if i == 0:
+        ineqs.append((e(0), m))  # x1 <= m/2  ->  y1 <= m
+        for j in range(d - 1):
+            ineqs.append((minus(e(j + 1), e(j)), 0))
+    elif i == 1:
+        ineqs.append((tuple(1 if t in (0, 1) else 0 for t in range(d)), 2 * m))
+        ineqs.append((minus(e(1), e(0)), 0))
+        for j in range(1, d - 1):
+            ineqs.append((minus(e(j + 1), e(j)), 0))
+    else:
+        if d >= 3:
+            ineqs.append((tuple(1 if t in (0, 2) else 0 for t in range(d)), 2 * m))
+        else:
+            ineqs.append((e(0), 2 * m))
+        for j in range(d - 1):
+            ineqs.append((minus(e(j + 1), e(j)), 0))
+    ineqs.append((e(d - 1, -1), 0))  # x_d >= 0
+    return ineqs
+
+
+def lattice_tiles_oracle(ineqs, d, m):
     def inside(p):
-        return all(sum(c * x for c, x in zip(coeffs, p)) <= rhs for coeffs, rhs in poly.ineqs)
+        return all(sum(c * x for c, x in zip(coeffs, p)) <= rhs for coeffs, rhs in ineqs)
 
     out = []
     for n in product(range(m), repeat=d):
@@ -170,9 +202,9 @@ def lattice_tiles_oracle(poly, d, m):
 @pytest.mark.parametrize("i", [0, 1, 2])
 def test_lattice_tiles_in_matches_oracle(i, d):
     for m in (1, 2, 3):
-        poly = scaled_hill_polytope(d, i, m)
-        expected = lattice_tiles_oracle(poly, d, m)
-        assert lattice_tiles_in(poly, d, m) == expected
+        rows = [[m * c for c in r] for r in hill_simplex(d, i).rows]
+        expected = lattice_tiles_oracle(hand_written_facets(d, i, m), d, m)
+        assert lattice_tiles_in(facets(rows), d, m) == expected
         assert expected or m == 1
         if i:
             assert len(expected) == i * m ** d

@@ -198,9 +198,6 @@ def unreferenced_definitions(paths):
 
 # Definitions no verdict or command reaches, kept on purpose.
 KEPT = {
-    # the benchmark's tracer lists it as a `spherical` layer function and
-    # raises if it is missing
-    "spherical.edge_lengths",
     # writes the format `from_fixture` reads; the enumerator's output is
     # pinned through it
     "coxeter.CoxeterDiagram.to_fixture",

@@ -20,7 +20,7 @@ from reptile_lab.angles import PI, AngleForm, RelationSet
 from reptile_lab.coxeter import (DiagramConstraints, KnTables, PartitionConstraints,
                                  kn_tables)
 from reptile_lab.exactmath import RealCyclotomic, RootInterval, cos_pi
-from reptile_lab.hill import EuclideanSimplex, LatticeTile, Polytope, scaled_hill_polytope
+from reptile_lab.hill import EuclideanSimplex, LatticeTile
 from reptile_lab.realize import (Candidate, EdgeMatch, EdgeNearest, TileSpec,
                                  edge_combination, enumerate_candidates)
 from reptile_lab.spherical import ValidityReport, is_valid
@@ -40,7 +40,6 @@ def immutable_records():
         (is_valid([F(1, 4), F(1, 3), F(1, 2)]), "ok"),
         (EuclideanSimplex(((0, 0), (1, 0), (0, 1))), "rows"),
         (LatticeTile((1, 1), ((1, 0),)), "center2"),
-        (scaled_hill_polytope(2, 1, 1), "ineqs"),
         (TILE, "angles_pi"),
         (edge_combination(TILE.edges[0], TILE.edges), "gap"),
         (edge_combination(0.01, TILE.edges), "below"),
@@ -55,7 +54,7 @@ def immutable_records():
 def test_every_immutable_record_class_is_listed():
     classes = {type(rec) for rec, _ in immutable_records()}
     assert classes == {AngleForm, RelationSet, RootInterval, RealCyclotomic, ValidityReport,
-                       EuclideanSimplex, LatticeTile, Polytope, TileSpec, EdgeMatch,
+                       EuclideanSimplex, LatticeTile, TileSpec, EdgeMatch,
                        EdgeNearest, Candidate, DegreeReport, KnTables,
                        DiagramConstraints, PartitionConstraints}
 
@@ -88,7 +87,6 @@ def fields(rec) -> tuple:
     RelationSet.of(("gamma", F(1, 2) * PI)),
     RootInterval(F(1, 3), F(1, 2), False),
     ValidityReport(False, "angle outside (0, pi)"),
-    Polytope((((2, 0), 1),)),
     EdgeMatch((1, 0, 2), 1.5, 1e-9),
     EdgeNearest(((1, 0, 0), 1.0), ((0, 1, 0), 1.2), 0.1),
     DegreeReport(2, 3, 3),

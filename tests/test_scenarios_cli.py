@@ -135,6 +135,14 @@ class TestCli:
         proc = _cli("diagram", str(path), "gram")
         assert proc.returncode == 2  # abstract labels have no numeric value
 
+    def test_diagram_id_on_a_single_diagram_file(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(fixtures.load("diagrams")["quarter-1"]))
+        proc = _cli("diagram", str(path), "auts", "--id", "fifth-2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "holds one diagram" in proc.stderr
+
     def test_diagram_orbits_type_under_relations(self):
         # case-a-4 carries relations, so the typed labels are normalized first
         catalog = resources.files("reptile_lab") / "fixtures" / "diagrams.json"
