@@ -92,6 +92,9 @@ def _cmd_tile(args) -> int:
 def _cmd_diagram(args) -> int:
     with open(args.fixture) as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object: one diagram, or a catalog of "
+                         f"diagrams by name; got a {type(data).__name__}")
     if "edges" in data:
         if args.id is not None:
             raise ValueError(f"--id {args.id}: the file holds one diagram, not a catalog")

@@ -206,12 +206,29 @@ class CoxeterDiagram:
 
     @staticmethod
     def from_fixture(data: dict) -> "CoxeterDiagram":
-        relations = RelationSet.of(*((sym, parse_angle(lit))
-                                     for sym, lit in data.get("relations", [])))
+        """The diagram of a fixture entry: an object with a "vertices" list,
+        an "edges" object mapping "u,v" to an angle literal and an optional
+        "relations" list of [symbol, literal] pairs.  An entry of another
+        shape raises ValueError, which names what is wrong."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a diagram is a JSON object, not {type(data).__name__}")
+        if not isinstance(data.get("vertices"), list):
+            raise ValueError('a diagram needs "vertices", a list of names')
+        if not isinstance(data.get("edges"), dict):
+            raise ValueError('a diagram needs "edges", an object of "u,v": label pairs')
+        pairs = data.get("relations", [])
+        if not (isinstance(pairs, list) and all(
+                isinstance(r, list) and len(r) == 2 and all(isinstance(x, str) for x in r)
+                for r in pairs)):
+            raise ValueError('"relations" must be a list of [symbol, literal] pairs')
+        relations = RelationSet.of(*((sym, parse_angle(lit)) for sym, lit in pairs))
         labels = {}
         for key, lit in data["edges"].items():
-            a, b = key.split(",")
-            labels[(a.strip(), b.strip())] = parse_angle(lit)
+            ends = key.split(",")
+            if len(ends) != 2 or not isinstance(lit, str):
+                raise ValueError(f'edge {key!r}: expected "u,v": "<angle literal>", '
+                                 f"got {lit!r}")
+            labels[(ends[0].strip(), ends[1].strip())] = parse_angle(lit)
         return CoxeterDiagram(data["vertices"], labels, relations)
 
     def to_fixture(self) -> dict:

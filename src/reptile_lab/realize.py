@@ -366,9 +366,11 @@ class SearchResult:
 
 class _Region:
     """A boundary cycle: points (float 3-tuples, CCW), interior angles, and
-    arcs (start, end) from each point to the next.  `checked` holds the arcs
-    known to pass `_placement_geometry_ok` together: all arcs of a region
-    the search accepted, none for any other."""
+    arcs (start, end) from each point to the next.  `checked` maps the arcs
+    known to pass `_placement_geometry_ok` together to their planes
+    (`sphgeo.plane`): all arcs of a region the search accepted, none for
+    any other.  A placement carries most arcs over from its parent region
+    as the same tuples, and their planes with them."""
 
     __slots__ = ("points", "angles", "arcs", "checked")
 
@@ -377,15 +379,30 @@ class _Region:
         self.angles = angles
         k = len(points)
         self.arcs = [(points[i], points[(i + 1) % k]) for i in range(k)]
-        self.checked = frozenset()
+        self.checked = {}
 
-    def signature(self):
-        # the least rotation of the rows starts at a smallest row
-        rows = [tuple(round(c, 7) for c in p) + (round(a, 7),)
+    def signature(self, rounded: "_Rounded"):
+        """The failure memo's key: the least rotation of the rows (point and
+        angle rounded to 7 decimals), which starts at a smallest row.  The
+        points' rounded coordinates come from `rounded`, the memo of one
+        search."""
+        rows = [rounded[p] + (round(a, 7),)
                 for p, a in zip(self.points, self.angles)]
         first, twice = min(rows), rows + rows
         return min(tuple(twice[i:i + len(rows)])
                    for i, row in enumerate(rows) if row == first)
+
+
+class _Rounded(dict):
+    """Point -> its coordinates rounded to 7 decimals, rounded at the first
+    lookup.  One search makes one and drops it when it returns, so each
+    point a region carries over from its parent is rounded once."""
+
+    __slots__ = ()
+
+    def __missing__(self, p):
+        r = self[p] = (round(p[0], 7), round(p[1], 7), round(p[2], 7))
+        return r
 
 
 def _orientations(tile: TileSpec) -> list:
@@ -412,35 +429,47 @@ def _orientations(tile: TileSpec) -> list:
     return out
 
 
-def _flush_side(V, W, aW, length, theta):
+def _flush_side(V, W, way, aW, length, theta):
     """Lay a tile side of `length` from V along the boundary arc to W, with
-    tile angle `theta` at its far end.
+    tile angle `theta` at its far end; `way` is (unit tangent at V toward
+    W, arc length V-W).
 
     The side ends inside the arc, exactly at W (rejected if theta exceeds
     W's angle aW), or past W (allowed only where W is reflex).  Returns
-    (far end, boundary nodes from the far end to W, tangent at V toward W),
-    or None if the side does not fit.
+    (far end, boundary nodes from the far end to W), or None if the side
+    does not fit.
     """
-    t = sphgeo.tangent_toward(V, W)
-    E = sphgeo.arc_length(V, W)
+    t, E = way
     if length <= E - SEARCH_EPS:
         P = sphgeo.point_at(V, t, length)
-        return P, [(P, math.pi - theta), (W, aW)], t
+        return P, [(P, math.pi - theta), (W, aW)]
     if abs(length - E) <= SEARCH_EPS:
         if aW - theta < -SEARCH_EPS:
             return None
-        return W, [(W, aW - theta)], t
+        return W, [(W, aW - theta)]
     if aW <= math.pi + SEARCH_EPS:
         return None  # a flush side may pass a vertex only where it is reflex
     P = sphgeo.point_at(V, t, length)
-    return P, [(P, TWO_PI - theta), (W, aW - math.pi)], t
+    return P, [(P, TWO_PI - theta), (W, aW - math.pi)]
 
 
-def _place(region: _Region, vi: int, orient: tuple):
+def _way(ways, i, V, W):
+    """`ways[i]`, or else (unit tangent at V toward W, arc length V-W),
+    stored there."""
+    way = ways[i]
+    if way is None:
+        way = ways[i] = (sphgeo.tangent_toward(V, W), sphgeo.arc_length(V, W))
+    return way
+
+
+def _place(region: _Region, vi: int, orient: tuple, ways: list):
     """Try one tile placement at region vertex vi, flush along the outgoing arc.
 
-    Returns (new_region_or_None_if_closed, tile_points) or None if the
-    placement does not fit.
+    `ways` is [None, None] at a node's first placement; the placements at
+    that node share it, so the ways from V along its outgoing and incoming
+    arcs (`_way`) are computed at most once per node.  Returns
+    (new_region_or_None_if_closed, tile_points) or None if the placement
+    does not fit.
     """
     pts, angs = region.points, region.angles
     k = len(pts)
@@ -449,19 +478,20 @@ def _place(region: _Region, vi: int, orient: tuple):
     th, L, thP, M, thQ, _ = orient
     if th > aV + SEARCH_EPS:
         return None
-    out = _flush_side(V, pts[iN], angs[iN], L, thP)
+    way_out = _way(ways, 0, V, pts[iN])
+    out = _flush_side(V, pts[iN], way_out, angs[iN], L, thP)
     if out is None:
         return None
-    P, n_seg, t_out = out
+    P, n_seg = out
     if abs(th - aV) <= SEARCH_EPS:
         # the tile fills the corner: its other side lies flush on the incoming arc
-        inc = _flush_side(V, pts[ip], angs[ip], M, thQ)
+        inc = _flush_side(V, pts[ip], _way(ways, 1, V, pts[ip]), angs[ip], M, thQ)
         if inc is None:
             return None
-        Q, q_seg, _ = inc
+        Q, q_seg = inc
         q_seg.reverse()
     else:
-        t2 = sphgeo.rotate_tangent(V, t_out, th)
+        t2 = sphgeo.rotate_tangent(V, way_out[0], th)
         Q = sphgeo.point_at(V, t2, M)
         q_seg = [(pts[ip], angs[ip]), (V, aV - th), (Q, TWO_PI - thQ)]
 
@@ -481,11 +511,9 @@ def _place(region: _Region, vi: int, orient: tuple):
         return None
     if state == "closed":
         return ("closed", tile_points)
-    new_region = state
-    if not _placement_geometry_ok(region, new_region):
+    if not _placement_geometry_ok(region, state):
         return None
-    new_region.checked = frozenset(new_region.arcs)
-    return (new_region, tile_points)
+    return (state, tile_points)
 
 
 def _cleanup_cycle(cycle):
@@ -545,7 +573,8 @@ def _fresh_arcs(old: _Region, new: _Region) -> list:
 
 def _placement_geometry_ok(old: _Region, new: _Region) -> bool:
     """Reject placements whose new boundary self-intersects or has an arc
-    too long for the minor-arc convention.
+    too long for the minor-arc convention; on success, store the plane of
+    every arc of `new` in `new.checked`.
 
     The tile sides start inside the corner wedge; if no arc of the new
     boundary crosses another (beyond shared endpoints), the tile stayed
@@ -557,20 +586,35 @@ def _placement_geometry_ok(old: _Region, new: _Region) -> bool:
     not fresh is a pair of distinct arcs of `old`, the same float tuples.
     Neighbouring arcs share their endpoint as one tuple, so most of the
     pairs left take `arcs_conflict`'s neighbour exit.
+
+    Planes are built (`sphgeo.plane`) only for fresh arcs; the others come
+    from `old.checked`, built from the same tuples.  An arc's length for
+    the minor-arc test is atan2(|n|, a . b) from its plane, the floats of
+    `sphgeo.arc_length`.
     """
     arcs = new.arcs
     fresh = _fresh_arcs(old, new)
-    if any(f and sphgeo.arc_length(a, b) >= math.pi - 1e-6
-           for f, (a, b) in zip(fresh, arcs)):
-        return False  # minor-arc convention breaks past pi
+    known = old.checked
+    planes = []
+    for f, arc in zip(fresh, arcs):
+        if f:
+            a, b = arc
+            plane = sphgeo.plane(a, b)
+            if math.atan2(plane[1], sphgeo.dot(a, b)) >= math.pi - 1e-6:
+                return False  # minor-arc convention breaks past pi
+        else:
+            plane = known[arc]
+        planes.append(plane)
     k = len(arcs)
     for i in range(k):
         a1, b1 = arcs[i]
+        p1 = planes[i]
         for j in range(i + 1, k):
             if fresh[i] or fresh[j]:
                 a2, b2 = arcs[j]
-                if sphgeo.arcs_conflict(a1, b1, a2, b2, SNAP):
+                if sphgeo.arcs_conflict(a1, b1, p1, a2, b2, planes[j], SNAP):
                     return False
+    new.checked = dict(zip(arcs, planes))
     return True
 
 
@@ -621,24 +665,25 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     target_angles = tuple(float(q) * math.pi for q in target)
     t_points = sphgeo.triangle_vertices(target_angles, t_edges)
     region0 = _Region(list(t_points), list(target_angles))
-    if _placement_geometry_ok(_Region([], []), region0):
-        region0.checked = frozenset(region0.arcs)
+    _placement_geometry_ok(_Region([], []), region0)
     orients = _orientations(tile)
     failed = set()
+    rounded = _Rounded()
     nodes = 0
     solution = []
 
     def dfs(region, placed):
         nonlocal nodes
-        sig = (len(placed), region.signature())
+        sig = (len(placed), region.signature(rounded))
         if sig in failed:
             return None
         vi = _pick_vertex(region)
+        ways = [None, None]
         for orient in orients:
             nodes += 1
             if nodes > node_budget:
                 return "aborted"
-            res = _place(region, vi, orient)
+            res = _place(region, vi, orient, ways)
             if res is None:
                 continue
             state, tile_points = res

@@ -9,8 +9,11 @@ thousands of times per search, where numpy's per-call overhead on 3-element
 arrays would cost about a hundred times the arithmetic.  Most of them end
 at one of its early exits: arcs on either side of a plane, or neighbouring
 arcs of the boundary that leave their shared endpoint in distinct
-directions.  Callers holding other 3-sequences convert them once with
-`vec`.
+directions.  `arcs_conflict` takes each arc with its great-circle plane,
+the normal n = a x b and |n| that `plane` builds, so a caller that meets
+one arc in many pairs computes its plane once: the search keeps the plane
+of every boundary arc with its region and builds planes only for fresh
+arcs.  Callers holding other 3-sequences convert them once with `vec`.
 """
 
 from __future__ import annotations
@@ -47,6 +50,13 @@ def unit(v) -> tuple:
 
 def arc_length(a, b) -> float:
     return math.atan2(norm(cross(a, b)), dot(a, b))
+
+
+def plane(a, b) -> tuple:
+    """The great-circle plane of arc a-b as (n, |n|), n = a x b.  The arc's
+    length is atan2(|n|, a . b), the floats of `arc_length`."""
+    n = cross(a, b)
+    return n, norm(n)
 
 
 def tangent_toward(a, b) -> tuple:
@@ -104,11 +114,13 @@ def on_arc(p, a, b, snap: float) -> bool:
     return dot(cross(a, p), n) > -snap and dot(cross(p, b), n) > -snap
 
 
-def arcs_conflict(a1, b1, a2, b2, snap: float) -> bool:
+def arcs_conflict(a1, b1, plane1, a2, b2, plane2, snap: float) -> bool:
     """True if arcs a1-b1 and a2-b2 intersect other than at shared endpoints.
 
     Transversal interior crossings, endpoint-in-interior touches, and
-    collinear overlaps of positive length all count as conflicts.
+    collinear overlaps of positive length all count as conflicts.  Each arc
+    comes with its plane, `plane(a, b)`, which a caller that tests one arc
+    against many builds once.
 
     Early exit: the arcs are apart when both endpoints of one arc lie
     strictly on the same side of the other arc's great-circle plane, at
@@ -141,16 +153,19 @@ def arcs_conflict(a1, b1, a2, b2, snap: float) -> bool:
     nearly overlap, rounding can move the intersection by more than snap,
     and the test below can then find a conflict.
     """
-    n1 = cross(a1, b1)
-    n2 = cross(a2, b2)
-    l1, l2 = norm(n1), norm(n2)
+    n1, l1 = plane1
+    n2, l2 = plane2
     if l1 and l2:
         tol = 4 * snap + 1e-15 / l1 + 1e-15 / l2
         m1, m2 = tol * l1, tol * l2
-        s, t = dot(a2, n1), dot(b2, n1)
+        x, y, z = n1
+        s = a2[0] * x + a2[1] * y + a2[2] * z
+        t = b2[0] * x + b2[1] * y + b2[2] * z
         if (s > m1 and t > m1) or (s < -m1 and t < -m1):
             return False
-        u, v = dot(a1, n2), dot(b1, n2)
+        x, y, z = n2
+        u = a1[0] * x + a1[1] * y + a1[2] * z
+        v = b1[0] * x + b1[1] * y + b1[2] * z
         if (u > m2 and v > m2) or (u < -m2 and v < -m2):
             return False
         if (a1 == a2) + (a1 == b2) + (b1 == a2) + (b1 == b2) == 1:

@@ -2,7 +2,9 @@
 
 No module imports an underscored name from a sibling: a name with a
 leading underscore is private to its module, and a caller in another module
-means the name belongs in the public interface.  The `sphgeo` kernel
+means the name belongs in the public interface.  No module holds an
+`assert` statement: consistency checks raise, since `python -O` strips
+asserts.  The `sphgeo` kernel
 imports only `math`, `hill` imports no sibling module, so the simplex format
 (integer rows over one denominator) stays behind one module, and no module
 imports numpy.  No module imports
@@ -46,6 +48,32 @@ def test_check_sees_a_private_import(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from .coxeter import _edge\n")
     assert list(private_imports(bad)) == ["bad.py:1 imports _edge"]
+
+
+def assert_statements(path):
+    """`file:line` of each `assert` statement in a file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_in_the_package():
+    # consistency checks raise: `python -O` strips asserts
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in assert_statements(path)]
+    assert found == []
+
+
+def test_check_sees_an_assert(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def f(x):\n"
+                   "    if x:\n"
+                   "        assert x > 0, 'positive'\n"
+                   "    return [y for y in x if y]  # assert in a comment\n"
+                   "\n"
+                   "class C:\n"
+                   "    def g(self):\n"
+                   "        assert self\n")
+    assert assert_statements(bad) == ["bad.py:3", "bad.py:8"]
 
 
 def imported_modules(path):

@@ -336,35 +336,68 @@ def test_search_tree_pinned(base, target, status, tiles, nodes):
     assert (len(res.tiling.tiles) if res.tiling else 0) == tiles
 
 
-# A boundary arc of length pi/2 along the equator, from V to W.
+# A boundary arc of length pi/2 along the equator, from V to W, and the
+# way from V along it: the unit tangent at V and the arc length.
 FLUSH_V, FLUSH_W = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+FLUSH_WAY = realize._way([None], 0, FLUSH_V, FLUSH_W)
+
+
+def test_way_is_the_tangent_and_the_arc_length():
+    assert FLUSH_WAY == ((0.0, 1.0, 0.0), math.pi / 2)
+    ways = [None, FLUSH_WAY]
+    # a stored way is returned as it is
+    assert realize._way(ways, 1, FLUSH_V, (0.0, 0.0, 1.0)) is FLUSH_WAY
+    assert realize._way(ways, 0, FLUSH_V, (0.0, 0.0, 1.0)) == ((0.0, 0.0, 1.0), math.pi / 2)
+    assert ways[0] == ((0.0, 0.0, 1.0), math.pi / 2)
 
 
 def test_flush_side_ends_inside_the_arc():
-    P, nodes, t = realize._flush_side(FLUSH_V, FLUSH_W, math.pi / 2, math.pi / 4,
-                                      math.pi / 3)
+    P, nodes = realize._flush_side(FLUSH_V, FLUSH_W, FLUSH_WAY, math.pi / 2,
+                                   math.pi / 4, math.pi / 3)
     assert np.allclose(P, (math.sqrt(0.5), math.sqrt(0.5), 0.0))
     assert nodes == [(P, math.pi - math.pi / 3), (FLUSH_W, math.pi / 2)]
-    assert np.allclose(t, (0.0, 1.0, 0.0))
 
 
 def test_flush_side_ends_at_the_vertex():
-    P, nodes, _ = realize._flush_side(FLUSH_V, FLUSH_W, math.pi / 2, math.pi / 2,
-                                      math.pi / 3)
+    P, nodes = realize._flush_side(FLUSH_V, FLUSH_W, FLUSH_WAY, math.pi / 2,
+                                   math.pi / 2, math.pi / 3)
     assert P is FLUSH_W and nodes == [(FLUSH_W, math.pi / 2 - math.pi / 3)]
     # the tile angle at W is larger than the region's angle there
-    assert realize._flush_side(FLUSH_V, FLUSH_W, math.pi / 2, math.pi / 2,
-                               2 * math.pi / 3) is None
+    assert realize._flush_side(FLUSH_V, FLUSH_W, FLUSH_WAY, math.pi / 2,
+                               math.pi / 2, 2 * math.pi / 3) is None
 
 
 def test_flush_side_passes_the_vertex_only_where_reflex():
-    P, nodes, _ = realize._flush_side(FLUSH_V, FLUSH_W, 3 * math.pi / 2,
-                                      3 * math.pi / 4, math.pi / 3)
+    P, nodes = realize._flush_side(FLUSH_V, FLUSH_W, FLUSH_WAY, 3 * math.pi / 2,
+                                   3 * math.pi / 4, math.pi / 3)
     assert np.allclose(P, (-math.sqrt(0.5), math.sqrt(0.5), 0.0))
     assert nodes == [(P, 2 * math.pi - math.pi / 3), (FLUSH_W, math.pi / 2)]
     for aW in (math.pi / 2, math.pi):
-        assert realize._flush_side(FLUSH_V, FLUSH_W, aW, 3 * math.pi / 4,
-                                   math.pi / 3) is None
+        assert realize._flush_side(FLUSH_V, FLUSH_W, FLUSH_WAY, aW,
+                                   3 * math.pi / 4, math.pi / 3) is None
+
+
+def test_ways_belong_to_the_node(monkeypatch):
+    """Each placement reads the ways of its own node's corner: after every
+    placement of two pinned searches, each stored way is the tangent and
+    arc length from the picked vertex to its next and previous vertex."""
+    place = realize._place
+    nodes = {}  # id -> the node's ways, kept alive so ids stay distinct
+
+    def checked(region, vi, orient, ways):
+        got = place(region, vi, orient, ways)
+        pts = region.points
+        V, k = pts[vi], len(pts)
+        for way, W in zip(ways, (pts[(vi + 1) % k], pts[(vi - 1) % k])):
+            if way is not None:
+                assert way == (sphgeo.tangent_toward(V, W), sphgeo.arc_length(V, W))
+        nodes[id(ways)] = ways
+        return got
+
+    monkeypatch.setattr(realize, "_place", checked)
+    assert search_tiling((F(1, 3), F(1, 3), F(7, 9)), NINTH).nodes == 1326
+    assert search_tiling((F(1, 3), F(1, 2), F(3, 4)), QUARTER).nodes == 715
+    assert len(nodes) > 100
 
 
 @pytest.mark.parametrize("tile, count", [(QUARTER, 6), (CASE_B, 3)],
@@ -382,19 +415,23 @@ def test_orientations_are_the_distinct_placements(tile, count):
 
 def all_pairs_geometry_ok(points):
     """The boundary check of a placement without the fresh-arc shortcut:
-    every arc below pi - 1e-6 and no pair of arcs in conflict."""
+    every arc below pi - 1e-6 and no pair of arcs in conflict, each arc's
+    plane built afresh."""
     snap = realize.SNAP
     k = len(points)
     arcs = [(points[i], points[(i + 1) % k]) for i in range(k)]
     if any(sphgeo.arc_length(a, b) >= math.pi - 1e-6 for a, b in arcs):
         return False
-    return not any(sphgeo.arcs_conflict(*arcs[i], *arcs[j], snap)
+    planes = [sphgeo.plane(a, b) for a, b in arcs]
+    return not any(sphgeo.arcs_conflict(*arcs[i], planes[i], *arcs[j], planes[j], snap)
                    for i in range(k) for j in range(i + 1, k))
 
 
 def test_fresh_arc_check_equals_all_pairs_check(monkeypatch):
     """On every pinned search, each call of the incremental boundary check
-    gives the all-pairs answer, and the search trees stay as pinned."""
+    gives the all-pairs answer, every region it accepts stores for each arc
+    the plane `sphgeo.plane` builds afresh, and the search trees stay as
+    pinned."""
     incremental = realize._placement_geometry_ok
     answers, partial = [], 0
 
@@ -402,6 +439,8 @@ def test_fresh_arc_check_equals_all_pairs_check(monkeypatch):
         nonlocal partial
         got = incremental(old, new)
         assert got == all_pairs_geometry_ok(new.points)
+        if got:
+            assert new.checked == {(a, b): sphgeo.plane(a, b) for a, b in new.arcs}
         answers.append(got)
         partial += not all(realize._fresh_arcs(old, new))
         return got
@@ -481,14 +520,14 @@ def test_signature_matches_all_rotations(monkeypatch):
         rows = [rng.choice(pool) for _ in range(k)]
         region = realize._Region([p for p, _ in rows], [a for _, a in rows])
         repeats += rows.count(min(rows)) > 1
-        assert region.signature() == signature_all_rotations(region)
+        assert region.signature(realize._Rounded()) == signature_all_rotations(region)
     assert repeats > 250
 
     signature = realize._Region.signature
     seen = []
 
-    def checked(region):
-        got = signature(region)
+    def checked(region, rounded):
+        got = signature(region, rounded)
         assert got == signature_all_rotations(region)
         seen.append(got)
         return got
@@ -497,6 +536,32 @@ def test_signature_matches_all_rotations(monkeypatch):
     assert search_tiling((F(1, 3), F(1, 3), F(7, 9)), NINTH).nodes == 1326
     assert search_tiling((F(1, 3), F(1, 2), F(3, 4)), QUARTER).nodes == 715
     assert len(seen) > 100
+
+
+def test_each_search_rounds_through_its_own_memo(monkeypatch):
+    """The ninth (1,326-node) and quarter (715-node) searches, run back to
+    back in either order, keep their pinned node counts; each rounds
+    through one memo of its own, empty at its first region, whose every
+    entry is the point's coordinates rounded to 7 decimals."""
+    signature = realize._Region.signature
+    memos = []
+
+    def checked(region, rounded):
+        if not any(rounded is m for m in memos):
+            assert not rounded
+            memos.append(rounded)
+        return signature(region, rounded)
+
+    monkeypatch.setattr(realize._Region, "signature", checked)
+    ninth = ((F(1, 3), F(1, 3), F(7, 9)), NINTH, 1326)
+    quarter = ((F(1, 3), F(1, 2), F(3, 4)), QUARTER, 715)
+    for order in ((ninth, quarter), (quarter, ninth)):
+        for target, tile, nodes in order:
+            count = len(memos)
+            assert search_tiling(target, tile).nodes == nodes
+            assert len(memos) == count + 1
+    assert all(r == tuple(round(c, 7) for c in p) for m in memos for p, r in m.items())
+    assert min(len(m) for m in memos) > 50
 
 
 class TestVerify:

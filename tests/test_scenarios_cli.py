@@ -143,6 +143,20 @@ class TestCli:
         assert proc.stdout == ""
         assert "holds one diagram" in proc.stderr
 
+    @pytest.mark.parametrize("data, message", [
+        ([1, 2], "expected a JSON object"),
+        ({"vertices": ["u", "v"], "edges": 5}, '"edges", an object'),
+        ({"vertices": ["u", "v"], "edges": {"u,v": 5}}, "edge 'u,v'"),
+        ({"edges": {"u,v": "1/2 pi"}}, '"vertices", a list'),
+    ], ids=["list", "edges-not-object", "label-not-string", "no-vertices"])
+    def test_diagram_malformed_file(self, tmp_path, data, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        proc = _cli("diagram", str(path), "auts")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert message in proc.stderr and "Traceback" not in proc.stderr
+
     def test_diagram_orbits_type_under_relations(self):
         # case-a-4 carries relations, so the typed labels are normalized first
         catalog = resources.files("reptile_lab") / "fixtures" / "diagrams.json"

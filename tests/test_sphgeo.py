@@ -209,6 +209,12 @@ def tup(*vs):
     return [sphgeo.vec(v) for v in vs]
 
 
+def with_planes(a1, b1, a2, b2):
+    """`sphgeo.arcs_conflict`'s arguments for arcs a1-b1 and a2-b2 (snap
+    aside): each arc followed by its plane from `sphgeo.plane`."""
+    return a1, b1, sphgeo.plane(a1, b1), a2, b2, sphgeo.plane(a2, b2)
+
+
 def assert_vec_close(got, want, tol=TOL):
     assert isinstance(got, tuple) and len(got) == 3
     assert all(type(c) is float for c in got)
@@ -266,6 +272,18 @@ def test_arc_length():
     for a, b in point_pairs(rng, 100):
         ta, tb = tup(a, b)
         assert abs(sphgeo.arc_length(ta, tb) - ref_arc_length(a, b)) <= TOL
+
+
+def test_plane_holds_the_arc_floats():
+    """The plane is (a x b, |a x b|) to the last bit; the arc length read
+    from it is `arc_length`'s, either way round."""
+    rng = random.Random(18)
+    for a, b in point_pairs(rng, 100):
+        a, b = tup(a, b)
+        n, length = sphgeo.plane(a, b)
+        assert n == sphgeo.cross(a, b) and length == sphgeo.norm(n)
+        assert math.atan2(length, sphgeo.dot(a, b)) == sphgeo.arc_length(a, b)
+        assert math.atan2(length, sphgeo.dot(b, a)) == sphgeo.arc_length(b, a)
 
 
 def test_tangent_toward():
@@ -347,7 +365,8 @@ def test_arcs_conflict(snap):
     for arcs in arc_pairs(rng, 15):
         for a1, b1, a2, b2 in (arcs, arcs[2:] + arcs[:2]):
             answers.append(same_answer(sphgeo.arcs_conflict, ref_arcs_conflict,
-                                       tup(a1, b1, a2, b2), (a1, b1, a2, b2), snap))
+                                       with_planes(*tup(a1, b1, a2, b2)),
+                                       (a1, b1, a2, b2), snap))
     compared = [x for x in answers if x is not None]
     assert len(compared) >= 0.95 * len(answers)
     assert compared.count(True) >= 100 and compared.count(False) >= 100
@@ -511,7 +530,7 @@ def test_arcs_conflict_early_exit_keeps_every_answer(snap):
     for a1, b1, a2, b2 in cases:
         for args in (tup(a1, b1, a2, b2), tup(a2, b2, a1, b1)):
             want = tuple_arcs_conflict(*args, snap)
-            assert sphgeo.arcs_conflict(*args, snap) == want, (args, want)
+            assert sphgeo.arcs_conflict(*with_planes(*args), snap) == want, (args, want)
             answers.append(want)
     assert answers.count(True) >= 300 and answers.count(False) >= 300
 
@@ -563,7 +582,7 @@ def test_arcs_conflict_neighbour_exit_keeps_every_answer(snap):
             for a1, b1 in (first, first[::-1]):
                 for a2, b2 in (second, second[::-1]):
                     want = tuple_arcs_conflict(a1, b1, a2, b2, snap)
-                    assert sphgeo.arcs_conflict(a1, b1, a2, b2, snap) == want, \
-                        ((a1, b1, a2, b2), want)
+                    assert sphgeo.arcs_conflict(*with_planes(a1, b1, a2, b2),
+                                                snap) == want, ((a1, b1, a2, b2), want)
                     answers.append(want)
     assert answers.count(True) >= 100 and answers.count(False) >= 1000
