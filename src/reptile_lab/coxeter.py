@@ -222,13 +222,19 @@ class CoxeterDiagram:
                 for r in pairs)):
             raise ValueError('"relations" must be a list of [symbol, literal] pairs')
         relations = RelationSet.of(*((sym, parse_angle(lit)) for sym, lit in pairs))
+        names = set(data["vertices"])
         labels = {}
         for key, lit in data["edges"].items():
-            ends = key.split(",")
+            ends = tuple(e.strip() for e in key.split(","))
             if len(ends) != 2 or not isinstance(lit, str):
                 raise ValueError(f'edge {key!r}: expected "u,v": "<angle literal>", '
                                  f"got {lit!r}")
-            labels[(ends[0].strip(), ends[1].strip())] = parse_angle(lit)
+            unknown = next((e for e in ends if e not in names), None)
+            if unknown is not None:
+                raise ValueError(f"edge {key!r}: {unknown!r} is not in \"vertices\"")
+            if ends[::-1] in labels or ends in labels:
+                raise ValueError(f"edge {key!r} is labeled twice")
+            labels[ends] = parse_angle(lit)
         return CoxeterDiagram(data["vertices"], labels, relations)
 
     def to_fixture(self) -> dict:
@@ -772,15 +778,20 @@ def enumerate_two_label_skeletons(n: int = 5,
 
 def pair_canonical(ea: frozenset, eb: frozenset, n: int) -> tuple:
     """Smallest (alpha edges, beta edges) image over all vertex orders, each
-    as a sorted edge tuple; equal iff the pairs are isomorphic."""
-    kn = kn_tables(n)
-    colors = tuple(1 if e in ea else 2 if e in eb else 0 for e in kn.edges)
+    as a sorted edge tuple; equal iff the pairs are isomorphic.
 
-    def split(image):
-        return (tuple(i for i, x in enumerate(image) if x == 1),
-                tuple(i for i, x in enumerate(image) if x == 2))
-    ia, ib = min(split(g(colors)) for g in kn.getters)
-    return (tuple(kn.edges[i] for i in ia), tuple(kn.edges[i] for i in ib))
+    Every image has as many alpha edges as ea and as many beta edges as eb,
+    and between two 0/1 indicators with as many ones, the one whose ones
+    come first is the larger.  So the smallest position tuples are read
+    from the largest image of the alpha indicator followed by the beta one.
+    """
+    kn = kn_tables(n)
+    alpha = tuple(int(e in ea) for e in kn.edges)
+    beta = tuple(int(e in eb) for e in kn.edges)
+    best = max([g(alpha) + g(beta) for g in kn.getters])
+    k = len(kn.edges)
+    return (tuple(e for e, x in zip(kn.edges, best[:k]) if x),
+            tuple(e for e, x in zip(kn.edges, best[k:]) if x))
 
 
 def forced_symmetry_collapses(asg: tuple, n: int) -> bool:

@@ -9,10 +9,13 @@ The three base simplices (vertex displays, exact rationals):
 The cube lattice cut by the hyperplanes x_i = n, x_i + x_j = n, x_i - x_j = n
 tiles space with copies of H1_d; each tile is encoded by the center of its
 unit cube plus a signed permutation prefix, with vertices at half-integer
-steps from the center.  Restricting to a scaled copy of H1_d or H2_d by
-the facet inequalities of its own rows yields the rep-tilings; compatible
-tile pairs (union congruent to H2_d) sit in four-cycle components of the
-compatibility graph and give the pairing that re-tiles scaled H2 copies.
+steps from the center.  Restricting to a scaled copy m * H1_d or m * H2_d
+by facet inequalities yields the rep-tilings; compatible tile pairs (union
+congruent to H2_d) sit in four-cycle components of the compatibility graph
+and give the pairing that re-tiles scaled H2 copies.  The facets of
+m * H^i_d are those of H^i_d with each right-hand side times m, so they are
+computed once per (d, i), and the reach table a tiling scans is built once
+per (d, facet normals), whatever m is.
 
 All geometry is exact and runs on integers.  A simplex holds its vertices
 as integer rows over one positive denominator; rational input is brought
@@ -20,16 +23,19 @@ to that form once, when the simplex is built, and tiles go straight from
 their doubled integer coordinates to rows over 2.  A volume is one integer
 determinant of the rows, and congruence compares the integer
 squared-distance tables of the rows, each scaled by the other simplex's
-squared denominator.
+squared denominator.  A congruence test holds its reference's table, built
+once, so checking every tile of a tiling against one base simplex builds
+the base's table once.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
-from operator import le, mul
-from typing import Optional, Sequence
+from operator import le, mul, sub
+from typing import Callable, Optional, Sequence
 
 
 class EuclideanSimplex:
@@ -192,17 +198,13 @@ def lattice_tiles_in(ineqs: tuple, d: int, m: int) -> list:
     Cube centers are scanned over the [0, m]^d box; tiles never leave their
     cube, so this covers every scaled Hill target.  A tile's vertices are its
     center plus offsets fixed by its signed permutation, so it lies inside iff
-    each inequality's reach (its largest value over the offsets, found once
-    per signed permutation) is at most its slack at the center.  The center
-    is a vertex of every tile, so a center outside has no tile.
+    each inequality's reach (its largest value over the offsets, from a
+    table kept per (normals, d)) is at most its slack at the center.  The
+    center is a vertex of every tile, so a center outside has no tile.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    reaches = []
-    for sp in signed_perms(d):
-        offsets = LatticeTile((0,) * d, sp).vertices2()
-        reaches.append((sp, [max([sum(map(mul, a, v)) for v in offsets])
-                             for a, _ in ineqs]))
+    reaches = _reaches(tuple(tuple(a) for a, _ in ineqs), d)
     out = []
     for n in product(range(m), repeat=d):
         center2 = tuple(2 * c + 1 for c in n)
@@ -213,16 +215,38 @@ def lattice_tiles_in(ineqs: tuple, d: int, m: int) -> list:
     return out
 
 
+@lru_cache(maxsize=16)
+def _reaches(normals: tuple, d: int) -> tuple:
+    """Per signed permutation, in `signed_perms` order: each normal's
+    largest value over the tile's vertex offsets from its center."""
+    out = []
+    for sp in signed_perms(d):
+        offsets = LatticeTile((0,) * d, sp).vertices2()
+        out.append((sp, tuple(max([sum(map(mul, a, v)) for v in offsets])
+                              for a in normals)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def _hill_facets(d: int, i: int) -> tuple:
+    return facets(hill_simplex(d, i).rows)
+
+
+def _scaled_hill_tiles(d: int, i: int, m: int) -> list:
+    """The lattice tiles of m * H^i_d.  Scaling the rows by m scales each
+    cofactor normal by m^(d-1) and each right-hand side by m^d, so the
+    facets of H^i_d with right-hand sides times m cut the same polytope."""
+    return lattice_tiles_in(tuple((a, m * b) for a, b in _hill_facets(d, i)), d, m)
+
+
 def generate_h1_tiling(d: int, m: int) -> list:
     """The m^d tiles of the scaled simplex m * H1_d."""
-    rows = [[m * c for c in r] for r in hill_simplex(d, 1).rows]
-    return lattice_tiles_in(facets(rows), d, m)
+    return _scaled_hill_tiles(d, 1, m)
 
 
 def generate_h2_h1_tiles(d: int, m: int) -> list:
     """The 2*m^d H1-tiles of the scaled simplex m * H2_d."""
-    rows = [[m * c for c in r] for r in hill_simplex(d, 2).rows]
-    return lattice_tiles_in(facets(rows), d, m)
+    return _scaled_hill_tiles(d, 2, m)
 
 
 # ---------------------------------------------------------------------------
@@ -250,31 +274,64 @@ def _int_det(rows) -> int:
     return sign * a[n - 1][n - 1] if n else 1
 
 
-def congruent(s1: EuclideanSimplex, s2: EuclideanSimplex) -> bool:
-    """Exact congruence: a vertex correspondence matching all distances.
+def _squared_distances(rows) -> list:
+    """The symmetric table of squared distances between integer rows."""
+    n = len(rows)
+    table = [[0] * n for _ in range(n)]
+    for i, j in combinations(range(n), 2):
+        diff = list(map(sub, rows[i], rows[j]))
+        table[i][j] = table[j][i] = sum(map(mul, diff, diff))
+    return table
 
-    Squared distances a and b of the integer rows, over denominators q1 and
-    q2, are the same distance iff a * q2^2 == b * q1^2.  A backtracking
-    search extends the correspondence one vertex at a time.  Mirror images
-    are congruent: distances see no orientation.
+
+def _vertices_by_row(table) -> dict:
+    """Sorted row of the table -> the vertices that have it."""
+    out = {}
+    for j, row in enumerate(table):
+        out.setdefault(tuple(sorted(row)), []).append(j)
+    return out
+
+
+def congruent_to(ref: EuclideanSimplex) -> Callable[[EuclideanSimplex], bool]:
+    """The exact congruence test against ref: a function that tells whether
+    a simplex has a vertex correspondence with ref matching all distances.
+
+    ref's integer squared-distance table and its sorted rows are built
+    here, once.  Squared distances a of a simplex's rows and b of ref's,
+    over denominators q and r, are the same distance iff a * r^2 == b * q^2.
+    A vertex may go only to the vertices of ref whose sorted row of
+    distances equals its own; a backtracking search then extends the
+    correspondence one vertex at a time.  Mirror images are congruent:
+    distances see no orientation.
     """
-    if s1.dim != s2.dim:
-        return False
+    ref_table = _squared_distances(ref.rows)
+    ref_rows = _vertices_by_row(ref_table)
+    n = len(ref_table)
 
-    def table(s, scale):
-        return [[scale * sum((a - b) ** 2 for a, b in zip(u, v)) for v in s.rows]
-                for u in s.rows]
+    def is_congruent(s: EuclideanSimplex) -> bool:
+        if s.dim != ref.dim:
+            return False
+        d1, d2, rows = _squared_distances(s.rows), ref_table, ref_rows
+        if s.den != ref.den:
+            d1 = [[ref.den ** 2 * x for x in r] for r in d1]
+            d2 = [[s.den ** 2 * x for x in r] for r in ref_table]
+            rows = _vertices_by_row(d2)
+        targets = [rows.get(tuple(sorted(r)), ()) for r in d1]
 
-    d1, d2 = table(s1, s2.den ** 2), table(s2, s1.den ** 2)
-    n = len(d1)
+        def extend(assign):
+            i = len(assign)
+            return i == n or any(
+                all(d1[i][k] == d2[j][assign[k]] for k in range(i)) and extend(assign + (j,))
+                for j in targets[i] if j not in assign)
 
-    def extend(assign):
-        i = len(assign)
-        return i == n or any(
-            all(d1[i][k] == d2[j][assign[k]] for k in range(i)) and extend(assign + (j,))
-            for j in range(n) if j not in assign)
+        return all(targets) and extend(())
 
-    return extend(())
+    return is_congruent
+
+
+def congruent(s1: EuclideanSimplex, s2: EuclideanSimplex) -> bool:
+    """Exact congruence of two simplices; see `congruent_to`."""
+    return congruent_to(s2)(s1)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +393,7 @@ def pair_h2_tiling(d: int, m: int,
     if graph is None:
         graph = compatibility_graph(generate_h2_h1_tiles(d, m))
     tiles = graph.tiles
-    h2 = hill_simplex(d, 2)
+    is_h2 = congruent_to(hill_simplex(d, 2))
     pairs = []
     for comp in graph.components:
         if len(comp) % 2 != 0:
@@ -350,7 +407,7 @@ def pair_h2_tiling(d: int, m: int,
                 raise PairingError("no compatible partner inside a component")
             remaining.remove(partner)
             union = pair_union_simplex(tiles[a], tiles[partner])
-            if not congruent(union, h2):
+            if not is_h2(union):
                 raise PairingError("pair union is not congruent to the base H2")
             pairs.append((tiles[a], tiles[partner], union))
     return pairs
@@ -379,5 +436,5 @@ def pair_union_simplex(t1: LatticeTile, t2: LatticeTile) -> EuclideanSimplex:
 def tiling_report(tiles: Sequence[LatticeTile], base: EuclideanSimplex) -> TilingReport:
     simplices = [t.simplex() for t in tiles]
     vol = sum((s.volume() for s in simplices), Fraction(0))
-    all_cong = all(congruent(s, base) for s in simplices)
+    all_cong = all(map(congruent_to(base), simplices))
     return TilingReport(len(tiles), vol, all_cong)

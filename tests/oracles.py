@@ -2,7 +2,8 @@
 the slow references for Sturm root isolation and for the sign of a field
 element, the trial-factoring oracle of `algebraic_degree` (in
 test_acceptance.py, beside criterion 13), tuple-composition references for
-the permutation-group layer of `coxeter`, and `QuadExt`, the closed-form
+the permutation-group layer of `coxeter`, the position-tuple form of
+`pair_canonical`, and `QuadExt`, the closed-form
 quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
@@ -16,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from reptile_lab.coxeter import kn_tables
 from reptile_lab.exactmath import (ExactMatrix, Poly, RingMismatchError, RootInterval,
                                    cos_pi, isolate_roots, minimal_polynomial, sturm_chain)
 from reptile_lab.hill import EuclideanSimplex
@@ -344,6 +346,19 @@ def subgroups_reference(n: int) -> list:
                 seen.add(closure([a, b]))
     return sorted((frozenset(perms[i] for i in grp) for grp in seen),
                   key=lambda s: (len(s), sorted(s)))
+
+
+def pair_canonical_reference(ea: frozenset, eb: frozenset, n: int) -> tuple:
+    """The smallest (alpha positions, beta positions) over all images of the
+    pair's coloring, read back as edges (the former `coxeter.pair_canonical`)."""
+    kn = kn_tables(n)
+    colors = tuple(1 if e in ea else 2 if e in eb else 0 for e in kn.edges)
+
+    def split(image):
+        return (tuple(i for i, x in enumerate(image) if x == 1),
+                tuple(i for i, x in enumerate(image) if x == 2))
+    ia, ib = min(split(g(colors)) for g in kn.getters)
+    return (tuple(kn.edges[i] for i in ia), tuple(kn.edges[i] for i in ib))
 
 
 # ---------------------------------------------------------------------------

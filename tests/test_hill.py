@@ -1,12 +1,17 @@
 import math
+import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
 from reptile_lab.hill import (EuclideanSimplex, LatticeTile, PairingError,
-                              compatibility_graph, congruent, facets, generate_h1_tiling,
-                              generate_h2_h1_tiles, hill_simplex, pair_h2_tiling,
-                              pair_union_simplex, tiling_report, signed_perms)
+                              _hill_facets, _reaches, compatibility_graph, congruent,
+                              congruent_to, facets, generate_h1_tiling,
+                              generate_h2_h1_tiles, hill_simplex, lattice_tiles_in,
+                              pair_h2_tiling, pair_union_simplex, tiling_report,
+                              signed_perms)
+from test_hill_oracles import congruent_oracle, distortions, images, random_simplex
 
 H = F(1, 2)
 
@@ -60,6 +65,27 @@ class TestBaseSimplices:
                 slack = [b - sum(x * y for x, y in zip(a, v)) for a, b in ineqs]
                 assert slack[k] > 0
                 assert slack[:k] + slack[k + 1:] == [0] * d
+
+    @pytest.mark.parametrize("gen,i", [(generate_h1_tiling, 1), (generate_h2_h1_tiles, 2)])
+    def test_tiles_match_the_scaled_rows_facets(self, gen, i):
+        """The generators cut by the base facets with right-hand sides times
+        m; the facets of the scaled rows give the same tiles in the same
+        order."""
+        cases = [(d, m) for d in (2, 3, 4) for m in (1, 2, 3, 4)] + [(5, 1), (5, 2)]
+        for d, m in cases:
+            rows = [[m * c for c in r] for r in hill_simplex(d, i).rows]
+            assert gen(d, m) == lattice_tiles_in(facets(rows), d, m), (d, m)
+
+    def test_facets_and_reaches_built_once_per_shape(self):
+        """Every scale of H1_3 and H2_3 reuses the facets and the reach
+        table of its base: one of each per base simplex."""
+        _hill_facets.cache_clear()
+        _reaches.cache_clear()
+        for m in (1, 2, 3):
+            generate_h1_tiling(3, m)
+            generate_h2_h1_tiles(3, m)
+        assert _hill_facets.cache_info().misses == 2
+        assert _reaches.cache_info().misses == 2
 
 
 class TestEuclideanSimplex:
@@ -200,3 +226,51 @@ class TestCongruence:
 
     def test_dimension_mismatch(self):
         assert not congruent(hill_simplex(2, 0), hill_simplex(3, 0))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_reference_over_another_denominator_matches_oracle(self, d):
+        """Congruent and non-congruent copies, their rows scaled so that
+        their denominator differs from the reference's."""
+        rng = random.Random(400 + d)
+        for _ in range(25):
+            ref = random_simplex(rng, d)
+            is_ref = congruent_to(ref)
+            for s in [*images(rng, ref), *distortions(rng, ref), random_simplex(rng, d)]:
+                k = 2 if 2 * s.den != ref.den else 3
+                s = EuclideanSimplex.from_rows([[k * c for c in r] for r in s.rows],
+                                               k * s.den)
+                assert s.den != ref.den
+                assert is_ref(s) is congruent_oracle(s, ref)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("i", [0, 1, 2])
+    def test_bases_with_shared_sorted_rows(self, i, d):
+        """Two vertices of every base share a sorted row of distances, so
+        the row filter leaves the search a choice; the base in every seventh
+        vertex order passes, and a half-scaled base does not."""
+        base = hill_simplex(d, i)
+        is_base = congruent_to(base)
+        for order in list(permutations(range(d + 1)))[::7]:
+            assert is_base(EuclideanSimplex.from_rows([base.rows[k] for k in order], 2))
+        assert not is_base(EuclideanSimplex.from_rows(base.rows, 4))
+
+    @pytest.mark.parametrize("rows1,rows2", [
+        (((0, 0, 0, 0), (1, 2, 2, 1), (2, 1, 1, 0), (2, 0, 0, 1), (1, 0, 2, 2)),
+         ((0, 0, 0, 0), (2, 1, 1, 0), (2, 0, 2, 1), (1, 2, 2, 1), (1, 0, 0, 2))),
+        (((0, 0, 0, 0), (2, 0, 0, 1), (1, 1, 2, 0), (0, 0, 1, 1), (1, 1, 1, 2)),
+         ((0, 0, 0, 0), (1, 1, 2, 1), (1, 0, 0, 1), (1, 2, 0, 1), (0, 0, 1, 2))),
+        (((0, 0, 0, 0), (2, 1, 1, 2), (1, 0, 2, 1), (1, 1, 2, 0), (1, 1, 2, 2)),
+         ((0, 0, 0, 0), (2, 0, 1, 1), (2, 0, 0, 0), (1, 1, 0, 0), (1, 2, 1, 2))),
+    ])
+    def test_equal_sorted_rows_not_congruent(self, rows1, rows2):
+        """4-simplices whose vertices have the same sorted rows of squared
+        distances, so the row filter passes every vertex: only the
+        correspondence search can tell them apart."""
+        s, t = EuclideanSimplex.from_rows(rows1, 1), EuclideanSimplex.from_rows(rows2, 1)
+
+        def sorted_rows(u):
+            return sorted(sorted(sum((a - b) ** 2 for a, b in zip(p, q)) for q in u.rows)
+                          for p in u.rows)
+
+        assert sorted_rows(s) == sorted_rows(t)
+        assert congruent(s, t) is congruent(t, s) is congruent_oracle(s, t) is False

@@ -148,7 +148,12 @@ class TestCli:
         ({"vertices": ["u", "v"], "edges": 5}, '"edges", an object'),
         ({"vertices": ["u", "v"], "edges": {"u,v": 5}}, "edge 'u,v'"),
         ({"edges": {"u,v": "1/2 pi"}}, '"vertices", a list'),
-    ], ids=["list", "edges-not-object", "label-not-string", "no-vertices"])
+        ({"vertices": ["u", "v"], "edges": {"u,v": "1/2 pi", "v,u": "1/3 pi"}},
+         "edge 'v,u' is labeled twice"),
+        ({"vertices": ["u", "v"], "edges": {"u,x": "1/2 pi"}},
+         "edge 'u,x': 'x' is not in \"vertices\""),
+    ], ids=["list", "edges-not-object", "label-not-string", "no-vertices",
+            "edge-labeled-twice", "unknown-vertex"])
     def test_diagram_malformed_file(self, tmp_path, data, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

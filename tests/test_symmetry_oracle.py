@@ -10,7 +10,7 @@ test also keeps that oracle independent of the code it checks.
 
 import random
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -20,6 +20,8 @@ from reptile_lab.coxeter import (CoxeterDiagram, DiagramConstraints, all_edges,
                                  classify_graph, coloring_automorphisms,
                                  coloring_canonical, enumerate_diagrams,
                                  forced_symmetry_collapses, kn_tables, pair_canonical)
+
+from oracles import pair_canonical_reference
 
 NS = (2, 3, 4, 5)
 
@@ -165,6 +167,18 @@ def test_pair_canonical(n):
         pa = frozenset(edge(p[a], p[b]) for a, b in ea)
         pb = frozenset(edge(p[a], p[b]) for a, b in eb)
         assert pair_canonical(pa, pb, n) == want
+
+
+def test_pair_canonical_matches_position_tuples():
+    """Against the minimum over position tuples: every alpha/beta pair on
+    K4, and a seeded sample of 1,000 on K5."""
+    pairs = [(4, c) for c in product((0, 1, 2), repeat=6)]
+    rng = random.Random(61)
+    pairs += [(5, tuple(rng.choice((0, 1, 2)) for _ in range(10))) for _ in range(1000)]
+    for n, colors in pairs:
+        ea = frozenset(e for e, c in zip(all_edges(n), colors) if c == 1)
+        eb = frozenset(e for e, c in zip(all_edges(n), colors) if c == 2)
+        assert pair_canonical(ea, eb, n) == pair_canonical_reference(ea, eb, n)
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
