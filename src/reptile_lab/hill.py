@@ -23,9 +23,9 @@ to that form once, when the simplex is built, and tiles go straight from
 their doubled integer coordinates to rows over 2.  A volume is one integer
 determinant of the rows, and congruence compares the integer
 squared-distance tables of the rows, each scaled by the other simplex's
-squared denominator.  A congruence test holds its reference's table, built
-once, so checking every tile of a tiling against one base simplex builds
-the base's table once.
+squared denominator.  The reference simplex's table is cached, so checking
+every tile of a tiling against one base simplex builds the base's table
+once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from operator import le, mul, sub
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 
 class EuclideanSimplex:
@@ -284,54 +284,46 @@ def _squared_distances(rows) -> list:
     return table
 
 
-def _vertices_by_row(table) -> dict:
-    """Sorted row of the table -> the vertices that have it."""
-    out = {}
+@lru_cache(maxsize=16)
+def _reference(rows: tuple, scale: int) -> tuple:
+    """The squared-distance table of the rows times scale, and a map from
+    each sorted row of it to the vertices that have that row."""
+    table = tuple(tuple(scale * x for x in r) for r in _squared_distances(rows))
+    by_row = {}
     for j, row in enumerate(table):
-        out.setdefault(tuple(sorted(row)), []).append(j)
-    return out
+        by_row.setdefault(tuple(sorted(row)), []).append(j)
+    return table, by_row
 
 
-def congruent_to(ref: EuclideanSimplex) -> Callable[[EuclideanSimplex], bool]:
-    """The exact congruence test against ref: a function that tells whether
-    a simplex has a vertex correspondence with ref matching all distances.
+def congruent(s1: EuclideanSimplex, s2: EuclideanSimplex) -> bool:
+    """Exact congruence: a vertex correspondence matching all distances.
 
-    ref's integer squared-distance table and its sorted rows are built
-    here, once.  Squared distances a of a simplex's rows and b of ref's,
-    over denominators q and r, are the same distance iff a * r^2 == b * q^2.
-    A vertex may go only to the vertices of ref whose sorted row of
+    Squared distances a and b of the integer rows, over denominators q1 and
+    q2, are the same distance iff a * q2^2 == b * q1^2.  s2 is the
+    reference: its table and sorted rows are cached, so checking every tile
+    of a tiling against one base simplex builds the base's table once.  A
+    vertex of s1 may go only to the vertices of s2 whose sorted row of
     distances equals its own; a backtracking search then extends the
     correspondence one vertex at a time.  Mirror images are congruent:
     distances see no orientation.
     """
-    ref_table = _squared_distances(ref.rows)
-    ref_rows = _vertices_by_row(ref_table)
-    n = len(ref_table)
+    if s1.dim != s2.dim:
+        return False
+    d1, scale = _squared_distances(s1.rows), 1
+    if s1.den != s2.den:
+        d1 = [[s2.den ** 2 * x for x in r] for r in d1]
+        scale = s1.den ** 2
+    d2, rows = _reference(s2.rows, scale)
+    targets = [rows.get(tuple(sorted(r)), ()) for r in d1]
+    n = len(d1)
 
-    def is_congruent(s: EuclideanSimplex) -> bool:
-        if s.dim != ref.dim:
-            return False
-        d1, d2, rows = _squared_distances(s.rows), ref_table, ref_rows
-        if s.den != ref.den:
-            d1 = [[ref.den ** 2 * x for x in r] for r in d1]
-            d2 = [[s.den ** 2 * x for x in r] for r in ref_table]
-            rows = _vertices_by_row(d2)
-        targets = [rows.get(tuple(sorted(r)), ()) for r in d1]
+    def extend(assign):
+        i = len(assign)
+        return i == n or any(
+            all(d1[i][k] == d2[j][assign[k]] for k in range(i)) and extend(assign + (j,))
+            for j in targets[i] if j not in assign)
 
-        def extend(assign):
-            i = len(assign)
-            return i == n or any(
-                all(d1[i][k] == d2[j][assign[k]] for k in range(i)) and extend(assign + (j,))
-                for j in targets[i] if j not in assign)
-
-        return all(targets) and extend(())
-
-    return is_congruent
-
-
-def congruent(s1: EuclideanSimplex, s2: EuclideanSimplex) -> bool:
-    """Exact congruence of two simplices; see `congruent_to`."""
-    return congruent_to(s2)(s1)
+    return all(targets) and extend(())
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +385,7 @@ def pair_h2_tiling(d: int, m: int,
     if graph is None:
         graph = compatibility_graph(generate_h2_h1_tiles(d, m))
     tiles = graph.tiles
-    is_h2 = congruent_to(hill_simplex(d, 2))
+    h2 = hill_simplex(d, 2)
     pairs = []
     for comp in graph.components:
         if len(comp) % 2 != 0:
@@ -407,7 +399,7 @@ def pair_h2_tiling(d: int, m: int,
                 raise PairingError("no compatible partner inside a component")
             remaining.remove(partner)
             union = pair_union_simplex(tiles[a], tiles[partner])
-            if not is_h2(union):
+            if not congruent(union, h2):
                 raise PairingError("pair union is not congruent to the base H2")
             pairs.append((tiles[a], tiles[partner], union))
     return pairs
@@ -436,5 +428,5 @@ def pair_union_simplex(t1: LatticeTile, t2: LatticeTile) -> EuclideanSimplex:
 def tiling_report(tiles: Sequence[LatticeTile], base: EuclideanSimplex) -> TilingReport:
     simplices = [t.simplex() for t in tiles]
     vol = sum((s.volume() for s in simplices), Fraction(0))
-    all_cong = all(map(congruent_to(base), simplices))
+    all_cong = all(congruent(s, base) for s in simplices)
     return TilingReport(len(tiles), vol, all_cong)

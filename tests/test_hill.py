@@ -6,8 +6,8 @@ from itertools import permutations
 import pytest
 
 from reptile_lab.hill import (EuclideanSimplex, LatticeTile, PairingError,
-                              _hill_facets, _reaches, compatibility_graph, congruent,
-                              congruent_to, facets, generate_h1_tiling,
+                              _hill_facets, _reaches, _reference, compatibility_graph,
+                              congruent, facets, generate_h1_tiling,
                               generate_h2_h1_tiles, hill_simplex, lattice_tiles_in,
                               pair_h2_tiling, pair_union_simplex, tiling_report,
                               signed_perms)
@@ -227,6 +227,15 @@ class TestCongruence:
     def test_dimension_mismatch(self):
         assert not congruent(hill_simplex(2, 0), hill_simplex(3, 0))
 
+    def test_reference_table_built_once_per_report(self):
+        """Every tile of a tiling is checked through `congruent` against
+        one base, whose table is built on the first tile only."""
+        tiles = generate_h1_tiling(3, 3)
+        _reference.cache_clear()
+        assert tiling_report(tiles, hill_simplex(3, 1)).all_congruent
+        assert _reference.cache_info().misses == 1
+        assert _reference.cache_info().hits == len(tiles) - 1
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_reference_over_another_denominator_matches_oracle(self, d):
         """Congruent and non-congruent copies, their rows scaled so that
@@ -234,13 +243,12 @@ class TestCongruence:
         rng = random.Random(400 + d)
         for _ in range(25):
             ref = random_simplex(rng, d)
-            is_ref = congruent_to(ref)
             for s in [*images(rng, ref), *distortions(rng, ref), random_simplex(rng, d)]:
                 k = 2 if 2 * s.den != ref.den else 3
                 s = EuclideanSimplex.from_rows([[k * c for c in r] for r in s.rows],
                                                k * s.den)
                 assert s.den != ref.den
-                assert is_ref(s) is congruent_oracle(s, ref)
+                assert congruent(s, ref) is congruent_oracle(s, ref)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("i", [0, 1, 2])
@@ -249,10 +257,9 @@ class TestCongruence:
         the row filter leaves the search a choice; the base in every seventh
         vertex order passes, and a half-scaled base does not."""
         base = hill_simplex(d, i)
-        is_base = congruent_to(base)
         for order in list(permutations(range(d + 1)))[::7]:
-            assert is_base(EuclideanSimplex.from_rows([base.rows[k] for k in order], 2))
-        assert not is_base(EuclideanSimplex.from_rows(base.rows, 4))
+            assert congruent(EuclideanSimplex.from_rows([base.rows[k] for k in order], 2), base)
+        assert not congruent(EuclideanSimplex.from_rows(base.rows, 4), base)
 
     @pytest.mark.parametrize("rows1,rows2", [
         (((0, 0, 0, 0), (1, 2, 2, 1), (2, 1, 1, 0), (2, 0, 0, 1), (1, 0, 2, 2)),
