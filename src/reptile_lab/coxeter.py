@@ -212,8 +212,14 @@ class CoxeterDiagram:
         shape raises ValueError, which names what is wrong."""
         if not isinstance(data, dict):
             raise ValueError(f"a diagram is a JSON object, not {type(data).__name__}")
-        if not isinstance(data.get("vertices"), list):
+        names = data.get("vertices")
+        if not isinstance(names, list):
             raise ValueError('a diagram needs "vertices", a list of names')
+        for i, v in enumerate(names):
+            if not isinstance(v, str):
+                raise ValueError(f"a vertex name is a string, not {v!r}")
+            if v in names[:i]:
+                raise ValueError(f'vertex {v!r} is listed twice in "vertices"')
         if not isinstance(data.get("edges"), dict):
             raise ValueError('a diagram needs "edges", an object of "u,v": label pairs')
         pairs = data.get("relations", [])
@@ -222,7 +228,6 @@ class CoxeterDiagram:
                 for r in pairs)):
             raise ValueError('"relations" must be a list of [symbol, literal] pairs')
         relations = RelationSet.of(*((sym, parse_angle(lit)) for sym, lit in pairs))
-        names = set(data["vertices"])
         labels = {}
         for key, lit in data["edges"].items():
             ends = tuple(e.strip() for e in key.split(","))
@@ -232,6 +237,8 @@ class CoxeterDiagram:
             unknown = next((e for e in ends if e not in names), None)
             if unknown is not None:
                 raise ValueError(f"edge {key!r}: {unknown!r} is not in \"vertices\"")
+            if ends[0] == ends[1]:
+                raise ValueError(f"edge {key!r} joins {ends[0]!r} to itself")
             if ends[::-1] in labels or ends in labels:
                 raise ValueError(f"edge {key!r} is labeled twice")
             labels[ends] = parse_angle(lit)
@@ -809,4 +816,4 @@ def forced_symmetry_collapses(asg: tuple, n: int) -> bool:
     fresh = count(3)
     colors = [x if x or i in closing else next(fresh) for i, x in enumerate(asg)]
     tris = [frozenset(kn.triangles[k]) for k in paths]
-    return any(frozenset(p[v] for v in t) != t for p in kn.aut(colors) for t in tris)
+    return any(act_on_vertex_set(p, t) != t for p in kn.aut(colors) for t in tris)

@@ -14,10 +14,13 @@ Three pieces:
   congruent copies (mirror images allowed), with verification and SVG/JSON
   export.
 
-Tiles and targets enter by their angles as Fractions of pi, so tile counts
-and the congruence of a one-tile target are exact; radians exist only in
-the float geometry of the search, its placements and the tilings it
-returns.  A float angle raises TypeError.
+Tiles and targets enter by their angles as Fractions of pi, so tile counts,
+the congruence of a one-tile target and the distinct orientations of a
+tile are exact; radians exist only in the float geometry of the search,
+its placements and the tilings it returns.  Every edge length comes from
+`spherical.law_of_cosines`, which takes the exact angles.  A float angle
+raises TypeError.  Points are float 3-tuples throughout, as the `sphgeo`
+kernel takes them.
 
 The search fills the open corner with the smallest interior angle first and
 places tiles flush against the boundary.  Degenerate pinch configurations
@@ -32,7 +35,7 @@ import colorsys
 import math
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
+from itertools import count, permutations
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import sphgeo
@@ -77,7 +80,7 @@ class TileSpec:
     @cached_property
     def edges(self) -> tuple:
         """Edges in radians, each opposite the angle at the same index."""
-        return law_of_cosines(*self.angles)
+        return law_of_cosines(*self.angles_pi)
 
     @property
     def excess_pi(self) -> Fraction:
@@ -195,7 +198,6 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
     qa, qb, qc = (int(q * den) for q in tile.angles_pi)
     excess = qa + qb + qc - den
     t, lo = int(tau * den), int(phi_min * den)
-    ftau = float(tau) * math.pi
     edges = tile.edges
     seen = {}
     n = 2
@@ -218,8 +220,7 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
                             if qs[1] + qs[2] >= den + qs[0]:
                                 continue
                             fphi, fpsi = Fraction(phi, den), Fraction(psi, den)
-                            x = law_of_cosines(ftau, float(fphi) * math.pi,
-                                               float(fpsi) * math.pi)[0]
+                            x = law_of_cosines(tau, fphi, fpsi)[0]
                             seen[(phi, psi)] = Candidate(
                                 tau, fphi, fpsi, n, (i, j, k),
                                 (m1 - i, m2 - j, m3 - k), edge_combination(x, edges))
@@ -266,10 +267,10 @@ class SphTiling:
         index = {}
 
         def vid(p):
-            key = tuple(round(float(c), 9) for c in p)
+            key = tuple(round(c, 9) for c in p)
             if key not in index:
                 index[key] = len(verts)
-                verts.append([float(c) for c in p])
+                verts.append(list(p))
             return index[key]
 
         target = [vid(p) for p in self.target_points]
@@ -282,58 +283,42 @@ class SphTiling:
     def render_svg(self, path: str) -> None:
         """Write the tiling as an SVG_SIZE-square SVG, in stereographic
         projection from the point opposite the target's centre."""
-        target = [sphgeo.vec(p) for p in self.target_points]
-        center = sphgeo.unit([sum(c) for c in zip(*target)])
+        center = sphgeo.unit([sum(c) for c in zip(*self.target_points)])
         ref = (1.0, 0.0, 0.0)
         if abs(sphgeo.dot(ref, center)) > 0.9:
             ref = (0.0, 1.0, 0.0)
         e1 = sphgeo.unit(sphgeo.cross(center, ref))
         e2 = sphgeo.cross(center, e1)
 
-        def project(p):
-            w = sphgeo.dot(p, center)
-            return (sphgeo.dot(p, e1) / (1 + w), sphgeo.dot(p, e2) / (1 + w))
-
-        def arc_points(a, b, segments=64):
-            ang = sphgeo.arc_length(a, b)
-            if ang < 1e-12:
-                return [project(a)]
-            out = []
-            for s in range(segments + 1):
-                t = s / segments
-                sa, sb = math.sin((1 - t) * ang), math.sin(t * ang)
-                p = sphgeo.unit([x * sa + y * sb for x, y in zip(a, b)])
-                out.append(project(p))
-            return out
+        def outline(corners, segments=64):
+            """The closed projected polyline along the arcs from each corner
+            to the next, `segments` points per arc; an arc shorter than 1e-12
+            adds none."""
+            points = []
+            for a, b in zip(corners, corners[1:] + corners[:1]):
+                ang = sphgeo.arc_length(a, b)
+                if ang < 1e-12:
+                    continue
+                for s in range(segments):
+                    t = s / segments
+                    sa, sb = math.sin((1 - t) * ang), math.sin(t * ang)
+                    p = sphgeo.unit([x * sa + y * sb for x, y in zip(a, b)])
+                    w = 1 + sphgeo.dot(p, center)
+                    points.append((sphgeo.dot(p, e1) / w, sphgeo.dot(p, e2) / w))
+            points.append(points[0])
+            return points
 
         polylines = []
-        bounds = [math.inf, math.inf, -math.inf, -math.inf]
-
-        def emit(points, fill, stroke):
-            nonlocal bounds
-            for x, y in points:
-                bounds = [min(bounds[0], x), min(bounds[1], y),
-                          max(bounds[2], x), max(bounds[3], y)]
-            polylines.append((points, fill, stroke))
-
         for idx, t in enumerate(self.tiles):
-            tri = [sphgeo.vec(p) for p in t.points]
-            pts = []
-            for i in range(3):
-                pts.extend(arc_points(tri[i], tri[(i + 1) % 3])[:-1])
-            pts.append(pts[0])
             hue = (idx * 0.618034) % 1.0
             r, g, b = colorsys.hls_to_rgb(hue, 0.72, 0.65)
             fill = f"#{int(r * 255):02x}{int(g * 255):02x}{int(b * 255):02x}"
-            emit(pts, fill, "#444444")
-        tpts = []
-        k = len(target)
-        for i in range(k):
-            tpts.extend(arc_points(target[i], target[(i + 1) % k])[:-1])
-        tpts.append(tpts[0])
-        emit(tpts, "none", "#000000")
+            polylines.append((outline(t.points), fill, "#444444"))
+        polylines.append((outline(self.target_points), "none", "#000000"))
 
-        x0, y0, x1, y1 = bounds
+        xs = [x for points, _, _ in polylines for x, _ in points]
+        ys = [y for points, _, _ in polylines for _, y in points]
+        x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
         span = max(x1 - x0, y1 - y0, 1e-9)
         pad = 0.05 * span
 
@@ -410,23 +395,16 @@ def _orientations(tile: TileSpec) -> list:
     M, thetaQ, corners).  The tile angle theta fills the corner; the side L
     runs along the outgoing arc to a tile angle thetaP, the side M along the
     incoming arc to thetaQ; corners are the tile's corner indices at the
-    region corner, at the end of L and at the end of M."""
-    ang = tile.angles
-    side = tile.edges
-    seen = set()
-    out = []
-    for c in range(3):
-        for f in range(3):
-            if f == c:
-                continue
-            e = 3 - c - f
-            key = (round(ang[c], 12), round(side[f], 12), round(ang[e], 12),
-                   round(side[e], 12), round(ang[f], 12))
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((ang[c], side[f], ang[e], side[e], ang[f], (c, e, f)))
-    return out
+    region corner, at the end of L and at the end of M.  Two placements are
+    the same when their exact angles at the three corners are: in a
+    spherical triangle equal angles face equal sides, so the angles fix L
+    and M too."""
+    q, ang, side = tile.angles_pi, tile.angles, tile.edges
+    out = {}
+    for c, f, e in permutations(range(3)):
+        out.setdefault((q[c], q[e], q[f]),
+                       (ang[c], side[f], ang[e], side[e], ang[f], (c, e, f)))
+    return list(out.values())
 
 
 def _flush_side(V, W, way, aW, length, theta):
@@ -757,8 +735,8 @@ def verify_tiling(tiling: SphTiling, tile: TileSpec) -> VerifyReport:
     base tile, containment in the target and pairwise interior disjointness,
     each within VERIFY_EPS, and area conservation: the tiles' float angle
     excesses sum to the target's within n * 1e-9 for n tiles."""
-    tiles = [[sphgeo.vec(p) for p in t.points] for t in tiling.tiles]
-    boundary = [sphgeo.vec(p) for p in tiling.target_points]
+    tiles = [t.points for t in tiling.tiles]
+    boundary = tiling.target_points
     ref = sorted(zip(tile.angles, tile.edges))
     pairs = [_triple_angle_edge_pairs(pts) for pts in tiles]
     for idx, tile_pairs in enumerate(pairs):

@@ -218,7 +218,7 @@ def final_case_analysis(key: str) -> FinalCaseAnalysis:
         if (area / excess).denominator != 1:
             forbidden.append(combo)
             continue
-        for x in law_of_cosines(*(float(q) * math.pi for q in combo)):
+        for x in law_of_cosines(*combo):
             status = edge_combination(x, tile.edges)
             verdicts.append(status)
             if not isinstance(status, EdgeMatch):
@@ -275,14 +275,14 @@ def scenario_three_dim(report: Report) -> None:
                      exp["aut_orders"][key], len(d.automorphisms()),
                      "reference", f"expectations:aut_orders/{key}")
     # both two-label configurations admit a symmetry swapping two edges of
-    # each label
+    # each label: some edge of every label lies in an orbit of size > 1
     for key in ("k4-two-triples-star", "k4-two-triples-paths"):
         d = fixtures.diagram(key)
+        auts = d.automorphisms()
         moved = all(
-            any(frozenset((p[i], p[j])) != frozenset((i, j))
-                and d.labels[tuple(sorted((p[i], p[j])))] == d.labels[(i, j)]
-                for p in d.automorphisms() for (i, j) in d.edges()
-                if d.labels[(i, j)] == lab)
+            any(len(orbit) > 1 for orbit in orbit_partition(
+                auts, [frozenset(e) for e in d.edges() if d.labels[e] == lab],
+                act_on_vertex_set))
             for lab in d.label_set())
         report.check(f"three-dim/label-swapping-symmetry/{key}",
                      "a symmetry moves an edge of every label",

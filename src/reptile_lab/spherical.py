@@ -2,11 +2,12 @@
 
 Angles are the source of truth.  They enter as Fractions of pi (ints
 allowed); a float raises TypeError, so no angle is ever read in two ways.
-Edges are derived in radians through the law of cosines for angles, the
-one radian formula here.  Validity follows the classical facts for
-spherical triangles: angle sum above pi, each angle in (0, pi), and the
-spherical triangle inequality (the two largest angles sum to less than pi
-plus the smallest), which is equivalent to the area bound 2*min-angle.
+Edges are derived in radians through the law of cosines for angles,
+`law_of_cosines`, the one place in the package where exact angles become
+float edges.  Validity follows the classical facts for spherical
+triangles: angle sum above pi, each angle in (0, pi), and the spherical
+triangle inequality (the two largest angles sum to less than pi plus the
+smallest), which is equivalent to the area bound 2*min-angle.
 """
 
 from __future__ import annotations
@@ -51,12 +52,16 @@ class InvalidTriangleError(ValueError):
     pass
 
 
-def law_of_cosines(va: float, vb: float, vc: float) -> tuple:
-    """Edges (a, b, c) from the angles in radians; edge x opposite angle x.
+def law_of_cosines(qa: Fraction, qb: Fraction, qc: Fraction) -> tuple:
+    """Edges (a, b, c) in radians from the angles, Fractions of pi; edge x
+    opposite angle x.  The one place exact angles become float edges.
 
-    cos(c) = (cos gamma' + cos alpha' cos beta') / (sin alpha' sin beta'),
-    cyclically.  The caller has checked that the angles form a triangle.
+    cos(c) = (cos gamma + cos alpha cos beta) / (sin alpha sin beta),
+    cyclically, with each angle q taken as float(q) * pi.  The caller has
+    checked that the angles form a triangle.
     """
+    _require_exact((qa, qb, qc))
+    va, vb, vc = (float(q) * math.pi for q in (qa, qb, qc))
 
     def edge(opp, l, r):
         num = math.cos(opp) + math.cos(l) * math.cos(r)
@@ -72,7 +77,7 @@ def edge_lengths(angles: Sequence[Fraction]) -> tuple:
     report = is_valid(angles)
     if not report:
         raise InvalidTriangleError(report.reason)
-    return law_of_cosines(*(float(q) * math.pi for q in angles))
+    return law_of_cosines(*angles)
 
 
 # ---------------------------------------------------------------------------

@@ -13,18 +13,13 @@ directions.  `arcs_conflict` takes each arc with its great-circle plane,
 the normal n = a x b and |n| that `plane` builds, so a caller that meets
 one arc in many pairs computes its plane once: the search keeps the plane
 of every boundary arc with its region and builds planes only for fresh
-arcs.  Callers holding other 3-sequences convert them once with `vec`.
+arcs.  Every caller holds its points as float 3-tuples already, so the
+kernel takes them as they are.
 """
 
 from __future__ import annotations
 
 import math
-
-
-def vec(v) -> tuple:
-    """Any 3-sequence (tuple, list, numpy array) as a float 3-tuple."""
-    x, y, z = v
-    return (float(x), float(y), float(z))
 
 
 def dot(a, b) -> float:

@@ -47,7 +47,7 @@ class TestPoly:
             a.exact_div(P(1, 0, 0, 1))
 
     def test_square_free(self):
-        p = P(-1, 1) ** 3 * P(2, 1)
+        p = P(-1, 1) * P(-1, 1) * P(-1, 1) * P(2, 1)
         assert p.square_free_part() == (P(-1, 1) * P(2, 1)).monic()
 
 
@@ -232,7 +232,8 @@ def random_poly(rng):
     p = P(F(rng.randint(1, 5), rng.randint(1, 4)) * rng.choice((1, -1)))
     roots = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
     for r in roots:
-        p = p * P(-r, 1) ** rng.randint(1, 3)
+        for _ in range(rng.randint(1, 3)):
+            p = p * P(-r, 1)
     extra = [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))]
     return p * P(*extra, rng.choice((-3, -2, -1, 1, 2, 3))), roots
 
@@ -313,7 +314,8 @@ def polys_with_roots(draw):
     roots = draw(st.lists(SMALL_RATIONALS, max_size=3))
     p = P(1)
     for r in roots:
-        p = p * P(-r, 1) ** draw(st.integers(1, 3))
+        for _ in range(draw(st.integers(1, 3))):
+            p = p * P(-r, 1)
     extra = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4)
                  .filter(any).map(Poly))
     return p * extra, roots

