@@ -218,6 +218,10 @@ class CoxeterDiagram:
         for i, v in enumerate(names):
             if not isinstance(v, str):
                 raise ValueError(f"a vertex name is a string, not {v!r}")
+            if not v or v != v.strip() or "," in v:
+                # an edge key "u,v" is split at the comma and each end stripped
+                raise ValueError(f"vertex name {v!r} cannot appear in an edge key: "
+                                 "it is empty, has a comma, or leading or trailing spaces")
             if v in names[:i]:
                 raise ValueError(f'vertex {v!r} is listed twice in "vertices"')
         if not isinstance(data.get("edges"), dict):

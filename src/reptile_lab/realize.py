@@ -23,10 +23,11 @@ raises TypeError.  Points are float 3-tuples throughout, as the `sphgeo`
 kernel takes them.
 
 The search fills the open corner with the smallest interior angle first and
-places tiles flush against the boundary.  Degenerate pinch configurations
-(a tile corner landing in the middle of a far boundary arc) are rejected
-rather than split, which is sound for `found` answers (independently
-verified) and conservative for `exhausted` ones.
+places tiles flush against the boundary.  It drops every region with a
+corner that no sum of tile angles can fill (`_corner_table`).  Degenerate
+pinch configurations (a tile corner landing in the middle of a far boundary
+arc) are rejected rather than split, which is sound for `found` answers
+(independently verified) and conservative for `exhausted` ones.
 """
 
 from __future__ import annotations
@@ -390,6 +391,72 @@ class _Rounded(dict):
         return r
 
 
+# Largest D (the lcm of a tile's angle denominators) for which a search
+# builds its corner table, of 2D + 1 entries in O(D) steps; a search with a
+# larger D runs without the corner test.
+CORNER_TABLE_MAX_DEN = 10 ** 5
+
+
+class _CornerTable:
+    __slots__ = ("den", "fill", "scale", "tol")
+
+    def __init__(self, den: int, fill: bytearray):
+        self.den = den  # D, the lcm of the denominators of the tile angles
+        self.fill = fill  # fill[j] is 1 iff a corner of angle j*pi/D is fillable
+        self.scale = den / math.pi  # radians to multiples of pi/D
+        self.tol = SEARCH_EPS * self.scale  # SEARCH_EPS in multiples of pi/D
+
+
+def _corner_table(tile: TileSpec) -> Optional[_CornerTable]:
+    """Which corner angles j*pi/D, 0 <= j <= 2D, copies of the tile can fill.
+
+    Near a corner V of the part of the target still to tile, each tile
+    touching V fills a wedge at V: its angle there when V is one of its
+    vertices, pi when V lies inside one of its edges.  The wedges fill the
+    corner's angle.  Every tile touching a convex corner (angle below pi)
+    has a vertex there, so the angle is a sum of tile angles.  A reflex
+    corner (angle below 2*pi) lies inside the edge of at most one tile, so
+    its angle is a sum of tile angles or pi plus one.  So a region with a
+    corner the table marks 0 holds no tiling.  Dropping it leaves the order
+    in which the search visits every other region as it was, so statuses
+    and the first tiling found stay the same; only node counts fall.
+
+    Built in integers: the tile angles are a*pi/D, b*pi/D, c*pi/D, the
+    sums are the j that a, b, c reach, and pi plus a sum is D plus one.
+    None when D exceeds CORNER_TABLE_MAX_DEN.
+    """
+    den = math.lcm(*(q.denominator for q in tile.angles_pi))
+    if den > CORNER_TABLE_MAX_DEN:
+        return None
+    top = 2 * den
+    sums = bytearray(top + 1)
+    sums[0] = 1
+    for step in {int(q * den) for q in tile.angles_pi}:
+        for j in range(step, top + 1):
+            if sums[j - step]:
+                sums[j] = 1
+    fill = bytearray(sums)
+    for j in range(den, top + 1):
+        fill[j] |= sums[j - den]
+    return _CornerTable(den, fill)
+
+
+def _corners_fillable(angles: list, table: Optional[_CornerTable]) -> bool:
+    """Is every float corner angle within SEARCH_EPS of an angle j*pi/D
+    that `table` marks fillable?  True for every angle without a table.
+    With D at most CORNER_TABLE_MAX_DEN the grid pi/D is far coarser than
+    SEARCH_EPS, so the nearest j is the only candidate."""
+    if table is None:
+        return True
+    fill, scale, tol = table.fill, table.scale, table.tol
+    for a in angles:
+        x = a * scale
+        j = round(x)
+        if not fill[j] or abs(x - j) > tol:
+            return False
+    return True
+
+
 def _orientations(tile: TileSpec) -> list:
     """Distinct placements of the tile at a corner: tuples (theta, L, thetaP,
     M, thetaQ, corners).  The tile angle theta fills the corner; the side L
@@ -440,12 +507,15 @@ def _way(ways, i, V, W):
     return way
 
 
-def _place(region: _Region, vi: int, orient: tuple, ways: list):
+def _place(region: _Region, vi: int, orient: tuple, ways: list,
+           table: Optional[_CornerTable]):
     """Try one tile placement at region vertex vi, flush along the outgoing arc.
 
     `ways` is [None, None] at a node's first placement; the placements at
     that node share it, so the ways from V along its outgoing and incoming
-    arcs (`_way`) are computed at most once per node.  Returns
+    arcs (`_way`) are computed at most once per node.  A new region with a
+    corner the search's corner table cannot fill (`_corners_fillable`) is
+    dropped before its boundary check.  Returns
     (new_region_or_None_if_closed, tile_points) or None if the placement
     does not fit.
     """
@@ -489,6 +559,8 @@ def _place(region: _Region, vi: int, orient: tuple, ways: list):
         return None
     if state == "closed":
         return ("closed", tile_points)
+    if not _corners_fillable(state.angles, table):
+        return None
     if not _placement_geometry_ok(region, state):
         return None
     return (state, tile_points)
@@ -624,6 +696,9 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     tile tiles the target iff their angles agree exactly.  Otherwise
     corners are filled smallest angle first and every tile orientation
     (rotations and mirror images) is tried flush against the boundary.
+    A target corner that is no sum of tile angles is `exhausted` at once,
+    and the search drops every region with a corner no sum of tile angles
+    can fill, from one corner table per search (`_corner_table`).
     Deterministic; `aborted` when the node budget runs out.  A negative
     node budget or an n_max below 1 raises ValueError.
     """
@@ -642,6 +717,25 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
                             f"needs exactly {n} tiles, above the bound {n_max}")
     target_angles = tuple(float(q) * math.pi for q in target)
     t_points = sphgeo.triangle_vertices(target_angles, t_edges)
+
+    def tiling(placements):
+        return SphTiling(list(t_points), target_angles,
+                         [TilePlacement(list(pts), corners)
+                          for pts, corners in placements])
+
+    if n == 1:
+        # trivial: the target must be congruent to the tile itself
+        if tuple(sorted(target)) == tile.angles_pi:
+            return SearchResult("found", tiling([(t_points, (0, 1, 2))]), 0)
+        return SearchResult("exhausted", None, 0, "single tile is not congruent")
+
+    table = _corner_table(tile)
+    if table is not None:
+        for q in target:
+            j = q * table.den
+            if j.denominator != 1 or not table.fill[int(j)]:
+                return SearchResult("exhausted", None, 0,
+                                    f"target corner {q} pi is no sum of tile angles")
     region0 = _Region(list(t_points), list(target_angles))
     _placement_geometry_ok(_Region([], []), region0)
     orients = _orientations(tile)
@@ -661,7 +755,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
             nodes += 1
             if nodes > node_budget:
                 return "aborted"
-            res = _place(region, vi, orient, ways)
+            res = _place(region, vi, orient, ways, table)
             if res is None:
                 continue
             state, tile_points = res
@@ -678,17 +772,6 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
                 return sub
         failed.add(sig)
         return None
-
-    def tiling(placements):
-        return SphTiling(list(t_points), target_angles,
-                         [TilePlacement(list(pts), corners)
-                          for pts, corners in placements])
-
-    if n == 1:
-        # trivial: the target must be congruent to the tile itself
-        if tuple(sorted(target)) == tile.angles_pi:
-            return SearchResult("found", tiling([(t_points, (0, 1, 2))]), 0)
-        return SearchResult("exhausted", None, 0, "single tile is not congruent")
 
     out = dfs(region0, [])
     if out == "found":

@@ -245,6 +245,12 @@ class TestSearch:
         res = search_tiling((F(1, 2), F(1, 2), F(5, 9)), NINTH)
         assert res.status == "exhausted"
 
+    def test_target_corner_no_sum_of_tile_angles(self):
+        # the area takes two tiles, but no sum of 1/4, 1/3 and 1/2 is 1/6
+        res = search_tiling((F(1, 6), F(1, 2), F(1, 2)), QUARTER)
+        assert (res.status, res.nodes) == ("exhausted", 0)
+        assert res.reason == "target corner 1/6 pi is no sum of tile angles"
+
     def test_single_tile(self):
         res = search_tiling((F(1, 4), F(1, 3), F(1, 2)), QUARTER)
         assert res.status == "found" and len(res.tiling.tiles) == 1
@@ -284,56 +290,147 @@ class TestSearch:
 # The 19 fixture found tilings, the exhausted ninth-tile target, the ten
 # next heaviest searches of the benchmark's target pool (node counts of
 # perfbench/recorded.json) and three larger list entries beyond the
-# fixtures, with the status, tile count and node count of the search.  A
-# geometry change that reshapes the search tree, or flips a verdict, fails
-# here.
+# fixtures, with the status and tile count of the search, its node count
+# with the corner test accepting every corner (the search tree before the
+# test, the oracle) and its node count as it runs.  A geometry change that
+# reshapes the search tree, or flips a verdict, fails here.
 SEARCH_TREE = [
-    ("case-b", (F(1, 3), F(1, 3), F(2, 3)), "found", 2, 2),
-    ("case-b", (F(1, 3), F(1, 2), F(2, 3)), "found", 3, 19),
-    ("case-b", (F(1, 2), F(2, 3), F(2, 3)), "found", 5, 24),
-    ("case-b", (F(2, 3), F(2, 3), F(2, 3)), "found", 6, 42),
-    ("quarter", (F(1, 4), F(1, 4), F(2, 3)), "found", 2, 3),
-    ("quarter", (F(1, 4), F(1, 2), F(1, 2)), "found", 3, 8),
-    ("quarter", (F(1, 4), F(1, 3), F(3, 4)), "found", 4, 30),
-    ("quarter", (F(1, 4), F(1, 2), F(2, 3)), "found", 5, 34),
-    ("quarter", (F(1, 3), F(1, 3), F(1, 2)), "found", 2, 16),
-    ("quarter", (F(1, 3), F(1, 3), F(2, 3)), "found", 4, 80),
-    ("fifth", (F(1, 5), F(1, 5), F(2, 3)), "found", 2, 3),
-    ("fifth", (F(1, 5), F(2, 5), F(1, 2)), "found", 3, 4),
-    ("fifth", (F(1, 5), F(1, 3), F(3, 5)), "found", 4, 63),
-    ("fifth", (F(1, 3), F(1, 3), F(2, 5)), "found", 2, 10),
-    ("ninth", (F(2, 9), F(2, 9), F(2, 3)), "found", 2, 3),
-    ("ninth", (F(2, 9), F(4, 9), F(1, 2)), "found", 3, 4),
-    ("ninth", (F(2, 9), F(1, 3), F(2, 3)), "found", 4, 63),
-    ("ninth", (F(2, 9), F(1, 2), F(5, 9)), "found", 5, 61),
-    ("ninth", (F(1, 3), F(1, 3), F(4, 9)), "found", 2, 10),
-    ("ninth", (F(1, 3), F(1, 3), F(7, 9)), "exhausted", 0, 1326),
+    ("case-b", (F(1, 3), F(1, 3), F(2, 3)), "found", 2, 2, 2),
+    ("case-b", (F(1, 3), F(1, 2), F(2, 3)), "found", 3, 19, 13),
+    ("case-b", (F(1, 2), F(2, 3), F(2, 3)), "found", 5, 24, 18),
+    ("case-b", (F(2, 3), F(2, 3), F(2, 3)), "found", 6, 42, 27),
+    ("quarter", (F(1, 4), F(1, 4), F(2, 3)), "found", 2, 3, 3),
+    ("quarter", (F(1, 4), F(1, 2), F(1, 2)), "found", 3, 8, 8),
+    ("quarter", (F(1, 4), F(1, 3), F(3, 4)), "found", 4, 30, 18),
+    ("quarter", (F(1, 4), F(1, 2), F(2, 3)), "found", 5, 34, 16),
+    ("quarter", (F(1, 3), F(1, 3), F(1, 2)), "found", 2, 16, 4),
+    ("quarter", (F(1, 3), F(1, 3), F(2, 3)), "found", 4, 80, 38),
+    ("fifth", (F(1, 5), F(1, 5), F(2, 3)), "found", 2, 3, 3),
+    ("fifth", (F(1, 5), F(2, 5), F(1, 2)), "found", 3, 4, 4),
+    ("fifth", (F(1, 5), F(1, 3), F(3, 5)), "found", 4, 63, 39),
+    ("fifth", (F(1, 3), F(1, 3), F(2, 5)), "found", 2, 10, 4),
+    ("ninth", (F(2, 9), F(2, 9), F(2, 3)), "found", 2, 3, 3),
+    ("ninth", (F(2, 9), F(4, 9), F(1, 2)), "found", 3, 4, 4),
+    ("ninth", (F(2, 9), F(1, 3), F(2, 3)), "found", 4, 63, 39),
+    ("ninth", (F(2, 9), F(1, 2), F(5, 9)), "found", 5, 61, 25),
+    ("ninth", (F(1, 3), F(1, 3), F(4, 9)), "found", 2, 10, 4),
+    ("ninth", (F(1, 3), F(1, 3), F(7, 9)), "exhausted", 0, 1326, 630),
     # the ten heaviest other searches of the benchmark's target pool
-    ("quarter", (F(1, 2), F(1, 2), F(2, 3)), "exhausted", 0, 1470),
-    ("quarter", (F(1, 2), F(1, 2), F(7, 12)), "exhausted", 0, 1398),
-    ("quarter", (F(1, 2), F(7, 12), F(7, 12)), "exhausted", 0, 894),
-    ("ninth", (F(1, 3), F(5, 9), F(5, 9)), "exhausted", 0, 870),
-    ("ninth", (F(1, 3), F(1, 3), F(13, 18)), "exhausted", 0, 864),
-    ("ninth", (F(4, 9), F(4, 9), F(5, 9)), "exhausted", 0, 852),
-    ("fifth", (F(1, 3), F(1, 3), F(3, 5)), "exhausted", 0, 846),
-    ("quarter", (F(1, 3), F(1, 3), F(11, 12)), "exhausted", 0, 756),
-    ("quarter", (F(1, 3), F(1, 2), F(3, 4)), "found", 7, 715),
-    ("ninth", (F(1, 3), F(1, 2), F(5, 9)), "exhausted", 0, 600),
+    ("quarter", (F(1, 2), F(1, 2), F(2, 3)), "exhausted", 0, 1470, 366),
+    ("quarter", (F(1, 2), F(1, 2), F(7, 12)), "exhausted", 0, 1398, 636),
+    ("quarter", (F(1, 2), F(7, 12), F(7, 12)), "exhausted", 0, 894, 648),
+    ("ninth", (F(1, 3), F(5, 9), F(5, 9)), "exhausted", 0, 870, 432),
+    ("ninth", (F(1, 3), F(1, 3), F(13, 18)), "exhausted", 0, 864, 396),
+    ("ninth", (F(4, 9), F(4, 9), F(5, 9)), "exhausted", 0, 852, 384),
+    ("fifth", (F(1, 3), F(1, 3), F(3, 5)), "exhausted", 0, 846, 270),
+    ("quarter", (F(1, 3), F(1, 3), F(11, 12)), "exhausted", 0, 756, 546),
+    ("quarter", (F(1, 3), F(1, 2), F(3, 4)), "found", 7, 715, 529),
+    ("ninth", (F(1, 3), F(1, 2), F(5, 9)), "exhausted", 0, 600, 264),
     # alpha- and beta-list entries the scenarios do not tile
-    ("fifth", (F(1, 3), F(1, 2), F(4, 5)), "found", 19, 13405),
-    ("ninth", (F(1, 3), F(1, 2), F(7, 9)), "exhausted", 0, 2766),
-    ("ninth", (F(1, 3), F(5, 9), F(2, 3)), "exhausted", 0, 1992),
+    ("fifth", (F(1, 3), F(1, 2), F(4, 5)), "found", 19, 13405, 5107),
+    ("ninth", (F(1, 3), F(1, 2), F(7, 9)), "exhausted", 0, 2766, 1200),
+    ("ninth", (F(1, 3), F(5, 9), F(2, 3)), "exhausted", 0, 1992, 1008),
 ]
 TILES = {"case-b": CASE_B, "quarter": QUARTER, "fifth": FIFTH, "ninth": NINTH}
 
 
+def tree_search(base, target):
+    """(target, tile, pinned node count) of a SEARCH_TREE row."""
+    nodes = next(row[-1] for row in SEARCH_TREE if row[:2] == (base, target))
+    return target, TILES[base], nodes
+
+
+# two searches several tests rerun: the exhausted ninth-tile one and a
+# 7-tile quarter one
+NINTH_EXHAUSTED = tree_search("ninth", (F(1, 3), F(1, 3), F(7, 9)))
+QUARTER_SEVEN = tree_search("quarter", (F(1, 3), F(1, 2), F(3, 4)))
+
+
+def accept_every_corner(monkeypatch):
+    """Make later searches run unpruned: the corner test passes every region."""
+    monkeypatch.setattr(realize, "_corners_fillable", lambda angles, table: True)
+
+
+def tiling_bytes(res):
+    return json.dumps(res.tiling.to_json(), sort_keys=True) if res.tiling else None
+
+
 @pytest.mark.parametrize(
-    "base, target, status, tiles, nodes", SEARCH_TREE,
+    "base, target, status, tiles, unpruned, nodes", SEARCH_TREE,
     ids=[f"{base}:{','.join(map(str, target))}" for base, target, *_ in SEARCH_TREE])
-def test_search_tree_pinned(base, target, status, tiles, nodes):
+def test_search_tree_pinned(base, target, status, tiles, unpruned, nodes, monkeypatch):
+    """The search and its unpruned oracle give one status and one tiling,
+    byte for byte, each with its pinned node count."""
     res = search_tiling(target, TILES[base])
+    accept_every_corner(monkeypatch)
+    old = search_tiling(target, TILES[base])
     assert (res.status, res.nodes) == (status, nodes)
+    assert (old.status, old.nodes) == (status, unpruned)
     assert (len(res.tiling.tiles) if res.tiling else 0) == tiles
+    assert tiling_bytes(res) == tiling_bytes(old)
+
+
+def angle_sums(tile):
+    """Every sum of tile angles up to 2 (Fractions of pi), the empty sum 0
+    included, by enumeration."""
+    qa, qb, qc = tile.angles_pi
+    return {s for i in range(int(2 / qa) + 1) for j in range(int(2 / qb) + 1)
+            for k in range(int(2 / qc) + 1) if (s := i * qa + j * qb + k * qc) <= 2}
+
+
+def test_corner_table_matches_enumeration():
+    """On every tile base and on random tiles, the table marks fillable
+    exactly the angles j*pi/D that are a sum of tile angles or pi plus one;
+    a float corner passes iff it lies within SEARCH_EPS of such an angle:
+    on the grid, at random rationals, at pi plus a sum, and 1e-8 off."""
+    rng = random.Random(31)
+    tiles = list(TILES.values())
+    while len(tiles) < 16:
+        qs = [F(rng.randint(1, 11), rng.randint(2, 12)) for _ in range(3)]
+        if is_valid(qs):
+            tiles.append(TileSpec.from_pi_fractions(*qs))
+    checked = 0
+    for tile in tiles:
+        table = realize._corner_table(tile)
+        den = math.lcm(*(q.denominator for q in tile.angles_pi))
+        sums = angle_sums(tile)
+
+        def fillable(angle):
+            return angle in sums or (angle >= 1 and angle - 1 in sums)
+
+        assert table.den == den
+        assert list(table.fill) == [fillable(F(j, den)) for j in range(2 * den + 1)]
+        angles = ([F(j, den) for j in range(1, 2 * den)]
+                  + [F(rng.randint(1, 2 * d - 1), d) for d in rng.choices(range(2, 40), k=60)]
+                  + [1 + s for s in sums if 0 < s < 1])
+        wants = []
+        for angle in angles:
+            a, want = float(angle) * math.pi, fillable(angle)
+            assert realize._corners_fillable([a], table) == want, (tile.angles_pi, angle)
+            if want:
+                for off in (1e-8, -1e-8):
+                    assert not realize._corners_fillable([a + off], table)
+                for off in (1e-10, -1e-10):
+                    assert realize._corners_fillable([a + off], table)
+            wants.append(want)
+            checked += want
+        for _ in range(20):
+            picks = rng.sample(range(len(angles)), 5)
+            assert realize._corners_fillable(
+                [float(angles[i]) * math.pi for i in picks], table) == all(wants[i] for i in picks)
+    assert checked > 500
+
+
+def test_corner_table_bound():
+    """A table is built up to D = CORNER_TABLE_MAX_DEN; past it the search
+    runs without the corner test."""
+    at_bound = TileSpec.from_pi_fractions(F(1, realize.CORNER_TABLE_MAX_DEN), F(1, 2), F(1, 2))
+    assert realize._corner_table(at_bound).den == realize.CORNER_TABLE_MAX_DEN
+    e = F(1, 100003)
+    tile = TileSpec.from_pi_fractions(F(1, 4) + e, F(1, 3), F(1, 2))
+    assert realize._corner_table(tile) is None
+    res = search_tiling((F(1, 4) + e, F(1, 4) + e, F(2, 3)), tile)
+    assert (res.status, res.nodes, len(res.tiling.tiles)) == ("found", 3, 2)
 
 
 # A boundary arc of length pi/2 along the equator, from V to W, and the
@@ -384,8 +481,8 @@ def test_ways_belong_to_the_node(monkeypatch):
     place = realize._place
     nodes = {}  # id -> the node's ways, kept alive so ids stay distinct
 
-    def checked(region, vi, orient, ways):
-        got = place(region, vi, orient, ways)
+    def checked(region, vi, orient, ways, table):
+        got = place(region, vi, orient, ways, table)
         pts = region.points
         V, k = pts[vi], len(pts)
         for way, W in zip(ways, (pts[(vi + 1) % k], pts[(vi - 1) % k])):
@@ -395,8 +492,8 @@ def test_ways_belong_to_the_node(monkeypatch):
         return got
 
     monkeypatch.setattr(realize, "_place", checked)
-    assert search_tiling((F(1, 3), F(1, 3), F(7, 9)), NINTH).nodes == 1326
-    assert search_tiling((F(1, 3), F(1, 2), F(3, 4)), QUARTER).nodes == 715
+    for target, tile, count in (NINTH_EXHAUSTED, QUARTER_SEVEN):
+        assert search_tiling(target, tile).nodes == count
     assert len(nodes) > 100
 
 
@@ -480,7 +577,7 @@ def test_fresh_arc_check_equals_all_pairs_check(monkeypatch):
         return got
 
     monkeypatch.setattr(realize, "_placement_geometry_ok", checked)
-    for base, target, status, tiles, nodes in SEARCH_TREE:
+    for base, target, status, tiles, unpruned, nodes in SEARCH_TREE:
         res = search_tiling(target, TILES[base])
         assert (res.status, res.nodes) == (status, nodes)
     assert answers.count(True) > 100 and answers.count(False) > 100
@@ -528,8 +625,8 @@ def test_pick_vertex_matches_key_on_exact_ties(monkeypatch):
         return got
 
     monkeypatch.setattr(realize, "_pick_vertex", checked)
-    assert search_tiling((F(1, 3), F(1, 3), F(7, 9)), NINTH).nodes == 1326
-    assert search_tiling((F(1, 3), F(1, 2), F(3, 4)), QUARTER).nodes == 715
+    for target, tile, nodes in (NINTH_EXHAUSTED, QUARTER_SEVEN):
+        assert search_tiling(target, tile).nodes == nodes
     assert sum(regions) > 10
 
 
@@ -567,16 +664,16 @@ def test_signature_matches_all_rotations(monkeypatch):
         return got
 
     monkeypatch.setattr(realize._Region, "signature", checked)
-    assert search_tiling((F(1, 3), F(1, 3), F(7, 9)), NINTH).nodes == 1326
-    assert search_tiling((F(1, 3), F(1, 2), F(3, 4)), QUARTER).nodes == 715
+    for target, tile, nodes in (NINTH_EXHAUSTED, QUARTER_SEVEN):
+        assert search_tiling(target, tile).nodes == nodes
     assert len(seen) > 100
 
 
 def test_each_search_rounds_through_its_own_memo(monkeypatch):
-    """The ninth (1,326-node) and quarter (715-node) searches, run back to
-    back in either order, keep their pinned node counts; each rounds
-    through one memo of its own, empty at its first region, whose every
-    entry is the point's coordinates rounded to 7 decimals."""
+    """The exhausted ninth and 7-tile quarter searches, run back to back in
+    either order, keep their pinned node counts; each rounds through one
+    memo of its own, empty at its first region, whose every entry is the
+    point's coordinates rounded to 7 decimals."""
     signature = realize._Region.signature
     memos = []
 
@@ -587,9 +684,7 @@ def test_each_search_rounds_through_its_own_memo(monkeypatch):
         return signature(region, rounded)
 
     monkeypatch.setattr(realize._Region, "signature", checked)
-    ninth = ((F(1, 3), F(1, 3), F(7, 9)), NINTH, 1326)
-    quarter = ((F(1, 3), F(1, 2), F(3, 4)), QUARTER, 715)
-    for order in ((ninth, quarter), (quarter, ninth)):
+    for order in ((NINTH_EXHAUSTED, QUARTER_SEVEN), (QUARTER_SEVEN, NINTH_EXHAUSTED)):
         for target, tile, nodes in order:
             count = len(memos)
             assert search_tiling(target, tile).nodes == nodes

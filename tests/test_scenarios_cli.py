@@ -158,9 +158,16 @@ class TestCli:
          "vertex 'u' is listed twice in \"vertices\""),
         ({"vertices": ["u", "v"], "edges": {"u,u": "1/2 pi", "u,v": "1/3 pi"}},
          "edge 'u,u' joins 'u' to itself"),
+        ({"vertices": [" u", "v"], "edges": {" u,v": "1/2 pi"}},
+         "vertex name ' u' cannot appear in an edge key"),
+        ({"vertices": ["u,w", "v"], "edges": {"v,u": "1/2 pi"}},
+         "vertex name 'u,w' cannot appear in an edge key"),
+        ({"vertices": ["", "v"], "edges": {",v": "1/2 pi"}},
+         "vertex name '' cannot appear in an edge key"),
     ], ids=["list", "edges-not-object", "label-not-string", "no-vertices",
             "edge-labeled-twice", "unknown-vertex", "vertex-not-string",
-            "vertex-listed-twice", "loop-edge"])
+            "vertex-listed-twice", "loop-edge", "vertex-name-spaces",
+            "vertex-name-comma", "vertex-name-empty"])
     def test_diagram_malformed_file(self, tmp_path, data, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
