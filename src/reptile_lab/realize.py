@@ -16,8 +16,10 @@ Three pieces:
 
 Tiles and targets enter by their angles as Fractions of pi, so tile counts,
 the congruence of a one-tile target and the distinct orientations of a
-tile are exact; radians exist only in the float geometry of the search,
-its placements and the tilings it returns.  Every edge length comes from
+tile are exact.  The search holds every corner angle as an integer
+multiple of pi/D, D the lcm of the tile's angle denominators, so its angle
+tests are integer comparisons; radians exist only where a point is placed
+and in the tilings it returns.  Every edge length comes from
 `spherical.law_of_cosines`, which takes the exact angles.  A float angle
 raises TypeError.  Points are float 3-tuples throughout, as the `sphgeo`
 kernel takes them.
@@ -41,8 +43,6 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import sphgeo
 from .spherical import InvalidTriangleError, edge_lengths, is_valid, law_of_cosines
-
-TWO_PI = 2 * math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +77,12 @@ class TileSpec:
     def angles(self) -> tuple:
         """The angles in radians, ascending."""
         return tuple(float(q) * math.pi for q in self.angles_pi)
+
+    @cached_property
+    def den(self) -> int:
+        """D, the lcm of the angles' denominators: each angle is an integer
+        multiple of pi/D."""
+        return math.lcm(*(q.denominator for q in self.angles_pi))
 
     @cached_property
     def edges(self) -> tuple:
@@ -233,8 +239,8 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
 # Tiling search
 # ---------------------------------------------------------------------------
 
-# Angles and lengths of the search within SEARCH_EPS (radians) are equal; two
-# boundary points within SNAP of each other are one point.
+# Lengths of the search within SEARCH_EPS (radians) are equal; two boundary
+# points within SNAP of each other are one point.  Angles are exact.
 SEARCH_EPS = 1e-9
 SNAP = SEARCH_EPS * 10
 
@@ -351,12 +357,12 @@ class SearchResult:
 
 
 class _Region:
-    """A boundary cycle: points (float 3-tuples, CCW), interior angles, and
-    arcs (start, end) from each point to the next.  `checked` maps the arcs
-    known to pass `_placement_geometry_ok` together to their planes
-    (`sphgeo.plane`): all arcs of a region the search accepted, none for
-    any other.  A placement carries most arcs over from its parent region
-    as the same tuples, and their planes with them."""
+    """A boundary cycle: points (float 3-tuples, CCW), interior angles (ints,
+    multiples of pi/D), and arcs (start, end) from each point to the next.
+    `checked` maps the arcs known to pass `_placement_geometry_ok` together
+    to their planes (`sphgeo.plane`): all arcs of a region the search
+    accepted, none for any other.  A placement carries most arcs over from
+    its parent region as the same tuples, and their planes with them."""
 
     __slots__ = ("points", "angles", "arcs", "checked")
 
@@ -368,12 +374,11 @@ class _Region:
         self.checked = {}
 
     def signature(self, rounded: "_Rounded"):
-        """The failure memo's key: the least rotation of the rows (point and
-        angle rounded to 7 decimals), which starts at a smallest row.  The
-        points' rounded coordinates come from `rounded`, the memo of one
+        """The failure memo's key: the least rotation of the rows (point
+        rounded to 7 decimals, and angle), which starts at a smallest row.
+        The points' rounded coordinates come from `rounded`, the memo of one
         search."""
-        rows = [rounded[p] + (round(a, 7),)
-                for p, a in zip(self.points, self.angles)]
+        rows = [rounded[p] + (a,) for p, a in zip(self.points, self.angles)]
         first, twice = min(rows), rows + rows
         return min(tuple(twice[i:i + len(rows)])
                    for i, row in enumerate(rows) if row == first)
@@ -397,18 +402,9 @@ class _Rounded(dict):
 CORNER_TABLE_MAX_DEN = 10 ** 5
 
 
-class _CornerTable:
-    __slots__ = ("den", "fill", "scale", "tol")
-
-    def __init__(self, den: int, fill: bytearray):
-        self.den = den  # D, the lcm of the denominators of the tile angles
-        self.fill = fill  # fill[j] is 1 iff a corner of angle j*pi/D is fillable
-        self.scale = den / math.pi  # radians to multiples of pi/D
-        self.tol = SEARCH_EPS * self.scale  # SEARCH_EPS in multiples of pi/D
-
-
-def _corner_table(tile: TileSpec) -> Optional[_CornerTable]:
-    """Which corner angles j*pi/D, 0 <= j <= 2D, copies of the tile can fill.
+def _corner_table(tile: TileSpec) -> Optional[bytearray]:
+    """Which corner angles j*pi/D, 0 <= j <= 2D, copies of the tile can fill:
+    entry j is 1 iff j*pi/D is fillable.
 
     Near a corner V of the part of the target still to tile, each tile
     touching V fills a wedge at V: its angle there when V is one of its
@@ -425,7 +421,7 @@ def _corner_table(tile: TileSpec) -> Optional[_CornerTable]:
     sums are the j that a, b, c reach, and pi plus a sum is D plus one.
     None when D exceeds CORNER_TABLE_MAX_DEN.
     """
-    den = math.lcm(*(q.denominator for q in tile.angles_pi))
+    den = tile.den
     if den > CORNER_TABLE_MAX_DEN:
         return None
     top = 2 * den
@@ -438,46 +434,38 @@ def _corner_table(tile: TileSpec) -> Optional[_CornerTable]:
     fill = bytearray(sums)
     for j in range(den, top + 1):
         fill[j] |= sums[j - den]
-    return _CornerTable(den, fill)
+    return fill
 
 
-def _corners_fillable(angles: list, table: Optional[_CornerTable]) -> bool:
-    """Is every float corner angle within SEARCH_EPS of an angle j*pi/D
-    that `table` marks fillable?  True for every angle without a table.
-    With D at most CORNER_TABLE_MAX_DEN the grid pi/D is far coarser than
-    SEARCH_EPS, so the nearest j is the only candidate."""
-    if table is None:
-        return True
-    fill, scale, tol = table.fill, table.scale, table.tol
-    for a in angles:
-        x = a * scale
-        j = round(x)
-        if not fill[j] or abs(x - j) > tol:
-            return False
-    return True
+def _corners_fillable(angles: list, table: Optional[bytearray]) -> bool:
+    """Does `table` mark every corner angle (multiples of pi/D) fillable?
+    True for every angle without a table."""
+    return table is None or all(table[a] for a in angles)
 
 
 def _orientations(tile: TileSpec) -> list:
     """Distinct placements of the tile at a corner: tuples (theta, L, thetaP,
-    M, thetaQ, corners).  The tile angle theta fills the corner; the side L
-    runs along the outgoing arc to a tile angle thetaP, the side M along the
-    incoming arc to thetaQ; corners are the tile's corner indices at the
-    region corner, at the end of L and at the end of M.  Two placements are
-    the same when their exact angles at the three corners are: in a
-    spherical triangle equal angles face equal sides, so the angles fix L
-    and M too."""
-    q, ang, side = tile.angles_pi, tile.angles, tile.edges
+    M, thetaQ, corners, turn).  The tile angle theta fills the corner; the
+    side L runs along the outgoing arc to a tile angle thetaP, the side M
+    along the incoming arc to thetaQ; corners are the tile's corner indices
+    at the region corner, at the end of L and at the end of M.  The angles
+    are ints, multiples of pi/D; turn is theta in radians, the tile's own
+    float.  Two placements are the same when their angles at the three
+    corners are: in a spherical triangle equal angles face equal sides, so
+    the angles fix L and M too."""
+    ang, side = tile.angles, tile.edges
+    q = [int(x * tile.den) for x in tile.angles_pi]
     out = {}
     for c, f, e in permutations(range(3)):
         out.setdefault((q[c], q[e], q[f]),
-                       (ang[c], side[f], ang[e], side[e], ang[f], (c, e, f)))
+                       (q[c], side[f], q[e], side[e], q[f], (c, e, f), ang[c]))
     return list(out.values())
 
 
-def _flush_side(V, W, way, aW, length, theta):
+def _flush_side(V, W, way, aW, length, theta, den):
     """Lay a tile side of `length` from V along the boundary arc to W, with
     tile angle `theta` at its far end; `way` is (unit tangent at V toward
-    W, arc length V-W).
+    W, arc length V-W).  Angles are ints, multiples of pi/`den`.
 
     The side ends inside the arc, exactly at W (rejected if theta exceeds
     W's angle aW), or past W (allowed only where W is reflex).  Returns
@@ -487,15 +475,15 @@ def _flush_side(V, W, way, aW, length, theta):
     t, E = way
     if length <= E - SEARCH_EPS:
         P = sphgeo.point_at(V, t, length)
-        return P, [(P, math.pi - theta), (W, aW)]
+        return P, [(P, den - theta), (W, aW)]
     if abs(length - E) <= SEARCH_EPS:
-        if aW - theta < -SEARCH_EPS:
+        if aW < theta:
             return None
         return W, [(W, aW - theta)]
-    if aW <= math.pi + SEARCH_EPS:
+    if aW <= den:
         return None  # a flush side may pass a vertex only where it is reflex
     P = sphgeo.point_at(V, t, length)
-    return P, [(P, TWO_PI - theta), (W, aW - math.pi)]
+    return P, [(P, 2 * den - theta), (W, aW - den)]
 
 
 def _way(ways, i, V, W):
@@ -507,9 +495,10 @@ def _way(ways, i, V, W):
     return way
 
 
-def _place(region: _Region, vi: int, orient: tuple, ways: list,
-           table: Optional[_CornerTable]):
+def _place(region: _Region, vi: int, orient: tuple, ways: list, den: int,
+           table: Optional[bytearray]):
     """Try one tile placement at region vertex vi, flush along the outgoing arc.
+    Angles are ints, multiples of pi/`den`.
 
     `ways` is [None, None] at a node's first placement; the placements at
     that node share it, so the ways from V along its outgoing and incoming
@@ -523,25 +512,25 @@ def _place(region: _Region, vi: int, orient: tuple, ways: list,
     k = len(pts)
     V, aV = pts[vi], angs[vi]
     ip, iN = (vi - 1) % k, (vi + 1) % k
-    th, L, thP, M, thQ, _ = orient
-    if th > aV + SEARCH_EPS:
+    th, L, thP, M, thQ, _, turn = orient
+    if th > aV:
         return None
     way_out = _way(ways, 0, V, pts[iN])
-    out = _flush_side(V, pts[iN], way_out, angs[iN], L, thP)
+    out = _flush_side(V, pts[iN], way_out, angs[iN], L, thP, den)
     if out is None:
         return None
     P, n_seg = out
-    if abs(th - aV) <= SEARCH_EPS:
+    if th == aV:
         # the tile fills the corner: its other side lies flush on the incoming arc
-        inc = _flush_side(V, pts[ip], _way(ways, 1, V, pts[ip]), angs[ip], M, thQ)
+        inc = _flush_side(V, pts[ip], _way(ways, 1, V, pts[ip]), angs[ip], M, thQ, den)
         if inc is None:
             return None
         Q, q_seg = inc
         q_seg.reverse()
     else:
-        t2 = sphgeo.rotate_tangent(V, way_out[0], th)
+        t2 = sphgeo.rotate_tangent(V, way_out[0], turn)
         Q = sphgeo.point_at(V, t2, M)
-        q_seg = [(pts[ip], angs[ip]), (V, aV - th), (Q, TWO_PI - thQ)]
+        q_seg = [(pts[ip], angs[ip]), (V, aV - th), (Q, 2 * den - thQ)]
 
     tile_points = [V, P, Q]
     new_nodes = q_seg + n_seg
@@ -554,7 +543,7 @@ def _place(region: _Region, vi: int, orient: tuple, ways: list,
         cycle.append((pts[i], angs[i]))
     cycle = new_nodes + cycle
 
-    state = _cleanup_cycle(cycle)
+    state = _cleanup_cycle(cycle, den)
     if state is None:
         return None
     if state == "closed":
@@ -566,8 +555,9 @@ def _place(region: _Region, vi: int, orient: tuple, ways: list,
     return (state, tile_points)
 
 
-def _cleanup_cycle(cycle):
-    """Normalize a provisional boundary cycle.
+def _cleanup_cycle(cycle, den):
+    """Normalize a provisional boundary cycle of (point, angle) nodes, the
+    angles ints, multiples of pi/`den`.
 
     Removes straight vertices (their arcs merge), collapses zero-width
     spikes (a consumed vertex whose two neighbours coincide: the spike's
@@ -578,28 +568,28 @@ def _cleanup_cycle(cycle):
     nodes = list(cycle)
     while True:
         k = len(nodes)
-        if any(a < -SEARCH_EPS for _, a in nodes):
+        if any(a < 0 for _, a in nodes):
             return None
-        if all(a <= SEARCH_EPS for _, a in nodes):
+        if all(a == 0 for _, a in nodes):
             return "closed"
         if k < 3:
             return None
         for i in range(k):
             _, a = nodes[i]
-            if abs(a - math.pi) <= SEARCH_EPS:
+            if a == den:
                 del nodes[i]
                 break
-            if a <= SEARCH_EPS:
+            if a == 0:
                 jp, jn = (i - 1) % k, (i + 1) % k
                 pp, ap = nodes[jp]
                 pn, an = nodes[jn]
                 if sphgeo.arc_length(pp, pn) > SNAP:
                     return None  # real slit: not representable here
-                merged = ap + an - TWO_PI
-                if merged < -SEARCH_EPS:
+                merged = ap + an - 2 * den
+                if merged < 0:
                     return None
                 rest = [nodes[(jn + t) % k] for t in range(1, k - 2)]
-                nodes = [(pp, max(merged, 0.0))] + rest
+                nodes = [(pp, merged)] + rest
                 break
         else:
             break
@@ -670,8 +660,8 @@ def _placement_geometry_ok(old: _Region, new: _Region) -> bool:
 
 def _pick_vertex(region: _Region) -> int:
     """Index of the open corner to fill: the first one by the key (angle,
-    point rounded to 9 decimals).  Only the corners whose float angle
-    equals the smallest exactly can win, so only theirs are rounded."""
+    point rounded to 9 decimals).  Only the corners with the smallest angle
+    can win, so only theirs are rounded."""
     angles = region.angles
     low = min(angles)
     ties = [i for i, a in enumerate(angles) if a == low]
@@ -696,7 +686,8 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     tile tiles the target iff their angles agree exactly.  Otherwise
     corners are filled smallest angle first and every tile orientation
     (rotations and mirror images) is tried flush against the boundary.
-    A target corner that is no sum of tile angles is `exhausted` at once,
+    Corner angles are integer multiples of pi/D (`TileSpec.den`); a target
+    corner off that grid, or no sum of tile angles, is `exhausted` at once,
     and the search drops every region with a corner no sum of tile angles
     can fill, from one corner table per search (`_corner_table`).
     Deterministic; `aborted` when the node budget runs out.  A negative
@@ -729,14 +720,14 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
             return SearchResult("found", tiling([(t_points, (0, 1, 2))]), 0)
         return SearchResult("exhausted", None, 0, "single tile is not congruent")
 
+    den = tile.den
     table = _corner_table(tile)
-    if table is not None:
-        for q in target:
-            j = q * table.den
-            if j.denominator != 1 or not table.fill[int(j)]:
-                return SearchResult("exhausted", None, 0,
-                                    f"target corner {q} pi is no sum of tile angles")
-    region0 = _Region(list(t_points), list(target_angles))
+    for q in target:
+        j = q * den
+        if j.denominator != 1 or not _corners_fillable([int(j)], table):
+            return SearchResult("exhausted", None, 0,
+                                f"target corner {q} pi is no sum of tile angles")
+    region0 = _Region(list(t_points), [int(q * den) for q in target])
     _placement_geometry_ok(_Region([], []), region0)
     orients = _orientations(tile)
     failed = set()
@@ -755,7 +746,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
             nodes += 1
             if nodes > node_budget:
                 return "aborted"
-            res = _place(region, vi, orient, ways, table)
+            res = _place(region, vi, orient, ways, den, table)
             if res is None:
                 continue
             state, tile_points = res

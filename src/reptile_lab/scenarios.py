@@ -702,8 +702,11 @@ def scenario_hill(report: Report, d: Optional[int] = None,
         cube = [LatticeTile(center, sp) for sp in signed_perms(dd)]
         graph = compatibility_graph(cube)
         sizes = set(graph.component_sizes())
-        per = {len([e for e in graph.edges if e[0] in c or e[1] in c])
-               for c in graph.components}
+        # one pass over the edges; an edge counts once for each component
+        # it touches, so one that crossed components would show
+        group = {i: g for g, comp in enumerate(graph.components) for i in comp}
+        counts = Counter(g for a, b in graph.edges for g in {group[a], group[b]})
+        per = {counts[g] for g in range(len(graph.components))}
         report.check(f"hill/four-cycles/d{dd}",
                      "full-tiling compatibility components are four-cycles",
                      {"sizes": [4], "edges": [4]},
