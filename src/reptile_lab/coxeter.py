@@ -2,8 +2,8 @@
 
 A diagram is a complete graph whose edges carry exact angle forms.  The
 module provides label-preserving automorphism groups, orbit counting (with a
-Burnside cross-check), richness tests, constraint-driven enumeration of
-diagrams up to isomorphism, enumeration of abstract edge partitions, and
+Burnside cross-check), richness tests, enumeration of diagrams up to
+isomorphism, enumeration of abstract edge partitions, and
 classification of single-label subgraphs against a small-graph catalog.
 
 Sizes stay tiny (n <= 5, so at most 120 vertex permutations and 10 edges).
@@ -14,10 +14,9 @@ order, each vertex permutation is stored as an edge permutation with its
 permutations fixing a coloring), `canon` (its smallest image) and
 `is_first` (no image is smaller).  A diagram numbers its label forms once
 and runs on that coloring; partition and skeleton canonical forms and
-subgraph classification are built on `canon`.  Beside the kernel, the
-tables hold the Cayley table of S_n over permutation indices (`cayley`,
-built on first use), on which `subgroups_upto_two_generators` walks its
-closures.
+subgraph classification are built on `canon`.  The pair-orbit bound is
+checked over the cyclic subgroups of S_n (`cyclic_subgroups`), which bound
+the orbit counts of every nontrivial subgroup.
 
 The three enumerators (diagrams, edge partitions, two-label skeletons) are
 clients of one orderly search over the edge colorings, `coloring_search`.
@@ -31,7 +30,7 @@ from itertools import (combinations, combinations_with_replacement, count, permu
                        product)
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .angles import (AngleForm, RelationSet, EMPTY_RELATIONS, format_angle,
                      parse_angle)
@@ -116,16 +115,6 @@ class KnTables:
             images = [[pos[_edge(p[a], p[b])] for a, b in self.edges[:k]] for p in self.perms[1:]]
             out.append([itemgetter(*im) for im in images if max(im) < k])
         return out
-
-    @cached_property
-    def cayley(self) -> list:
-        """cayley[a][b]: the index of perms[a] composed with perms[b] (x ->
-        perms[a][perms[b][x]]), one itemgetter per permutation.  Built on
-        first use, not with the other tables."""
-        index = {p: i for i, p in enumerate(self.perms)}
-        # with fewer than two points the only permutation is the identity
-        getters = [itemgetter(*q) if len(q) > 1 else tuple for q in self.perms]
-        return [[index[g(p)] for g in getters] for p in self.perms]
 
 
 def _renumbered(coloring: tuple) -> tuple:
@@ -364,60 +353,23 @@ def edge_orbit_count_transitive(diagram: CoxeterDiagram, label: AngleForm) -> bo
     return len(orbit_partition(group, es, act_on_vertex_set)) == 1
 
 
-def subgroups_upto_two_generators(n: int = 5) -> list:
-    """All subgroups of the symmetric group on n points generated by <= 2 elements.
+def cyclic_subgroups(n: int) -> list:
+    """The cyclic subgroups of the symmetric group on n points, each the
+    powers of one permutation, sorted by (size, elements).
 
-    Walks the kernel's Cayley table over permutation indices; a subgroup
-    closure is a walk from the identity multiplying by the generators
-    (finiteness makes inverses come for free).  A closure holding more
-    than half of S_n is S_n, by Lagrange, and stops there.  For n >= 5 the
-    only subgroups of index below n are A_n and S_n, so a closure stops
-    once it holds more than |S_n|/n elements: it is A_n if every generator
-    is even, else S_n.  <a, b> depends only on <a> and <b>, so the
-    two-generator closures run over pairs of distinct cyclic subgroups (67
-    in S5), each given by its first generator, not over all pairs of
-    elements.
+    A group's orbits are unions of the orbits of each subgroup it holds,
+    and every nontrivial group holds a nontrivial cyclic one; so the most
+    orbits any nontrivial subgroup has, on any set it acts on, is reached
+    by a cyclic subgroup.
     """
-    kn = kn_tables(n)
-    perms, table = kn.perms, kn.cayley
-    size = len(perms)
-    everything = frozenset(range(size))
-    ident = 0  # permutations order starts with the identity
-    if n >= 5:
-        bound = size // n
-        # a permutation is even iff its inversion count is
-        alternating = frozenset(i for i, p in enumerate(perms)
-                                if sum(x > y for x, y in combinations(p, 2)) % 2 == 0)
-    else:
-        bound = size // 2
-
-    def closure(gens):
-        els = {ident}
-        frontier = [ident]
-        while frontier:
-            row = table[frontier.pop()]
-            for g in gens:
-                y = row[g]
-                if y not in els:
-                    els.add(y)
-                    frontier.append(y)
-            if len(els) > bound:
-                if n >= 5 and all(g in alternating for g in gens):
-                    return alternating
-                return everything
-        return frozenset(els)
-
-    cyclic = {}  # cyclic subgroup -> its first generator
-    for g in range(size):
-        cyclic.setdefault(closure([g]), g)
-    seen = set(cyclic)
-    pairs = list(cyclic.items())
-    for i, (grp_a, a) in enumerate(pairs):
-        for grp_b, b in pairs[i + 1:]:
-            if b not in grp_a and a not in grp_b:  # else <a, b> is <a> or <b>
-                seen.add(closure([a, b]))
-    return sorted((frozenset(perms[i] for i in grp) for grp in seen),
-                  key=lambda s: (len(s), sorted(s)))
+    ident = tuple(range(n))
+    seen = set()
+    for p in permutations(ident):
+        powers = [p]
+        while powers[-1] != ident:
+            powers.append(tuple(p[x] for x in powers[-1]))
+        seen.add(frozenset(powers))
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -528,47 +480,8 @@ def coloring_search(colors: list, slots: Sequence[int], values: Callable, step: 
 
 
 # ---------------------------------------------------------------------------
-# Constraint-driven enumeration of diagrams up to isomorphism
+# Enumeration of diagrams up to isomorphism
 # ---------------------------------------------------------------------------
-
-
-class DiagramConstraints(NamedTuple):
-    """Constraint language for diagram enumeration.
-
-    list_rules: ordered (label, allowed-types); a triangle containing the
-        rule's label (first match wins) must have its type in the allowed
-        set.  A rule label of None matches every triangle.
-    forbidden: types never allowed, applied to triangles no rule matched.
-    validity: optional predicate on types, applied to triangles no rule
-        matched (types inside rule lists are taken as already vetted).  It
-        must depend on the triangle type alone: `enumerate_diagrams`
-        builds only the smallest labeling of each isomorphism class, which
-        relies on it.
-    rich_type: if set, only diagrams with >= 4 orbits of this triangle type
-        are returned.
-    """
-
-    list_rules: tuple = ()
-    forbidden: frozenset = frozenset()
-    validity: Optional[Callable] = None
-    rich_type: Optional[TriangleType] = None
-
-
-def _allowed_table(alphabet: Sequence[AngleForm], cons: DiagramConstraints) -> dict:
-    table = {}
-    for combo in combinations_with_replacement(range(len(alphabet)), 3):
-        ttype = triangle_type_of([alphabet[i] for i in combo])
-        ok = None
-        for lab, allowed in cons.list_rules:
-            if lab is None or lab in ttype:
-                ok = ttype in allowed
-                break
-        if ok is None:
-            ok = ttype not in cons.forbidden
-            if ok and cons.validity is not None:
-                ok = bool(cons.validity(ttype))
-        table[combo] = ok
-    return table
 
 
 # Slot value of an edge the search has not visited yet; a visited edge holds
@@ -597,25 +510,28 @@ def _slot_tables(size: int, table: dict, rich: Optional[tuple]) -> tuple:
     return ok, can_rich
 
 
-def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
-                       constraints: DiagramConstraints,
+def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
+                       rich_type: Optional[TriangleType] = None,
                        relations: RelationSet = EMPTY_RELATIONS) -> list:
-    """All edge labelings of K_n satisfying the constraints, up to isomorphism.
+    """All edge labelings of K_n whose every triangle type is `allowed`, up
+    to isomorphism; with `rich_type`, only those with at least four orbits
+    of triangles of that type.
 
+    `allowed` is a predicate on triangle types (`triangle_type_of` of three
+    alphabet labels, normalized under the relations), asked once per type.
     One orderly search labels the edges in `all_edges` order, trying the
     alphabet's labels in alphabet order at each edge, so complete labelings
     arrive in lexicographic order of their label ids.  A branch is cut by
     `step` (below) or when the labels placed so far are not `is_first`.
     Each isomorphism class is reached exactly once, at its smallest
     labeling (its `canon` over label ids), and only that labeling is built
-    and tested for richness.  This is sound because every constraint is a
-    function of the triangle types and richness is an isomorphism
-    invariant: a class satisfies them in all its labelings or in none.
-    `step` cuts only prefixes that no satisfying labeling extends, so it
-    never cuts a prefix of the smallest labeling of a satisfying class; and
-    every prefix of that labeling passes `is_first`, since an image of the
-    prefix smaller than it would give an image of the whole labeling
-    smaller than it.
+    and tested for richness.  This is sound because `allowed` sees the
+    triangle types alone and richness is an isomorphism invariant: a class
+    satisfies them in all its labelings or in none.  `step` cuts only
+    prefixes that no satisfying labeling extends, so it never cuts a prefix
+    of the smallest labeling of a satisfying class; and every prefix of
+    that labeling passes `is_first`, since an image of the prefix smaller
+    than it would give an image of the whole labeling smaller than it.
 
     A triangle's three slots (a label, or not yet visited) index two
     tables built once per call: whether some allowed type can still
@@ -628,13 +544,14 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
     alphabet = [relations.normalize(f) for f in alphabet]
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("alphabet labels must be distinct under the relations")
-    cons = constraints
     size = len(alphabet)
+    table = {combo: allowed(triangle_type_of([alphabet[i] for i in combo]))
+             for combo in combinations_with_replacement(range(size), 3)}
     rich = None
-    if cons.rich_type is not None:
+    if rich_type is not None:
         label_ids = {f: i for i, f in enumerate(alphabet)}
-        rich = tuple(sorted(label_ids[f] for f in cons.rich_type))
-    ok, can_rich = _slot_tables(size, _allowed_table(alphabet, cons), rich)
+        rich = tuple(sorted(label_ids[f] for f in rich_type))
+    ok, can_rich = _slot_tables(size, table, rich)
     need = 0 if rich is None else 4
 
     kn = kn_tables(n)
@@ -667,7 +584,7 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
                              lambda e: kn.is_first(assign[:e + 1])):
         labels = {es[i]: alphabet[assign[i]] for i in range(m)}
         diagram = CoxeterDiagram(names, labels, relations)
-        if cons.rich_type is None or is_rich(diagram, cons.rich_type):
+        if rich_type is None or is_rich(diagram, rich_type):
             solutions.append(diagram)
     return sorted(solutions, key=lambda d: d.canonical_key())
 
@@ -675,11 +592,6 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm],
 # ---------------------------------------------------------------------------
 # Abstract edge partitions (colorings with unlabeled classes)
 # ---------------------------------------------------------------------------
-
-
-class PartitionConstraints(NamedTuple):
-    two_types_each_at_least: Optional[int] = None
-    trivial_automorphisms: Optional[bool] = None
 
 
 def coloring_canonical(coloring: tuple, n: int) -> tuple:
@@ -692,8 +604,9 @@ def coloring_automorphisms(coloring: tuple, n: int) -> list:
     return kn_tables(n).aut(coloring)
 
 
-def enumerate_edge_partitions(n: int, constraints: PartitionConstraints) -> list:
-    """Set partitions of the K_n edges satisfying the constraints, up to iso.
+def enumerate_edge_partitions(n: int, at_least: int) -> list:
+    """Set partitions of the K_n edges, up to isomorphism, in which two
+    triangle types occur `at_least` times each (and at least once).
 
     Each edge gets a class already used or the next new one, so each class
     is represented by its `coloring_canonical` form (its first coloring,
@@ -701,15 +614,11 @@ def enumerate_edge_partitions(n: int, constraints: PartitionConstraints) -> list
     order.  The state counts the triangles of each type, a type counted
     when its last edge is colored; a branch is cut when the triangles still
     open cannot bring two types up to the threshold, or when `is_first`
-    (images renumbered) fails.  The automorphism test runs only on complete
-    colorings.
+    (images renumbered) fails.
     """
-    cons = constraints
     kn = kn_tables(n)
     m = len(kn.edges)
-    two = cons.two_types_each_at_least
-    if two is not None:
-        two = max(two, 1)  # a frequent type must occur, even for a threshold of 0
+    two = max(at_least, 1)  # a frequent type must occur, even for a threshold of 0
     coloring = [0] * m
 
     def step(e: int, counts: dict):
@@ -718,17 +627,13 @@ def enumerate_edge_partitions(n: int, constraints: PartitionConstraints) -> list
             t = tuple(sorted((coloring[a], coloring[b], coloring[e])))
             counts[t] = counts.get(t, 0) + 1
         c1, c2 = (sorted(counts.values(), reverse=True) + [0, 0])[:2]
-        if two is not None and max(two - c1, 0) + max(two - c2, 0) > kn.open_after[e]:
+        if max(two - c1, 0) + max(two - c2, 0) > kn.open_after[e]:
             return None
         return counts
 
-    found = []
-    for _ in coloring_search(coloring, range(m), lambda e: range(max(coloring[:e], default=-1) + 2),
-                             step, {}, lambda e: kn.is_first(coloring[:e + 1], renumber=True)):
-        if cons.trivial_automorphisms is None or \
-                (len(coloring_automorphisms(coloring, n)) == 1) == cons.trivial_automorphisms:
-            found.append(tuple(coloring))
-    return found
+    return [tuple(coloring) for _ in coloring_search(
+        coloring, range(m), lambda e: range(max(coloring[:e], default=-1) + 2),
+        step, {}, lambda e: kn.is_first(coloring[:e + 1], renumber=True))]
 
 
 # ---------------------------------------------------------------------------

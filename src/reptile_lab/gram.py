@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 from typing import Optional
 
-from .angles import NoExactCosineError, exact_cos
+from .angles import NoExactCosineError, exact_cos, format_angle
 from .coxeter import CoxeterDiagram, all_edges
 from .exactmath import ExactMatrix, Poly, RingMismatchError, sign, sturm_count
 
@@ -29,9 +29,10 @@ def gram_from_diagram(diagram: CoxeterDiagram,
                       as_poly_in: Optional[str] = None) -> ExactMatrix:
     """Cosine matrix of a diagram, rows/columns in diagram vertex order.
 
-    Raises ValueError when some label has no exact cosine, or when the
-    exact cosines share no ring (a polynomial in t = cos(beta) beside an
-    irrational cosine of a rational angle).
+    Raises ValueError when a label has no exact cosine (naming the first
+    such label and its edge), or when the exact cosines share no ring (a
+    polynomial in t = cos(beta) beside an irrational cosine of a rational
+    angle).
     """
     n = diagram.n
     entries = [[Fraction(-1) if i == j else None for j in range(n)] for i in range(n)]
@@ -40,7 +41,9 @@ def gram_from_diagram(diagram: CoxeterDiagram,
         try:
             c = exact_cos(label, diagram.relations, as_poly_in=as_poly_in)
         except NoExactCosineError as exc:
-            raise ValueError("no exact cosine for some label") from exc
+            u, v = diagram.vertices[i], diagram.vertices[j]
+            raise ValueError(f"no exact cosine for the label {format_angle(label)} "
+                             f"of edge {u},{v}") from exc
         entries[i][j] = entries[j][i] = c
     try:
         return ExactMatrix(entries)

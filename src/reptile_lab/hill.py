@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from operator import le, mul, sub
 from typing import Optional, Sequence
 
@@ -218,12 +218,22 @@ def lattice_tiles_in(ineqs: tuple, d: int, m: int) -> list:
 @lru_cache(maxsize=16)
 def _reaches(normals: tuple, d: int) -> tuple:
     """Per signed permutation, in `signed_perms` order: each normal's
-    largest value over the tile's vertex offsets from its center."""
+    largest value over the tile's vertex offsets from its center.
+
+    The offsets (see `LatticeTile.vertices2`) are 0, the sums of the first
+    k steps eps * e_axis for 0 < k < d - 1, and the sum of all d - 1 steps
+    plus or minus e_last.  So a normal a reaches the largest of 0, the
+    prefix sums of eps * a[axis] short of the full sum, and the full sum
+    plus |a[last]|.
+    """
     out = []
     for sp in signed_perms(d):
-        offsets = LatticeTile((0,) * d, sp).vertices2()
-        out.append((sp, tuple(max([sum(map(mul, a, v)) for v in offsets])
-                              for a in normals)))
+        last = (set(range(d)) - {axis for _, axis in sp}).pop()
+        reach = []
+        for a in normals:
+            *prefix, total = accumulate([eps * a[axis] for eps, axis in sp], initial=0)
+            reach.append(max([*prefix, total + abs(a[last])]))
+        out.append((sp, tuple(reach)))
     return tuple(out)
 
 

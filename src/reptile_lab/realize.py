@@ -658,16 +658,16 @@ def _placement_geometry_ok(old: _Region, new: _Region) -> bool:
     return True
 
 
-def _pick_vertex(region: _Region) -> int:
+def _pick_vertex(region: _Region, rounded: _Rounded) -> int:
     """Index of the open corner to fill: the first one by the key (angle,
-    point rounded to 9 decimals).  Only the corners with the smallest angle
-    can win, so only theirs are rounded."""
+    point rounded to 7 decimals by the search's `rounded`).  Only the
+    corners with the smallest angle can win, so only theirs are looked up."""
     angles = region.angles
     low = min(angles)
     ties = [i for i, a in enumerate(angles) if a == low]
     if len(ties) == 1:
         return ties[0]
-    return min(ties, key=lambda i: tuple(round(c, 9) for c in region.points[i]))
+    return min(ties, key=lambda i: rounded[region.points[i]])
 
 
 # Default search-node budget: the largest catalog search stays far below it,
@@ -740,7 +740,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
         sig = (len(placed), region.signature(rounded))
         if sig in failed:
             return None
-        vi = _pick_vertex(region)
+        vi = _pick_vertex(region, rounded)
         ways = [None, None]
         for orient in orients:
             nodes += 1

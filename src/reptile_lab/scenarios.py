@@ -24,14 +24,13 @@ from typing import Callable, Optional
 
 from . import fixtures
 from .angles import AngleForm, RelationSet, parse_angle
-from .coxeter import (DiagramConstraints, PartitionConstraints,
-                      act_on_vertex_set, all_edges, burnside_count,
+from .coxeter import (act_on_vertex_set, all_edges, burnside_count,
                       coloring_automorphisms, coloring_canonical,
-                      enumerate_diagrams, enumerate_edge_partitions,
-                      enumerate_two_label_skeletons,
+                      cyclic_subgroups, enumerate_diagrams,
+                      enumerate_edge_partitions, enumerate_two_label_skeletons,
                       edge_orbit_count_transitive, label_subgraph,
                       orbit_partition, pair_canonical, pair_orbit_bound,
-                      subgroups_upto_two_generators, triangle_type_of)
+                      triangle_type_of)
 from .exactmath import Poly, cos_pi, isolate_roots
 from .gram import fiedler_check, gram_from_diagram, parametric_fiedler
 from .hill import (EuclideanSimplex, compatibility_graph, congruent,
@@ -210,6 +209,10 @@ def final_case_analysis(key: str) -> FinalCaseAnalysis:
     beta_list = sorted(set(beta_list))
     labels = sorted({x for t in alpha_list + beta_list for x in t})
     excess = tile.excess_pi
+    # a triangle with the smallest angle must be on the alpha list, one with
+    # the second smallest (and not the smallest) on the beta list, and one
+    # with neither must be valid, tile by area and have expressible edges
+    admissible = set(alpha_list) | set(beta_list)
     forbidden = []
     for combo in combinations_with_replacement(labels, 3):
         if qa in combo or qb in combo or not is_valid(combo):
@@ -224,13 +227,12 @@ def final_case_analysis(key: str) -> FinalCaseAnalysis:
             if not isinstance(status, EdgeMatch):
                 forbidden.append(combo)
                 break
-    cons = DiagramConstraints(
-        list_rules=((_pi_form(qa), frozenset(_type_of(t) for t in alpha_list)),
-                    (_pi_form(qb), frozenset(_type_of(t) for t in beta_list))),
-        forbidden=frozenset(_type_of(t) for t in forbidden),
-        validity=lambda ttype: bool(is_valid([f.pi_fraction() for f in ttype])),
+        else:
+            admissible.add(combo)
+    diagrams = enumerate_diagrams(
+        5, [_pi_form(q) for q in labels],
+        lambda ttype: tuple(f.pi_fraction() for f in ttype) in admissible,
         rich_type=_type_of((qa, qb, qg)))
-    diagrams = enumerate_diagrams(5, [_pi_form(q) for q in labels], cons)
     return FinalCaseAnalysis(
         tile, alpha_list, beta_list, sorted(extra), sorted(forbidden),
         max((v.gap for v in verdicts if isinstance(v, EdgeMatch)), default=0.0),
@@ -301,8 +303,8 @@ def scenario_three_dim(report: Report) -> None:
                  "cycle edges",
                  True, edge_orbit_count_transitive(cyc, parse_angle("alpha")),
                  "reference", "diagrams:k4-alpha-cycle")
-    res = enumerate_edge_partitions(
-        4, PartitionConstraints(two_types_each_at_least=3, trivial_automorphisms=True))
+    res = [c for c in enumerate_edge_partitions(4, 3)
+           if len(coloring_automorphisms(c, 4)) == 1]
     report.check("three-dim/k4-two-types-empty",
                  "no symmetry-free edge coloring of the 4-vertex diagram has two "
                  "triangle types with three copies each",
@@ -317,8 +319,7 @@ def scenario_three_dim(report: Report) -> None:
 def scenario_two_indivisible(report: Report) -> None:
     exp = fixtures.load("expectations")
 
-    relaxed = enumerate_edge_partitions(
-        5, PartitionConstraints(two_types_each_at_least=4))
+    relaxed = enumerate_edge_partitions(5, 4)
     # a trivial automorphism group is an isomorphism invariant, so the
     # symmetry-free colorings are exactly the symmetry-free relaxed classes
     aut_orders = [len(coloring_automorphisms(c, 5)) for c in relaxed]
@@ -364,9 +365,11 @@ def scenario_two_indivisible(report: Report) -> None:
                  exp["pair_orbit_bounds"]["5"], pair_orbit_bound(5),
                  "reference", "expectations:pair_orbit_bounds/5")
     pairs = [frozenset(p) for p in all_edges(5)]
+    # every nontrivial subgroup has at most the pair orbits of a nontrivial
+    # cyclic subgroup it holds, so the cyclic ones bound them all
     worst = 0
     tight = set()
-    for group in subgroups_upto_two_generators(5):
+    for group in cyclic_subgroups(5):
         if len(group) == 1:
             continue
         cnt = burnside_count(sorted(group), pairs, act_on_vertex_set)
@@ -404,11 +407,11 @@ def case_a_enumeration() -> list:
     def t(*fs):
         return triangle_type_of([rel.normalize(f) for f in fs])
 
-    cons = DiagramConstraints(
-        list_rules=((rel.normalize(al),
-                     frozenset({t(al, be, ga), t(al, al, b2), t(al, ab, ga)})),),
-        rich_type=t(al, be, ga))
-    return enumerate_diagrams(5, alphabet, cons, relations=rel)
+    alpha = rel.normalize(al)
+    with_alpha = {t(al, be, ga), t(al, al, b2), t(al, ab, ga)}
+    return enumerate_diagrams(5, alphabet,
+                              lambda ttype: alpha not in ttype or ttype in with_alpha,
+                              rich_type=t(al, be, ga), relations=rel)
 
 
 def scenario_case_a(report: Report) -> None:
@@ -517,11 +520,10 @@ def scenario_case_b(report: Report) -> None:
                          + exp["realizable"]["case-b"]["beta"])]
     allowed.append((Fraction(1, 3),) * 2 + (Fraction(1, 2),))
     allowed.append((Fraction(2, 3),) * 3)  # the six-tile equilateral
-    cons = DiagramConstraints(
-        list_rules=((None, frozenset(_type_of(t) for t in allowed)),),
-        rich_type=_type_of(("1/3", "1/3", "1/2")))
     alphabet = [_pi_form(q) for q in ("1/3", "1/2", "2/3")]
-    found = enumerate_diagrams(5, alphabet, cons)
+    types = {_type_of(t) for t in allowed}
+    found = enumerate_diagrams(5, alphabet, types.__contains__,
+                               rich_type=_type_of(("1/3", "1/3", "1/2")))
     report.check("case-b/diagram-contradiction",
                  "no rich diagram exists over the realizable triangle types",
                  exp["diagram_counts"]["case-b"], len(found),

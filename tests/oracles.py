@@ -313,9 +313,9 @@ def is_group_reference(perms) -> bool:
 
 
 def subgroups_reference(n: int) -> list:
-    """Subgroups of S_n generated by <= 2 elements, each closure a full walk
-    over a Cayley table of tuple compositions (the former
-    `coxeter.subgroups_upto_two_generators`)."""
+    """Subgroups of S_n generated by <= 2 elements (all 156 of S_5), each
+    closure a full walk over a Cayley table of tuple compositions.  The
+    package checks the pair-orbit bound on the cyclic subgroups alone."""
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     size = len(perms)

@@ -11,10 +11,10 @@ from typing import NamedTuple, Optional
 from reptile_lab import fixtures
 from reptile_lab.angles import parse_angle
 from reptile_lab.coxeter import (all_edges, burnside_count,
+                                 coloring_automorphisms,
                                  enumerate_edge_partitions,
                                  enumerate_two_label_skeletons,
-                                 PartitionConstraints, pair_orbit_bound,
-                                 subgroups_upto_two_generators,
+                                 pair_orbit_bound,
                                  edge_orbit_count_transitive, orbits,
                                  triangle_type_of)
 from reptile_lab.exactmath import ExactMatrix, Poly, isolate_roots, sturm_count
@@ -27,7 +27,8 @@ from reptile_lab.realize import (EdgeMatch, TileSpec, edge_combination,
                                  search_tiling, verify_tiling)
 from reptile_lab.spherical import corner_angle_solutions, edge_lengths, is_valid_symbolic
 
-from oracles import QuadExt, in_field, minimal_polynomial_degree_bruteforce, normal_gram
+from oracles import (QuadExt, in_field, minimal_polynomial_degree_bruteforce, normal_gram,
+                     subgroups_reference)
 
 EXP = fixtures.load("expectations")
 
@@ -144,9 +145,8 @@ def test_criterion_08_diagram_enumerations(case_analyses, case_a_diagrams):
         ok &= len(case_analyses[key].diagrams) == EXP["diagram_counts"][key]
     ok &= len(enumerate_two_label_skeletons()) == \
         EXP["diagram_counts"]["two-label-classes"]
-    empty = enumerate_edge_partitions(
-        5, PartitionConstraints(two_types_each_at_least=4,
-                                trivial_automorphisms=True))
+    empty = [c for c in enumerate_edge_partitions(5, 4)
+             if len(coloring_automorphisms(c, 5)) == 1]
     ok &= empty == []
     _report(8, "diagram enumerations: 5 then 4; 3/3/0; 6 classes; empty set", ok)
 
@@ -170,7 +170,7 @@ def test_criterion_10_pair_orbit_bound():
     bound = pair_orbit_bound(5)
     ok = bound == 7
     tight_by_transposition = False
-    for group in subgroups_upto_two_generators(5):
+    for group in subgroups_reference(5):
         if len(group) == 1:
             continue
         cnt = burnside_count(sorted(group), pairs, act)

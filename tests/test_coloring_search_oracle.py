@@ -22,9 +22,8 @@ from itertools import permutations, product
 import pytest
 
 from reptile_lab.angles import parse_angle
-from reptile_lab.coxeter import (DiagramConstraints, PartitionConstraints, all_edges,
-                                 classify_graph, coloring_automorphisms, coloring_search,
-                                 enumerate_diagrams, enumerate_edge_partitions,
+from reptile_lab.coxeter import (all_edges, classify_graph, coloring_automorphisms,
+                                 coloring_search, enumerate_diagrams, enumerate_edge_partitions,
                                  enumerate_two_label_skeletons, forced_symmetry_collapses,
                                  pair_canonical, triangle_type_of)
 
@@ -81,22 +80,19 @@ def partition_walk(n):
     return out
 
 
-def naive_partitions(n, walk, cons):
+def naive_partitions(n, walk, at_least, trivial):
     eperms = edge_perms(n)
     decided = set()
     found = []
     for coloring, counts in walk:
-        if cons.two_types_each_at_least is not None:
-            if sum(c >= cons.two_types_each_at_least for c in counts) < 2:
-                continue
+        if sum(c >= at_least for c in counts) < 2:
+            continue
         if coloring in decided:
             continue
         same = images(coloring, eperms, renumber=True)
         decided |= same
-        if cons.trivial_automorphisms is not None:
-            trivial = len(coloring_automorphisms(coloring, n)) == 1
-            if trivial != cons.trivial_automorphisms:
-                continue
+        if trivial is not None and (len(coloring_automorphisms(coloring, n)) == 1) != trivial:
+            continue
         found.append((min(same), coloring))
     return [coloring for _, coloring in sorted(found)]
 
@@ -111,33 +107,30 @@ def walk5():
     return partition_walk(5)
 
 
-THRESHOLDS_4 = [None, 0, 1, 2, 3, 4, 5]  # K4 has four triangles
+THRESHOLDS_4 = [0, 1, 2, 3, 4, 5]  # K4 has four triangles
+# the callers' symmetry filter: none, symmetry-free only, or symmetric only
 TRIVIAL = [None, True, False]
 
 
 def check_partitions(n, walk, sets):
-    for cons in sets:
-        assert enumerate_edge_partitions(n, cons) == naive_partitions(n, walk, cons), cons
+    for at_least, trivial in sets:
+        got = [c for c in enumerate_edge_partitions(n, at_least)
+               if trivial is None or (len(coloring_automorphisms(c, n)) == 1) == trivial]
+        assert got == naive_partitions(n, walk, at_least, trivial), (at_least, trivial)
 
 
 def test_k4_thresholds(walk4):
-    check_partitions(4, walk4, [PartitionConstraints(two, trivial)
-                                for two in THRESHOLDS_4 for trivial in TRIVIAL])
+    check_partitions(4, walk4, [(two, trivial) for two in THRESHOLDS_4 for trivial in TRIVIAL])
 
 
 def test_k5_constraint_sets_in_use(walk5):
-    check_partitions(5, walk5, [
-        PartitionConstraints(two_types_each_at_least=4),
-        PartitionConstraints(two_types_each_at_least=4, trivial_automorphisms=True),
-    ])
+    check_partitions(5, walk5, [(4, None), (4, True)])
 
 
 def random_k5_constraints(seed):
     """Thresholds near where the answer runs out: K5 has ten triangles."""
     rng = random.Random(seed)
-    return PartitionConstraints(
-        two_types_each_at_least=rng.choice([None, 3, 4, 5]),
-        trivial_automorphisms=rng.choice(TRIVIAL))
+    return rng.choice([2, 3, 4, 5]), rng.choice(TRIVIAL)
 
 
 def test_k5_seeded_sets(walk5):
@@ -255,11 +248,10 @@ class TestColoringSearch:
         assert colors == [4, 5]
 
     def test_diagram_skeleton_with_no_deferred_edge(self):
-        # a one-label alphabet under a rule on that label: the search has a
-        # single value to try at every edge and reaches one labeling
+        # a one-label alphabet whose one triangle type is allowed: the search
+        # has a single value to try at every edge and reaches one labeling
         a = parse_angle("alpha")
-        cons = DiagramConstraints(list_rules=((a, frozenset({triangle_type_of([a, a, a])})),))
-        found = enumerate_diagrams(4, [a], cons)
+        found = enumerate_diagrams(4, [a], {triangle_type_of([a, a, a])}.__contains__)
         assert len(found) == 1
         assert set(found[0].labels.values()) == {a}
 

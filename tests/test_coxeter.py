@@ -13,13 +13,12 @@ import reptile_lab
 from oracles import is_group_reference, subgroups_reference
 from reptile_lab import coxeter, fixtures
 from reptile_lab.angles import AngleForm, parse_angle
-from reptile_lab.coxeter import (ConsistencyError, CoxeterDiagram, DiagramConstraints,
-                                 NotAGroupError, PartitionConstraints, all_edges,
-                                 burnside_count, classify_graph, coloring_automorphisms,
+from reptile_lab.coxeter import (ConsistencyError, CoxeterDiagram, NotAGroupError,
+                                 all_edges, burnside_count, classify_graph,
+                                 coloring_automorphisms, cyclic_subgroups,
                                  enumerate_diagrams, enumerate_edge_partitions,
                                  is_group, is_rich, label_subgraph, orbits,
-                                 pair_orbit_bound, subgroups_upto_two_generators,
-                                 triangle_type_of)
+                                 pair_orbit_bound, triangle_type_of)
 
 
 def pi_form(q):
@@ -97,7 +96,7 @@ class TestBurnside:
         pairs = [frozenset(e) for e in all_edges(5)]
         act = lambda g, s: frozenset(g[x] for x in s)
         tight = False
-        for group in subgroups_upto_two_generators(5):
+        for group in cyclic_subgroups(5):
             if len(group) == 1:
                 continue
             cnt = burnside_count(sorted(group), pairs, act)
@@ -108,7 +107,8 @@ class TestBurnside:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_subgroups_match_closure_of_all_pairs(self, n):
-        # brute force: close every pair of elements under composition
+        # brute force: close every pair of elements under composition; the
+        # reference's subgroups and the cyclic ones are those closures
         def closure(gens):
             group = {tuple(range(n))}
             while True:
@@ -117,14 +117,18 @@ class TestBurnside:
                     return frozenset(group)
                 group |= new
         elements = list(permutations(range(n)))
-        want = sorted({closure([a, b]) for a in elements for b in elements},
-                      key=lambda s: (len(s), sorted(s)))
-        assert subgroups_upto_two_generators(n) == want
+        order = lambda s: (len(s), sorted(s))
+        want = sorted({closure([a, b]) for a in elements for b in elements}, key=order)
+        assert subgroups_reference(n) == want
+        assert cyclic_subgroups(n) == sorted({closure([a]) for a in elements}, key=order)
 
     def test_subgroup_count_on_five_points(self):
-        groups = subgroups_upto_two_generators(5)
+        groups = subgroups_reference(5)
         assert len(groups) == 156
         assert len(set(groups)) == 156
+        cyclic = cyclic_subgroups(5)
+        assert len(cyclic) == 67  # the trivial group and 66 nontrivial ones
+        assert len(set(cyclic)) == 67
 
     def test_group_validation(self):
         assert is_group([tuple(range(3)), (1, 2, 0), (2, 0, 1)])
@@ -132,8 +136,30 @@ class TestBurnside:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
     def test_subgroups_match_reference(self, n):
-        # the reference walks every closure in full over tuple compositions
-        assert subgroups_upto_two_generators(n) == subgroups_reference(n)
+        # the cyclic subgroups are the reference's subgroups that hold an
+        # element of the group's order; the reference walks every closure in
+        # full over tuple compositions
+        def order(p):
+            k, q = 1, p
+            while q != tuple(range(n)):
+                k, q = k + 1, tuple(p[x] for x in q)
+            return k
+
+        assert cyclic_subgroups(n) == [g for g in subgroups_reference(n)
+                                       if any(order(p) == len(g) for p in g)]
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_cyclic_subgroups_reach_the_pair_orbit_maximum(self, n):
+        # the lemma the pair-orbit check rests on: over the nontrivial
+        # subgroups, the most pair orbits is reached by a cyclic subgroup
+        pairs = [frozenset(e) for e in all_edges(n)]
+        act = lambda g, s: frozenset(g[x] for x in s)
+
+        def most(groups):
+            return max(burnside_count(sorted(g), pairs, act) for g in groups if len(g) > 1)
+
+        assert most(cyclic_subgroups(n)) == most(subgroups_reference(n)) == \
+            {3: 2, 4: 4, 5: 7}[n]
 
     def test_is_group_matches_reference(self):
         def outcome(f, perms):
@@ -153,7 +179,7 @@ class TestBurnside:
                                 for _ in range(rng.randint(1, 4))])
         for n in (3, 4):
             elements = list(permutations(range(n)))
-            groups = [sorted(g) for g in subgroups_upto_two_generators(n)]
+            groups = [sorted(g) for g in subgroups_reference(n)]
             for _ in range(150):
                 cases.append(rng.sample(elements, rng.randint(1, len(elements))))
             for g in groups:
@@ -217,28 +243,6 @@ def test_slot_tables_can_rich_is_sub_multiset():
     assert all(coxeter._slot_tables(size, table, None)[1])
 
 
-def test_cayley_table_is_lazy():
-    # the package and its fixtures load without building S5's Cayley table,
-    # which only the subgroup pass needs
-    script = textwrap.dedent("""
-        import reptile_lab.cli
-        from reptile_lab import coxeter, fixtures
-
-        for name in ("diagrams", "expectations", "ab_pairs"):
-            fixtures.load(name)
-        kn = coxeter.kn_tables(5)
-        print("cayley" in vars(kn))
-        kn.cayley
-        print("cayley" in vars(kn))
-        """)
-    src = os.path.dirname(os.path.dirname(reptile_lab.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "True"]
-
-
 class TestSubgraphClassification:
     def test_catalog_names(self):
         assert classify_graph([]) == "empty"
@@ -269,7 +273,7 @@ class TestSubgraphClassification:
 class TestEnumeration:
     def test_k3_single_letter(self):
         alphabet = [parse_angle("alpha")]
-        found = enumerate_diagrams(3, alphabet, DiagramConstraints())
+        found = enumerate_diagrams(3, alphabet, lambda ttype: True)
         assert len(found) == 1
 
     def test_no_two_isomorphic(self, case_a_diagrams):
@@ -289,16 +293,12 @@ class TestEnumeration:
 
 class TestPartitions:
     def test_two_types_trivial_empty(self):
-        res = enumerate_edge_partitions(
-            5, PartitionConstraints(two_types_each_at_least=4,
-                                    trivial_automorphisms=True))
-        assert res == []
+        res = enumerate_edge_partitions(5, 4)
+        assert [c for c in res if len(coloring_automorphisms(c, 5)) == 1] == []
 
     def test_k4_variant_empty(self):
-        res = enumerate_edge_partitions(
-            4, PartitionConstraints(two_types_each_at_least=3,
-                                    trivial_automorphisms=True))
-        assert res == []
+        res = enumerate_edge_partitions(4, 3)
+        assert [c for c in res if len(coloring_automorphisms(c, 4)) == 1] == []
 
     def test_coloring_automorphisms(self):
         mono = tuple([0] * 10)

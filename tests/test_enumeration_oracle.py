@@ -1,10 +1,11 @@
 """Differential test: `enumerate_diagrams` against a naive enumerator.
 
-The naive side labels every edge of K_n in every possible way, applies the
-`DiagramConstraints` semantics triangle by triangle (first matching list
-rule wins; otherwise the forbidden set, then the validity predicate), keeps
-the labelings with at least four orbits of the rich type (via `is_rich`),
-and dedupes by `canonical_key`.  It shares no pruning, incidence table or
+The naive side labels every edge of K_n in every possible way, asks the
+same `allowed` predicate of each triangle's type, keeps the labelings with
+at least four orbits of the rich type (via `is_rich`), and dedupes by
+`canonical_key`.  The random predicates are built from ordered rules
+(first matching label rule wins; otherwise a forbidden set, then a
+validity set).  It shares no pruning, incidence table or
 dedupe key with the enumerator, so it checks exactly what the fixture
 counts cannot: that pruning never drops a diagram and never keeps one.
 Each returned diagram must also be the smallest labeling of its class over
@@ -18,24 +19,15 @@ from itertools import combinations, combinations_with_replacement, permutations,
 import pytest
 
 from reptile_lab.angles import AngleForm
-from reptile_lab.coxeter import (CoxeterDiagram, DiagramConstraints, all_edges,
-                                 enumerate_diagrams, is_rich, kn_tables, triangle_type_of)
+from reptile_lab.coxeter import (CoxeterDiagram, all_edges, enumerate_diagrams, is_rich,
+                                 kn_tables, triangle_type_of)
 
 
-def naive_keys(n, alphabet, cons):
+def naive_keys(n, alphabet, allowed, rich_type):
     es = all_edges(n)
     pos = {e: i for i, e in enumerate(es)}
     tris = [(pos[(i, j)], pos[(i, k)], pos[(j, k)])
             for i, j, k in combinations(range(n), 3)]
-
-    def allowed(ttype):
-        for lab, types in cons.list_rules:
-            if lab is None or lab in ttype:
-                return ttype in types
-        if ttype in cons.forbidden:
-            return False
-        return cons.validity is None or bool(cons.validity(ttype))
-
     types = {c: triangle_type_of([alphabet[x] for x in c])
              for c in product(range(len(alphabet)), repeat=3)}
     ok = {c: allowed(t) for c, t in types.items()}
@@ -49,8 +41,8 @@ def naive_keys(n, alphabet, cons):
         trip = [(labeling[a], labeling[b], labeling[c]) for a, b, c in tris]
         if not all(ok[t] for t in trip):
             continue
-        if cons.rich_type is not None and \
-                sum(types[t] == cons.rich_type for t in trip) < 4:
+        if rich_type is not None and \
+                sum(types[t] == rich_type for t in trip) < 4:
             continue  # fewer triangles of the type than the orbits needed
         cls = min(tuple(labeling[i] for i in ep) for ep in eperms)
         if cls in classes:
@@ -58,7 +50,7 @@ def naive_keys(n, alphabet, cons):
         classes.add(cls)
         d = CoxeterDiagram(list("uvwxy")[:n],
                            {e: alphabet[x] for e, x in zip(es, labeling)})
-        if cons.rich_type is not None and not is_rich(d, cons.rich_type):
+        if rich_type is not None and not is_rich(d, rich_type):
             continue
         keys.add(d.canonical_key())
     return sorted(keys)
@@ -87,12 +79,15 @@ def random_case(seed, n, size):
         rich_type = triangle_type_of(rng.sample(alphabet, 3))
     else:
         rich_type = rng.choice(types)
-    cons = DiagramConstraints(
-        list_rules=tuple(rules),
-        forbidden=forbidden,
-        validity=valid.__contains__ if rng.random() < 0.5 else None,
-        rich_type=rich_type)
-    return alphabet, cons
+    check_valid = rng.random() < 0.5
+
+    def allowed(ttype):
+        for lab, listed in rules:
+            if lab is None or lab in ttype:
+                return ttype in listed
+        return ttype not in forbidden and (not check_valid or ttype in valid)
+
+    return alphabet, allowed, rich_type
 
 
 CASES = ([(seed, 4, 1 + seed % 4) for seed in range(24)]
@@ -101,9 +96,9 @@ CASES = ([(seed, 4, 1 + seed % 4) for seed in range(24)]
 
 @pytest.mark.parametrize("seed,n,size", CASES)
 def test_matches_naive_enumeration(seed, n, size):
-    alphabet, cons = random_case(seed, n, size)
-    found = enumerate_diagrams(n, alphabet, cons)
-    assert [d.canonical_key() for d in found] == naive_keys(n, alphabet, cons)
+    alphabet, allowed, rich_type = random_case(seed, n, size)
+    found = enumerate_diagrams(n, alphabet, allowed, rich_type)
+    assert [d.canonical_key() for d in found] == naive_keys(n, alphabet, allowed, rich_type)
     for d in found:  # each class is represented by its smallest labeling
         ids = [alphabet.index(d.labels[e]) for e in all_edges(n)]
         assert tuple(ids) == kn_tables(n).canon(ids)

@@ -87,6 +87,21 @@ class TestBaseSimplices:
         assert _hill_facets.cache_info().misses == 2
         assert _reaches.cache_info().misses == 2
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_reaches_are_the_largest_value_over_the_vertices(self, d):
+        """The prefix-sum reaches equal each normal's largest value over a
+        tile's vertex offsets, read from `vertices2`, on the Hill facet
+        normals and random integer normals."""
+        rng = random.Random(d)
+        normals = [a for i in (1, 2) if d > 1 for a, _ in _hill_facets(d, i)]
+        normals += [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(6)]
+        want = []
+        for sp in signed_perms(d):
+            offsets = LatticeTile((0,) * d, sp).vertices2()
+            want.append((sp, tuple(max(sum(x * y for x, y in zip(a, v)) for v in offsets)
+                                   for a in normals)))
+        assert _reaches(tuple(normals), d) == tuple(want)
+
 
 class TestEuclideanSimplex:
     def test_rational_input_becomes_rows_over_one_denominator(self):

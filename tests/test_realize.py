@@ -624,10 +624,10 @@ def test_regions_hold_int_angles_below_two_pi(monkeypatch):
 
 def pick_vertex_by_key(region):
     """Reference pick: the first index with the smallest key (angle, point
-    rounded to 9 decimals), every point rounded."""
+    rounded to 7 decimals), every point rounded."""
     best, bi = None, -1
     for i, a in enumerate(region.angles):
-        key = (a,) + tuple(round(c, 9) for c in region.points[i])
+        key = (a,) + tuple(round(c, 7) for c in region.points[i])
         if best is None or key < best:
             best, bi = key, i
     return bi
@@ -635,8 +635,8 @@ def pick_vertex_by_key(region):
 
 def test_pick_vertex_matches_key_on_exact_ties(monkeypatch):
     """On synthetic regions whose smallest angle is shared exactly, with
-    points that differ, agree to 9 decimals or repeat, and on every region
-    of two pinned searches, the pick is the old key's."""
+    points that differ, agree to 7 decimals or repeat, and on every region
+    of two pinned searches, the pick is the reference key's."""
     rng = random.Random(17)
     ties = 0
     for _ in range(500):
@@ -650,15 +650,15 @@ def test_pick_vertex_matches_key_on_exact_ties(monkeypatch):
                 pts[i] = rng.choice((pts[j], tuple(c + 1e-12 for c in pts[j])))
         region = realize._Region(pts, angles)
         ties += angles.count(min(angles)) > 1
-        assert realize._pick_vertex(region) == pick_vertex_by_key(region)
+        assert realize._pick_vertex(region, realize._Rounded()) == pick_vertex_by_key(region)
     assert ties > 250
 
     picked = realize._pick_vertex
     regions = []
 
-    def checked(region):
+    def checked(region, rounded):
         regions.append(region.angles.count(min(region.angles)) > 1)
-        got = picked(region)
+        got = picked(region, rounded)
         assert got == pick_vertex_by_key(region)
         return got
 

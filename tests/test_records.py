@@ -17,8 +17,7 @@ from types import SimpleNamespace
 import pytest
 
 from reptile_lab.angles import PI, AngleForm, RelationSet
-from reptile_lab.coxeter import (DiagramConstraints, KnTables, PartitionConstraints,
-                                 kn_tables)
+from reptile_lab.coxeter import KnTables, kn_tables
 from reptile_lab.exactmath import RealCyclotomic, RootInterval, cos_pi
 from reptile_lab.hill import EuclideanSimplex, LatticeTile
 from reptile_lab.realize import (Candidate, EdgeMatch, EdgeNearest, TileSpec,
@@ -46,8 +45,6 @@ def immutable_records():
         (cand, "edge_status"),
         (algebraic_degree(2, 3), "degree"),
         (kn_tables(3), "edges"),
-        (DiagramConstraints(), "forbidden"),
-        (PartitionConstraints(two_types_each_at_least=2), "two_types_each_at_least"),
     ]
 
 
@@ -55,8 +52,7 @@ def test_every_immutable_record_class_is_listed():
     classes = {type(rec) for rec, _ in immutable_records()}
     assert classes == {AngleForm, RelationSet, RootInterval, RealCyclotomic, ValidityReport,
                        EuclideanSimplex, LatticeTile, TileSpec, EdgeMatch,
-                       EdgeNearest, Candidate, DegreeReport, KnTables,
-                       DiagramConstraints, PartitionConstraints}
+                       EdgeNearest, Candidate, DegreeReport, KnTables}
 
 
 @pytest.mark.parametrize("rec,name", immutable_records(),
@@ -90,7 +86,6 @@ def fields(rec) -> tuple:
     EdgeMatch((1, 0, 2), 1.5, 1e-9),
     EdgeNearest(((1, 0, 0), 1.0), ((0, 1, 0), 1.2), 0.1),
     DegreeReport(2, 3, 3),
-    PartitionConstraints(4, True),
 ], ids=lambda rec: type(rec).__name__)
 def test_hash_is_the_hash_of_the_fields(rec):
     assert hash(rec) == hash(fields(rec))

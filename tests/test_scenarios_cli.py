@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -55,6 +56,19 @@ def test_anchors_resolve(reports):
     for name in SCENARIOS:
         for cp in reports(name).checkpoints:
             assert resolve_anchor(cp.anchor), (name, cp.id, cp.anchor)
+
+
+# The first 8 hex digits of the sha256 of each scenario's report, timing left out.
+PAYLOAD_DIGESTS = {"three-dim": "1f8584c5", "two-indivisible": "e87a4d18",
+                   "case-a": "1282219a", "case-b": "98c609e9", "case-c": "55cf03a4",
+                   "hill": "4549053e"}
+
+
+def test_payload_digests(reports):
+    assert sorted(PAYLOAD_DIGESTS) == sorted(SCENARIOS)
+    got = {name: hashlib.sha256(reports(name).json_lines(include_timing=False).encode())
+           .hexdigest()[:8] for name in SCENARIOS}
+    assert got == PAYLOAD_DIGESTS
 
 
 @pytest.mark.parametrize("name", ["three-dim", "case-b", "hill"])
@@ -224,6 +238,15 @@ class TestCli:
         proc = _cli("diagram", str(path), "gram")
         assert proc.returncode == 2
         assert "no exact cosine" in proc.stderr
+
+    def test_diagram_gram_names_the_label_without_exact_cosine(self):
+        # case-a-1's labels in beta have a cosine only as a polynomial in
+        # cos(beta), which the command does not ask for
+        catalog = resources.files("reptile_lab") / "fixtures" / "diagrams.json"
+        proc = _cli("diagram", str(catalog), "gram", "--id", "case-a-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: no exact cosine for the label beta of edge u,w\n"
 
     def test_usage_error(self):
         proc = _cli("tile", "not-an-angle", "1/2 pi,1/2 pi,1/2 pi")
