@@ -5,8 +5,9 @@ Three pieces:
 * candidate enumeration -- all angle triples (tau, phi, psi) that could be
   tiled by n copies of the base tile, from the exact area bookkeeping
   n * excess(T0) + pi - tau = phi + psi with phi, psi nonnegative integer
-  combinations of the tile angles, filtered by the spherical triangle
-  inequality and annotated with an edge-combination status;
+  combinations of the tile angles (one `spherical.angle_sums` table),
+  filtered by the spherical triangle inequality and annotated with an
+  edge-combination status;
 * edge combinations -- can a length be written as a nonnegative integer
   combination of the tile's edges, within the one tolerance EDGE_TOL; each
   verdict also reports its gap, the distance to the nearest combination;
@@ -26,7 +27,8 @@ kernel takes them.
 
 The search fills the open corner with the smallest interior angle first and
 places tiles flush against the boundary.  It drops every region with a
-corner that no sum of tile angles can fill (`_corner_table`).  Degenerate
+corner that no sum of tile angles can fill (`_corner_table`, from the
+same kernel).  Degenerate
 pinch configurations (a tile corner landing in the middle of a far boundary
 arc) are rejected rather than split, which is sound for `found` answers
 (independently verified) and conservative for `exhausted` ones.
@@ -42,7 +44,8 @@ from itertools import count, permutations
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import sphgeo
-from .spherical import InvalidTriangleError, edge_lengths, is_valid, law_of_cosines
+from .spherical import (InvalidTriangleError, angle_sums, edge_lengths, is_valid,
+                        law_of_cosines)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +113,6 @@ class EdgeMatch(NamedTuple):
 
 
 class EdgeNearest(NamedTuple):
-    below: tuple  # (coeffs, value) of the nearest combination below x
-    above: tuple
     gap: float  # distance from x to the nearest combination, above EDGE_TOL
 
 
@@ -125,7 +126,7 @@ def edge_combination(x: float, edges: Sequence[float]) -> EdgeStatus:
     coefficient bound can hide a match.  Returns an EdgeMatch when some
     i*a + j*b + k*c lies within EDGE_TOL of x (the one from below when both
     sides do, ties resolved toward the smallest coefficient vector),
-    otherwise the closest combinations from below and above.
+    otherwise an EdgeNearest with the distance to the closest combination.
     """
     if not 0 < x < math.inf:
         raise ValueError("length must be positive and finite")
@@ -157,8 +158,7 @@ def edge_combination(x: float, edges: Sequence[float]) -> EdgeStatus:
     for cand in (best_below, best_above):
         if cand[0] <= EDGE_TOL:
             return EdgeMatch(cand[1], cand[2], gap)
-    return EdgeNearest((best_below[1], best_below[2]),
-                       (best_above[1], best_above[2]), gap)
+    return EdgeNearest(gap)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +173,6 @@ class Candidate(NamedTuple):
     phi: Fraction
     psi: Fraction
     n: int
-    phi_combo: tuple
-    psi_combo: tuple
     edge_status: EdgeStatus
 
     @property
@@ -187,52 +185,36 @@ class Candidate(NamedTuple):
 
 def enumerate_candidates(tile: TileSpec, tau: Fraction,
                          phi_min: Fraction = Fraction(0)) -> list:
-    """All candidate (tau, phi, psi) with phi_min < phi <= psi, deduplicated.
+    """All candidate (tau, phi, psi) with phi_min < phi <= psi, by (n, phi, psi).
 
     Works in exact integer arithmetic over den, the lcm of the denominators
-    of the tile angles, tau and phi_min (an angle q is the integer q*den):
-    for each tile count n in [2, 2*tau/excess), solve
-    m1*a1 + m2*a2 + m3*a3 = n*excess + pi - tau over nonnegative integers,
-    split the combination into (phi, psi) in all ways, keep triples that
-    satisfy the spherical triangle inequality, and annotate each with the
-    edge-combination status of the edge opposite tau.  Each (phi, psi) keeps
-    the first split that reaches it.  tau and phi_min are Fractions of pi
-    (ints allowed); a float raises TypeError.
+    of the tile angles, tau and phi_min (an angle q is the integer q*den),
+    with one `angle_sums` table of the sums of tile angles below pi: for
+    each tile count n in [2, 2*tau/excess), scan phi and take
+    psi = n*excess + pi - tau - phi, keep each pair whose two angles the
+    table marks and that satisfies the spherical triangle inequality, and
+    annotate it with the edge-combination status of the edge opposite tau.
+    tau and phi_min are Fractions of pi (ints allowed); a float raises
+    TypeError.
     """
     if not all(isinstance(q, (int, Fraction)) for q in (tau, phi_min)):
         raise TypeError("tau and phi_min are Fractions of pi")
     den = math.lcm(*(Fraction(q).denominator for q in (*tile.angles_pi, tau, phi_min)))
-    qa, qb, qc = (int(q * den) for q in tile.angles_pi)
-    excess = qa + qb + qc - den
+    sums = angle_sums(tile.angles_pi, den, den - 1)
+    excess = int(tile.excess_pi * den)
     t, lo = int(tau * den), int(phi_min * den)
-    edges = tile.edges
-    seen = {}
-    n = 2
-    while n * excess < 2 * t:
+    out = []
+    for n in range(2, -(-2 * t // excess)):
         target = n * excess + den - t
-        for m3 in range(target // qc + 1):
-            r3 = target - m3 * qc
-            for m2 in range(r3 // qb + 1):
-                m1, rem = divmod(r3 - m2 * qb, qa)
-                if rem:
-                    continue
-                for i in range(m1 + 1):
-                    for j in range(m2 + 1):
-                        for k in range(m3 + 1):
-                            phi = i * qa + j * qb + k * qc
-                            psi = target - phi
-                            if not (lo < phi <= psi < den) or (phi, psi) in seen:
-                                continue
-                            qs = sorted((t, phi, psi))
-                            if qs[1] + qs[2] >= den + qs[0]:
-                                continue
-                            fphi, fpsi = Fraction(phi, den), Fraction(psi, den)
-                            x = law_of_cosines(tau, fphi, fpsi)[0]
-                            seen[(phi, psi)] = Candidate(
-                                tau, fphi, fpsi, n, (i, j, k),
-                                (m1 - i, m2 - j, m3 - k), edge_combination(x, edges))
-        n += 1
-    return sorted(seen.values(), key=lambda cand: (cand.n, cand.phi, cand.psi))
+        # with phi <= psi the triangle inequality is n*excess < 2*t (the
+        # range of n) and phi > n*excess/2, which also keeps psi below pi
+        for phi in range(max(lo, n * excess // 2) + 1, target // 2 + 1):
+            psi = target - phi
+            if sums[phi] and sums[psi]:
+                fphi, fpsi = Fraction(phi, den), Fraction(psi, den)
+                x = law_of_cosines(tau, fphi, fpsi)[0]
+                out.append(Candidate(tau, fphi, fpsi, n, edge_combination(x, tile.edges)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -417,22 +399,16 @@ def _corner_table(tile: TileSpec) -> Optional[bytearray]:
     in which the search visits every other region as it was, so statuses
     and the first tiling found stay the same; only node counts fall.
 
-    Built in integers: the tile angles are a*pi/D, b*pi/D, c*pi/D, the
-    sums are the j that a, b, c reach, and pi plus a sum is D plus one.
+    Built in integers from the `angle_sums` table of the sums up to 2D;
+    pi plus a sum is D plus one, so entry j is also 1 when sums[j - D] is.
     None when D exceeds CORNER_TABLE_MAX_DEN.
     """
     den = tile.den
     if den > CORNER_TABLE_MAX_DEN:
         return None
-    top = 2 * den
-    sums = bytearray(top + 1)
-    sums[0] = 1
-    for step in {int(q * den) for q in tile.angles_pi}:
-        for j in range(step, top + 1):
-            if sums[j - step]:
-                sums[j] = 1
+    sums = angle_sums(tile.angles_pi, den, 2 * den)
     fill = bytearray(sums)
-    for j in range(den, top + 1):
+    for j in range(den, 2 * den + 1):
         fill[j] |= sums[j - den]
     return fill
 

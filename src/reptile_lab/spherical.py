@@ -8,6 +8,10 @@ float edges.  Validity follows the classical facts for spherical
 triangles: angle sum above pi, each angle in (0, pi), and the spherical
 triangle inequality (the two largest angles sum to less than pi plus the
 smallest), which is equivalent to the area bound 2*min-angle.
+
+Which multiples of pi/D are sums of some angles is one table, `angle_sums`,
+read by `corner_angle_solutions` and by `realize`'s corner table and
+candidate lists.
 """
 
 from __future__ import annotations
@@ -113,39 +117,56 @@ def straight_angle_combinations(angles: Sequence[Fraction]) -> set:
     return out
 
 
+def angle_sums(angles: Sequence[Fraction], den: int, top: int) -> bytearray:
+    """Entry j (0 <= j <= top) is 1 exactly when j*pi/den is a nonnegative
+    integer combination of the angles (the empty sum 0 included).  The
+    angles are Fractions of pi, each positive and a multiple of pi/den, and
+    become integers over den here alone.  O(top) steps per distinct angle.
+    """
+    _require_exact(angles)
+    steps = set()
+    for a in angles:
+        j = a * den
+        if a <= 0 or j.denominator != 1:
+            raise ValueError(f"angle {a} pi is not a positive multiple of pi/{den}")
+        steps.add(int(j))
+    sums = bytearray(top + 1)
+    sums[0] = 1
+    for step in steps:
+        for j in range(step, top + 1):
+            if sums[j - step]:
+                sums[j] = 1
+    return sums
+
+
+def _require_corner_args(fixed: Sequence[Fraction], lo: Fraction, hi: Fraction) -> None:
+    _require_exact((*fixed, lo, hi))
+    if any(f <= 0 for f in fixed):
+        raise ValueError("fixed angles must be positive")
+
+
 def corner_angle_solutions(fixed: Sequence[Fraction], lo: Fraction,
                            hi: Fraction) -> list:
     """Solve m*q + sum(n_j * f_j) = 1 for q in (lo, hi), m >= 1, n_j >= 0.
 
     Everything is in units of pi.  Returns the sorted list of admissible
     rational q, i.e. the free angles q*pi that can complete a straight angle
-    together with the fixed ones.  The fixed angles are positive and lo > 0,
-    so every loop ends.
+    together with the fixed ones: each residual 1 - s, s a sum of fixed
+    angles below 1 from one `angle_sums` table, divided by every m that
+    lands in (lo, hi).  A float raises TypeError; a fixed angle not
+    positive, or bounds outside 0 < lo < hi, raise ValueError.
     """
+    _require_corner_args(fixed, lo, hi)
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
-    if any(f <= 0 for f in fixed):
-        raise ValueError("fixed angles must be positive")
+    den = math.lcm(*(Fraction(f).denominator for f in fixed))
+    sums = angle_sums(fixed, den, den - 1)
     sols = set()
-
-    def rec(j, used):
-        if used >= 1:
-            return
-        if j == len(fixed):
-            rest = 1 - used
-            m = 1
-            while Fraction(rest, m) > lo:
-                q = Fraction(rest, m)
-                if lo < q < hi:
-                    sols.add(q)
-                m += 1
-            return
-        n = 0
-        while used + n * fixed[j] < 1:
-            rec(j + 1, used + n * fixed[j])
-            n += 1
-
-    rec(0, Fraction(0))
+    for s in range(den):
+        if sums[s]:
+            rest = Fraction(den - s, den)
+            # rest/m < hi iff m > rest/hi; rest/m > lo iff m < rest/lo
+            sols.update(rest / m for m in range(rest // hi + 1, -(-rest // lo)))
     return sorted(sols)
 
 
@@ -156,14 +177,16 @@ def corner_angle_solutions_rational_scan(fixed: Sequence[Fraction], lo: Fraction
     Independent route kept as a guard: list the positive residuals
     1 - sum(n_j * f_j) once, as integer numerators over one denominator D,
     then keep each rational q = s/r in (lo, hi), in lowest terms, of which
-    some residual N/D is an integer multiple: D*s divides N*r.
+    some residual N/D is an integer multiple: D*s divides N*r.  Takes the
+    same arguments as `corner_angle_solutions` and raises as it does, but
+    also accepts lo = 0, hi above 1 and empty intervals.
     """
+    _require_corner_args(fixed, lo, hi)
     den = math.lcm(*(Fraction(f).denominator for f in fixed))
     residuals = {den}
     for f in fixed:
         step = int(f * den)
         residuals = {r - n * step for r in residuals for n in range(-(-r // step))}
-    lo, hi = Fraction(lo), Fraction(hi)
     found = []
     for r in range(1, max_denominator + 1):
         # the s in [1, r] with lo < s/r < hi; of s = r only q = 1/1 is in

@@ -9,12 +9,12 @@ import pytest
 
 from oracles import minimal_polynomial_degree_bruteforce
 from test_acceptance import algebraic_degree
-from reptile_lab import realize, sphgeo
+from reptile_lab import realize, spherical, sphgeo
 from reptile_lab.realize import (EDGE_TOL, EdgeMatch, EdgeNearest,
                                  SphTiling, TilePlacement, TileSpec,
                                  edge_combination, enumerate_candidates,
                                  search_tiling, verify_tiling)
-from reptile_lab.spherical import is_valid
+from reptile_lab.spherical import corner_angle_solutions, is_valid, law_of_cosines
 
 
 def tiling_from_json(data: dict) -> SphTiling:
@@ -60,8 +60,7 @@ class TestEdgeCombination:
 
     def test_two_thirds_pi_unreachable(self):
         res = edge_combination(2 * math.pi / 3, QUARTER.edges)
-        assert isinstance(res, EdgeNearest)
-        assert res.below is not None and res.above is not None
+        assert isinstance(res, EdgeNearest) and res.gap > EDGE_TOL
 
     def test_ninth_decomposition_gaps(self):
         a, b, c = NINTH.edges
@@ -122,19 +121,14 @@ def _candidate_scan(tile, tau, phi_min):
     tile angles, tau and phi_min) and psi = n * excess + 1 - tau - phi; a
     pair is kept when phi_min < phi <= psi < 1, both are nonnegative integer
     combinations of the tile angles and the triangle inequality holds.
-    Returns {(n, phi, psi): (phi_combo, psi_combo)}, the split the
-    enumeration's loop order reaches first: smallest total coefficient of
-    the third angle, then of the second.  That split is unique: two splits
-    of one total differ by a vector of value 0, and adding it to the total
-    or taking it away lowers the third coefficient, or else the second.
+    Returns {(n, phi, psi): edge status of the edge opposite tau}.
     """
     qa, qb, qc = tile.angles_pi
     den = math.lcm(*(F(q).denominator for q in (qa, qb, qc, tau, phi_min)))
-    reps = {}  # value up to pi -> its coefficient vectors
-    for i in range(int(1 / qa) + 1):
-        for j in range(int((1 - i * qa) / qb) + 1):
-            for k in range(int((1 - i * qa - j * qb) / qc) + 1):
-                reps.setdefault(i * qa + j * qb + k * qc, []).append((i, j, k))
+    sums = {i * qa + j * qb + k * qc  # every sum up to pi, by its coefficients
+            for i in range(int(1 / qa) + 1)
+            for j in range(int((1 - i * qa) / qb) + 1)
+            for k in range(int((1 - i * qa - j * qb) / qc) + 1)}
     out = {}
     n = 2
     while n * tile.excess_pi < 2 * tau:
@@ -142,14 +136,12 @@ def _candidate_scan(tile, tau, phi_min):
         for p in range(den + 1):
             phi = F(p, den)
             psi = total - phi
-            if not (phi_min < phi <= psi < 1) or phi not in reps or psi not in reps:
+            if not (phi_min < phi <= psi < 1) or phi not in sums or psi not in sums:
                 continue
             lo, mid, hi = sorted((F(tau), phi, psi))
             if mid + hi >= 1 + lo:
                 continue
-            out[(n, phi, psi)] = min(
-                ((c1, c2) for c1 in reps[phi] for c2 in reps[psi]),
-                key=lambda s: (s[0][2] + s[1][2], s[0][1] + s[1][1]))
+            out[(n, phi, psi)] = edge_combination(law_of_cosines(tau, phi, psi)[0], tile.edges)
         n += 1
     return out
 
@@ -158,7 +150,6 @@ class TestCandidates:
     def test_matches_direct_scan(self):
         rng = random.Random(8)
         cases = []
-        # with two equal angles a pair has several totals; the first one found is kept
         isosceles = TileSpec.from_pi_fractions(F(1, 3), F(1, 2), F(1, 2))
         for tile in (QUARTER, FIFTH, NINTH, CASE_B, isosceles):
             qa, qb, qc = tile.angles_pi
@@ -173,11 +164,10 @@ class TestCandidates:
         for tile, tau, phi_min in cases:
             cands = enumerate_candidates(tile, tau, phi_min)
             want = _candidate_scan(tile, tau, phi_min)
-            assert {(c.n, c.phi, c.psi): (c.phi_combo, c.psi_combo) for c in cands} == want
-            assert len(cands) == len(want)  # no pair listed twice
-            for c in cands:
-                for combo, angle in ((c.phi_combo, c.phi), (c.psi_combo, c.psi)):
-                    assert sum(m * q for m, q in zip(combo, tile.angles_pi)) == angle
+            # each pair once, in (n, phi, psi) order
+            assert [(c.n, c.phi, c.psi) for c in cands] == sorted(want)
+            assert {(c.n, c.phi, c.psi): c.edge_status for c in cands} == want
+            assert all(c.tau == tau for c in cands)
             found += len(cands)
         assert found > 400  # the cases are not all empty
 
@@ -370,7 +360,7 @@ def test_search_tree_pinned(base, target, status, tiles, unpruned, nodes, monkey
     assert tiling_bytes(res) == tiling_bytes(old)
 
 
-def angle_sums(tile):
+def tile_angle_sums(tile):
     """Every sum of tile angles up to 2 (Fractions of pi), the empty sum 0
     included, by enumeration."""
     qa, qb, qc = tile.angles_pi
@@ -394,7 +384,7 @@ def test_corner_table_matches_enumeration():
         table = realize._corner_table(tile)
         den = tile.den
         assert den == math.lcm(*(q.denominator for q in tile.angles_pi))
-        sums = angle_sums(tile)
+        sums = tile_angle_sums(tile)
         want = [F(j, den) in sums or (j >= den and F(j - den, den) in sums)
                 for j in range(2 * den + 1)]
         assert list(table) == want, tile.angles_pi
@@ -406,6 +396,30 @@ def test_corner_table_matches_enumeration():
         marked += sum(want)
         unmarked += len(want) - sum(want)
     assert marked > 400 and unmarked > 2000  # 495 and 2,157 entries
+
+
+def test_each_call_builds_one_table(monkeypatch):
+    """`search_tiling` with two tiles or more, `enumerate_candidates` (for
+    every tile count at once) and `corner_angle_solutions` each build
+    exactly one `angle_sums` table per call."""
+    kernel, built = spherical.angle_sums, []
+
+    def counting(angles, den, top):
+        built.append((den, top))
+        return kernel(angles, den, top)
+
+    monkeypatch.setattr(realize, "angle_sums", counting)
+    monkeypatch.setattr(spherical, "angle_sums", counting)
+    cands = enumerate_candidates(NINTH, F(1, 3), F(2, 9))
+    assert len({c.n for c in cands}) > 1 and len(built) == 1
+    for target, tile, n_max in (((F(1, 2), F(2, 3), F(2, 3)), CASE_B, None),
+                                ((F(1, 3), F(1, 3), F(7, 9)), NINTH, 8)):
+        built.clear()
+        res = search_tiling(target, tile, n_max)
+        assert res.nodes > 10 and built == [(tile.den, 2 * tile.den)]
+    built.clear()
+    assert corner_angle_solutions([F(1, 3), F(1, 2)], F(1, 6), F(1, 3))
+    assert built == [(6, 5)]
 
 
 def test_corner_table_bound():

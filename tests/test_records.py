@@ -41,7 +41,7 @@ def immutable_records():
         (LatticeTile((1, 1), ((1, 0),)), "center2"),
         (TILE, "angles_pi"),
         (edge_combination(TILE.edges[0], TILE.edges), "gap"),
-        (edge_combination(0.01, TILE.edges), "below"),
+        (edge_combination(0.01, TILE.edges), "gap"),
         (cand, "edge_status"),
         (algebraic_degree(2, 3), "degree"),
         (kn_tables(3), "edges"),
@@ -84,7 +84,7 @@ def fields(rec) -> tuple:
     RootInterval(F(1, 3), F(1, 2), False),
     ValidityReport(False, "angle outside (0, pi)"),
     EdgeMatch((1, 0, 2), 1.5, 1e-9),
-    EdgeNearest(((1, 0, 0), 1.0), ((0, 1, 0), 1.2), 0.1),
+    EdgeNearest(0.1),
     DegreeReport(2, 3, 3),
 ], ids=lambda rec: type(rec).__name__)
 def test_hash_is_the_hash_of_the_fields(rec):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from reptile_lab.angles import parse_angle
-from reptile_lab.spherical import (InvalidTriangleError, corner_angle_solutions,
+from reptile_lab.spherical import (InvalidTriangleError, angle_sums, corner_angle_solutions,
                                    corner_angle_solutions_rational_scan,
                                    edge_lengths, is_valid, is_valid_symbolic,
                                    law_of_cosines, straight_angle_combinations)
@@ -139,6 +139,55 @@ class TestStraightAngles:
         assert straight_angle_combinations([F(1, 25), F(1, 2)]) == {(25, 0), (0, 2)}
 
 
+def sums_by_enumeration(angles, den, top):
+    """The `angle_sums` table by listing every coefficient vector whose
+    combination of the angles (Fractions of pi) is at most top*pi/den."""
+    bound, found = F(top, den), set()
+
+    def walk(i, total):
+        if i == len(angles):
+            found.add(total)
+            return
+        m = 0
+        while total + m * angles[i] <= bound:
+            walk(i + 1, total + m * angles[i])
+            m += 1
+
+    walk(0, F(0))
+    return bytearray(F(j, den) in found for j in range(top + 1))
+
+
+class TestAngleSums:
+    def test_matches_enumeration(self):
+        rng = random.Random(28)
+        cases = [([], 1, 0), ([], 7, 9), ([F(1, 3)], 3, 0),  # no angles, top = 0
+                 ([F(1, 4), F(1, 4), F(1, 2)], 4, 12),  # repeated angles
+                 ([F(5, 6), F(2, 3)], 6, 3),  # every angle above top
+                 ([F(3, 2), F(1, 3), 2], 6, 10)]  # one above top; an int
+        while len(cases) < 200:
+            den = rng.randint(1, 12)
+            angles = [F(rng.randint(1, 2 * den + 3), den) for _ in range(rng.randint(0, 3))]
+            if angles and rng.random() < 0.2:
+                angles.append(rng.choice(angles))
+            cases.append((angles, den, rng.randint(0, 3 * den)))
+        marked = unmarked = 0
+        for angles, den, top in cases:
+            table = angle_sums(angles, den, top)
+            assert table == sums_by_enumeration(angles, den, top), (angles, den, top)
+            marked += sum(table)
+            unmarked += len(table) - sum(table)
+        assert marked > 600 and unmarked > 1500  # 684 and 1,552 entries
+
+    @pytest.mark.parametrize("angles", [[F(1, 5)], [F(1, 3), F(1, 8)], [F(0)], [F(-1, 3)]])
+    def test_off_grid_or_not_positive_raises(self, angles):
+        with pytest.raises(ValueError):
+            angle_sums(angles, 12, 24)
+
+    def test_float_raises(self):
+        with pytest.raises(TypeError):
+            angle_sums([F(1, 3), 0.5], 6, 12)
+
+
 class TestCornerSolver:
     def test_reference_set(self):
         sols = corner_angle_solutions([F(1, 3), F(1, 2)], F(1, 6), F(1, 3))
@@ -149,8 +198,22 @@ class TestCornerSolver:
         assert sols == [F(1, m) for m in range(199, 100, -1)]
 
     def test_positive_fixed_angles_required(self):
-        with pytest.raises(ValueError):
-            corner_angle_solutions([F(0), F(1, 2)], F(1, 6), F(1, 3))
+        # the scan once divided by a zero angle and returned [] for a
+        # negative one; both solvers now refuse either
+        for solve in (corner_angle_solutions, corner_angle_solutions_rational_scan):
+            for bad in (F(0), F(-1, 2)):
+                with pytest.raises(ValueError, match="fixed angles must be positive"):
+                    solve([bad, F(1, 2)], F(1, 6), F(1, 3))
+
+    def test_float_raises(self):
+        # the float 1/6 lies below 1/6, so it once let 1/6 into the open
+        # interval (1/6, 1/3)
+        for solve in (corner_angle_solutions, corner_angle_solutions_rational_scan):
+            for args in (([F(1, 3), F(1, 2)], 1 / 6, F(1, 3)),
+                         ([F(1, 3), F(1, 2)], F(1, 6), 1 / 3),
+                         ([F(1, 3), 0.5], F(1, 6), F(1, 3))):
+                with pytest.raises(TypeError):
+                    solve(*args)
 
     def test_rational_scan_matches_per_q_oracle(self):
         rng = random.Random(11)
