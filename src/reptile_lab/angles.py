@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .exactmath import chebyshev, cos_pi
+from .exactmath import chebyshev, cos_pi, frac
 
 SYMBOLS = ("pi", "alpha", "beta", "gamma")
 
@@ -24,10 +24,6 @@ SYMBOLS = ("pi", "alpha", "beta", "gamma")
 class NoExactCosineError(ValueError):
     """The angle has no exact cosine: a symbol is left that no relation or
     parametrisation resolves."""
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 class AngleForm:
@@ -53,11 +49,11 @@ class AngleForm:
 
     @staticmethod
     def of(pi=0, alpha=0, beta=0, gamma=0) -> "AngleForm":
-        return AngleForm((_frac(pi), _frac(alpha), _frac(beta), _frac(gamma)))
+        return AngleForm((frac(pi), frac(alpha), frac(beta), frac(gamma)))
 
     @staticmethod
     def pi_multiple(q) -> "AngleForm":
-        return AngleForm.of(pi=_frac(q))
+        return AngleForm.of(pi=q)
 
     def __add__(self, other: "AngleForm") -> "AngleForm":
         return AngleForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -69,7 +65,7 @@ class AngleForm:
         return AngleForm(tuple(-a for a in self.coeffs))
 
     def __rmul__(self, k) -> "AngleForm":
-        k = _frac(k)
+        k = frac(k)
         return AngleForm(tuple(k * a for a in self.coeffs))
 
     __mul__ = __rmul__

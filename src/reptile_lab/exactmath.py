@@ -26,7 +26,8 @@ class ZeroPolynomialError(ValueError):
     """Operation undefined for the zero polynomial."""
 
 
-def _frac(x) -> Fraction:
+def frac(x) -> Fraction:
+    """x as a Fraction; only an int or a Fraction is taken (else TypeError)."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -53,7 +54,7 @@ class Poly:
     __slots__ = ("coeffs", "_sqf")  # the second is set by `_square_free_part`
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]] = ()):
-        cs = [_frac(c) for c in coeffs]
+        cs = [frac(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -65,7 +66,7 @@ class Poly:
 
     @staticmethod
     def constant(c) -> "Poly":
-        return Poly([_frac(c)])
+        return Poly([frac(c)])
 
     @staticmethod
     def x() -> "Poly":
@@ -290,11 +291,11 @@ def sturm_count(p: Poly, lo=None, hi=None) -> int:
     """
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial")
-    if lo is not None and hi is not None and _frac(lo) >= _frac(hi):
+    if lo is not None and hi is not None and frac(lo) >= frac(hi):
         raise ValueError("empty interval")
     chain = [_integer_coeffs(q) for q in sturm_chain(p)]
-    a = (-1, 0) if lo is None else _frac(lo).as_integer_ratio()
-    b = (1, 0) if hi is None else _frac(hi).as_integer_ratio()
+    a = (-1, 0) if lo is None else frac(lo).as_integer_ratio()
+    b = (1, 0) if hi is None else frac(hi).as_integer_ratio()
     vb, fb = _count_variations(chain, *b)
     # V(a) - V(b) counts the roots in (a, b]
     return _count_variations(chain, *a)[0] - vb - (fb == 0)
@@ -359,7 +360,7 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
     """
     if p.is_zero():
         raise ZeroPolynomialError("zero polynomial")
-    precision = _frac(precision)
+    precision = frac(precision)
     if precision <= 0:
         raise ValueError("precision must be positive")
     f = _square_free_part(p)
@@ -619,7 +620,7 @@ class ExactMatrix:
                      else RealCyclotomic(Poly.constant(e), m) for e in r] for r in rows]
         else:
             ring = _RING_RATIONAL
-            rows = [[_frac(e) for e in r] for r in rows]
+            rows = [[frac(e) for e in r] for r in rows]
         self.n = n
         self.rows = tuple(tuple(r) for r in rows)
         self.ring = ring

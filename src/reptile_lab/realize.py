@@ -28,10 +28,13 @@ kernel takes them.
 The search fills the open corner with the smallest interior angle first and
 places tiles flush against the boundary.  It drops every region with a
 corner that no sum of tile angles can fill (`_corner_table`, from the
-same kernel).  Degenerate
-pinch configurations (a tile corner landing in the middle of a far boundary
-arc) are rejected rather than split, which is sound for `found` answers
-(independently verified) and conservative for `exhausted` ones.
+same kernel).  A corner that a tile fills exactly, while the tile's next
+side runs part way along the corner's other arm, is left at angle 0 with
+both arms along one geodesic: a zero-width spike, which `_cleanup_cycle`
+trims.  A slit (a zero angle whose arms part) and a true pinch (a region
+touching itself at a point) are rejected rather than split, which is sound
+for `found` answers (independently verified) and conservative for
+`exhausted` ones.
 """
 
 from __future__ import annotations
@@ -535,11 +538,14 @@ def _cleanup_cycle(cycle, den):
     """Normalize a provisional boundary cycle of (point, angle) nodes, the
     angles ints, multiples of pi/`den`.
 
-    Removes straight vertices (their arcs merge), collapses zero-width
-    spikes (a consumed vertex whose two neighbours coincide: the spike's
-    two arcs are the same geodesic, and the neighbour entries fuse with
-    angle sum minus 2*pi), detects closure by vanishing area, and rejects
-    genuine slits or overlaps.  Returns "closed", a _Region, or None.
+    Removes straight vertices (their arcs merge) and zero-width spikes, a
+    consumed vertex V (angle 0) whose two arms run along one geodesic.
+    When V's neighbours coincide, their entries fuse with angle sum minus
+    2*pi.  Otherwise the nearer neighbour must lie on the farther arm
+    (`sphgeo.on_arc`): V is dropped and pi is taken from the nearer
+    neighbour's angle.  Detects closure by vanishing area, and rejects
+    slits (a zero angle with no such neighbour) and overlaps (a negative
+    angle).  Returns "closed", a _Region, or None.
     """
     nodes = list(cycle)
     while True:
@@ -560,7 +566,17 @@ def _cleanup_cycle(cycle, den):
                 pp, ap = nodes[jp]
                 pn, an = nodes[jn]
                 if sphgeo.arc_length(pp, pn) > SNAP:
-                    return None  # real slit: not representable here
+                    V = nodes[i][0]
+                    if sphgeo.arc_length(V, pp) < sphgeo.arc_length(V, pn):
+                        near, far = jp, pn
+                    else:
+                        near, far = jn, pp
+                    q, aq = nodes[near]
+                    if not sphgeo.on_arc(q, V, far, SNAP):
+                        return None  # real slit: not representable here
+                    nodes[near] = (q, aq - den)
+                    del nodes[i]
+                    break
                 merged = ap + an - 2 * den
                 if merged < 0:
                     return None

@@ -435,9 +435,7 @@ def scenario_case_a(report: Report) -> None:
     valid_keys = []
     for i in range(1, 6):
         d = fixtures.diagram(f"case-a-{i}")
-        ok = all(is_valid_symbolic([d.labels[e] for e in
-                                    ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))],
-                                   rel, lo, hi)
+        ok = all(is_valid_symbolic(d.triangle_type(t), rel, lo, hi)
                  for t in d.triangles())
         if ok:
             valid_keys.append(f"case-a-{i}")

@@ -4,10 +4,12 @@ Angles are the source of truth.  They enter as Fractions of pi (ints
 allowed); a float raises TypeError, so no angle is ever read in two ways.
 Edges are derived in radians through the law of cosines for angles,
 `law_of_cosines`, the one place in the package where exact angles become
-float edges.  Validity follows the classical facts for spherical
-triangles: angle sum above pi, each angle in (0, pi), and the spherical
-triangle inequality (the two largest angles sum to less than pi plus the
-smallest), which is equivalent to the area bound 2*min-angle.
+float edges.  Validity is the classical facts for spherical triangles,
+stated once (`_failure`): each angle in (0, pi), angle sum above pi, and
+the spherical triangle inequality (the two largest angles sum to less than
+pi plus the smallest, equivalent to the area bound 2*min-angle).  It is
+read at a point (`is_valid`), or at the ends and the midpoint of a beta
+interval (`is_valid_symbolic`).
 
 Which multiples of pi/D are sums of some angles is one table, `angle_sums`,
 read by `corner_angle_solutions` and by `realize`'s corner table and
@@ -17,10 +19,11 @@ candidate lists.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .angles import AngleForm, RelationSet
+from .angles import RelationSet
 
 
 def _require_exact(angles: Sequence[Fraction]) -> None:
@@ -37,19 +40,28 @@ class ValidityReport(NamedTuple):
         return self.ok
 
 
+def _failure(angles: Sequence[Fraction], strict: bool) -> Optional[str]:
+    """The reason of the first validity condition (module docstring) the
+    three angles, Fractions of pi, fail, or None.  With `strict` false each
+    inequality also allows equality."""
+    fails = operator.le if strict else operator.lt
+    a, b, c = sorted(angles)
+    if fails(a, 0) or fails(1, c):
+        return "angle outside (0, pi)"
+    if fails(a + b + c, 1):
+        return "angle sum not above pi"
+    if fails(1 + a, b + c):
+        return "spherical triangle inequality fails"
+    return None
+
+
 def is_valid(angles: Sequence[Fraction]) -> ValidityReport:
     """Exact strict spherical-triangle validity for three Fractions of pi."""
     _require_exact(angles)
     if len(angles) != 3:
         return ValidityReport(False, "need exactly three angles")
-    qs = sorted(angles)
-    if any(q <= 0 or q >= 1 for q in qs):
-        return ValidityReport(False, "angle outside (0, pi)")
-    if qs[0] + qs[1] + qs[2] <= 1:
-        return ValidityReport(False, "angle sum not above pi")
-    if qs[1] + qs[2] >= 1 + qs[0]:
-        return ValidityReport(False, "spherical triangle inequality fails")
-    return ValidityReport(True)
+    reason = _failure(angles, strict=True)
+    return ValidityReport(reason is None, reason or "ok")
 
 
 class InvalidTriangleError(ValueError):
@@ -204,57 +216,25 @@ def corner_angle_solutions_rational_scan(fixed: Sequence[Fraction], lo: Fraction
 # ---------------------------------------------------------------------------
 
 
-def const_sign_on_interval(form: AngleForm, beta_lo: Fraction, beta_hi: Fraction) -> int:
-    """Sign of q_pi*pi + q_b*beta for all beta in the open interval (lo, hi)*pi.
-
-    Returns +1, -1 or 0 (identically zero); raises if the sign changes
-    inside the interval.  The form is linear in beta, so endpoint values
-    decide everything.
-    """
-    if form.coefficient("alpha") != 0 or form.coefficient("gamma") != 0:
-        raise ValueError("form must be reduced to pi and beta")
-    qp, qb = form.coefficient("pi"), form.coefficient("beta")
-    if qp == 0 and qb == 0:
-        return 0
-    v_lo = qp + qb * beta_lo
-    v_hi = qp + qb * beta_hi
-    if v_lo >= 0 and v_hi >= 0:
-        return 1  # endpoints excluded; a linear form can vanish at most once
-    if v_lo <= 0 and v_hi <= 0:
-        return -1
-    raise ValueError("sign not constant on the beta interval")
-
-
 def is_valid_symbolic(forms, relations: RelationSet, beta_lo: Fraction,
                       beta_hi: Fraction) -> ValidityReport:
-    """Validity of a triple of angle forms, uniform over beta in an interval.
+    """Validity of a triple of angle forms for every beta in the open
+    interval (beta_lo, beta_hi)*pi.  Each form must reduce under the
+    relations to q_pi*pi + q_beta*beta (else ValueError).
 
-    The forms must reduce (under the relations) to linear forms in pi and
-    beta with interval-constant comparison signs.  An identical equality
-    (the degenerate case of the spherical triangle inequality) makes the
-    triple invalid, matching the strict inequalities of `is_valid`.
+    At one beta, `_failure` asks whether ten linear functions of beta are
+    positive (>= 0 with equality allowed): each angle x, pi - x, the sum
+    minus pi, and pi + x minus the other two; sorting takes their minimum.
+    A linear function >= 0 at both ends and > 0 at the midpoint is > 0
+    inside, so reading the triple at beta_lo and beta_hi with equality
+    allowed and strictly at the midpoint is exact.
     """
-    reduced = [relations.normalize(f) for f in forms]
-
-    def sgn(form):
-        return const_sign_on_interval(form, beta_lo, beta_hi)
-
-    one = AngleForm.pi_multiple(1)
-    for f in reduced:
-        if sgn(f) <= 0:
-            return ValidityReport(False, "angle not positive")
-        if sgn(one - f) <= 0:
-            return ValidityReport(False, "angle not below pi")
-    total = reduced[0] + reduced[1] + reduced[2]
-    if sgn(total - one) <= 0:
-        return ValidityReport(False, "angle sum not above pi")
-    # order the three forms on the interval, then test L1 + L2 < pi + L0
-    ordered = list(reduced)
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            if sgn(ordered[j] - ordered[i]) < 0:
-                ordered[i], ordered[j] = ordered[j], ordered[i]
-    slack = one + ordered[0] - ordered[1] - ordered[2]
-    if sgn(slack) <= 0:
-        return ValidityReport(False, "spherical triangle inequality fails")
+    coeffs = [relations.normalize(f).coeffs for f in forms]
+    if any(qa or qg for _, qa, _, qg in coeffs):
+        raise ValueError("form must be reduced to pi and beta")
+    for beta, strict in ((beta_lo, False), (beta_hi, False),
+                         ((beta_lo + beta_hi) / 2, True)):
+        reason = _failure([qp + qb * beta for qp, _, qb, _ in coeffs], strict)
+        if reason:
+            return ValidityReport(False, reason)
     return ValidityReport(True)

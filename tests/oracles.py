@@ -3,8 +3,10 @@ the slow references for Sturm root isolation and for the sign of a field
 element, the trial-factoring oracle of `algebraic_degree` (in
 test_acceptance.py, beside criterion 13), tuple-composition references for
 the permutation-group layer of `coxeter`, the position-tuple form of
-`pair_canonical`, and `QuadExt`, the closed-form
-quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5.
+`pair_canonical`, `QuadExt`, the closed-form
+quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5,
+and the sort-free reference of spherical-triangle validity over a beta
+interval.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -491,3 +493,22 @@ def in_field(x):
         return x
     k, q, s = SQRT_AS_COSINE[x.m]
     return x.a + x.b * (k * cos_pi(q) + s)
+
+
+def is_valid_symbolic_reference(lines, lo: Fraction, hi: Fraction) -> bool:
+    """Is the triangle with angles q_pi + q_beta*beta (units of pi), one
+    (q_pi, q_beta) pair per angle, valid for every beta in (lo, hi)?
+
+    Written without sorting: validity is that ten linear margins are
+    positive, each angle x, 1 - x, the sum minus 1, and 1 + x minus the
+    other two.  A linear margin is positive on the open interval iff it is
+    >= 0 at both ends and not 0 at both.  With lo == hi this is strict
+    validity at the point.
+    """
+    def margins(beta):
+        a, b, c = (qp + qb * beta for qp, qb in lines)
+        return (a, b, c, 1 - a, 1 - b, 1 - c, a + b + c - 1,
+                1 + a - b - c, 1 + b - a - c, 1 + c - a - b)
+
+    return all(m_lo >= 0 and m_hi >= 0 and (m_lo, m_hi) != (0, 0)
+               for m_lo, m_hi in zip(margins(lo), margins(hi)))

@@ -135,9 +135,8 @@ def test_criterion_08_diagram_enumerations(case_analyses, case_a_diagrams):
     rel = case_a_diagrams[0].relations
     survivors = []
     for d in case_a_diagrams:
-        valid = all(is_valid_symbolic(
-            [d.labels[e] for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))],
-            rel, F(1, 3), F(1, 2)) for t in d.triangles())
+        valid = all(is_valid_symbolic(d.triangle_type(t), rel, F(1, 3), F(1, 2))
+                    for t in d.triangles())
         if valid:
             survivors.append(d)
     ok &= len(survivors) == EXP["diagram_counts"]["case-a-after-validity"]

@@ -67,6 +67,35 @@ class TestParse:
         assert parse_angle(format_angle(form)) == form
 
 
+class TestExactCoefficients:
+    """A coefficient is an int or a Fraction; a float or a str raises
+    TypeError, as everywhere in the package."""
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/3"])
+    def test_of_refuses(self, bad):
+        with pytest.raises(TypeError):
+            AngleForm.of(pi=bad)
+        with pytest.raises(TypeError):
+            AngleForm.of(beta=bad)
+
+    @pytest.mark.parametrize("bad", [0.1, 0.5, "1/3"])
+    def test_pi_multiple_refuses(self, bad):
+        with pytest.raises(TypeError):
+            AngleForm.pi_multiple(bad)
+
+    @pytest.mark.parametrize("bad", [0.5, "2"])
+    def test_scalar_product_refuses(self, bad):
+        with pytest.raises(TypeError):
+            bad * BETA
+        with pytest.raises(TypeError):
+            BETA * bad
+
+    def test_exact_coefficients_accepted(self):
+        assert AngleForm.of(pi=F(1, 3), beta=2) == parse_angle("1/3 pi+2*beta")
+        assert AngleForm.pi_multiple(1) == PI
+        assert 2 * BETA == BETA * F(2) == parse_angle("2*beta")
+
+
 class TestNormalize:
     def test_substitution(self):
         r = RelationSet.of(("alpha", parse_angle("pi-2*beta")))

@@ -4,11 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from reptile_lab.angles import parse_angle
+from reptile_lab.angles import EMPTY_RELATIONS, AngleForm, parse_angle
 from reptile_lab.spherical import (InvalidTriangleError, angle_sums, corner_angle_solutions,
                                    corner_angle_solutions_rational_scan,
                                    edge_lengths, is_valid, is_valid_symbolic,
                                    law_of_cosines, straight_angle_combinations)
+from oracles import is_valid_symbolic_reference
 from test_sphgeo import radian_law_of_cosines
 
 PI = math.pi
@@ -68,6 +69,65 @@ class TestValidity:
         assert not rep
         good = [parse_angle("alpha"), parse_angle("beta"), parse_angle("gamma")]
         assert is_valid_symbolic(good, relations, F(1, 3), F(1, 2))
+
+    @pytest.mark.parametrize("texts", [("1/3 pi", "2*beta-1/3 pi", "1/2 pi"),
+                                       ("beta", "beta", "4/3 pi-2*beta")])
+    def test_symbolic_angles_cross_inside_the_interval(self, texts):
+        # one angle passes another inside (1/3, 1/2), at 5/12 in the first
+        # triple and at 4/9 in the second; both are valid throughout
+        forms = [parse_angle(t) for t in texts]
+        assert is_valid_symbolic(forms, EMPTY_RELATIONS, F(1, 3), F(1, 2))
+
+    def test_symbolic_refuses_a_form_with_alpha_or_gamma(self):
+        for text in ("alpha", "gamma"):
+            forms = [parse_angle(t) for t in ("beta", "1/2 pi", text)]
+            with pytest.raises(ValueError):
+                is_valid_symbolic(forms, EMPTY_RELATIONS, F(1, 3), F(1, 2))
+
+    @staticmethod
+    def _random_lines(rng):
+        """Three (q_pi, q_beta) pairs and an interval lo < hi in [0, 1]: half
+        the draws pick each angle's value at lo from the multiples of 1/12
+        in [0, 1] and move it by at most 1/4 at hi (so margins often vanish
+        at an end), half pick the coefficients themselves."""
+        lo, hi = sorted(rng.sample(range(25), 2))
+        lo, hi = F(lo, 24), F(hi, 24)
+        if rng.random() < 0.5:
+            lines = []
+            for _ in range(3):
+                v_lo = F(rng.randint(0, 12), 12)
+                qb = F(rng.randint(-3, 3), 12) / (hi - lo)
+                lines.append((v_lo - qb * lo, qb))
+        else:
+            lines = [(F(rng.randint(-6, 12), 6), F(rng.randint(-6, 6), rng.randint(1, 3)))
+                     for _ in range(3)]
+        return lines, lo, hi
+
+    def test_symbolic_matches_sort_free_reference(self):
+        """12,000 draws of `_random_lines` (seed 29) against the ten-margin
+        reference; both verdicts, and angles that cross inside the
+        interval, must each occur often."""
+        rng = random.Random(29)
+        valid = crossing_valid = 0
+        for _ in range(12000):
+            lines, lo, hi = self._random_lines(rng)
+            forms = [AngleForm.of(pi=qp, beta=qb) for qp, qb in lines]
+            want = is_valid_symbolic_reference(lines, lo, hi)
+            assert bool(is_valid_symbolic(forms, EMPTY_RELATIONS, lo, hi)) == want
+            valid += want
+            order_lo = sorted(range(3), key=lambda i: lines[i][0] + lines[i][1] * lo)
+            order_hi = sorted(range(3), key=lambda i: lines[i][0] + lines[i][1] * hi)
+            crossing_valid += want and order_lo != order_hi
+        assert valid > 500 and crossing_valid > 200
+
+    def test_reference_at_a_point_matches_is_valid(self):
+        """At lo == hi the reference is strict validity at the point, as
+        `is_valid` reads it: 3,000 draws of `_random_lines` (seed 30)."""
+        rng = random.Random(30)
+        for _ in range(3000):
+            lines, lo, _ = self._random_lines(rng)
+            want = bool(is_valid([qp + qb * lo for qp, qb in lines]))
+            assert is_valid_symbolic_reference(lines, lo, lo) == want
 
 
 class TestEdges:
