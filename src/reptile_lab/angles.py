@@ -112,6 +112,9 @@ class RelationSet(NamedTuple):
 
     @staticmethod
     def of(*rules) -> "RelationSet":
+        for s, _ in rules:
+            if s not in SYMBOLS[1:]:
+                raise ValueError(f"relation symbol {s!r}: expected alpha, beta or gamma")
         return RelationSet(tuple((s, f) for s, f in rules))
 
     def normalize(self, form: AngleForm) -> AngleForm:
@@ -163,8 +166,10 @@ def parse_angle(text: str) -> AngleForm:
             raise ValueError(f"bad angle term {term!r} in {text!r}")
         if m.group("bare") is not None:
             raise ValueError(f"bare number {term!r}: angles need a pi factor")
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
-        coef *= sign
+        try:
+            coef = sign * Fraction(m.group("coef") or 1)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in angle term {term!r}") from None
         out = out + coef * AngleForm.of(**{m.group("sym"): 1})
     return out
 

@@ -436,8 +436,19 @@ def minimal_polynomial(n: int) -> Poly:
 
 @lru_cache(maxsize=None)
 def _cos_pi_interval(n: int) -> RootInterval:
-    # cos(pi/n) is the largest of its conjugates cos(k pi/n), k odd
-    return isolate_roots(minimal_polynomial(n))[-1]
+    """An isolating interval of cos(pi/n), n >= 4: a window around binary64's
+    cos(pi/n), halved until it holds exactly one root of the minimal
+    polynomial f and none lies above it.  cos(pi/n) is the largest of its
+    conjugates cos(k pi/n), k odd, so that root is cos(pi/n); f is
+    irreducible of degree >= 2, so no rational endpoint is a root."""
+    f = minimal_polynomial(n)
+    c, w = Fraction(math.cos(math.pi / n)), Fraction(1, 2 ** 20)
+    while w >= Fraction(1, 2 ** 60):
+        lo, hi = c - w, c + w
+        if sturm_count(f, lo, hi) == 1 and sturm_count(f, hi) == 0:
+            return RootInterval(lo, hi, False)
+        w /= 2
+    raise ArithmeticError(f"no isolating interval for cos(pi/{n})")
 
 
 class RealCyclotomic:

@@ -26,15 +26,16 @@ raises TypeError.  Points are float 3-tuples throughout, as the `sphgeo`
 kernel takes them.
 
 The search fills the open corner with the smallest interior angle first and
-places tiles flush against the boundary.  It drops every region with a
-corner that no sum of tile angles can fill (`_corner_table`, from the
-same kernel).  A corner that a tile fills exactly, while the tile's next
-side runs part way along the corner's other arm, is left at angle 0 with
-both arms along one geodesic: a zero-width spike, which `_cleanup_cycle`
-trims.  A slit (a zero angle whose arms part) and a true pinch (a region
-touching itself at a point) are rejected rather than split, which is sound
-for `found` answers (independently verified) and conservative for
-`exhausted` ones.
+places tiles flush against the boundary.  It keeps no memo of the regions
+that failed, so a region reached twice is searched twice and no verdict
+rests on a cache key.  It drops every region with a corner that no sum of
+tile angles can fill (`_corner_table`, from the same kernel).  A corner
+that a tile fills exactly, while the tile's next side runs part way along
+the corner's other arm, is left at angle 0 with both arms along one
+geodesic: a zero-width spike, which `_cleanup_cycle` trims.  A slit (a
+zero angle whose arms part) and a true pinch (a region touching itself at a
+point) are rejected rather than split, which is sound for `found` answers
+(independently verified) and conservative for `exhausted` ones.
 """
 
 from __future__ import annotations
@@ -358,28 +359,6 @@ class _Region:
         self.arcs = [(points[i], points[(i + 1) % k]) for i in range(k)]
         self.checked = {}
 
-    def signature(self, rounded: "_Rounded"):
-        """The failure memo's key: the least rotation of the rows (point
-        rounded to 7 decimals, and angle), which starts at a smallest row.
-        The points' rounded coordinates come from `rounded`, the memo of one
-        search."""
-        rows = [rounded[p] + (a,) for p, a in zip(self.points, self.angles)]
-        first, twice = min(rows), rows + rows
-        return min(tuple(twice[i:i + len(rows)])
-                   for i, row in enumerate(rows) if row == first)
-
-
-class _Rounded(dict):
-    """Point -> its coordinates rounded to 7 decimals, rounded at the first
-    lookup.  One search makes one and drops it when it returns, so each
-    point a region carries over from its parent is rounded once."""
-
-    __slots__ = ()
-
-    def __missing__(self, p):
-        r = self[p] = (round(p[0], 7), round(p[1], 7), round(p[2], 7))
-        return r
-
 
 # Largest D (the lcm of a tile's angle denominators) for which a search
 # builds its corner table, of 2D + 1 entries in O(D) steps; a search with a
@@ -650,16 +629,16 @@ def _placement_geometry_ok(old: _Region, new: _Region) -> bool:
     return True
 
 
-def _pick_vertex(region: _Region, rounded: _Rounded) -> int:
+def _pick_vertex(region: _Region) -> int:
     """Index of the open corner to fill: the first one by the key (angle,
-    point rounded to 7 decimals by the search's `rounded`).  Only the
-    corners with the smallest angle can win, so only theirs are looked up."""
+    point rounded to 7 decimals).  Only the corners with the smallest angle
+    can win, so only theirs are rounded."""
     angles = region.angles
     low = min(angles)
     ties = [i for i, a in enumerate(angles) if a == low]
     if len(ties) == 1:
         return ties[0]
-    return min(ties, key=lambda i: rounded[region.points[i]])
+    return min(ties, key=lambda i: tuple(round(c, 7) for c in region.points[i]))
 
 
 # Default search-node budget: the largest catalog search stays far below it,
@@ -722,17 +701,12 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     region0 = _Region(list(t_points), [int(q * den) for q in target])
     _placement_geometry_ok(_Region([], []), region0)
     orients = _orientations(tile)
-    failed = set()
-    rounded = _Rounded()
     nodes = 0
     solution = []
 
     def dfs(region, placed):
         nonlocal nodes
-        sig = (len(placed), region.signature(rounded))
-        if sig in failed:
-            return None
-        vi = _pick_vertex(region, rounded)
+        vi = _pick_vertex(region)
         ways = [None, None]
         for orient in orients:
             nodes += 1
@@ -753,7 +727,6 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
             sub = dfs(state, placed + [placement])
             if sub in ("found", "aborted"):
                 return sub
-        failed.add(sig)
         return None
 
     out = dfs(region0, [])

@@ -58,7 +58,7 @@ class TestParse:
         assert parse_angle(text) == AngleForm(tuple(F(c) for c in coeffs))
 
     def test_rejects_garbage(self):
-        for bad in ("", "2", "pi pi", "1/2", "delta"):
+        for bad in ("", "2", "pi pi", "1/2", "delta", "1/0 pi", "alpha - 2/0 beta"):
             with pytest.raises(ValueError):
                 parse_angle(bad)
 

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (QuadExt, field_sign_reference, in_field, isolate_roots_reference,
                      sturm_count_reference)
-from reptile_lab import fixtures
+from reptile_lab import exactmath, fixtures
 from reptile_lab.exactmath import (ExactMatrix, Poly, RealCyclotomic, RingMismatchError,
                                    RootInterval, ZeroPolynomialError, cos_pi,
                                    isolate_roots, minimal_polynomial, sign,
@@ -564,6 +564,32 @@ def test_sign_bound_stays_exact(n):
     assert y.poly.degree == 23
     x = y - F(float(y))
     assert x.sign() == field_sign_reference(x) == -(-x).sign() != 0
+
+
+def test_cos_pi_interval_isolates_the_largest_root():
+    """cos(pi/n)'s interval holds exactly one root of the minimal polynomial
+    and none lies above it; up to n = 60 it meets the largest interval of
+    `isolate_roots`."""
+    for n in [*range(4, 61), 113, 127]:
+        f = minimal_polynomial(n)
+        lo, hi, exact = exactmath._cos_pi_interval(n)
+        assert not exact and lo < math.cos(math.pi / n) < hi
+        assert sturm_count(f, lo, hi) == 1 and sturm_count(f, hi) == 0
+        if n <= 60:
+            ref = isolate_roots(f)[-1]
+            assert max(lo, ref.lo) < min(hi, ref.hi)
+
+
+def test_sign_needs_no_rational_root_search(monkeypatch):
+    """A sign in Q(cos(pi/127)) comes out without the rational root search,
+    whose trial division of 2^62 would take minutes."""
+    def refuse(p):
+        raise AssertionError("rational root search")
+
+    monkeypatch.setattr(exactmath, "_rational_roots", refuse)
+    exactmath._cos_pi_interval.cache_clear()
+    x = cos_pi(F(1, 127))  # 0.99969407...
+    assert ((x - F(99969, 100000)).sign(), (x - F(9997, 10000)).sign()) == (1, -1)
 
 
 def test_sign_matches_mpmath():

@@ -306,15 +306,15 @@ SEARCH_TREE = [
     ("ninth", (F(1, 3), F(1, 3), F(4, 9)), "found", 2, 10, 4),
     ("ninth", (F(1, 3), F(1, 3), F(7, 9)), "exhausted", 0, 1296, 618),
     # the ten heaviest other searches of the benchmark's target pool
-    ("quarter", (F(1, 2), F(1, 2), F(2, 3)), "exhausted", 0, 1728, 498),
-    ("quarter", (F(1, 2), F(1, 2), F(7, 12)), "exhausted", 0, 1512, 696),
-    ("quarter", (F(1, 2), F(7, 12), F(7, 12)), "exhausted", 0, 936, 684),
+    ("quarter", (F(1, 2), F(1, 2), F(2, 3)), "exhausted", 0, 1734, 498),
+    ("quarter", (F(1, 2), F(1, 2), F(7, 12)), "exhausted", 0, 1548, 708),
+    ("quarter", (F(1, 2), F(7, 12), F(7, 12)), "exhausted", 0, 942, 690),
     ("ninth", (F(1, 3), F(5, 9), F(5, 9)), "exhausted", 0, 894, 498),
     ("ninth", (F(1, 3), F(1, 3), F(13, 18)), "exhausted", 0, 876, 396),
     ("ninth", (F(4, 9), F(4, 9), F(5, 9)), "exhausted", 0, 870, 396),
     ("fifth", (F(1, 3), F(1, 3), F(3, 5)), "exhausted", 0, 846, 270),
     ("quarter", (F(1, 3), F(1, 3), F(11, 12)), "exhausted", 0, 756, 546),
-    ("quarter", (F(1, 3), F(1, 2), F(3, 4)), "found", 7, 721, 535),
+    ("quarter", (F(1, 3), F(1, 2), F(3, 4)), "found", 7, 733, 547),
     ("ninth", (F(1, 3), F(1, 2), F(5, 9)), "exhausted", 0, 642, 294),
     # alpha- and beta-list entries beyond the fixtures
     ("fifth", (F(1, 3), F(1, 2), F(4, 5)), "found", 19, 18775, 7441),
@@ -721,15 +721,15 @@ def test_pick_vertex_matches_key_on_exact_ties(monkeypatch):
                 pts[i] = rng.choice((pts[j], tuple(c + 1e-12 for c in pts[j])))
         region = realize._Region(pts, angles)
         ties += angles.count(min(angles)) > 1
-        assert realize._pick_vertex(region, realize._Rounded()) == pick_vertex_by_key(region)
+        assert realize._pick_vertex(region) == pick_vertex_by_key(region)
     assert ties > 250
 
     picked = realize._pick_vertex
     regions = []
 
-    def checked(region, rounded):
+    def checked(region):
         regions.append(region.angles.count(min(region.angles)) > 1)
-        got = picked(region, rounded)
+        got = picked(region)
         assert got == pick_vertex_by_key(region)
         return got
 
@@ -737,71 +737,6 @@ def test_pick_vertex_matches_key_on_exact_ties(monkeypatch):
     for target, tile, nodes in (NINTH_EXHAUSTED, QUARTER_SEVEN):
         assert search_tiling(target, tile).nodes == nodes
     assert sum(regions) > 10
-
-
-def signature_all_rotations(region):
-    """Reference signature: the least of all k rotations of the rows."""
-    k = len(region.points)
-    rows = [tuple(round(c, 7) for c in region.points[i]) + (region.angles[i],)
-            for i in range(k)]
-    return min(tuple(rows[(i + j) % k] for j in range(k)) for i in range(k))
-
-
-def test_signature_matches_all_rotations(monkeypatch):
-    """On synthetic regions whose rows repeat, so that several rotations
-    start at a smallest row, and on every region of two pinned searches,
-    the signature is the least of all rotations."""
-    rng = random.Random(23)
-    repeats = 0
-    for _ in range(500):
-        k = rng.randint(3, 9)
-        pool = [(sphgeo.unit((rng.gauss(0, 1), rng.gauss(0, 1), rng.gauss(0, 1))),
-                 rng.choice((3, 5, 8))) for _ in range(rng.randint(1, 3))]
-        rows = [rng.choice(pool) for _ in range(k)]
-        region = realize._Region([p for p, _ in rows], [a for _, a in rows])
-        repeats += rows.count(min(rows)) > 1
-        assert region.signature(realize._Rounded()) == signature_all_rotations(region)
-    assert repeats > 250
-
-    signature = realize._Region.signature
-    seen = []
-
-    def checked(region, rounded):
-        got = signature(region, rounded)
-        assert got == signature_all_rotations(region)
-        seen.append(got)
-        return got
-
-    monkeypatch.setattr(realize._Region, "signature", checked)
-    for target, tile, nodes in (NINTH_EXHAUSTED, QUARTER_SEVEN):
-        assert search_tiling(target, tile).nodes == nodes
-    assert len(seen) > 100
-
-
-def test_each_search_rounds_through_its_own_memo(monkeypatch):
-    """The exhausted ninth and 7-tile quarter searches, run back to back in
-    either order, keep their pinned node counts; each rounds through one
-    memo of its own, empty at its first region, whose every entry is the
-    point's coordinates rounded to 7 decimals."""
-    signature = realize._Region.signature
-    memos = []
-
-    def checked(region, rounded):
-        if not any(rounded is m for m in memos):
-            assert not rounded
-            memos.append(rounded)
-        got = signature(region, rounded)
-        assert all(type(row[3]) is int for row in got)  # the exact angle
-        return got
-
-    monkeypatch.setattr(realize._Region, "signature", checked)
-    for order in ((NINTH_EXHAUSTED, QUARTER_SEVEN), (QUARTER_SEVEN, NINTH_EXHAUSTED)):
-        for target, tile, nodes in order:
-            count = len(memos)
-            assert search_tiling(target, tile).nodes == nodes
-            assert len(memos) == count + 1
-    assert all(r == tuple(round(c, 7) for c in p) for m in memos for p, r in m.items())
-    assert min(len(m) for m in memos) > 50
 
 
 class TestVerify:

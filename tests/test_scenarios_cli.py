@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from importlib import resources
@@ -178,10 +179,19 @@ class TestCli:
          "vertex name 'u,w' cannot appear in an edge key"),
         ({"vertices": ["", "v"], "edges": {",v": "1/2 pi"}},
          "vertex name '' cannot appear in an edge key"),
+        ({"vertices": ["u", "v"], "edges": {"u,v": "1/0 pi"}},
+         "zero denominator in angle term '1/0 pi'"),
+        ({"vertices": ["u", "v"], "edges": {"u,v": "alpha"},
+          "relations": [["delta", "1/2 pi"]]},
+         "relation symbol 'delta': expected alpha, beta or gamma"),
+        ({"vertices": ["u", "v"], "edges": {"u,v": "alpha"},
+          "relations": [["pi", "1/2 pi"]]},
+         "relation symbol 'pi': expected alpha, beta or gamma"),
     ], ids=["list", "edges-not-object", "label-not-string", "no-vertices",
             "edge-labeled-twice", "unknown-vertex", "vertex-not-string",
             "vertex-listed-twice", "loop-edge", "vertex-name-spaces",
-            "vertex-name-comma", "vertex-name-empty"])
+            "vertex-name-comma", "vertex-name-empty", "zero-denominator",
+            "relation-symbol-unknown", "relation-symbol-pi"])
     def test_diagram_malformed_file(self, tmp_path, data, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
@@ -239,6 +249,19 @@ class TestCli:
         assert proc.returncode == 2
         assert "no exact cosine" in proc.stderr
 
+    def test_diagram_gram_on_a_label_of_large_denominator(self, tmp_path):
+        # the minimal polynomial of cos(pi/127) has degree 63
+        path = tmp_path / "thin.json"
+        path.write_text(json.dumps({"vertices": ["u", "v", "w"],
+                                    "edges": {"u,v": "1/127 pi", "u,w": "1/2 pi",
+                                              "v,w": "1/2 pi"}}))
+        proc = _cli("diagram", str(path), "gram")
+        assert proc.returncode == 0
+        data = json.loads(proc.stdout)
+        assert data["ring"] == "Q(cos(pi/127))"
+        assert data["determinant"] == "RealCyclotomic(Poly(-1 + 1*t^2), 127)"
+        assert data["determinant_float"] == pytest.approx(-math.sin(math.pi / 127) ** 2)
+
     def test_diagram_gram_names_the_label_without_exact_cosine(self):
         # case-a-1's labels in beta have a cosine only as a polynomial in
         # cos(beta), which the command does not ask for
@@ -251,6 +274,13 @@ class TestCli:
     def test_usage_error(self):
         proc = _cli("tile", "not-an-angle", "1/2 pi,1/2 pi,1/2 pi")
         assert proc.returncode == 2
+
+    def test_tile_zero_denominator(self):
+        proc = _cli("tile", "1/0 pi,1/2 pi,1/2 pi", "1/2 pi,1/2 pi,1/2 pi")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "zero denominator in angle term '1/0 pi'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("flags,missing", [(("--m", "2"), "--d"), (("--d", "2"), "--m")])
     def test_hill_case_needs_d_and_m(self, flags, missing):
