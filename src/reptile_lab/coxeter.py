@@ -140,21 +140,16 @@ def kn_tables(n: int) -> KnTables:
 
 
 class CoxeterDiagram:
-    """Complete graph on named vertices with canonical angle-form edge labels."""
+    """Complete graph on named vertices with canonical angle-form edge
+    labels, keyed by vertex index pairs (i, j) in either order."""
 
     def __init__(self, vertices: Sequence[str], labels: dict,
                  relations: RelationSet = EMPTY_RELATIONS):
         self.vertices = tuple(vertices)
         self.relations = relations
-        n = len(self.vertices)
-        index = {v: i for i, v in enumerate(self.vertices)}
-        canon = {}
-        for key, form in labels.items():
-            a, b = tuple(key)
-            i, j = (index[a], index[b]) if a in index else (a, b)
-            canon[_edge(i, j)] = relations.normalize(form)
-        es = all_edges(n)
-        if set(canon) != set(es):
+        canon = {_edge(i, j): relations.normalize(form) for (i, j), form in labels.items()}
+        es = all_edges(len(self.vertices))
+        if len(canon) != len(labels) or set(canon) != set(es):
             raise ValueError("labels must cover every edge exactly once")
         self.labels = canon
         # label forms numbered once, in sort_key order; symmetry runs on ids
@@ -235,7 +230,9 @@ class CoxeterDiagram:
             if ends[::-1] in labels or ends in labels:
                 raise ValueError(f"edge {key!r} is labeled twice")
             labels[ends] = parse_angle(lit)
-        return CoxeterDiagram(data["vertices"], labels, relations)
+        index = {v: i for i, v in enumerate(names)}
+        return CoxeterDiagram(names, {(index[u], index[v]): form
+                                      for (u, v), form in labels.items()}, relations)
 
     def to_fixture(self) -> dict:
         return {

@@ -55,8 +55,8 @@ class FiedlerReport:
     __slots__ = ("determinant", "is_singular", "rank", "negative_semidefinite",
                  "kernel_vector", "kernel_strictly_positive", "verdict")
 
-    def __init__(self, determinant, is_singular: bool, rank: Optional[int],
-                 negative_semidefinite: Optional[bool], kernel_vector: Optional[tuple],
+    def __init__(self, determinant, is_singular: bool, rank: int,
+                 negative_semidefinite: bool, kernel_vector: Optional[tuple],
                  kernel_strictly_positive: Optional[bool], verdict: str):
         self.determinant = determinant  # exact ring element
         self.is_singular = is_singular
@@ -77,29 +77,30 @@ def fiedler_check(matrix: ExactMatrix) -> FiedlerReport:
     A singular matrix is negative semidefinite iff every principal minor of
     -G is nonnegative; its rank is the order of its largest nonzero
     principal minor; at rank n-1, adj G = c*k*k^T, so a nonzero column of
-    the adjugate spans the kernel.  Over Q[t] only the determinant is
-    computed and the other fields are None.
+    the adjugate spans the kernel.  A matrix over Q[t] raises ValueError:
+    its determinant's roots are `parametric_fiedler`'s question.
     """
+    if matrix.ring == "Q[t]":
+        raise ValueError("fiedler_check takes a numeric matrix; "
+                         "use parametric_fiedler over Q[t]")
     n = matrix.n
     rows = matrix.rows
     if any(rows[i][j] != rows[j][i] for i, j in itertools.combinations(range(n), 2)):
         raise ValueError("the cosine matrix is not symmetric")
     det = matrix.det()
     singular = det == 0
-    rank = neg_semi = kernel = positive = None
-    if matrix.ring != "Q[t]":
-        if not singular:
-            rank = n
-            minors = matrix.leading_minors()
-            neg_semi = minors is not None and all(
-                sign(d) == (-1) ** k for k, d in enumerate(minors, 1))
-        else:
-            rank, neg_semi = _principal_minor_analysis(matrix)
-            if rank == n - 1:
-                kernel = _kernel_from_adjugate(matrix)
-                positive = all(sign(x) > 0 for x in kernel)
-    ok = singular and (rank is None or rank == n - 1) \
-        and (neg_semi is None or neg_semi) and (positive is None or positive)
+    kernel = positive = None
+    if not singular:
+        rank = n
+        minors = matrix.leading_minors()
+        neg_semi = minors is not None and all(
+            sign(d) == (-1) ** k for k, d in enumerate(minors, 1))
+    else:
+        rank, neg_semi = _principal_minor_analysis(matrix)
+        if rank == n - 1:
+            kernel = _kernel_from_adjugate(matrix)
+            positive = all(sign(x) > 0 for x in kernel)
+    ok = singular and rank == n - 1 and neg_semi and positive
     return FiedlerReport(det, singular, rank, neg_semi, kernel, positive,
                          "consistent-with-simplex" if ok else "cannot-be-a-simplex")
 

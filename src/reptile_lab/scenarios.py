@@ -145,11 +145,10 @@ def _pi_form(q) -> AngleForm:
     return AngleForm.pi_multiple(Fraction(q))
 
 
-def _type_of(fracs) -> tuple:
-    return triangle_type_of([_pi_form(q) for q in fracs])
-
-
 class FinalCaseAnalysis:
+    """The endgame of one tile: the lists for its two smallest distinct
+    angles and the rich diagrams they allow (see `final_case_analysis`)."""
+
     __slots__ = ("tile", "alpha_list", "beta_list", "extra_candidates", "forbidden",
                  "max_match_gap", "min_miss_gap", "diagrams")
 
@@ -170,23 +169,26 @@ class FinalCaseAnalysis:
 
 
 def final_case_analysis(key: str) -> FinalCaseAnalysis:
-    """The one-indivisible endgame for a concrete smallest angle.
+    """The one-indivisible endgame for the tile of a fixture key.
 
-    Derives the expressible candidate lists (candidates whose edges are
-    combinations of the tile's, not yet shown to be tiled), rejects the
-    expressible candidates whose forced edge decomposition fails (an edge of length 2b
-    must start with an a- or c-segment, so 2b-a or 2b-c must also be a
-    combination), builds the sound unrealizability table for triangle
-    types avoiding the two smallest angles, and enumerates all rich
-    diagrams the lists allow.  Also reports the gap margins of every edge
-    verdict it consulted (see `FinalCaseAnalysis`).
+    With qa < qb the tile's two smallest distinct angles, derives the
+    expressible candidate lists for qa and for qb (candidates whose edges
+    are combinations of the tile's, not yet shown to be tiled), rejects the
+    expressible candidates whose forced edge decomposition fails (an edge
+    of length 2b must start with an a- or c-segment, so 2b-a or 2b-c must
+    also be a combination), builds the sound unrealizability table for
+    triangle types avoiding qa and qb, and enumerates all diagrams the
+    lists allow that are rich in the tile's own type.  For case-b's
+    (1/3, 1/3, 1/2) the forced-decomposition triple (qb, qb, 2qa + qb) is
+    (1/2, 1/2, 7/6), no triangle, so that step never fires there.  Also
+    reports the gap margins of every edge verdict it consulted.
     """
     tile = _tile(key)
-    qa, qb, qg = tile.angles_pi
+    t0 = tile.angles_pi
+    qa, qb = sorted(set(t0))[:2]
     acands = enumerate_candidates(tile, qa, Fraction(0))
     bcands = enumerate_candidates(tile, qb, qa)
     verdicts = [c.edge_status for c in acands + bcands]
-    t0 = tuple(sorted((qa, qb, qg)))
     alpha_list = sorted({c.angles_pi() for c in acands if c.expressible} | {t0})
     a_e, b_e, c_e = tile.edges
     beta_list, extra = [], []
@@ -232,7 +234,7 @@ def final_case_analysis(key: str) -> FinalCaseAnalysis:
     diagrams = enumerate_diagrams(
         5, [_pi_form(q) for q in labels],
         lambda ttype: tuple(f.pi_fraction() for f in ttype) in admissible,
-        rich_type=_type_of((qa, qb, qg)))
+        rich_type=triangle_type_of([_pi_form(q) for q in t0]))
     return FinalCaseAnalysis(
         tile, alpha_list, beta_list, sorted(extra), sorted(forbidden),
         max((v.gap for v in verdicts if isinstance(v, EdgeMatch)), default=0.0),
@@ -496,35 +498,22 @@ def scenario_case_b(report: Report) -> None:
                      f"supplement (base {q} pi)",
                      0, len(cands), "derived", "expectations:realizable/case-b")
 
-    tile = _tile("case-b")
-    qa, qb = Fraction(1, 3), Fraction(1, 2)
-    acands = enumerate_candidates(tile, qa, Fraction(0))
+    ana = final_case_analysis("case-b")
     report.check("case-b/alpha-candidates",
                  "expressible candidates sharing the small angle",
                  _triples(exp["realizable"]["case-b"]["alpha"]),
-                 sorted(c.angles_pi() for c in acands if c.expressible),
+                 [t for t in ana.alpha_list if t != ana.tile.angles_pi],
                  "reference", "expectations:realizable/case-b")
-    bcands = enumerate_candidates(tile, qb, qa)
     report.check("case-b/beta-candidates",
                  "expressible candidates sharing the right angle",
-                 _triples(exp["realizable"]["case-b"]["beta"]),
-                 sorted(c.angles_pi() for c in bcands if c.expressible),
+                 _triples(exp["realizable"]["case-b"]["beta"]), ana.beta_list,
                  "reference", "expectations:realizable/case-b")
 
     _search_and_verify(report, "case-b", "case-b")
 
-    allowed = [tuple(sorted(Fraction(s) for s in t))
-               for t in (exp["realizable"]["case-b"]["alpha"]
-                         + exp["realizable"]["case-b"]["beta"])]
-    allowed.append((Fraction(1, 3),) * 2 + (Fraction(1, 2),))
-    allowed.append((Fraction(2, 3),) * 3)  # the six-tile equilateral
-    alphabet = [_pi_form(q) for q in ("1/3", "1/2", "2/3")]
-    types = {_type_of(t) for t in allowed}
-    found = enumerate_diagrams(5, alphabet, types.__contains__,
-                               rich_type=_type_of(("1/3", "1/3", "1/2")))
     report.check("case-b/diagram-contradiction",
                  "no rich diagram exists over the realizable triangle types",
-                 exp["diagram_counts"]["case-b"], len(found),
+                 exp["diagram_counts"]["case-b"], len(ana.diagrams),
                  "reference", "expectations:diagram_counts/case-b")
 
 

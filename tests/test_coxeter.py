@@ -290,6 +290,16 @@ class TestEnumeration:
         assert again.canonical_key() == d.canonical_key()
         assert again.labels == d.labels
 
+    def test_labels_keyed_by_index_pairs(self):
+        # with int vertex names a key is still read as indices, never as names
+        a, b, c = (pi_form(F(1, k)) for k in (2, 3, 4))
+        d = CoxeterDiagram([2, 0, 1], {(0, 1): a, (2, 0): b, (1, 2): c})
+        assert d.labels == {(0, 1): a, (0, 2): b, (1, 2): c}
+        with pytest.raises(ValueError, match="every edge exactly once"):
+            CoxeterDiagram(list("uvw"), {("u", "v"): a, ("u", "w"): b, ("v", "w"): c})
+        with pytest.raises(ValueError, match="every edge exactly once"):
+            CoxeterDiagram(list("uvw"), {(0, 1): a, (1, 0): b, (0, 2): b, (1, 2): c})
+
 
 class TestPartitions:
     def test_two_types_trivial_empty(self):

@@ -253,3 +253,10 @@ class TestAgainstEighOracle:
     def test_not_symmetric_rejected(self):
         with pytest.raises(ValueError):
             fiedler_check(ExactMatrix([[-1, F(1, 2)], [0, -1]]))
+
+    def test_polynomial_matrix_rejected(self):
+        # a Q[t] determinant is a question for its roots: parametric_fiedler
+        g = gram_from_diagram(fixtures.diagram("case-a-1"), as_poly_in="beta")
+        assert g.ring == "Q[t]"
+        with pytest.raises(ValueError, match="parametric_fiedler"):
+            fiedler_check(g)

@@ -14,9 +14,11 @@ every command's start-up.  Records are plain classes with `__slots__` or
 `typing.NamedTuple`s, and importing the CLI loads neither `dataclasses` nor
 `inspect`.  The only function in `coxeter` that calls itself is
 the walk of `coloring_search`: the enumerators are its clients and keep no
-recursion of their own.  Every definition in the package is named by the
-package outside its own body, so none is kept only for the tests; the few
-exceptions are listed with their reasons.
+recursion of their own.  In `scenarios`, only `final_case_analysis` and
+`case_a_enumeration` name `enumerate_diagrams`, so every endgame's diagram
+search runs on lists the checker derives.  Every definition in the package
+is named by the package outside its own body, so none is kept only for the
+tests; the few exceptions are listed with their reasons.
 """
 
 import ast
@@ -220,6 +222,42 @@ def test_check_sees_a_recursive_function(tmp_path):
         "def flat(xs):\n"
         "    return sum(xs)\n")
     assert self_recursive_functions(bad) == ["enumerate_things.extend", "Tree.height.depth"]
+
+
+def uses_outside(path, name, owners):
+    """`file:line` of each use of `name`, as a variable or an attribute,
+    outside the top-level functions and classes named in `owners`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(n.lineno for node in tree.body
+                   if getattr(node, "name", None) not in owners
+                   for n in ast.walk(node)
+                   if name in (getattr(n, "id", None), getattr(n, "attr", None)))
+    return [f"{path.name}:{line}" for line in lines]
+
+
+def test_scenarios_search_diagrams_only_in_the_two_endgames():
+    assert uses_outside(PACKAGE / "scenarios.py", "enumerate_diagrams",
+                        {"final_case_analysis", "case_a_enumeration"}) == []
+
+
+def test_check_sees_a_diagram_search_outside_the_endgames(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from . import coxeter\n"
+                   "from .coxeter import enumerate_diagrams\n"
+                   "\n"
+                   "def final_case_analysis(key):\n"
+                   "    return enumerate_diagrams(5, [], None)\n"
+                   "\n"
+                   "def scenario_case_b(report):\n"
+                   "    found = enumerate_diagrams(5, [], set().__contains__)\n"
+                   "    search = coxeter.enumerate_diagrams\n"
+                   "    return found, search\n"
+                   "\n"
+                   "class Endgame:\n"
+                   "    def run(self):\n"
+                   "        return enumerate_diagrams(3, [], None)\n")
+    assert uses_outside(bad, "enumerate_diagrams", {"final_case_analysis"}) == [
+        "bad.py:8", "bad.py:9", "bad.py:14"]
 
 
 def referenced_names(node, attributes_only=False):

@@ -3,11 +3,15 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction as F
 from importlib import resources
+from itertools import combinations_with_replacement
 
 import pytest
 
-from reptile_lab import fixtures
+from reptile_lab import fixtures, scenarios
+from reptile_lab.angles import AngleForm
+from reptile_lab.coxeter import triangle_type_of
 from reptile_lab.scenarios import SCENARIOS, emit_figures, run_scenario
 
 
@@ -51,6 +55,44 @@ def resolve_anchor(anchor: str) -> bool:
         return walk(fixtures.load(name), path.split("/"))
     except KeyError:
         return False
+
+
+def test_case_b_endgame_is_derived(monkeypatch):
+    # case-b's lists and diagram search come from final_case_analysis: its
+    # two smallest distinct angles are 1/3 and 1/2
+    seen = {}
+    real = scenarios.enumerate_diagrams
+
+    def spy(n, alphabet, allowed, rich_type=None, **kwargs):
+        seen.update(alphabet=alphabet, allowed=allowed, rich_type=rich_type)
+        return real(n, alphabet, allowed, rich_type=rich_type, **kwargs)
+
+    monkeypatch.setattr(scenarios, "enumerate_diagrams", spy)
+    ana = scenarios.final_case_analysis("case-b")
+    lists = fixtures.load("expectations")["realizable"]["case-b"]
+
+    def triples(entries):
+        return sorted(tuple(sorted(F(s) for s in t)) for t in entries)
+
+    tile = ana.tile.angles_pi
+    assert ana.alpha_list == sorted(triples(lists["alpha"]) + [tile])
+    assert ana.beta_list == triples(lists["beta"])
+    assert ana.forbidden == ana.extra_candidates == ana.diagrams == []
+
+    labels = (F(1, 3), F(1, 2), F(2, 3))
+    assert [f.pi_fraction() for f in seen["alphabet"]] == list(labels)
+    forms = {q: AngleForm.pi_multiple(q) for q in labels}
+
+    def ttype(t):
+        return triangle_type_of([forms[q] for q in t])
+
+    accepted = [t for t in combinations_with_replacement(labels, 3)
+                if seen["allowed"](ttype(t))]
+    # the tile, the fixture's three triples and the six-tile equilateral
+    assert accepted == [(F(1, 3), F(1, 3), F(1, 2)), (F(1, 3), F(1, 3), F(2, 3)),
+                        (F(1, 3), F(1, 2), F(2, 3)), (F(1, 2), F(2, 3), F(2, 3)),
+                        (F(2, 3), F(2, 3), F(2, 3))]
+    assert seen["rich_type"] == ttype(tile)
 
 
 def test_anchors_resolve(reports):
