@@ -29,27 +29,31 @@ The search fills the open corner with the smallest interior angle first and
 places tiles flush against the boundary.  It keeps no memo of the regions
 that failed, so a region reached twice is searched twice and no verdict
 rests on a cache key.  It drops every region with a corner that no sum of
-tile angles can fill (`_corner_table`, from the same kernel).  A corner
-that a tile fills exactly, while the tile's next side runs part way along
-the corner's other arm, is left at angle 0 with both arms along one
-geodesic: a zero-width spike, which `_cleanup_cycle` trims.  A slit (a
-zero angle whose arms part) and a true pinch (a region touching itself at a
-point) are rejected rather than split, which is sound for `found` answers
-(independently verified) and conservative for `exhausted` ones.
+tile angles can fill (`_corner_table`, from the same kernel), and every
+region with a side between two convex corners that no sum of tile edges
+fills within EDGE_TOL (`_sides_fillable`, on one `spherical.edge_sums`
+table per search).  A corner that a tile fills exactly, while the tile's
+next side runs part way along the corner's other arm, is left at angle 0
+with both arms along one geodesic: a zero-width spike, which
+`_cleanup_cycle` trims.  A slit (a zero angle whose arms part) and a true
+pinch (a region touching itself at a point) are rejected rather than split,
+which is sound for `found` answers (independently verified) and
+conservative for `exhausted` ones.
 """
 
 from __future__ import annotations
 
 import colorsys
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, permutations
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import sphgeo
-from .spherical import (InvalidTriangleError, angle_sums, edge_lengths, is_valid,
-                        law_of_cosines)
+from .spherical import (CORNER_TABLE_MAX_DEN, InvalidTriangleError, angle_sums,
+                        edge_lengths, edge_sums, is_valid, law_of_cosines)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +364,6 @@ class _Region:
         self.checked = {}
 
 
-# Largest D (the lcm of a tile's angle denominators) for which a search
-# builds its corner table, of 2D + 1 entries in O(D) steps; a search with a
-# larger D runs without the corner test.
-CORNER_TABLE_MAX_DEN = 10 ** 5
-
-
 def _corner_table(tile: TileSpec) -> Optional[bytearray]:
     """Which corner angles j*pi/D, 0 <= j <= 2D, copies of the tile can fill:
     entry j is 1 iff j*pi/D is fillable.
@@ -399,6 +397,38 @@ def _corners_fillable(angles: list, table: Optional[bytearray]) -> bool:
     """Does `table` mark every corner angle (multiples of pi/D) fillable?
     True for every angle without a table."""
     return table is None or all(table[a] for a in angles)
+
+
+def _sides_fillable(region: _Region, den: int, sums: Optional[list]) -> bool:
+    """Is every side of `region` whose two end corners are convex (angles
+    below `den`, i.e. pi) within EDGE_TOL of a value of `sums`, the sorted
+    sums of tile edges (`spherical.edge_sums`)?  True for every region
+    without a table.
+
+    Take such a side.  Near each inner point of it the tiles fill a
+    half-disc, and the first and the last tile there, in the turn around
+    the point, have a side along it; so tile sides cover the side with
+    disjoint interiors.  Past a convex end the side's great circle leaves
+    the region, so no tile side runs on beyond either end.  The tile sides
+    along it therefore partition it, and its length is a nonnegative
+    integer combination of the tile's edges.  So a region with a side that
+    no sum fills holds no tiling.  Dropping it leaves the order in which
+    the search visits every other region as it was, so statuses and the
+    first tiling found stay the same; only node counts fall.  The lengths
+    are floats, so "no sum" means none within EDGE_TOL, the window of
+    `edge_combination`, far wider than the search's own SEARCH_EPS.
+    """
+    if sums is None:
+        return True
+    angles = region.angles
+    k = len(angles)
+    for i, (a, b) in enumerate(region.arcs):
+        if angles[i] < den and angles[(i + 1) % k] < den:
+            x = sphgeo.arc_length(a, b)
+            j = bisect_left(sums, x - EDGE_TOL)
+            if j == len(sums) or sums[j] > x + EDGE_TOL:
+                return False
+    return True
 
 
 def _orientations(tile: TileSpec) -> list:
@@ -454,15 +484,16 @@ def _way(ways, i, V, W):
 
 
 def _place(region: _Region, vi: int, orient: tuple, ways: list, den: int,
-           table: Optional[bytearray]):
+           table: Optional[bytearray], sums: Optional[list]):
     """Try one tile placement at region vertex vi, flush along the outgoing arc.
     Angles are ints, multiples of pi/`den`.
 
     `ways` is [None, None] at a node's first placement; the placements at
     that node share it, so the ways from V along its outgoing and incoming
     arcs (`_way`) are computed at most once per node.  A new region with a
-    corner the search's corner table cannot fill (`_corners_fillable`) is
-    dropped before its boundary check.  Returns
+    corner the search's corner table cannot fill (`_corners_fillable`), or
+    a side its edge sums cannot fill (`_sides_fillable`), is dropped before
+    its boundary check.  Returns
     (new_region_or_None_if_closed, tile_points) or None if the placement
     does not fit.
     """
@@ -507,6 +538,8 @@ def _place(region: _Region, vi: int, orient: tuple, ways: list, den: int,
     if state == "closed":
         return ("closed", tile_points)
     if not _corners_fillable(state.angles, table):
+        return None
+    if not _sides_fillable(state, den, sums):
         return None
     if not _placement_geometry_ok(region, state):
         return None
@@ -660,7 +693,12 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     Corner angles are integer multiples of pi/D (`TileSpec.den`); a target
     corner off that grid, or no sum of tile angles, is `exhausted` at once,
     and the search drops every region with a corner no sum of tile angles
-    can fill, from one corner table per search (`_corner_table`).
+    can fill, from one corner table per search (`_corner_table`), and
+    every region with a side between two convex corners that no sum of
+    tile edges fills within EDGE_TOL, from one table of the edge sums up
+    to pi + EDGE_TOL per search (`spherical.edge_sums`, up to
+    2 * CORNER_TABLE_MAX_DEN + 1 of them; past that, without the test).
+    The target's own sides are not tested.
     Deterministic; `aborted` when the node budget runs out.  A negative
     node budget or an n_max below 1 raises ValueError.
     """
@@ -698,6 +736,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
         if j.denominator != 1 or not _corners_fillable([int(j)], table):
             return SearchResult("exhausted", None, 0,
                                 f"target corner {q} pi is no sum of tile angles")
+    sums = edge_sums(tile.edges, math.pi + EDGE_TOL)
     region0 = _Region(list(t_points), [int(q * den) for q in target])
     _placement_geometry_ok(_Region([], []), region0)
     orients = _orientations(tile)
@@ -712,7 +751,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
             nodes += 1
             if nodes > node_budget:
                 return "aborted"
-            res = _place(region, vi, orient, ways, den, table)
+            res = _place(region, vi, orient, ways, den, table, sums)
             if res is None:
                 continue
             state, tile_points = res

@@ -13,7 +13,8 @@ interval (`is_valid_symbolic`).
 
 Which multiples of pi/D are sums of some angles is one table, `angle_sums`,
 read by `corner_angle_solutions` and by `realize`'s corner table and
-candidate lists.
+candidate lists.  Which lengths are sums of a tile's edges is its float
+counterpart, `edge_sums`, read by `realize`'s side test.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
 from .angles import RelationSet
@@ -149,6 +151,43 @@ def angle_sums(angles: Sequence[Fraction], den: int, top: int) -> bytearray:
             if sums[j - step]:
                 sums[j] = 1
     return sums
+
+
+# Largest D (the lcm of a tile's angle denominators) for which a tiling
+# search builds its corner table, of 2D + 1 entries in O(D) steps; a search
+# with a larger D runs without the corner test.  `edge_sums` gives up past
+# the same number of entries.
+CORNER_TABLE_MAX_DEN = 10 ** 5
+
+
+def edge_sums(edges: Sequence[float], top: float) -> Optional[list]:
+    """The sorted distinct values up to `top` of the nonnegative integer
+    combinations i*a + j*b + k*c of the three edges (radians, the empty sum
+    0 included), each computed as (i*a + j*b) + k*c.  None once there are
+    more than 2 * CORNER_TABLE_MAX_DEN + 1 values, the longest table a
+    search builds.  A non-positive edge raises ValueError.
+    """
+    if not all(e > 0 for e in edges):
+        raise ValueError("edges must be positive")
+    a, b, c = edges
+    cap = 2 * CORNER_TABLE_MAX_DEN + 1
+    out = set()
+    for i in count():
+        va = i * a
+        if va > top:
+            break
+        for j in count():
+            vb = va + j * b
+            if vb > top:
+                break
+            for k in count():
+                v = vb + k * c
+                if v > top:
+                    break
+                out.add(v)
+                if len(out) > cap:
+                    return None
+    return sorted(out)
 
 
 def _require_corner_args(fixed: Sequence[Fraction], lo: Fraction, hi: Fraction) -> None:

@@ -5,8 +5,9 @@ test_acceptance.py, beside criterion 13), tuple-composition references for
 the permutation-group layer of `coxeter`, the position-tuple form of
 `pair_canonical`, `QuadExt`, the closed-form
 quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5,
-and the sort-free reference of spherical-triangle validity over a beta
-interval.
+the sort-free reference of spherical-triangle validity over a beta
+interval, and the mirror triangles of the reflection groups A3, B3 and H3,
+targets known to be tiled without asking the tiling search.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -512,3 +513,59 @@ def is_valid_symbolic_reference(lines, lo: Fraction, hi: Fraction) -> bool:
 
     return all(m_lo >= 0 and m_hi >= 0 and (m_lo, m_hi) != (0, 0)
                for m_lo, m_hi in zip(margins(lo), margins(hi)))
+
+
+# The chamber of each finite reflection group of rank 3, angles in
+# Fractions of pi (H. S. M. Coxeter, Regular Polytopes, ch. 5).
+MIRROR_CHAMBERS = {"A3": (Fraction(1, 3), Fraction(1, 3), Fraction(1, 2)),
+                   "B3": (Fraction(1, 4), Fraction(1, 3), Fraction(1, 2)),
+                   "H3": (Fraction(1, 5), Fraction(1, 3), Fraction(1, 2))}
+
+
+def mirror_normals(group: str) -> list:
+    """A float normal of each mirror of A3 (6), B3 (9) or H3 (15): the
+    roots up to sign."""
+    a3 = [(1, s, 0) for s in (1, -1)] + [(1, 0, s) for s in (1, -1)] + \
+        [(0, 1, s) for s in (1, -1)]
+    axes = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    if group == "A3":
+        return a3
+    if group == "B3":
+        return a3 + axes
+    phi = (1 + math.sqrt(5)) / 2
+    cyclic = []
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            v = (phi, s1 * 1.0, s2 / phi)
+            cyclic += [v, (v[2], v[0], v[1]), (v[1], v[2], v[0])]
+    return axes + cyclic
+
+
+def mirror_triangles(group: str) -> list:
+    """Every triangle whose three sides lie on mirrors of the group, by its
+    sorted angles (Fractions of pi), each once.
+
+    The mirrors cut the sphere into copies of the chamber
+    (`MIRROR_CHAMBERS`), and a triangle bounded by mirrors lies on one side
+    of every mirror, so it is a union of chambers: the chamber tiles it.
+    Three mirrors with independent normals n1, n2, n3 bound the eight
+    triangles s_i n_i . x >= 0; the angle between sides i and j is pi minus
+    the angle between s_i n_i and s_j n_j.  Each angle is snapped to the
+    pi/60 grid, and one more than 1e-9 off it raises ValueError.
+    """
+    normals = [np.array(n, dtype=float) / np.linalg.norm(n) for n in mirror_normals(group)]
+    out = set()
+    for trio in itertools.combinations(normals, 3):
+        if abs(np.linalg.det(np.array(trio))) < 1e-9:
+            continue
+        for signs in itertools.product((1, -1), repeat=3):
+            ns = [s * n for s, n in zip(signs, trio)]
+            angles = []
+            for i, j in ((0, 1), (1, 2), (0, 2)):
+                x = (math.pi - math.acos(max(-1.0, min(1.0, float(ns[i] @ ns[j]))))) / math.pi
+                q = round(60 * x)
+                if abs(x - q / 60) * math.pi > 1e-9:
+                    raise ValueError(f"angle {x} pi is off the pi/60 grid")
+                angles.append(Fraction(q, 60))
+            out.add(tuple(sorted(angles)))
+    return sorted(out)

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import minimal_polynomial_degree_bruteforce
+from oracles import (MIRROR_CHAMBERS, minimal_polynomial_degree_bruteforce,
+                     mirror_triangles)
 from test_acceptance import algebraic_degree
 from reptile_lab import realize, spherical, sphgeo
 from reptile_lab.realize import (EDGE_TOL, EdgeMatch, EdgeNearest,
@@ -219,9 +220,13 @@ class TestSearch:
         assert res.status == "found" and len(res.tiling.tiles) == 5
         assert verify_tiling(res.tiling, CASE_B)
 
-    def test_exhaustive_search_rejects_extra_candidate(self):
+    def test_exhaustive_search_rejects_extra_candidate(self, monkeypatch):
         # area allows exactly 8 tiles; the full backtracking search proves
-        # no tiling exists, matching the edge-decomposition argument
+        # no tiling exists, matching the edge-decomposition argument; with
+        # both prunes on, none of the 6 first placements survives
+        res = search_tiling((F(1, 3), F(1, 3), F(7, 9)), NINTH, n_max=8)
+        assert (res.status, res.nodes) == ("exhausted", 6)
+        run_unpruned(monkeypatch)
         res = search_tiling((F(1, 3), F(1, 3), F(7, 9)), NINTH, n_max=8)
         assert res.status == "exhausted"
         assert res.nodes > 100
@@ -281,64 +286,66 @@ class TestSearch:
 # next heaviest searches of the benchmark's target pool (node counts of
 # perfbench/recorded.json) and three larger list entries beyond the
 # fixtures, with the status and tile count of the search, its node count
-# with the corner test accepting every corner (the search tree before the
-# test, the oracle) and its node count as it runs.  A geometry change that
-# reshapes the search tree, or flips a verdict, fails here.
+# with the corner and side tests accepting every region (the search tree
+# before the tests, the oracle) and its node count as it runs.  A geometry
+# change that reshapes the search tree, or flips a verdict, fails here.
 SEARCH_TREE = [
     ("case-b", (F(1, 3), F(1, 3), F(2, 3)), "found", 2, 2, 2),
-    ("case-b", (F(1, 3), F(1, 2), F(2, 3)), "found", 3, 19, 13),
-    ("case-b", (F(1, 2), F(2, 3), F(2, 3)), "found", 5, 30, 24),
-    ("case-b", (F(2, 3), F(2, 3), F(2, 3)), "found", 6, 41, 26),
+    ("case-b", (F(1, 3), F(1, 2), F(2, 3)), "found", 3, 19, 7),
+    ("case-b", (F(1, 2), F(2, 3), F(2, 3)), "found", 5, 30, 9),
+    ("case-b", (F(2, 3), F(2, 3), F(2, 3)), "found", 6, 41, 11),
     ("quarter", (F(1, 4), F(1, 4), F(2, 3)), "found", 2, 3, 3),
-    ("quarter", (F(1, 4), F(1, 2), F(1, 2)), "found", 3, 14, 14),
-    ("quarter", (F(1, 4), F(1, 3), F(3, 4)), "found", 4, 36, 24),
-    ("quarter", (F(1, 4), F(1, 2), F(2, 3)), "found", 5, 40, 22),
+    ("quarter", (F(1, 4), F(1, 2), F(1, 2)), "found", 3, 14, 8),
+    ("quarter", (F(1, 4), F(1, 3), F(3, 4)), "found", 4, 36, 12),
+    ("quarter", (F(1, 4), F(1, 2), F(2, 3)), "found", 5, 40, 16),
     ("quarter", (F(1, 3), F(1, 3), F(1, 2)), "found", 2, 16, 4),
-    ("quarter", (F(1, 3), F(1, 3), F(2, 3)), "found", 4, 86, 44),
+    ("quarter", (F(1, 3), F(1, 3), F(2, 3)), "found", 4, 86, 14),
     ("fifth", (F(1, 5), F(1, 5), F(2, 3)), "found", 2, 3, 3),
     ("fifth", (F(1, 5), F(2, 5), F(1, 2)), "found", 3, 4, 4),
-    ("fifth", (F(1, 5), F(1, 3), F(3, 5)), "found", 4, 63, 39),
+    ("fifth", (F(1, 5), F(1, 3), F(3, 5)), "found", 4, 63, 9),
     ("fifth", (F(1, 3), F(1, 3), F(2, 5)), "found", 2, 10, 4),
     ("ninth", (F(2, 9), F(2, 9), F(2, 3)), "found", 2, 3, 3),
     ("ninth", (F(2, 9), F(4, 9), F(1, 2)), "found", 3, 4, 4),
-    ("ninth", (F(2, 9), F(1, 3), F(2, 3)), "found", 4, 63, 39),
-    ("ninth", (F(2, 9), F(1, 2), F(5, 9)), "found", 5, 61, 25),
+    ("ninth", (F(2, 9), F(1, 3), F(2, 3)), "found", 4, 63, 9),
+    ("ninth", (F(2, 9), F(1, 2), F(5, 9)), "found", 5, 61, 19),
     ("ninth", (F(1, 3), F(1, 3), F(4, 9)), "found", 2, 10, 4),
-    ("ninth", (F(1, 3), F(1, 3), F(7, 9)), "exhausted", 0, 1296, 618),
+    ("ninth", (F(1, 3), F(1, 3), F(7, 9)), "exhausted", 0, 1296, 6),
     # the ten heaviest other searches of the benchmark's target pool
-    ("quarter", (F(1, 2), F(1, 2), F(2, 3)), "exhausted", 0, 1734, 498),
-    ("quarter", (F(1, 2), F(1, 2), F(7, 12)), "exhausted", 0, 1548, 708),
-    ("quarter", (F(1, 2), F(7, 12), F(7, 12)), "exhausted", 0, 942, 690),
-    ("ninth", (F(1, 3), F(5, 9), F(5, 9)), "exhausted", 0, 894, 498),
-    ("ninth", (F(1, 3), F(1, 3), F(13, 18)), "exhausted", 0, 876, 396),
-    ("ninth", (F(4, 9), F(4, 9), F(5, 9)), "exhausted", 0, 870, 396),
-    ("fifth", (F(1, 3), F(1, 3), F(3, 5)), "exhausted", 0, 846, 270),
-    ("quarter", (F(1, 3), F(1, 3), F(11, 12)), "exhausted", 0, 756, 546),
-    ("quarter", (F(1, 3), F(1, 2), F(3, 4)), "found", 7, 733, 547),
-    ("ninth", (F(1, 3), F(1, 2), F(5, 9)), "exhausted", 0, 642, 294),
+    ("quarter", (F(1, 2), F(1, 2), F(2, 3)), "exhausted", 0, 1734, 6),
+    ("quarter", (F(1, 2), F(1, 2), F(7, 12)), "exhausted", 0, 1548, 6),
+    ("quarter", (F(1, 2), F(7, 12), F(7, 12)), "exhausted", 0, 942, 6),
+    ("ninth", (F(1, 3), F(5, 9), F(5, 9)), "exhausted", 0, 894, 6),
+    ("ninth", (F(1, 3), F(1, 3), F(13, 18)), "exhausted", 0, 876, 6),
+    ("ninth", (F(4, 9), F(4, 9), F(5, 9)), "exhausted", 0, 870, 6),
+    ("fifth", (F(1, 3), F(1, 3), F(3, 5)), "exhausted", 0, 846, 6),
+    ("quarter", (F(1, 3), F(1, 3), F(11, 12)), "exhausted", 0, 756, 6),
+    ("quarter", (F(1, 3), F(1, 2), F(3, 4)), "found", 7, 733, 37),
+    ("ninth", (F(1, 3), F(1, 2), F(5, 9)), "exhausted", 0, 642, 6),
     # alpha- and beta-list entries beyond the fixtures
-    ("fifth", (F(1, 3), F(1, 2), F(4, 5)), "found", 19, 18775, 7441),
-    ("ninth", (F(1, 3), F(1, 2), F(7, 9)), "found", 11, 4086, 1890),
-    ("ninth", (F(1, 3), F(5, 9), F(2, 3)), "found", 10, 880, 400),
+    ("fifth", (F(1, 3), F(1, 2), F(4, 5)), "found", 19, 18775, 85),
+    ("ninth", (F(1, 3), F(1, 2), F(7, 9)), "found", 11, 4086, 36),
+    ("ninth", (F(1, 3), F(5, 9), F(2, 3)), "found", 10, 880, 34),
 ]
 TILES = {"case-b": CASE_B, "quarter": QUARTER, "fifth": FIFTH, "ninth": NINTH}
 
 
 def tree_search(base, target):
-    """(target, tile, pinned node count) of a SEARCH_TREE row."""
-    nodes = next(row[-1] for row in SEARCH_TREE if row[:2] == (base, target))
+    """(target, tile, pinned unpruned node count) of a SEARCH_TREE row."""
+    nodes = next(row[-2] for row in SEARCH_TREE if row[:2] == (base, target))
     return target, TILES[base], nodes
 
 
-# two searches several tests rerun: the exhausted ninth-tile one and a
-# 7-tile quarter one
+# two unpruned searches several tests rerun: the exhausted ninth-tile one
+# and a 7-tile quarter one
 NINTH_EXHAUSTED = tree_search("ninth", (F(1, 3), F(1, 3), F(7, 9)))
 QUARTER_SEVEN = tree_search("quarter", (F(1, 3), F(1, 2), F(3, 4)))
 
 
-def accept_every_corner(monkeypatch):
-    """Make later searches run unpruned: the corner test passes every region."""
+def run_unpruned(monkeypatch):
+    """Make later searches run unpruned: the corner and side tests pass
+    every region."""
     monkeypatch.setattr(realize, "_corners_fillable", lambda angles, table: True)
+    monkeypatch.setattr(realize, "_sides_fillable", lambda region, den, sums: True)
 
 
 def tiling_bytes(res):
@@ -352,7 +359,7 @@ def test_search_tree_pinned(base, target, status, tiles, unpruned, nodes, monkey
     """The search and its unpruned oracle give one status and one tiling,
     byte for byte, each with its pinned node count."""
     res = search_tiling(target, TILES[base])
-    accept_every_corner(monkeypatch)
+    run_unpruned(monkeypatch)
     old = search_tiling(target, TILES[base])
     assert (res.status, res.nodes) == (status, nodes)
     assert (old.status, old.nodes) == (status, unpruned)
@@ -401,22 +408,31 @@ def test_corner_table_matches_enumeration():
 def test_each_call_builds_one_table(monkeypatch):
     """`search_tiling` with two tiles or more, `enumerate_candidates` (for
     every tile count at once) and `corner_angle_solutions` each build
-    exactly one `angle_sums` table per call."""
+    exactly one `angle_sums` table per call, and each such search one
+    `edge_sums` table of its tile's edges up to pi + EDGE_TOL."""
     kernel, built = spherical.angle_sums, []
+    edge_kernel, edge_built = spherical.edge_sums, []
 
     def counting(angles, den, top):
         built.append((den, top))
         return kernel(angles, den, top)
 
+    def edge_counting(edges, top):
+        edge_built.append((edges, top))
+        return edge_kernel(edges, top)
+
     monkeypatch.setattr(realize, "angle_sums", counting)
     monkeypatch.setattr(spherical, "angle_sums", counting)
+    monkeypatch.setattr(realize, "edge_sums", edge_counting)
     cands = enumerate_candidates(NINTH, F(1, 3), F(2, 9))
-    assert len({c.n for c in cands}) > 1 and len(built) == 1
-    for target, tile, n_max in (((F(1, 2), F(2, 3), F(2, 3)), CASE_B, None),
-                                ((F(1, 3), F(1, 3), F(7, 9)), NINTH, 8)):
+    assert len({c.n for c in cands}) > 1 and len(built) == 1 and edge_built == []
+    for target, tile, n_max in (((F(2, 3), F(2, 3), F(2, 3)), CASE_B, None),
+                                ((F(1, 3), F(1, 2), F(7, 9)), NINTH, None)):
         built.clear()
+        edge_built.clear()
         res = search_tiling(target, tile, n_max)
         assert res.nodes > 10 and built == [(tile.den, 2 * tile.den)]
+        assert edge_built == [(tile.edges, math.pi + EDGE_TOL)]
     built.clear()
     assert corner_angle_solutions([F(1, 3), F(1, 2)], F(1, 6), F(1, 3))
     assert built == [(6, 5)]
@@ -434,6 +450,81 @@ def test_corner_table_bound():
     assert realize._corners_fillable([1, tile.den], None)
     res = search_tiling((F(1, 4) + e, F(1, 4) + e, F(2, 3)), tile)
     assert (res.status, res.nodes, len(res.tiling.tiles)) == ("found", 3, 2)
+
+
+def test_side_table_bound(monkeypatch):
+    """Past 2 * CORNER_TABLE_MAX_DEN + 1 edge sums the search runs without
+    the side test: with the bound lowered below the ninth tile's count of
+    sums, the exhausted ninth-tile search takes the 618 nodes it takes with
+    the corner test alone."""
+    assert len(spherical.edge_sums(NINTH.edges, math.pi + EDGE_TOL)) > 11
+    monkeypatch.setattr(spherical, "CORNER_TABLE_MAX_DEN", 5)
+    assert spherical.edge_sums(NINTH.edges, math.pi + EDGE_TOL) is None
+    res = search_tiling((F(1, 3), F(1, 3), F(7, 9)), NINTH)
+    assert (res.status, res.nodes) == ("exhausted", 618)
+
+
+def test_side_test_window():
+    """A side between two convex corners passes iff its length lies within
+    EDGE_TOL of a sum, on either side of it; a side with a reflex end, and
+    every side without a table, passes."""
+    sums = [0.0, 0.5, 1.0]
+
+    def region(length, angles):
+        return realize._Region([_equator(0.0), _equator(length), (0.0, 0.0, 1.0)], angles)
+
+    for off, want in ((0.0, True), (0.5 * EDGE_TOL, True), (-0.5 * EDGE_TOL, True),
+                      (2 * EDGE_TOL, False), (-2 * EDGE_TOL, False)):
+        # only the equator side has two convex ends (pi is 12 here)
+        assert realize._sides_fillable(region(1.0 + off, [4, 5, 18]), 12, sums) == want
+        assert realize._sides_fillable(region(1.0 + off, [4, 15, 18]), 12, sums)
+        assert realize._sides_fillable(region(1.0 + off, [4, 5, 18]), 12, None)
+    # the pole sides, pi/2 long, are no sum
+    assert not realize._sides_fillable(region(1.0, [4, 5, 6]), 12, sums)
+
+
+def test_side_test_matches_edge_combination(monkeypatch):
+    """On every region the unpruned searches of the SEARCH_TREE rows visit,
+    `_sides_fillable` with the search's table says what the slow oracle
+    says: every side between two convex corners is within EDGE_TOL of a
+    sum of tile edges by `edge_combination`."""
+    fillable = realize._sides_fillable
+    verdicts = []
+    edges = None
+
+    def checked(region, den, sums):
+        assert sums is not None
+        k = len(region.angles)
+        want = all(isinstance(edge_combination(sphgeo.arc_length(a, b), edges), EdgeMatch)
+                   for i, (a, b) in enumerate(region.arcs)
+                   if region.angles[i] < den and region.angles[(i + 1) % k] < den)
+        assert fillable(region, den, sums) == want
+        verdicts.append(want)
+        return True
+
+    monkeypatch.setattr(realize, "_corners_fillable", lambda angles, table: True)
+    monkeypatch.setattr(realize, "_sides_fillable", checked)
+    for base, target, status, tiles, unpruned, nodes in SEARCH_TREE:
+        edges = TILES[base].edges
+        res = search_tiling(target, TILES[base])
+        assert (res.status, res.nodes) == (status, unpruned)
+    assert verdicts.count(True) > 150 and verdicts.count(False) > 7000  # 173 and 7,944
+
+
+@pytest.mark.parametrize("group", sorted(MIRROR_CHAMBERS))
+def test_mirror_triangles_are_found(group):
+    """Every triangle whose sides lie on mirrors of A3, B3 or H3 (5, 15
+    and 33 of them) is a union of chambers.  The search, with both prunes
+    on, finds a tiling of each by the chamber, with the tile count of the
+    area, and the tiling verifies."""
+    tile = TileSpec.from_pi_fractions(*MIRROR_CHAMBERS[group])
+    targets = mirror_triangles(group)
+    assert len(targets) == {"A3": 5, "B3": 15, "H3": 33}[group]
+    for target in targets:
+        res = search_tiling(target, tile)
+        assert res.status == "found", target
+        assert len(res.tiling.tiles) == (sum(target) - 1) / tile.excess_pi
+        assert verify_tiling(res.tiling, tile)
 
 
 def test_target_corner_off_the_grid_without_a_table():
@@ -561,8 +652,8 @@ def test_ways_belong_to_the_node(monkeypatch):
     place = realize._place
     nodes = {}  # id -> the node's ways, kept alive so ids stay distinct
 
-    def checked(region, vi, orient, ways, den, table):
-        got = place(region, vi, orient, ways, den, table)
+    def checked(region, vi, orient, ways, *tables):
+        got = place(region, vi, orient, ways, *tables)
         pts = region.points
         V, k = pts[vi], len(pts)
         for way, W in zip(ways, (pts[(vi + 1) % k], pts[(vi - 1) % k])):
@@ -572,6 +663,7 @@ def test_ways_belong_to_the_node(monkeypatch):
         return got
 
     monkeypatch.setattr(realize, "_place", checked)
+    run_unpruned(monkeypatch)
     for target, tile, count in (NINTH_EXHAUSTED, QUARTER_SEVEN):
         assert search_tiling(target, tile).nodes == count
     assert len(nodes) > 100
@@ -643,10 +735,10 @@ def all_pairs_geometry_ok(points):
 
 
 def test_fresh_arc_check_equals_all_pairs_check(monkeypatch):
-    """On every pinned search, each call of the incremental boundary check
-    gives the all-pairs answer, every region it accepts stores for each arc
-    the plane `sphgeo.plane` builds afresh, and the search trees stay as
-    pinned."""
+    """On every pinned search, run unpruned, each call of the incremental
+    boundary check gives the all-pairs answer, every region it accepts
+    stores for each arc the plane `sphgeo.plane` builds afresh, and the
+    search trees stay as pinned."""
     incremental = realize._placement_geometry_ok
     answers, partial = [], 0
 
@@ -661,17 +753,18 @@ def test_fresh_arc_check_equals_all_pairs_check(monkeypatch):
         return got
 
     monkeypatch.setattr(realize, "_placement_geometry_ok", checked)
+    run_unpruned(monkeypatch)
     for base, target, status, tiles, unpruned, nodes in SEARCH_TREE:
         res = search_tiling(target, TILES[base])
-        assert (res.status, res.nodes) == (status, nodes)
+        assert (res.status, res.nodes) == (status, unpruned)
     assert answers.count(True) > 100 and answers.count(False) > 100
     assert partial > 0.9 * len(answers)
 
 
 def test_regions_hold_int_angles_below_two_pi(monkeypatch):
-    """On every pinned search, each region `_cleanup_cycle` returns holds its
-    corner angles as ints j, 0 <= j < 2D, multiples of pi/D for the tile's
-    D, and the search trees stay as pinned."""
+    """On every pinned search, run unpruned, each region `_cleanup_cycle`
+    returns holds its corner angles as ints j, 0 <= j < 2D, multiples of
+    pi/D for the tile's D, and the search trees stay as pinned."""
     cleanup = realize._cleanup_cycle
     dens, regions = set(), 0
 
@@ -685,10 +778,11 @@ def test_regions_hold_int_angles_below_two_pi(monkeypatch):
         return got
 
     monkeypatch.setattr(realize, "_cleanup_cycle", checked)
+    run_unpruned(monkeypatch)
     for base, target, status, tiles, unpruned, nodes in SEARCH_TREE:
         dens.clear()
         res = search_tiling(target, TILES[base])
-        assert (res.status, res.nodes) == (status, nodes)
+        assert (res.status, res.nodes) == (status, unpruned)
         assert dens == {TILES[base].den}
     assert regions > 1000
 
@@ -707,7 +801,7 @@ def pick_vertex_by_key(region):
 def test_pick_vertex_matches_key_on_exact_ties(monkeypatch):
     """On synthetic regions whose smallest angle is shared exactly, with
     points that differ, agree to 7 decimals or repeat, and on every region
-    of two pinned searches, the pick is the reference key's."""
+    of two pinned searches, run unpruned, the pick is the reference key's."""
     rng = random.Random(17)
     ties = 0
     for _ in range(500):
@@ -734,6 +828,7 @@ def test_pick_vertex_matches_key_on_exact_ties(monkeypatch):
         return got
 
     monkeypatch.setattr(realize, "_pick_vertex", checked)
+    run_unpruned(monkeypatch)
     for target, tile, nodes in (NINTH_EXHAUSTED, QUARTER_SEVEN):
         assert search_tiling(target, tile).nodes == nodes
     assert sum(regions) > 10

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from reptile_lab.angles import EMPTY_RELATIONS, AngleForm, parse_angle
-from reptile_lab.spherical import (InvalidTriangleError, angle_sums, corner_angle_solutions,
+from reptile_lab.spherical import (CORNER_TABLE_MAX_DEN, InvalidTriangleError, angle_sums,
+                                   corner_angle_solutions,
                                    corner_angle_solutions_rational_scan,
-                                   edge_lengths, is_valid, is_valid_symbolic,
+                                   edge_lengths, edge_sums, is_valid, is_valid_symbolic,
                                    law_of_cosines, straight_angle_combinations)
 from oracles import is_valid_symbolic_reference
 from test_sphgeo import radian_law_of_cosines
@@ -246,6 +247,52 @@ class TestAngleSums:
     def test_float_raises(self):
         with pytest.raises(TypeError):
             angle_sums([F(1, 3), 0.5], 6, 12)
+
+
+def edge_sums_by_enumeration(edges, top):
+    """Every distinct value i*a + j*b + k*c <= top, by listing the
+    coefficient vectors, sorted."""
+    a, b, c = edges
+    return sorted({v for i in range(int(top / a) + 2) for j in range(int(top / b) + 2)
+                   for k in range(int(top / c) + 2) if (v := i * a + j * b + k * c) <= top})
+
+
+class TestEdgeSums:
+    def test_matches_enumeration(self):
+        rng = random.Random(32)
+        cases = [((0.5, 0.7, 1.1), 0.0), ((0.5, 0.7, 1.1), 0.3),  # only the empty sum
+                 ((0.4, 0.4, 0.9), 3.0),  # a repeated edge
+                 ((1.0, 2.0, 3.0), 6.0)]  # top itself a sum
+        while len(cases) < 150:
+            edges = tuple(rng.uniform(0.1, 1.6) for _ in range(3))
+            cases.append((edges, rng.uniform(0.0, math.pi + 1e-5)))
+        while len(cases) < 250:  # tile edges, up to a search's top
+            qs = [F(rng.randint(1, 9), rng.randint(2, 12)) for _ in range(3)]
+            if is_valid(qs):
+                cases.append((law_of_cosines(*qs), math.pi + 1e-5))
+        values = 0
+        for edges, top in cases:
+            got = edge_sums(edges, top)
+            assert got == edge_sums_by_enumeration(edges, top), (edges, top)
+            values += len(got)
+        assert values > 5000
+
+    def test_top_zero_is_the_empty_sum(self):
+        assert edge_sums((0.3, 0.5, 0.7), 0.0) == [0.0]
+
+    @pytest.mark.parametrize("edges", [(0.0, 1.0, 2.0), (0.5, -1.0, 2.0),
+                                       (0.5, float("nan"), 2.0)])
+    def test_nonpositive_edge_rejected(self, edges):
+        with pytest.raises(ValueError):
+            edge_sums(edges, 1.0)
+
+    def test_size_cap(self):
+        """Up to 2 * CORNER_TABLE_MAX_DEN + 1 values come back; one more
+        gives None."""
+        cap = 2 * CORNER_TABLE_MAX_DEN + 1
+        got = edge_sums((1.0, 1e9, 1e9), cap - 1)
+        assert got == [float(j) for j in range(cap)]
+        assert edge_sums((1.0, 1e9, 1e9), cap) is None
 
 
 class TestCornerSolver:
