@@ -781,17 +781,14 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
 # Verification
 # ---------------------------------------------------------------------------
 
-# The float tolerance (radians) of `verify_tiling`'s congruence, containment
-# and overlap tests.
+# The float tolerance of `verify_tiling`: radians in its congruence test, the
+# sine of a distance from a great circle in its containment and overlap tests.
 VERIFY_EPS = 1e-7
 
 
-class VerifyReport:
-    __slots__ = ("ok", "violation")
-
-    def __init__(self, ok: bool, violation: str = ""):
-        self.ok = ok
-        self.violation = violation
+class VerifyReport(NamedTuple):
+    ok: bool
+    violation: str = ""
 
     def __bool__(self):
         return self.ok
@@ -809,25 +806,39 @@ def _triple_angle_edge_pairs(points):
 
 
 def verify_tiling(tiling: SphTiling, tile: TileSpec) -> VerifyReport:
-    """Independent re-check in binary64: congruence of each tile to the
-    base tile, containment in the target and pairwise interior disjointness,
-    each within VERIFY_EPS, and area conservation: the tiles' float angle
-    excesses sum to the target's within n * 1e-9 for n tiles."""
+    """Independent re-check in binary64: each tile is a proper triangle
+    congruent to the base tile (sorted angle, opposite-side pairs within
+    VERIFY_EPS) with its vertices in the target (at most VERIFY_EPS
+    outside), no two tiles overlap, and the tiles' angle excesses sum to
+    the target's within n * 1e-9 for n tiles.
+
+    Two tiles are disjoint when a side plane of one leaves the other's
+    three vertices at most VERIFY_EPS inside it (the sine of the distance);
+    any overlap then lies within VERIFY_EPS / cos r of that side, r the
+    other tile's circumradius.  Tiles with disjoint interiors in one open
+    hemisphere, as a triangular target's are, always pass: in its gnomonic
+    chart they are straight triangles, and by the separating-axis theorem
+    the line of an edge of one of them separates them."""
     tiles = [t.points for t in tiling.tiles]
     boundary = tiling.target_points
     ref = sorted(zip(tile.angles, tile.edges))
-    pairs = [_triple_angle_edge_pairs(pts) for pts in tiles]
-    for idx, tile_pairs in enumerate(pairs):
-        for (a1, e1), (a2, e2) in zip(tile_pairs, ref):
+    pairs = []
+    for idx, pts in enumerate(tiles):
+        try:
+            pairs.append(_triple_angle_edge_pairs(pts))
+        except ValueError:  # no tangent at coincident or antipodal points
+            return VerifyReport(False, f"tile {idx} is degenerate")
+        for (a1, e1), (a2, e2) in zip(pairs[-1], ref):
             if abs(a1 - a2) > VERIFY_EPS or abs(e1 - e2) > VERIFY_EPS:
                 return VerifyReport(False, f"tile {idx} is not congruent to the base tile")
     for idx, pts in enumerate(tiles):
         for p in pts:
             if not sphgeo.point_in_convex_polygon(p, boundary, snap=VERIFY_EPS):
                 return VerifyReport(False, f"tile {idx} leaves the target")
+    normals = [_side_normals(pts) for pts in tiles]
     for i in range(len(tiles)):
         for j in range(i + 1, len(tiles)):
-            if _tiles_overlap(tiles[i], tiles[j]):
+            if not (_separated(normals[i], tiles[j]) or _separated(normals[j], tiles[i])):
                 return VerifyReport(False, f"tiles {i} and {j} overlap")
     k = len(boundary)
     target_area = math.fsum(tiling.target_angles) - (k - 2) * math.pi
@@ -839,30 +850,21 @@ def verify_tiling(tiling: SphTiling, tile: TileSpec) -> VerifyReport:
     return VerifyReport(True)
 
 
-def _segments_cross_transversally(a1, b1, a2, b2, snap):
-    d = sphgeo.cross(sphgeo.cross(a1, b1), sphgeo.cross(a2, b2))
-    nd = sphgeo.norm(d)
-    if nd < 1e-12:
-        return False  # collinear contact is not a transversal crossing
-    d = (d[0] / nd, d[1] / nd, d[2] / nd)
-    for p in (d, (-d[0], -d[1], -d[2])):
-        if sphgeo.on_arc(p, a1, b1, snap) and sphgeo.on_arc(p, a2, b2, snap):
-            if all(sphgeo.arc_length(p, e) > 10 * snap for e in (a1, b1, a2, b2)):
-                return True
-    return False
-
-
-def _tiles_overlap(pts1, pts2) -> bool:
-    """Do two tiles, each three float 3-tuples, share interior points."""
+def _side_normals(pts) -> list:
+    """Each side's unit normal, pointing toward the opposite vertex."""
+    out = []
     for i in range(3):
-        for j in range(3):
-            if _segments_cross_transversally(pts1[i], pts1[(i + 1) % 3],
-                                             pts2[j], pts2[(j + 1) % 3], VERIFY_EPS):
-                return True
-    c1 = sphgeo.unit([sum(c) for c in zip(*pts1)])
-    c2 = sphgeo.unit([sum(c) for c in zip(*pts2)])
-    if sphgeo.point_in_convex_polygon(c1, pts2, snap=-VERIFY_EPS):
-        return True
-    if sphgeo.point_in_convex_polygon(c2, pts1, snap=-VERIFY_EPS):
-        return True
+        n, l = sphgeo.plane(pts[i], pts[i - 1])
+        l = math.copysign(l, sphgeo.dot(n, pts[i - 2]))
+        out.append((n[0] / l, n[1] / l, n[2] / l))
+    return out
+
+
+def _separated(normals, pts) -> bool:
+    """Does a side plane leave all three points at most VERIFY_EPS inside."""
+    (a, b, c), (d, e, f), (g, h, k) = pts
+    for x, y, z in normals:
+        if (a * x + b * y + c * z <= VERIFY_EPS and d * x + e * y + f * z <= VERIFY_EPS
+                and g * x + h * y + k * z <= VERIFY_EPS):
+            return True
     return False

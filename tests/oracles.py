@@ -6,8 +6,10 @@ the permutation-group layer of `coxeter`, the position-tuple form of
 `pair_canonical`, `QuadExt`, the closed-form
 quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5,
 the sort-free reference of spherical-triangle validity over a beta
-interval, and the mirror triangles of the reflection groups A3, B3 and H3,
-targets known to be tiled without asking the tiling search.
+interval, the mirror triangles of the reflection groups A3, B3 and H3,
+targets known to be tiled without asking the tiling search, and the depth
+of the overlap of two spherical triangles by clipping, which checks
+`verify_tiling`'s separating-side test.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -569,3 +571,71 @@ def mirror_triangles(group: str) -> list:
                 angles.append(Fraction(q, 60))
             out.add(tuple(sorted(angles)))
     return sorted(out)
+
+
+def _clip(poly, f):
+    """Sutherland-Hodgman: the part of a convex 2-D polygon (a list of
+    points) where the affine function f is >= 0."""
+    out = []
+    for k, p in enumerate(poly):
+        q = poly[(k + 1) % len(poly)]
+        fp, fq = f(p), f(q)
+        if fp >= 0:
+            out.append(p)
+        if (fp >= 0) != (fq >= 0):
+            t = fp / (fp - fq)
+            out.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+    return out
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _scaled(v, s):
+    return (v[0] * s, v[1] * s, v[2] * s)
+
+
+def tiles_overlap_reference(pts1, pts2) -> float:
+    """The depth of the overlap of two spherical triangles (three unit
+    vectors each): the least width of their intersection, measured on the
+    sphere across each of its sides as the spread of the sines of the
+    distances of its vertices from that side's great circle; 0.0 when the
+    intersection has no area.
+
+    The intersection comes from clipping, not from a search for separating
+    planes: the first triangle is mapped into the gnomonic chart centred on
+    the normal of the plane through its three vertices, where it is a
+    straight triangle, and Sutherland-Hodgman clips it by the three
+    half-spaces of the second one (each side's great circle is a line of
+    the chart, and the side of it holding the opposite vertex a half-plane).
+    The second triangle need not lie in the chart's hemisphere.
+    """
+    a, b, c = pts1
+    centre = _cross([y - x for x, y in zip(a, b)], [y - x for x, y in zip(a, c)])
+    centre = _scaled(centre, math.copysign(1 / math.sqrt(_dot(centre, centre)), _dot(centre, a)))
+    u = _cross(centre, a)
+    u = _scaled(u, 1 / math.sqrt(_dot(u, u)))
+    w = _cross(centre, u)
+    poly = [(_dot(p, u) / _dot(p, centre), _dot(p, w) / _dot(p, centre)) for p in pts1]
+    for k in range(3):
+        n = _cross(pts2[k], pts2[k - 1])
+        n = _scaled(n, math.copysign(1.0, _dot(n, pts2[k - 2])))
+        n0, nu, nw = _dot(n, centre), _dot(n, u), _dot(n, w)
+        poly = _clip(poly, lambda p: n0 + p[0] * nu + p[1] * nw)
+        if len(poly) < 3:
+            return 0.0
+    verts = [tuple(x + s * y + t * z for x, y, z in zip(centre, u, w)) for s, t in poly]
+    depth = math.inf
+    for k, p in enumerate(verts):
+        n = _cross(p, verts[k - 1])
+        if not any(n):
+            continue
+        n = _scaled(n, 1 / math.sqrt(_dot(n, n)))
+        dists = [_dot(n, v) / math.sqrt(_dot(v, v)) for v in verts]
+        depth = min(depth, max(dists) - min(dists))
+    return 0.0 if depth == math.inf else depth

@@ -834,6 +834,18 @@ def test_pick_vertex_matches_key_on_exact_ties(monkeypatch):
     assert sum(regions) > 10
 
 
+def rotated(points, angle: float) -> list:
+    """The tile's points turned by `angle` about the axis through its
+    centroid (Rodrigues' formula)."""
+    k = sphgeo.unit([sum(c) for c in zip(*points)])
+    c, s = math.cos(angle), math.sin(angle)
+    out = []
+    for v in points:
+        kv, d = sphgeo.cross(k, v), sphgeo.dot(k, v) * (1 - c)
+        out.append(tuple(v[i] * c + kv[i] * s + k[i] * d for i in range(3)))
+    return out
+
+
 class TestVerify:
     def _found(self):
         return search_tiling((F(1, 4), F(1, 2), F(1, 2)), QUARTER).tiling
@@ -853,6 +865,57 @@ class TestVerify:
     def test_lune_two_tiles(self):
         tiling, tile = lune_two_tile_tiling(F(2, 5))
         assert verify_tiling(tiling, tile)
+
+    @staticmethod
+    def _moved(tiling, idx, points):
+        tiles = [TilePlacement(list(t.points), t.corners) for t in tiling.tiles]
+        tiles[idx] = TilePlacement(points, tiles[idx].corners)
+        return SphTiling(tiling.target_points, tiling.target_angles, tiles)
+
+    @staticmethod
+    def _fixture_tilings():
+        for base, target, *_ in SEARCH_TREE[:19]:
+            yield search_tiling(target, TILES[base]).tiling, TILES[base]
+
+    def test_degenerate_tile_rejected(self):
+        tiling = self._found()
+        p, _, q = tiling.tiles[1].points
+        rep = verify_tiling(self._moved(tiling, 1, [p, p, q]), QUARTER)
+        assert not rep and rep.violation == "tile 1 is degenerate"
+
+    def test_duplicated_tile_overlaps(self):
+        for tiling, tile in self._fixture_tilings():
+            tiling.tiles.append(tiling.tiles[-1])
+            rep = verify_tiling(tiling, tile)
+            assert rep.violation == f"tiles {len(tiling.tiles) - 2} and {len(tiling.tiles) - 1} overlap"
+
+    def test_rotated_tile_overlaps(self):
+        """Tile 7 of the 8-tile fifth (1/5, 2/5, 2/3), turned by 1e-4 rad
+        about its centroid, stays in the target and overlaps five of its
+        neighbours, tile 2 by 2.3e-5 (the clipping oracle's depth)."""
+        tiling = search_tiling((F(1, 5), F(2, 5), F(2, 3)), FIFTH).tiling
+        moved = self._moved(tiling, 7, rotated(tiling.tiles[7].points, 1e-4))
+        assert verify_tiling(moved, FIFTH).violation == "tiles 2 and 7 overlap"
+
+    def test_tiny_rotation_passes(self):
+        """A turn by 1e-9 rad moves each vertex by less than 1e-9, far
+        inside VERIFY_EPS: the tiling still verifies, with each tile turned
+        either way."""
+        for tiling, tile in self._fixture_tilings():
+            for idx, placed in enumerate(tiling.tiles):
+                for angle in (1e-9, -1e-9):
+                    assert verify_tiling(self._moved(tiling, idx, rotated(placed.points, angle)), tile)
+
+    def test_vertex_order_changes_no_verdict(self):
+        tiling = search_tiling((F(1, 5), F(2, 5), F(2, 3)), FIFTH).tiling
+        cases = [(tiling, FIFTH), (self._moved(tiling, 7, rotated(tiling.tiles[7].points, 1e-4)), FIFTH),
+                 (self._moved(tiling, 7, rotated(tiling.tiles[7].points, -1e-4)), FIFTH),
+                 (self._moved(tiling, 0, tiling.tiles[1].points), FIFTH),
+                 lune_two_tile_tiling(F(3, 4))] + list(self._fixture_tilings())
+        for tiling, tile in cases:
+            back = SphTiling(tiling.target_points, tiling.target_angles,
+                             [TilePlacement(t.points[::-1], t.corners[::-1]) for t in tiling.tiles])
+            assert verify_tiling(back, tile) == verify_tiling(tiling, tile)
 
 
 class TestSerializationAndSvg:
