@@ -117,11 +117,11 @@ EDGE_TOL = 1e-5
 class EdgeMatch(NamedTuple):
     coeffs: tuple
     value: float
-    gap: float  # distance from x to the nearest combination, at most EDGE_TOL
+    gap: float  # distance from x to the nearer kept combination, at most EDGE_TOL
 
 
 class EdgeNearest(NamedTuple):
-    gap: float  # distance from x to the nearest combination, above EDGE_TOL
+    gap: float  # distance from x to the nearer kept combination, above EDGE_TOL
 
 
 EdgeStatus = Union[EdgeMatch, EdgeNearest]
@@ -131,10 +131,13 @@ def edge_combination(x: float, edges: Sequence[float]) -> EdgeStatus:
     """Match x against nonnegative integer combinations of the edges.
 
     Every combination up to the first one past x is visited, so no
-    coefficient bound can hide a match.  Returns an EdgeMatch when some
-    i*a + j*b + k*c lies within EDGE_TOL of x (the one from below when both
-    sides do, ties resolved toward the smallest coefficient vector),
-    otherwise an EdgeNearest with the distance to the closest combination.
+    coefficient bound can hide a match.  Each side of x keeps the first
+    combination i*a + j*b + k*c the walk visits, in lexicographic (i, j, k)
+    order, unless a later one is closer by more than 1e-15, so the kept one
+    need not be the nearest.  Returns an EdgeMatch with the kept one from
+    below when it lies within EDGE_TOL of x, else with the one from above
+    when that does, otherwise an EdgeNearest; `gap` is the smaller of the
+    two kept distances.
     """
     if not 0 < x < math.inf:
         raise ValueError("length must be positive and finite")
@@ -782,7 +785,7 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 # The float tolerance of `verify_tiling`: radians in its congruence test, the
-# sine of a distance from a great circle in its containment and overlap tests.
+# sine of a distance from a side plane in its containment and overlap tests.
 VERIFY_EPS = 1e-7
 
 
@@ -794,23 +797,14 @@ class VerifyReport(NamedTuple):
         return self.ok
 
 
-def _triple_angle_edge_pairs(points):
-    out = []
-    for i in range(3):
-        p, q, r = points[i], points[(i + 1) % 3], points[(i + 2) % 3]
-        ang = math.acos(max(-1.0, min(1.0, sphgeo.dot(
-            sphgeo.tangent_toward(p, q), sphgeo.tangent_toward(p, r)))))
-        opp = sphgeo.arc_length(q, r)
-        out.append((ang, opp))
-    return sorted(out)
-
-
 def verify_tiling(tiling: SphTiling, tile: TileSpec) -> VerifyReport:
     """Independent re-check in binary64: each tile is a proper triangle
     congruent to the base tile (sorted angle, opposite-side pairs within
     VERIFY_EPS) with its vertices in the target (at most VERIFY_EPS
     outside), no two tiles overlap, and the tiles' angle excesses sum to
-    the target's within n * 1e-9 for n tiles.
+    the target's within n * 1e-9 for n tiles.  Each tile is read once, from
+    its side planes (`_tile_sides`), and so is the target's boundary, whose
+    sides with coincident ends constrain nothing.
 
     Two tiles are disjoint when a side plane of one leaves the other's
     three vertices at most VERIFY_EPS inside it (the sine of the distance);
@@ -821,43 +815,54 @@ def verify_tiling(tiling: SphTiling, tile: TileSpec) -> VerifyReport:
     the line of an edge of one of them separates them."""
     tiles = [t.points for t in tiling.tiles]
     boundary = tiling.target_points
+    walls = [(n[0] / l, n[1] / l, n[2] / l) for n, l in
+             (sphgeo.plane(boundary[i - 1], boundary[i]) for i in range(len(boundary))) if l]
     ref = sorted(zip(tile.angles, tile.edges))
-    pairs = []
+    normals = []
+    tiles_area = 0.0
     for idx, pts in enumerate(tiles):
-        try:
-            pairs.append(_triple_angle_edge_pairs(pts))
-        except ValueError:  # no tangent at coincident or antipodal points
+        sides = _tile_sides(pts)
+        if sides is None:
             return VerifyReport(False, f"tile {idx} is degenerate")
-        for (a1, e1), (a2, e2) in zip(pairs[-1], ref):
+        for (a1, e1), (a2, e2) in zip(sides[1], ref):
             if abs(a1 - a2) > VERIFY_EPS or abs(e1 - e2) > VERIFY_EPS:
                 return VerifyReport(False, f"tile {idx} is not congruent to the base tile")
+        normals.append(sides[0])
+        tiles_area += math.fsum(a for a, _ in sides[1]) - math.pi
     for idx, pts in enumerate(tiles):
-        for p in pts:
-            if not sphgeo.point_in_convex_polygon(p, boundary, snap=VERIFY_EPS):
+        for x, y, z in walls:
+            if any(a * x + b * y + c * z < -VERIFY_EPS for a, b, c in pts):
                 return VerifyReport(False, f"tile {idx} leaves the target")
-    normals = [_side_normals(pts) for pts in tiles]
     for i in range(len(tiles)):
         for j in range(i + 1, len(tiles)):
             if not (_separated(normals[i], tiles[j]) or _separated(normals[j], tiles[i])):
                 return VerifyReport(False, f"tiles {i} and {j} overlap")
-    k = len(boundary)
-    target_area = math.fsum(tiling.target_angles) - (k - 2) * math.pi
-    tiles_area = 0.0
-    for tile_pairs in pairs:
-        tiles_area += math.fsum(a for a, _ in tile_pairs) - math.pi
+    target_area = math.fsum(tiling.target_angles) - (len(boundary) - 2) * math.pi
     if abs(tiles_area - target_area) > max(1, len(tiles)) * 1e-9:
         return VerifyReport(False, "tile areas do not sum to the target area")
     return VerifyReport(True)
 
 
-def _side_normals(pts) -> list:
-    """Each side's unit normal, pointing toward the opposite vertex."""
-    out = []
+def _tile_sides(pts) -> Optional[tuple]:
+    """A triangle read from its side planes, side i = `sphgeo.plane(pts[i],
+    pts[i - 1])` = (n, |n|): the sides' unit normals toward the opposite
+    vertex (so the vertex order does not matter), and the sorted (corner
+    angle, opposite side) pairs.  A side is atan2(|n|, a . b) long, as in
+    `sphgeo.arc_length`, and a corner is pi minus the angle between the
+    normals of its two sides.  None when some |n| is below 1e-13."""
+    normals, lengths = [], []
     for i in range(3):
-        n, l = sphgeo.plane(pts[i], pts[i - 1])
+        a, b = pts[i], pts[i - 1]
+        n, l = sphgeo.plane(a, b)
+        if l < 1e-13:  # coincident or antipodal ends
+            return None
+        lengths.append(math.atan2(l, sphgeo.dot(a, b)))
         l = math.copysign(l, sphgeo.dot(n, pts[i - 2]))
-        out.append((n[0] / l, n[1] / l, n[2] / l))
-    return out
+        normals.append((n[0] / l, n[1] / l, n[2] / l))
+    # normals i and i - 1 meet at pts[i - 1], opposite side i - 2
+    pairs = sorted((math.acos(max(-1.0, min(1.0, -sphgeo.dot(normals[i], normals[i - 1])))),
+                    lengths[i - 2]) for i in range(3))
+    return normals, pairs
 
 
 def _separated(normals, pts) -> bool:

@@ -197,14 +197,3 @@ def arcs_conflict(a1, b1, plane1, a2, b2, plane2, snap: float) -> bool:
             if not shared:
                 return True
     return False
-
-
-def point_in_convex_polygon(p, pts, snap: float = 1e-9) -> bool:
-    """Is p inside or on the convex CCW spherical polygon (interior left)."""
-    k = len(pts)
-    for i in range(k):
-        a, b = pts[i], pts[(i + 1) % k]
-        n = cross(a, b)
-        if dot(p, n) < -snap * norm(n):
-            return False
-    return True

@@ -6,10 +6,12 @@ the permutation-group layer of `coxeter`, the position-tuple form of
 `pair_canonical`, `QuadExt`, the closed-form
 quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5,
 the sort-free reference of spherical-triangle validity over a beta
-interval, the mirror triangles of the reflection groups A3, B3 and H3,
-targets known to be tiled without asking the tiling search, and the depth
-of the overlap of two spherical triangles by clipping, which checks
-`verify_tiling`'s separating-side test.
+interval, the mirror triangles of the reflection groups A3, B3 and H3 and
+the bisector family, targets known to be tiled without asking the tiling
+search, the depth of the overlap of two spherical triangles by clipping,
+which checks `verify_tiling`'s separating-side test, and a triangle's
+(angle, opposite side) pairs from tangents, which check the ones
+`verify_tiling` reads from its side planes.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -22,10 +24,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from reptile_lab import sphgeo
 from reptile_lab.coxeter import kn_tables
 from reptile_lab.exactmath import (ExactMatrix, Poly, RingMismatchError, RootInterval,
                                    cos_pi, isolate_roots, minimal_polynomial, sturm_chain)
 from reptile_lab.hill import EuclideanSimplex
+from reptile_lab.spherical import is_valid
 
 
 class DegenerateSimplexError(ValueError):
@@ -573,6 +577,17 @@ def mirror_triangles(group: str) -> list:
     return sorted(out)
 
 
+def bisector_family(max_den: int) -> list:
+    """Every pair (tile angles, target) of the bisector family with the
+    denominators of v and x up to max_den: the right tile (v, x, 1/2) and
+    the isosceles target (2v, x, x), both valid.  Two copies of the tile
+    tile the target: the apex bisector meets the base at its midpoint at a
+    right angle."""
+    qs = sorted({Fraction(n, d) for d in range(2, max_den + 1) for n in range(1, d)})
+    return [((v, x, Fraction(1, 2)), (2 * v, x, x)) for v in qs for x in qs
+            if is_valid((v, x, Fraction(1, 2))) and is_valid((2 * v, x, x))]
+
+
 def _clip(poly, f):
     """Sutherland-Hodgman: the part of a convex 2-D polygon (a list of
     points) where the affine function f is >= 0."""
@@ -639,3 +654,17 @@ def tiles_overlap_reference(pts1, pts2) -> float:
         dists = [_dot(n, v) / math.sqrt(_dot(v, v)) for v in verts]
         depth = min(depth, max(dists) - min(dists))
     return 0.0 if depth == math.inf else depth
+
+
+def angle_side_pairs_reference(points) -> list:
+    """A spherical triangle's sorted (corner angle, opposite side) pairs:
+    each angle from the unit tangents toward its two neighbours, each side
+    by `sphgeo.arc_length`.  Raises ValueError when two points coincide or
+    are antipodal."""
+    out = []
+    for i in range(3):
+        p, q, r = points[i], points[(i + 1) % 3], points[(i + 2) % 3]
+        ang = math.acos(max(-1.0, min(1.0, sphgeo.dot(
+            sphgeo.tangent_toward(p, q), sphgeo.tangent_toward(p, r)))))
+        out.append((ang, sphgeo.arc_length(q, r)))
+    return sorted(out)

@@ -7,11 +7,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from oracles import (MIRROR_CHAMBERS, minimal_polynomial_degree_bruteforce,
+from oracles import (MIRROR_CHAMBERS, bisector_family, minimal_polynomial_degree_bruteforce,
                      mirror_triangles)
 from test_acceptance import algebraic_degree
 from reptile_lab import realize, spherical, sphgeo
-from reptile_lab.realize import (EDGE_TOL, EdgeMatch, EdgeNearest,
+from reptile_lab.realize import (EDGE_TOL, VERIFY_EPS, EdgeMatch, EdgeNearest,
                                  SphTiling, TilePlacement, TileSpec,
                                  edge_combination, enumerate_candidates,
                                  search_tiling, verify_tiling)
@@ -58,6 +58,15 @@ class TestEdgeCombination:
         a, b, c = QUARTER.edges
         res = edge_combination(a + b, QUARTER.edges)
         assert isinstance(res, EdgeMatch) and res.coeffs == (1, 1, 0)
+
+    def test_keeps_the_first_combination_within_1e_15(self):
+        """On the quarter tile a + c = 2b; at x = 2a + c the walk meets
+        (1, 2, 0), 4.4e-16 below x, before (2, 0, 1), which is x, and keeps
+        it."""
+        a, b, c = QUARTER.edges
+        x = 2 * a + c
+        res = edge_combination(x, QUARTER.edges)
+        assert res.coeffs == (1, 2, 0) and 0 < res.gap == x - (a + 2 * b) < 1e-15
 
     def test_two_thirds_pi_unreachable(self):
         res = edge_combination(2 * math.pi / 3, QUARTER.edges)
@@ -438,6 +447,29 @@ def test_each_call_builds_one_table(monkeypatch):
     assert built == [(6, 5)]
 
 
+def test_verify_reads_each_side_once(monkeypatch):
+    """One `verify_tiling` call builds one `sphgeo.plane` per tile side and
+    per target side, and no tangent."""
+    tilings = [(search_tiling((F(1, 5), F(2, 5), F(2, 3)), FIFTH).tiling, FIFTH),
+               lune_two_tile_tiling(F(2, 5))]
+    calls = []
+
+    def count(name):
+        kernel = getattr(sphgeo, name)
+
+        def counting(a, b):
+            calls.append(name)
+            return kernel(a, b)
+        monkeypatch.setattr(sphgeo, name, counting)
+
+    count("plane")
+    count("tangent_toward")
+    for tiling, tile in tilings:
+        calls.clear()
+        assert verify_tiling(tiling, tile)
+        assert calls == ["plane"] * (3 * len(tiling.tiles) + len(tiling.target_points))
+
+
 def test_corner_table_bound():
     """A table is built up to D = CORNER_TABLE_MAX_DEN; past it the search
     runs without the corner test."""
@@ -610,17 +642,6 @@ def test_cleanup_rejects_a_slit():
     near, V, off, north = _equator(0.1), _equator(0.0), (math.cos(0.3), 0.0, math.sin(0.3)), \
         (0.0, 0.0, 1.0)
     assert realize._cleanup_cycle([(near, 18), (V, 0), (off, 7), (north, 5)], 12) is None
-
-
-def bisector_family(max_den):
-    """Every pair (tile angles, target) of the bisector family with the
-    denominators of v and x up to max_den: the right tile (v, x, 1/2) and
-    the isosceles target (2v, x, x), both valid.  Two copies of the tile
-    tile the target: the apex bisector meets the base at its midpoint at a
-    right angle."""
-    qs = sorted({F(n, d) for d in range(2, max_den + 1) for n in range(1, d)})
-    return [((v, x, F(1, 2)), (2 * v, x, x)) for v in qs for x in qs
-            if is_valid((v, x, F(1, 2))) and is_valid((2 * v, x, x))]
 
 
 def test_spike_at_the_apex_of_one_fifth_pi():
@@ -836,8 +857,13 @@ def test_pick_vertex_matches_key_on_exact_ties(monkeypatch):
 
 def rotated(points, angle: float) -> list:
     """The tile's points turned by `angle` about the axis through its
-    centroid (Rodrigues' formula)."""
-    k = sphgeo.unit([sum(c) for c in zip(*points)])
+    centroid."""
+    return turned(points, sphgeo.unit([sum(c) for c in zip(*points)]), angle)
+
+
+def turned(points, k, angle: float) -> list:
+    """The points turned by `angle` about the unit axis k (Rodrigues'
+    formula)."""
     c, s = math.cos(angle), math.sin(angle)
     out = []
     for v in points:
@@ -882,6 +908,34 @@ class TestVerify:
         p, _, q = tiling.tiles[1].points
         rep = verify_tiling(self._moved(tiling, 1, [p, p, q]), QUARTER)
         assert not rep and rep.violation == "tile 1 is degenerate"
+
+    def test_dropped_tile_leaves_area_uncovered(self):
+        tiling = search_tiling((F(1, 4), F(1, 2), F(2, 3)), QUARTER).tiling
+        rep = verify_tiling(SphTiling(tiling.target_points, tiling.target_angles,
+                                      tiling.tiles[:-1]), QUARTER)
+        assert rep.violation == "tile areas do not sum to the target area"
+
+    def test_containment_window(self):
+        """A tile turned rigidly so that a vertex of it on a target side
+        ends VERIFY_EPS / 2 outside that side (the sine of the distance)
+        passes; 2 * VERIFY_EPS outside, the tile leaves the target.  Across
+        each side of a triangle target and of a lune, whose boundary has
+        two straight vertices."""
+        for tiling, tile in ((search_tiling((F(1, 4), F(1, 2), F(2, 3)), QUARTER).tiling, QUARTER),
+                             lune_two_tile_tiling(F(2, 5))):
+            b = tiling.target_points
+            for i in range(len(b)):
+                w = sphgeo.unit(sphgeo.cross(b[i - 1], b[i]))  # inward
+                idx, k = next((idx, k) for idx, t in enumerate(tiling.tiles)
+                              for k, p in enumerate(t.points) if abs(sphgeo.dot(p, w)) < 1e-12)
+                points = tiling.tiles[idx].points
+                # about an axis in the side's plane, square to the vertex
+                axis = sphgeo.unit(sphgeo.cross(w, points[k]))
+                for out, want in ((VERIFY_EPS / 2, ""),
+                                  (2 * VERIFY_EPS, f"tile {idx} leaves the target")):
+                    moved = turned(points, axis, math.asin(out))
+                    assert abs(sphgeo.dot(moved[k], w) + out) < 1e-12
+                    assert verify_tiling(self._moved(tiling, idx, moved), tile).violation == want
 
     def test_duplicated_tile_overlaps(self):
         for tiling, tile in self._fixture_tilings():

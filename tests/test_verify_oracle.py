@@ -1,5 +1,8 @@
-"""Differential test of `verify_tiling`'s overlap kernel (separating sides)
-against the clipping oracle `oracles.tiles_overlap_reference`.
+"""Differential tests of `verify_tiling`'s kernels: its overlap test
+(separating sides) against the clipping oracle
+`oracles.tiles_overlap_reference`, and its (angle, opposite side) pairs,
+read from each tile's side planes, against the tangent form
+`oracles.angle_side_pairs_reference`.
 
 The pairs: every tile pair of the 19 fixture tilings, of five lunes, of the
 tilings the search finds among the targets of 2 to 20 tiles on the four
@@ -17,7 +20,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracles import MIRROR_CHAMBERS, mirror_triangles, tiles_overlap_reference
+from oracles import (MIRROR_CHAMBERS, angle_side_pairs_reference, mirror_triangles,
+                     tiles_overlap_reference)
 from test_realize import TILES, lune_two_tile_tiling, rotated
 from reptile_lab import fixtures, realize
 from reptile_lab.realize import VERIFY_EPS, TileSpec, search_tiling
@@ -28,8 +32,8 @@ SCAN_MAX_TILES = 20
 
 
 def kernel_overlap(pts1, pts2) -> bool:
-    return not (realize._separated(realize._side_normals(pts1), pts2)
-                or realize._separated(realize._side_normals(pts2), pts1))
+    return not (realize._separated(realize._tile_sides(pts1)[0], pts2)
+                or realize._separated(realize._tile_sides(pts2)[0], pts1))
 
 
 def scan_targets(tile: TileSpec) -> list:
@@ -109,3 +113,21 @@ def test_rotated_tiles_agree(tilings):
     overlapping, disjoint, skipped = compare(pairs)
     print(f"{overlapping} overlapping and {disjoint} disjoint pairs agree, {skipped} skipped")
     assert overlapping > 1000 and disjoint > 10000 and skipped < len(pairs) / 10
+
+
+def test_angle_side_pairs_agree(tilings):
+    """Every tile of every tiling, and each tile turned about its centroid
+    by its own seeded angle: the sorted (angle, opposite side) pairs that
+    `verify_tiling` reads from the side planes match the tangent form,
+    angles within 1e-12 and sides within 1e-15."""
+    rng = random.Random(2)
+    worst = [0.0, 0.0]
+    for _, name, tiles in tilings:
+        for i, pts in enumerate(tiles):
+            angle = rng.choice((1, -1)) * 10 ** rng.uniform(-9, math.log10(0.2))
+            for points in (pts, rotated(pts, angle)):
+                got = realize._tile_sides(points)[1]
+                for (a1, e1), (a2, e2) in zip(got, angle_side_pairs_reference(points)):
+                    worst = [max(worst[0], abs(a1 - a2)), max(worst[1], abs(e1 - e2))]
+                    assert abs(a1 - a2) <= 1e-12 and abs(e1 - e2) <= 1e-15, (name, i, angle)
+    print(f"largest differences: angle {worst[0]:.2e}, side {worst[1]:.2e}")
