@@ -25,20 +25,30 @@ from .coxeter import CoxeterDiagram, orbits, triangle_type_of
 from .gram import fiedler_check, gram_from_diagram
 from .realize import NODE_BUDGET, TileSpec, search_tiling, verify_tiling
 from .scenarios import emit_figures, run_scenario, SCENARIOS
+from .spherical import is_valid
 
 
-def _parse_triple(text: str):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError("expected three comma-separated angles")
-    out = []
-    for p in parts:
-        form = parse_angle(p)
-        q = form.pi_fraction()
-        if q is None:
-            raise ValueError(f"{p!r} is not a rational multiple of pi")
-        out.append(q)
-    return tuple(out)
+def _triangle(role: str, text: str) -> tuple:
+    """The angles (Fractions of pi) of the triangle `text` names; a
+    ValueError that names `role` and `text` if they are no valid spherical
+    triangle."""
+    try:
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != 3:
+            raise ValueError("expected three comma-separated angles")
+        out = []
+        for p in parts:
+            q = parse_angle(p).pi_fraction()
+            if q is None:
+                raise ValueError(f"{p!r} is not a rational multiple of pi")
+            out.append(q)
+        angles = tuple(out)
+        report = is_valid(angles)
+        if not report:
+            raise ValueError(report.reason)
+    except ValueError as exc:
+        raise ValueError(f"{role} {text!r}: {exc}") from None
+    return angles
 
 
 def _cmd_run(args) -> int:
@@ -70,8 +80,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tile(args) -> int:
-    tile = TileSpec.from_pi_fractions(*_parse_triple(args.tile))
-    target = _parse_triple(args.target)
+    tile = TileSpec.from_pi_fractions(*_triangle("tile", args.tile))
+    target = _triangle("target", args.target)
     res = search_tiling(target, tile, n_max=args.n_max,
                         node_budget=args.node_budget)
     out = {"status": res.status, "nodes": res.nodes, "reason": res.reason}

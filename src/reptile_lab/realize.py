@@ -351,20 +351,15 @@ class SearchResult:
 
 class _Region:
     """A boundary cycle: points (float 3-tuples, CCW), interior angles (ints,
-    multiples of pi/D), and arcs (start, end) from each point to the next.
-    `checked` maps the arcs known to pass `_placement_geometry_ok` together
-    to their planes (`sphgeo.plane`): all arcs of a region the search
-    accepted, none for any other.  A placement carries most arcs over from
-    its parent region as the same tuples, and their planes with them."""
+    multiples of pi/D), and arcs (start, end) from each point to the next."""
 
-    __slots__ = ("points", "angles", "arcs", "checked")
+    __slots__ = ("points", "angles", "arcs")
 
     def __init__(self, points, angles):
         self.points = points
         self.angles = angles
         k = len(points)
         self.arcs = [(points[i], points[(i + 1) % k]) for i in range(k)]
-        self.checked = {}
 
 
 def _corner_table(tile: TileSpec) -> Optional[bytearray]:
@@ -544,7 +539,7 @@ def _place(region: _Region, vi: int, orient: tuple, ways: list, den: int,
         return None
     if not _sides_fillable(state, den, sums):
         return None
-    if not _placement_geometry_ok(region, state):
+    if not _placement_geometry_ok(state):
         return None
     return (state, tile_points)
 
@@ -605,63 +600,30 @@ def _cleanup_cycle(cycle, den):
     return _Region(out_pts, out_angs)
 
 
-def _fresh_arcs(old: _Region, new: _Region) -> list:
-    """Per arc of `new`: is it fresh?  An arc is fresh unless its (start,
-    end) pair is a checked arc of `old` -- the same float tuples -- and no
-    earlier arc of `new` repeats it.  So arcs a placement created or
-    `_cleanup_cycle` merged are fresh."""
-    seen = set()
-    out = []
-    for arc in new.arcs:
-        out.append(arc not in old.checked or arc in seen)
-        seen.add(arc)
-    return out
-
-
-def _placement_geometry_ok(old: _Region, new: _Region) -> bool:
+def _placement_geometry_ok(new: _Region) -> bool:
     """Reject placements whose new boundary self-intersects or has an arc
-    too long for the minor-arc convention; on success, store the plane of
-    every arc of `new` in `new.checked`.
+    too long for the minor-arc convention.
 
     The tile sides start inside the corner wedge; if no arc of the new
     boundary crosses another (beyond shared endpoints), the tile stayed
-    inside the region.  Only fresh arcs (`_fresh_arcs`) and pairs with a
-    fresh arc are tested.  That gives the all-pairs answer because every
-    region the search accepts has all its arcs below pi - 1e-6 and all
-    their pairs conflict-free (the root triangle is checked once in
-    `search_tiling`, every later region here), and a pair of arcs that are
-    not fresh is a pair of distinct arcs of `old`, the same float tuples.
-    Neighbouring arcs share their endpoint as one tuple, so most of the
-    pairs left take `arcs_conflict`'s neighbour exit.
-
-    Planes are built (`sphgeo.plane`) only for fresh arcs; the others come
-    from `old.checked`, built from the same tuples.  An arc's length for
-    the minor-arc test is atan2(|n|, a . b) from its plane, the floats of
-    `sphgeo.arc_length`.
+    inside the region.  An arc's length, atan2(|n|, a . b) from its plane
+    (`sphgeo.plane`), is the floats of `sphgeo.arc_length`.
     """
     arcs = new.arcs
-    fresh = _fresh_arcs(old, new)
-    known = old.checked
     planes = []
-    for f, arc in zip(fresh, arcs):
-        if f:
-            a, b = arc
-            plane = sphgeo.plane(a, b)
-            if math.atan2(plane[1], sphgeo.dot(a, b)) >= math.pi - 1e-6:
-                return False  # minor-arc convention breaks past pi
-        else:
-            plane = known[arc]
+    for a, b in arcs:
+        plane = sphgeo.plane(a, b)
+        if math.atan2(plane[1], sphgeo.dot(a, b)) >= math.pi - 1e-6:
+            return False  # minor-arc convention breaks past pi
         planes.append(plane)
     k = len(arcs)
     for i in range(k):
         a1, b1 = arcs[i]
         p1 = planes[i]
         for j in range(i + 1, k):
-            if fresh[i] or fresh[j]:
-                a2, b2 = arcs[j]
-                if sphgeo.arcs_conflict(a1, b1, p1, a2, b2, planes[j], SNAP):
-                    return False
-    new.checked = dict(zip(arcs, planes))
+            a2, b2 = arcs[j]
+            if sphgeo.arcs_conflict(a1, b1, p1, a2, b2, planes[j], SNAP):
+                return False
     return True
 
 
@@ -741,7 +703,6 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
                                 f"target corner {q} pi is no sum of tile angles")
     sums = edge_sums(tile.edges, math.pi + EDGE_TOL)
     region0 = _Region(list(t_points), [int(q * den) for q in target])
-    _placement_geometry_ok(_Region([], []), region0)
     orients = _orientations(tile)
     nodes = 0
     solution = []

@@ -2,18 +2,14 @@
 their endpoints (minor-arc convention, all lengths < pi).
 
 Stdlib only.  The tiling search calls `arcs_conflict` on every pair of
-boundary arcs of a new region that involves at least one fresh arc (one the
-placement created or merged); the other pairs are arcs of the parent region,
-unchanged, and passed the same test when it was built.  These calls run
-thousands of times per search, where numpy's per-call overhead on 3-element
-arrays would cost about a hundred times the arithmetic.  Most of them end
-at one of its early exits: arcs on either side of a plane, or neighbouring
-arcs of the boundary that leave their shared endpoint in distinct
-directions.  `arcs_conflict` takes each arc with its great-circle plane,
-the normal n = a x b and |n| that `plane` builds, so a caller that meets
-one arc in many pairs computes its plane once: the search keeps the plane
-of every boundary arc with its region and builds planes only for fresh
-arcs.  Every caller holds its points as float 3-tuples already, so the
+boundary arcs of each new region, tens of calls per region, where numpy's
+per-call overhead on 3-element arrays would cost about a hundred times the
+arithmetic.  Most of them end at one of its early exits: arcs on either
+side of a plane, or neighbouring arcs of the boundary that leave their
+shared endpoint in distinct directions.  `arcs_conflict` takes each arc
+with its great-circle plane, the normal n = a x b and |n| that `plane`
+builds, so a caller that meets one arc in many pairs computes its plane
+once.  Every caller holds its points as float 3-tuples already, so the
 kernel takes them as they are.
 """
 

@@ -666,6 +666,45 @@ def test_bisector_family_sample():
         assert verify_tiling(res.tiling, tile)
 
 
+def substituted_tiling(outer: SphTiling, inner: SphTiling) -> SphTiling:
+    """`outer`'s target tiled by `inner`'s tiles: each tile of `outer` is
+    replaced by `inner`'s tiles under the orthogonal map that sends
+    `inner`'s target point i to that tile's corner i.  `inner`'s target
+    angles must be in the order of the corner indices of `outer`'s tile."""
+    tiles = []
+    for placed in outer.tiles:
+        corners = [placed.points[placed.corners.index(i)] for i in range(3)]
+        rot = np.array(corners).T @ np.linalg.inv(np.array(inner.target_points).T)
+        for t in inner.tiles:
+            tiles.append(TilePlacement([sphgeo.unit(tuple(rot @ p)) for p in t.points],
+                                       t.corners))
+    return SphTiling(outer.target_points, outer.target_angles, tiles)
+
+
+def test_bisector_composition_sample():
+    """Composition: A tiles B and B tiles C, so A tiles C.  For 8 of the 88
+    two-step pairs of `bisector_family(24)`, drawn by random.Random(20),
+    the A-tiling of B mapped onto each B-tile of the (B, C) tiling
+    verifies as a tiling of C by A, and the search finds (C, A) with as
+    many tiles."""
+    family = bisector_family(24)
+    by_tile = {}
+    for tile_q, target in family:
+        by_tile.setdefault(tuple(sorted(tile_q)), []).append((tile_q, target))
+    pairs = [(a_q, b_q, c)
+             for a_q, b in family for b_q, c in by_tile.get(tuple(sorted(b)), [])]
+    assert len(pairs) == 88
+    for a_q, b_q, c in random.Random(20).sample(pairs, 8):
+        a, b = TileSpec.from_pi_fractions(*a_q), TileSpec.from_pi_fractions(*b_q)
+        inner = search_tiling(b.angles_pi, a)
+        outer = search_tiling(c, b)
+        assert inner.status == outer.status == "found"
+        tiling = substituted_tiling(outer.tiling, inner.tiling)
+        assert verify_tiling(tiling, a)
+        res = search_tiling(c, a)
+        assert res.status == "found" and len(res.tiling.tiles) == len(tiling.tiles) == 4
+
+
 def test_ways_belong_to_the_node(monkeypatch):
     """Each placement reads the ways of its own node's corner: after every
     placement of two pinned searches, each stored way is the tangent and
@@ -742,9 +781,9 @@ def test_orientations_match_the_rounded_key_form():
 
 
 def all_pairs_geometry_ok(points):
-    """The boundary check of a placement without the fresh-arc shortcut:
-    every arc below pi - 1e-6 and no pair of arcs in conflict, each arc's
-    plane built afresh."""
+    """The boundary check of a placement, written out on its own: every arc
+    below pi - 1e-6 and no pair of arcs in conflict, each arc's length from
+    `sphgeo.arc_length`."""
     snap = realize.SNAP
     k = len(points)
     arcs = [(points[i], points[(i + 1) % k]) for i in range(k)]
@@ -755,22 +794,23 @@ def all_pairs_geometry_ok(points):
                    for i in range(k) for j in range(i + 1, k))
 
 
-def test_fresh_arc_check_equals_all_pairs_check(monkeypatch):
-    """On every pinned search, run unpruned, each call of the incremental
-    boundary check gives the all-pairs answer, every region it accepts
-    stores for each arc the plane `sphgeo.plane` builds afresh, and the
-    search trees stay as pinned."""
-    incremental = realize._placement_geometry_ok
-    answers, partial = [], 0
+def test_boundary_check_equals_all_pairs_check(monkeypatch):
+    """On every pinned search, run unpruned, each call of the boundary check
+    gives the all-pairs answer, every arc of every region it accepts is at
+    least 1e-6 long, and the search trees stay as pinned.
 
-    def checked(old, new):
-        nonlocal partial
-        got = incremental(old, new)
+    The length bound keeps the accepted regions far from the arcs below
+    about 1e-7, where `arcs_conflict` reads a normal whose direction is off
+    by more than its snap (the shortest accepted arc is about 1e-3)."""
+    boundary_ok = realize._placement_geometry_ok
+    answers = []
+
+    def checked(new):
+        got = boundary_ok(new)
         assert got == all_pairs_geometry_ok(new.points)
         if got:
-            assert new.checked == {(a, b): sphgeo.plane(a, b) for a, b in new.arcs}
+            assert min(sphgeo.arc_length(a, b) for a, b in new.arcs) >= 1e-6
         answers.append(got)
-        partial += not all(realize._fresh_arcs(old, new))
         return got
 
     monkeypatch.setattr(realize, "_placement_geometry_ok", checked)
@@ -779,7 +819,6 @@ def test_fresh_arc_check_equals_all_pairs_check(monkeypatch):
         res = search_tiling(target, TILES[base])
         assert (res.status, res.nodes) == (status, unpruned)
     assert answers.count(True) > 100 and answers.count(False) > 100
-    assert partial > 0.9 * len(answers)
 
 
 def test_regions_hold_int_angles_below_two_pi(monkeypatch):

@@ -324,6 +324,17 @@ class TestCli:
         assert "zero denominator in angle term '1/0 pi'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("role,tile,target", [
+        ("tile", "1/2 pi,1/2 pi,1 pi", "1/4 pi,1/2 pi,2/3 pi"),
+        ("target", "1/4 pi,1/3 pi,1/2 pi", "1/4 pi,1/2 pi,1 pi"),
+    ])
+    def test_tile_names_the_invalid_triple(self, role, tile, target):
+        proc = _cli("tile", tile, target)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        bad = tile if role == "tile" else target
+        assert proc.stderr == f"error: {role} {bad!r}: angle outside (0, pi)\n"
+
     @pytest.mark.parametrize("flags,missing", [(("--m", "2"), "--d"), (("--d", "2"), "--m")])
     def test_hill_case_needs_d_and_m(self, flags, missing):
         proc = _cli("run", "hill", *flags)
