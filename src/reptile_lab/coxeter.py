@@ -193,12 +193,14 @@ class CoxeterDiagram:
         """The diagram of a fixture entry: an object with a "vertices" list,
         an "edges" object mapping "u,v" to an angle literal and an optional
         "relations" list of [symbol, literal] pairs.  An entry of another
-        shape raises ValueError, which names what is wrong."""
+        shape, with fewer than two vertices, or with a label that reduces to
+        q*pi for q outside (0, 1), raises ValueError, which names what is
+        wrong."""
         if not isinstance(data, dict):
             raise ValueError(f"a diagram is a JSON object, not {type(data).__name__}")
         names = data.get("vertices")
-        if not isinstance(names, list):
-            raise ValueError('a diagram needs "vertices", a list of names')
+        if not isinstance(names, list) or len(names) < 2:
+            raise ValueError('a diagram needs "vertices", a list of at least two names')
         for i, v in enumerate(names):
             if not isinstance(v, str):
                 raise ValueError(f"a vertex name is a string, not {v!r}")
@@ -229,7 +231,11 @@ class CoxeterDiagram:
                 raise ValueError(f"edge {key!r} joins {ends[0]!r} to itself")
             if ends[::-1] in labels or ends in labels:
                 raise ValueError(f"edge {key!r} is labeled twice")
-            labels[ends] = parse_angle(lit)
+            form = parse_angle(lit)
+            q = relations.normalize(form).pi_fraction()
+            if q is not None and not 0 < q < 1:
+                raise ValueError(f"edge {key!r}: label {lit!r} is {q} pi, outside (0, pi)")
+            labels[ends] = form
         index = {v: i for i, v in enumerate(names)}
         return CoxeterDiagram(names, {(index[u], index[v]): form
                                       for (u, v), form in labels.items()}, relations)

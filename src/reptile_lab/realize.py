@@ -5,7 +5,8 @@ Three pieces:
 * candidate enumeration -- all angle triples (tau, phi, psi) that could be
   tiled by n copies of the base tile, from the exact area bookkeeping
   n * excess(T0) + pi - tau = phi + psi with phi, psi nonnegative integer
-  combinations of the tile angles (one `spherical.angle_sums` table),
+  combinations of the tile angles (one `spherical.angle_sums` table per
+  call),
   filtered by the spherical triangle inequality and annotated with an
   edge-combination status;
 * edge combinations -- can a length be written as a nonnegative integer
@@ -32,7 +33,9 @@ rests on a cache key.  It drops every region with a corner that no sum of
 tile angles can fill (`_corner_table`, from the same kernel), and every
 region with a side between two convex corners that no sum of tile edges
 fills within EDGE_TOL (`_sides_fillable`, on one `spherical.edge_sums`
-table per search).  A corner that a tile fills exactly, while the tile's
+table), the target included.  Both tables and the tile's orientations
+are built once per tile, on its first search, and shared by every later
+search on it.  A corner that a tile fills exactly, while the tile's
 next side runs part way along the corner's other arm, is left at angle 0
 with both arms along one geodesic: a zero-width spike, which
 `_cleanup_cycle` trims.  A slit (a zero angle whose arms part) and a true
@@ -47,7 +50,7 @@ import colorsys
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import count, permutations
 from typing import NamedTuple, Optional, Sequence, Union
 
@@ -64,7 +67,10 @@ from .spherical import (CORNER_TABLE_MAX_DEN, InvalidTriangleError, angle_sums,
 class TileSpec:
     """Base tile T0 by its angles, Fractions of pi in ascending order.
 
-    The radian angles and the edges are computed once per tile.
+    The radian angles, the edges and the search's tables (`corner_table`,
+    `side_sums`, `orientations`) are computed once per tile, on first use,
+    and are immutable, so every search on the tile shares them.
+    `from_pi_fractions` returns one shared tile per angle triple.
     Edge-combination tests against the tile's edges use the one module
     tolerance EDGE_TOL; see `edge_combination`.
     """
@@ -79,10 +85,13 @@ class TileSpec:
 
     @staticmethod
     def from_pi_fractions(*qs) -> "TileSpec":
+        """The tile with these angles, Fractions of pi in any order: one
+        instance per angle triple among the TILE_CACHE_SIZE last asked for.
+        An invalid triangle raises InvalidTriangleError."""
         rep = is_valid(qs)
         if not rep:
             raise InvalidTriangleError(rep.reason)
-        return TileSpec(tuple(sorted(Fraction(q) for q in qs)))
+        return _shared_tile(tuple(sorted(Fraction(q) for q in qs)))
 
     @cached_property
     def angles(self) -> tuple:
@@ -100,9 +109,36 @@ class TileSpec:
         """Edges in radians, each opposite the angle at the same index."""
         return law_of_cosines(*self.angles_pi)
 
+    @cached_property
+    def corner_table(self) -> Optional[bytes]:
+        """The search's corner table, `_corner_table`."""
+        return _corner_table(self)
+
+    @cached_property
+    def side_sums(self) -> Optional[tuple]:
+        """The search's side table: the sorted sums of the edges up to
+        pi + EDGE_TOL (`spherical.edge_sums`), None past its bound."""
+        sums = edge_sums(self.edges, math.pi + EDGE_TOL)
+        return None if sums is None else tuple(sums)
+
+    @cached_property
+    def orientations(self) -> tuple:
+        """The distinct placements at a corner, `_orientations`."""
+        return tuple(_orientations(self))
+
     @property
     def excess_pi(self) -> Fraction:
         return sum(self.angles_pi) - 1
+
+
+# Shared tiles `TileSpec.from_pi_fractions` keeps, the last used first; a
+# scan over many distinct tiles holds at most this many with their tables.
+TILE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=TILE_CACHE_SIZE)
+def _shared_tile(angles_pi: tuple) -> TileSpec:
+    return TileSpec(angles_pi)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +398,7 @@ class _Region:
         self.arcs = [(points[i], points[(i + 1) % k]) for i in range(k)]
 
 
-def _corner_table(tile: TileSpec) -> Optional[bytearray]:
+def _corner_table(tile: TileSpec) -> Optional[bytes]:
     """Which corner angles j*pi/D, 0 <= j <= 2D, copies of the tile can fill:
     entry j is 1 iff j*pi/D is fillable.
 
@@ -379,25 +415,26 @@ def _corner_table(tile: TileSpec) -> Optional[bytearray]:
 
     Built in integers from the `angle_sums` table of the sums up to 2D;
     pi plus a sum is D plus one, so entry j is also 1 when sums[j - D] is.
-    None when D exceeds CORNER_TABLE_MAX_DEN.
+    The entries are the bytes 0 and 1, so all those ors are one: of the
+    sums read as a little-endian integer and of their first D + 1 bytes
+    moved up by D bytes.  None when D exceeds CORNER_TABLE_MAX_DEN.
     """
     den = tile.den
     if den > CORNER_TABLE_MAX_DEN:
         return None
     sums = angle_sums(tile.angles_pi, den, 2 * den)
-    fill = bytearray(sums)
-    for j in range(den, 2 * den + 1):
-        fill[j] |= sums[j - den]
-    return fill
+    fill = (int.from_bytes(sums, "little")
+            | int.from_bytes(sums[:den + 1], "little") << 8 * den)
+    return fill.to_bytes(2 * den + 1, "little")
 
 
-def _corners_fillable(angles: list, table: Optional[bytearray]) -> bool:
+def _corners_fillable(angles: list, table: Optional[bytes]) -> bool:
     """Does `table` mark every corner angle (multiples of pi/D) fillable?
     True for every angle without a table."""
     return table is None or all(table[a] for a in angles)
 
 
-def _sides_fillable(region: _Region, den: int, sums: Optional[list]) -> bool:
+def _sides_fillable(region: _Region, den: int, sums: Optional[tuple]) -> bool:
     """Is every side of `region` whose two end corners are convex (angles
     below `den`, i.e. pi) within EDGE_TOL of a value of `sums`, the sorted
     sums of tile edges (`spherical.edge_sums`)?  True for every region
@@ -422,11 +459,15 @@ def _sides_fillable(region: _Region, den: int, sums: Optional[list]) -> bool:
     k = len(angles)
     for i, (a, b) in enumerate(region.arcs):
         if angles[i] < den and angles[(i + 1) % k] < den:
-            x = sphgeo.arc_length(a, b)
-            j = bisect_left(sums, x - EDGE_TOL)
-            if j == len(sums) or sums[j] > x + EDGE_TOL:
+            if not _length_fillable(sphgeo.arc_length(a, b), sums):
                 return False
     return True
+
+
+def _length_fillable(x: float, sums: tuple) -> bool:
+    """Is x within EDGE_TOL of a value of the sorted `sums`?"""
+    j = bisect_left(sums, x - EDGE_TOL)
+    return j < len(sums) and sums[j] <= x + EDGE_TOL
 
 
 def _orientations(tile: TileSpec) -> list:
@@ -482,7 +523,7 @@ def _way(ways, i, V, W):
 
 
 def _place(region: _Region, vi: int, orient: tuple, ways: list, den: int,
-           table: Optional[bytearray], sums: Optional[list]):
+           table: Optional[bytes], sums: Optional[tuple]):
     """Try one tile placement at region vertex vi, flush along the outgoing arc.
     Angles are ints, multiples of pi/`den`.
 
@@ -658,12 +699,13 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     Corner angles are integer multiples of pi/D (`TileSpec.den`); a target
     corner off that grid, or no sum of tile angles, is `exhausted` at once,
     and the search drops every region with a corner no sum of tile angles
-    can fill, from one corner table per search (`_corner_table`), and
+    can fill, from the tile's corner table (`TileSpec.corner_table`), and
     every region with a side between two convex corners that no sum of
-    tile edges fills within EDGE_TOL, from one table of the edge sums up
-    to pi + EDGE_TOL per search (`spherical.edge_sums`, up to
+    tile edges fills within EDGE_TOL, from the tile's table of the edge
+    sums up to pi + EDGE_TOL (`TileSpec.side_sums`, up to
     2 * CORNER_TABLE_MAX_DEN + 1 of them; past that, without the test).
-    The target's own sides are not tested.
+    A target side no sum fills is `exhausted` at once.  The tables are
+    built once per tile, on its first search.
     Deterministic; `aborted` when the node budget runs out.  A negative
     node budget or an n_max below 1 raises ValueError.
     """
@@ -695,15 +737,21 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
         return SearchResult("exhausted", None, 0, "single tile is not congruent")
 
     den = tile.den
-    table = _corner_table(tile)
+    table = tile.corner_table
     for q in target:
         j = q * den
         if j.denominator != 1 or not _corners_fillable([int(j)], table):
             return SearchResult("exhausted", None, 0,
                                 f"target corner {q} pi is no sum of tile angles")
-    sums = edge_sums(tile.edges, math.pi + EDGE_TOL)
+    sums = tile.side_sums
     region0 = _Region(list(t_points), [int(q * den) for q in target])
-    orients = _orientations(tile)
+    if not _sides_fillable(region0, den, sums):
+        # side i runs from corner i to corner i + 1, opposite corner i - 1
+        q = next(target[i - 1] for i, (a, b) in enumerate(region0.arcs)
+                 if not _length_fillable(sphgeo.arc_length(a, b), sums))
+        return SearchResult("exhausted", None, 0,
+                            f"target side opposite {q} pi is no sum of tile edges")
+    orients = tile.orientations
     nodes = 0
     solution = []
 

@@ -131,11 +131,19 @@ def straight_angle_combinations(angles: Sequence[Fraction]) -> set:
     return out
 
 
-def angle_sums(angles: Sequence[Fraction], den: int, top: int) -> bytearray:
+# the binary digits '0' and '1' as the bytes 0 and 1
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def angle_sums(angles: Sequence[Fraction], den: int, top: int) -> bytes:
     """Entry j (0 <= j <= top) is 1 exactly when j*pi/den is a nonnegative
-    integer combination of the angles (the empty sum 0 included).  The
-    angles are Fractions of pi, each positive and a multiple of pi/den, and
-    become integers over den here alone.  O(top) steps per distinct angle.
+    integer combination of the angles (the empty sum 0 included), else 0.
+    The angles are Fractions of pi, each positive and a multiple of pi/den,
+    and become integers over den here alone.
+
+    Bit j of one integer marks the sum j.  Closing it under adding a step s
+    takes log2(top/s) big-integer shifts: after the shifts by s, 2s, ...,
+    2^(k-1)*s it holds every sum plus any multiple of s below 2^k*s.
     """
     _require_exact(angles)
     steps = set()
@@ -144,13 +152,15 @@ def angle_sums(angles: Sequence[Fraction], den: int, top: int) -> bytearray:
         if a <= 0 or j.denominator != 1:
             raise ValueError(f"angle {a} pi is not a positive multiple of pi/{den}")
         steps.add(int(j))
-    sums = bytearray(top + 1)
-    sums[0] = 1
+    full = (1 << (top + 1)) - 1
+    mask = 1
     for step in steps:
-        for j in range(step, top + 1):
-            if sums[j - step]:
-                sums[j] = 1
-    return sums
+        shift = step
+        while shift <= top:
+            mask = (mask | mask << shift) & full
+            shift *= 2
+    # bit j is character j of the reversed binary string
+    return format(mask, "b").zfill(top + 1)[::-1].encode().translate(_BITS)
 
 
 # Largest D (the lcm of a tile's angle denominators) for which a tiling

@@ -1,8 +1,10 @@
 import hashlib
+import importlib.util
 import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,8 @@ def lune_two_tile_tiling(alpha: F) -> tuple:
     tiling = SphTiling([north, m1, south, m2], (a, math.pi, a, math.pi), tiles)
     return tiling, tile
 
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 QUARTER = TileSpec.from_pi_fractions(F(1, 4), F(1, 3), F(1, 2))
 NINTH = TileSpec.from_pi_fractions(F(2, 9), F(1, 3), F(1, 2))
@@ -255,6 +259,18 @@ class TestSearch:
         assert (res.status, res.nodes) == ("exhausted", 0)
         assert res.reason == "target corner 1/6 pi is no sum of tile angles"
 
+    def test_target_side_no_sum_of_tile_edges(self, monkeypatch):
+        # the octant's corners are sums of 1/3, 1/3 and 1/2, but its sides,
+        # pi/2 long, lie 0.34 from the nearest sum of the tile's edges
+        res = search_tiling((F(1, 2), F(1, 2), F(1, 2)), CASE_B)
+        assert (res.status, res.nodes) == ("exhausted", 0)
+        assert res.reason == "target side opposite 1/2 pi is no sum of tile edges"
+        assert edge_combination(math.pi / 2, CASE_B.edges).gap > 0.33
+        # unpruned, the search takes 12 nodes to say the same
+        run_unpruned(monkeypatch)
+        res = search_tiling((F(1, 2), F(1, 2), F(1, 2)), CASE_B)
+        assert (res.status, res.nodes, res.reason) == ("exhausted", 12, "")
+
     def test_single_tile(self):
         res = search_tiling((F(1, 4), F(1, 3), F(1, 2)), QUARTER)
         assert res.status == "found" and len(res.tiling.tiles) == 1
@@ -296,8 +312,9 @@ class TestSearch:
 # perfbench/recorded.json) and three larger list entries beyond the
 # fixtures, with the status and tile count of the search, its node count
 # with the corner and side tests accepting every region (the search tree
-# before the tests, the oracle) and its node count as it runs.  A geometry
-# change that reshapes the search tree, or flips a verdict, fails here.
+# before the tests, the oracle) and its node count as it runs (0 for an
+# exhausted search stopped by the target's own sides).  A geometry change
+# that reshapes the search tree, or flips a verdict, fails here.
 SEARCH_TREE = [
     ("case-b", (F(1, 3), F(1, 3), F(2, 3)), "found", 2, 2, 2),
     ("case-b", (F(1, 3), F(1, 2), F(2, 3)), "found", 3, 19, 7),
@@ -320,16 +337,16 @@ SEARCH_TREE = [
     ("ninth", (F(1, 3), F(1, 3), F(4, 9)), "found", 2, 10, 4),
     ("ninth", (F(1, 3), F(1, 3), F(7, 9)), "exhausted", 0, 1296, 6),
     # the ten heaviest other searches of the benchmark's target pool
-    ("quarter", (F(1, 2), F(1, 2), F(2, 3)), "exhausted", 0, 1734, 6),
-    ("quarter", (F(1, 2), F(1, 2), F(7, 12)), "exhausted", 0, 1548, 6),
-    ("quarter", (F(1, 2), F(7, 12), F(7, 12)), "exhausted", 0, 942, 6),
-    ("ninth", (F(1, 3), F(5, 9), F(5, 9)), "exhausted", 0, 894, 6),
-    ("ninth", (F(1, 3), F(1, 3), F(13, 18)), "exhausted", 0, 876, 6),
-    ("ninth", (F(4, 9), F(4, 9), F(5, 9)), "exhausted", 0, 870, 6),
-    ("fifth", (F(1, 3), F(1, 3), F(3, 5)), "exhausted", 0, 846, 6),
-    ("quarter", (F(1, 3), F(1, 3), F(11, 12)), "exhausted", 0, 756, 6),
+    ("quarter", (F(1, 2), F(1, 2), F(2, 3)), "exhausted", 0, 1734, 0),
+    ("quarter", (F(1, 2), F(1, 2), F(7, 12)), "exhausted", 0, 1548, 0),
+    ("quarter", (F(1, 2), F(7, 12), F(7, 12)), "exhausted", 0, 942, 0),
+    ("ninth", (F(1, 3), F(5, 9), F(5, 9)), "exhausted", 0, 894, 0),
+    ("ninth", (F(1, 3), F(1, 3), F(13, 18)), "exhausted", 0, 876, 0),
+    ("ninth", (F(4, 9), F(4, 9), F(5, 9)), "exhausted", 0, 870, 0),
+    ("fifth", (F(1, 3), F(1, 3), F(3, 5)), "exhausted", 0, 846, 0),
+    ("quarter", (F(1, 3), F(1, 3), F(11, 12)), "exhausted", 0, 756, 0),
     ("quarter", (F(1, 3), F(1, 2), F(3, 4)), "found", 7, 733, 37),
-    ("ninth", (F(1, 3), F(1, 2), F(5, 9)), "exhausted", 0, 642, 6),
+    ("ninth", (F(1, 3), F(1, 2), F(5, 9)), "exhausted", 0, 642, 0),
     # alpha- and beta-list entries beyond the fixtures
     ("fifth", (F(1, 3), F(1, 2), F(4, 5)), "found", 19, 18775, 85),
     ("ninth", (F(1, 3), F(1, 2), F(7, 9)), "found", 11, 4086, 36),
@@ -414,11 +431,12 @@ def test_corner_table_matches_enumeration():
     assert marked > 400 and unmarked > 2000  # 495 and 2,157 entries
 
 
-def test_each_call_builds_one_table(monkeypatch):
-    """`search_tiling` with two tiles or more, `enumerate_candidates` (for
-    every tile count at once) and `corner_angle_solutions` each build
-    exactly one `angle_sums` table per call, and each such search one
-    `edge_sums` table of its tile's edges up to pi + EDGE_TOL."""
+def test_each_tile_builds_its_tables_once(monkeypatch):
+    """A tile builds its corner table (one `angle_sums` table) and its
+    `edge_sums` table of its edges up to pi + EDGE_TOL at most once per
+    process, on its first search, and a second search on an equal tile
+    builds none; `enumerate_candidates` (for every tile count at once) and
+    `corner_angle_solutions` still build one `angle_sums` table per call."""
     kernel, built = spherical.angle_sums, []
     edge_kernel, edge_built = spherical.edge_sums, []
 
@@ -435,16 +453,80 @@ def test_each_call_builds_one_table(monkeypatch):
     monkeypatch.setattr(realize, "edge_sums", edge_counting)
     cands = enumerate_candidates(NINTH, F(1, 3), F(2, 9))
     assert len({c.n for c in cands}) > 1 and len(built) == 1 and edge_built == []
-    for target, tile, n_max in (((F(2, 3), F(2, 3), F(2, 3)), CASE_B, None),
-                                ((F(1, 3), F(1, 2), F(7, 9)), NINTH, None)):
+    for target, shared, n_max in (((F(2, 3), F(2, 3), F(2, 3)), CASE_B, None),
+                                  ((F(1, 3), F(1, 2), F(7, 9)), NINTH, None)):
+        # a fresh tile builds both tables on its first search, then none
+        tile = TileSpec(shared.angles_pi)
+        for want in ([(tile.den, 2 * tile.den)], []):
+            built.clear()
+            edge_built.clear()
+            res = search_tiling(target, tile, n_max)
+            assert res.nodes > 10 and built == want
+            assert edge_built == [(tile.edges, math.pi + EDGE_TOL)] * len(want)
+        # the shared tile, whatever searched it before, builds each at most once
         built.clear()
         edge_built.clear()
-        res = search_tiling(target, tile, n_max)
-        assert res.nodes > 10 and built == [(tile.den, 2 * tile.den)]
-        assert edge_built == [(tile.edges, math.pi + EDGE_TOL)]
+        for _ in range(2):
+            assert search_tiling(target, TileSpec.from_pi_fractions(*shared.angles_pi),
+                                 n_max).nodes == res.nodes
+        assert len(built) <= 1 and len(edge_built) <= 1
     built.clear()
     assert corner_angle_solutions([F(1, 3), F(1, 2)], F(1, 6), F(1, 3))
     assert built == [(6, 5)]
+
+
+def test_shared_tile_per_angle_triple():
+    """`from_pi_fractions` returns one instance per angle multiset, whatever
+    the order or the spelling of the angles; `TileSpec(angles)` is a new
+    instance each time.  The search's tables are immutable."""
+    tile = TileSpec.from_pi_fractions(F(1, 5), F(1, 3), F(1, 2))
+    assert TileSpec.from_pi_fractions(F(1, 2), F(1, 5), F(1, 3)) is tile
+    assert TileSpec.from_pi_fractions(F(2, 4), F(1, 3), F(1, 5)) is tile
+    octant = TileSpec.from_pi_fractions(F(1, 2), F(1, 2), F(1, 2))
+    assert TileSpec.from_pi_fractions(F(1, 2), F(2, 4), F(1, 2)) is octant
+    whole = TileSpec.from_pi_fractions(F(2, 3), F(2, 3), F(2, 3))
+    assert whole is not octant and whole is not tile
+    assert TileSpec(tile.angles_pi) is not tile
+    assert TileSpec(tile.angles_pi) is not TileSpec(tile.angles_pi)
+    assert type(tile.corner_table) is bytes
+    assert type(tile.side_sums) is tuple and type(tile.orientations) is tuple
+    assert all(type(o) is tuple for o in tile.orientations)
+    for name in ("corner_table", "side_sums", "orientations", "edges"):
+        with pytest.raises(AttributeError):
+            setattr(tile, name, None)
+    with pytest.raises(TypeError):
+        tile.corner_table[0] = 1
+
+
+def test_shared_tiles_search_as_fresh_ones():
+    """The targets of the benchmark's tiling-search passes on seeds 1 and 7,
+    searched in one shuffled order on shared tiles, give the status, node
+    count, reason and tiling bytes of a search on a fresh tile."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    exp = inputs.load_expectations(str(PERFBENCH.parent))
+    with open(PERFBENCH / "recorded.json") as f:
+        recorded = json.load(f)["targets"]
+    items = {}
+    for seed in (1, 7):
+        passes = inputs.tiling_inputs(seed, exp, recorded)
+        assert len(passes) == 39
+        items.update((item["id"], item) for item in passes)
+    items = sorted(items.values(), key=lambda item: item["id"])
+    random.Random(36).shuffle(items)
+    tiles = set()
+    for item in items:
+        qs = [F(q) for q in item["tile"]]
+        target = tuple(F(q) for q in item["target"])
+        shared = search_tiling(target, TileSpec.from_pi_fractions(*qs))
+        fresh = search_tiling(target, TileSpec(tuple(sorted(qs))))
+        assert (shared.status, shared.nodes, shared.reason) == \
+            (fresh.status, fresh.nodes, fresh.reason), item["id"]
+        assert tiling_bytes(shared) == tiling_bytes(fresh), item["id"]
+        tiles.add(tuple(qs))
+    assert len(items) > 39 and len(tiles) == 4
 
 
 def test_verify_reads_each_side_once(monkeypatch):
@@ -487,12 +569,13 @@ def test_corner_table_bound():
 def test_side_table_bound(monkeypatch):
     """Past 2 * CORNER_TABLE_MAX_DEN + 1 edge sums the search runs without
     the side test: with the bound lowered below the ninth tile's count of
-    sums, the exhausted ninth-tile search takes the 618 nodes it takes with
-    the corner test alone."""
+    sums, the exhausted ninth-tile search on a fresh tile, which builds its
+    tables under the lowered bound, takes the 618 nodes it takes with the
+    corner test alone."""
     assert len(spherical.edge_sums(NINTH.edges, math.pi + EDGE_TOL)) > 11
     monkeypatch.setattr(spherical, "CORNER_TABLE_MAX_DEN", 5)
     assert spherical.edge_sums(NINTH.edges, math.pi + EDGE_TOL) is None
-    res = search_tiling((F(1, 3), F(1, 3), F(7, 9)), NINTH)
+    res = search_tiling((F(1, 3), F(1, 3), F(7, 9)), TileSpec(NINTH.angles_pi))
     assert (res.status, res.nodes) == ("exhausted", 618)
 
 

@@ -229,11 +229,22 @@ class TestCli:
         ({"vertices": ["u", "v"], "edges": {"u,v": "alpha"},
           "relations": [["pi", "1/2 pi"]]},
          "relation symbol 'pi': expected alpha, beta or gamma"),
+        ({"vertices": ["u"], "edges": {}}, '"vertices", a list of at least two names'),
+        ({"vertices": ["u", "v"], "edges": {"u,v": "0 pi"}},
+         "edge 'u,v': label '0 pi' is 0 pi, outside (0, pi)"),
+        ({"vertices": ["u", "v"], "edges": {"u,v": "3 pi"}},
+         "edge 'u,v': label '3 pi' is 3 pi, outside (0, pi)"),
+        ({"vertices": ["u", "v"], "edges": {"u,v": "-1/3 pi"}},
+         "edge 'u,v': label '-1/3 pi' is -1/3 pi, outside (0, pi)"),
+        ({"vertices": ["u", "v"], "edges": {"u,v": "gamma"},
+          "relations": [["gamma", "pi"]]},
+         "edge 'u,v': label 'gamma' is 1 pi, outside (0, pi)"),
     ], ids=["list", "edges-not-object", "label-not-string", "no-vertices",
             "edge-labeled-twice", "unknown-vertex", "vertex-not-string",
             "vertex-listed-twice", "loop-edge", "vertex-name-spaces",
             "vertex-name-comma", "vertex-name-empty", "zero-denominator",
-            "relation-symbol-unknown", "relation-symbol-pi"])
+            "relation-symbol-unknown", "relation-symbol-pi", "one-vertex",
+            "label-zero", "label-above-pi", "label-negative", "label-pi-by-relation"])
     def test_diagram_malformed_file(self, tmp_path, data, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
