@@ -6,17 +6,20 @@ Burnside cross-check), richness tests, enumeration of diagrams up to
 isomorphism, enumeration of abstract edge partitions, and
 classification of single-label subgraphs against a small-graph catalog.
 
-Sizes stay tiny (n <= 5, so at most 120 vertex permutations and 10 edges).
+Sizes stay tiny: the scenarios need n <= 5 (at most 120 vertex permutations
+and 10 edges), and `kn_tables` refuses more than `MAX_VERTICES` vertices.
 All symmetry goes through one kernel on per-n tables built once
 (`kn_tables`): a coloring is an int tuple over the edges in `all_edges`
 order, each vertex permutation is stored as an edge permutation with its
-`itemgetter`, and three operations answer every question: `aut` (the vertex
-permutations fixing a coloring), `canon` (its smallest image) and
-`is_first` (no image is smaller).  A diagram numbers its label forms once
-and runs on that coloring; partition and skeleton canonical forms and
-subgraph classification are built on `canon`.  The pair-orbit bound is
-checked over the cyclic subgroups of S_n (`cyclic_subgroups`), which bound
-the orbit counts of every nontrivial subgroup.
+`itemgetter`, and four operations answer every question: `aut` (the vertex
+permutations fixing a coloring), `canon` (its smallest image), `is_first`
+(no image is smaller) and `orbits` (orbits of edges or triangles under
+`aut`, read from per-permutation image tables, with a Burnside
+cross-check).  A diagram numbers its label forms once and runs on that
+coloring; partition and skeleton canonical forms and subgraph
+classification are built on `canon`.  The pair-orbit bound is checked on
+the edge permutations themselves: the pair orbits of a cyclic group <p> are
+the cycles of p's edge permutation (`cycle_count`).
 
 The three enumerators (diagrams, edge partitions, two-label skeletons) are
 clients of one orderly search over the edge colorings, `coloring_search`.
@@ -24,7 +27,6 @@ clients of one orderly search over the edge colorings, `coloring_search`.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import (combinations, combinations_with_replacement, count, permutations,
                        product)
@@ -51,6 +53,10 @@ def triangle_type_of(labels: Iterable[AngleForm]) -> TriangleType:
     return tuple(sorted(labels, key=lambda f: f.sort_key()))
 
 
+class ConsistencyError(RuntimeError):
+    """Two independent computations of the same quantity disagree."""
+
+
 class KnTables:
     """Index tables of K_n (edges in `all_edges` order) and the symmetry kernel.
 
@@ -61,6 +67,8 @@ class KnTables:
     open_after: per edge e, the number of triangles whose last edge is after e.
     perms: vertex permutations, in permutations order.
     getters: per vertex permutation p, colors -> image, edge i colored as p(edge i).
+    edge_images, tri_images (built on first use): per vertex permutation,
+        the index of the image of each edge, of each triangle.
     """
 
     def __init__(self, edges: list, triangles: list, tri_edges: list, edge_tris: list,
@@ -81,8 +89,36 @@ class KnTables:
 
     def aut(self, colors: Sequence[int]) -> list:
         """The vertex permutations whose image of the coloring equals it."""
+        return self.fixing(colors, self.perms)
+
+    def fixing(self, colors: Sequence[int], table: list) -> list:
+        """The rows of a per-permutation table (`perms`, `edge_images` or
+        `tri_images`) of the permutations in `aut(colors)`."""
         colors = tuple(colors)
-        return [p for p, g in zip(self.perms, self.getters) if g(colors) == colors]
+        return [row for row, g in zip(table, self.getters) if g(colors) == colors]
+
+    def orbits(self, colors: Sequence[int], images: list, items: Iterable[int]) -> list:
+        """Orbits under `aut(colors)` of the item indices `items`, a union
+        of orbits, acted on through `images` (`edge_images` or
+        `tri_images`): sorted index tuples, ordered by least member.
+
+        `aut(colors)` is a stabilizer, hence a group, so the orbit of i is
+        its image under each member.  Burnside's lemma cross-checks the
+        count on every call: the fixed points summed over the group are the
+        orbit count times the group order.
+        """
+        group = self.fixing(colors, images)
+        items = sorted(items)
+        out, seen = [], set()
+        for i in items:
+            if i not in seen:
+                out.append(tuple(sorted({im[i] for im in group})))
+                seen.update(out[-1])
+        fixed = sum(im[i] == i for im in group for i in items)
+        if fixed != len(out) * len(group):
+            raise ConsistencyError(f"{len(out)} orbits found, Burnside counts "
+                                   f"{fixed}/{len(group)}")
+        return out
 
     def canon(self, colors: Sequence[int]) -> tuple:
         """The smallest image of the coloring; equal iff isomorphic."""
@@ -116,14 +152,33 @@ class KnTables:
             out.append([itemgetter(*im) for im in images if max(im) < k])
         return out
 
+    @cached_property
+    def edge_images(self) -> list:
+        ident = tuple(range(len(self.edges)))
+        return [g(ident) for g in self.getters]
+
+    @cached_property
+    def tri_images(self) -> list:
+        pos = {t: i for i, t in enumerate(self.triangles)}
+        return [tuple(pos[tuple(sorted(p[v] for v in t))] for t in self.triangles)
+                for p in self.perms]
+
 
 def _renumbered(coloring: tuple) -> tuple:
     relabel = {}
     return tuple([relabel.setdefault(c, len(relabel)) for c in coloring])
 
 
+# The tables hold n! permutations: 0.3 s and 33 MB at 8 vertices, each
+# further vertex multiplying both by about n.
+MAX_VERTICES = 8
+
+
 @lru_cache(maxsize=8)
 def kn_tables(n: int) -> KnTables:
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices: the symmetry tables hold every vertex "
+                         f"permutation, so at most {MAX_VERTICES} vertices are supported")
     es = all_edges(n)
     pos = {e: i for i, e in enumerate(es)}
     tris = list(combinations(range(n), 3))
@@ -250,74 +305,8 @@ class CoxeterDiagram:
 
 
 # ---------------------------------------------------------------------------
-# Group actions, orbits, Burnside
+# Orbits, richness, the pair-orbit bound
 # ---------------------------------------------------------------------------
-
-
-def is_group(perms: Sequence[tuple]) -> bool:
-    s = set(perms)
-    if not s:
-        return False
-    n = len(next(iter(s)))
-    if tuple(range(n)) not in s:
-        return False
-    # p composed with q is q's getter applied to p; an itemgetter of fewer
-    # than two indices would not return a tuple
-    getters = [itemgetter(*q) if len(q) > 1 else (lambda p, q=q: tuple(p[x] for x in q))
-               for q in s]
-    for p in s:
-        inv = [0] * n
-        for i, x in enumerate(p):
-            inv[x] = i
-        if tuple(inv) not in s:
-            return False
-        for g in getters:
-            if g(p) not in s:
-                return False
-    return True
-
-
-class NotAGroupError(ValueError):
-    pass
-
-
-class ConsistencyError(RuntimeError):
-    """Two independent computations of the same quantity disagree."""
-
-
-def act_on_vertex_set(perm, xs: frozenset) -> frozenset:
-    return frozenset(perm[x] for x in xs)
-
-
-def orbit_partition(group: Sequence[tuple], elements: Sequence, act: Callable) -> list:
-    """Orbits of the action, as a list of frozensets covering the elements."""
-    remaining = set(elements)
-    out = []
-    while remaining:
-        x = remaining.pop()
-        orbit = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for g in group:
-                z = act(g, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    frontier.append(z)
-        remaining -= orbit
-        out.append(frozenset(orbit))
-    return sorted(out, key=lambda o: sorted(map(repr, o)))
-
-
-def burnside_count(group: Sequence[tuple], elements: Sequence, act: Callable) -> int:
-    """Orbit count via (1/|G|) * sum of fixed points; validates the group."""
-    if not is_group(group):
-        raise NotAGroupError("input permutations do not form a group")
-    total = sum(sum(1 for x in elements if act(g, x) == x) for g in group)
-    count = Fraction(total, len(group))
-    if count.denominator != 1:
-        raise ConsistencyError(f"Burnside average {count} is not an integer")
-    return int(count)
 
 
 def pair_orbit_bound(m: int) -> int:
@@ -327,20 +316,36 @@ def pair_orbit_bound(m: int) -> int:
     return comb(m, 2) - m + 2
 
 
+def cycle_count(perm: Sequence[int]) -> int:
+    """Number of cycles of a permutation of range(len(perm))."""
+    seen = set()
+    cycles = 0
+    for i in range(len(perm)):
+        cycles += i not in seen
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+    return cycles
+
+
 def orbits(diagram: CoxeterDiagram, ttype: Optional[TriangleType] = None) -> list:
-    """Orbit partition under Aut of the triangles (of type ttype, if given)."""
-    group = diagram.automorphisms()
-    tris = diagram.triangles()
-    if ttype is not None:
-        tris = [t for t in tris if diagram.triangle_type(t) == ttype]
-    elements = [frozenset(t) for t in tris]
-    parts = orbit_partition(group, elements, act_on_vertex_set)
-    # Burnside cross-check on every call; cheap at this size.
-    count = burnside_count(group, elements, act_on_vertex_set)
-    if count != len(parts):
-        raise ConsistencyError(
-            f"{len(parts)} triangle orbits found, Burnside counts {count}")
-    return parts
+    """Orbits under Aut of the triangles (of type ttype, if given), each a
+    tuple of vertex triples, ordered by least member."""
+    kn = kn_tables(diagram.n)
+    items = [k for k, t in enumerate(kn.triangles)
+             if ttype is None or diagram.triangle_type(t) == ttype]
+    return [tuple(kn.triangles[k] for k in o)
+            for o in kn.orbits(diagram.colors, kn.tri_images, items)]
+
+
+def edge_orbits(diagram: CoxeterDiagram, label: AngleForm) -> list:
+    """Orbits under Aut of the edges carrying `label`, each a tuple of
+    edges, ordered by least member."""
+    label = diagram.relations.normalize(label)
+    kn = kn_tables(diagram.n)
+    items = [i for i, e in enumerate(kn.edges) if diagram.labels[e] == label]
+    return [tuple(kn.edges[i] for i in o)
+            for o in kn.orbits(diagram.colors, kn.edge_images, items)]
 
 
 def is_rich(diagram: CoxeterDiagram, ttype: TriangleType) -> bool:
@@ -350,29 +355,7 @@ def is_rich(diagram: CoxeterDiagram, ttype: TriangleType) -> bool:
 
 def edge_orbit_count_transitive(diagram: CoxeterDiagram, label: AngleForm) -> bool:
     """True iff Aut acts transitively on the edges carrying `label`."""
-    label = diagram.relations.normalize(label)
-    group = diagram.automorphisms()
-    es = [frozenset(e) for e in diagram.edges() if diagram.labels[e] == label]
-    return len(orbit_partition(group, es, act_on_vertex_set)) == 1
-
-
-def cyclic_subgroups(n: int) -> list:
-    """The cyclic subgroups of the symmetric group on n points, each the
-    powers of one permutation, sorted by (size, elements).
-
-    A group's orbits are unions of the orbits of each subgroup it holds,
-    and every nontrivial group holds a nontrivial cyclic one; so the most
-    orbits any nontrivial subgroup has, on any set it acts on, is reached
-    by a cyclic subgroup.
-    """
-    ident = tuple(range(n))
-    seen = set()
-    for p in permutations(ident):
-        powers = [p]
-        while powers[-1] != ident:
-            powers.append(tuple(p[x] for x in powers[-1]))
-        seen.add(frozenset(powers))
-    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+    return len(edge_orbits(diagram, label)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -727,5 +710,4 @@ def forced_symmetry_collapses(asg: tuple, n: int) -> bool:
     closing = {i for k in paths for i in kn.tri_edges[k] if asg[i] == 0}
     fresh = count(3)
     colors = [x if x or i in closing else next(fresh) for i, x in enumerate(asg)]
-    tris = [frozenset(kn.triangles[k]) for k in paths]
-    return any(act_on_vertex_set(p, t) != t for p in kn.aut(colors) for t in tris)
+    return any(im[k] != k for im in kn.fixing(colors, kn.tri_images) for k in paths)

@@ -24,12 +24,10 @@ from typing import Callable, Optional
 
 from . import fixtures
 from .angles import AngleForm, RelationSet, parse_angle
-from .coxeter import (act_on_vertex_set, all_edges, burnside_count,
-                      coloring_automorphisms, coloring_canonical,
-                      cyclic_subgroups, enumerate_diagrams,
+from .coxeter import (coloring_automorphisms, coloring_canonical, cycle_count,
+                      edge_orbit_count_transitive, edge_orbits, enumerate_diagrams,
                       enumerate_edge_partitions, enumerate_two_label_skeletons,
-                      edge_orbit_count_transitive, label_subgraph,
-                      orbit_partition, pair_canonical, pair_orbit_bound,
+                      kn_tables, label_subgraph, pair_canonical, pair_orbit_bound,
                       triangle_type_of)
 from .exactmath import Poly, cos_pi, isolate_roots
 from .gram import fiedler_check, gram_from_diagram, parametric_fiedler
@@ -282,19 +280,12 @@ def scenario_three_dim(report: Report) -> None:
     # each label: some edge of every label lies in an orbit of size > 1
     for key in ("k4-two-triples-star", "k4-two-triples-paths"):
         d = fixtures.diagram(key)
-        auts = d.automorphisms()
-        moved = all(
-            any(len(orbit) > 1 for orbit in orbit_partition(
-                auts, [frozenset(e) for e in d.edges() if d.labels[e] == lab],
-                act_on_vertex_set))
-            for lab in d.label_set())
+        moved = all(any(len(orbit) > 1 for orbit in edge_orbits(d, lab))
+                    for lab in d.label_set())
         report.check(f"three-dim/label-swapping-symmetry/{key}",
                      "a symmetry moves an edge of every label",
                      True, moved, "reference", f"diagrams:{key}")
-    path = fixtures.diagram("k4-alpha-path")
-    al = parse_angle("alpha")
-    alpha_edges = [frozenset(e) for e in path.edges() if path.labels[e] == al]
-    parts = orbit_partition(path.automorphisms(), alpha_edges, act_on_vertex_set)
+    parts = edge_orbits(fixtures.diagram("k4-alpha-path"), parse_angle("alpha"))
     report.check("three-dim/path-alpha-orbits",
                  "path configuration: the three path edges fall into two orbits "
                  "(the symmetry swaps the outer pair)",
@@ -366,28 +357,21 @@ def scenario_two_indivisible(report: Report) -> None:
                  "pair-orbit bound at five points",
                  exp["pair_orbit_bounds"]["5"], pair_orbit_bound(5),
                  "reference", "expectations:pair_orbit_bounds/5")
-    pairs = [frozenset(p) for p in all_edges(5)]
     # every nontrivial subgroup has at most the pair orbits of a nontrivial
-    # cyclic subgroup it holds, so the cyclic ones bound them all
-    worst = 0
-    tight = set()
-    for group in cyclic_subgroups(5):
-        if len(group) == 1:
-            continue
-        cnt = burnside_count(sorted(group), pairs, act_on_vertex_set)
-        worst = max(worst, cnt)
-        if cnt == pair_orbit_bound(5):
-            tight.add(frozenset(group))
+    # cyclic subgroup it holds (its orbits are unions of the subgroup's), so
+    # the cyclic ones bound them all; the pair orbits of <p> are the cycles
+    # of p's edge permutation
+    kn = kn_tables(5)
+    cycles = {p: cycle_count(im) for p, im in zip(kn.perms, kn.edge_images)
+              if p != tuple(range(5))}
     report.check("two-indivisible/pair-bound-exhaustive",
                  "every nontrivial subgroup of the 5-point symmetric group has "
                  "at most seven pair orbits",
-                 True, worst <= pair_orbit_bound(5),
+                 True, max(cycles.values()) <= pair_orbit_bound(5),
                  "derived", "expectations:pair_orbit_bounds/5")
-    transposition = tuple([1, 0, 2, 3, 4])
-    gen = {tuple(range(5)), transposition}
     report.check("two-indivisible/pair-bound-tight",
                  "the bound is attained by the group generated by one transposition",
-                 True, frozenset(gen) in tight,
+                 True, cycles[(1, 0, 2, 3, 4)] == pair_orbit_bound(5),
                  "reference", "expectations:pair_orbit_bounds/5")
 
 

@@ -1,8 +1,9 @@
 """Float oracles for the Gram-matrix tests, the exact normal Gram matrix,
 the slow references for Sturm root isolation and for the sign of a field
 element, the trial-factoring oracle of `algebraic_degree` (in
-test_acceptance.py, beside criterion 13), tuple-composition references for
-the permutation-group layer of `coxeter`, the position-tuple form of
+test_acceptance.py, beside criterion 13), the generic permutation-group
+layer on vertex tuples (group test, orbit search, Burnside count, cyclic
+and small subgroups) that checks `KnTables.orbits`, the position-tuple form of
 `pair_canonical`, `QuadExt`, the closed-form
 quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5,
 the sort-free reference of spherical-triangle validity over a beta
@@ -25,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from reptile_lab import sphgeo
-from reptile_lab.coxeter import kn_tables
+from reptile_lab.coxeter import ConsistencyError, kn_tables
 from reptile_lab.exactmath import (ExactMatrix, Poly, RingMismatchError, RootInterval,
                                    cos_pi, isolate_roots, minimal_polynomial, sturm_chain)
 from reptile_lab.hill import EuclideanSimplex
@@ -321,10 +322,63 @@ def is_group_reference(perms) -> bool:
     return True
 
 
+def act_on_vertex_set(perm, xs: frozenset) -> frozenset:
+    return frozenset(perm[x] for x in xs)
+
+
+def orbit_partition_reference(group, elements, act) -> list:
+    """Orbits of the action by closure search, as frozensets covering the
+    elements, sorted by their members' reprs (the former
+    `coxeter.orbit_partition`)."""
+    remaining = set(elements)
+    out = []
+    while remaining:
+        x = remaining.pop()
+        orbit = {x}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for g in group:
+                z = act(g, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    frontier.append(z)
+        remaining -= orbit
+        out.append(frozenset(orbit))
+    return sorted(out, key=lambda o: sorted(map(repr, o)))
+
+
+def burnside_count_reference(group, elements, act) -> int:
+    """Orbit count as the average number of fixed points (the former
+    `coxeter.burnside_count`).  Permutations that are no group raise
+    ValueError; an average that is no integer, ConsistencyError."""
+    if not is_group_reference(group):
+        raise ValueError("input permutations do not form a group")
+    total = sum(sum(1 for x in elements if act(g, x) == x) for g in group)
+    count = Fraction(total, len(group))
+    if count.denominator != 1:
+        raise ConsistencyError(f"Burnside average {count} is not an integer")
+    return int(count)
+
+
+def cyclic_subgroups_reference(n: int) -> list:
+    """The cyclic subgroups of S_n, each the powers of one permutation,
+    sorted by (size, elements) (the former `coxeter.cyclic_subgroups`)."""
+    ident = tuple(range(n))
+    seen = set()
+    for p in itertools.permutations(ident):
+        powers = [p]
+        while powers[-1] != ident:
+            powers.append(_compose(p, powers[-1]))
+        seen.add(frozenset(powers))
+    return sorted(seen, key=lambda s: (len(s), sorted(s)))
+
+
 def subgroups_reference(n: int) -> list:
     """Subgroups of S_n generated by <= 2 elements (all 156 of S_5), each
     closure a full walk over a Cayley table of tuple compositions.  The
-    package checks the pair-orbit bound on the cyclic subgroups alone."""
+    package checks the pair-orbit bound on the cyclic subgroups alone, as
+    the cycles of each edge permutation."""
     perms = list(itertools.permutations(range(n)))
     index = {p: i for i, p in enumerate(perms)}
     size = len(perms)

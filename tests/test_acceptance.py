@@ -10,8 +10,7 @@ from typing import NamedTuple, Optional
 
 from reptile_lab import fixtures
 from reptile_lab.angles import parse_angle
-from reptile_lab.coxeter import (all_edges, burnside_count,
-                                 coloring_automorphisms,
+from reptile_lab.coxeter import (all_edges, coloring_automorphisms,
                                  enumerate_edge_partitions,
                                  enumerate_two_label_skeletons,
                                  pair_orbit_bound,
@@ -27,8 +26,8 @@ from reptile_lab.realize import (EdgeMatch, TileSpec, edge_combination,
                                  search_tiling, verify_tiling)
 from reptile_lab.spherical import corner_angle_solutions, edge_lengths, is_valid_symbolic
 
-from oracles import (QuadExt, in_field, minimal_polynomial_degree_bruteforce, normal_gram,
-                     subgroups_reference)
+from oracles import (QuadExt, burnside_count_reference, in_field,
+                     minimal_polynomial_degree_bruteforce, normal_gram, subgroups_reference)
 
 EXP = fixtures.load("expectations")
 
@@ -172,7 +171,7 @@ def test_criterion_10_pair_orbit_bound():
     for group in subgroups_reference(5):
         if len(group) == 1:
             continue
-        cnt = burnside_count(sorted(group), pairs, act)
+        cnt = burnside_count_reference(sorted(group), pairs, act)
         ok &= cnt <= bound
         if cnt == bound and group == frozenset({tuple(range(5)), (1, 0, 2, 3, 4)}):
             tight_by_transposition = True

@@ -91,6 +91,53 @@ class TestFiedler:
         assert sturm_count(Poly([-1, 2]), F(0), F(1)) == 1
 
 
+# Coxeter diagrams as {(i, j): m} for the label 1/m pi; every other pair of
+# the n nodes is 1/2 pi (Coxeter, Regular Polytopes, ch. 11).
+def _path(*ms):
+    return {(i, i + 1): m for i, m in enumerate(ms)}
+
+
+EUCLIDEAN = {  # the simplices of the affine Coxeter groups, by name
+    "~A2": (3, {(0, 1): 3, (1, 2): 3, (0, 2): 3}),
+    "~C2": (3, _path(4, 4)),
+    "~G2": (3, _path(6, 3)),
+    "~A3": (4, {**_path(3, 3, 3), (0, 3): 3}),
+    "~B3": (4, {(0, 2): 3, (1, 2): 3, (2, 3): 4}),
+    "~C3": (4, _path(4, 3, 4)),
+    "~A4": (5, {**_path(3, 3, 3, 3), (0, 4): 3}),
+    "~B4": (5, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 4}),
+    "~C4": (5, _path(4, 3, 3, 4)),
+    "~D4": (5, {(0, k): 3 for k in range(1, 5)}),
+    "~F4": (5, _path(3, 3, 4, 3)),
+}
+NOT_EUCLIDEAN = {  # the finite group A3 and the hyperbolic group (5, 3, 5)
+    "finite-A3": (3, _path(3, 3)),
+    "hyperbolic-5-3-5": (4, _path(5, 3, 5)),
+}
+
+
+def _coxeter_diagram(n, branches):
+    labels = {e: parse_angle(f"1/{branches.get(e, 2)} pi") for e in all_edges(n)}
+    return CoxeterDiagram([f"v{i}" for i in range(n)], labels)
+
+
+class TestCoxeterSimplices:
+    """Positive controls: the labels of a true simplex read as one."""
+
+    @pytest.mark.parametrize("name", EUCLIDEAN)
+    def test_euclidean_simplex_is_consistent(self, name):
+        n, branches = EUCLIDEAN[name]
+        rep = fiedler_check(gram_from_diagram(_coxeter_diagram(n, branches)))
+        assert rep.verdict == "consistent-with-simplex"
+        assert rep.rank == n - 1
+
+    @pytest.mark.parametrize("name", NOT_EUCLIDEAN)
+    def test_spherical_and_hyperbolic_groups_are_not(self, name):
+        rep = fiedler_check(gram_from_diagram(_coxeter_diagram(*NOT_EUCLIDEAN[name])))
+        assert not rep.is_singular
+        assert rep.verdict == "cannot-be-a-simplex"
+
+
 def _h03():
     h = F(1, 2)
     return EuclideanSimplex(((F(0), F(0), F(0)), (h, F(0), F(0)),

@@ -16,9 +16,12 @@ every command's start-up.  Records are plain classes with `__slots__` or
 the walk of `coloring_search`: the enumerators are its clients and keep no
 recursion of their own.  In `scenarios`, only `final_case_analysis` and
 `case_a_enumeration` name `enumerate_diagrams`, so every endgame's diagram
-search runs on lists the checker derives.  Every definition in the package
-is named by the package outside its own body, so none is kept only for the
-tests; the few exceptions are listed with their reasons.
+search runs on lists the checker derives.  Vertex permutations are
+enumerated only by the symmetry kernel: in `coxeter` only `kn_tables`
+names `permutations`, and `scenarios` does not name it at all.  Every
+definition in the package is named by the package outside its own body, so
+none is kept only for the tests; the few exceptions are listed with their
+reasons.
 """
 
 import ast
@@ -258,6 +261,11 @@ def test_check_sees_a_diagram_search_outside_the_endgames(tmp_path):
                    "        return enumerate_diagrams(3, [], None)\n")
     assert uses_outside(bad, "enumerate_diagrams", {"final_case_analysis"}) == [
         "bad.py:8", "bad.py:9", "bad.py:14"]
+
+
+def test_vertex_permutations_enumerated_only_by_the_kernel():
+    assert uses_outside(PACKAGE / "coxeter.py", "permutations", {"kn_tables"}) == []
+    assert uses_outside(PACKAGE / "scenarios.py", "permutations", set()) == []
 
 
 def referenced_names(node, attributes_only=False):

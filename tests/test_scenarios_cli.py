@@ -5,13 +5,13 @@ import subprocess
 import sys
 from fractions import Fraction as F
 from importlib import resources
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 from reptile_lab import fixtures, scenarios
 from reptile_lab.angles import AngleForm
-from reptile_lab.coxeter import triangle_type_of
+from reptile_lab.coxeter import MAX_VERTICES, kn_tables, triangle_type_of
 from reptile_lab.scenarios import SCENARIOS, emit_figures, run_scenario
 
 
@@ -252,6 +252,27 @@ class TestCli:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert message in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_diagram_symmetry_refuses_more_than_eight_vertices(self, tmp_path):
+        # the symmetry tables hold n! permutations; the bound is checked
+        # before any is built, and the cosine matrix needs no tables
+        names = [f"v{i}" for i in range(MAX_VERTICES + 1)]
+        path = tmp_path / "k9.json"
+        path.write_text(json.dumps({"vertices": names,
+                                    "edges": {f"{a},{b}": "1/2 pi"
+                                              for a, b in combinations(names, 2)}}))
+        message = ("error: 9 vertices: the symmetry tables hold every vertex "
+                   "permutation, so at most 8 vertices are supported\n")
+        for action in ("auts", "orbits"):
+            proc = _cli("diagram", str(path), action)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == message
+        proc = _cli("diagram", str(path), "gram")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["verdict"] == "cannot-be-a-simplex"
+        with pytest.raises(ValueError, match="at most 8 vertices"):
+            kn_tables(MAX_VERTICES + 1)
 
     def test_diagram_orbits_type_under_relations(self):
         # case-a-4 carries relations, so the typed labels are normalized first

@@ -1,9 +1,12 @@
 """Differential test: the K_n symmetry kernel against brute force.
 
-Every symmetry question in `coxeter` goes through `kn_tables(n).aut` and
-`kn_tables(n).canon`.  The oracles here answer the same questions by a
-direct loop over `itertools.permutations` on edge tuples, sharing no table
-with the kernel, on seeded random colorings of K_n for n = 2..5.
+Every symmetry question in `coxeter` goes through `kn_tables(n).aut`,
+`kn_tables(n).canon` and `kn_tables(n).orbits`.  The oracles here answer
+the same questions by a direct loop over `itertools.permutations` on edge
+tuples, sharing no table with the kernel, on seeded random colorings of K_n
+for n = 2..5; orbits are checked against the generic group layer of
+`oracles` (closure search and Burnside count on vertex sets) on every
+catalog and enumerated diagram too.
 `tests/test_enumeration_oracle.py` dedupes through `canonical_key`, so this
 test also keeps that oracle independent of the code it checks.
 """
@@ -14,14 +17,17 @@ from itertools import permutations, product
 
 import pytest
 
-from reptile_lab import coxeter
+from reptile_lab import coxeter, fixtures
 from reptile_lab.angles import AngleForm
 from reptile_lab.coxeter import (CoxeterDiagram, all_edges,
                                  classify_graph, coloring_automorphisms,
-                                 coloring_canonical, enumerate_diagrams,
-                                 forced_symmetry_collapses, kn_tables, pair_canonical)
+                                 coloring_canonical, cycle_count, edge_orbits,
+                                 enumerate_diagrams, forced_symmetry_collapses,
+                                 kn_tables, orbits, pair_canonical)
 
-from oracles import pair_canonical_reference
+from oracles import (act_on_vertex_set, burnside_count_reference,
+                     cyclic_subgroups_reference, orbit_partition_reference,
+                     pair_canonical_reference)
 
 NS = (2, 3, 4, 5)
 
@@ -179,6 +185,65 @@ def test_pair_canonical_matches_position_tuples():
         ea = frozenset(e for e, c in zip(all_edges(n), colors) if c == 1)
         eb = frozenset(e for e, c in zip(all_edges(n), colors) if c == 2)
         assert pair_canonical(ea, eb, n) == pair_canonical_reference(ea, eb, n)
+
+
+def reference_orbits(group, elements):
+    """Orbits of vertex sets by closure search, checked by Burnside's count."""
+    elements = [frozenset(x) for x in elements]
+    parts = orbit_partition_reference(group, elements, act_on_vertex_set)
+    assert burnside_count_reference(group, elements, act_on_vertex_set) == len(parts)
+    return parts
+
+
+def as_vertex_sets(parts):
+    return [frozenset(map(frozenset, o)) for o in parts]
+
+
+def test_orbits_match_the_generic_reference(case_analyses, case_a_diagrams):
+    diagrams = [fixtures.diagram(key) for key in fixtures.load("diagrams")]
+    diagrams += [d for analysis in case_analyses.values() for d in analysis.diagrams]
+    diagrams += case_a_diagrams
+    for d in diagrams:
+        group = brute_aut(d.colors, d.n)
+        for ttype in [None, *dict.fromkeys(map(d.triangle_type, d.triangles()))]:
+            tris = [t for t in d.triangles() if ttype is None or d.triangle_type(t) == ttype]
+            assert as_vertex_sets(orbits(d, ttype)) == reference_orbits(group, tris)
+        for label in d.label_set():
+            es = [e for e in d.edges() if d.labels[e] == label]
+            assert as_vertex_sets(edge_orbits(d, label)) == reference_orbits(group, es)
+    for n in (4, 5):
+        kn = kn_tables(n)
+        for colors in random_colorings(n, 200, 60 + n):
+            group = brute_aut(colors, n)
+            lab = dict(zip(kn.edges, colors))
+            kinds = [tuple(sorted(lab[e] for e in ((i, j), (i, k), (j, k))))
+                     for i, j, k in kn.triangles]
+            for kind in [None, *set(kinds)]:
+                items = [t for t, x in enumerate(kinds) if kind is None or x == kind]
+                got = [[kn.triangles[t] for t in o]
+                       for o in kn.orbits(colors, kn.tri_images, items)]
+                want = reference_orbits(group, [kn.triangles[t] for t in items])
+                assert as_vertex_sets(got) == want, colors
+            for c in set(colors):
+                items = [i for i, x in enumerate(colors) if x == c]
+                got = [[kn.edges[i] for i in o]
+                       for o in kn.orbits(colors, kn.edge_images, items)]
+                want = reference_orbits(group, [kn.edges[i] for i in items])
+                assert as_vertex_sets(got) == want, colors
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_edge_cycles_count_the_pair_orbits_of_a_cyclic_group(n):
+    """The pair orbits of <p> are the cycles of p's edge permutation."""
+    assert [cycle_count(p) for p in ((), (0,), (1, 0, 2), (1, 2, 0), (1, 0, 3, 2))] == \
+        [0, 1, 2, 1, 2]
+    kn = kn_tables(n)
+    cyclic = cyclic_subgroups_reference(n)
+    pairs = [frozenset(e) for e in kn.edges]
+    for p, im in zip(kn.perms, kn.edge_images):
+        group = next(g for g in cyclic if p in g)  # the smallest is <p>
+        assert cycle_count(im) == burnside_count_reference(sorted(group), pairs,
+                                                           act_on_vertex_set), p
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
