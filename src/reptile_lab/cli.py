@@ -61,6 +61,11 @@ def _cmd_run(args) -> int:
             raise ValueError("--d needs --m as well")
         if args.d is None:
             raise ValueError("--m needs --d as well")
+        # d = 7 took 654 MB; the largest case let through, d = 6, m = 6,
+        # takes 8.4 s and 109 MB (README)
+        if not (2 <= args.d <= 6 and args.m >= 1 and args.m ** args.d <= 50000):
+            raise ValueError(f"--d {args.d} --m {args.m}: hill takes 2 <= d <= 6 and "
+                             "m >= 1 with at most 50000 tiles (m^d)")
         hill_case = {"d": args.d, "m": args.m}
     ok = True
     for name in names:

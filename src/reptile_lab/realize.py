@@ -18,10 +18,11 @@ Three pieces:
 
 Tiles and targets enter by their angles as Fractions of pi, so tile counts,
 the congruence of a one-tile target and the distinct orientations of a
-tile are exact.  The search holds every corner angle as an integer
-multiple of pi/D, D the lcm of the tile's angle denominators, so its angle
-tests are integer comparisons; radians exist only where a point is placed
-and in the tilings it returns.  Every edge length comes from
+tile are exact.  The search reads the target once as integers over the
+lcm of its denominators and holds every corner angle as an integer
+multiple of pi/D, D the lcm of the tile's angle denominators, so its area
+and angle tests are integer arithmetic; radians exist only where a point
+is placed and in the tilings it returns.  Every edge length comes from
 `spherical.law_of_cosines`, which takes the exact angles.  A float angle
 raises TypeError.  Points are float 3-tuples throughout, as the `sphgeo`
 kernel takes them.
@@ -56,7 +57,8 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import sphgeo
 from .spherical import (CORNER_TABLE_MAX_DEN, InvalidTriangleError, angle_sums,
-                        edge_lengths, edge_sums, is_valid, law_of_cosines)
+                        edge_lengths, edge_sums, is_valid, law_of_cosines,
+                        pi_numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -126,9 +128,16 @@ class TileSpec:
         """The distinct placements at a corner, `_orientations`."""
         return tuple(_orientations(self))
 
-    @property
+    @cached_property
     def excess_pi(self) -> Fraction:
+        """The angle excess, the tile's area, as a Fraction of pi."""
         return sum(self.angles_pi) - 1
+
+    @cached_property
+    def excess_units(self) -> int:
+        """The angle excess in units of pi/D (`den`)."""
+        t, den = pi_numerators(self.angles_pi)
+        return sum(t) - den
 
 
 # Shared tiles `TileSpec.from_pi_fractions` keeps, the last used first; a
@@ -246,9 +255,9 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
     """
     if not all(isinstance(q, (int, Fraction)) for q in (tau, phi_min)):
         raise TypeError("tau and phi_min are Fractions of pi")
-    den = math.lcm(*(Fraction(q).denominator for q in (*tile.angles_pi, tau, phi_min)))
+    den = math.lcm(*(q.denominator for q in (*tile.angles_pi, tau, phi_min)))
     sums = angle_sums(tile.angles_pi, den, den - 1)
-    excess = int(tile.excess_pi * den)
+    excess = tile.excess_units * (den // tile.den)
     t, lo = int(tau * den), int(phi_min * den)
     out = []
     for n in range(2, -(-2 * t // excess)):
@@ -481,7 +490,7 @@ def _orientations(tile: TileSpec) -> list:
     corners are: in a spherical triangle equal angles face equal sides, so
     the angles fix L and M too."""
     ang, side = tile.angles, tile.edges
-    q = [int(x * tile.den) for x in tile.angles_pi]
+    q, _ = pi_numerators(tile.angles_pi)
     out = {}
     for c, f, e in permutations(range(3)):
         out.setdefault((q[c], q[e], q[f]),
@@ -689,15 +698,18 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
                   node_budget: int = NODE_BUDGET) -> SearchResult:
     """Exhaustive backtracking search for a tiling of the target triangle.
 
-    target: three angles, Fractions of pi (a float raises TypeError).  The
-    tile count is the exact area ratio (sum(target) - 1) / tile.excess_pi;
-    if it is not an integer, or exceeds n_max, no tiling exists with the
-    allowed count and the search reports `exhausted` immediately.  One
-    tile tiles the target iff their angles agree exactly.  Otherwise
-    corners are filled smallest angle first and every tile orientation
-    (rotations and mirror images) is tried flush against the boundary.
-    Corner angles are integer multiples of pi/D (`TileSpec.den`); a target
-    corner off that grid, or no sum of tile angles, is `exhausted` at once,
+    target: three angles, Fractions of pi (a float raises TypeError), read
+    once, after `edge_lengths` has checked them, as integers t_i over L,
+    the lcm of their denominators (`spherical.pi_numerators`).  The tile
+    count is the exact area ratio (sum(t) - L) * D / (L * excess), D =
+    `TileSpec.den` and excess = `TileSpec.excess_units`; if it is not an
+    integer, or exceeds n_max, no tiling exists with the allowed count and
+    the search reports `exhausted` immediately.  One tile tiles the target
+    iff their angles agree exactly.  Otherwise corners are filled smallest
+    angle first and every tile orientation (rotations and mirror images) is
+    tried flush against the boundary.  Corner angles are integer multiples
+    of pi/D, the target's t_i * D / L; a target corner off that grid, or no
+    sum of tile angles, is `exhausted` at once,
     and the search drops every region with a corner no sum of tile angles
     can fill, from the tile's corner table (`TileSpec.corner_table`), and
     every region with a side between two convex corners that no sum of
@@ -714,15 +726,18 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
     if n_max is not None and n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     t_edges = edge_lengths(target)
-    n = (sum(target) - 1) / tile.excess_pi
-    if n.denominator != 1:
+    t, t_den = pi_numerators(target)
+    den = tile.den
+    # the area ratio ((sum t - L) / L) / (excess / D), L = t_den
+    n, rest = divmod((sum(t) - t_den) * den, t_den * tile.excess_units)
+    if rest:
         return SearchResult("exhausted", None, 0,
                             "target area is not a positive multiple of the tile area")
-    n = int(n)
     if n_max is not None and n > n_max:
         return SearchResult("exhausted", None, 0,
                             f"needs exactly {n} tiles, above the bound {n_max}")
-    target_angles = tuple(float(q) * math.pi for q in target)
+    # int true division rounds t_i/L once, as float(Fraction) does
+    target_angles = tuple(x / t_den * math.pi for x in t)
     t_points = sphgeo.triangle_vertices(target_angles, t_edges)
 
     def tiling(placements):
@@ -736,15 +751,16 @@ def search_tiling(target, tile: TileSpec, n_max: Optional[int] = None,
             return SearchResult("found", tiling([(t_points, (0, 1, 2))]), 0)
         return SearchResult("exhausted", None, 0, "single tile is not congruent")
 
-    den = tile.den
     table = tile.corner_table
-    for q in target:
-        j = q * den
-        if j.denominator != 1 or not _corners_fillable([int(j)], table):
+    corners = []
+    for q, x in zip(target, t):
+        j, off = divmod(x * den, t_den)
+        if off or not _corners_fillable([j], table):
             return SearchResult("exhausted", None, 0,
                                 f"target corner {q} pi is no sum of tile angles")
+        corners.append(j)
     sums = tile.side_sums
-    region0 = _Region(list(t_points), [int(q * den) for q in target])
+    region0 = _Region(list(t_points), corners)
     if not _sides_fillable(region0, den, sums):
         # side i runs from corner i to corner i + 1, opposite corner i - 1
         q = next(target[i - 1] for i, (a, b) in enumerate(region0.arcs)

@@ -7,8 +7,10 @@ Edges are derived in radians through the law of cosines for angles,
 float edges.  Validity is the classical facts for spherical triangles,
 stated once (`_failure`): each angle in (0, pi), angle sum above pi, and
 the spherical triangle inequality (the two largest angles sum to less than
-pi plus the smallest, equivalent to the area bound 2*min-angle).  It is
-read at a point (`is_valid`), or at the ends and the midpoint of a beta
+pi plus the smallest, equivalent to the area bound 2*min-angle).  It
+compares integers: the three angles read once as numerators t_i over L,
+the lcm of their denominators (`pi_numerators`), so pi is L.  It is read
+at a point (`is_valid`), or at the ends and the midpoint of a beta
 interval (`is_valid_symbolic`).
 
 Which multiples of pi/D are sums of some angles is one table, `angle_sums`,
@@ -42,17 +44,24 @@ class ValidityReport(NamedTuple):
         return self.ok
 
 
-def _failure(angles: Sequence[Fraction], strict: bool) -> Optional[str]:
+def pi_numerators(angles: Sequence[Fraction]) -> tuple:
+    """(t, L): the angles, Fractions of pi (ints allowed), as the integers
+    t_i with angle i = t_i*pi/L, over L the lcm of their denominators."""
+    den = math.lcm(*(q.denominator for q in angles))
+    return [q.numerator * (den // q.denominator) for q in angles], den
+
+
+def _failure(t: Sequence[int], den: int, strict: bool) -> Optional[str]:
     """The reason of the first validity condition (module docstring) the
-    three angles, Fractions of pi, fail, or None.  With `strict` false each
-    inequality also allows equality."""
+    three angles t_i*pi/den (`pi_numerators`) fail, or None.  With `strict`
+    false each inequality also allows equality."""
     fails = operator.le if strict else operator.lt
-    a, b, c = sorted(angles)
-    if fails(a, 0) or fails(1, c):
+    a, b, c = sorted(t)
+    if fails(a, 0) or fails(den, c):
         return "angle outside (0, pi)"
-    if fails(a + b + c, 1):
+    if fails(a + b + c, den):
         return "angle sum not above pi"
-    if fails(1 + a, b + c):
+    if fails(den + a, b + c):
         return "spherical triangle inequality fails"
     return None
 
@@ -62,7 +71,7 @@ def is_valid(angles: Sequence[Fraction]) -> ValidityReport:
     _require_exact(angles)
     if len(angles) != 3:
         return ValidityReport(False, "need exactly three angles")
-    reason = _failure(angles, strict=True)
+    reason = _failure(*pi_numerators(angles), strict=True)
     return ValidityReport(reason is None, reason or "ok")
 
 
@@ -283,7 +292,8 @@ def is_valid_symbolic(forms, relations: RelationSet, beta_lo: Fraction,
         raise ValueError("form must be reduced to pi and beta")
     for beta, strict in ((beta_lo, False), (beta_hi, False),
                          ((beta_lo + beta_hi) / 2, True)):
-        reason = _failure([qp + qb * beta for qp, _, qb, _ in coeffs], strict)
+        reason = _failure(*pi_numerators([qp + qb * beta for qp, _, qb, _ in coeffs]),
+                          strict)
         if reason:
             return ValidityReport(False, reason)
     return ValidityReport(True)

@@ -6,13 +6,13 @@ layer on vertex tuples (group test, orbit search, Burnside count, cyclic
 and small subgroups) that checks `KnTables.orbits`, the position-tuple form of
 `pair_canonical`, `QuadExt`, the closed-form
 quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5,
-the sort-free reference of spherical-triangle validity over a beta
-interval, the mirror triangles of the reflection groups A3, B3 and H3 and
-the bisector family, targets known to be tiled without asking the tiling
-search, the depth of the overlap of two spherical triangles by clipping,
-which checks `verify_tiling`'s separating-side test, and a triangle's
-(angle, opposite side) pairs from tangents, which check the ones
-`verify_tiling` reads from its side planes.
+spherical-triangle validity in Fraction arithmetic and its sort-free
+reference over a beta interval, the mirror triangles of the reflection
+groups A3, B3 and H3 and the bisector family, targets known to be tiled
+without asking the tiling search, the depth of the overlap of two
+spherical triangles by clipping, which checks `verify_tiling`'s
+separating-side test, and a triangle's (angle, opposite side) pairs from
+tangents, which check the ones `verify_tiling` reads from its side planes.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -21,6 +21,7 @@ exactly.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -554,6 +555,23 @@ def in_field(x):
         return x
     k, q, s = SQRT_AS_COSINE[x.m]
     return x.a + x.b * (k * cos_pi(q) + s)
+
+
+def validity_failure_reference(angles, strict: bool):
+    """The reason of the first spherical-triangle validity condition the
+    three angles, Fractions of pi (ints allowed), fail, or None: the
+    statement of `spherical._failure` in Fraction arithmetic, which checks
+    its integer form.  With `strict` false each inequality also allows
+    equality."""
+    fails = operator.le if strict else operator.lt
+    a, b, c = sorted(angles)
+    if fails(a, 0) or fails(1, c):
+        return "angle outside (0, pi)"
+    if fails(a + b + c, 1):
+        return "angle sum not above pi"
+    if fails(1 + a, b + c):
+        return "spherical triangle inequality fails"
+    return None
 
 
 def is_valid_symbolic_reference(lines, lo: Fraction, hi: Fraction) -> bool:

@@ -249,9 +249,42 @@ class TestSearch:
         assert res.status == "exhausted"
         assert "8" in res.reason and res.nodes == 0
 
-    def test_exhausted_area_mismatch(self):
-        res = search_tiling((F(1, 2), F(1, 2), F(5, 9)), NINTH)
-        assert res.status == "exhausted"
+    @pytest.mark.parametrize("target, tile, n_max, want", [
+        pytest.param((F(1, 2), F(1, 2), F(4, 7)), QUARTER, None,
+                     ("exhausted", 0, "target area is not a positive multiple of the tile area"),
+                     id="area-not-whole"),
+        # area ratio 2 + 1.2e-7
+        pytest.param((F(1, 2), F(1, 2), F(1, 6) + F(1, 10 ** 8)), QUARTER, None,
+                     ("exhausted", 0, "target area is not a positive multiple of the tile area"),
+                     id="area-off-by-1e-7-tiles"),
+        pytest.param((F(1, 3), F(1, 3), F(7, 9)), NINTH, 5,
+                     ("exhausted", 0, "needs exactly 8 tiles, above the bound 5"),
+                     id="above-n-max"),
+        pytest.param((F(1, 3), F(1, 2), F(1, 4)), QUARTER, None, ("found", 0, ""),
+                     id="single-tile-congruent"),
+        # same area as the tile, angles off by 1e-12 pi
+        pytest.param((F(1, 4) + F(1, 10 ** 12), F(1, 3) - F(1, 10 ** 12), F(1, 2)), QUARTER,
+                     None, ("exhausted", 0, "single tile is not congruent"),
+                     id="single-tile-not-congruent"),
+        # two tiles' area, but 13/24 and 11/24 are off the pi/12 grid
+        pytest.param((F(13, 24), F(11, 24), F(1, 6)), QUARTER, None,
+                     ("exhausted", 0, "target corner 13/24 pi is no sum of tile angles"),
+                     id="corner-off-grid"),
+        pytest.param((F(1, 6), F(1, 2), F(1, 2)), QUARTER, None,
+                     ("exhausted", 0, "target corner 1/6 pi is no sum of tile angles"),
+                     id="corner-no-sum"),
+        pytest.param((F(1, 2), F(1, 2), F(1, 2)), CASE_B, None,
+                     ("exhausted", 0, "target side opposite 1/2 pi is no sum of tile edges"),
+                     id="side-no-sum"),
+        # ten tiles' area, on the pi/18 grid, but no side is a sum of edges
+        pytest.param((F(1, 2), F(1, 2), F(5, 9)), NINTH, None,
+                     ("exhausted", 0, "target side opposite 5/9 pi is no sum of tile edges"),
+                     id="side-no-sum-ten-tiles"),
+    ])
+    def test_root_exit(self, target, tile, n_max, want):
+        """Each way the search ends before its first node, with its reason."""
+        res = search_tiling(target, tile, n_max=n_max)
+        assert (res.status, res.nodes, res.reason) == want
 
     def test_target_corner_no_sum_of_tile_angles(self):
         # the area takes two tiles, but no sum of 1/4, 1/3 and 1/2 is 1/6
@@ -278,12 +311,6 @@ class TestSearch:
     def test_area_ratio_is_exact(self):
         # area ratio 2 + 1.2e-7: no integer tile count, so nothing to search
         res = search_tiling((F(1, 2), F(1, 2), F(1, 6) + F(1, 10 ** 8)), QUARTER)
-        assert res.status == "exhausted" and res.nodes == 0
-
-    def test_single_tile_congruence_is_exact(self):
-        # same area as the tile, angles off by 1e-12 pi: not congruent
-        d = F(1, 10 ** 12)
-        res = search_tiling((F(1, 4) + d, F(1, 3) - d, F(1, 2)), QUARTER)
         assert res.status == "exhausted" and res.nodes == 0
 
     def test_aborted_on_budget(self):
@@ -527,6 +554,30 @@ def test_shared_tiles_search_as_fresh_ones():
         assert tiling_bytes(shared) == tiling_bytes(fresh), item["id"]
         tiles.add(tuple(qs))
     assert len(items) > 39 and len(tiles) == 4
+
+
+def test_search_builds_no_fraction(monkeypatch):
+    """Once a shared tile's tables are built, a search reads its target's
+    Fractions but builds none, at a root exit or while it places tiles:
+    the target is read once as integers over its lcm denominator."""
+    searches = [((F(1, 2), F(1, 2), F(4, 7)), ("exhausted", 0)),
+                ((F(2, 9), F(1, 2), F(1, 2)), ("exhausted", 0)),
+                ((F(2, 9), F(4, 9), F(1, 2)), ("found", 4))]
+    for target, _ in searches:
+        search_tiling(target, NINTH)
+    built, new = [], F.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", staticmethod(counting_new))
+    assert F(1, 3) and built  # the counter sees a construction
+    built.clear()
+    results = [search_tiling(target, NINTH) for target, _ in searches]
+    monkeypatch.undo()
+    assert built == []
+    assert [(r.status, r.nodes) for r in results] == [want for _, want in searches]
 
 
 def test_verify_reads_each_side_once(monkeypatch):

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -8,8 +10,9 @@ from importlib import resources
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from reptile_lab import fixtures, scenarios
+from reptile_lab import cli, fixtures, scenarios
 from reptile_lab.angles import AngleForm
 from reptile_lab.coxeter import MAX_VERTICES, kn_tables, triangle_type_of
 from reptile_lab.scenarios import SCENARIOS, emit_figures, run_scenario
@@ -147,6 +150,23 @@ def test_emit_figures(tmp_path, reports):
     for p in paths:
         text = open(p).read()
         assert text.startswith("<svg")
+
+
+# The plain angle literals valid tiles and targets are made of, and
+# near-valid ones: p/q pi with a zero or negative denominator or numerator,
+# float coefficients, a missing pi, a symbol.  Half the lists are three
+# plain literals, so many of them pass and reach the search.
+_PLAIN_ANGLES = st.sampled_from(["1/2 pi", "1/3 pi", "1/4 pi", "2/3 pi", "1/6 pi",
+                                 "2/9 pi", "5/9 pi", "3/4 pi", "pi", "0 pi"])
+_ANGLE_LITERALS = st.one_of(
+    _PLAIN_ANGLES,
+    st.builds("{}/{} pi".format, st.integers(-2, 12), st.integers(-2, 12)),
+    st.builds("{} pi".format, st.sampled_from(["0.5", "1.5", ".25", "1e-1", "-0.25"])),
+    st.builds("{}/{}".format, st.integers(1, 9), st.integers(1, 9)),
+    st.sampled_from(["beta", "pi/2", "1/2 pi+1/12 pi", "1/3*pi", "", "nan pi"]),
+)
+_ANGLE_LISTS = st.one_of(st.lists(_PLAIN_ANGLES, min_size=3, max_size=3),
+                         st.lists(_ANGLE_LITERALS, min_size=2, max_size=4)).map(",".join)
 
 
 def _cli(*args):
@@ -374,6 +394,16 @@ class TestCli:
         assert proc.stdout == ""
         assert f"needs {missing} as well" in proc.stderr
 
+    @pytest.mark.parametrize("d,m", [(7, 1), (100, 2), (2, 224), (6, 7), (1, 3), (3, 0)])
+    def test_hill_case_past_the_bound(self, d, m, monkeypatch, capsys):
+        # refused before any tile is built
+        monkeypatch.setattr(cli, "run_scenario", None)
+        assert cli.main(["run", "hill", "--d", str(d), "--m", str(m)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: --d {d} --m {m}: hill takes 2 <= d <= 6 and m >= 1 "
+                       "with at most 50000 tiles (m^d)\n")
+
     @pytest.mark.parametrize("args", [("three-dim", "--m", "2"),
                                       ("case-b", "--d", "3", "--m", "2")])
     def test_hill_flags_rejected_for_other_scenarios(self, args):
@@ -400,6 +430,21 @@ class TestCli:
         proc = _cli("tile", "1/4 pi,1/3 pi,1/2 pi", "1/3 pi,1/2 pi,1/2 pi", flag, value)
         assert proc.returncode == 2
         assert proc.stdout == ""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(tile=_ANGLE_LISTS, target=_ANGLE_LISTS)
+    def test_tile_command_on_near_valid_angles(self, tile, target):
+        """`tile` in process on drawn angle lists: exit 0 or 1 with one JSON
+        line, or exit 2 with one `error:` line; an uncaught exception fails."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["tile", "--node-budget", "30", "--", tile, target])
+        out, err = out.getvalue(), err.getvalue()
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code in (0, 1) and err == "" and out.count("\n") == 1
+            assert json.loads(out)["status"] in ("found", "exhausted", "aborted")
 
     def test_unknown_scenario(self):
         proc = _cli("run", "nonsense")

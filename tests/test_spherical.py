@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -10,7 +11,7 @@ from reptile_lab.spherical import (CORNER_TABLE_MAX_DEN, InvalidTriangleError, a
                                    corner_angle_solutions_rational_scan,
                                    edge_lengths, edge_sums, is_valid, is_valid_symbolic,
                                    law_of_cosines, straight_angle_combinations)
-from oracles import is_valid_symbolic_reference
+from oracles import is_valid_symbolic_reference, validity_failure_reference
 from test_sphgeo import radian_law_of_cosines
 
 PI = math.pi
@@ -129,6 +130,75 @@ class TestValidity:
             lines, lo, _ = self._random_lines(rng)
             want = bool(is_valid([qp + qb * lo for qp, qb in lines]))
             assert is_valid_symbolic_reference(lines, lo, lo) == want
+
+
+class TestIntegerValidity:
+    """`spherical._failure` compares integer numerators over the lcm of the
+    denominators; `validity_failure_reference` states the same conditions
+    in Fraction arithmetic."""
+
+    @staticmethod
+    def _near_boundary_triple(rng):
+        """Three angles, Fractions of pi with denominators up to 60, some
+        of them out of (0, 1): a fifth of the draws sum to exactly 1, a
+        fifth have b + c = 1 + a, a fifth hold an angle 0 or 1; whole
+        values are ints half the time, and the order is shuffled."""
+        def draw():
+            den = rng.randint(1, 60)
+            return F(rng.randint(-1, den + 1), den)
+
+        a, b = draw(), draw()
+        kind = rng.randrange(5)
+        c = (1 - a - b, 1 + a - b, F(rng.randint(0, 1)))[kind] if kind < 3 else draw()
+        out = [int(q) if q.denominator == 1 and rng.random() < 0.5 else q
+               for q in (a, b, c)]
+        rng.shuffle(out)
+        return tuple(out)
+
+    @staticmethod
+    def _report(reason):
+        return (reason is None, reason or "ok")
+
+    def test_is_valid_matches_fraction_reference(self):
+        """20,000 seeded triples: the same verdict and reason; every reason,
+        and each boundary reached with the strict reading failing, often."""
+        rng = random.Random(38)
+        seen = Counter()
+        for _ in range(20000):
+            angles = self._near_boundary_triple(rng)
+            want = validity_failure_reference(angles, strict=True)
+            assert tuple(is_valid(angles)) == self._report(want), angles
+            seen[want] += 1
+            seen["boundary"] += (want is not None
+                                 and validity_failure_reference(angles, strict=False) is None)
+        assert min(seen.values()) > 1000, seen
+
+    def test_symbolic_non_strict_ends_match_fraction_reference(self):
+        """6,000 seeded lines through two near-boundary triples P (at lo)
+        and R (at hi): `is_valid_symbolic` gives the reference's first
+        failure of P and of R read with equality allowed and of their
+        midpoint read strictly.  Valid triples on a boundary at an end
+        must occur often."""
+        rng = random.Random(39)
+        seen = Counter()
+        for _ in range(6000):
+            lo, hi = sorted(rng.sample(range(61), 2))
+            lo, hi = F(lo, 60), F(hi, 60)
+            p = [F(q) for q in self._near_boundary_triple(rng)]
+            r = [F(q) for q in self._near_boundary_triple(rng)]
+            slopes = [(y - x) / (hi - lo) for x, y in zip(p, r)]
+            forms = [AngleForm.of(pi=x - k * lo, beta=k) for x, k in zip(p, slopes)]
+            want = (validity_failure_reference(p, strict=False)
+                    or validity_failure_reference(r, strict=False)
+                    or validity_failure_reference([(x + y) / 2 for x, y in zip(p, r)],
+                                                  strict=True))
+            got = is_valid_symbolic(forms, EMPTY_RELATIONS, lo, hi)
+            assert tuple(got) == self._report(want), (p, r, lo, hi)
+            seen[want] += 1
+            seen["valid on a boundary"] += want is None and (
+                validity_failure_reference(p, strict=True) is not None
+                or validity_failure_reference(r, strict=True) is not None)
+        assert min(seen.values()) > 100, seen
 
 
 class TestEdges:
