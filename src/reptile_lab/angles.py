@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .exactmath import chebyshev, cos_pi, frac
@@ -136,12 +137,15 @@ EMPTY_RELATIONS = RelationSet(())
 
 _TERM_RE = re.compile(
     r"^\s*(?:(?P<coef>-?\d+(?:/\d+)?)\s*\*?\s*)?(?P<sym>pi|alpha|beta|gamma)\s*$"
-    r"|^\s*(?P<bare>-?\d+(?:/\d+)?)\s*$"
+    r"|^\s*(?P<bare>-?\d+(?:/\d+)?)\s*$",
+    re.ASCII,  # \d and \s match ASCII only: "\u0663 pi" (an Arabic-Indic 3) is refused
 )
 
 
+@lru_cache(maxsize=1024)
 def parse_angle(text: str) -> AngleForm:
-    """Parse an angle literal; inverse of format_angle."""
+    """Parse an angle literal; inverse of format_angle.  A form is
+    immutable, so each literal is parsed once and its form shared."""
     s = text.strip()
     if not s:
         raise ValueError("empty angle literal")
@@ -159,7 +163,7 @@ def parse_angle(text: str) -> AngleForm:
         else:
             buf += ch
     terms.append((sign, buf))
-    out = AngleForm.of()
+    coeffs = [Fraction(0)] * len(SYMBOLS)
     for sign, term in terms:
         m = _TERM_RE.match(term)
         if not m:
@@ -170,8 +174,8 @@ def parse_angle(text: str) -> AngleForm:
             coef = sign * Fraction(m.group("coef") or 1)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in angle term {term!r}") from None
-        out = out + coef * AngleForm.of(**{m.group("sym"): 1})
-    return out
+        coeffs[SYMBOLS.index(m.group("sym"))] += coef
+    return AngleForm(tuple(coeffs))
 
 
 def format_angle(form: AngleForm) -> str:

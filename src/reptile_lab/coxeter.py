@@ -2,8 +2,8 @@
 
 A diagram is a complete graph whose edges carry exact angle forms.  The
 module provides label-preserving automorphism groups, orbit counting (with a
-Burnside cross-check), richness tests, enumeration of diagrams up to
-isomorphism, enumeration of abstract edge partitions, and
+Burnside cross-check), enumeration of diagrams up to isomorphism (rich
+ones among them), enumeration of abstract edge partitions, and
 classification of single-label subgraphs against a small-graph catalog.
 
 Sizes stay tiny: the scenarios need n <= 5 (at most 120 vertex permutations
@@ -15,19 +15,25 @@ order, each vertex permutation is stored as an edge permutation with its
 permutations fixing a coloring), `canon` (its smallest image), `is_first`
 (no image is smaller) and `orbits` (orbits of edges or triangles under
 `aut`, read from per-permutation image tables, with a Burnside
-cross-check).  A diagram numbers its label forms once and runs on that
-coloring; partition and skeleton canonical forms and subgraph
-classification are built on `canon`.  The pair-orbit bound is checked on
-the edge permutations themselves: the pair orbits of a cyclic group <p> are
-the cycles of p's edge permutation (`cycle_count`).
+cross-check).  The edge and triangle image tables and the prefix getters
+of `is_first` are all read off the edge permutations.  A diagram numbers
+its label forms once and runs on that coloring; partition and skeleton
+canonical forms and subgraph classification are built on `canon`.  The
+pair-orbit bound is checked on the edge permutations themselves: the pair
+orbits of a cyclic group <p> are the cycles of p's edge permutation
+(`cycle_count`).
 
 The three enumerators (diagrams, edge partitions, two-label skeletons) are
-clients of one orderly search over the edge colorings, `coloring_search`.
+clients of one orderly search over the edge colorings, `coloring_search`,
+and do their per-node work on int colorings.  The diagram search labels
+edges with alphabet positions: a triangle's forbidden labels are never
+tried, richness is counted on the ids, and a `CoxeterDiagram` is built only
+for a labeling it returns.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from itertools import (combinations, combinations_with_replacement, count, permutations,
                        product)
 from math import comb
@@ -137,19 +143,27 @@ class KnTables:
         colors = tuple(colors)
         getters = self._prefix_getters[len(colors)]
         if renumber:
-            return not any(_renumbered(g(colors)) < colors for g in getters)
-        return not any(g(colors) < colors for g in getters)
+            for g in getters:
+                if _renumbered_below(g(colors), colors):
+                    return False
+            return True
+        for g in getters:
+            if g(colors) < colors:
+                return False
+        return True
 
     @cached_property
     def _prefix_getters(self) -> list:
-        """Per k = 0..len(edges): the getters, over the first k edges, of the
-        permutations other than the identity that map those edges onto
-        themselves.  Built on first use, not with the other tables."""
-        pos = {e: i for i, e in enumerate(self.edges)}
-        out = [[], []]  # no permutation moves a single edge's color
-        for k in range(2, len(self.edges) + 1):
-            images = [[pos[_edge(p[a], p[b])] for a, b in self.edges[:k]] for p in self.perms[1:]]
-            out.append([itemgetter(*im) for im in images if max(im) < k])
+        """Per k = 0..len(edges): the getters of the distinct images of the
+        first k edges under the permutations that map those edges onto
+        themselves, the identity image left out.  Built on first use, not
+        with the other tables."""
+        out = []
+        for k in range(len(self.edges) + 1):
+            prefixes = {im[:k] for im in self.edge_images if max(im[:k], default=k) < k}
+            prefixes.discard(tuple(range(k)))
+            # two or more indices each: a one-edge prefix has only itself
+            out.append([itemgetter(*p) for p in sorted(prefixes)])
         return out
 
     @cached_property
@@ -159,14 +173,25 @@ class KnTables:
 
     @cached_property
     def tri_images(self) -> list:
-        pos = {t: i for i, t in enumerate(self.triangles)}
-        return [tuple(pos[tuple(sorted(p[v] for v in t))] for t in self.triangles)
-                for p in self.perms]
+        index = {te: t for t, te in enumerate(self.tri_edges)}
+        return [tuple(index[tuple(sorted((im[a], im[b], im[c])))] for a, b, c in self.tri_edges)
+                for im in self.edge_images]
 
 
 def _renumbered(coloring: tuple) -> tuple:
     relabel = {}
     return tuple([relabel.setdefault(c, len(relabel)) for c in coloring])
+
+
+def _renumbered_below(image: tuple, colors: tuple) -> bool:
+    """`_renumbered(image) < colors`, renumbering only up to the first
+    position where the two differ."""
+    relabel = {}
+    for c, x in zip(image, colors):
+        r = relabel.setdefault(c, len(relabel))
+        if r != x:
+            return r < x
+    return False
 
 
 # The tables hold n! permutations: 0.3 s and 33 MB at 8 vertices, each
@@ -348,11 +373,6 @@ def edge_orbits(diagram: CoxeterDiagram, label: AngleForm) -> list:
             for o in kn.orbits(diagram.colors, kn.edge_images, items)]
 
 
-def is_rich(diagram: CoxeterDiagram, ttype: TriangleType) -> bool:
-    """At least four orbits of triangles of the given type."""
-    return len(orbits(diagram, ttype)) >= 4
-
-
 def edge_orbit_count_transitive(diagram: CoxeterDiagram, label: AngleForm) -> bool:
     """True iff Aut acts transitively on the edges carrying `label`."""
     return len(edge_orbits(diagram, label)) == 1
@@ -435,19 +455,22 @@ def coloring_search(colors: list, slots: Sequence[int], values: Callable, step: 
     state at each complete filling.
 
     At each slot every value of `values(e)` is tried, in that order, so
-    complete fillings arrive in lexicographic order of the try order.  After
-    a value is placed, `step(e, state)` returns the next state, or None to
-    cut the branch.  `first(e)`, if given, is then asked whether the colors
-    up to slot `e` are the first of their isomorphism class (`is_first` of
-    the kernel, under the permutations that map those edges onto
-    themselves); if not, no completion can be first either, and the branch
-    is cut (orderly generation, after R. C. Read, "Every one a winner", Ann.
-    Discrete Math. 2, 1978).  So each class reaches a complete filling once,
-    as its first member in search order.
+    complete fillings arrive in lexicographic order of the try order.
+    `values(e)` is asked when slot `e` is reached, so it may read the slots
+    filled before it and offer only the values they leave open (forward
+    checking, as `enumerate_diagrams` does).  After a value is placed,
+    `step(e, state)` returns the next state, or None to cut the branch.
+    `first(e)`, if given, is then asked whether the colors up to slot `e`
+    are the first of their isomorphism class (`is_first` of the kernel,
+    under the permutations that map those edges onto themselves); if not,
+    no completion can be first either, and the branch is cut (orderly
+    generation, after R. C. Read, "Every one a winner", Ann. Discrete Math.
+    2, 1978).  So each class reaches a complete filling once, as its first
+    member in search order.
 
     `colors` is shared: at a yield it holds the filling, and each slot gets
-    its start value back on backtrack, so `step` may read the slots not yet
-    visited as holding their start value.
+    its start value back on backtrack, so `values` and `step` may read the
+    slots not yet visited as holding their start value.
     """
     def walk(i: int, state):
         if i == len(slots):
@@ -475,25 +498,32 @@ def coloring_search(colors: list, slots: Sequence[int], values: Callable, step: 
 UNSET = -1
 
 
-def _slot_tables(size: int, table: dict, rich: Optional[tuple]) -> tuple:
-    """Per-triangle lookups over its three slot values (a, b, c), at index
-    (a + 1) * B^2 + (b + 1) * B + c + 1 with B = size + 1.
+def _label_masks(size: int, table: dict, rich: Optional[tuple]) -> tuple:
+    """Per pair of slot values (a, b) of two edges of a triangle (a label,
+    or UNSET), at index (a + 1) * (size + 1) + b + 1, the bitmask of the
+    labels x its third edge can take:
 
-    ok: the placed labels are a sub-multiset of some allowed type (UNSET
-        slots take any label); for three placed labels, their type is allowed.
-    can_rich: the placed labels are a sub-multiset of the rich type.
+    ok: {a, b, x}, UNSET slots dropped, is a sub-multiset of some allowed
+        type; with a and b both placed, {a, b, x} is an allowed type.
+    can_rich: {a, b, x} is a sub-multiset of the rich type (every label
+        when there is none).
     """
     def subs(key):  # the sorted sub-multisets of a sorted triple
         return {tuple(x for i, x in enumerate(key) if placed >> i & 1) for placed in range(8)}
 
-    support = set().union(*(subs(key) for key, allowed in table.items() if allowed))
-    rich_subs = None if rich is None else subs(rich)
-    ok, can_rich = [], []
-    for slots in product(range(UNSET, size), repeat=3):
-        have = tuple(sorted(x for x in slots if x != UNSET))
-        ok.append(have in support)
-        can_rich.append(rich_subs is None or have in rich_subs)
-    return ok, can_rich
+    def masks(keys):  # bit x at (a, b) for each key that is {a, b, x}
+        out = [0] * (size + 1) ** 2
+        for key in keys:
+            for i, x in enumerate(key):
+                rest = key[:i] + key[i + 1:] + (UNSET,) * (3 - len(key))
+                for a, b in {rest, rest[::-1]}:
+                    out[(a + 1) * (size + 1) + b + 1] |= 1 << x
+        return out
+
+    ok = masks(set().union(*(subs(key) for key, allowed in table.items() if allowed)))
+    if rich is None:
+        return ok, [(1 << size) - 1] * (size + 1) ** 2
+    return ok, masks(subs(rich))
 
 
 def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
@@ -505,27 +535,31 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
 
     `allowed` is a predicate on triangle types (`triangle_type_of` of three
     alphabet labels, normalized under the relations), asked once per type.
-    One orderly search labels the edges in `all_edges` order, trying the
-    alphabet's labels in alphabet order at each edge, so complete labelings
-    arrive in lexicographic order of their label ids.  A branch is cut by
+    One orderly search labels the edges in `all_edges` order with label ids
+    (alphabet positions), trying them in alphabet order at each edge, so
+    complete labelings arrive in lexicographic order.  A label is not tried
+    when a triangle through the edge forbids it, and a branch is cut by
     `step` (below) or when the labels placed so far are not `is_first`.
     Each isomorphism class is reached exactly once, at its smallest
-    labeling (its `canon` over label ids), and only that labeling is built
-    and tested for richness.  This is sound because `allowed` sees the
+    labeling (its `canon` over label ids), and only that labeling is
+    tested for richness.  This is sound because `allowed` sees the
     triangle types alone and richness is an isomorphism invariant: a class
-    satisfies them in all its labelings or in none.  `step` cuts only
-    prefixes that no satisfying labeling extends, so it never cuts a prefix
-    of the smallest labeling of a satisfying class; and every prefix of
-    that labeling passes `is_first`, since an image of the prefix smaller
-    than it would give an image of the whole labeling smaller than it.
+    satisfies them in all its labelings or in none.  The search drops only
+    prefixes that no satisfying labeling extends, so never a prefix of the
+    smallest labeling of a satisfying class; and every prefix of that
+    labeling passes `is_first`, since an image of the prefix smaller than
+    it would give an image of the whole labeling smaller than it.
 
-    A triangle's three slots (a label, or not yet visited) index two
-    tables built once per call: whether some allowed type can still
-    complete it (a complete one must itself be allowed), and whether it
-    can still become the rich type.  The state is the bitmask of triangles
-    that still can; a branch is cut when a triangle through the edge just
-    labeled can no longer be allowed, or when fewer than four can still
-    become the rich type.  Results are sorted by canonical key.
+    Two mask tables (`_label_masks`), built once per call and indexed by
+    the slot values of a triangle's other two edges, give the labels that
+    can still complete an allowed type (a complete triangle must be one)
+    and those that can still complete the rich type.  The labels tried at
+    an edge are those every triangle through it allows.  The state is the
+    bitmask of triangles that can still become the rich type; `step` cuts
+    a branch when fewer than four can.  At a complete labeling these are
+    exactly the triangles of the rich type, and their orbits under its
+    automorphisms are counted on the label ids; a `CoxeterDiagram` is built
+    only for a labeling that is kept.  Results are sorted by canonical key.
     """
     alphabet = [relations.normalize(f) for f in alphabet]
     if len(set(alphabet)) != len(alphabet):
@@ -537,25 +571,32 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
     if rich_type is not None:
         label_ids = {f: i for i, f in enumerate(alphabet)}
         rich = tuple(sorted(label_ids[f] for f in rich_type))
-    ok, can_rich = _slot_tables(size, table, rich)
+    ok, can_rich = _label_masks(size, table, rich)
     need = 0 if rich is None else 4
 
     kn = kn_tables(n)
     es = kn.edges
     m = len(es)
     base = size + 1
-    base2 = base * base
-    offset = base2 + base + 1
-    # per edge: (triangle bit, its three edge indices) for each triangle through it
-    incident = [[(1 << t, *kn.tri_edges[t]) for t in kn.edge_tris[e]] for e in range(m)]
+    # per edge: (triangle bit, its other two edge indices) for each triangle through it
+    incident = [[(1 << t, *(x for x in kn.tri_edges[t] if x != e)) for t in kn.edge_tris[e]]
+                for e in range(m)]
     assign = [UNSET] * m
 
+    @cache
+    def labels_in(mask: int) -> tuple:
+        return tuple(x for x in range(size) if mask >> x & 1)
+
+    def values(e: int) -> tuple:
+        mask = (1 << size) - 1
+        for _, a, b in incident[e]:
+            mask &= ok[assign[a] * base + assign[b] + base + 1]
+        return labels_in(mask)
+
     def step(e: int, live: int):
-        for bit, a, b, c in incident[e]:
-            code = assign[a] * base2 + assign[b] * base + assign[c] + offset
-            if not ok[code]:
-                return None
-            if not can_rich[code]:
+        x = assign[e]
+        for bit, a, b in incident[e]:
+            if not can_rich[assign[a] * base + assign[b] + base + 1] >> x & 1:
                 live &= ~bit
         return live if live.bit_count() >= need else None
 
@@ -565,13 +606,14 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
         names = [f"v{i}" for i in range(n)]
 
     solutions = []
-    for _ in coloring_search(assign, range(m), lambda e: range(size), step,
-                             (1 << len(kn.tri_edges)) - 1,
-                             lambda e: kn.is_first(assign[:e + 1])):
-        labels = {es[i]: alphabet[assign[i]] for i in range(m)}
-        diagram = CoxeterDiagram(names, labels, relations)
-        if rich_type is None or is_rich(diagram, rich_type):
-            solutions.append(diagram)
+    for live in coloring_search(assign, range(m), values, step, (1 << len(kn.tri_edges)) - 1,
+                                lambda e: kn.is_first(assign[:e + 1])):
+        if rich is not None:
+            items = [t for t in range(len(kn.tri_edges)) if live >> t & 1]
+            if len(kn.orbits(assign, kn.tri_images, items)) < need:
+                continue
+        labels = {es[i]: alphabet[x] for i, x in enumerate(assign)}
+        solutions.append(CoxeterDiagram(names, labels, relations))
     return sorted(solutions, key=lambda d: d.canonical_key())
 
 

@@ -3,11 +3,11 @@ the slow references for Sturm root isolation and for the sign of a field
 element, the trial-factoring oracle of `algebraic_degree` (in
 test_acceptance.py, beside criterion 13), the generic permutation-group
 layer on vertex tuples (group test, orbit search, Burnside count, cyclic
-and small subgroups) that checks `KnTables.orbits`, the position-tuple form of
-`pair_canonical`, `QuadExt`, the closed-form
-quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5,
-spherical-triangle validity in Fraction arithmetic and its sort-free
-reference over a beta interval, the mirror triangles of the reflection
+and small subgroups) that checks `KnTables.orbits`, richness read from a
+diagram's labels, the position-tuple form of `pair_canonical`, `QuadExt`,
+the closed-form quadratic fields Q(sqrt m) that check `RealCyclotomic` for
+n = 4, 6 and 5, spherical-triangle validity in Fraction arithmetic and its
+sort-free reference over a beta interval, the mirror triangles of the reflection
 groups A3, B3 and H3 and the bisector family, targets known to be tiled
 without asking the tiling search, the depth of the overlap of two
 spherical triangles by clipping, which checks `verify_tiling`'s
@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from reptile_lab import sphgeo
-from reptile_lab.coxeter import ConsistencyError, kn_tables
+from reptile_lab.coxeter import ConsistencyError, kn_tables, orbits
 from reptile_lab.exactmath import (ExactMatrix, Poly, RingMismatchError, RootInterval,
                                    cos_pi, isolate_roots, minimal_polynomial, sturm_chain)
 from reptile_lab.hill import EuclideanSimplex
@@ -410,6 +410,13 @@ def subgroups_reference(n: int) -> list:
                 seen.add(closure([a, b]))
     return sorted((frozenset(perms[i] for i in grp) for grp in seen),
                   key=lambda s: (len(s), sorted(s)))
+
+
+def is_rich(diagram, ttype) -> bool:
+    """At least four orbits of the diagram's triangles of the given type,
+    the triangles picked by their label forms (the former `coxeter.is_rich`;
+    `enumerate_diagrams` picks them by label ids)."""
+    return len(orbits(diagram, ttype)) >= 4
 
 
 def pair_canonical_reference(ea: frozenset, eb: frozenset, n: int) -> tuple:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 from typing import Optional
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from reptile_lab.angles import (ALPHA, BETA, GAMMA, PI, SYMBOLS, AngleForm,
                                 NoExactCosineError, RelationSet, exact_cos,
@@ -45,6 +45,25 @@ def angle_forms(draw):
     return AngleForm(tuple(draw(fractions) for _ in range(4)))
 
 
+# mostly ASCII digits, with other scripts' numerals among them
+NEAR_DIGITS = st.sampled_from("01234567890123456789\u0663\uff13\u00b2\u00bd")
+
+
+@st.composite
+def near_literals(draw):
+    """One to three terms, each a sign, a coefficient and a symbol, any of
+    them off the format now and then."""
+    text = ""
+    for _ in range(draw(st.integers(1, 3))):
+        text += draw(st.sampled_from(["", "+", "-", "+", "-", "--", " - ", "\u2212"]))
+        text += draw(st.text(NEAR_DIGITS, max_size=3))
+        if draw(st.booleans()):
+            text += "/" + draw(st.text(NEAR_DIGITS, max_size=2))
+        text += draw(st.sampled_from(["", " ", "*", " * ", "\t", "\u00a0", "."]))
+        text += draw(st.sampled_from(["pi", "alpha", "beta", "gamma", "pi", "", "delta"]))
+    return text
+
+
 class TestParse:
     @pytest.mark.parametrize("text,coeffs", [
         ("2/9 pi", (F(2, 9), 0, 0, 0)),
@@ -57,6 +76,12 @@ class TestParse:
     def test_examples(self, text, coeffs):
         assert parse_angle(text) == AngleForm(tuple(F(c) for c in coeffs))
 
+    def test_one_parse_per_literal(self):
+        assert parse_angle("2/9 pi-beta") is parse_angle("2/9 pi-beta")
+        for _ in range(2):  # a refusal is not remembered as a form
+            with pytest.raises(ValueError):
+                parse_angle("1/0 pi")
+
     def test_rejects_garbage(self):
         for bad in ("", "2", "pi pi", "1/2", "delta", "1/0 pi", "alpha - 2/0 beta"):
             with pytest.raises(ValueError):
@@ -65,6 +90,22 @@ class TestParse:
     @given(angle_forms())
     def test_round_trip(self, form):
         assert parse_angle(format_angle(form)) == form
+
+    @pytest.mark.parametrize("text", ["\u0663 pi", "1/\u0662 pi", "\uff13 pi", "\u00b2 pi",
+                                      "\u00bd pi", "2*\u0968alpha"])
+    def test_rejects_digits_outside_ascii(self, text):
+        with pytest.raises(ValueError, match="bad angle term"):
+            parse_angle(text)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.one_of(near_literals(), st.text(max_size=10)))
+    def test_near_literals_round_trip_or_raise_value_error(self, text):
+        try:
+            form = parse_angle(text)
+        except ValueError:
+            return
+        assert parse_angle(format_angle(form)) == form
+        assert not any(ch.isnumeric() and not ch.isascii() for ch in text)
 
 
 class TestExactCoefficients:

@@ -21,11 +21,13 @@ from itertools import permutations, product
 
 import pytest
 
+from reptile_lab import coxeter
 from reptile_lab.angles import parse_angle
-from reptile_lab.coxeter import (all_edges, classify_graph, coloring_automorphisms,
-                                 coloring_search, enumerate_diagrams, enumerate_edge_partitions,
-                                 enumerate_two_label_skeletons, forced_symmetry_collapses,
-                                 pair_canonical, triangle_type_of)
+from reptile_lab.coxeter import (CoxeterDiagram, all_edges, classify_graph, coloring_automorphisms,
+                                 coloring_canonical, coloring_search, enumerate_diagrams,
+                                 enumerate_edge_partitions, enumerate_two_label_skeletons,
+                                 forced_symmetry_collapses, pair_canonical, triangle_type_of)
+from reptile_lab.scenarios import case_a_enumeration, final_case_analysis
 
 
 def edge_perms(n):
@@ -125,6 +127,14 @@ def test_k4_thresholds(walk4):
 
 def test_k5_constraint_sets_in_use(walk5):
     check_partitions(5, walk5, [(4, None), (4, True)])
+
+
+def test_partitions_are_their_canonical_forms():
+    # two-indivisible compares the K5 partitions with the catalog's
+    # canonical forms as they come
+    for n, at_least in [(4, 2), (5, 3), (5, 4)]:
+        for c in enumerate_edge_partitions(n, at_least):
+            assert coloring_canonical(c, n) == c
 
 
 def random_k5_constraints(seed):
@@ -277,3 +287,46 @@ class TestColoringSearch:
             assert colors[1] == -1
         assert got == [(0, 5), (0, 6), (1, 5), (1, 6)]
         assert colors == [-1, -1]
+
+
+# (calls, passes) of the `first` callback of each search the scenarios run:
+# a change to what the search tries or cuts moves them
+WORK = {
+    "quarter": (lambda: final_case_analysis("quarter").diagrams, (768, 461)),
+    "fifth": (lambda: final_case_analysis("fifth").diagrams, (1974, 1120)),
+    "ninth": (lambda: final_case_analysis("ninth").diagrams, (1155, 605)),
+    "case-a": (case_a_enumeration, (917, 533)),
+    "k5-partitions-4": (lambda: enumerate_edge_partitions(5, 4), (755, 482)),
+    "skeletons": (enumerate_two_label_skeletons, (834, 490)),
+}
+
+
+@pytest.mark.parametrize("name", WORK)
+def test_orderly_search_work(name, monkeypatch):
+    tallies, built = [], []
+    search = coxeter.coloring_search
+    init = CoxeterDiagram.__init__
+
+    def counted_search(colors, slots, values, step, state, first):
+        tally = [0, 0]
+        tallies.append(tally)
+
+        def counted_first(e):
+            passed = first(e)
+            tally[0] += 1
+            tally[1] += passed
+            return passed
+
+        return search(colors, slots, values, step, state, counted_first)
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(coxeter, "coloring_search", counted_search)
+    monkeypatch.setattr(CoxeterDiagram, "__init__", counted_init)
+    run, work = WORK[name]
+    found = run()
+    assert [tuple(t) for t in tallies] == [work]
+    # a diagram is built for each labeling kept, not for each one reached
+    assert len(built) == sum(isinstance(d, CoxeterDiagram) for d in found)

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -10,13 +11,13 @@ import pytest
 
 import reptile_lab
 from oracles import (burnside_count_reference, cyclic_subgroups_reference,
-                     is_group_reference, subgroups_reference)
+                     is_group_reference, is_rich, subgroups_reference)
 from reptile_lab import coxeter, fixtures
 from reptile_lab.angles import AngleForm, parse_angle
 from reptile_lab.coxeter import (ConsistencyError, CoxeterDiagram, all_edges,
                                  classify_graph, coloring_automorphisms, cycle_count,
                                  enumerate_diagrams, enumerate_edge_partitions,
-                                 is_rich, kn_tables, label_subgraph, orbits,
+                                 kn_tables, label_subgraph, orbits,
                                  pair_orbit_bound, triangle_type_of)
 
 
@@ -202,17 +203,36 @@ class TestBurnside:
         assert out.stdout.split() == ["raised", "debug", "False"]
 
 
-def test_slot_tables_can_rich_is_sub_multiset():
+def multiset_masks(size, have, types):
+    """Per third label x, bit x set iff {have, x} is a sub-multiset of one
+    of the types, by multiset difference."""
+    return sum(1 << x for x in range(size)
+               if any(not Counter(have + [x]) - Counter(t) for t in types))
+
+
+def test_label_masks_can_rich_is_sub_multiset():
     # can_rich by membership among the rich type's sub-multisets, against
-    # a multiset difference on every slot triple
+    # a multiset difference on every pair of slot values and third label
     size = 4
     table = {c: True for c in combinations_with_replacement(range(size), 3)}
+    pairs = list(product(range(coxeter.UNSET, size), repeat=2))
     for rich in combinations_with_replacement(range(size), 3):
-        _, can_rich = coxeter._slot_tables(size, table, rich)
-        want = [not Counter(x for x in slots if x != coxeter.UNSET) - Counter(rich)
-                for slots in product(range(coxeter.UNSET, size), repeat=3)]
+        _, can_rich = coxeter._label_masks(size, table, rich)
+        want = [multiset_masks(size, [x for x in pair if x != coxeter.UNSET], [rich])
+                for pair in pairs]
         assert can_rich == want, rich
-    assert all(coxeter._slot_tables(size, table, None)[1])
+    assert set(coxeter._label_masks(size, table, None)[1]) == {(1 << size) - 1}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_label_masks_ok_is_sub_multiset_of_an_allowed_type(seed):
+    rng = random.Random(seed)
+    size = rng.randint(1, 5)
+    table = {c: rng.random() < 0.4 for c in combinations_with_replacement(range(size), 3)}
+    ok, _ = coxeter._label_masks(size, table, None)
+    allowed = [c for c, yes in table.items() if yes]
+    assert ok == [multiset_masks(size, [x for x in pair if x != coxeter.UNSET], allowed)
+                  for pair in product(range(coxeter.UNSET, size), repeat=2)]
 
 
 class TestSubgraphClassification:

@@ -15,12 +15,14 @@ alphabet ids, the one labeling of the class the orderly search reaches.
 import random
 from fractions import Fraction as F
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial
 
 import pytest
 
+from oracles import is_rich
 from reptile_lab.angles import AngleForm
-from reptile_lab.coxeter import (CoxeterDiagram, all_edges, enumerate_diagrams, is_rich,
-                                 kn_tables, triangle_type_of)
+from reptile_lab.coxeter import (CoxeterDiagram, all_edges, enumerate_diagrams, kn_tables,
+                                 triangle_type_of)
 
 
 def naive_keys(n, alphabet, allowed, rich_type):
@@ -102,3 +104,36 @@ def test_matches_naive_enumeration(seed, n, size):
     for d in found:  # each class is represented by its smallest labeling
         ids = [alphabet.index(d.labels[e]) for e in all_edges(n)]
         assert tuple(ids) == kn_tables(n).canon(ids)
+
+
+FOUR_LABELS = [AngleForm.pi_multiple(F(q)) for q in ("1/4", "1/3", "1/2", "2/3")]
+
+
+def cycles(perm):
+    seen, count = set(), 0
+    for i in range(len(perm)):
+        if i not in seen:
+            count += 1
+            while i not in seen:
+                seen.add(i)
+                i = perm[i]
+    return count
+
+
+@pytest.mark.parametrize("n,classes", [(4, 276), (5, 10_688)])
+def test_every_labeling_allowed(n, classes):
+    # with no constraint there is one class per orbit of the labelings
+    # under the vertex permutations, which Burnside's lemma counts from the
+    # cycles of each edge permutation; every class must come out once, as
+    # its smallest labeling
+    es = all_edges(n)
+    pos = {e: i for i, e in enumerate(es)}
+    eperms = [[pos[tuple(sorted((p[a], p[b])))] for a, b in es]
+              for p in permutations(range(n))]
+    assert sum(len(FOUR_LABELS) ** cycles(ep) for ep in eperms) == classes * factorial(n)
+    found = enumerate_diagrams(n, FOUR_LABELS, lambda ttype: True)
+    ids = {f: i for i, f in enumerate(FOUR_LABELS)}
+    labelings = [tuple(ids[d.labels[e]] for e in es) for d in found]
+    assert len(set(labelings)) == len(found) == classes
+    kn = kn_tables(n)
+    assert all(kn.canon(c) == c for c in labelings)
