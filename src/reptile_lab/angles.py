@@ -135,6 +135,8 @@ EMPTY_RELATIONS = RelationSet(())
 # Text format: "1/2 pi", "2/9 pi", "alpha+2*beta", "3*alpha", ...
 # ---------------------------------------------------------------------------
 
+_SPACE = " \t\n\r\f\v"  # the \s of _TERM_RE under re.ASCII
+
 _TERM_RE = re.compile(
     r"^\s*(?:(?P<coef>-?\d+(?:/\d+)?)\s*\*?\s*)?(?P<sym>pi|alpha|beta|gamma)\s*$"
     r"|^\s*(?P<bare>-?\d+(?:/\d+)?)\s*$",
@@ -146,7 +148,7 @@ _TERM_RE = re.compile(
 def parse_angle(text: str) -> AngleForm:
     """Parse an angle literal; inverse of format_angle.  A form is
     immutable, so each literal is parsed once and its form shared."""
-    s = text.strip()
+    s = text.strip(_SPACE)
     if not s:
         raise ValueError("empty angle literal")
     # split into signed terms at top level
@@ -154,11 +156,11 @@ def parse_angle(text: str) -> AngleForm:
     buf = ""
     sign = 1
     for ch in s:
-        if ch in "+-" and buf.strip():
+        if ch in "+-" and buf.strip(_SPACE):
             terms.append((sign, buf))
             buf = ""
             sign = 1 if ch == "+" else -1
-        elif ch in "+-" and not buf.strip():
+        elif ch in "+-" and not buf.strip(_SPACE):
             sign = sign if ch == "+" else -sign
         else:
             buf += ch

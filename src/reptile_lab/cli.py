@@ -33,7 +33,7 @@ def _triangle(role: str, text: str) -> tuple:
     ValueError that names `role` and `text` if they are no valid spherical
     triangle."""
     try:
-        parts = [p.strip() for p in text.split(",")]
+        parts = text.split(",")
         if len(parts) != 3:
             raise ValueError("expected three comma-separated angles")
         out = []
@@ -126,7 +126,7 @@ def _cmd_diagram(args) -> int:
     elif args.action == "orbits":
         ttype = None
         if args.type:
-            labels = [p.strip() for p in args.type.split(",")]
+            labels = args.type.split(",")
             if len(labels) != 3:
                 raise ValueError("--type: expected three comma-separated labels")
             ttype = triangle_type_of([diagram.relations.normalize(parse_angle(p))

@@ -3,8 +3,9 @@
 Rationals (stdlib Fraction), dense univariate polynomials over Q, Sturm-
 sequence real root counting / isolation, the one number field every
 rational-angle cosine lives in, Q(cos(pi/n)) (cos(q pi) exactly for every
-rational q, signs by bisecting cos(pi/n)'s interval), and exact
-determinants of small matrices via fraction-free (Bareiss) elimination.
+rational q, as integer rows in x = 2cos(pi/n), signs by bisecting x's
+interval), and exact determinants of small matrices via fraction-free
+(Bareiss) elimination over Z, Z[t] and Z[x]/psi_n, on ints.
 
 Everything here is immutable and pure; no rounding happens anywhere
 except in the explicitly numeric evaluation helpers.
@@ -12,7 +13,9 @@ except in the explicitly numeric evaluation helpers.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -177,7 +180,7 @@ class Poly:
             raise ArithmeticError("inexact polynomial division")
         return q
 
-    __truediv__ = exact_div  # the division Bareiss elimination needs
+    __truediv__ = exact_div
 
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
@@ -403,6 +406,111 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
 
 
 # ---------------------------------------------------------------------------
+# The rings the elimination runs in: Z, Z[t] and (below) Z[x]/psi_n
+# ---------------------------------------------------------------------------
+
+# A polynomial with integer coefficients is a tuple of ints in ascending
+# degree with no trailing zero, so zero is the falsy ().  Each ring gives
+# `_bareiss` its zero, one and negation, the divisor it keeps for a pivot,
+# and the step that sets row_i[j] to (a_kk a_ij - a_ik a_kj) / prev, j > k,
+# with a remainder other than zero raising ArithmeticError.
+
+
+def _trim(cs) -> tuple:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _mul(a, b) -> list:
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _det2(a, b, c, e) -> list:
+    """a b - c e, untrimmed."""
+    out = _mul(a, b)
+    out += [0] * (len(c) + len(e) - len(out))
+    for i, x in enumerate(c):
+        if x:
+            for j, y in enumerate(e):
+                out[i + j] -= x * y
+    return out
+
+
+def _exact(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact division in Bareiss elimination")
+    return q
+
+
+class _Integers:
+    """Z, for `_bareiss`: ints."""
+
+    zero, one = 0, 1
+    neg = staticmethod(operator.neg)
+    divisor = staticmethod(lambda p: p)
+
+    @staticmethod
+    def step(a, k, prev):
+        row_k = a[k]
+        p = row_k[k]
+        for row_i in a[k + 1:]:
+            c = row_i[k]
+            for j in range(k + 1, len(row_k)):  # `_exact` inline: small ints
+                q, r = divmod(p * row_i[j] - c * row_k[j], prev)
+                if r:
+                    raise ArithmeticError("inexact division in Bareiss elimination")
+                row_i[j] = q
+
+
+class _IntPolys:
+    """Z[t], for `_bareiss`: int tuples."""
+
+    zero, one = (), (1,)
+
+    def reduce(self, cs) -> tuple:
+        return _trim(cs)
+
+    @staticmethod
+    def neg(a):
+        return tuple(-c for c in a)
+
+    def step(self, a, k, prev):
+        row_k = a[k]
+        p = row_k[k]
+        for row_i in a[k + 1:]:
+            c = row_i[k]
+            for j in range(k + 1, len(row_k)):
+                row_i[j] = self.div(self.reduce(_det2(p, row_i[j], c, row_k[j])), prev)
+
+    @staticmethod
+    def divisor(p):
+        return p
+
+    @staticmethod
+    def div(a, p):
+        """a / p by long division; each quotient coefficient is the exact
+        quotient of a remainder's leading coefficient by p's."""
+        dp, lc, rem = len(p) - 1, p[-1], list(a)
+        q = [0] * max(0, len(rem) - dp)
+        for k in reversed(range(len(q))):
+            q[k] = c = _exact(rem[k + dp], lc)
+            if c:
+                for i in range(dp):
+                    rem[k + i] -= c * p[i]
+        if any(rem[:dp]):
+            raise ArithmeticError("inexact division in Bareiss elimination")
+        return _trim(q)
+
+
+# ---------------------------------------------------------------------------
 # The field Q(cos(pi/n))
 # ---------------------------------------------------------------------------
 
@@ -418,57 +526,220 @@ def chebyshev(r: int) -> Poly:
     return t1
 
 
+# The largest degree [Q(cos(pi/n)) : Q] the package computes in.  Each
+# pivot the elimination divides by costs O(d^3) big-int steps: a 6 x 6
+# cosine matrix over Q(cos(pi/257)), degree 128, takes about 13 s, and a
+# 4 x 4 one of degree 179 about 34 s (README).
+MAX_FIELD_DEGREE = 128
+
+
+def _primes(m: int) -> list:
+    """The distinct prime factors of m >= 1."""
+    out, p = [], 2
+    while p * p <= m:
+        if m % p == 0:
+            out.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    return out + [m] * (m > 1)
+
+
+def field_degree(n: int) -> int:
+    """[Q(cos(pi/n)) : Q]: phi(2n)/2, or 1 for n = 1."""
+    phi = 2 * n
+    for p in _primes(2 * n):
+        phi = phi // p * (p - 1)
+    return max(1, phi // 2)
+
+
+@lru_cache(maxsize=None)
+def _psi(n: int) -> tuple:
+    """The minimal polynomial psi_n of x = 2cos(pi/n), monic with integer
+    coefficients.  x = z + 1/z for z = exp(i pi/n), a primitive 2n-th root
+    of unity, so z^-d Phi_2n(z) = psi_n(z + 1/z), d = phi(2n)/2: Phi_2n is
+    palindromic, and z^k + z^-k = C_k(z + 1/z) for C_0 = 2, C_1 = x,
+    C_(k+1) = x C_k - C_(k-1).  Phi_2n is the product of (z^(2n/s) - 1)^mu(s)
+    over the square-free s dividing 2n.  ValueError past MAX_FIELD_DEGREE."""
+    d = field_degree(n)
+    if d > MAX_FIELD_DEGREE:
+        raise ValueError(f"Q(cos(pi/{n})) has degree {d}; exact arithmetic "
+                         f"takes degree at most {MAX_FIELD_DEGREE}")
+    if n == 1:
+        return (2, 1)  # 2cos(pi) = -2
+    m, phi, divide = 2 * n, [1], []
+    primes = _primes(m)
+    for k in range(len(primes) + 1):
+        for s in itertools.combinations(primes, k):
+            e = m // math.prod(s)
+            if k % 2:
+                divide.append(e)
+            else:  # times z^e - 1
+                phi = [-c for c in phi] + [0] * e
+                for i, c in enumerate(phi[:-e]):
+                    phi[i + e] -= c
+    for e in divide:  # exactly: q_i = q_(i-e) - p_i
+        q = [0] * (len(phi) - e)
+        for i in range(len(q)):
+            q[i] = (q[i - e] if i >= e else 0) - phi[i]
+        phi = q
+    psi, c0, c1 = [phi[d]] + [0] * d, [2], [0, 1]
+    for k in range(1, d + 1):
+        for i, c in enumerate(c1):
+            psi[i] += phi[d + k] * c
+        c2 = [0] + c1
+        for i, c in enumerate(c0):
+            c2[i] -= c
+        c0, c1 = c1, c2
+    return tuple(psi)
+
+
 @lru_cache(maxsize=None)
 def minimal_polynomial(n: int) -> Poly:
-    """The monic minimal polynomial of cos(pi/n) over Q.
+    """The monic minimal polynomial of cos(pi/n) over Q: 2^-d psi_n(2t)."""
+    psi = _psi(n)
+    d = len(psi) - 1
+    return Poly([Fraction(c, 2 ** (d - i)) for i, c in enumerate(psi)])
 
-    The roots of T_n + 1 are the cos(k pi/n) with k odd, and cos(k pi/n) is
-    a conjugate of cos(pi/e) for e = n/gcd(k, n), a divisor of n with n/e
-    odd.  So the square-free part of T_n + 1 is the product of the minimal
-    polynomials of those cos(pi/e); dividing out every e < n leaves n's.
-    """
-    p = (chebyshev(n) + 1).square_free_part()
-    for e in range(1, n):
-        if n % e == 0 and (n // e) % 2:
-            p = p.exact_div(minimal_polynomial(e))
-    return p
+
+class _CyclotomicInts(_IntPolys):
+    """Z[x]/psi_n, x = 2cos(pi/n), for `_bareiss` and `RealCyclotomic`:
+    int tuples of length below d = deg psi_n, which is monic, so
+    reducing never divides."""
+
+    def __init__(self, n: int):
+        self.psi = _psi(n)
+        self.d = len(self.psi) - 1
+
+    def reduce(self, cs) -> tuple:
+        cs, psi, d = list(cs), self.psi, self.d
+        for i in range(len(cs) - 1, d - 1, -1):
+            q = cs[i]
+            if q:
+                for j in range(d):
+                    cs[i - d + j] -= q * psi[j]
+        return _trim(cs[:d])
+
+    def divisor(self, p):
+        """(u, D) with p u = D, a nonzero int (u None for a constant p).
+        D is +-N(p), the determinant of p's multiplication matrix M, and u
+        solves M u = D e_0: fraction-free elimination of [M | e_0] leaves
+        D on the last pivot (Bareiss 1968), and D u is then integral, so
+        back substitution divides exactly."""
+        if len(p) == 1:
+            return None, p[0]
+        d, psi = self.d, self.psi
+        col, cols = list(p) + [0] * (d - len(p)), []
+        for _ in range(d):  # x^j p, j = 0..d-1
+            cols.append(col)
+            top, col = col[-1], [0] + col[:-1]
+            if top:
+                col = [c - top * s for c, s in zip(col, psi)]
+        a = [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
+        prev = 1
+        for k in range(d):
+            if not a[k][k]:
+                s = next(i for i in range(k + 1, d) if a[i][k])
+                a[k], a[s] = a[s], a[k]
+            row_k = a[k]
+            pivot, tail = row_k[k], row_k[k + 1:]
+            for row_i in a[k + 1:]:
+                aik = row_i[k]
+                row_i[k + 1:] = [(pivot * x - aik * y) // prev
+                                 for x, y in zip(row_i[k + 1:], tail)]
+            prev = pivot
+        u = [0] * d
+        for i in reversed(range(d)):  # a[i][i] u_i = D b_i - sum a[i][j] u_j
+            row = a[i]
+            u[i] = (prev * row[d] - sum(map(operator.mul, row[i + 1:d], u[i + 1:]))) // row[i]
+        return _trim(u), prev
+
+    def div(self, a, divisor):
+        u, d = divisor
+        return tuple(_exact(c, d) for c in (a if u is None else self.reduce(_mul(a, u))))
+
+
+_field = lru_cache(maxsize=None)(_CyclotomicInts)
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_row(k: int, n: int) -> tuple:
+    """C_k(x) = 2cos(k pi/n) in Z[x]/psi_n."""
+    f = _field(n)
+    c0, c1 = f.reduce([2]), f.reduce([0, 1])
+    for _ in range(k):
+        c0, c1 = c1, f.reduce(_det2(c1, (0, 1), c0, (1,)))
+    return c0
+
+
+def _roots_above(cs, a: int, b: int) -> int:
+    """The number of roots above a/b, b > 0, of a polynomial with integer
+    coefficients cs whose roots are all real and none is a/b: the sign
+    variations of b^deg p((a + z)/b) in z.  Descartes' rule of signs is
+    exact for a polynomial with real roots only."""
+    g, bk = [cs[-1]], 1
+    for c in reversed(cs[:-1]):
+        bk *= b
+        g = [a * g[0] + c * bk] + [a * g[i] + g[i - 1] for i in range(1, len(g))] + [g[-1]]
+    signs = [c > 0 for c in g if c]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 @lru_cache(maxsize=None)
 def _cos_pi_interval(n: int) -> RootInterval:
     """An isolating interval of cos(pi/n), n >= 4: a window around binary64's
-    cos(pi/n), halved until it holds exactly one root of the minimal
-    polynomial f and none lies above it.  cos(pi/n) is the largest of its
-    conjugates cos(k pi/n), k odd, so that root is cos(pi/n); f is
-    irreducible of degree >= 2, so no rational endpoint is a root."""
-    f = minimal_polynomial(n)
+    cos(pi/n), halved until psi_n, whose roots 2cos(k pi/n), k odd, are all
+    real, has exactly one root above twice its lower end and none above
+    twice its upper end.  cos(pi/n) is the largest of its conjugates, so
+    that root is 2cos(pi/n); psi_n is irreducible of degree >= 2, so no
+    rational endpoint is a root."""
+    psi = _psi(n)
     c, w = Fraction(math.cos(math.pi / n)), Fraction(1, 2 ** 20)
     while w >= Fraction(1, 2 ** 60):
         lo, hi = c - w, c + w
-        if sturm_count(f, lo, hi) == 1 and sturm_count(f, hi) == 0:
+        if (_roots_above(psi, 2 * lo.numerator, lo.denominator) == 1
+                and _roots_above(psi, 2 * hi.numerator, hi.denominator) == 0):
             return RootInterval(lo, hi, False)
         w /= 2
     raise ArithmeticError(f"no isolating interval for cos(pi/{n})")
 
 
 class RealCyclotomic:
-    """Element p(c) of the field Q(cos(pi/n)), c = cos(pi/n).
+    """Element row(x)/den of the field Q(cos(pi/n)), x = 2cos(pi/n).
 
-    p is a Poly over Q in c of degree below that of f, c's minimal (so
-    irreducible) polynomial, reduced modulo f when it reaches f's degree:
-    p(c) = 0 only for p = 0.  Elements with different n meet in the field
-    of lcm(n, n'), since cos(pi/n) = T_{m/n}(cos(pi/m)) for n dividing m.
-    Equal to the Fraction of the same value; unhashable, since one value
-    has a representation in every field above its own.
+    row holds the integer coefficients of a polynomial of degree below d =
+    deg psi_n, reduced modulo psi_n, x's minimal polynomial, and den > 0 is
+    coprime to them: each value has one representation, and row(x) = 0 only
+    for row = ().  `RealCyclotomic(poly, n)` takes a Poly in cos(pi/n), and
+    `poly` gives that form back.  Elements with different n meet in the
+    field of lcm(n, n'), since 2cos(pi/n) = C_(m/n)(2cos(pi/m)) for n
+    dividing m.  Equal to the Fraction of the same value; unhashable, since
+    one value has a representation in every field above its own.
     """
 
-    __slots__ = ("poly", "n", "_inverse")  # the third is set by `inverse`
+    __slots__ = ("row", "den", "n", "_poly")  # the last is set by `poly`
 
     def __init__(self, poly: Poly, n: int):
-        f = minimal_polynomial(n)
-        if poly.degree >= f.degree:
-            poly = poly.divmod(f)[1]
-        object.__setattr__(self, "poly", poly)
+        # c^i = x^i / 2^i
+        den = math.lcm(*[c.denominator << i for i, c in enumerate(poly.coeffs)])
+        row = [c.numerator * (den // (c.denominator << i)) for i, c in enumerate(poly.coeffs)]
+        self._set(_field(n).reduce(row), den, n)
+
+    @classmethod
+    def _of(cls, row, den: int, n: int) -> "RealCyclotomic":
+        x = object.__new__(cls)
+        x._set(row, den, n)
+        return x
+
+    @classmethod
+    def _rational(cls, r, n: int) -> "RealCyclotomic":
+        return cls._of((r.numerator,), r.denominator, n)
+
+    def _set(self, row, den: int, n: int):
+        row = _trim(row)
+        g = math.gcd(den, *row) * (1 if den > 0 else -1)
+        object.__setattr__(self, "row", tuple(c // g for c in row))
+        object.__setattr__(self, "den", den // g)
         object.__setattr__(self, "n", n)
 
     def __setattr__(self, *a):  # immutable
@@ -477,69 +748,76 @@ class RealCyclotomic:
     __delattr__ = __setattr__
     __hash__ = None
 
+    @property
+    def poly(self) -> Poly:
+        """The element as a Poly over Q in c = cos(pi/n)."""
+        try:
+            return self._poly
+        except AttributeError:
+            p = Poly([Fraction(a << i, self.den) for i, a in enumerate(self.row)])
+            object.__setattr__(self, "_poly", p)
+            return p
+
     def lift(self, m: int) -> "RealCyclotomic":
         """The same number in Q(cos(pi/m)), for m a multiple of n."""
         if m == self.n:
             return self
-        return RealCyclotomic(self.poly(chebyshev(m // self.n)), m)
+        f, x = _field(m), _chebyshev_row(m // self.n, m)
+        acc = ()
+        for a in reversed(self.row):  # Horner in Z[x]/psi_m
+            acc = f.reduce(_det2(acc, x, (-a,), (1,)))
+        return RealCyclotomic._of(acc, self.den, m)
 
-    def _polys(self, other):
-        """(n, p, q): self and other as polynomials in one cos(pi/n)."""
+    def _pair(self, other):
+        """(n, (row, den) of self, (row, den) of other) in one field."""
         if isinstance(other, RealCyclotomic):
             if other.n == self.n:
-                return self.n, self.poly, other.poly
+                return self.n, (self.row, self.den), (other.row, other.den)
             m = math.lcm(self.n, other.n)
-            return m, self.lift(m).poly, other.lift(m).poly
+            a, b = self.lift(m), other.lift(m)
+            return m, (a.row, a.den), (b.row, b.den)
         if isinstance(other, (int, Fraction)):
-            return self.n, self.poly, Poly.constant(other)
+            return self.n, (self.row, self.den), ((other.numerator,), other.denominator)
         raise TypeError(type(other).__name__)
 
+    def _sum(self, other, sign: int):
+        n, (a, da), (b, db) = self._pair(other)
+        out = [x * db for x in a] + [0] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            out[i] += sign * y * da
+        return RealCyclotomic._of(out, da * db, n)
+
     def __add__(self, other):
-        n, p, q = self._polys(other)
-        return RealCyclotomic(p + q, n)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RealCyclotomic(-self.poly, self.n)
+        return RealCyclotomic._of([-c for c in self.row], self.den, self.n)
 
     def __sub__(self, other):
-        n, p, q = self._polys(other)
-        return RealCyclotomic(p - q, n)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        n, p, q = self._polys(other)
-        return RealCyclotomic(q - p, n)
+        return -self._sum(other, -1)
 
     def __mul__(self, other):
-        n, p, q = self._polys(other)
-        return RealCyclotomic(p * q, n)
+        n, (a, da), (b, db) = self._pair(other)
+        return RealCyclotomic._of(_field(n).reduce(_mul(a, b)), da * db, n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RealCyclotomic":
-        """By the extended Euclidean algorithm on p and the minimal
-        polynomial f, which is irreducible: s p = r modulo f throughout,
-        and the last nonzero remainder r is a constant.  Kept on the
-        element: elimination divides a whole step by one pivot."""
-        try:
-            return self._inverse
-        except AttributeError:
-            pass
-        r0, r1 = minimal_polynomial(self.n), self.poly
-        s0, s1 = Poly(), Poly.constant(1)
-        if r1.is_zero():
+        """den u / D, for (u, D) the elimination's divisor of the row:
+        row u = D."""
+        if not self.row:
             raise ZeroDivisionError("inverse of zero")
-        while r1.degree > 0:
-            q, r = r0.divmod(r1)
-            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
-        inverse = RealCyclotomic(s1 * (1 / r1.coeffs[0]), self.n)
-        object.__setattr__(self, "_inverse", inverse)
-        return inverse
+        u, d = _field(self.n).divisor(self.row)
+        return RealCyclotomic._of([self.den * c for c in (u or (1,))], d, self.n)
 
     def __truediv__(self, other):
         if not isinstance(other, RealCyclotomic):
-            other = RealCyclotomic(Poly.constant(other), self.n)
+            other = RealCyclotomic._rational(other, self.n)
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -547,37 +825,40 @@ class RealCyclotomic:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, RealCyclotomic)):
-            _, p, q = self._polys(other)
-            return p == q
+            _, p, q = self._pair(other)
+            return p == (_trim(q[0]), q[1])
         return NotImplemented
 
     def sign(self) -> int:
-        """Exact sign.  With p cleared to integer coefficients c_i, c's
-        isolating interval (lo, hi) is halved on the sign of f until
-        |p(mid)| > L (hi - lo) / 2, L = sum i |c_i| R^(i-1) >= |p'| on
-        [-R, R], R = max(1, -lo, hi): by the mean value theorem p(c) then
-        has p(mid)'s sign.  It ends, since p(c) != 0."""
-        p = self.poly
-        if p.degree <= 0:
-            return _sign(p.coeffs[0]) if p.coeffs else 0
-        cs = _integer_coeffs(p)
-        f = _integer_coeffs(minimal_polynomial(self.n))
+        """Exact sign.  With x's isolating interval (l, h)/B, the interval
+        is halved on the sign of psi_n until |p(mid)| > L (h - l)/(2B),
+        L = sum i |c_i| R^(i-1) >= |p'| on [-R, R], R = max(1, -l/B, h/B)
+        rounded up: by the mean value theorem p(x) then has p(mid)'s sign.
+        It ends, since p(x) != 0."""
+        cs = self.row
+        if len(cs) <= 1:
+            return _sign(cs[0]) if cs else 0
+        psi = _psi(self.n)
         lo, hi, _ = _cos_pi_interval(self.n)
-        r = max(1, -lo, hi)
+        b = max(lo.denominator, hi.denominator)  # powers of two
+        l, h = (2 * e.numerator * (b // e.denominator) for e in (lo, hi))
+        r = max(1, -(-max(-l, h) // b))
         # from i = 1: at i = 0, an int r would give the float r ** -1
         bound = sum(i * abs(c) * r ** (i - 1) for i, c in enumerate(cs[1:], 1))
-        f_lo = _sign(_int_value(f, *lo.as_integer_ratio()))
+        f_lo = _sign(_int_value(psi, l, b))
         while True:
-            mid = (lo + hi) / 2
-            a, b = mid.as_integer_ratio()
-            v = _int_value(cs, a, b)  # b^d p(mid), d = deg p
-            if 2 * abs(v) > bound * (hi - lo) * b ** p.degree:
+            s, b = l + h, 2 * b  # mid = s / b
+            v = _int_value(cs, s, b)  # b^k p(mid), k = deg p
+            if abs(v) * b > bound * (h - l) * b ** (len(cs) - 1):
                 return _sign(v)
-            lo, hi = (mid, hi) if _sign(_int_value(f, a, b)) == f_lo else (lo, mid)
+            l, h = (s, 2 * h) if _sign(_int_value(psi, s, b)) == f_lo else (2 * l, s)
 
     def __float__(self):
-        # p evaluated exactly at binary64's cos(pi/n), then rounded once
-        return float(self.poly(Fraction(math.cos(math.pi / self.n))))
+        # p evaluated exactly at twice binary64's cos(pi/n), then rounded once
+        if not self.row:
+            return 0.0
+        a, b = math.cos(math.pi / self.n).as_integer_ratio()
+        return _int_value(self.row, 2 * a, b) / (self.den * b ** (len(self.row) - 1))
 
     def __repr__(self):
         return f"RealCyclotomic({self.poly!r}, {self.n})"
@@ -588,10 +869,11 @@ def cos_pi(q: Fraction):
     """cos(q pi) exactly: a Fraction when the value is rational, else an
     element of Q(cos(pi/n)) for n the denominator of q."""
     n = q.denominator
-    x = RealCyclotomic(chebyshev(abs(q.numerator) % (2 * n)), n)
-    if x.poly.degree > 0:
+    k = abs(q.numerator) % (2 * n)
+    x = RealCyclotomic._of(_chebyshev_row(min(k, 2 * n - k), n), 2, n)
+    if len(x.row) > 1:
         return x
-    return x.poly.coeffs[0] if x.poly.coeffs else Fraction(0)
+    return Fraction(x.row[0], x.den) if x.row else Fraction(0)
 
 
 def sign(x) -> int:
@@ -605,11 +887,30 @@ def sign(x) -> int:
 
 _RING_RATIONAL = "Q"
 _RING_POLY = "Q[t]"
+_INTEGERS, _INT_POLYS = _Integers(), _IntPolys()
+
+
+def _parts(e) -> tuple:
+    """(integer numerators, denominator) of a rational, a Poly or a field
+    element: an element of Z, Z[t] or Z[x]/psi_n over an int."""
+    if isinstance(e, RealCyclotomic):
+        return e.row, e.den
+    if isinstance(e, Poly):
+        den = math.lcm(*[c.denominator for c in e.coeffs])
+        return tuple(c.numerator * (den // c.denominator) for c in e.coeffs), den
+    return e.numerator, e.denominator
 
 
 class ExactMatrix:
     """Square matrix over Q, Q[t] or Q(cos(pi/n)); rationals are coerced
-    up, and field entries of different n are lifted to their lcm."""
+    up, and field entries of different n are lifted to their lcm.  The
+    field's degree is checked before anything is lifted (ValueError past
+    MAX_FIELD_DEGREE).
+
+    The elimination runs on L A, L the lcm of the entries' denominators,
+    on ints, over Z, Z[t] or Z[x]/psi_n: a minor of order k of L A is L^k
+    times A's.  For a cosine matrix L is 2, since 2cos(k pi/n) = C_k(x).
+    """
 
     def __init__(self, rows):
         rows = [list(r) for r in rows]
@@ -621,17 +922,25 @@ class ExactMatrix:
         if any(isinstance(e, Poly) for e in entries):
             if ns:
                 raise RingMismatchError("polynomial and field entries mixed")
-            ring = _RING_POLY
+            ring, domain = _RING_POLY, _INT_POLYS
             rows = [[e if isinstance(e, Poly) else Poly.constant(e) for e in r]
                     for r in rows]
+            self._element = lambda a, den: Poly([Fraction(c, den) for c in a])
         elif ns:
             m = math.lcm(*ns)
-            ring = f"Q(cos(pi/{m}))"
+            ring, domain = f"Q(cos(pi/{m}))", _field(m)
             rows = [[e.lift(m) if isinstance(e, RealCyclotomic)
-                     else RealCyclotomic(Poly.constant(e), m) for e in r] for r in rows]
+                     else RealCyclotomic._rational(e, m) for e in r] for r in rows]
+            self._element = lambda a, den: RealCyclotomic._of(a, den, m)
         else:
-            ring = _RING_RATIONAL
+            ring, domain = _RING_RATIONAL, _INTEGERS
             rows = [[frac(e) for e in r] for r in rows]
+            self._element = Fraction
+        parts = [[_parts(e) for e in r] for r in rows]
+        self._den = den = math.lcm(*[q for r in parts for _, q in r])
+        self._ints = [[a * (den // q) if isinstance(a, int) else tuple(c * (den // q) for c in a)
+                       for a, q in r] for r in parts]
+        self._domain = domain
         self.n = n
         self.rows = tuple(tuple(r) for r in rows)
         self.ring = ring
@@ -656,44 +965,51 @@ class ExactMatrix:
     def minor(self, rows: Sequence[int], cols: Sequence[int]):
         """Determinant of the submatrix on these row and column indices,
         by the same elimination as `det`; the empty minor is 1."""
-        sub = [[self.rows[i][j] for j in cols] for i in rows]
-        return _bareiss(sub)[0]
+        sub = [[self._ints[i][j] for j in cols] for i in rows]
+        return self._element(_bareiss(sub, self._domain)[0], self._den ** len(sub))
 
     @cached_property
     def _elimination(self):
-        return _bareiss(self.rows)
+        det, minors = _bareiss(self._ints, self._domain)
+        if minors is not None:
+            minors = [self._element(d, self._den ** k) for k, d in enumerate(minors, 1)]
+        return self._element(det, self._den ** self.n), minors
 
 
-def _bareiss(rows):
-    """(determinant, leading principal minors or None) of a square matrix."""
+def int_det(rows) -> int:
+    """Determinant of a square integer matrix: the elimination over Z."""
+    return _bareiss(rows, _INTEGERS)[0]
+
+
+def _bareiss(rows, ring):
+    """(determinant, leading principal minors or None) of a square matrix
+    over Z (`_INTEGERS`), Z[t] (`_INT_POLYS`) or Z[x]/psi_n (`_field(n)`).
+    Each step's quotient by the previous pivot is a minor of the matrix, so
+    it lies in the ring; a remainder other than zero raises
+    ArithmeticError."""
     n = len(rows)
     a = [list(r) for r in rows]
     if n == 0:
-        return Fraction(1), []
-    zero = a[0][0] * 0
+        return ring.one, []
     sign = 1
-    prev = None
+    prev = ring.divisor(ring.one)
     minors = []
     for k in range(n - 1):
-        if a[k][k] == 0:
+        if not a[k][k]:
             minors = None
             for i in range(k + 1, n):
-                if a[i][k] != 0:
+                if a[i][k]:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                return zero, None
+                return ring.zero, None
         elif minors is not None:
             minors.append(a[k][k])
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else num / prev
-            a[i][k] = zero
-        prev = a[k][k]
+        ring.step(a, k, prev)
+        if k < n - 2:  # the last step divides by nothing
+            prev = ring.divisor(a[k][k])
     d = a[n - 1][n - 1]
     if minors is not None:
         minors.append(d)
-    return (d if sign == 1 else -d), minors
-
+    return (d if sign == 1 else ring.neg(d)), minors

@@ -37,6 +37,8 @@ from itertools import accumulate, combinations, permutations, product
 from operator import le, mul, sub
 from typing import Optional, Sequence
 
+from .exactmath import int_det
+
 
 class EuclideanSimplex:
     """d+1 vertices in R^d, held as integer rows over one positive
@@ -85,7 +87,7 @@ class EuclideanSimplex:
         """Exact volume |det(v_i - v_0)| / d!: the differences of the
         integer rows scale the determinant by den^d."""
         r0, *rest = self.rows
-        det = _int_det([[a - b for a, b in zip(r, r0)] for r in rest])
+        det = int_det([[a - b for a, b in zip(r, r0)] for r in rest])
         return Fraction(abs(det), self.den ** self.dim * math.factorial(self.dim))
 
 
@@ -182,7 +184,7 @@ def facets(rows) -> tuple:
     for k, v in enumerate(rows):
         base, *others = [r for j, r in enumerate(rows) if j != k]
         diffs = [[x - y for x, y in zip(r, base)] for r in others]
-        a = [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in diffs])
+        a = [(-1) ** j * int_det([r[:j] + r[j + 1:] for r in diffs])
              for j in range(len(base))]
         b = sum(map(mul, a, base))
         if sum(map(mul, a, v)) > b:
@@ -262,26 +264,6 @@ def generate_h2_h1_tiles(d: int, m: int) -> list:
 # ---------------------------------------------------------------------------
 # Exact volumes and congruence
 # ---------------------------------------------------------------------------
-
-
-def _int_det(rows) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination; every division is exact, so everything stays an int."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1] if n else 1
 
 
 def _squared_distances(rows) -> list:

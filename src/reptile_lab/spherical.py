@@ -25,9 +25,10 @@ import math
 import operator
 from fractions import Fraction
 from itertools import count
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .angles import RelationSet
+if TYPE_CHECKING:  # an annotation only: the tiling search loads no exact core
+    from .angles import RelationSet
 
 
 def _require_exact(angles: Sequence[Fraction]) -> None:

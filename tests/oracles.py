@@ -6,7 +6,8 @@ layer on vertex tuples (group test, orbit search, Burnside count, cyclic
 and small subgroups) that checks `KnTables.orbits`, richness read from a
 diagram's labels, the position-tuple form of `pair_canonical`, `QuadExt`,
 the closed-form quadratic fields Q(sqrt m) that check `RealCyclotomic` for
-n = 4, 6 and 5, spherical-triangle validity in Fraction arithmetic and its
+n = 4, 6 and 5, the former `Fraction`-polynomial field Q(cos(pi/n)) and its
+Bareiss elimination, which check the integer rows, spherical-triangle validity in Fraction arithmetic and its
 sort-free reference over a beta interval, the mirror triangles of the reflection
 groups A3, B3 and H3 and the bisector family, targets known to be tiled
 without asking the tiling search, the depth of the overlap of two
@@ -23,12 +24,13 @@ import itertools
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from reptile_lab import sphgeo
 from reptile_lab.coxeter import ConsistencyError, kn_tables, orbits
-from reptile_lab.exactmath import (ExactMatrix, Poly, RingMismatchError, RootInterval,
+from reptile_lab.exactmath import (ExactMatrix, Poly, RingMismatchError, RootInterval, chebyshev,
                                    cos_pi, isolate_roots, minimal_polynomial, sturm_chain)
 from reptile_lab.hill import EuclideanSimplex
 from reptile_lab.spherical import is_valid
@@ -562,6 +564,121 @@ def in_field(x):
         return x
     k, q, s = SQRT_AS_COSINE[x.m]
     return x.a + x.b * (k * cos_pi(q) + s)
+
+
+@lru_cache(maxsize=None)
+def minimal_polynomial_reference(n: int) -> Poly:
+    """The package's former monic minimal polynomial of cos(pi/n) over Q.
+
+    The roots of T_n + 1 are the cos(k pi/n) with k odd, and cos(k pi/n) is
+    a conjugate of cos(pi/e) for e = n/gcd(k, n), a divisor of n with n/e
+    odd.  So the square-free part of T_n + 1 is the product of the minimal
+    polynomials of those cos(pi/e); dividing out every e < n leaves n's.
+    """
+    p = (chebyshev(n) + 1).square_free_part()
+    for e in range(1, n):
+        if n % e == 0 and (n // e) % 2:
+            p = p.exact_div(minimal_polynomial_reference(e))
+    return p
+
+
+class CyclotomicReference:
+    """The package's former element p(c) of Q(cos(pi/n)), c = cos(pi/n):
+    p a `Fraction`-coefficient Poly reduced modulo c's minimal polynomial,
+    inverses by the extended Euclidean algorithm.  The reference for the
+    integer rows of `RealCyclotomic`."""
+
+    __slots__ = ("poly", "n")
+
+    def __init__(self, poly: Poly, n: int):
+        f = minimal_polynomial_reference(n)
+        self.poly = poly.divmod(f)[1] if poly.degree >= f.degree else poly
+        self.n = n
+
+    @staticmethod
+    def of(x, n: int) -> "CyclotomicReference":
+        """A rational, a `RealCyclotomic` or a reference element, lifted to n."""
+        if isinstance(x, (int, Fraction)):
+            return CyclotomicReference(Poly.constant(x), n)
+        return CyclotomicReference(x.poly, x.n).lift(n)
+
+    def lift(self, m: int) -> "CyclotomicReference":
+        if m == self.n:
+            return self
+        return CyclotomicReference(self.poly(chebyshev(m // self.n)), m)
+
+    def _polys(self, other):
+        if isinstance(other, CyclotomicReference):
+            m = math.lcm(self.n, other.n)
+            return m, self.lift(m).poly, other.lift(m).poly
+        return self.n, self.poly, Poly.constant(other)
+
+    def __add__(self, other):
+        n, p, q = self._polys(other)
+        return CyclotomicReference(p + q, n)
+
+    def __sub__(self, other):
+        n, p, q = self._polys(other)
+        return CyclotomicReference(p - q, n)
+
+    def __mul__(self, other):
+        n, p, q = self._polys(other)
+        return CyclotomicReference(p * q, n)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+    def __neg__(self):
+        return CyclotomicReference(-self.poly, self.n)
+
+    def inverse(self) -> "CyclotomicReference":
+        r0, r1 = minimal_polynomial_reference(self.n), self.poly
+        s0, s1 = Poly(), Poly.constant(1)
+        if r1.is_zero():
+            raise ZeroDivisionError("inverse of zero")
+        while r1.degree > 0:
+            q, r = r0.divmod(r1)
+            r0, r1, s0, s1 = r1, r, s1, s0 - q * s1
+        return CyclotomicReference(s1 * (1 / r1.coeffs[0]), self.n)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def __eq__(self, other):
+        _, p, q = self._polys(other)
+        return p == q
+
+
+def bareiss_reference(rows):
+    """(determinant, leading principal minors or None) by the package's
+    former elimination over ring elements that divide with `/`: Fractions,
+    Polys (exact division) or `CyclotomicReference`s."""
+    n = len(rows)
+    a = [list(r) for r in rows]
+    if n == 0:
+        return Fraction(1), []
+    zero = a[0][0] * 0
+    sign, prev, minors = 1, None, []
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            minors = None
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return zero, None
+        elif minors is not None:
+            minors.append(a[k][k])
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
+                a[i][j] = num if prev is None else num / prev
+        prev = a[k][k]
+    d = a[n - 1][n - 1]
+    if minors is not None:
+        minors.append(d)
+    return (d if sign == 1 else -d), minors
 
 
 def validity_failure_reference(angles, strict: bool):

@@ -97,6 +97,14 @@ class TestParse:
         with pytest.raises(ValueError, match="bad angle term"):
             parse_angle(text)
 
+    @pytest.mark.parametrize("text", ["\u00a0beta\u00a0", "\u20031/2 pi", "1/2 pi\u2003",
+                                      "\u00a0-1/2 pi"])
+    def test_rejects_spaces_outside_ascii(self, text):
+        # around a literal as inside a term, only ASCII whitespace is space
+        with pytest.raises(ValueError, match="bad angle term"):
+            parse_angle(text)
+        assert parse_angle(" \t" + text.strip() + "\n") == parse_angle(text.strip())
+
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(st.one_of(near_literals(), st.text(max_size=10)))
     def test_near_literals_round_trip_or_raise_value_error(self, text):

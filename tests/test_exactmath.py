@@ -1,13 +1,17 @@
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (QuadExt, field_sign_reference, in_field, isolate_roots_reference,
-                     sturm_count_reference)
+from oracles import (CyclotomicReference, QuadExt, bareiss_reference, field_sign_reference,
+                     in_field, isolate_roots_reference, sturm_count_reference)
 from reptile_lab import exactmath, fixtures
 from reptile_lab.exactmath import (ExactMatrix, Poly, RealCyclotomic, RingMismatchError,
                                    RootInterval, ZeroPolynomialError, cos_pi,
@@ -601,3 +605,174 @@ def test_sign_matches_mpmath():
             tiny += abs(v) < 1e-12
         assert x.sign() == (v > 0) - (v < 0)
     assert tiny >= 200
+
+
+# ---------------------------------------------------------------------------
+# Integer rows against the former Fraction-Poly field and elimination
+# ---------------------------------------------------------------------------
+
+# one field, or entries of two fields lifted to their lcm
+FIELD_CHOICES = [(n,) for n in range(4, 31)] + [(4, 5), (4, 6), (5, 6), (7, 4), (9, 2), (8, 3)]
+
+
+def random_entry(rng, ns):
+    """A zero-heavy element of one of the fields, now and then a rational."""
+    roll = rng.random()
+    if roll < 0.3:
+        return F(0)
+    if roll < 0.4:
+        return F(rng.randint(-5, 5), rng.randint(1, 4))
+    n = rng.choice(ns)
+    d = minimal_polynomial(n).degree
+    return RealCyclotomic(Poly([F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+                                for _ in range(rng.randint(1, d))]), n)
+
+
+def as_reference(x, n):
+    return CyclotomicReference.of(x, n)
+
+
+def assert_same(got, want, n):
+    if isinstance(want, CyclotomicReference):
+        assert isinstance(got, RealCyclotomic) and got.n == n
+        assert as_reference(got, n) == want
+    else:
+        assert got == want
+
+
+def test_field_elimination_matches_reference():
+    """det, leading_minors and minor over Q(cos(pi/n)), n <= 30, against the
+    former elimination on `Fraction`-coefficient polynomials in cos(pi/n)."""
+    rng = random.Random(40)
+    swaps = singular = 0
+    for case in range(160):
+        ns = rng.choice(FIELD_CHOICES)
+        k = rng.randint(1, 5)
+        rows = [[random_entry(rng, ns) for _ in range(k)] for _ in range(k)]
+        if k >= 3 and case % 4 == 0:  # a combination of two rows
+            a, b = random_entry(rng, ns), random_entry(rng, ns)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+        matrix = ExactMatrix(rows)
+        if matrix.ring == "Q":
+            continue
+        n = int(matrix.ring[len("Q(cos(pi/"):-2])
+        ref = [[as_reference(e, n) for e in r] for r in rows]
+        det, minors = bareiss_reference(ref)
+        assert_same(matrix.det(), det, n)
+        got = matrix.leading_minors()
+        assert (got is None) == (minors is None)
+        for g, w in zip(got or [], minors or []):
+            assert_same(g, w, n)
+        for _ in range(3):
+            size = rng.randint(0, k)
+            r, c = rng.sample(range(k), size), rng.sample(range(k), size)
+            want = bareiss_reference([[ref[i][j] for j in c] for i in r])[0]
+            assert_same(matrix.minor(r, c), want, n)
+        swaps += minors is None
+        singular += det == 0
+    assert swaps >= 30 and singular >= 20
+
+
+def test_polynomial_elimination_matches_reference():
+    """The same over Q[t], with rational coefficients."""
+    rng = random.Random(41)
+    for _ in range(120):
+        k = rng.randint(1, 5)
+        rows = [[Poly([F(rng.randint(-4, 4), rng.randint(1, 6)) * (rng.random() < 0.7)
+                       for _ in range(rng.randint(0, 3))]) for _ in range(k)] for _ in range(k)]
+        matrix = ExactMatrix(rows)
+        det, minors = bareiss_reference(rows)
+        assert matrix.det() == det
+        assert matrix.leading_minors() == minors
+        r, c = rng.sample(range(k), k - 1), rng.sample(range(k), k - 1)
+        assert matrix.minor(r, c) == bareiss_reference([[rows[i][j] for j in c] for i in r])[0]
+
+
+def test_field_arithmetic_matches_reference():
+    rng = random.Random(42)
+    for _ in range(300):
+        ns = rng.choice(FIELD_CHOICES)
+        x, y = random_entry(rng, ns), random_entry(rng, ns)
+        if not isinstance(x, RealCyclotomic):
+            continue
+        n = math.lcm(x.n, *([y.n] if isinstance(y, RealCyclotomic) else []))
+        rx, ry = as_reference(x, n), as_reference(y, n)
+        assert as_reference(x + y, n) == rx + ry
+        assert as_reference(x - y, n) == rx - ry and as_reference(y - x, n) == ry - rx
+        assert as_reference(x * y, n) == rx * ry
+        if y != 0:
+            assert as_reference(x / y, n) == rx / ry
+        if x != 0:
+            assert as_reference(x.inverse(), x.n) == as_reference(x, x.n).inverse()
+
+
+def test_case_c_elimination_makes_no_fraction(monkeypatch):
+    """The six case-c cosine matrices are built and eliminated, and their
+    minors signed, on ints: no `Fraction` is made."""
+    ids = [f"{key}-{i}" for key in ("quarter", "fifth") for i in (1, 2, 3)]
+    rows = [gram_from_diagram(fixtures.diagram(i)).rows for i in ids]
+    for r in rows:  # the fields' intervals are built once per process
+        ExactMatrix(r).det().sign()
+    made = []
+    new = F.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    assert F(1, 2) + F(1, 3) and made  # the count sees arithmetic
+    made.clear()
+    for r in rows:
+        matrix = ExactMatrix(r)
+        signs = [sign(d) for d in [matrix.det(), *(matrix.leading_minors() or [])]]
+        assert signs[0] != 0
+    assert made == []
+
+
+def test_inexact_division_raises_under_python_O():
+    """A remainder other than zero raises ArithmeticError, also where
+    `python -O` strips asserts: over Z ((2 - 1) / 2 in an elimination
+    step), Z[t] and Z[x]/psi_5, by a constant and by 2 + x, of norm 5."""
+    code = ("from reptile_lab import exactmath as em\n"
+            "f = em._field(5)\n"
+            "cases = [lambda: em._INTEGERS.step([[2, 1], [1, 1]], 0, 2),\n"
+            "         lambda: em._INT_POLYS.div((1, 1), (0, 2)),\n"
+            "         lambda: em._INT_POLYS.div((1, 0, 1), (1, 1)),\n"
+            "         lambda: f.div((1, 1), f.divisor((2,))),\n"
+            "         lambda: f.div((1,), f.divisor((2, 1)))]\n"
+            "for case in cases:\n"
+            "    try:\n"
+            "        case()\n"
+            "        print('quiet')\n"
+            "    except ArithmeticError:\n"
+            "        print('raised')\n"
+            "print(f.div((5,), f.divisor((2, 1))))\n")
+    src = str(pathlib.Path(exactmath.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.split("\n") == ["raised"] * 5 + ["(3, -1)", ""]
+
+
+# ---------------------------------------------------------------------------
+# The field's degree bound
+# ---------------------------------------------------------------------------
+
+def test_field_degree_is_euler_phi_over_two():
+    for n in range(1, 200):
+        assert exactmath.field_degree(n) == max(1, euler_phi(2 * n) // 2)
+    assert exactmath.field_degree(693) == 180 and exactmath.field_degree(2772) == 720
+
+
+def test_degree_bound_is_checked_before_lifting(monkeypatch):
+    # cos(pi/7), cos(3 pi/11), cos(2 pi/9) meet in Q(cos(pi/693)), of degree 180
+    def refuse(self, m):
+        raise AssertionError("lifted")
+
+    monkeypatch.setattr(RealCyclotomic, "lift", refuse)
+    entries = [cos_pi(F(1, 7)), cos_pi(F(3, 11)), cos_pi(F(2, 9))]
+    with pytest.raises(ValueError, match=r"^Q\(cos\(pi/693\)\) has degree 180; "):
+        ExactMatrix([entries, entries, entries])
+    assert exactmath.MAX_FIELD_DEGREE >= minimal_polynomial(127).degree == 63
+    with pytest.raises(ValueError, match="degree"):
+        cos_pi(F(1, 1009))

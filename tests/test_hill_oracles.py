@@ -7,8 +7,9 @@ the facets `facets` computes from the scaled simplex's rows; its oracle
 evaluates every inequality of a hand-written facet system on every vertex
 of every candidate tile.
 `EuclideanSimplex.volume` takes one integer determinant of the simplex's
-rows; `_int_det` is checked against the `Fraction` Bareiss determinant of
-`ExactMatrix`, and every tile's volume against the exact value 2 / (2^d d!).
+rows; `exactmath.int_det` is checked against the former `Fraction` Bareiss
+elimination (`oracles.bareiss_reference`), and every tile's volume against
+the exact value 2 / (2^d d!).
 """
 
 import math
@@ -18,8 +19,9 @@ from itertools import combinations, product
 
 import pytest
 
-from reptile_lab.exactmath import ExactMatrix
-from reptile_lab.hill import (EuclideanSimplex, LatticeTile, _int_det,
+from oracles import bareiss_reference
+from reptile_lab.exactmath import int_det
+from reptile_lab.hill import (EuclideanSimplex, LatticeTile,
                               congruent, facets, generate_h1_tiling,
                               generate_h2_h1_tiles, hill_simplex, lattice_tiles_in,
                               signed_perms)
@@ -218,7 +220,7 @@ def test_int_det_matches_exact_matrix():
         for _ in range(60):
             rows = [[rng.choice((0, 0, rng.randint(-9, 9))) for _ in range(n)]
                     for _ in range(n)]
-            assert _int_det(rows) == ExactMatrix(rows).det()
+            assert int_det(rows) == bareiss_reference([[F(c) for c in r] for r in rows])[0]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])

@@ -5,14 +5,15 @@ leading underscore is private to its module, and a caller in another module
 means the name belongs in the public interface.  No module holds an
 `assert` statement: consistency checks raise, since `python -O` strips
 asserts.  The `sphgeo` kernel
-imports only `math`, `hill` imports no sibling module, so the simplex format
-(integer rows over one denominator) stays behind one module, and no module
-imports numpy.  No module imports
+imports only `math`, `hill` imports no sibling module but `exactmath`, so the
+simplex format (integer rows over one denominator) stays behind one module,
+and no module imports numpy.  No module imports
 `dataclasses` either: it loads `inspect`, and its decorator generates and
 compiles the methods of each record at import, together about 45 ms of
 every command's start-up.  Records are plain classes with `__slots__` or
 `typing.NamedTuple`s, and importing the CLI loads neither `dataclasses` nor
-`inspect`.  The only function in `coxeter` that calls itself is
+`inspect`.  Importing `realize`, the tiling search, loads neither `angles`
+nor `exactmath`.  The only function in `coxeter` that calls itself is
 the walk of `coloring_search`: the enumerators are its clients and keep no
 recursion of their own.  In `scenarios`, only `final_case_analysis` and
 `case_a_enumeration` name `enumerate_diagrams`, so every endgame's diagram
@@ -101,7 +102,12 @@ def test_sphgeo_kernel_is_stdlib_math_only():
 
 
 def test_hill_imports_no_sibling_module():
-    assert not imported_modules(PACKAGE / "hill.py") & {".", "reptile_lab"}
+    # but the exact core: its determinant over Z is the one Bareiss
+    # elimination every exact matrix runs
+    tree = ast.parse((PACKAGE / "hill.py").read_text())
+    assert {node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level} == {"exactmath"}
+    assert "reptile_lab" not in imported_modules(PACKAGE / "hill.py")
 
 
 def test_no_module_imports_numpy():
@@ -117,6 +123,18 @@ def test_cli_and_scenarios_load_no_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_tiling_search_loads_no_exact_core():
+    # the search and verify paths run on floats and Fractions of pi; every
+    # interpreter that only searches tilings would compile `angles` and
+    # `exactmath` for nothing
+    code = ("import sys, reptile_lab.realize; "
+            "print(sorted(m for m in sys.modules if m.startswith('reptile_lab.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == str(["reptile_lab.realize", "reptile_lab.spherical",
+                                       "reptile_lab.sphgeo"])
 
 
 def test_no_module_imports_dataclasses():
@@ -318,6 +336,10 @@ KEPT = {
     # writes the format `from_fixture` reads; the enumerator's output is
     # pinned through it
     "coxeter.CoxeterDiagram.to_fixture",
+    # cos(pi/n)'s minimal polynomial over Q, the modulus of the form
+    # `RealCyclotomic.poly` is written in; the field itself reduces by
+    # psi_n(x) = 2^d f(x/2)
+    "exactmath.minimal_polynomial",
 }
 
 

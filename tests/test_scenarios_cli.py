@@ -12,9 +12,11 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from reptile_lab import cli, fixtures, scenarios
-from reptile_lab.angles import AngleForm
-from reptile_lab.coxeter import MAX_VERTICES, kn_tables, triangle_type_of
+from oracles import CyclotomicReference, bareiss_reference
+from reptile_lab import cli, exactmath, fixtures, scenarios
+from reptile_lab.angles import AngleForm, parse_angle
+from reptile_lab.coxeter import MAX_VERTICES, CoxeterDiagram, kn_tables, triangle_type_of
+from reptile_lab.exactmath import chebyshev
 from reptile_lab.scenarios import SCENARIOS, emit_figures, run_scenario
 
 
@@ -356,6 +358,20 @@ class TestCli:
         assert data["determinant"] == "RealCyclotomic(Poly(-1 + 1*t^2), 127)"
         assert data["determinant_float"] == pytest.approx(-math.sin(math.pi / 127) ** 2)
 
+    @pytest.mark.parametrize("names,labels,m,d", [
+        ("uvw", ["1/7 pi", "3/11 pi", "2/9 pi"], 693, 180),
+        ("uvwx", ["1/7 pi", "3/11 pi", "2/9 pi", "1/4 pi", "1/2 pi", "1/2 pi"], 2772, 720)])
+    def test_diagram_gram_past_the_degree_bound(self, tmp_path, names, labels, m, d):
+        # refused before any entry is lifted to the lcm field
+        edges = {f"{a},{b}": lit for (a, b), lit in zip(combinations(names, 2), labels)}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"vertices": list(names), "edges": edges}))
+        proc = _cli("diagram", str(path), "gram")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: Q(cos(pi/{m})) has degree {d}; exact arithmetic "
+                               f"takes degree at most {exactmath.MAX_FIELD_DEGREE}\n")
+
     def test_diagram_gram_names_the_label_without_exact_cosine(self):
         # case-a-1's labels in beta have a cosine only as a polynomial in
         # cos(beta), which the command does not ask for
@@ -375,6 +391,13 @@ class TestCli:
         assert proc.stdout == ""
         assert "zero denominator in angle term '1/0 pi'" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_tile_refuses_spaces_outside_ascii(self, capsys):
+        # the CLI splits at commas and leaves the stripping to parse_angle
+        assert cli.main(["tile", "1/4 pi, 1/3 pi,\t1/2 pi", "1/2 pi,1/2 pi,1/2 pi",
+                         "--node-budget", "5"]) in (0, 1)
+        assert cli.main(["tile", "1/4 pi,\u00a01/3 pi,1/2 pi", "1/2 pi,1/2 pi,1/2 pi"]) == 2
+        assert "bad angle term" in capsys.readouterr().err
 
     @pytest.mark.parametrize("role,tile,target", [
         ("tile", "1/2 pi,1/2 pi,1 pi", "1/4 pi,1/2 pi,2/3 pi"),
@@ -449,3 +472,136 @@ class TestCli:
     def test_unknown_scenario(self):
         proc = _cli("run", "nonsense")
         assert proc.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# diagram files through the CLI, fuzzed
+# ---------------------------------------------------------------------------
+
+_BAD_LABELS = st.sampled_from(["beta", "0 pi", "1 pi", "3/2 pi", "-1/3 pi", "1/0 pi", "pi",
+                               "", "1/2", "alpha+1/2 pi", "\u00a01/2 pi", 5, None])
+_FLAWS = st.sampled_from(["drop-edge", "unknown-end", "self-loop", "twice", "one-vertex",
+                          "vertex-twice", "edges-list", "top-list", "relations"])
+
+
+@st.composite
+def _diagram_files(draw):
+    """(file data, flaw): 2-6 vertices, labels p/q pi, 0 < p < q, over a
+    pool of one to three denominators q <= 12; in one file of four a bad
+    label, and in one of four a flaw of shape."""
+    names = list("uvwxyz"[:draw(st.integers(2, 6))])
+    pool = draw(st.lists(st.integers(2, 12), min_size=1, max_size=3))
+    edges = {}
+    for a, b in combinations(names, 2):
+        q = draw(st.sampled_from(pool))
+        edges[f"{a},{b}"] = f"{draw(st.integers(1, q - 1))}/{q} pi"
+    keys = list(edges)
+    if draw(st.integers(0, 3)) == 0:
+        edges[draw(st.sampled_from(keys))] = draw(_BAD_LABELS)
+    data, flaw = {"vertices": names, "edges": edges}, None
+    if draw(st.integers(0, 3)) == 0:
+        flaw = draw(_FLAWS)
+    if flaw == "drop-edge":
+        del edges[keys[0]]
+    elif flaw == "unknown-end":
+        edges["u,q"] = "1/2 pi"
+    elif flaw == "self-loop":
+        edges["v,v"] = "1/2 pi"
+    elif flaw == "twice":
+        edges[",".join(reversed(keys[0].split(",")))] = "1/3 pi"
+    elif flaw == "one-vertex":
+        data["vertices"] = names[:1]
+    elif flaw == "vertex-twice":
+        data["vertices"] = names + names[:1]
+    elif flaw == "edges-list":
+        data["edges"] = list(edges.items())
+    elif flaw == "top-list":
+        data = [data]
+    elif flaw == "relations":
+        data["relations"] = [["beta", "1/3 pi"]]
+    return data, flaw
+
+
+def _determinant_oracle(labels, n):
+    """repr of the determinant of the cosine matrix of an n-vertex diagram,
+    labels in edge order, by the former `Fraction`-polynomial field and
+    elimination; None past degree 16, where that is slow."""
+    qs = [parse_angle(lit).pi_fraction() for lit in labels]
+    fields = [q.denominator for q in qs if q.denominator > 3]
+    m = math.lcm(*fields)
+    if exactmath.field_degree(m) > 16:
+        return None
+
+    def cosine(q):
+        c = CyclotomicReference(chebyshev(abs(q.numerator)), q.denominator)
+        if q.denominator <= 3:  # rational
+            return c.poly.coeffs[0] if c.poly.coeffs else F(0)
+        return c.lift(m)
+
+    rows = [[F(-1) if i == j else None for j in range(n)] for i in range(n)]
+    for (i, j), q in zip(combinations(range(n), 2), qs):
+        rows[i][j] = rows[j][i] = cosine(q)
+    if fields:
+        rows = [[e if isinstance(e, CyclotomicReference) else CyclotomicReference.of(e, m)
+                 for e in r] for r in rows]
+        return f"RealCyclotomic({bareiss_reference(rows)[0].poly!r}, {m})"
+    return repr(bareiss_reference(rows)[0])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=_diagram_files(), action=st.sampled_from(["auts", "orbits", "gram"]))
+def test_diagram_command_on_near_valid_files(case, action, tmp_path_factory):
+    """`diagram FILE auts|orbits|gram` in process: exit 0 with one JSON
+    line, or exit 2 with one `error:` line; a file the degree bound refuses
+    names its field; a gram determinant equals the oracle's."""
+    data, flaw = case
+    path = tmp_path_factory.getbasetemp() / "fuzzed-diagram.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["diagram", str(path), action])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0 and err == "" and out.count("\n") == 1
+        json.loads(out)
+    labels = list(data["edges"].values()) if flaw is None else []
+    if action != "gram" or flaw is not None or not all(
+            isinstance(lit, str) and _valid_fraction_label(lit) for lit in labels):
+        return
+    n = len(data["vertices"])
+    m = math.lcm(*[parse_angle(lit).pi_fraction().denominator for lit in labels])
+    if exactmath.field_degree(m) > exactmath.MAX_FIELD_DEGREE:
+        assert code == 2 and " has degree " in err
+        return
+    assert code == 0
+    want = _determinant_oracle(labels, n)
+    if want is not None:
+        assert json.loads(out)["determinant"] == want
+
+
+def _valid_fraction_label(lit):
+    try:
+        q = parse_angle(lit).pi_fraction()
+    except ValueError:
+        return False
+    return q is not None and 0 < q < 1
+
+
+def test_each_catalog_diagram_is_built_once_per_run(monkeypatch):
+    """`fixtures.diagram` is cached: a run builds each catalog diagram it
+    asks for once."""
+    built = []
+    from_fixture = CoxeterDiagram.from_fixture
+
+    def counting(data):
+        built.append(json.dumps(data, sort_keys=True))
+        return from_fixture(data)
+
+    monkeypatch.setattr(CoxeterDiagram, "from_fixture", staticmethod(counting))
+    for name, count in (("case-c", 6), ("case-a", 5), ("two-indivisible", 6), ("three-dim", 4)):
+        fixtures.diagram.cache_clear()
+        built.clear()
+        run_scenario(name)
+        assert len(built) == len(set(built)) == count, name
