@@ -1,11 +1,13 @@
 """Exact arithmetic substrate.
 
-Rationals (stdlib Fraction), dense univariate polynomials over Q, Sturm-
-sequence real root counting / isolation, the one number field every
+Rationals (stdlib Fraction) and one polynomial form, an integer row over a
+positive denominator, for Q[t] and for the one number field every
 rational-angle cosine lives in, Q(cos(pi/n)) (cos(q pi) exactly for every
-rational q, as integer rows in x = 2cos(pi/n), signs by bisecting x's
-interval), and exact determinants of small matrices via fraction-free
-(Bareiss) elimination over Z, Z[t] and Z[x]/psi_n, on ints.
+rational q, as rows in x = 2cos(pi/n), signs by bisecting x's interval).
+On these rows: Sturm-sequence real root counting and isolation (square-
+free parts and chains by primitive pseudo-remainders), and exact
+determinants of small matrices via fraction-free (Bareiss) elimination
+over Z, Z[t] and Z[x]/psi_n.
 
 Everything here is immutable and pure; no rounding happens anywhere
 except in the explicitly numeric evaluation helpers.
@@ -43,60 +45,126 @@ def _sign(x) -> int:
 
 
 # ---------------------------------------------------------------------------
+# Integer rows
+# ---------------------------------------------------------------------------
+
+# A polynomial with integer coefficients is a tuple of ints in ascending
+# degree with no trailing zero, so zero is the falsy ().  An element of
+# Q[t] or of Q(cos(pi/n)) is such a row over one positive denominator.
+
+
+def _trim(cs) -> tuple:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _normal(row, den: int) -> tuple:
+    """(row, den) over their gcd with den > 0: one form for each value."""
+    row = _trim(row)
+    g = math.gcd(den, *row) * (1 if den > 0 else -1)
+    return tuple(c // g for c in row), den // g
+
+
+def _primitive(row) -> tuple:
+    """row over the gcd of its entries, a positive factor."""
+    g = math.gcd(*row)
+    return tuple(c // g for c in row)
+
+
+def _add(a, da: int, b, db: int, sign: int) -> tuple:
+    """(row, den) of a/da + sign b/db, not in normal form."""
+    out = [x * db for x in a] + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += sign * y * da
+    return out, da * db
+
+
+def _mul(a, b) -> list:
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _det2(a, b, c, e) -> list:
+    """a b - c e, untrimmed."""
+    out = _mul(a, b)
+    out += [0] * (len(c) + len(e) - len(out))
+    for i, x in enumerate(c):
+        if x:
+            for j, y in enumerate(e):
+                out[i + j] -= x * y
+    return out
+
+
+def _int_value(cs: Sequence[int], a: int, b: int) -> int:
+    """b^n p(a/b) for b > 0, n = deg p (p's sign at +-infinity for b = 0,
+    a = +-1), p given by its integer coefficients cs in ascending degree
+    (C. Yap, Fundamental Problems of Algorithmic Algebra, OUP 2000, ch. 7)."""
+    v, bk = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        bk *= b
+        v = v * a + c * bk
+    return v
+
+
+# ---------------------------------------------------------------------------
 # Polynomials over Q
 # ---------------------------------------------------------------------------
 
 
 class Poly:
-    """Dense univariate polynomial over Q, coefficients in ascending degree.
-
-    The zero polynomial has an empty coefficient tuple; otherwise the leading
-    coefficient is nonzero.
+    """Polynomial row(t)/den over Q: row holds integer coefficients in
+    ascending degree, den > 0 is coprime to them (the normal form of
+    `RealCyclotomic`), and the zero polynomial is the row ().
+    `Poly(coeffs)` takes ints and Fractions; `coeffs` gives them back as
+    Fractions.
     """
 
-    __slots__ = ("coeffs", "_sqf")  # the second is set by `_square_free_part`
+    __slots__ = ("row", "den", "_sqf")  # the last is set by `_square_free_part`
 
     def __init__(self, coeffs: Iterable[Union[int, Fraction]] = ()):
         cs = [frac(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        den = math.lcm(*[c.denominator for c in cs])
+        self._set([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _of(cls, row, den: int) -> "Poly":
+        p = object.__new__(cls)
+        p._set(row, den)
+        return p
+
+    def _set(self, row, den: int):
+        row, den = _normal(row, den)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("Poly is immutable")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly([frac(c)])
-
-    @staticmethod
-    def x() -> "Poly":
-        return Poly([0, 1])
-
-    # -- basic structure ---------------------------------------------------
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(c, self.den) for c in self.row)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+        return len(self.row) - 1  # -1 for the zero polynomial
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return not self.row
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.row, self.den))
 
     def __eq__(self, other):
-        other = _coerce_poly(other)
-        if other is None:
+        b = _poly_parts(other)
+        if b is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self.row, self.den) == b
 
     def __repr__(self):
         if self.is_zero():
@@ -113,77 +181,33 @@ class Poly:
                 terms.append(f"{c}*t^{i}")
         return "Poly(" + " + ".join(terms) + ")"
 
-    # -- ring operations ---------------------------------------------------
+    def _sum(self, other, sign: int):
+        b = _poly_parts(other)
+        if b is None:
+            return NotImplemented
+        return Poly._of(*_add(self.row, self.den, *b, sign))
 
     def __add__(self, other):
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._of([-c for c in self.row], self.den)
 
     def __sub__(self, other):
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
-        other = _coerce_poly(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
-        other = _coerce_poly(other)
-        if other is None:
+        b = _poly_parts(other)
+        if b is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        return Poly._of(_mul(self.row, b[0]), self.den * b[1])
 
     __rmul__ = __mul__
-
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d, lc = other.degree, other.leading()
-        for k in reversed(range(len(q))):
-            # rem[k + d] is the leading coefficient left; the step cancels it
-            q[k] = f = rem[k + d] / lc
-            if f:
-                for i, c in enumerate(other.coeffs[:d]):
-                    rem[k + i] -= f * c
-        return Poly(q), Poly(rem[:d])
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ArithmeticError("inexact polynomial division")
-        return q
-
-    __truediv__ = exact_div
-
-    def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x):
         out = x * 0
@@ -191,90 +215,62 @@ class Poly:
             out = out * x + c
         return out
 
-    # -- gcd / square-free -------------------------------------------------
 
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        lc = self.leading()
-        return Poly([c / lc for c in self.coeffs])
-
-    def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
-
-    def square_free_part(self) -> "Poly":
-        if self.is_zero():
-            raise ZeroPolynomialError("zero polynomial")
-        g = self.gcd(self.derivative())
-        if g.degree <= 0:
-            return self.monic()
-        return self.exact_div(g).monic()
-
-
-def _coerce_poly(x):
+def _poly_parts(x):
+    """(row, den) in normal form of a Poly, an int or a Fraction, else None."""
     if isinstance(x, Poly):
-        return x
+        return x.row, x.den
     if isinstance(x, (int, Fraction)):
-        return Poly.constant(x)
+        return _trim((x.numerator,)), x.denominator
     return None
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences
+# Sturm sequences on integer rows
 # ---------------------------------------------------------------------------
 
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of the square-free part of p."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
-    return _chain_of_square_free(_square_free_part(p))
+# Brown's primitive pseudo-remainder sequence (W. S. Brown, JACM 18, 1971;
+# Yap, ch. 7): each remainder is scaled by a positive factor and divided by
+# its positive content, so every sign Sturm's theorem reads is kept and no
+# coefficient grows past the chain's own.
 
 
-def _square_free_part(p: Poly) -> Poly:
-    """`p.square_free_part()`, kept on p: case-a counts and isolates roots."""
-    try:
-        return p._sqf
-    except AttributeError:
-        f = p.square_free_part()
-        object.__setattr__(p, "_sqf", f)
-        return f
+def _prem(a, b) -> tuple:
+    """|lc b|^k a mod b, k = deg a - deg b + 1, for b != 0."""
+    rem, db, lc, s = list(a), len(b) - 1, abs(b[-1]), _sign(b[-1])
+    for i in reversed(range(db, len(rem))):
+        c = s * rem[i]  # so that |lc| rem[i] - c b[db] = 0
+        rem = [x * lc for x in rem[:i]]
+        if c:
+            for j in range(db):
+                rem[i - db + j] -= c * b[j]
+    return _trim(rem)
 
 
-def _chain_of_square_free(f: Poly) -> list[Poly]:
-    chain = [f, f.derivative()]
-    while not chain[-1].is_zero():
-        chain.append(-(chain[-2].divmod(chain[-1])[1]))
+def _sturm_chain(f) -> list:
+    """f, f' and the negated remainders of the primitive pseudo-remainder
+    sequence, up to the last nonzero one: Sturm's chain of f up to positive
+    factors, ending at gcd(f, f') up to a constant."""
+    chain = [f, _primitive([i * c for i, c in enumerate(f)][1:])]
+    while chain[-1]:
+        chain.append(_primitive([-c for c in _prem(chain[-2], chain[-1])]))
     chain.pop()
     return chain
 
 
-# The evaluation kernel.  A polynomial is cleared to integer coefficients
-# once (a positive factor keeps every sign), and its value at a/b, b > 0,
-# times b^n is the homogeneous sum  sum c_i a^i b^(n-i), all in integers
-# (C. Yap, Fundamental Problems of Algorithmic Algebra, OUP 2000, ch. 7).
-# The point (a, b) = (+-1, 0) gives the sign at +-infinity: c_n (+-1)^n.
-
-
-def _integer_coeffs(p: Poly) -> tuple[int, ...]:
-    """p times a positive rational, with coprime integer coefficients."""
-    den = math.lcm(*[c.denominator for c in p.coeffs])
-    cs = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    g = math.gcd(*cs)
-    return tuple(c // g for c in cs)
-
-
-def _int_value(cs: Sequence[int], a: int, b: int) -> int:
-    """b^n p(a/b) for b > 0, n = deg p (p's sign at +-infinity for b = 0,
-    a = +-1), p given by its integer coefficients cs in ascending degree."""
-    v, bk = cs[-1], 1
-    for c in reversed(cs[:-1]):
-        bk *= b
-        v = v * a + c * bk
-    return v
+def _square_free_part(p: Poly) -> tuple:
+    """p's square-free part, p / gcd(p, p'), as a primitive integer row,
+    kept on p: case-a counts and isolates roots.  The gcd is primitive, so
+    by Gauss's lemma the quotient is integral and the division exact."""
+    try:
+        return p._sqf
+    except AttributeError:
+        f = _primitive(p.row)
+        g = _sturm_chain(f)[-1]
+        if len(g) > 1:
+            f = _INT_POLYS.div(f, g)
+        object.__setattr__(p, "_sqf", f)
+        return f
 
 
 def _count_variations(chain: Sequence[Sequence[int]], a: int, b: int) -> tuple[int, int]:
@@ -296,7 +292,8 @@ def sturm_count(p: Poly, lo=None, hi=None) -> int:
         raise ZeroPolynomialError("zero polynomial")
     if lo is not None and hi is not None and frac(lo) >= frac(hi):
         raise ValueError("empty interval")
-    chain = [_integer_coeffs(q) for q in sturm_chain(p)]
+    chain = _sturm_chain(_square_free_part(p))
+    # the point (+-1, 0) gives the sign at +-infinity
     a = (-1, 0) if lo is None else frac(lo).as_integer_ratio()
     b = (1, 0) if hi is None else frac(hi).as_integer_ratio()
     vb, fb = _count_variations(chain, *b)
@@ -320,16 +317,15 @@ class RootInterval(NamedTuple):
         return (self.lo + self.hi) / 2
 
 
-def _rational_roots(p: Poly) -> list[Fraction]:
-    """All rational roots, via the rational root theorem on a cleared poly."""
-    if p.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
+def _rational_roots(cs) -> list[Fraction]:
+    """All rational roots of a nonzero integer row, via the rational root
+    theorem."""
     roots = []
     # strip t^k
-    k = next(i for i, c in enumerate(p.coeffs) if c != 0)
+    k = next(i for i, c in enumerate(cs) if c)
     if k:
         roots.append(Fraction(0))
-    cs = _integer_coeffs(Poly(p.coeffs[k:]))
+    cs = cs[k:]
     if len(cs) == 1:
         return roots
 
@@ -369,21 +365,22 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
     f = _square_free_part(p)
     rational = _rational_roots(f)
     out = [RootInterval(r, r, True) for r in rational]
-    for r in rational:
-        f = f.exact_div(Poly([-r, 1]))
-    if f.degree >= 1:
-        # Cauchy bound; f has no rational roots left, so rational endpoints
-        # are never roots and open-interval Sturm counts are clean.
-        lc = abs(f.leading())
-        bound = 1 + max(abs(c) for c in f.coeffs) / lc
-        chain = [_integer_coeffs(q) for q in _chain_of_square_free(f)]
-        fi = chain[0]
-        vlo, slo = _count_variations(chain, -bound.numerator, bound.denominator)
-        vhi = _count_variations(chain, bound.numerator, bound.denominator)[0]
-        # stack entries: lo, hi, variations at lo and hi, sign of f at lo
-        stack = [(-bound, bound, vlo, vhi, slo)]
+    for r in rational:  # b t - a is primitive, so it divides f in Z[t]
+        f = _INT_POLYS.div(f, (-r.numerator, r.denominator))
+    if len(f) > 1:
+        # Cauchy bound b/lc; f has no rational roots left, so rational
+        # endpoints are never roots and open-interval Sturm counts are clean.
+        lc = abs(f[-1])
+        b = lc + max(map(abs, f))
+        chain = _sturm_chain(f)
+        vlo, slo = _count_variations(chain, -b, lc)
+        vhi = _count_variations(chain, b, lc)[0]
+        pn, pd = precision.as_integer_ratio()
+        # stack entries: lo, hi, their denominator lc 2^k after k halvings,
+        # variations at lo and hi, sign of f at lo
+        stack = [(-b, b, lc, vlo, vhi, slo)]
         while stack:
-            lo, hi, vlo, vhi, slo = stack.pop()
+            lo, hi, den, vlo, vhi, slo = stack.pop()
             cnt = vlo - vhi
             if cnt == 0:
                 continue
@@ -392,16 +389,18 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
                 # the sign of f alone, the same halvings the counts would
                 # take.  The rational roots were divided out of f, so its
                 # sign cannot see them: keep halving while one lies inside.
-                while hi - lo > precision or any(lo < r < hi for r in rational):
-                    mid = (lo + hi) / 2
-                    s = _sign(_int_value(fi, mid.numerator, mid.denominator))
-                    lo, hi = (mid, hi) if s == slo else (lo, mid)
-                out.append(RootInterval(lo, hi, False))
+                while (hi - lo) * pd > pn * den or any(
+                        lo * r.denominator < r.numerator * den < hi * r.denominator
+                        for r in rational):
+                    mid, den = lo + hi, 2 * den
+                    s = _sign(_int_value(f, mid, den))
+                    lo, hi = (mid, 2 * hi) if s == slo else (2 * lo, mid)
+                out.append(RootInterval(Fraction(lo, den), Fraction(hi, den), False))
                 continue
-            mid = (lo + hi) / 2
-            vmid, smid = _count_variations(chain, mid.numerator, mid.denominator)
-            stack.append((lo, mid, vlo, vmid, slo))
-            stack.append((mid, hi, vmid, vhi, smid))
+            mid, den = lo + hi, 2 * den
+            vmid, smid = _count_variations(chain, mid, den)
+            stack.append((2 * lo, mid, den, vlo, vmid, slo))
+            stack.append((mid, 2 * hi, den, vmid, vhi, smid))
     return sorted(out, key=lambda r: r.midpoint)
 
 
@@ -409,44 +408,16 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
 # The rings the elimination runs in: Z, Z[t] and (below) Z[x]/psi_n
 # ---------------------------------------------------------------------------
 
-# A polynomial with integer coefficients is a tuple of ints in ascending
-# degree with no trailing zero, so zero is the falsy ().  Each ring gives
-# `_bareiss` its zero, one and negation, the divisor it keeps for a pivot,
-# and the step that sets row_i[j] to (a_kk a_ij - a_ik a_kj) / prev, j > k,
-# with a remainder other than zero raising ArithmeticError.
-
-
-def _trim(cs) -> tuple:
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
-def _mul(a, b) -> list:
-    out = [0] * (len(a) + len(b))
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _det2(a, b, c, e) -> list:
-    """a b - c e, untrimmed."""
-    out = _mul(a, b)
-    out += [0] * (len(c) + len(e) - len(out))
-    for i, x in enumerate(c):
-        if x:
-            for j, y in enumerate(e):
-                out[i + j] -= x * y
-    return out
+# Each ring gives `_bareiss` its zero, one and negation, the divisor it
+# keeps for a pivot, and the step that sets row_i[j] to
+# (a_kk a_ij - a_ik a_kj) / prev, j > k, with a remainder other than zero
+# raising ArithmeticError.
 
 
 def _exact(a: int, b: int) -> int:
     q, r = divmod(a, b)
     if r:
-        raise ArithmeticError("inexact division in Bareiss elimination")
+        raise ArithmeticError("inexact integer division")
     return q
 
 
@@ -497,7 +468,8 @@ class _IntPolys:
     @staticmethod
     def div(a, p):
         """a / p by long division; each quotient coefficient is the exact
-        quotient of a remainder's leading coefficient by p's."""
+        quotient of a remainder's leading coefficient by p's.  Also the
+        square-free part's and the rational roots' division in Z[t]."""
         dp, lc, rem = len(p) - 1, p[-1], list(a)
         q = [0] * max(0, len(rem) - dp)
         for k in reversed(range(len(q))):
@@ -506,7 +478,7 @@ class _IntPolys:
                 for i in range(dp):
                     rem[k + i] -= c * p[i]
         if any(rem[:dp]):
-            raise ArithmeticError("inexact division in Bareiss elimination")
+            raise ArithmeticError("inexact polynomial division")
         return _trim(q)
 
 
@@ -517,13 +489,11 @@ class _IntPolys:
 
 @lru_cache(maxsize=None)
 def chebyshev(r: int) -> Poly:
-    """T_r, with T_r(cos x) = cos(r x)."""
-    t0, t1 = Poly.constant(1), Poly.x()
-    if r == 0:
-        return t0
-    for _ in range(r - 1):
-        t0, t1 = t1, Poly([0, 2]) * t1 - t0
-    return t1
+    """T_r, with T_r(cos x) = cos(r x): T_(k+1) = 2t T_k - T_(k-1)."""
+    t0, t1 = (1,), (0, 1)
+    for _ in range(r):
+        t0, t1 = t1, _trim(_det2((0, 2), t1, (1,), t0))
+    return Poly._of(t0, 1)
 
 
 # The largest degree [Q(cos(pi/n)) : Q] the package computes in.  Each
@@ -592,14 +562,6 @@ def _psi(n: int) -> tuple:
             c2[i] -= c
         c0, c1 = c1, c2
     return tuple(psi)
-
-
-@lru_cache(maxsize=None)
-def minimal_polynomial(n: int) -> Poly:
-    """The monic minimal polynomial of cos(pi/n) over Q: 2^-d psi_n(2t)."""
-    psi = _psi(n)
-    d = len(psi) - 1
-    return Poly([Fraction(c, 2 ** (d - i)) for i, c in enumerate(psi)])
 
 
 class _CyclotomicInts(_IntPolys):
@@ -720,10 +682,10 @@ class RealCyclotomic:
     __slots__ = ("row", "den", "n", "_poly")  # the last is set by `poly`
 
     def __init__(self, poly: Poly, n: int):
-        # c^i = x^i / 2^i
-        den = math.lcm(*[c.denominator << i for i, c in enumerate(poly.coeffs)])
-        row = [c.numerator * (den // (c.denominator << i)) for i, c in enumerate(poly.coeffs)]
-        self._set(_field(n).reduce(row), den, n)
+        # c^i = x^i / 2^i = 2^(k-i) x^i / 2^k, k = deg poly
+        k = max(poly.degree, 0)
+        self._set(_field(n).reduce([a << (k - i) for i, a in enumerate(poly.row)]),
+                  poly.den << k, n)
 
     @classmethod
     def _of(cls, row, den: int, n: int) -> "RealCyclotomic":
@@ -736,10 +698,9 @@ class RealCyclotomic:
         return cls._of((r.numerator,), r.denominator, n)
 
     def _set(self, row, den: int, n: int):
-        row = _trim(row)
-        g = math.gcd(den, *row) * (1 if den > 0 else -1)
-        object.__setattr__(self, "row", tuple(c // g for c in row))
-        object.__setattr__(self, "den", den // g)
+        row, den = _normal(row, den)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "n", n)
 
     def __setattr__(self, *a):  # immutable
@@ -750,11 +711,11 @@ class RealCyclotomic:
 
     @property
     def poly(self) -> Poly:
-        """The element as a Poly over Q in c = cos(pi/n)."""
+        """The element as a Poly over Q in c = cos(pi/n): x^i = 2^i c^i."""
         try:
             return self._poly
         except AttributeError:
-            p = Poly([Fraction(a << i, self.den) for i, a in enumerate(self.row)])
+            p = Poly._of([a << i for i, a in enumerate(self.row)], self.den)
             object.__setattr__(self, "_poly", p)
             return p
 
@@ -782,10 +743,7 @@ class RealCyclotomic:
 
     def _sum(self, other, sign: int):
         n, (a, da), (b, db) = self._pair(other)
-        out = [x * db for x in a] + [0] * (len(b) - len(a))
-        for i, y in enumerate(b):
-            out[i] += sign * y * da
-        return RealCyclotomic._of(out, da * db, n)
+        return RealCyclotomic._of(*_add(a, da, b, db, sign), n)
 
     def __add__(self, other):
         return self._sum(other, 1)
@@ -893,11 +851,8 @@ _INTEGERS, _INT_POLYS = _Integers(), _IntPolys()
 def _parts(e) -> tuple:
     """(integer numerators, denominator) of a rational, a Poly or a field
     element: an element of Z, Z[t] or Z[x]/psi_n over an int."""
-    if isinstance(e, RealCyclotomic):
+    if isinstance(e, (Poly, RealCyclotomic)):
         return e.row, e.den
-    if isinstance(e, Poly):
-        den = math.lcm(*[c.denominator for c in e.coeffs])
-        return tuple(c.numerator * (den // c.denominator) for c in e.coeffs), den
     return e.numerator, e.denominator
 
 
@@ -923,9 +878,8 @@ class ExactMatrix:
             if ns:
                 raise RingMismatchError("polynomial and field entries mixed")
             ring, domain = _RING_POLY, _INT_POLYS
-            rows = [[e if isinstance(e, Poly) else Poly.constant(e) for e in r]
-                    for r in rows]
-            self._element = lambda a, den: Poly([Fraction(c, den) for c in a])
+            rows = [[e if isinstance(e, Poly) else Poly([e]) for e in r] for r in rows]
+            self._element = Poly._of
         elif ns:
             m = math.lcm(*ns)
             ring, domain = f"Q(cos(pi/{m}))", _field(m)

@@ -1,19 +1,22 @@
 """Float oracles for the Gram-matrix tests, the exact normal Gram matrix,
-the slow references for Sturm root isolation and for the sign of a field
-element, the trial-factoring oracle of `algebraic_degree` (in
-test_acceptance.py, beside criterion 13), the generic permutation-group
-layer on vertex tuples (group test, orbit search, Burnside count, cyclic
-and small subgroups) that checks `KnTables.orbits`, richness read from a
-diagram's labels, the position-tuple form of `pair_canonical`, `QuadExt`,
-the closed-form quadratic fields Q(sqrt m) that check `RealCyclotomic` for
-n = 4, 6 and 5, the former `Fraction`-polynomial field Q(cos(pi/n)) and its
-Bareiss elimination, which check the integer rows, spherical-triangle validity in Fraction arithmetic and its
-sort-free reference over a beta interval, the mirror triangles of the reflection
-groups A3, B3 and H3 and the bisector family, targets known to be tiled
-without asking the tiling search, the depth of the overlap of two
-spherical triangles by clipping, which checks `verify_tiling`'s
-separating-side test, and a triangle's (angle, opposite side) pairs from
-tangents, which check the ones `verify_tiling` reads from its side planes.
+the package's former `Fraction` polynomial (division, gcd, square-free
+part) with the slow references for Sturm root isolation and for the sign
+of a field element built on it, the trial-factoring oracle of
+`algebraic_degree` (in test_acceptance.py, beside criterion 13), the
+generic permutation-group layer on vertex tuples (group test, orbit
+search, Burnside count, cyclic and small subgroups) that checks
+`KnTables.orbits`, richness read from a diagram's labels, the
+position-tuple form of `pair_canonical`, `QuadExt`, the closed-form
+quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5,
+the former `Fraction`-polynomial field Q(cos(pi/n)) and its Bareiss
+elimination, which check the integer rows, spherical-triangle validity in
+Fraction arithmetic and its sort-free reference over a beta interval, the
+mirror triangles of the reflection groups A3, B3 and H3 and the bisector
+family, targets known to be tiled without asking the tiling search, the
+depth of the overlap of two spherical triangles by clipping, which checks
+`verify_tiling`'s separating-side test, and a triangle's (angle, opposite
+side) pairs from tangents, which check the ones `verify_tiling` reads from
+its side planes.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -31,7 +34,7 @@ import numpy as np
 from reptile_lab import sphgeo
 from reptile_lab.coxeter import ConsistencyError, kn_tables, orbits
 from reptile_lab.exactmath import (ExactMatrix, Poly, RingMismatchError, RootInterval, chebyshev,
-                                   cos_pi, isolate_roots, minimal_polynomial, sturm_chain)
+                                   cos_pi)
 from reptile_lab.hill import EuclideanSimplex
 from reptile_lab.spherical import is_valid
 
@@ -150,12 +153,127 @@ def normal_gram(simplex: EuclideanSimplex) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Sturm root isolation by Fraction Horner evaluation: the package's former
-# `isolate_roots`, kept as the reference for its integer sign kernel.
+# The package's former Fraction polynomial over Q, with its division, gcd
+# and square-free part, and Sturm root isolation by Fraction Horner
+# evaluation on it: the reference for the integer rows of `Poly` and for
+# the integer sign kernel of `sturm_count` and `isolate_roots`.
 # ---------------------------------------------------------------------------
 
 
-def _sign_at(p: Poly, x) -> int:
+class FractionPoly:
+    """Dense univariate polynomial over Q, `Fraction` coefficients in
+    ascending degree; the zero polynomial has none, otherwise the leading
+    coefficient is nonzero."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    @staticmethod
+    def of(p) -> "FractionPoly":
+        """A FractionPoly, a package `Poly`, an int or a Fraction as a
+        FractionPoly."""
+        if isinstance(p, FractionPoly):
+            return p
+        return FractionPoly(p.coeffs if isinstance(p, Poly) else [p])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def leading(self) -> Fraction:
+        return self.coeffs[-1]
+
+    def __eq__(self, other):
+        return self.coeffs == FractionPoly.of(other).coeffs
+
+    def __add__(self, other):
+        a, b = self.coeffs, FractionPoly.of(other).coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-FractionPoly.of(other))
+
+    def __mul__(self, other):
+        b = FractionPoly.of(other).coeffs
+        out = [Fraction(0)] * (len(self.coeffs) + len(b))
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return FractionPoly(out)
+
+    __rmul__ = __mul__
+
+    def divmod(self, other: "FractionPoly") -> tuple:
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        q = [Fraction(0)] * max(0, self.degree - other.degree + 1)
+        rem = list(self.coeffs)
+        d, lc = other.degree, other.leading()
+        for k in reversed(range(len(q))):
+            q[k] = f = rem[k + d] / lc
+            for i, c in enumerate(other.coeffs[:d]):
+                rem[k + i] -= f * c
+        return FractionPoly(q), FractionPoly(rem[:d])
+
+    def exact_div(self, other: "FractionPoly") -> "FractionPoly":
+        q, r = self.divmod(other)
+        if not r.is_zero():
+            raise ArithmeticError("inexact polynomial division")
+        return q
+
+    __truediv__ = exact_div
+
+    def derivative(self) -> "FractionPoly":
+        return FractionPoly([i * c for i, c in enumerate(self.coeffs)][1:])
+
+    def __call__(self, x):
+        out = x * 0
+        for c in reversed(self.coeffs):
+            out = out * x + c
+        return out
+
+    def monic(self) -> "FractionPoly":
+        return FractionPoly([c / self.leading() for c in self.coeffs]) if self.coeffs else self
+
+    def gcd(self, other: "FractionPoly") -> "FractionPoly":
+        a, b = self, other
+        while not b.is_zero():
+            a, b = b, a.divmod(b)[1]
+        return a.monic()
+
+    def square_free_part(self) -> "FractionPoly":
+        return self.exact_div(self.gcd(self.derivative())).monic()
+
+
+def sturm_chain_reference(p) -> list:
+    """The Sturm chain of p's square-free part, by Fraction remainders."""
+    chain = [FractionPoly.of(p).square_free_part()]
+    chain.append(chain[0].derivative())
+    while not chain[-1].is_zero():
+        chain.append(-(chain[-2].divmod(chain[-1])[1]))
+    chain.pop()
+    return chain
+
+
+def _sign_at(p: FractionPoly, x) -> int:
     # x is a Fraction, or +/- infinity encoded as the strings "+inf"/"-inf"
     if p.is_zero():
         return 0
@@ -173,9 +291,9 @@ def _variations(chain, x) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def sturm_count_reference(p: Poly, lo=None, hi=None) -> int:
+def sturm_count_reference(p, lo=None, hi=None) -> int:
     """Distinct real roots of p in the open interval (lo, hi), None = infinite."""
-    chain = sturm_chain(p)
+    chain = sturm_chain_reference(p)
     a = "-inf" if lo is None else Fraction(lo)
     b = "+inf" if hi is None else Fraction(hi)
     count = _variations(chain, a) - _variations(chain, b)
@@ -184,7 +302,7 @@ def sturm_count_reference(p: Poly, lo=None, hi=None) -> int:
     return count
 
 
-def _rational_roots(p: Poly) -> list:
+def _rational_roots(p: FractionPoly) -> list:
     roots = []
     cs = list(p.coeffs)
     k = 0
@@ -195,7 +313,7 @@ def _rational_roots(p: Poly) -> list:
         roots.append(Fraction(0))
     if not cs or len(cs) == 1:
         return roots
-    q = Poly(cs)
+    q = FractionPoly(cs)
     den = math.lcm(*[c.denominator for c in q.coeffs])
     ints = [int(c * den) for c in q.coeffs]
     g = math.gcd(*[abs(c) for c in ints if c != 0])
@@ -220,17 +338,17 @@ def _rational_roots(p: Poly) -> list:
     return sorted(roots)
 
 
-def isolate_roots_reference(p: Poly, precision=Fraction(1, 10000)) -> list:
+def isolate_roots_reference(p, precision=Fraction(1, 10000)) -> list:
     """Sturm bisection recomputing every count from Fraction evaluations."""
     precision = Fraction(precision)
-    f = p.square_free_part()
+    f = FractionPoly.of(p).square_free_part()
     out = [RootInterval(r, r, True) for r in _rational_roots(f)]
     for r in out:
-        f = f.exact_div(Poly([-r.lo, 1]))
+        f = f.exact_div(FractionPoly([-r.lo, 1]))
     if f.degree >= 1:
         lc = abs(f.leading())
         bound = 1 + max(abs(c) for c in f.coeffs) / lc
-        chain = sturm_chain(f)
+        chain = sturm_chain_reference(f)
         stack = [(-bound, bound, _variations(chain, -bound) - _variations(chain, bound))]
         while stack:
             lo, hi, cnt = stack.pop()
@@ -252,15 +370,19 @@ def isolate_roots_reference(p: Poly, precision=Fraction(1, 10000)) -> list:
 
 def field_sign_reference(x) -> int:
     """The package's former `RealCyclotomic.sign`, kept as the reference
-    for its bisection bound: c's isolating interval is halved until the
-    Sturm chain of p counts no root of p in it, and p's sign at the
-    midpoint is then its sign at c."""
-    p = x.poly
+    for its bisection bound: c's isolating interval, a window around
+    binary64's cos(pi/n) in which the reference chain of c's minimal
+    polynomial counts one root, is halved until the Sturm chain of p counts
+    no root of p in it, and p's sign at the midpoint is then its sign at c."""
+    p = FractionPoly.of(x.poly)
     if p.degree <= 0:
         return _sign(p.coeffs[0]) if p.coeffs else 0
-    chain = sturm_chain(p)
-    f = minimal_polynomial(x.n)
-    lo, hi, _ = isolate_roots(f)[-1]
+    chain = sturm_chain_reference(p)
+    f = minimal_polynomial_reference(x.n)
+    c, w = Fraction(math.cos(math.pi / x.n)), Fraction(1, 2 ** 30)
+    lo, hi = c - w, c + w
+    if sturm_count_reference(f, lo, hi) != 1:
+        raise ArithmeticError(f"no isolating window for cos(pi/{x.n})")
     f_lo, v_lo, v_hi = _sign(f(lo)), _variations(chain, lo), _variations(chain, hi)
     # V(lo) - V(hi) counts the roots in (lo, hi]
     while v_lo - v_hi - (p(hi) == 0):
@@ -567,7 +689,7 @@ def in_field(x):
 
 
 @lru_cache(maxsize=None)
-def minimal_polynomial_reference(n: int) -> Poly:
+def minimal_polynomial_reference(n: int) -> FractionPoly:
     """The package's former monic minimal polynomial of cos(pi/n) over Q.
 
     The roots of T_n + 1 are the cos(k pi/n) with k odd, and cos(k pi/n) is
@@ -575,7 +697,7 @@ def minimal_polynomial_reference(n: int) -> Poly:
     odd.  So the square-free part of T_n + 1 is the product of the minimal
     polynomials of those cos(pi/e); dividing out every e < n leaves n's.
     """
-    p = (chebyshev(n) + 1).square_free_part()
+    p = (FractionPoly.of(chebyshev(n)) + 1).square_free_part()
     for e in range(1, n):
         if n % e == 0 and (n // e) % 2:
             p = p.exact_div(minimal_polynomial_reference(e))
@@ -584,14 +706,14 @@ def minimal_polynomial_reference(n: int) -> Poly:
 
 class CyclotomicReference:
     """The package's former element p(c) of Q(cos(pi/n)), c = cos(pi/n):
-    p a `Fraction`-coefficient Poly reduced modulo c's minimal polynomial,
+    p a `FractionPoly` reduced modulo c's minimal polynomial,
     inverses by the extended Euclidean algorithm.  The reference for the
     integer rows of `RealCyclotomic`."""
 
     __slots__ = ("poly", "n")
 
-    def __init__(self, poly: Poly, n: int):
-        f = minimal_polynomial_reference(n)
+    def __init__(self, poly, n: int):
+        f, poly = minimal_polynomial_reference(n), FractionPoly.of(poly)
         self.poly = poly.divmod(f)[1] if poly.degree >= f.degree else poly
         self.n = n
 
@@ -599,19 +721,19 @@ class CyclotomicReference:
     def of(x, n: int) -> "CyclotomicReference":
         """A rational, a `RealCyclotomic` or a reference element, lifted to n."""
         if isinstance(x, (int, Fraction)):
-            return CyclotomicReference(Poly.constant(x), n)
+            return CyclotomicReference(FractionPoly.of(x), n)
         return CyclotomicReference(x.poly, x.n).lift(n)
 
     def lift(self, m: int) -> "CyclotomicReference":
         if m == self.n:
             return self
-        return CyclotomicReference(self.poly(chebyshev(m // self.n)), m)
+        return CyclotomicReference(self.poly(FractionPoly.of(chebyshev(m // self.n))), m)
 
     def _polys(self, other):
         if isinstance(other, CyclotomicReference):
             m = math.lcm(self.n, other.n)
             return m, self.lift(m).poly, other.lift(m).poly
-        return self.n, self.poly, Poly.constant(other)
+        return self.n, self.poly, FractionPoly.of(other)
 
     def __add__(self, other):
         n, p, q = self._polys(other)
@@ -632,7 +754,7 @@ class CyclotomicReference:
 
     def inverse(self) -> "CyclotomicReference":
         r0, r1 = minimal_polynomial_reference(self.n), self.poly
-        s0, s1 = Poly(), Poly.constant(1)
+        s0, s1 = FractionPoly(), FractionPoly([1])
         if r1.is_zero():
             raise ZeroDivisionError("inverse of zero")
         while r1.degree > 0:
@@ -651,7 +773,7 @@ class CyclotomicReference:
 def bareiss_reference(rows):
     """(determinant, leading principal minors or None) by the package's
     former elimination over ring elements that divide with `/`: Fractions,
-    Polys (exact division) or `CyclotomicReference`s."""
+    `FractionPoly`s (exact division) or `CyclotomicReference`s."""
     n = len(rows)
     a = [list(r) for r in rows]
     if n == 0:

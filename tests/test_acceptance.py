@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria complete.  Tolerances are pinned here, not configurable.
 """
 
+import math
 import random
 from fractions import Fraction as F
 from typing import NamedTuple, Optional
@@ -235,13 +236,21 @@ class DegreeReport(NamedTuple):
 
 
 def _integer_root(k: int, e: int) -> Optional[int]:
+    """The integer r >= 1 with r^e = k, or None; no float decides it.
+    Past isqrt, integer Newton from above: r <- ((e-1) r + k // r^(e-1)) / e
+    decreases to floor(k^(1/e)) and stops there."""
     if e == 1:
         return k
-    r = round(k ** (1.0 / e))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 1 and cand ** e == k:
-            return cand
-    return None
+    if e == 2:
+        r = math.isqrt(k)
+    else:
+        r = 1 << -(-k.bit_length() // e)  # 2^ceil(bits/e) > k^(1/e)
+        while True:
+            s = ((e - 1) * r + k // r ** (e - 1)) // e
+            if s >= r:
+                break
+            r = s
+    return r if r ** e == k else None
 
 
 def algebraic_degree(k: int, d: int) -> DegreeReport:

@@ -10,13 +10,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import (CyclotomicReference, QuadExt, bareiss_reference, field_sign_reference,
-                     in_field, isolate_roots_reference, sturm_count_reference)
+from oracles import (CyclotomicReference, FractionPoly, QuadExt, bareiss_reference,
+                     field_sign_reference, in_field, isolate_roots_reference,
+                     sturm_chain_reference, sturm_count_reference)
 from reptile_lab import exactmath, fixtures
 from reptile_lab.exactmath import (ExactMatrix, Poly, RealCyclotomic, RingMismatchError,
-                                   RootInterval, ZeroPolynomialError, cos_pi,
-                                   isolate_roots, minimal_polynomial, sign,
-                                   sturm_count)
+                                   RootInterval, ZeroPolynomialError, cos_pi, field_degree,
+                                   isolate_roots, sign, sturm_count)
 from reptile_lab.gram import gram_from_diagram
 
 
@@ -24,7 +24,7 @@ def P(*cs):
     return Poly(cs)
 
 
-t = Poly.x()
+t = P(0, 1)
 
 
 def matmul(a, b):
@@ -43,16 +43,26 @@ class TestPoly:
         assert p(F(2)) == F(5)
 
     def test_divmod_exact(self):
-        a = P(-1, 0, 1)  # t^2 - 1
-        q, r = a.divmod(P(1, 1))
-        assert q == P(-1, 1) and r.is_zero()
-        assert a.exact_div(P(-1, 1)) == P(1, 1)
-        with pytest.raises(ArithmeticError):
-            a.exact_div(P(1, 0, 0, 1))
+        """The division in Z[t] that the square-free part, the rational
+        roots and the elimination use: exact, or ArithmeticError."""
+        div = exactmath._INT_POLYS.div
+        assert div((-1, 0, 1), (1, 1)) == (-1, 1)  # t^2 - 1 = (t + 1)(t - 1)
+        assert div((-1, 0, 4), (-1, 2)) == (1, 2)  # the factor of the root 1/2
+        for a, b in [((-1, 0, 1), (1, 0, 0, 1)), ((-1, 0, 1), (1, 2)), ((1, 1), (0, 2))]:
+            with pytest.raises(ArithmeticError):
+                div(a, b)
 
     def test_square_free(self):
-        p = P(-1, 1) * P(-1, 1) * P(-1, 1) * P(2, 1)
-        assert p.square_free_part() == (P(-1, 1) * P(2, 1)).monic()
+        """The integer square-free part is the reference's monic one times
+        a constant, with coprime integer coefficients."""
+        rng = random.Random(5)
+        cases = [P(-1, 1) * P(-1, 1) * P(-1, 1) * P(2, 1), P(0, 0, F(1, 3)), P(F(-7, 2)),
+                 *(random_poly(rng)[0] for _ in range(60))]
+        for p in cases:
+            got = exactmath._square_free_part(p)
+            want = FractionPoly.of(p).square_free_part()
+            assert math.gcd(*got) == 1 and FractionPoly(got).monic() == want
+        assert exactmath._square_free_part(cases[0]) in {(-2, 1, 1), (2, -1, -1)}
 
 
 class TestSturm:
@@ -66,6 +76,13 @@ class TestSturm:
         assert sturm_count(p) == 2
         assert sturm_count(p, F(-1), F(1)) == 0  # open interval, endpoint roots
         assert sturm_count(p, F(-2), F(1)) == 1
+        # t^4 + t - 1: its chain has degrees 4, 3, 1, 0, and the remainder
+        # of degree 1, 4 - 3t up to a positive factor, leads with a negative
+        # coefficient, so a pseudo-remainder by it scaled by lc^3 < 0, not
+        # |lc|^3, would flip the last sign and count no root
+        p = P(-1, 1, 0, 0, 1)
+        assert sturm_count(p) == 2
+        assert sturm_count(p, F(-2), F(-1)) == sturm_count(p, F(0), F(1)) == 1
 
     def test_zero_polynomial_rejected(self):
         with pytest.raises(ZeroPolynomialError):
@@ -107,7 +124,7 @@ class TestIsolation:
         assert [round(float(r.midpoint), 5) for r in rs] == [-1.41421, 1.41421]
 
     def test_one_sign_change_per_interval(self):
-        p = (P(-1, 3) * P(1, 2) * P(-5, 1, 1)).square_free_part()
+        p = P(-1, 3) * P(1, 2) * P(-5, 1, 1)
         for r in isolate_roots(p, F(1, 1000)):
             if not r.exact:
                 assert p(r.lo) * p(r.hi) < 0
@@ -297,7 +314,7 @@ def test_isolation_matches_reference_on_random_polys():
         p, roots = random_poly(rng)
         for prec in PRECISIONS:
             got = assert_matches_reference(p, prec)
-        seen_repeated += p.square_free_part().degree < p.degree
+        seen_repeated += len(exactmath._square_free_part(p)) <= p.degree
         seen_rational += any(r.exact for r in got)
         seen_irrational += any(not r.exact for r in got)
         # interval ends: none (infinite), a root of p, or a small rational
@@ -305,6 +322,11 @@ def test_isolation_matches_reference_on_random_polys():
                          rng.choice(roots or [F(7, 2)])))
         lo, hi = rng.choice(((None, hi), (lo, None), (lo, hi + (lo == hi)), (None, None)))
         assert sturm_count(p, lo, hi) == sturm_count_reference(p, lo, hi)
+        # the integer chain is the reference's up to positive factors
+        chain = exactmath._sturm_chain(exactmath._square_free_part(p))
+        ref = sturm_chain_reference(p)
+        assert [len(c) - 1 for c in chain] == [c.degree for c in ref]
+        assert len({sign(c[-1] / r.leading()) for c, r in zip(chain, ref)}) == 1
     assert min(seen_repeated, seen_rational, seen_irrational) >= 50
 
 
@@ -523,23 +545,22 @@ def test_field_rejects_zero_divisors_and_polynomials():
 
 def test_minimal_polynomial_degree_and_residual():
     # a monic polynomial of degree phi(2n)/2 = [Q(cos(pi/n)) : Q] with
-    # cos(pi/n) as a root is its minimal polynomial
+    # x = 2cos(pi/n) as a root is its minimal polynomial psi_n
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         for n in range(1, 61):
-            f = minimal_polynomial(n)
-            assert f.degree == max(1, euler_phi(2 * n) // 2) and f.leading() == 1
-            assert abs(mp_value(mpmath, RealCyclotomic(Poly(f.coeffs[:-1]), n))
-                       + mpmath.cos(mpmath.pi / n) ** f.degree) < mpmath.mpf(10) ** -40
+            psi = exactmath._psi(n)
+            assert len(psi) - 1 == max(1, euler_phi(2 * n) // 2) and psi[-1] == 1
+            assert abs(mp_value(mpmath, RealCyclotomic._of(psi[:-1], 1, n))
+                       + (2 * mpmath.cos(mpmath.pi / n)) ** (len(psi) - 1)) < mpmath.mpf(10) ** -40
 
 
 @pytest.mark.parametrize("n", [5, 7, 9, 12, 15, 20])
 def test_minimal_polynomial_matches_sympy(n):
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
-    want = sympy.Poly(sympy.minimal_polynomial(sympy.cos(sympy.pi / n), x), x).monic()
-    assert minimal_polynomial(n).coeffs == tuple(
-        F(int(c.p), int(c.q)) for c in reversed(want.all_coeffs()))
+    want = sympy.Poly(sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / n), x), x)
+    assert exactmath._psi(n) == tuple(int(c) for c in reversed(want.all_coeffs()))
 
 
 def near_zero_elements(rng, ns, count):
@@ -547,7 +568,7 @@ def near_zero_elements(rng, ns, count):
     binary64's error of them: |x| is then about 1e-15, a sign no float
     evaluation decides."""
     for n in ns:
-        d = minimal_polynomial(n).degree
+        d = field_degree(n)
         for _ in range(count):
             x = RealCyclotomic(Poly([F(rng.randint(-20, 20), rng.randint(1, 9))
                                      for _ in range(d)]), n)
@@ -571,17 +592,17 @@ def test_sign_bound_stays_exact(n):
 
 
 def test_cos_pi_interval_isolates_the_largest_root():
-    """cos(pi/n)'s interval holds exactly one root of the minimal polynomial
-    and none lies above it; up to n = 60 it meets the largest interval of
+    """cos(pi/n)'s interval, doubled, holds exactly one root of psi_n and
+    none lies above it; up to n = 60 it meets the largest interval of
     `isolate_roots`."""
     for n in [*range(4, 61), 113, 127]:
-        f = minimal_polynomial(n)
+        f = Poly(exactmath._psi(n))
         lo, hi, exact = exactmath._cos_pi_interval(n)
         assert not exact and lo < math.cos(math.pi / n) < hi
-        assert sturm_count(f, lo, hi) == 1 and sturm_count(f, hi) == 0
+        assert sturm_count(f, 2 * lo, 2 * hi) == 1 and sturm_count(f, 2 * hi) == 0
         if n <= 60:
             ref = isolate_roots(f)[-1]
-            assert max(lo, ref.lo) < min(hi, ref.hi)
+            assert max(2 * lo, ref.lo) < min(2 * hi, ref.hi)
 
 
 def test_sign_needs_no_rational_root_search(monkeypatch):
@@ -623,7 +644,7 @@ def random_entry(rng, ns):
     if roll < 0.4:
         return F(rng.randint(-5, 5), rng.randint(1, 4))
     n = rng.choice(ns)
-    d = minimal_polynomial(n).degree
+    d = field_degree(n)
     return RealCyclotomic(Poly([F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
                                 for _ in range(rng.randint(1, d))]), n)
 
@@ -681,11 +702,12 @@ def test_polynomial_elimination_matches_reference():
         rows = [[Poly([F(rng.randint(-4, 4), rng.randint(1, 6)) * (rng.random() < 0.7)
                        for _ in range(rng.randint(0, 3))]) for _ in range(k)] for _ in range(k)]
         matrix = ExactMatrix(rows)
-        det, minors = bareiss_reference(rows)
+        ref = [[FractionPoly.of(e) for e in r] for r in rows]
+        det, minors = bareiss_reference(ref)
         assert matrix.det() == det
         assert matrix.leading_minors() == minors
         r, c = rng.sample(range(k), k - 1), rng.sample(range(k), k - 1)
-        assert matrix.minor(r, c) == bareiss_reference([[rows[i][j] for j in c] for i in r])[0]
+        assert matrix.minor(r, c) == bareiss_reference([[ref[i][j] for j in c] for i in r])[0]
 
 
 def test_field_arithmetic_matches_reference():
@@ -708,11 +730,16 @@ def test_field_arithmetic_matches_reference():
 
 def test_case_c_elimination_makes_no_fraction(monkeypatch):
     """The six case-c cosine matrices are built and eliminated, and their
-    minors signed, on ints: no `Fraction` is made."""
+    minors signed, on ints, and so are the four case-a matrices over Q[t],
+    with their determinants' roots counted on (0, 1/2): no `Fraction` is
+    made."""
     ids = [f"{key}-{i}" for key in ("quarter", "fifth") for i in (1, 2, 3)]
     rows = [gram_from_diagram(fixtures.diagram(i)).rows for i in ids]
     for r in rows:  # the fields' intervals are built once per process
         ExactMatrix(r).det().sign()
+    case_a = [gram_from_diagram(fixtures.diagram(f"case-a-{i}"), as_poly_in="beta").rows
+              for i in range(1, 5)]
+    lo, hi = F(0), F(1, 2)
     made = []
     new = F.__new__
 
@@ -727,18 +754,23 @@ def test_case_c_elimination_makes_no_fraction(monkeypatch):
         matrix = ExactMatrix(r)
         signs = [sign(d) for d in [matrix.det(), *(matrix.leading_minors() or [])]]
         assert signs[0] != 0
+    for r in case_a:
+        assert sturm_count(ExactMatrix(r).det(), lo, hi) == 0
     assert made == []
 
 
 def test_inexact_division_raises_under_python_O():
     """A remainder other than zero raises ArithmeticError, also where
     `python -O` strips asserts: over Z ((2 - 1) / 2 in an elimination
-    step), Z[t] and Z[x]/psi_5, by a constant and by 2 + x, of norm 5."""
+    step), Z[t] (also t^2 + 2 by 2t - 1, as the square-free part and the
+    rational roots divide) and Z[x]/psi_5, by a constant and by 2 + x, of
+    norm 5."""
     code = ("from reptile_lab import exactmath as em\n"
             "f = em._field(5)\n"
             "cases = [lambda: em._INTEGERS.step([[2, 1], [1, 1]], 0, 2),\n"
             "         lambda: em._INT_POLYS.div((1, 1), (0, 2)),\n"
             "         lambda: em._INT_POLYS.div((1, 0, 1), (1, 1)),\n"
+            "         lambda: em._INT_POLYS.div((2, 0, 1), (-1, 2)),\n"
             "         lambda: f.div((1, 1), f.divisor((2,))),\n"
             "         lambda: f.div((1,), f.divisor((2, 1)))]\n"
             "for case in cases:\n"
@@ -751,7 +783,7 @@ def test_inexact_division_raises_under_python_O():
     src = str(pathlib.Path(exactmath.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.split("\n") == ["raised"] * 5 + ["(3, -1)", ""]
+    assert proc.stdout.split("\n") == ["raised"] * 6 + ["(3, -1)", ""]
 
 
 # ---------------------------------------------------------------------------
@@ -773,6 +805,6 @@ def test_degree_bound_is_checked_before_lifting(monkeypatch):
     entries = [cos_pi(F(1, 7)), cos_pi(F(3, 11)), cos_pi(F(2, 9))]
     with pytest.raises(ValueError, match=r"^Q\(cos\(pi/693\)\) has degree 180; "):
         ExactMatrix([entries, entries, entries])
-    assert exactmath.MAX_FIELD_DEGREE >= minimal_polynomial(127).degree == 63
+    assert exactmath.MAX_FIELD_DEGREE >= field_degree(127) == 63
     with pytest.raises(ValueError, match="degree"):
         cos_pi(F(1, 1009))

@@ -336,10 +336,6 @@ KEPT = {
     # writes the format `from_fixture` reads; the enumerator's output is
     # pinned through it
     "coxeter.CoxeterDiagram.to_fixture",
-    # cos(pi/n)'s minimal polynomial over Q, the modulus of the form
-    # `RealCyclotomic.poly` is written in; the field itself reduces by
-    # psi_n(x) = 2^d f(x/2)
-    "exactmath.minimal_polynomial",
 }
 
 

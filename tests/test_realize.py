@@ -1234,6 +1234,11 @@ class TestAlgebraicDegree:
         assert algebraic_degree(4, 4).degree == 2
         assert algebraic_degree(8, 4).degree == 4
         assert algebraic_degree(8, 4).min_distinct_edge_lengths == 4
+        # perfect powers past binary64's exact integers: a float root
+        # rounded to the wrong integer reads them as degree 4 and 3
+        assert algebraic_degree(3 ** 160, 4).degree == 1
+        assert algebraic_degree((2 ** 80 + 1) ** 3, 3).degree == 1
+        assert algebraic_degree((2 ** 80 + 1) ** 3 + 1, 3).degree == 3
 
     def test_bad_input(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from oracles import CyclotomicReference, bareiss_reference
 from reptile_lab import cli, exactmath, fixtures, scenarios
 from reptile_lab.angles import AngleForm, parse_angle
 from reptile_lab.coxeter import MAX_VERTICES, CoxeterDiagram, kn_tables, triangle_type_of
-from reptile_lab.exactmath import chebyshev
+from reptile_lab.exactmath import Poly, chebyshev
 from reptile_lab.scenarios import SCENARIOS, emit_figures, run_scenario
 
 
@@ -544,7 +544,7 @@ def _determinant_oracle(labels, n):
     if fields:
         rows = [[e if isinstance(e, CyclotomicReference) else CyclotomicReference.of(e, m)
                  for e in r] for r in rows]
-        return f"RealCyclotomic({bareiss_reference(rows)[0].poly!r}, {m})"
+        return f"RealCyclotomic({Poly(bareiss_reference(rows)[0].poly.coeffs)!r}, {m})"
     return repr(bareiss_reference(rows)[0])
 
 
