@@ -28,7 +28,14 @@ clients of one orderly search over the edge colorings, `coloring_search`,
 and do their per-node work on int colorings.  The diagram search labels
 edges with alphabet positions: a triangle's forbidden labels are never
 tried, richness is counted on the ids, and a `CoxeterDiagram` is built only
-for a labeling it returns.
+for a labeling it returns.  Nor is a label below the edge's floor tried
+(`floors`): three bounds every first labeling obeys, since an image would
+be smaller otherwise.  (1) Vertex 0's star is sorted (sort vertices
+1..n-1 by their edge to 0).  (2) No label is below label(0, 1) (map that
+edge onto (0, 1)), so label(0, 1) is at most the rich type's smallest id.
+(3) Each edge (1, j), j >= 2, is at least label(0, 2) (swap vertices 0
+and 1, then sort the new star).  The partition search renumbers its
+classes, so the floors do not hold there.
 """
 
 from __future__ import annotations
@@ -165,6 +172,25 @@ class KnTables:
             # two or more indices each: a one-edge prefix has only itself
             out.append([itemgetter(*p) for p in sorted(prefixes)])
         return out
+
+    @cached_property
+    def floors(self) -> tuple:
+        """Per edge e, the index of an earlier edge whose color is at most
+        e's in every coloring `is_first` accepts (None for edge 0), by the
+        three floors of the module docstring: (0, j-1) for a star edge
+        (0, j), (0, 2) for an edge (1, j), (0, 1) for the rest.  The table
+        assumes the `all_edges` order, vertex 0's star first, then vertex
+        1's edges, and colors compared as they are, not renumbered by first
+        occurrence.
+        """
+        pos = {e: i for i, e in enumerate(self.edges)}
+
+        def floor(i: int, j: int) -> Optional[int]:
+            if i == 0:
+                return pos[(0, j - 1)] if j > 1 else None
+            return pos[(0, 2)] if i == 1 else 0
+
+        return tuple(floor(i, j) for i, j in self.edges)
 
     @cached_property
     def edge_images(self) -> list:
@@ -538,17 +564,26 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
     One orderly search labels the edges in `all_edges` order with label ids
     (alphabet positions), trying them in alphabet order at each edge, so
     complete labelings arrive in lexicographic order.  A label is not tried
-    when a triangle through the edge forbids it, and a branch is cut by
+    when a triangle through the edge forbids it or when it is below the
+    label on the edge's floor (`KnTables.floors`), and a branch is cut by
     `step` (below) or when the labels placed so far are not `is_first`.
+    The floors hold in every smallest labeling, each because an image
+    would be smaller otherwise: (1) vertex 0's star is sorted (sort
+    vertices 1..n-1 by their edge to 0); (2) no label is below label(0, 1)
+    (map that edge onto (0, 1)), so with a rich type, whose smallest id
+    every rich labeling carries, label(0, 1) is at most that id; (3) each
+    edge (1, j), j >= 2, is at least label(0, 2) (swap vertices 0 and 1,
+    then sort the new star).
     Each isomorphism class is reached exactly once, at its smallest
     labeling (its `canon` over label ids), and only that labeling is
     tested for richness.  This is sound because `allowed` sees the
     triangle types alone and richness is an isomorphism invariant: a class
     satisfies them in all its labelings or in none.  The search drops only
-    prefixes that no satisfying labeling extends, so never a prefix of the
-    smallest labeling of a satisfying class; and every prefix of that
-    labeling passes `is_first`, since an image of the prefix smaller than
-    it would give an image of the whole labeling smaller than it.
+    prefixes that no satisfying labeling extends or that break a floor, so
+    never a prefix of the smallest labeling of a satisfying class; and
+    every prefix of that labeling passes `is_first`, since an image of the
+    prefix smaller than it would give an image of the whole labeling
+    smaller than it.
 
     Two mask tables (`_label_masks`), built once per call and indexed by
     the slot values of a triangle's other two edges, give the labels that
@@ -587,8 +622,13 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
     def labels_in(mask: int) -> tuple:
         return tuple(x for x in range(size) if mask >> x & 1)
 
+    floors = kn.floors
+    at_least = [((1 << size) - 1) >> x << x for x in range(size)]
+    # a rich labeling has a label rich[0], and none below label(0, 1)
+    first_mask = (1 << size) - 1 if rich is None else (2 << rich[0]) - 1
+
     def values(e: int) -> tuple:
-        mask = (1 << size) - 1
+        mask = at_least[assign[floors[e]]] if e else first_mask
         for _, a, b in incident[e]:
             mask &= ok[assign[a] * base + assign[b] + base + 1]
         return labels_in(mask)

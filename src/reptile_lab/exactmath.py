@@ -158,6 +158,8 @@ class Poly:
         return not self.row
 
     def __hash__(self):
+        if len(self.row) <= 1:  # a constant equals its rational value, so hashes as it
+            return hash(Fraction(self.row[0], self.den) if self.row else 0)
         return hash((self.row, self.den))
 
     def __eq__(self, other):

@@ -292,10 +292,10 @@ class TestColoringSearch:
 # (calls, passes) of the `first` callback of each search the scenarios run:
 # a change to what the search tries or cuts moves them
 WORK = {
-    "quarter": (lambda: final_case_analysis("quarter").diagrams, (768, 461)),
-    "fifth": (lambda: final_case_analysis("fifth").diagrams, (1974, 1120)),
-    "ninth": (lambda: final_case_analysis("ninth").diagrams, (1155, 605)),
-    "case-a": (case_a_enumeration, (917, 533)),
+    "quarter": (lambda: final_case_analysis("quarter").diagrams, (259, 228)),
+    "fifth": (lambda: final_case_analysis("fifth").diagrams, (626, 538)),
+    "ninth": (lambda: final_case_analysis("ninth").diagrams, (309, 289)),
+    "case-a": (case_a_enumeration, (216, 197)),
     "k5-partitions-4": (lambda: enumerate_edge_partitions(5, 4), (755, 482)),
     "skeletons": (enumerate_two_label_skeletons, (834, 490)),
 }

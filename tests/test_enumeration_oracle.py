@@ -14,6 +14,7 @@ alphabet ids, the one labeling of the class the orderly search reaches.
 
 import random
 from fractions import Fraction as F
+from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial
 
@@ -92,18 +93,34 @@ def random_case(seed, n, size):
     return alphabet, allowed, rich_type
 
 
-CASES = ([(seed, 4, 1 + seed % 4) for seed in range(24)]
-         + [(100 + seed, 5, 3) for seed in range(8)])
+def first_label_unused():
+    """Three labels on K5, where every allowed type excludes the first
+    label (id 0) and the rich type's smallest id is 1: each answer's
+    smallest labeling carries id 1 on edge (0, 1), the largest label the
+    search may place there with this rich type."""
+    alphabet = [AngleForm.pi_multiple(F(k, 23)) for k in (3, 5, 8)]
+    return alphabet, (lambda ttype: alphabet[0] not in ttype), \
+        triangle_type_of([alphabet[1], alphabet[1], alphabet[2]])
 
 
-@pytest.mark.parametrize("seed,n,size", CASES)
-def test_matches_naive_enumeration(seed, n, size):
-    alphabet, allowed, rich_type = random_case(seed, n, size)
+# name -> (n, builder of (alphabet, allowed, rich type))
+CASES = {f"{seed}-{n}-{size}": (n, partial(random_case, seed, n, size))
+         for seed, n, size in [(seed, 4, 1 + seed % 4) for seed in range(24)]
+         + [(100 + seed, 5, 3) for seed in range(8)]}
+CASES["first-label-unused"] = (5, first_label_unused)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_matches_naive_enumeration(case):
+    n, build = CASES[case]
+    alphabet, allowed, rich_type = build()
     found = enumerate_diagrams(n, alphabet, allowed, rich_type)
     assert [d.canonical_key() for d in found] == naive_keys(n, alphabet, allowed, rich_type)
     for d in found:  # each class is represented by its smallest labeling
         ids = [alphabet.index(d.labels[e]) for e in all_edges(n)]
         assert tuple(ids) == kn_tables(n).canon(ids)
+    if case == "first-label-unused":
+        assert found and {d.labels[(0, 1)] for d in found} == {alphabet[1]}
 
 
 FOUR_LABELS = [AngleForm.pi_multiple(F(q)) for q in ("1/4", "1/3", "1/2", "2/3")]

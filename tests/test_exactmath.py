@@ -42,6 +42,12 @@ class TestPoly:
         assert p.degree == 2
         assert p(F(2)) == F(5)
 
+    def test_constant_hashes_as_its_value(self):
+        assert P(3) == 3 and len({P(3), 3}) == 1
+        assert hash(P(F(1, 2))) == hash(F(1, 2))
+        assert P() == 0 and len({P(), 0, P(0)}) == 1
+        assert len({P(1, 2), P(1, 2), P(F(1, 2), 1)}) == 2
+
     def test_divmod_exact(self):
         """The division in Z[t] that the square-free part, the rational
         roots and the elimination use: exact, or ArithmeticError."""

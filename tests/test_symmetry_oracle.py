@@ -131,6 +131,45 @@ def test_aut_and_canon(n):
         assert kn.canon(list(colors)) == kn.canon(colors)
 
 
+def brute_firsts(n, colorings):
+    """The first labeling of each coloring's class: its smallest image over
+    every vertex permutation."""
+    es = all_edges(n)
+    pos = {e: i for i, e in enumerate(es)}
+    eperms = [[pos[edge(p[a], p[b])] for a, b in es] for p in permutations(range(n))]
+    return {min(tuple(c[i] for i in ep) for ep in eperms) for c in colorings}
+
+
+def below_floor(colors, floors):
+    return any(f is not None and c < colors[f] for c, f in zip(colors, floors))
+
+
+def test_floors_hold_on_first_labelings():
+    """`enumerate_diagrams` offers an edge no label below the one on its
+    floor edge, so every first labeling must obey the table; it also places
+    its smallest label on edge (0, 1)."""
+    for n in NS:  # the order the table assumes: vertex 0's star, then vertex 1's edges
+        assert kn_tables(n).edges[:2 * n - 3] == \
+            [(0, j) for j in range(1, n)] + [(1, j) for j in range(2, n)]
+    rng = random.Random(42)
+    firsts = {
+        4: brute_firsts(4, product(range(4), repeat=6)),
+        5: brute_firsts(5, product(range(2), repeat=10))
+        | brute_firsts(5, [tuple(rng.randrange(k) for _ in range(10))
+                           for k in rng.choices(range(3, 6), k=2000)]),
+    }
+    moved = []  # the table with vertex 1's floor one star edge too far out
+    for n, labelings in firsts.items():
+        kn = kn_tables(n)
+        assert kn.floors[0] is None and all(f < e for e, f in enumerate(kn.floors) if e)
+        wrong = tuple(2 if e[0] == 1 else f for e, f in zip(kn.edges, kn.floors))
+        for colors in labelings:
+            assert not below_floor(colors, kn.floors), colors
+            assert colors[0] == min(colors)
+        moved.append(sum(below_floor(colors, wrong) for colors in labelings))
+    assert all(moved), moved
+
+
 @pytest.mark.parametrize("n", NS)
 def test_canonical_key(n):
     rng = random.Random(20 + n)
