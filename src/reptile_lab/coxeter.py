@@ -26,16 +26,19 @@ orbits of a cyclic group <p> are the cycles of p's edge permutation
 The three enumerators (diagrams, edge partitions, two-label skeletons) are
 clients of one orderly search over the edge colorings, `coloring_search`,
 and do their per-node work on int colorings.  The diagram search labels
-edges with alphabet positions: a triangle's forbidden labels are never
-tried, richness is counted on the ids, and a `CoxeterDiagram` is built only
-for a labeling it returns.  Nor is a label below the edge's floor tried
-(`floors`): three bounds every first labeling obeys, since an image would
-be smaller otherwise.  (1) Vertex 0's star is sorted (sort vertices
-1..n-1 by their edge to 0).  (2) No label is below label(0, 1) (map that
-edge onto (0, 1)), so label(0, 1) is at most the rich type's smallest id.
-(3) Each edge (1, j), j >= 2, is at least label(0, 2) (swap vertices 0
-and 1, then sort the new star).  The partition search renumbers its
-classes, so the floors do not hold there.
+edges with alphabet positions (label ids) and takes its constraint on
+them: its `allowed` predicate is asked once per sorted id triple
+(i <= j <= k) whether a triangle with those labels may occur, and no
+triangle type of angle forms is built for it.  A triangle's forbidden
+labels are never tried, richness is counted on the ids, and a
+`CoxeterDiagram` is built only for a labeling it returns.  Nor is a label
+below the edge's floor tried (`floors`): three bounds every first
+labeling obeys, since an image would be smaller otherwise.  (1) Vertex
+0's star is sorted (sort vertices 1..n-1 by their edge to 0).  (2) No
+label is below label(0, 1) (map that edge onto (0, 1)), so label(0, 1) is
+at most the rich type's smallest id.  (3) Each edge (1, j), j >= 2, is at
+least label(0, 2) (swap vertices 0 and 1, then sort the new star).  The
+partition search renumbers its classes, so the floors do not hold there.
 """
 
 from __future__ import annotations
@@ -529,8 +532,9 @@ def _label_masks(size: int, table: dict, rich: Optional[tuple]) -> tuple:
     or UNSET), at index (a + 1) * (size + 1) + b + 1, the bitmask of the
     labels x its third edge can take:
 
-    ok: {a, b, x}, UNSET slots dropped, is a sub-multiset of some allowed
-        type; with a and b both placed, {a, b, x} is an allowed type.
+    ok: {a, b, x}, UNSET slots dropped, is a sub-multiset of some label-id
+        triple `table` allows; with a and b both placed, {a, b, x} is one
+        of them.
     can_rich: {a, b, x} is a sub-multiset of the rich type (every label
         when there is none).
     """
@@ -555,17 +559,22 @@ def _label_masks(size: int, table: dict, rich: Optional[tuple]) -> tuple:
 def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
                        rich_type: Optional[TriangleType] = None,
                        relations: RelationSet = EMPTY_RELATIONS) -> list:
-    """All edge labelings of K_n whose every triangle type is `allowed`, up
-    to isomorphism; with `rich_type`, only those with at least four orbits
+    """All edge labelings of K_n whose every triangle is `allowed`, up to
+    isomorphism; with `rich_type`, only those with at least four orbits
     of triangles of that type.
 
-    `allowed` is a predicate on triangle types (`triangle_type_of` of three
-    alphabet labels, normalized under the relations), asked once per type.
-    One orderly search labels the edges in `all_edges` order with label ids
-    (alphabet positions), trying them in alphabet order at each edge, so
-    complete labelings arrive in lexicographic order.  A label is not tried
-    when a triangle through the edge forbids it or when it is below the
-    label on the edge's floor (`KnTables.floors`), and a branch is cut by
+    `allowed` is a predicate on label-id triples (alphabet positions): a
+    triangle labeled alphabet[i], alphabet[j] and alphabet[k] is allowed
+    iff `allowed((i, j, k))`, ints with i <= j <= k.  It is asked once for
+    each such sorted triple, C(len(alphabet) + 2, 3) times in all, and no
+    triangle type is built for it.  `rich_type` is a triangle type
+    (`triangle_type_of` of three alphabet labels).
+
+    One orderly search labels the edges in `all_edges` order with label
+    ids, trying them in alphabet order at each edge, so complete labelings
+    arrive in lexicographic order.  A label is not tried when a triangle
+    through the edge forbids it or when it is below the label on the
+    edge's floor (`KnTables.floors`), and a branch is cut by
     `step` (below) or when the labels placed so far are not `is_first`.
     The floors hold in every smallest labeling, each because an image
     would be smaller otherwise: (1) vertex 0's star is sorted (sort
@@ -576,18 +585,18 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
     then sort the new star).
     Each isomorphism class is reached exactly once, at its smallest
     labeling (its `canon` over label ids), and only that labeling is
-    tested for richness.  This is sound because `allowed` sees the
-    triangle types alone and richness is an isomorphism invariant: a class
-    satisfies them in all its labelings or in none.  The search drops only
-    prefixes that no satisfying labeling extends or that break a floor, so
-    never a prefix of the smallest labeling of a satisfying class; and
-    every prefix of that labeling passes `is_first`, since an image of the
-    prefix smaller than it would give an image of the whole labeling
-    smaller than it.
+    tested for richness.  This is sound because `allowed` sees each
+    triangle's labels alone and richness is an isomorphism invariant: a
+    class satisfies them in all its labelings or in none.  The search
+    drops only prefixes that no satisfying labeling extends or that break
+    a floor, so never a prefix of the smallest labeling of a satisfying
+    class; and every prefix of that labeling passes `is_first`, since an
+    image of the prefix smaller than it would give an image of the whole
+    labeling smaller than it.
 
     Two mask tables (`_label_masks`), built once per call and indexed by
     the slot values of a triangle's other two edges, give the labels that
-    can still complete an allowed type (a complete triangle must be one)
+    can still complete an allowed triple (a complete triangle must be one)
     and those that can still complete the rich type.  The labels tried at
     an edge are those every triangle through it allows.  The state is the
     bitmask of triangles that can still become the rich type; `step` cuts
@@ -600,8 +609,7 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
     if len(set(alphabet)) != len(alphabet):
         raise ValueError("alphabet labels must be distinct under the relations")
     size = len(alphabet)
-    table = {combo: allowed(triangle_type_of([alphabet[i] for i in combo]))
-             for combo in combinations_with_replacement(range(size), 3)}
+    table = {combo: allowed(combo) for combo in combinations_with_replacement(range(size), 3)}
     rich = None
     if rich_type is not None:
         label_ids = {f: i for i, f in enumerate(alphabet)}

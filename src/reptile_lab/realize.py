@@ -23,7 +23,8 @@ lcm of its denominators and holds every corner angle as an integer
 multiple of pi/D, D the lcm of the tile's angle denominators, so its area
 and angle tests are integer arithmetic; radians exist only where a point
 is placed and in the tilings it returns.  Every edge length comes from
-`spherical.law_of_cosines`, which takes the exact angles.  A float angle
+`spherical.law_of_cosines` or, for a candidate's one walked edge,
+`spherical.opposite_edge`, which take the exact angles.  A float angle
 raises TypeError.  Points are float 3-tuples throughout, as the `sphgeo`
 kernel takes them.
 
@@ -58,7 +59,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import sphgeo
 from .spherical import (CORNER_TABLE_MAX_DEN, InvalidTriangleError, angle_sums,
                         edge_lengths, edge_sums, is_valid, law_of_cosines,
-                        pi_numerators)
+                        opposite_edge, pi_numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +269,7 @@ def enumerate_candidates(tile: TileSpec, tau: Fraction,
             psi = target - phi
             if sums[phi] and sums[psi]:
                 fphi, fpsi = Fraction(phi, den), Fraction(psi, den)
-                x = law_of_cosines(tau, fphi, fpsi)[0]
+                x = opposite_edge(tau, fphi, fpsi)
                 out.append(Candidate(tau, fphi, fpsi, n, edge_combination(x, tile.edges)))
     return out
 

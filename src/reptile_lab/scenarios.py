@@ -37,10 +37,9 @@ from .hill import (EuclideanSimplex, compatibility_graph, congruent,
 from .realize import (EDGE_TOL, NODE_BUDGET, EdgeMatch, TileSpec,
                       edge_combination, enumerate_candidates, search_tiling,
                       verify_tiling)
-from .spherical import (corner_angle_solutions,
-                        corner_angle_solutions_rational_scan, is_valid,
-                        is_valid_symbolic, law_of_cosines,
-                        straight_angle_combinations)
+from .spherical import (area_multiple, corner_angle_solutions,
+                        corner_angle_solutions_rational_scan, is_valid_symbolic,
+                        opposite_edge, pi_numerators, straight_angle_combinations)
 
 
 # The constants every verdict rests on, echoed in each report head.
@@ -207,32 +206,39 @@ def final_case_analysis(key: str) -> FinalCaseAnalysis:
                 continue
         beta_list.append(t)
     beta_list = sorted(set(beta_list))
+    # the labels ascending, so a sorted triple of labels has sorted ids
+    # (positions); label i is nums[i]*pi/den, the tile's area excess*pi/den
     labels = sorted({x for t in alpha_list + beta_list for x in t})
-    excess = tile.excess_pi
+    index = {q: i for i, q in enumerate(labels)}
+    nums, den = pi_numerators(labels)
+    excess = int(tile.excess_pi * den)  # den is a multiple of the tile's
     # a triangle with the smallest angle must be on the alpha list, one with
     # the second smallest (and not the smallest) on the beta list, and one
     # with neither must be valid, tile by area and have expressible edges
-    admissible = set(alpha_list) | set(beta_list)
+    admissible = {tuple(index[x] for x in t) for t in alpha_list + beta_list}
+    ia, ib = index[qa], index[qb]
     forbidden = []
-    for combo in combinations_with_replacement(labels, 3):
-        if qa in combo or qb in combo or not is_valid(combo):
+    for combo in combinations_with_replacement(range(len(labels)), 3):
+        if ia in combo or ib in combo:
             continue
-        area = sum(combo) - 1
-        if (area / excess).denominator != 1:
-            forbidden.append(combo)
+        i, j, k = combo
+        tiled = area_multiple((nums[i], nums[j], nums[k]), den, excess)
+        if tiled is None:
             continue
-        for x in law_of_cosines(*combo):
-            status = edge_combination(x, tile.edges)
+        a, b, c = angles = (labels[i], labels[j], labels[k])
+        if not tiled:
+            forbidden.append(angles)
+            continue
+        for q, l, r in ((a, b, c), (b, c, a), (c, a, b)):
+            status = edge_combination(opposite_edge(q, l, r), tile.edges)
             verdicts.append(status)
             if not isinstance(status, EdgeMatch):
-                forbidden.append(combo)
+                forbidden.append(angles)
                 break
         else:
             admissible.add(combo)
-    diagrams = enumerate_diagrams(
-        5, [_pi_form(q) for q in labels],
-        lambda ttype: tuple(f.pi_fraction() for f in ttype) in admissible,
-        rich_type=triangle_type_of([_pi_form(q) for q in t0]))
+    diagrams = enumerate_diagrams(5, [_pi_form(q) for q in labels], admissible.__contains__,
+                                  rich_type=triangle_type_of([_pi_form(q) for q in t0]))
     return FinalCaseAnalysis(
         tile, alpha_list, beta_list, sorted(extra), sorted(forbidden),
         max((v.gap for v in verdicts if isinstance(v, EdgeMatch)), default=0.0),
@@ -386,19 +392,18 @@ CASE_A_RELATIONS = RelationSet.of(("gamma", parse_angle("1/2 pi")),
 
 
 def case_a_enumeration() -> list:
-    al, be, ga = parse_angle("alpha"), parse_angle("beta"), parse_angle("gamma")
-    b2, ab = parse_angle("2*beta"), parse_angle("alpha+beta")
     rel = CASE_A_RELATIONS
-    alphabet = [rel.normalize(f) for f in (al, be, ga, b2, ab)]
+    # label ids: alpha is id 0, so a sorted id triple holds alpha iff it starts with 0
+    al, be, ga, b2, ab = alphabet = [
+        rel.normalize(parse_angle(s)) for s in ("alpha", "beta", "gamma", "2*beta", "alpha+beta")]
+    ids = {f: i for i, f in enumerate(alphabet)}
 
     def t(*fs):
-        return triangle_type_of([rel.normalize(f) for f in fs])
+        return tuple(sorted(ids[f] for f in fs))
 
-    alpha = rel.normalize(al)
     with_alpha = {t(al, be, ga), t(al, al, b2), t(al, ab, ga)}
-    return enumerate_diagrams(5, alphabet,
-                              lambda ttype: alpha not in ttype or ttype in with_alpha,
-                              rich_type=t(al, be, ga), relations=rel)
+    return enumerate_diagrams(5, alphabet, lambda combo: combo[0] != 0 or combo in with_alpha,
+                              rich_type=triangle_type_of([al, be, ga]), relations=rel)
 
 
 def scenario_case_a(report: Report) -> None:

@@ -3,15 +3,17 @@
 Angles are the source of truth.  They enter as Fractions of pi (ints
 allowed); a float raises TypeError, so no angle is ever read in two ways.
 Edges are derived in radians through the law of cosines for angles,
-`law_of_cosines`, the one place in the package where exact angles become
-float edges.  Validity is the classical facts for spherical triangles,
-stated once (`_failure`): each angle in (0, pi), angle sum above pi, and
-the spherical triangle inequality (the two largest angles sum to less than
-pi plus the smallest, equivalent to the area bound 2*min-angle).  It
-compares integers: the three angles read once as numerators t_i over L,
-the lcm of their denominators (`pi_numerators`), so pi is L.  It is read
-at a point (`is_valid`), or at the ends and the midpoint of a beta
-interval (`is_valid_symbolic`).
+`law_of_cosines`, or one edge alone, `opposite_edge`: the one place in the
+package where exact angles become float edges, both through one formula.
+Validity is the classical facts for spherical triangles, stated once
+(`_failure`): each angle in (0, pi), angle sum above pi, and the spherical
+triangle inequality (the two largest angles sum to less than pi plus the
+smallest, equivalent to the area bound 2*min-angle).  It compares
+integers: the three angles read once as numerators t_i over L, the lcm of
+their denominators (`pi_numerators`), so pi is L.  It is read at a point
+(`is_valid`), on numerators the caller already holds (`area_multiple`,
+which also tells whether the area is a multiple of a tile's), or at the
+ends and the midpoint of a beta interval (`is_valid_symbolic`).
 
 Which multiples of pi/D are sums of some angles is one table, `angle_sums`,
 read by `corner_angle_solutions` and by `realize`'s corner table and
@@ -76,13 +78,32 @@ def is_valid(angles: Sequence[Fraction]) -> ValidityReport:
     return ValidityReport(reason is None, reason or "ok")
 
 
+def area_multiple(t: Sequence[int], den: int, excess: int) -> Optional[bool]:
+    """Of the three angles t_i*pi/den (`pi_numerators`): None when they
+    form no triangle (`is_valid`), else whether its area, the excess
+    (t_1 + t_2 + t_3 - den)*pi/den, is an integer multiple of
+    excess*pi/den (excess > 0, a tile's area over the same den)."""
+    if _failure(t, den, True):
+        return None
+    return (sum(t) - den) % excess == 0
+
+
 class InvalidTriangleError(ValueError):
     pass
 
 
+def _edge(opp: float, l: float, r: float) -> float:
+    """The edge opposite the angle `opp`, angles in radians:
+    cos(edge) = (cos opp + cos l cos r) / (sin l sin r)."""
+    num = math.cos(opp) + math.cos(l) * math.cos(r)
+    den = math.sin(l) * math.sin(r)
+    return math.acos(max(-1.0, min(1.0, num / den)))
+
+
 def law_of_cosines(qa: Fraction, qb: Fraction, qc: Fraction) -> tuple:
     """Edges (a, b, c) in radians from the angles, Fractions of pi; edge x
-    opposite angle x.  The one place exact angles become float edges.
+    opposite angle x.  With `opposite_edge`, the one place exact angles
+    become float edges.
 
     cos(c) = (cos gamma + cos alpha cos beta) / (sin alpha sin beta),
     cyclically, with each angle q taken as float(q) * pi.  The caller has
@@ -90,13 +111,15 @@ def law_of_cosines(qa: Fraction, qb: Fraction, qc: Fraction) -> tuple:
     """
     _require_exact((qa, qb, qc))
     va, vb, vc = (float(q) * math.pi for q in (qa, qb, qc))
+    return (_edge(va, vb, vc), _edge(vb, vc, va), _edge(vc, va, vb))
 
-    def edge(opp, l, r):
-        num = math.cos(opp) + math.cos(l) * math.cos(r)
-        den = math.sin(l) * math.sin(r)
-        return math.acos(max(-1.0, min(1.0, num / den)))
 
-    return (edge(va, vb, vc), edge(vb, vc, va), edge(vc, va, vb))
+def opposite_edge(q: Fraction, l: Fraction, r: Fraction) -> float:
+    """The edge opposite angle q of the triangle with angles q, l and r,
+    Fractions of pi: `law_of_cosines(q, l, r)[0]`, the same float,
+    without the other two edges."""
+    _require_exact((q, l, r))
+    return _edge(float(q) * math.pi, float(l) * math.pi, float(r) * math.pi)
 
 
 def edge_lengths(angles: Sequence[Fraction]) -> tuple:

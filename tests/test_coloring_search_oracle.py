@@ -26,7 +26,7 @@ from reptile_lab.angles import parse_angle
 from reptile_lab.coxeter import (CoxeterDiagram, all_edges, classify_graph, coloring_automorphisms,
                                  coloring_canonical, coloring_search, enumerate_diagrams,
                                  enumerate_edge_partitions, enumerate_two_label_skeletons,
-                                 forced_symmetry_collapses, pair_canonical, triangle_type_of)
+                                 forced_symmetry_collapses, pair_canonical)
 from reptile_lab.scenarios import case_a_enumeration, final_case_analysis
 
 
@@ -258,10 +258,11 @@ class TestColoringSearch:
         assert colors == [4, 5]
 
     def test_diagram_skeleton_with_no_deferred_edge(self):
-        # a one-label alphabet whose one triangle type is allowed: the search
-        # has a single value to try at every edge and reaches one labeling
+        # a one-label alphabet whose one triangle, label ids (0, 0, 0), is
+        # allowed: the search has a single value to try at every edge and
+        # reaches one labeling
         a = parse_angle("alpha")
-        found = enumerate_diagrams(4, [a], {triangle_type_of([a, a, a])}.__contains__)
+        found = enumerate_diagrams(4, [a], {(0, 0, 0)}.__contains__)
         assert len(found) == 1
         assert set(found[0].labels.values()) == {a}
 

@@ -1,7 +1,8 @@
 """Differential test: `enumerate_diagrams` against a naive enumerator.
 
 The naive side labels every edge of K_n in every possible way, asks the
-same `allowed` predicate of each triangle's type, keeps the labelings with
+same `allowed` predicate of each triangle's type (the enumerator asks it
+of label-id triples, through `on_ids`), keeps the labelings with
 at least four orbits of the rich type (via `is_rich`), and dedupes by
 `canonical_key`.  The random predicates are built from ordered rules
 (first matching label rule wins; otherwise a forbidden set, then a
@@ -16,7 +17,7 @@ import random
 from fractions import Fraction as F
 from functools import partial
 from itertools import combinations, combinations_with_replacement, permutations, product
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -110,17 +111,44 @@ CASES = {f"{seed}-{n}-{size}": (n, partial(random_case, seed, n, size))
 CASES["first-label-unused"] = (5, first_label_unused)
 
 
+def on_ids(alphabet, allowed):
+    """The predicate on sorted label-id triples that `enumerate_diagrams`
+    takes, read off a predicate on triangle types."""
+    return lambda combo: allowed(triangle_type_of([alphabet[x] for x in combo]))
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_matches_naive_enumeration(case):
     n, build = CASES[case]
     alphabet, allowed, rich_type = build()
-    found = enumerate_diagrams(n, alphabet, allowed, rich_type)
+    found = enumerate_diagrams(n, alphabet, on_ids(alphabet, allowed), rich_type)
     assert [d.canonical_key() for d in found] == naive_keys(n, alphabet, allowed, rich_type)
     for d in found:  # each class is represented by its smallest labeling
         ids = [alphabet.index(d.labels[e]) for e in all_edges(n)]
         assert tuple(ids) == kn_tables(n).canon(ids)
     if case == "first-label-unused":
         assert found and {d.labels[(0, 1)] for d in found} == {alphabet[1]}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5, 8])
+def test_allowed_asked_once_per_sorted_id_triple(size):
+    # the contract of `allowed`: one call per sorted triple of label ids,
+    # each an int triple, C(size + 2, 3) calls in all, whatever the answers
+    alphabet = [AngleForm.pi_multiple(F(k, 23)) for k in range(1, size + 1)]
+    for verdict in (True, False):
+        calls = []
+
+        def allowed(combo):
+            calls.append(combo)
+            return verdict
+
+        found = enumerate_diagrams(3, alphabet, allowed)
+        assert len(calls) == comb(size + 2, 3)
+        assert sorted(calls) == list(combinations_with_replacement(range(size), 3))
+        assert all(type(combo) is tuple and all(type(x) is int for x in combo)
+                   for combo in calls)
+        # on K3, one class per allowed triple
+        assert len(found) == (len(calls) if verdict else 0)
 
 
 FOUR_LABELS = [AngleForm.pi_multiple(F(q)) for q in ("1/4", "1/3", "1/2", "2/3")]

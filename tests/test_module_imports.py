@@ -158,26 +158,27 @@ def test_check_sees_a_numpy_import(tmp_path):
 
 
 def radian_edge_calls(path):
-    """`file:line` of each call of `law_of_cosines` with `math.pi` (or a
-    bare `pi`) in an argument: a caller that builds radians itself."""
+    """`file:line` of each call of `law_of_cosines` or `opposite_edge` with
+    `math.pi` (or a bare `pi`) in an argument: a caller that builds radians
+    itself.  In line order."""
     tree = ast.parse(path.read_text(), filename=str(path))
     found = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and "law_of_cosines" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+        if not (isinstance(node, ast.Call) and {"law_of_cosines", "opposite_edge"} & {
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)}):
             continue
         args = node.args + [kw.value for kw in node.keywords]
         if any((isinstance(n, ast.Attribute) and n.attr == "pi"
                 and isinstance(n.value, ast.Name) and n.value.id == "math")
                or (isinstance(n, ast.Name) and n.id == "pi")
                for arg in args for n in ast.walk(arg)):
-            found.append(f"{path.name}:{node.lineno}")
-    return found
+            found.append(node.lineno)
+    return [f"{path.name}:{line}" for line in sorted(found)]
 
 
 def test_exact_angles_become_edges_only_in_law_of_cosines():
-    # `law_of_cosines` takes Fractions of pi and is the one place they
-    # become radians on the way to edges
+    # `law_of_cosines` and `opposite_edge` take Fractions of pi and are the
+    # one place they become radians on the way to edges
     found = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in radian_edge_calls(path)]
     assert found == []
 
@@ -196,8 +197,14 @@ def test_check_sees_radians_passed_to_law_of_cosines(tmp_path):
                    "    return spherical.law_of_cosines(t, float(p) * pi, p)[0]\n"
                    "\n"
                    "def fine(qs):\n"
-                   "    return law_of_cosines(*qs), math.cos(math.pi / 3)\n")
-    assert radian_edge_calls(bad) == ["bad.py:7", "bad.py:10"]
+                   "    return law_of_cosines(*qs), math.cos(math.pi / 3)\n"
+                   "\n"
+                   "def one(q, l, r):\n"
+                   "    return spherical.opposite_edge(pi * q, l, r)\n"
+                   "\n"
+                   "def fine_one(q, l, r):\n"
+                   "    return opposite_edge(q, l, r) + math.pi\n")
+    assert radian_edge_calls(bad) == ["bad.py:7", "bad.py:10", "bad.py:16"]
 
 
 def self_recursive_functions(path):

@@ -91,8 +91,9 @@ def test_case_b_endgame_is_derived(monkeypatch):
     def ttype(t):
         return triangle_type_of([forms[q] for q in t])
 
+    # `allowed` is asked of sorted label-id triples, positions in `labels`
     accepted = [t for t in combinations_with_replacement(labels, 3)
-                if seen["allowed"](ttype(t))]
+                if seen["allowed"](tuple(labels.index(q) for q in t))]
     # the tile, the fixture's three triples and the six-tile equilateral
     assert accepted == [(F(1, 3), F(1, 3), F(1, 2)), (F(1, 3), F(1, 3), F(2, 3)),
                         (F(1, 3), F(1, 2), F(2, 3)), (F(1, 2), F(2, 3), F(2, 3)),

@@ -2,19 +2,30 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 
 import pytest
 
+from reptile_lab import fixtures
 from reptile_lab.angles import EMPTY_RELATIONS, AngleForm, parse_angle
+from reptile_lab.realize import TileSpec, enumerate_candidates
+from reptile_lab.scenarios import final_case_analysis
 from reptile_lab.spherical import (CORNER_TABLE_MAX_DEN, InvalidTriangleError, angle_sums,
-                                   corner_angle_solutions,
+                                   area_multiple, corner_angle_solutions,
                                    corner_angle_solutions_rational_scan,
                                    edge_lengths, edge_sums, is_valid, is_valid_symbolic,
-                                   law_of_cosines, straight_angle_combinations)
+                                   law_of_cosines, opposite_edge, pi_numerators,
+                                   straight_angle_combinations)
 from oracles import is_valid_symbolic_reference, validity_failure_reference
 from test_sphgeo import radian_law_of_cosines
 
 PI = math.pi
+ENDGAME_KEYS = ("quarter", "fifth", "ninth", "case-b")
+
+
+def tile_base(key):
+    return TileSpec.from_pi_fractions(
+        *(F(q) for q in fixtures.load("expectations")["tile_bases"][key]))
 
 
 def angles_from_edges(edges):
@@ -201,6 +212,63 @@ class TestIntegerValidity:
         assert min(seen.values()) > 100, seen
 
 
+class TestAreaMultiple:
+    """`area_multiple` decides a label triple of the endgame on integer
+    numerators over one denominator.  Its reference is the Fraction form:
+    None when `is_valid` fails, else whether the triangle's area over the
+    tile's, (sum - 1) / (tile sum - 1), is whole.  `is_valid` is held to
+    the Fraction statement of validity on the same triples, since both it
+    and `area_multiple` read `_failure`."""
+
+    @staticmethod
+    def _decisions(labels, tile):
+        """(integer decision, reference, angles) for every sorted triple of
+        the labels, against the tile's area."""
+        excess_pi = sum(tile) - 1
+        nums, den = pi_numerators(list(labels) + list(tile))
+        excess = int(excess_pi * den)
+        assert excess == excess_pi * den
+        for i, j, k in combinations_with_replacement(range(len(labels)), 3):
+            angles = (labels[i], labels[j], labels[k])
+            valid = bool(is_valid(angles))
+            assert valid is (validity_failure_reference(angles, strict=True) is None)
+            want = ((sum(angles) - 1) / excess_pi).denominator == 1 if valid else None
+            yield area_multiple((nums[i], nums[j], nums[k]), den, excess), want, angles
+
+    @pytest.mark.parametrize("key", ENDGAME_KEYS)
+    def test_endgame_label_triples(self, key):
+        ana = final_case_analysis(key)
+        labels = sorted({x for t in ana.alpha_list + ana.beta_list for x in t})
+        seen = Counter()
+        for got, want, angles in self._decisions(labels, ana.tile.angles_pi):
+            assert got is want, angles
+            seen[want] += 1
+        assert seen[None] and seen[True], seen
+
+    def test_seeded_label_sets(self):
+        """200 seeded sets of 4 to 9 labels k/d, d up to 60 (lowest terms,
+        so their denominators are the divisors of d), the tile a valid
+        triple of them.  One d per set puts many triples on a boundary:
+        sum exactly pi, or b + c = pi + a."""
+        rng = random.Random(43)
+        seen = Counter()
+        sets = 0
+        while sets < 200:
+            d = rng.randint(3, 60)
+            size = min(d - 1, rng.randint(4, 9))
+            labels = sorted({F(k, d) for k in rng.sample(range(1, d), size)})
+            tiles = [t for t in combinations_with_replacement(labels, 3) if is_valid(t)]
+            if not tiles:
+                continue
+            sets += 1
+            for got, want, angles in self._decisions(labels, rng.choice(tiles)):
+                assert got is want, (angles, d)
+                seen[want] += 1
+                seen["boundary"] += (want is None
+                                     and validity_failure_reference(angles, strict=False) is None)
+        assert min(seen[None], seen[True], seen[False], seen["boundary"]) > 200, seen
+
+
 class TestEdges:
     @pytest.mark.parametrize("alpha,abc", [
         (F(1, 4), (0.615, 0.785, 0.955)),
@@ -227,6 +295,31 @@ class TestEdges:
             law_of_cosines(F(1, 4), F(1, 3), 0.5)
         with pytest.raises(TypeError):
             law_of_cosines(PI / 4, PI / 3, PI / 2)
+
+    @staticmethod
+    def _check_opposite_edges(qs):
+        edges = law_of_cosines(*qs)
+        for i in range(3):
+            assert opposite_edge(*qs[i:], *qs[:i]) == edges[i], (qs, i)
+
+    @pytest.mark.parametrize("key", ENDGAME_KEYS)
+    def test_opposite_edge_on_every_candidate(self, key):
+        # the edge a candidate walks, computed alone, is law_of_cosines' float
+        tile = tile_base(key)
+        qa, qb = sorted(set(tile.angles_pi))[:2]
+        cands = enumerate_candidates(tile, qa, F(0)) + enumerate_candidates(tile, qb, qa)
+        assert cands
+        for c in cands:
+            self._check_opposite_edges((c.tau, c.phi, c.psi))
+
+    def test_opposite_edge_on_seeded_triangles(self):
+        rng = random.Random(44)
+        for _ in range(500):
+            qs = list(self._random_valid(rng))
+            rng.shuffle(qs)
+            self._check_opposite_edges(qs)
+        with pytest.raises(TypeError):
+            opposite_edge(F(1, 4), 1 / 3, F(1, 2))
 
     def _random_valid(self, rng):
         while True:
