@@ -1,9 +1,14 @@
 """Exact symbolic angles.
 
-An angle is a rational linear form q_pi*pi + q_a*alpha + q_b*beta + q_g*gamma.
-A relation set rewrites symbols away (e.g. gamma -> pi/2, alpha -> pi - 2*beta)
-and gives every form a unique canonical representative, so label equality in
-diagrams is decidable.
+An angle is a rational linear form q_pi*pi + q_a*alpha + q_b*beta + q_g*gamma,
+held as an integer row (one numerator per symbol) over one positive
+denominator, in lowest terms (`exactmath.lowest_terms`), so a form hashes,
+compares and orders (as its coefficient tuple) on ints and gives its
+Fraction coefficients only when asked.  A relation set rewrites symbols
+away (e.g. gamma -> pi/2, alpha -> pi - 2*beta) and gives every form a
+unique canonical representative, its normal form, so label equality in
+diagrams is decidable.  Each form's normal form under a relation set is
+computed once per process.
 
 Exact cosines are available for every rational multiple of pi (values in Q
 or in the field Q(cos(pi/n))), and, under a cos-parametrisation of beta, for
@@ -12,12 +17,13 @@ integer combinations k*pi + r*beta (values in Q[t], t = cos beta).
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import NamedTuple, Optional
 
-from .exactmath import chebyshev, cos_pi, frac
+from .exactmath import chebyshev, cos_pi, frac, lowest_terms
 
 SYMBOLS = ("pi", "alpha", "beta", "gamma")
 
@@ -28,12 +34,19 @@ class NoExactCosineError(ValueError):
 
 
 class AngleForm:
-    """Rational linear form over (pi, alpha, beta, gamma)."""
+    """Rational linear form over (pi, alpha, beta, gamma): the coefficients
+    row[i]/den, ordered as SYMBOLS, row four ints and den > 0 in lowest
+    terms (`AngleForm(row, den)` reduces them).  `a < b` compares the
+    coefficient tuples `coeffs`, on ints."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("row", "den")
 
-    def __init__(self, coeffs: tuple):  # 4 Fractions, ordered as SYMBOLS
-        object.__setattr__(self, "coeffs", coeffs)
+    def __init__(self, row: tuple, den: int = 1):
+        if len(row) != len(SYMBOLS):
+            raise ValueError(f"an angle form has {len(SYMBOLS)} coefficients, not {len(row)}")
+        row, den = lowest_terms(row, den)
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):  # immutable
         raise AttributeError("AngleForm is immutable")
@@ -43,54 +56,67 @@ class AngleForm:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.row == other.row and self.den == other.den
 
     def __hash__(self):
-        return hash((self.coeffs,))
+        return hash((self.row, self.den))
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        a, b = self.den, other.den
+        return [x * b for x in self.row] < [y * a for y in other.row]
 
     @staticmethod
     def of(pi=0, alpha=0, beta=0, gamma=0) -> "AngleForm":
-        return AngleForm((frac(pi), frac(alpha), frac(beta), frac(gamma)))
+        cs = [frac(pi), frac(alpha), frac(beta), frac(gamma)]
+        den = math.lcm(*[c.denominator for c in cs])
+        return AngleForm([c.numerator * (den // c.denominator) for c in cs], den)
 
     @staticmethod
     def pi_multiple(q) -> "AngleForm":
         return AngleForm.of(pi=q)
 
+    @property
+    def coeffs(self) -> tuple:
+        """The four coefficients as Fractions, ordered as SYMBOLS."""
+        return tuple(Fraction(c, self.den) for c in self.row)
+
+    def _sum(self, other: "AngleForm", sign: int) -> "AngleForm":
+        a, b = other.den, self.den
+        return AngleForm([x * a + sign * y * b for x, y in zip(self.row, other.row)], a * b)
+
     def __add__(self, other: "AngleForm") -> "AngleForm":
-        return AngleForm(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._sum(other, 1)
 
     def __sub__(self, other: "AngleForm") -> "AngleForm":
-        return AngleForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._sum(other, -1)
 
     def __neg__(self) -> "AngleForm":
-        return AngleForm(tuple(-a for a in self.coeffs))
+        return AngleForm([-c for c in self.row], self.den)
 
     def __rmul__(self, k) -> "AngleForm":
         k = frac(k)
-        return AngleForm(tuple(k * a for a in self.coeffs))
+        return AngleForm([k.numerator * c for c in self.row], k.denominator * self.den)
 
     __mul__ = __rmul__
 
-    def coefficient(self, symbol: str) -> Fraction:
-        return self.coeffs[SYMBOLS.index(symbol)]
-
     def pi_fraction(self) -> Optional[Fraction]:
         """The q with self == q*pi, or None if a symbol is present."""
-        if any(c != 0 for c in self.coeffs[1:]):
+        if any(self.row[1:]):
             return None
-        return self.coeffs[0]
+        return Fraction(self.row[0], self.den)
 
     def substitute(self, symbol: str, replacement: "AngleForm") -> "AngleForm":
         i = SYMBOLS.index(symbol)
-        c = self.coeffs[i]
-        if c == 0:
+        c = self.row[i]
+        if not c:
             return self
-        base = list(self.coeffs)
-        base[i] = Fraction(0)
-        return AngleForm(tuple(base)) + c * replacement
-
-    def sort_key(self):
-        return tuple(self.coeffs)
+        # row/den - c/den symbol + c/den replacement, over den * replacement.den
+        rd = replacement.den
+        return AngleForm([(x if j != i else 0) * rd + c * r
+                          for j, (x, r) in enumerate(zip(self.row, replacement.row))],
+                         self.den * rd)
 
     def __repr__(self):
         return f"AngleForm({format_angle(self)!r})"
@@ -119,13 +145,21 @@ class RelationSet(NamedTuple):
         return RelationSet(tuple((s, f) for s, f in rules))
 
     def normalize(self, form: AngleForm) -> AngleForm:
-        out = form
-        for sym, rep in self.rules:
-            out = out.substitute(sym, rep)
-        for sym, _ in self.rules:
-            if out.coefficient(sym) != 0:
-                raise ValueError(f"cyclic relation set: {sym} reappears")
-        return out
+        """The canonical representative of the form under the rules."""
+        return _normal_form(self, form) if self.rules else form
+
+
+@cache
+def _normal_form(relations: RelationSet, form: AngleForm) -> AngleForm:
+    """`relations.normalize(form)`, computed once per (relations, form)
+    in a process: both are immutable."""
+    out = form
+    for sym, rep in relations.rules:
+        out = out.substitute(sym, rep)
+    for sym, _ in relations.rules:
+        if out.row[SYMBOLS.index(sym)]:
+            raise ValueError(f"cyclic relation set: {sym} reappears")
+    return out
 
 
 EMPTY_RELATIONS = RelationSet(())
@@ -177,7 +211,7 @@ def parse_angle(text: str) -> AngleForm:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in angle term {term!r}") from None
         coeffs[SYMBOLS.index(m.group("sym"))] += coef
-    return AngleForm(tuple(coeffs))
+    return AngleForm.of(*coeffs)
 
 
 def format_angle(form: AngleForm) -> str:
@@ -218,9 +252,8 @@ def exact_cos(form: AngleForm, relations: RelationSet = EMPTY_RELATIONS,
     q = f.pi_fraction()
     if q is not None:
         return cos_pi(q)
-    if as_poly_in == "beta" and f.coefficient("alpha") == 0 == f.coefficient("gamma"):
-        k, r = f.coefficient("pi"), f.coefficient("beta")
-        if k.denominator == 1 and r.denominator == 1:
-            p = chebyshev(abs(int(r)))
-            return p if int(k) % 2 == 0 else -p
+    k, a, r, g = f.row
+    if as_poly_in == "beta" and not (a or g) and f.den == 1:
+        p = chebyshev(abs(r))
+        return p if k % 2 == 0 else -p
     raise NoExactCosineError(f"no exact cosine for {format_angle(f)}")

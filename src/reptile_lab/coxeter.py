@@ -54,7 +54,7 @@ from .angles import (AngleForm, RelationSet, EMPTY_RELATIONS, format_angle,
                      parse_angle)
 
 Edge = tuple  # (i, j) with i < j
-TriangleType = tuple  # three AngleForms sorted by sort_key
+TriangleType = tuple  # three AngleForms in ascending order
 
 
 def _edge(i: int, j: int) -> Edge:
@@ -66,7 +66,7 @@ def all_edges(n: int) -> list:
 
 
 def triangle_type_of(labels: Iterable[AngleForm]) -> TriangleType:
-    return tuple(sorted(labels, key=lambda f: f.sort_key()))
+    return tuple(sorted(labels))
 
 
 class ConsistencyError(RuntimeError):
@@ -167,14 +167,21 @@ class KnTables:
         """Per k = 0..len(edges): the getters of the distinct images of the
         first k edges under the permutations that map those edges onto
         themselves, the identity image left out.  Built on first use, not
-        with the other tables."""
-        out = []
-        for k in range(len(self.edges) + 1):
-            prefixes = {im[:k] for im in self.edge_images if max(im[:k], default=k) < k}
-            prefixes.discard(tuple(range(k)))
-            # two or more indices each: a one-edge prefix has only itself
-            out.append([itemgetter(*p) for p in sorted(prefixes)])
-        return out
+        with the other tables, in one pass over the edge images: im[:k + 1]
+        maps the first k + 1 edges onto themselves iff the running maximum
+        of its entries is k, and is no identity once an entry has moved."""
+        prefixes = [set() for _ in range(len(self.edges) + 1)]
+        for im in self.edge_images:
+            top, moved = -1, False
+            for k, x in enumerate(im):
+                if x > top:
+                    top = x
+                if x != k:
+                    moved = True
+                if moved and top == k:
+                    prefixes[k + 1].add(im[:k + 1])
+        # two or more indices each: a one-edge prefix has only itself
+        return [[itemgetter(*p) for p in sorted(ps)] for ps in prefixes]
 
     @cached_property
     def floors(self) -> tuple:
@@ -261,8 +268,8 @@ class CoxeterDiagram:
         if len(canon) != len(labels) or set(canon) != set(es):
             raise ValueError("labels must cover every edge exactly once")
         self.labels = canon
-        # label forms numbered once, in sort_key order; symmetry runs on ids
-        self.forms = tuple(sorted(set(canon.values()), key=lambda f: f.sort_key()))
+        # label forms numbered once, in ascending order; symmetry runs on ids
+        self.forms = tuple(sorted(set(canon.values())))
         ids = {f: i for i, f in enumerate(self.forms)}
         self.colors = tuple(ids[canon[e]] for e in es)
 
@@ -293,7 +300,7 @@ class CoxeterDiagram:
     def canonical_key(self):
         """Minimum label-id matrix over all vertex orders, with the label
         forms in id order to pin the ids; equal iff isomorphic."""
-        return (kn_tables(self.n).canon(self.colors), tuple(f.coeffs for f in self.forms))
+        return kn_tables(self.n).canon(self.colors), self.forms
 
     # -- fixture IO ----------------------------------------------------------
 

@@ -60,11 +60,17 @@ def _trim(cs) -> tuple:
     return tuple(cs)
 
 
-def _normal(row, den: int) -> tuple:
-    """(row, den) over their gcd with den > 0: one form for each value."""
-    row = _trim(row)
+def lowest_terms(row, den: int) -> tuple:
+    """(row, den), den != 0, over their gcd signed so that den > 0: one
+    form for each value of a row of fixed length (an `AngleForm`'s four
+    coefficients)."""
     g = math.gcd(den, *row) * (1 if den > 0 else -1)
     return tuple(c // g for c in row), den // g
+
+
+def _normal(row, den: int) -> tuple:
+    """(row, den) trimmed and in lowest terms: one form for each value."""
+    return lowest_terms(_trim(row), den)
 
 
 def _primitive(row) -> tuple:

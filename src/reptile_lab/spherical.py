@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import cache
 from itertools import count
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
@@ -309,15 +310,31 @@ def is_valid_symbolic(forms, relations: RelationSet, beta_lo: Fraction,
     minus pi, and pi + x minus the other two; sorting takes their minimum.
     A linear function >= 0 at both ends and > 0 at the midpoint is > 0
     inside, so reading the triple at beta_lo and beta_hi with equality
-    allowed and strictly at the midpoint is exact.
+    allowed and strictly at the midpoint is exact.  Each distinct
+    question is answered once per process (`_valid_on_interval`).
     """
-    coeffs = [relations.normalize(f).coeffs for f in forms]
-    if any(qa or qg for _, qa, _, qg in coeffs):
-        raise ValueError("form must be reduced to pi and beta")
-    for beta, strict in ((beta_lo, False), (beta_hi, False),
-                         ((beta_lo + beta_hi) / 2, True)):
-        reason = _failure(*pi_numerators([qp + qb * beta for qp, _, qb, _ in coeffs]),
-                          strict)
+    return _valid_on_interval(tuple(forms), relations, beta_lo, beta_hi)
+
+
+@cache
+def _valid_on_interval(forms: tuple, relations: RelationSet, beta_lo: Fraction,
+                       beta_hi: Fraction) -> ValidityReport:
+    """`is_valid_symbolic` on integers: each normalized form is the row
+    (p, 0, q, 0) over d, its angle at beta = b/e is (p e + q b)/(d e), and
+    the three are read over L e, L the lcm of the d."""
+    rows = []
+    for f in forms:
+        f = relations.normalize(f)
+        p, qa, q, qg = f.row
+        if qa or qg:
+            raise ValueError("form must be reduced to pi and beta")
+        rows.append((p, q, f.den))
+    lcm = math.lcm(*(d for _, _, d in rows))
+    lo_b, lo_e = beta_lo.numerator, beta_lo.denominator
+    hi_b, hi_e = beta_hi.numerator, beta_hi.denominator
+    for b, e, strict in ((lo_b, lo_e, False), (hi_b, hi_e, False),
+                         (lo_b * hi_e + hi_b * lo_e, 2 * lo_e * hi_e, True)):
+        reason = _failure([(p * e + q * b) * (lcm // d) for p, q, d in rows], lcm * e, strict)
         if reason:
             return ValidityReport(False, reason)
     return ValidityReport(True)

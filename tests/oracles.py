@@ -6,7 +6,9 @@ of a field element built on it, the trial-factoring oracle of
 generic permutation-group layer on vertex tuples (group test, orbit
 search, Burnside count, cyclic and small subgroups) that checks
 `KnTables.orbits`, richness read from a diagram's labels, the
-position-tuple form of `pair_canonical`, `QuadExt`, the closed-form
+position-tuple form of `pair_canonical`, the set-comprehension prefix
+tables of `KnTables.is_first`, the former `Fraction` angle form that
+checks `AngleForm`'s integer rows, `QuadExt`, the closed-form
 quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5,
 the former `Fraction`-polynomial field Q(cos(pi/n)) and its Bareiss
 elimination, which check the integer rows, spherical-triangle validity in
@@ -554,6 +556,101 @@ def pair_canonical_reference(ea: frozenset, eb: frozenset, n: int) -> tuple:
                 tuple(i for i, x in enumerate(image) if x == 2))
     ia, ib = min(split(g(colors)) for g in kn.getters)
     return (tuple(kn.edges[i] for i in ia), tuple(kn.edges[i] for i in ib))
+
+
+def prefix_getters_reference(kn) -> list:
+    """Per k = 0..len(edges): the sorted distinct images of the first k
+    edges (index tuples) under the permutations mapping those edges onto
+    themselves, the identity image left out, one set comprehension per k
+    (the former `KnTables._prefix_getters`, before the getters)."""
+    out = []
+    for k in range(len(kn.edges) + 1):
+        prefixes = {im[:k] for im in kn.edge_images if max(im[:k], default=k) < k}
+        prefixes.discard(tuple(range(k)))
+        out.append(sorted(prefixes))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The package's former angle form: four Fraction coefficients
+# ---------------------------------------------------------------------------
+
+ANGLE_SYMBOLS = ("pi", "alpha", "beta", "gamma")
+
+
+class FractionAngleForm:
+    """Rational linear form over (pi, alpha, beta, gamma), four `Fraction`
+    coefficients ordered as the symbols (the former `angles.AngleForm`),
+    with the former `RelationSet.normalize` and `format_angle`."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+
+    @staticmethod
+    def of(form) -> "FractionAngleForm":
+        """The reference twin of a package `AngleForm`."""
+        return FractionAngleForm(form.coeffs)
+
+    def __add__(self, other):
+        return FractionAngleForm(a + b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        return FractionAngleForm(a - b for a, b in zip(self.coeffs, other.coeffs))
+
+    def __neg__(self):
+        return FractionAngleForm(-a for a in self.coeffs)
+
+    def __rmul__(self, k):
+        return FractionAngleForm(k * a for a in self.coeffs)
+
+    def coefficient(self, symbol: str) -> Fraction:
+        return self.coeffs[ANGLE_SYMBOLS.index(symbol)]
+
+    def pi_fraction(self):
+        if any(c != 0 for c in self.coeffs[1:]):
+            return None
+        return self.coeffs[0]
+
+    def substitute(self, symbol: str, replacement) -> "FractionAngleForm":
+        i = ANGLE_SYMBOLS.index(symbol)
+        c = self.coeffs[i]
+        if c == 0:
+            return self
+        base = list(self.coeffs)
+        base[i] = Fraction(0)
+        return FractionAngleForm(base) + c * replacement
+
+    def sort_key(self) -> tuple:
+        return self.coeffs
+
+    def normalize(self, rules) -> "FractionAngleForm":
+        """The form under (symbol, FractionAngleForm) rules, applied left to
+        right; a symbol a rule eliminates that reappears raises ValueError."""
+        out = self
+        for sym, rep in rules:
+            out = out.substitute(sym, rep)
+        for sym, _ in rules:
+            if out.coefficient(sym) != 0:
+                raise ValueError(f"cyclic relation set: {sym} reappears")
+        return out
+
+    def text(self) -> str:
+        parts = []
+        for c, sym in zip(self.coeffs, ANGLE_SYMBOLS):
+            if c == 0:
+                continue
+            mag = abs(c)
+            if sym == "pi":
+                body = "pi" if mag == 1 else f"{mag} pi"
+            else:
+                body = sym if mag == 1 else f"{mag}*{sym}"
+            if not parts:
+                parts.append(body if c > 0 else "-" + body)
+            else:
+                parts.append(("+" if c > 0 else "-") + body)
+        return "".join(parts) if parts else "0 pi"
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction as F
 from typing import Optional
@@ -6,12 +11,13 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reptile_lab import angles
 from reptile_lab.angles import (ALPHA, BETA, GAMMA, PI, SYMBOLS, AngleForm,
                                 NoExactCosineError, RelationSet, exact_cos,
                                 format_angle, parse_angle)
 from reptile_lab.exactmath import Poly
 
-from oracles import QuadExt, in_field
+from oracles import FractionAngleForm, QuadExt, in_field
 
 
 @dataclass(frozen=True)
@@ -42,7 +48,7 @@ fractions = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
 @st.composite
 def angle_forms(draw):
-    return AngleForm(tuple(draw(fractions) for _ in range(4)))
+    return AngleForm.of(*(draw(fractions) for _ in range(4)))
 
 
 # mostly ASCII digits, with other scripts' numerals among them
@@ -74,7 +80,7 @@ class TestParse:
         ("-alpha", (0, -1, 0, 0)),
     ])
     def test_examples(self, text, coeffs):
-        assert parse_angle(text) == AngleForm(tuple(F(c) for c in coeffs))
+        assert parse_angle(text) == AngleForm.of(*coeffs)
 
     def test_one_parse_per_literal(self):
         assert parse_angle("2/9 pi-beta") is parse_angle("2/9 pi-beta")
@@ -232,3 +238,110 @@ class TestExactCos:
             poly = exact_cos(form, R_CASE_A, as_poly_in="beta")
             assert float(poly(F(tval).limit_denominator(10 ** 12))) == pytest.approx(
                 math.cos(evaluate(form, a)), abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The integer-row form against the former Fraction form
+# ---------------------------------------------------------------------------
+
+
+def random_fraction(rng, zero_share=0.3):
+    if rng.random() < zero_share:
+        return F(0)
+    return F(rng.randint(-120, 120), rng.randint(1, 60))
+
+
+def random_form(rng, zero=()):
+    """(AngleForm, FractionAngleForm) twins, denominators up to 60; the
+    symbols in `zero` get coefficient 0."""
+    cs = [F(0) if s in zero else random_fraction(rng) for s in SYMBOLS]
+    return AngleForm.of(*cs), FractionAngleForm(cs)
+
+
+def random_relations(rng, acyclic=True):
+    """(RelationSet, reference rules): an ordered subset of alpha, beta,
+    gamma, each replaced by a random form.  Acyclic: no replacement holds
+    its own symbol or one an earlier rule eliminated."""
+    syms = rng.sample(SYMBOLS[1:], rng.randint(1, 3))
+    rules, ref = [], []
+    for i, s in enumerate(syms):
+        form, twin = random_form(rng, zero=syms[:i + 1] if acyclic else ())
+        rules.append((s, form))
+        ref.append((s, twin))
+    return RelationSet.of(*rules), ref
+
+
+def assert_twins(form, twin):
+    assert form.coeffs == twin.coeffs
+    assert form.den > 0 and math.gcd(form.den, *form.row) == 1
+
+
+def test_row_form_matches_fraction_form():
+    rng = random.Random(44)
+    relation_sets = [(R_CASE_A, [(s, FractionAngleForm.of(f)) for s, f in R_CASE_A.rules])]
+    relation_sets += [random_relations(rng) for _ in range(40)]
+    relation_sets += [random_relations(rng, acyclic=False) for _ in range(40)]
+    cyclic = 0
+    for _ in range(400):
+        (a, fa), (b, fb) = random_form(rng), random_form(rng)
+        k = rng.choice([random_fraction(rng, 0.1), rng.randint(-5, 5)])
+        assert_twins(a + b, fa + fb)
+        assert_twins(a - b, fa - fb)
+        assert_twins(-a, -fa)
+        assert_twins(k * a, k * fa)
+        assert_twins(a * k, k * fa)
+        for s in SYMBOLS[1:]:
+            assert_twins(a.substitute(s, b), fa.substitute(s, fb))
+        assert a.pi_fraction() == fa.pi_fraction()
+        p, fp = random_form(rng, zero=SYMBOLS[1:])
+        assert p.pi_fraction() == fp.pi_fraction() == fp.coeffs[0]
+        relations, rules = rng.choice(relation_sets)
+        try:
+            want = fa.normalize(rules)
+        except ValueError:
+            cyclic += 1
+            with pytest.raises(ValueError, match="cyclic"):
+                relations.normalize(a)
+        else:
+            assert_twins(relations.normalize(a), want)
+        text = format_angle(a)
+        assert text == fa.text() and parse_angle(text) == a
+        assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    assert cyclic >= 20
+
+
+def test_row_order_is_the_coefficient_order():
+    rng = random.Random(45)
+    pairs = [random_form(rng) for _ in range(300)]
+    # equal leading coefficients, so later ones decide
+    pairs += [(AngleForm.of(F(1, 2), x), FractionAngleForm([F(1, 2), x, 0, 0]))
+              for x in (F(-1, 3), F(0), F(2, 7), F(1, 60))]
+    rng.shuffle(pairs)
+    by_row = sorted(range(len(pairs)), key=lambda i: pairs[i][0])
+    by_ref = sorted(range(len(pairs)), key=lambda i: pairs[i][1].sort_key())
+    assert by_row == by_ref
+
+
+@pytest.mark.parametrize("texts", [("1/2 pi", "2/4 pi", "pi-1/2 pi", "3/2 pi-pi"),
+                                   ("beta-alpha", "2*beta-alpha-beta"),
+                                   ("0 pi", "pi-pi", "beta-beta")])
+def test_equal_forms_hash_alike(texts):
+    forms = [parse_angle(t) for t in texts]
+    assert len(set(forms)) == 1 and len({hash(f) for f in forms}) == 1
+    assert all(f.row == forms[0].row and f.den == forms[0].den for f in forms)
+
+
+def test_fresh_case_a_computes_each_normal_form_and_validity_once():
+    """In a fresh `case-a` run, 236 normalizations under the half-turn
+    relations ask for 8 distinct normal forms, and its validity filter's 42
+    questions (it stops at case-a-5's first invalid triangle) for 12
+    distinct triangles: each is computed once."""
+    code = ("from reptile_lab import angles, scenarios, spherical\n"
+            "print(scenarios.run_scenario('case-a').passed)\n"
+            "for f in (angles._normal_form, spherical._valid_on_interval):\n"
+            "    info = f.cache_info()\n"
+            "    print(info.misses, info.hits + info.misses)\n")
+    src = str(pathlib.Path(angles.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.split("\n") == ["True", "8 236", "12 42", ""]

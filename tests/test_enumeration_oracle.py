@@ -66,7 +66,7 @@ def random_case(seed, n, size):
                 for k in sorted(rng.sample(range(1, 23), size))]
     types = sorted({triangle_type_of(c)
                     for c in combinations_with_replacement(alphabet, 3)},
-                   key=lambda t: [f.sort_key() for f in t])
+                   key=lambda t: [f.coeffs for f in t])
     rules = []
     for lab in rng.sample(alphabet, rng.randint(0, min(2, size))):
         rules.append((lab, frozenset(t for t in types

@@ -32,7 +32,7 @@ def immutable_records():
     """(record, one of its fields) for every immutable record class."""
     cand = enumerate_candidates(TILE, F(1, 4))[0]
     return [
-        (AngleForm.of(pi=F(1, 2), beta=1), "coeffs"),
+        (AngleForm.of(pi=F(1, 2), beta=1), "row"),
         (RelationSet.of(("gamma", F(1, 2) * PI)), "rules"),
         (RootInterval(F(0), F(1), False), "lo"),
         (cos_pi(F(1, 5)), "poly"),

@@ -6,10 +6,10 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from reptile_lab import fixtures
+from reptile_lab import angles, fixtures, spherical
 from reptile_lab.angles import EMPTY_RELATIONS, AngleForm, parse_angle
 from reptile_lab.realize import TileSpec, enumerate_candidates
-from reptile_lab.scenarios import final_case_analysis
+from reptile_lab.scenarios import CASE_A_RELATIONS, final_case_analysis
 from reptile_lab.spherical import (CORNER_TABLE_MAX_DEN, InvalidTriangleError, angle_sums,
                                    area_multiple, corner_angle_solutions,
                                    corner_angle_solutions_rational_scan,
@@ -210,6 +210,32 @@ class TestIntegerValidity:
                 validity_failure_reference(p, strict=True) is not None
                 or validity_failure_reference(r, strict=True) is not None)
         assert min(seen.values()) > 100, seen
+
+    def test_case_a_validity_is_computed_once_on_ints(self, monkeypatch):
+        """The case-a validity filter asks about the 50 triangles of the five
+        catalog diagrams, of 12 distinct types under the half-turn
+        relations: each is answered once, and neither the answers nor the
+        forms' normal forms make a `Fraction`."""
+        diagrams = [fixtures.diagram(f"case-a-{i}") for i in range(1, 6)]
+        types = [d.triangle_type(t) for d in diagrams for t in d.triangles()]
+        lo, hi = F(1, 3), F(1, 2)
+        spherical._valid_on_interval.cache_clear()
+        angles._normal_form.cache_clear()
+        made = []
+        new = F.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", counting)
+        assert lo + hi and made  # the count sees arithmetic
+        made.clear()
+        ok = [bool(is_valid_symbolic(t, CASE_A_RELATIONS, lo, hi)) for t in types]
+        assert made == []
+        info = spherical._valid_on_interval.cache_info()
+        assert (info.misses, info.hits) == (12, 38)
+        assert [all(ok[i:i + 10]) for i in range(0, 50, 10)] == [True] * 4 + [False]
 
 
 class TestAreaMultiple:

@@ -27,7 +27,7 @@ from reptile_lab.coxeter import (CoxeterDiagram, all_edges,
 
 from oracles import (act_on_vertex_set, burnside_count_reference,
                      cyclic_subgroups_reference, orbit_partition_reference,
-                     pair_canonical_reference)
+                     pair_canonical_reference, prefix_getters_reference)
 
 NS = (2, 3, 4, 5)
 
@@ -170,6 +170,17 @@ def test_floors_hold_on_first_labelings():
     assert all(moved), moved
 
 
+@pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+def test_prefix_tables_match_the_set_comprehensions(n):
+    # `is_first`'s tables, built in one pass over the edge images, hold
+    # the same index tuples, in the same order, as one set per prefix length
+    kn = kn_tables(n)
+    ident = tuple(range(len(kn.edges)))
+    got = [[g(ident) for g in getters] for getters in kn._prefix_getters]
+    assert got == prefix_getters_reference(kn)
+    assert sum(map(len, got)) > 0 or n == 2
+
+
 @pytest.mark.parametrize("n", NS)
 def test_canonical_key(n):
     rng = random.Random(20 + n)
@@ -177,11 +188,10 @@ def test_canonical_key(n):
     for colors in random_colorings(n, 60, 30 + n):
         rng.shuffle(forms)
         d = CoxeterDiagram(list("uvwxy")[:n], {e: forms[c] for e, c in zip(all_edges(n), colors)})
-        used = sorted(set(d.labels.values()), key=lambda f: f.sort_key())
+        used = sorted(set(d.labels.values()), key=lambda f: f.coeffs)
         ids = {f: i for i, f in enumerate(used)}
         ranked = tuple(ids[d.labels[e]] for e in all_edges(n))
-        assert d.canonical_key() == (brute_canon(ranked, n),
-                                     tuple(f.coeffs for f in used))
+        assert d.canonical_key() == (brute_canon(ranked, n), tuple(used))
         assert d.automorphisms() == brute_aut(ranked, n)
         p = list(range(n))
         rng.shuffle(p)
