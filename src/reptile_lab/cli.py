@@ -9,8 +9,9 @@ Angle triples on the command line are comma-separated angle literals in the
 passed, 1 some failed, 2 usage or configuration error.  `run` has no
 tolerance or budget flags: the edge tolerance 1e-5 and the search node
 budget 10^6 are fixed, and each report head echoes them as `config`.
-`diagram ... gram` works over Q or Q(cos(pi/n)) for any rational multiples
-of pi as labels; a symbol that no relation resolves exits 2.
+`diagram ... gram` works over Q or Q(cos(pi/n)) for rational multiples of
+pi as labels whose cosines meet in a field of degree at most 128; a larger
+field, or a symbol that no relation resolves, exits 2.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ rational-angle cosine lives in, Q(cos(pi/n)) (cos(q pi) exactly for every
 rational q, as rows in x = 2cos(pi/n), signs by bisecting x's interval).
 On these rows: Sturm-sequence real root counting and isolation (square-
 free parts and chains by primitive pseudo-remainders), and exact
-determinants of small matrices via fraction-free (Bareiss) elimination
-over Z, Z[t] and Z[x]/psi_n.
+determinants of small matrices via one fraction-free (Bareiss)
+elimination over Z and Z[t]; a field matrix is eliminated in Z[x] and
+its minors reduced mod psi_n after, so no field element is ever divided.
 
 Everything here is immutable and pure; no rounding happens anywhere
 except in the explicitly numeric evaluation helpers.
@@ -413,13 +414,12 @@ def isolate_roots(p: Poly, precision=Fraction(1, 10000)) -> list[RootInterval]:
 
 
 # ---------------------------------------------------------------------------
-# The rings the elimination runs in: Z, Z[t] and (below) Z[x]/psi_n
+# The rings the elimination runs in: Z and Z[t]
 # ---------------------------------------------------------------------------
 
-# Each ring gives `_bareiss` its zero, one and negation, the divisor it
-# keeps for a pivot, and the step that sets row_i[j] to
-# (a_kk a_ij - a_ik a_kj) / prev, j > k, with a remainder other than zero
-# raising ArithmeticError.
+# Each ring gives `_bareiss` its zero, one and negation, and the step that
+# sets row_i[j] to (a_kk a_ij - a_ik a_kj) / prev, j > k, with a remainder
+# other than zero raising ArithmeticError.
 
 
 def _exact(a: int, b: int) -> int:
@@ -434,7 +434,6 @@ class _Integers:
 
     zero, one = 0, 1
     neg = staticmethod(operator.neg)
-    divisor = staticmethod(lambda p: p)
 
     @staticmethod
     def step(a, k, prev):
@@ -454,9 +453,6 @@ class _IntPolys:
 
     zero, one = (), (1,)
 
-    def reduce(self, cs) -> tuple:
-        return _trim(cs)
-
     @staticmethod
     def neg(a):
         return tuple(-c for c in a)
@@ -467,17 +463,15 @@ class _IntPolys:
         for row_i in a[k + 1:]:
             c = row_i[k]
             for j in range(k + 1, len(row_k)):
-                row_i[j] = self.div(self.reduce(_det2(p, row_i[j], c, row_k[j])), prev)
-
-    @staticmethod
-    def divisor(p):
-        return p
+                row_i[j] = self.div(_trim(_det2(p, row_i[j], c, row_k[j])), prev)
 
     @staticmethod
     def div(a, p):
         """a / p by long division; each quotient coefficient is the exact
         quotient of a remainder's leading coefficient by p's.  Also the
         square-free part's and the rational roots' division in Z[t]."""
+        if p == (1,):  # the first elimination step's divisor
+            return a
         dp, lc, rem = len(p) - 1, p[-1], list(a)
         q = [0] * max(0, len(rem) - dp)
         for k in reversed(range(len(q))):
@@ -504,10 +498,12 @@ def chebyshev(r: int) -> Poly:
     return Poly._of(t0, 1)
 
 
-# The largest degree [Q(cos(pi/n)) : Q] the package computes in.  Each
-# pivot the elimination divides by costs O(d^3) big-int steps: a 6 x 6
-# cosine matrix over Q(cos(pi/257)), degree 128, takes about 13 s, and a
-# 4 x 4 one of degree 179 about 34 s (README).
+# The largest degree [Q(cos(pi/n)) : Q] the package computes in.  The
+# elimination in Z[x] multiplies rows of degree up to k (d - 1) at step k:
+# `diagram FILE gram` on a 6 x 6 cosine matrix over Q(cos(pi/257)),
+# degree 128, takes 0.7-2.0 s, and on 4 to 6 vertices with labels in a
+# field of degree 179 about 1-3 s with this bound lifted (README).
+# Raising it changes which files exit 2.
 MAX_FIELD_DEGREE = 128
 
 
@@ -572,73 +568,25 @@ def _psi(n: int) -> tuple:
     return tuple(psi)
 
 
-class _CyclotomicInts(_IntPolys):
-    """Z[x]/psi_n, x = 2cos(pi/n), for `_bareiss` and `RealCyclotomic`:
-    int tuples of length below d = deg psi_n, which is monic, so
-    reducing never divides."""
-
-    def __init__(self, n: int):
-        self.psi = _psi(n)
-        self.d = len(self.psi) - 1
-
-    def reduce(self, cs) -> tuple:
-        cs, psi, d = list(cs), self.psi, self.d
-        for i in range(len(cs) - 1, d - 1, -1):
-            q = cs[i]
-            if q:
-                for j in range(d):
-                    cs[i - d + j] -= q * psi[j]
-        return _trim(cs[:d])
-
-    def divisor(self, p):
-        """(u, D) with p u = D, a nonzero int (u None for a constant p).
-        D is +-N(p), the determinant of p's multiplication matrix M, and u
-        solves M u = D e_0: fraction-free elimination of [M | e_0] leaves
-        D on the last pivot (Bareiss 1968), and D u is then integral, so
-        back substitution divides exactly."""
-        if len(p) == 1:
-            return None, p[0]
-        d, psi = self.d, self.psi
-        col, cols = list(p) + [0] * (d - len(p)), []
-        for _ in range(d):  # x^j p, j = 0..d-1
-            cols.append(col)
-            top, col = col[-1], [0] + col[:-1]
-            if top:
-                col = [c - top * s for c, s in zip(col, psi)]
-        a = [[c[i] for c in cols] + [int(i == 0)] for i in range(d)]
-        prev = 1
-        for k in range(d):
-            if not a[k][k]:
-                s = next(i for i in range(k + 1, d) if a[i][k])
-                a[k], a[s] = a[s], a[k]
-            row_k = a[k]
-            pivot, tail = row_k[k], row_k[k + 1:]
-            for row_i in a[k + 1:]:
-                aik = row_i[k]
-                row_i[k + 1:] = [(pivot * x - aik * y) // prev
-                                 for x, y in zip(row_i[k + 1:], tail)]
-            prev = pivot
-        u = [0] * d
-        for i in reversed(range(d)):  # a[i][i] u_i = D b_i - sum a[i][j] u_j
-            row = a[i]
-            u[i] = (prev * row[d] - sum(map(operator.mul, row[i + 1:d], u[i + 1:]))) // row[i]
-        return _trim(u), prev
-
-    def div(self, a, divisor):
-        u, d = divisor
-        return tuple(_exact(c, d) for c in (a if u is None else self.reduce(_mul(a, u))))
-
-
-_field = lru_cache(maxsize=None)(_CyclotomicInts)
+def _reduce(cs, n: int) -> tuple:
+    """The integer row cs modulo psi_n, of length below its degree d:
+    psi_n is monic, so reducing never divides."""
+    psi = _psi(n)
+    d, cs = len(psi) - 1, list(cs)
+    for i in range(len(cs) - 1, d - 1, -1):
+        q = cs[i]
+        if q:
+            for j in range(d):
+                cs[i - d + j] -= q * psi[j]
+    return _trim(cs[:d])
 
 
 @lru_cache(maxsize=None)
 def _chebyshev_row(k: int, n: int) -> tuple:
     """C_k(x) = 2cos(k pi/n) in Z[x]/psi_n."""
-    f = _field(n)
-    c0, c1 = f.reduce([2]), f.reduce([0, 1])
+    c0, c1 = _reduce([2], n), _reduce([0, 1], n)
     for _ in range(k):
-        c0, c1 = c1, f.reduce(_det2(c1, (0, 1), c0, (1,)))
+        c0, c1 = c1, _reduce(_det2(c1, (0, 1), c0, (1,)), n)
     return c0
 
 
@@ -692,7 +640,7 @@ class RealCyclotomic:
     def __init__(self, poly: Poly, n: int):
         # c^i = x^i / 2^i = 2^(k-i) x^i / 2^k, k = deg poly
         k = max(poly.degree, 0)
-        self._set(_field(n).reduce([a << (k - i) for i, a in enumerate(poly.row)]),
+        self._set(_reduce([a << (k - i) for i, a in enumerate(poly.row)], n),
                   poly.den << k, n)
 
     @classmethod
@@ -731,10 +679,9 @@ class RealCyclotomic:
         """The same number in Q(cos(pi/m)), for m a multiple of n."""
         if m == self.n:
             return self
-        f, x = _field(m), _chebyshev_row(m // self.n, m)
-        acc = ()
+        x, acc = _chebyshev_row(m // self.n, m), ()
         for a in reversed(self.row):  # Horner in Z[x]/psi_m
-            acc = f.reduce(_det2(acc, x, (-a,), (1,)))
+            acc = _reduce(_det2(acc, x, (-a,), (1,)), m)
         return RealCyclotomic._of(acc, self.den, m)
 
     def _pair(self, other):
@@ -769,25 +716,9 @@ class RealCyclotomic:
 
     def __mul__(self, other):
         n, (a, da), (b, db) = self._pair(other)
-        return RealCyclotomic._of(_field(n).reduce(_mul(a, b)), da * db, n)
+        return RealCyclotomic._of(_reduce(_mul(a, b), n), da * db, n)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "RealCyclotomic":
-        """den u / D, for (u, D) the elimination's divisor of the row:
-        row u = D."""
-        if not self.row:
-            raise ZeroDivisionError("inverse of zero")
-        u, d = _field(self.n).divisor(self.row)
-        return RealCyclotomic._of([self.den * c for c in (u or (1,))], d, self.n)
-
-    def __truediv__(self, other):
-        if not isinstance(other, RealCyclotomic):
-            other = RealCyclotomic._rational(other, self.n)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return other * self.inverse()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, RealCyclotomic)):
@@ -871,8 +802,10 @@ class ExactMatrix:
     MAX_FIELD_DEGREE).
 
     The elimination runs on L A, L the lcm of the entries' denominators,
-    on ints, over Z, Z[t] or Z[x]/psi_n: a minor of order k of L A is L^k
-    times A's.  For a cosine matrix L is 2, since 2cos(k pi/n) = C_k(x).
+    on ints, over Z or Z[t]: a minor of order k of L A is L^k times A's.
+    For a cosine matrix L is 2, since 2cos(k pi/n) = C_k(x), and its
+    entries' rows are eliminated in Z[x]: reduction mod psi_n is a ring
+    map, so each minor is reduced once, at the end.
     """
 
     def __init__(self, rows):
@@ -890,10 +823,11 @@ class ExactMatrix:
             self._element = Poly._of
         elif ns:
             m = math.lcm(*ns)
-            ring, domain = f"Q(cos(pi/{m}))", _field(m)
+            _psi(m)  # the degree bound, before anything is lifted
+            ring, domain = f"Q(cos(pi/{m}))", _INT_POLYS
             rows = [[e.lift(m) if isinstance(e, RealCyclotomic)
                      else RealCyclotomic._rational(e, m) for e in r] for r in rows]
-            self._element = lambda a, den: RealCyclotomic._of(a, den, m)
+            self._element = lambda a, den: RealCyclotomic._of(_reduce(a, m), den, m)
         else:
             ring, domain = _RING_RATIONAL, _INTEGERS
             rows = [[frac(e) for e in r] for r in rows]
@@ -921,6 +855,8 @@ class ExactMatrix:
 
         None when a leading minor below order n vanishes: the elimination
         then swaps rows, and its later pivots are minors of another matrix.
+        A field matrix's minor can also vanish only mod psi_n, with no swap
+        in Z[x]; that gives None too.
         """
         return self._elimination[1]
 
@@ -935,6 +871,8 @@ class ExactMatrix:
         det, minors = _bareiss(self._ints, self._domain)
         if minors is not None:
             minors = [self._element(d, self._den ** k) for k, d in enumerate(minors, 1)]
+            if any(d == 0 for d in minors[:-1]):  # a pivot of Z[x] that psi_n divides
+                minors = None
         return self._element(det, self._den ** self.n), minors
 
 
@@ -945,16 +883,16 @@ def int_det(rows) -> int:
 
 def _bareiss(rows, ring):
     """(determinant, leading principal minors or None) of a square matrix
-    over Z (`_INTEGERS`), Z[t] (`_INT_POLYS`) or Z[x]/psi_n (`_field(n)`).
-    Each step's quotient by the previous pivot is a minor of the matrix, so
-    it lies in the ring; a remainder other than zero raises
-    ArithmeticError."""
+    over Z (`_INTEGERS`) or Z[t] (`_INT_POLYS`).  Each step's quotient by
+    the previous pivot is a minor of the matrix (Sylvester's identity, in
+    any integral domain: E. H. Bareiss, Math. Comp. 22, 1968), so it lies
+    in the ring; a remainder other than zero raises ArithmeticError."""
     n = len(rows)
     a = [list(r) for r in rows]
     if n == 0:
         return ring.one, []
     sign = 1
-    prev = ring.divisor(ring.one)
+    prev = ring.one
     minors = []
     for k in range(n - 1):
         if not a[k][k]:
@@ -969,8 +907,7 @@ def _bareiss(rows, ring):
         elif minors is not None:
             minors.append(a[k][k])
         ring.step(a, k, prev)
-        if k < n - 2:  # the last step divides by nothing
-            prev = ring.divisor(a[k][k])
+        prev = a[k][k]
     d = a[n - 1][n - 1]
     if minors is not None:
         minors.append(d)

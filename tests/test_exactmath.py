@@ -511,9 +511,6 @@ def test_field_matches_quadratic_reference(n):
         assert fx + fy == in_field(x + y)
         assert fx - fy == in_field(x - y)
         assert fx * fy == in_field(x * y)
-        if y != 0:
-            assert fx / fy == in_field(x / y)
-            assert x.a / fy == in_field(x.a / y)
         assert fx.sign() == x.sign()
         assert float(fx) == pytest.approx(float(x), rel=1e-12, abs=1e-12)
         assert (fx == fy) == (x == y) and (fx != fy) == (x != y)
@@ -541,10 +538,6 @@ def test_cosines_of_every_rational_multiple_of_pi():
 def test_field_rejects_zero_divisors_and_polynomials():
     # immutability and unhashability are checked in test_records.py
     x = cos_pi(F(1, 5))
-    with pytest.raises(ZeroDivisionError):
-        (x - x).inverse()
-    with pytest.raises(ZeroDivisionError):
-        1 / (x - x)
     with pytest.raises(TypeError):
         x + Poly([1, 1])
 
@@ -700,6 +693,48 @@ def test_field_elimination_matches_reference():
     assert swaps >= 30 and singular >= 20
 
 
+def test_leading_minor_zero_only_in_the_field():
+    """Twice this matrix is eliminated in Z[x], x = 2cos(pi/4), where its
+    second leading minor x^2 - 2 is a nonzero pivot; it is psi_4, so the
+    minor vanishes in the field, and the leading minors are None as when
+    the elimination swaps rows."""
+    c = cos_pi(F(1, 4))
+    rows = [[c, F(1, 2), 1], [1, c, 0], [0, 1, 1]]
+    matrix = ExactMatrix(rows)
+    assert matrix.det() == 1
+    assert matrix.leading_minors() is None
+    assert matrix.minor([0, 1], [0, 1]) == 0
+    det, minors = bareiss_reference([[as_reference(e, 4) for e in r] for r in rows])
+    assert_same(matrix.det(), det, 4)
+    assert minors is None
+
+
+@pytest.mark.parametrize("p", [127, 257])
+def test_high_degree_determinants_match_mpmath(p):
+    """Seeded 4- and 5-vertex cosine matrices with labels k/p pi, in fields
+    of degree 63 and 128, beyond `bareiss_reference`'s reach: the exact
+    determinant's value is mpmath's 60-digit determinant of the same
+    matrix within 1e-40.  Its row's coefficients in cos(pi/p) reach about
+    1e47 and cancel, so the row is evaluated with that many more digits."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(p)
+    for size in (4, 5):
+        ks = [[None] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i):
+                ks[i][j] = ks[j][i] = rng.randint(1, p - 1)
+        rows = [[F(-1) if k is None else cos_pi(F(k, p)) for k in r] for r in ks]
+        det = ExactMatrix(rows).det()
+        assert det.n == p and len(det.row) > field_degree(p) // 2
+        digits = max(len(str(abs(c.numerator))) for c in det.poly.coeffs)
+        with mpmath.workdps(60 + digits):
+            got = mp_value(mpmath, det)
+        with mpmath.workdps(60):
+            want = mpmath.det(mpmath.matrix(
+                [[-1 if k is None else mpmath.cos(k * mpmath.pi / p) for k in r] for r in ks]))
+            assert abs(got - want) < mpmath.mpf(10) ** -40
+
+
 def test_polynomial_elimination_matches_reference():
     """The same over Q[t], with rational coefficients."""
     rng = random.Random(41)
@@ -728,10 +763,6 @@ def test_field_arithmetic_matches_reference():
         assert as_reference(x + y, n) == rx + ry
         assert as_reference(x - y, n) == rx - ry and as_reference(y - x, n) == ry - rx
         assert as_reference(x * y, n) == rx * ry
-        if y != 0:
-            assert as_reference(x / y, n) == rx / ry
-        if x != 0:
-            assert as_reference(x.inverse(), x.n) == as_reference(x, x.n).inverse()
 
 
 def test_case_c_elimination_makes_no_fraction(monkeypatch):
@@ -768,28 +799,23 @@ def test_case_c_elimination_makes_no_fraction(monkeypatch):
 def test_inexact_division_raises_under_python_O():
     """A remainder other than zero raises ArithmeticError, also where
     `python -O` strips asserts: over Z ((2 - 1) / 2 in an elimination
-    step), Z[t] (also t^2 + 2 by 2t - 1, as the square-free part and the
-    rational roots divide) and Z[x]/psi_5, by a constant and by 2 + x, of
-    norm 5."""
+    step) and Z[t] (also t^2 + 2 by 2t - 1, as the square-free part and the
+    rational roots divide), the rings every elimination runs over."""
     code = ("from reptile_lab import exactmath as em\n"
-            "f = em._field(5)\n"
             "cases = [lambda: em._INTEGERS.step([[2, 1], [1, 1]], 0, 2),\n"
             "         lambda: em._INT_POLYS.div((1, 1), (0, 2)),\n"
             "         lambda: em._INT_POLYS.div((1, 0, 1), (1, 1)),\n"
-            "         lambda: em._INT_POLYS.div((2, 0, 1), (-1, 2)),\n"
-            "         lambda: f.div((1, 1), f.divisor((2,))),\n"
-            "         lambda: f.div((1,), f.divisor((2, 1)))]\n"
+            "         lambda: em._INT_POLYS.div((2, 0, 1), (-1, 2))]\n"
             "for case in cases:\n"
             "    try:\n"
             "        case()\n"
             "        print('quiet')\n"
             "    except ArithmeticError:\n"
-            "        print('raised')\n"
-            "print(f.div((5,), f.divisor((2, 1))))\n")
+            "        print('raised')\n")
     src = str(pathlib.Path(exactmath.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert proc.stdout.split("\n") == ["raised"] * 6 + ["(3, -1)", ""]
+    assert proc.stdout.split("\n") == ["raised"] * 4 + [""]
 
 
 # ---------------------------------------------------------------------------

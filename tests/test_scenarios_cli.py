@@ -372,6 +372,9 @@ class TestCli:
         assert proc.stdout == ""
         assert proc.stderr == (f"error: Q(cos(pi/{m})) has degree {d}; exact arithmetic "
                                f"takes degree at most {exactmath.MAX_FIELD_DEGREE}\n")
+        # and `--help` states the bound
+        assert (f"in a field of degree at most {exactmath.MAX_FIELD_DEGREE};"
+                in " ".join(cli.__doc__.split()))
 
     def test_diagram_gram_names_the_label_without_exact_cosine(self):
         # case-a-1's labels in beta have a cosine only as a polynomial in
