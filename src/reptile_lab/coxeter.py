@@ -15,7 +15,7 @@ order, each vertex permutation is stored as an edge permutation with its
 permutations fixing a coloring), `canon` (its smallest image), `is_first`
 (no image is smaller) and `orbits` (orbits of edges or triangles under
 `aut`, read from per-permutation image tables, with a Burnside
-cross-check).  The edge and triangle image tables and the prefix getters
+cross-check).  The edge and triangle image tables and the prefix tables
 of `is_first` are all read off the edge permutations.  A diagram numbers
 its label forms once and runs on that coloring; partition and skeleton
 canonical forms and subgraph classification are built on `canon`.  The
@@ -38,7 +38,13 @@ labeling obeys, since an image would be smaller otherwise.  (1) Vertex
 label is below label(0, 1) (map that edge onto (0, 1)), so label(0, 1) is
 at most the rich type's smallest id.  (3) Each edge (1, j), j >= 2, is at
 least label(0, 2) (swap vertices 0 and 1, then sort the new star).  The
-partition search renumbers its classes, so the floors do not hold there.
+skeleton search compares its colors as they are too, so it starts each
+edge at its floor's color.  The partition search renumbers its classes,
+so the floors do not hold there; its siblings share their parent, so the
+part of its renumbered test that reads only the parent is made once per
+parent (`KnTables.renumbered_ties`), and each sibling finishes only the
+images tied there.  It keys a triangle type by its multiset of classes,
+an int.
 """
 
 from __future__ import annotations
@@ -140,36 +146,61 @@ class KnTables:
         """The smallest image of the coloring; equal iff isomorphic."""
         return min([g(colors) for g in self.getters])
 
-    def is_first(self, colors: Sequence[int], renumber: bool = False) -> bool:
+    def is_first(self, colors: Sequence[int]) -> bool:
         """No image of the coloring is smaller: it is the first of its
-        isomorphism class in lexicographic order.  With `renumber`, each
-        image first has its colors renumbered by first occurrence (the
-        classes of a partition are unnamed).
+        isomorphism class in lexicographic order.
 
         `colors` may cover only the first k edges; it is then compared with
         its images under the permutations that map those edges onto
         themselves.  If one is smaller, so is that image of every completion.
+        The partition search renumbers its images (`renumbered_ties`).
         """
         colors = tuple(colors)
-        getters = self._prefix_getters[len(colors)]
-        if renumber:
-            for g in getters:
-                if _renumbered_below(g(colors), colors):
-                    return False
-            return True
-        for g in getters:
+        for g in self._prefix_getters[len(colors)]:
             if g(colors) < colors:
                 return False
         return True
 
+    def renumbered_ties(self, parent: Sequence[int]) -> Optional[list]:
+        """The part of the renumbered `is_first` test that every child of
+        the prefix `parent` shares, a child being `parent` plus a color of
+        edge k = len(parent).
+
+        `parent` must be a restricted growth string (each new color is the
+        largest so far plus one), and so must a child: it is then its own
+        image renumbered by first occurrence, and it is first iff no image
+        of its k + 1 edges, renumbered, is smaller.  Up to the position that
+        reads edge k, an image reads only edges of `parent`, and is compared
+        with `parent`.  So this walks each image only that far: if one is
+        already below there, None (no child is first); one already above is
+        dropped; for each one tied there, (that position, the edge indices
+        the image reads from it on, the renumbering so far) is kept.
+        `_tied_below` finishes the test for one child.
+        """
+        k = len(parent)
+        ties = []
+        for p in self._prefixes[k + 1]:
+            relabel = {}
+            for i, q in enumerate(p):
+                if q == k:
+                    ties.append((i, p[i:], relabel))
+                    break
+                r = relabel.setdefault(parent[q], len(relabel))
+                if r != parent[i]:
+                    if r < parent[i]:
+                        return None
+                    break
+        return ties
+
     @cached_property
-    def _prefix_getters(self) -> list:
-        """Per k = 0..len(edges): the getters of the distinct images of the
-        first k edges under the permutations that map those edges onto
-        themselves, the identity image left out.  Built on first use, not
-        with the other tables, in one pass over the edge images: im[:k + 1]
-        maps the first k + 1 edges onto themselves iff the running maximum
-        of its entries is k, and is no identity once an entry has moved."""
+    def _prefixes(self) -> list:
+        """Per k = 0..len(edges): the sorted distinct images of the first k
+        edges (index tuples) under the permutations that map those edges
+        onto themselves, the identity image left out.  Built on first use,
+        not with the other tables, in one pass over the edge images:
+        im[:k + 1] maps the first k + 1 edges onto themselves iff the
+        running maximum of its entries is k, and is no identity once an
+        entry has moved."""
         prefixes = [set() for _ in range(len(self.edges) + 1)]
         for im in self.edge_images:
             top, moved = -1, False
@@ -180,8 +211,13 @@ class KnTables:
                     moved = True
                 if moved and top == k:
                     prefixes[k + 1].add(im[:k + 1])
+        return [sorted(ps) for ps in prefixes]
+
+    @cached_property
+    def _prefix_getters(self) -> list:
+        """Per k, the getters of `_prefixes[k]`."""
         # two or more indices each: a one-edge prefix has only itself
-        return [[itemgetter(*p) for p in sorted(ps)] for ps in prefixes]
+        return [[itemgetter(*p) for p in ps] for ps in self._prefixes]
 
     @cached_property
     def floors(self) -> tuple:
@@ -227,6 +263,23 @@ def _renumbered_below(image: tuple, colors: tuple) -> bool:
         r = relabel.setdefault(c, len(relabel))
         if r != x:
             return r < x
+    return False
+
+
+def _tied_below(ties: list, colors: Sequence[int]) -> bool:
+    """Is one of the images that `KnTables.renumbered_ties` found tied
+    with the parent below the child `colors` (the parent plus one edge)?
+    Each is compared on from the position that reads the child's edge,
+    with the renumbering saved there."""
+    for i, tail, relabel in ties:
+        relabel = relabel.copy()
+        for q in tail:
+            r = relabel.setdefault(colors[q], len(relabel))
+            if r != colors[i]:
+                if r < colors[i]:
+                    return True
+                break
+            i += 1
     return False
 
 
@@ -679,8 +732,14 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
 
 def coloring_canonical(coloring: tuple, n: int) -> tuple:
     """Smallest image of the coloring, each renumbered by first occurrence;
-    equal iff the edge partitions are isomorphic."""
-    return min(_renumbered(g(coloring)) for g in kn_tables(n).getters)
+    equal iff the edge partitions are isomorphic.  An image is renumbered
+    only when it is below the smallest so far."""
+    best = _renumbered(coloring)
+    for g in kn_tables(n).getters:
+        image = g(coloring)
+        if _renumbered_below(image, best):
+            best = _renumbered(image)
+    return best
 
 
 def coloring_automorphisms(coloring: tuple, n: int) -> list:
@@ -695,28 +754,51 @@ def enumerate_edge_partitions(n: int, at_least: int) -> list:
     is represented by its `coloring_canonical` form (its first coloring,
     classes numbered by first occurrence), and results come out in that
     order.  The state counts the triangles of each type, a type counted
-    when its last edge is colored; a branch is cut when the triangles still
-    open cannot bring two types up to the threshold, or when `is_first`
-    (images renumbered) fails.
+    when its last edge is colored and keyed by its multiset of classes,
+    the sum of 16^class over its three edges (a class occurs at most three
+    times); a branch is cut when the triangles still open cannot bring two
+    types up to the threshold, or when the prefix is not first among its
+    images renumbered.  The siblings at an edge share their parent, so the
+    part of that test which reads only the parent
+    (`KnTables.renumbered_ties`) is made once per parent, and each sibling
+    finishes only the images tied there (`_tied_below`).
     """
     kn = kn_tables(n)
     m = len(kn.edges)
     two = max(at_least, 1)  # a frequent type must occur, even for a threshold of 0
     coloring = [0] * m
+    code = [16 ** c for c in range(m)]
+    classes = [0] * (m + 1)  # classes[e]: the classes used by edges before e
 
     def step(e: int, counts: dict):
-        counts = dict(counts)
-        for a, b in kn.closes[e]:
-            t = tuple(sorted((coloring[a], coloring[b], coloring[e])))
-            counts[t] = counts.get(t, 0) + 1
+        x = coloring[e]
+        classes[e + 1] = classes[e] + (x == classes[e])
+        closes = kn.closes[e]
+        if closes:
+            counts = counts.copy()
+            own = code[x]
+            for a, b in closes:
+                t = code[coloring[a]] + code[coloring[b]] + own
+                counts[t] = counts.get(t, 0) + 1
+        elif e:  # the parent passed the same test: same counts, same open triangles
+            return counts
         c1, c2 = (sorted(counts.values(), reverse=True) + [0, 0])[:2]
         if max(two - c1, 0) + max(two - c2, 0) > kn.open_after[e]:
             return None
         return counts
 
+    shared = [(None, None)] * m  # per edge: (parent prefix, its renumbered_ties)
+
+    def first(e: int) -> bool:
+        parent, ties = shared[e]
+        if parent != coloring[:e]:
+            parent = coloring[:e]
+            ties = kn.renumbered_ties(parent)
+            shared[e] = parent, ties
+        return ties is not None and not _tied_below(ties, coloring)
+
     return [tuple(coloring) for _ in coloring_search(
-        coloring, range(m), lambda e: range(max(coloring[:e], default=-1) + 2),
-        step, {}, lambda e: kn.is_first(coloring[:e + 1], renumber=True))]
+        coloring, range(m), lambda e: range(classes[e] + 1), step, {}, first)]
 
 
 # ---------------------------------------------------------------------------
@@ -738,14 +820,15 @@ def enumerate_two_label_skeletons(n: int = 5,
     path triangles nontrivially (such a symmetry would survive any completion
     and collapse the mixed-triangle orbits below four).
 
-    Each edge gets 0 (free), 1 (alpha) or 2 (beta), and the state counts
-    the mixed paths: a triangle is tested when its last edge is set; it
-    must keep a free edge, and it is a mixed path if its edges are free,
-    alpha and beta.  A branch is cut when the paths plus the triangles
-    still open fall short of `min_paths`, or when `is_first` fails, so the
-    alpha shape and forced-symmetry tests (both isomorphism invariants) and
-    `pair_canonical` run once per class.  Results are sorted by
-    `pair_canonical`.
+    Each edge gets 0 (free), 1 (alpha) or 2 (beta), none below its floor
+    edge's (`KnTables.floors`, which hold since the colors are compared as
+    they are), and the state counts the mixed paths: a triangle is tested
+    when its last edge is set; it must keep a free edge, and it is a mixed
+    path if its edges are free, alpha and beta.  A branch is cut when the
+    paths plus the triangles still open fall short of `min_paths`, or when
+    `is_first` fails, so the alpha shape and forced-symmetry tests (both
+    isomorphism invariants) and `pair_canonical` run once per class.
+    Results are sorted by `pair_canonical`.
     """
     kn = kn_tables(n)
     es = kn.edges
@@ -761,8 +844,9 @@ def enumerate_two_label_skeletons(n: int = 5,
         return paths if paths + kn.open_after[e] >= min_paths else None
 
     results = {}
-    for paths in coloring_search(asg, range(m), lambda e: range(3), step, 0,
-                                 lambda e: kn.is_first(asg[:e + 1])):
+    floors = kn.floors
+    for paths in coloring_search(asg, range(m), lambda e: range(asg[floors[e]] if e else 0, 3),
+                                 step, 0, lambda e: kn.is_first(asg[:e + 1])):
         if asg.count(2) < min_beta or 1 not in asg:
             continue
         ea = frozenset(e for e, x in zip(es, asg) if x == 1)

@@ -7,18 +7,19 @@ generic permutation-group layer on vertex tuples (group test, orbit
 search, Burnside count, cyclic and small subgroups) that checks
 `KnTables.orbits`, richness read from a diagram's labels, the
 position-tuple form of `pair_canonical`, the set-comprehension prefix
-tables of `KnTables.is_first`, the former `Fraction` angle form that
-checks `AngleForm`'s integer rows, `QuadExt`, the closed-form
-quadratic fields Q(sqrt m) that check `RealCyclotomic` for n = 4, 6 and 5,
-the former `Fraction`-polynomial field Q(cos(pi/n)) and its Bareiss
-elimination, which check the integer rows, spherical-triangle validity in
-Fraction arithmetic and its sort-free reference over a beta interval, the
-mirror triangles of the reflection groups A3, B3 and H3 and the bisector
-family, targets known to be tiled without asking the tiling search, the
-depth of the overlap of two spherical triangles by clipping, which checks
-`verify_tiling`'s separating-side test, and a triangle's (angle, opposite
-side) pairs from tangents, which check the ones `verify_tiling` reads from
-its side planes.
+tables of `KnTables.is_first`, the renumbered first-of-class test of an
+edge-partition prefix by a minimum over permutations, the former
+`Fraction` angle form that checks `AngleForm`'s integer rows, `QuadExt`,
+the closed-form quadratic fields Q(sqrt m) that check `RealCyclotomic` for
+n = 4, 6 and 5, the former `Fraction`-polynomial field Q(cos(pi/n)) and
+its Bareiss elimination, which check the integer rows, spherical-triangle
+validity in Fraction arithmetic and its sort-free reference over a beta
+interval, the mirror triangles of the reflection groups A3, B3 and H3 and
+the bisector family, targets known to be tiled without asking the tiling
+search, the depth of the overlap of two spherical triangles by clipping,
+which checks `verify_tiling`'s separating-side test, and a triangle's
+(angle, opposite side) pairs from tangents, which check the ones
+`verify_tiling` reads from its side planes.
 
 numpy is a test dependency only: these helpers recompute in binary64, by
 routes independent of the package's exact arithmetic, what `gram` decides
@@ -569,6 +570,25 @@ def prefix_getters_reference(kn) -> list:
         prefixes.discard(tuple(range(k)))
         out.append(sorted(prefixes))
     return out
+
+
+def renumbered_first_reference(prefix, n: int) -> bool:
+    """Is `prefix`, the colors of the first k edges of K_n (`all_edges`
+    order), the smallest of its images under the vertex permutations that
+    map those k edges onto themselves, each image renumbered by first
+    occurrence?  `prefix` must be a restricted growth string (each new
+    color is the largest so far plus one), so it is its own renumbered
+    image.  A minimum over `itertools.permutations`, with no kernel table."""
+    prefix = tuple(prefix)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)][:len(prefix)]
+    color = dict(zip(edges, prefix))
+    images = []
+    for p in itertools.permutations(range(n)):
+        moved = [tuple(sorted((p[a], p[b]))) for a, b in edges]
+        if set(moved) == set(edges):
+            first = {}
+            images.append(tuple(first.setdefault(color[e], len(first)) for e in moved))
+    return min(images) == prefix
 
 
 # ---------------------------------------------------------------------------

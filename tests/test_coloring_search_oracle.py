@@ -298,7 +298,7 @@ WORK = {
     "ninth": (lambda: final_case_analysis("ninth").diagrams, (309, 289)),
     "case-a": (case_a_enumeration, (216, 197)),
     "k5-partitions-4": (lambda: enumerate_edge_partitions(5, 4), (755, 482)),
-    "skeletons": (enumerate_two_label_skeletons, (834, 490)),
+    "skeletons": (enumerate_two_label_skeletons, (705, 459)),
 }
 
 

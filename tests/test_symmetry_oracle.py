@@ -27,7 +27,8 @@ from reptile_lab.coxeter import (CoxeterDiagram, all_edges,
 
 from oracles import (act_on_vertex_set, burnside_count_reference,
                      cyclic_subgroups_reference, orbit_partition_reference,
-                     pair_canonical_reference, prefix_getters_reference)
+                     pair_canonical_reference, prefix_getters_reference,
+                     renumbered_first_reference)
 
 NS = (2, 3, 4, 5)
 
@@ -179,6 +180,51 @@ def test_prefix_tables_match_the_set_comprehensions(n):
     got = [[g(ident) for g in getters] for getters in kn._prefix_getters]
     assert got == prefix_getters_reference(kn)
     assert sum(map(len, got)) > 0 or n == 2
+
+
+def rgs_children(parent):
+    """The restricted growth strings one edge longer than `parent`."""
+    return [parent + (x,) for x in range(max(parent, default=-1) + 2)]
+
+
+def check_renumbered_first(n, parents):
+    """The partition search's test of every child of each parent, split
+    into the part shared by the siblings and the part each finishes,
+    against the minimum over permutations.  Returns how many children were
+    cut by the shared part, by a tied image, and kept."""
+    kn = kn_tables(n)
+    outcomes = [0, 0, 0]
+    for parent in parents:
+        ties = kn.renumbered_ties(parent)
+        for child in rgs_children(parent):
+            got = ties is not None and not coxeter._tied_below(ties, child)
+            assert got == renumbered_first_reference(child, n), child
+            outcomes[2 if got else 0 if ties is None else 1] += 1
+    return outcomes
+
+
+def test_renumbered_first_on_every_k4_prefix():
+    parents = [()]
+    for parent in parents:
+        if len(parent) < len(all_edges(4)) - 1:
+            parents.extend(rgs_children(parent))
+    outcomes = check_renumbered_first(4, parents)
+    # all three outcomes occur, so a shared or a tied image is reached
+    assert all(outcomes), outcomes
+
+
+def test_renumbered_first_on_seeded_k5_prefixes():
+    rng = random.Random(46)
+    parents = []
+    for fresh in (0.15, 0.3, 0.5):  # the chance that an edge opens a new class
+        for _ in range(60):
+            parent = ()
+            for _ in range(rng.randrange(len(all_edges(5)))):
+                top = max(parent, default=-1)
+                parent += (rng.randint(0, top) if parent and rng.random() >= fresh else top + 1,)
+            parents.append(parent)
+    outcomes = check_renumbered_first(5, parents)
+    assert all(outcomes), outcomes
 
 
 @pytest.mark.parametrize("n", NS)
