@@ -13,15 +13,16 @@ All symmetry goes through one kernel on per-n tables built once
 order, each vertex permutation is stored as an edge permutation with its
 `itemgetter`, and four operations answer every question: `aut` (the vertex
 permutations fixing a coloring), `canon` (its smallest image), `is_first`
-(no image is smaller) and `orbits` (orbits of edges or triangles under
-`aut`, read from per-permutation image tables, with a Burnside
-cross-check).  The edge and triangle image tables and the prefix tables
-of `is_first` are all read off the edge permutations.  A diagram numbers
-its label forms once and runs on that coloring; partition and skeleton
-canonical forms and subgraph classification are built on `canon`.  The
-pair-orbit bound is checked on the edge permutations themselves: the pair
-orbits of a cyclic group <p> are the cycles of p's edge permutation
-(`cycle_count`).
+(no image is smaller) and `orbits` (orbits of edges or triangles under a
+group of vertex permutations, each item mapped through its vertices, with
+a Burnside cross-check).  `aut_if_first` makes `is_first` and `aut` of a
+complete coloring one walk over its images.  The edge image table and
+the prefix tables of `is_first` are read off the edge permutations.  A
+diagram numbers its label forms once and runs on that coloring;
+partition and skeleton canonical forms and subgraph classification are
+built on `canon`.  The pair-orbit bound is checked on the edge
+permutations themselves: the pair orbits of a cyclic group <p> are the
+cycles of p's edge permutation (`cycle_count`).
 
 The three enumerators (diagrams, edge partitions, two-label skeletons) are
 clients of one orderly search over the edge colorings, `coloring_search`,
@@ -89,8 +90,12 @@ class KnTables:
     open_after: per edge e, the number of triangles whose last edge is after e.
     perms: vertex permutations, in permutations order.
     getters: per vertex permutation p, colors -> image, edge i colored as p(edge i).
-    edge_images, tri_images (built on first use): per vertex permutation,
-        the index of the image of each edge, of each triangle.
+    edge_images (built on first use): per vertex permutation, the index of
+        the image of each edge.
+
+    A group of vertex permutations (`aut` of a coloring) acts on edges and
+    triangles as vertex tuples: p maps (i, j, k) to the sorted (p[i], p[j],
+    p[k]), with no table (`orbits`).
     """
 
     def __init__(self, edges: list, triangles: list, tri_edges: list, edge_tris: list,
@@ -111,32 +116,45 @@ class KnTables:
 
     def aut(self, colors: Sequence[int]) -> list:
         """The vertex permutations whose image of the coloring equals it."""
-        return self.fixing(colors, self.perms)
-
-    def fixing(self, colors: Sequence[int], table: list) -> list:
-        """The rows of a per-permutation table (`perms`, `edge_images` or
-        `tri_images`) of the permutations in `aut(colors)`."""
         colors = tuple(colors)
-        return [row for row, g in zip(table, self.getters) if g(colors) == colors]
+        return [p for p, g in zip(self.perms, self.getters) if g(colors) == colors]
 
-    def orbits(self, colors: Sequence[int], images: list, items: Iterable[int]) -> list:
-        """Orbits under `aut(colors)` of the item indices `items`, a union
-        of orbits, acted on through `images` (`edge_images` or
-        `tri_images`): sorted index tuples, ordered by least member.
+    def aut_if_first(self, colors: Sequence[int]) -> Optional[list]:
+        """`aut(colors)` if `colors`, a coloring of every edge, is first of
+        its isomorphism class (`is_first`), else None, from one walk over
+        the images: one below `colors` stops it, and the images equal to it
+        are the automorphisms."""
+        colors = tuple(colors)
+        group = []
+        for p, g in zip(self.perms, self.getters):
+            image = g(colors)
+            if image < colors:
+                return None
+            if image == colors:
+                group.append(p)
+        return group
 
-        `aut(colors)` is a stabilizer, hence a group, so the orbit of i is
-        its image under each member.  Burnside's lemma cross-checks the
-        count on every call: the fixed points summed over the group are the
-        orbit count times the group order.
+    @staticmethod
+    def orbits(group: Sequence[tuple], items: Iterable[tuple]) -> list:
+        """Orbits under `group`, a group of vertex permutations, of
+        `items`, sorted vertex pairs or triples (edges or triangles)
+        forming a union of orbits: sorted tuples of items, ordered by least
+        member.  The permutation p maps the item x to sorted(p[v] for v in
+        x).
+
+        The orbit of x is its image under each member of the group.
+        Burnside's lemma cross-checks the count on every call: the fixed
+        points summed over the group are the orbit count times the group
+        order.
         """
-        group = self.fixing(colors, images)
-        items = sorted(items)
-        out, seen = [], set()
-        for i in items:
-            if i not in seen:
-                out.append(tuple(sorted({im[i] for im in group})))
+        out, seen, fixed = [], set(), 0
+        for x in sorted(items):
+            get = itemgetter(*x)
+            images = [tuple(sorted(get(p))) for p in group]
+            fixed += images.count(x)
+            if x not in seen:
+                out.append(tuple(sorted(set(images))))
                 seen.update(out[-1])
-        fixed = sum(im[i] == i for im in group for i in items)
         if fixed != len(out) * len(group):
             raise ConsistencyError(f"{len(out)} orbits found, Burnside counts "
                                    f"{fixed}/{len(group)}")
@@ -242,12 +260,6 @@ class KnTables:
     def edge_images(self) -> list:
         ident = tuple(range(len(self.edges)))
         return [g(ident) for g in self.getters]
-
-    @cached_property
-    def tri_images(self) -> list:
-        index = {te: t for t, te in enumerate(self.tri_edges)}
-        return [tuple(index[tuple(sorted((im[a], im[b], im[c])))] for a, b, c in self.tri_edges)
-                for im in self.edge_images]
 
 
 def _renumbered(coloring: tuple) -> tuple:
@@ -446,10 +458,8 @@ def orbits(diagram: CoxeterDiagram, ttype: Optional[TriangleType] = None) -> lis
     """Orbits under Aut of the triangles (of type ttype, if given), each a
     tuple of vertex triples, ordered by least member."""
     kn = kn_tables(diagram.n)
-    items = [k for k, t in enumerate(kn.triangles)
-             if ttype is None or diagram.triangle_type(t) == ttype]
-    return [tuple(kn.triangles[k] for k in o)
-            for o in kn.orbits(diagram.colors, kn.tri_images, items)]
+    return kn.orbits(diagram.automorphisms(),
+                     [t for t in kn.triangles if ttype is None or diagram.triangle_type(t) == ttype])
 
 
 def edge_orbits(diagram: CoxeterDiagram, label: AngleForm) -> list:
@@ -457,9 +467,7 @@ def edge_orbits(diagram: CoxeterDiagram, label: AngleForm) -> list:
     edges, ordered by least member."""
     label = diagram.relations.normalize(label)
     kn = kn_tables(diagram.n)
-    items = [i for i, e in enumerate(kn.edges) if diagram.labels[e] == label]
-    return [tuple(kn.edges[i] for i in o)
-            for o in kn.orbits(diagram.colors, kn.edge_images, items)]
+    return kn.orbits(diagram.automorphisms(), [e for e in kn.edges if diagram.labels[e] == label])
 
 
 def edge_orbit_count_transitive(diagram: CoxeterDiagram, label: AngleForm) -> bool:
@@ -661,9 +669,11 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
     an edge are those every triangle through it allows.  The state is the
     bitmask of triangles that can still become the rich type; `step` cuts
     a branch when fewer than four can.  At a complete labeling these are
-    exactly the triangles of the rich type, and their orbits under its
-    automorphisms are counted on the label ids; a `CoxeterDiagram` is built
-    only for a labeling that is kept.  Results are sorted by canonical key.
+    exactly the triangles of the rich type.  Its last edge is tested with
+    `aut_if_first`, whose walk over the labeling's images also returns its
+    automorphisms, and the rich triangles' orbits are counted under that
+    group; a `CoxeterDiagram` is built only for a labeling that is kept.
+    Results are sorted by canonical key.
     """
     alphabet = [relations.normalize(f) for f in alphabet]
     if len(set(alphabet)) != len(alphabet):
@@ -713,12 +723,21 @@ def enumerate_diagrams(n: int, alphabet: Sequence[AngleForm], allowed: Callable,
     else:
         names = [f"v{i}" for i in range(n)]
 
+    group = kn.perms  # K_1 has no edge, so no walk admits its empty labeling
+
+    def first(e: int) -> bool:
+        nonlocal group
+        if e < m - 1:
+            return kn.is_first(assign[:e + 1])
+        group = kn.aut_if_first(assign)
+        return group is not None
+
     solutions = []
     for live in coloring_search(assign, range(m), values, step, (1 << len(kn.tri_edges)) - 1,
-                                lambda e: kn.is_first(assign[:e + 1])):
+                                first):
         if rich is not None:
-            items = [t for t in range(len(kn.tri_edges)) if live >> t & 1]
-            if len(kn.orbits(assign, kn.tri_images, items)) < need:
+            items = [t for i, t in enumerate(kn.triangles) if live >> i & 1]
+            if len(kn.orbits(group, items)) < need:
                 continue
         labels = {es[i]: alphabet[x] for i, x in enumerate(assign)}
         solutions.append(CoxeterDiagram(names, labels, relations))
@@ -782,7 +801,12 @@ def enumerate_edge_partitions(n: int, at_least: int) -> list:
                 counts[t] = counts.get(t, 0) + 1
         elif e:  # the parent passed the same test: same counts, same open triangles
             return counts
-        c1, c2 = (sorted(counts.values(), reverse=True) + [0, 0])[:2]
+        c1 = c2 = 0  # the two largest counts
+        for c in counts.values():
+            if c > c1:
+                c1, c2 = c, c1
+            elif c > c2:
+                c2 = c
         if max(two - c1, 0) + max(two - c2, 0) > kn.open_after[e]:
             return None
         return counts
@@ -891,4 +915,5 @@ def forced_symmetry_collapses(asg: tuple, n: int) -> bool:
     closing = {i for k in paths for i in kn.tri_edges[k] if asg[i] == 0}
     fresh = count(3)
     colors = [x if x or i in closing else next(fresh) for i, x in enumerate(asg)]
-    return any(im[k] != k for im in kn.fixing(colors, kn.tri_images) for k in paths)
+    # the automorphisms keep each label set, so they map mixed paths onto mixed paths
+    return any(len(o) > 1 for o in kn.orbits(kn.aut(colors), [kn.triangles[k] for k in paths]))

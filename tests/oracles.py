@@ -591,6 +591,27 @@ def renumbered_first_reference(prefix, n: int) -> bool:
     return min(images) == prefix
 
 
+@lru_cache(maxsize=None)
+def _edge_maps(n: int) -> list:
+    """Per member p of `itertools.permutations(range(n))`, (p, the position
+    of the edge (p[i], p[j]) for each edge (i, j) in `all_edges` order)."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pos = {e: k for k, e in enumerate(edges)}
+    return [(p, tuple(pos[tuple(sorted((p[i], p[j])))] for i, j in edges))
+            for p in itertools.permutations(range(n))]
+
+
+def first_aut_reference(colors, n: int) -> tuple:
+    """(Is the coloring of every edge of K_n the smallest of its images?,
+    the vertex permutations whose image equals it, in permutations order),
+    each image read off an `itertools.permutations` member, with no kernel
+    table."""
+    colors = tuple(colors)
+    images = [(p, tuple([colors[k] for k in moved])) for p, moved in _edge_maps(n)]
+    return (min(im for _, im in images) == colors,
+            [p for p, im in images if im == colors])
+
+
 # ---------------------------------------------------------------------------
 # The package's former angle form: four Fraction coefficients
 # ---------------------------------------------------------------------------

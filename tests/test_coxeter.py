@@ -172,24 +172,27 @@ class TestBurnside:
             burnside_count_reference([(0, 1), (1, 0)], [0], act)
 
     def test_orbit_miscount_raises(self):
-        # the identity's row of the triangle table replaced by another
-        # permutation's: the rows are no group, and the fixed points of the
-        # 24 rows on the four triangles no longer count one orbit
+        # K4 with edge (0, 1) alone in its color: its group keeps {0, 1},
+        # and the identity replaced by the transposition (0 2), which is no
+        # automorphism, leaves no group; the fixed points of the four
+        # members on the four triangles no longer count two orbits
         kn = kn_tables(4)
-        corrupted = kn.tri_images[1:2] + kn.tri_images[1:]
-        mono = (0,) * 6
-        assert len(kn.orbits(mono, kn.tri_images, range(4))) == 1
+        colors = (1, 0, 0, 0, 0, 0)
+        group = kn.aut(colors)
+        assert group[0] == (0, 1, 2, 3) and (2, 1, 0, 3) not in group
+        corrupted = [(2, 1, 0, 3)] + group[1:]
+        assert len(kn.orbits(group, kn.triangles)) == 2
         with pytest.raises(ConsistencyError):
-            kn.orbits(mono, corrupted, range(4))
+            kn.orbits(corrupted, kn.triangles)
 
     def test_checks_survive_optimize_flag(self):
         script = textwrap.dedent("""
             from reptile_lab.coxeter import ConsistencyError, kn_tables
 
             kn = kn_tables(4)
-            corrupted = kn.tri_images[1:2] + kn.tri_images[1:]
+            corrupted = [(2, 1, 0, 3)] + kn.aut((1, 0, 0, 0, 0, 0))[1:]
             try:
-                kn.orbits((0,) * 6, corrupted, range(4))
+                kn.orbits(corrupted, kn.triangles)
             except ConsistencyError:
                 print("raised")
             print("debug", __debug__)

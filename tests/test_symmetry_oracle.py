@@ -1,7 +1,7 @@
 """Differential test: the K_n symmetry kernel against brute force.
 
 Every symmetry question in `coxeter` goes through `kn_tables(n).aut`,
-`kn_tables(n).canon` and `kn_tables(n).orbits`.  The oracles here answer
+`aut_if_first`, `canon` and `orbits`.  The oracles here answer
 the same questions by a direct loop over `itertools.permutations` on edge
 tuples, sharing no table with the kernel, on seeded random colorings of K_n
 for n = 2..5; orbits are checked against the generic group layer of
@@ -13,22 +13,22 @@ test also keeps that oracle independent of the code it checks.
 
 import random
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
-from reptile_lab import coxeter, fixtures
-from reptile_lab.angles import AngleForm
-from reptile_lab.coxeter import (CoxeterDiagram, all_edges,
+from reptile_lab import coxeter, fixtures, scenarios
+from reptile_lab.angles import EMPTY_RELATIONS, AngleForm
+from reptile_lab.coxeter import (CoxeterDiagram, KnTables, all_edges,
                                  classify_graph, coloring_automorphisms,
                                  coloring_canonical, cycle_count, edge_orbits,
                                  enumerate_diagrams, forced_symmetry_collapses,
                                  kn_tables, orbits, pair_canonical)
 
 from oracles import (act_on_vertex_set, burnside_count_reference,
-                     cyclic_subgroups_reference, orbit_partition_reference,
-                     pair_canonical_reference, prefix_getters_reference,
-                     renumbered_first_reference)
+                     cyclic_subgroups_reference, first_aut_reference,
+                     orbit_partition_reference, pair_canonical_reference,
+                     prefix_getters_reference, renumbered_first_reference)
 
 NS = (2, 3, 4, 5)
 
@@ -310,21 +310,86 @@ def test_orbits_match_the_generic_reference(case_analyses, case_a_diagrams):
         kn = kn_tables(n)
         for colors in random_colorings(n, 200, 60 + n):
             group = brute_aut(colors, n)
+            aut = kn.aut(colors)
             lab = dict(zip(kn.edges, colors))
             kinds = [tuple(sorted(lab[e] for e in ((i, j), (i, k), (j, k))))
                      for i, j, k in kn.triangles]
             for kind in [None, *set(kinds)]:
-                items = [t for t, x in enumerate(kinds) if kind is None or x == kind]
-                got = [[kn.triangles[t] for t in o]
-                       for o in kn.orbits(colors, kn.tri_images, items)]
-                want = reference_orbits(group, [kn.triangles[t] for t in items])
-                assert as_vertex_sets(got) == want, colors
+                items = [t for t, x in zip(kn.triangles, kinds) if kind is None or x == kind]
+                got = kn.orbits(aut, items)
+                assert as_vertex_sets(got) == reference_orbits(group, items), colors
             for c in set(colors):
-                items = [i for i, x in enumerate(colors) if x == c]
-                got = [[kn.edges[i] for i in o]
-                       for o in kn.orbits(colors, kn.edge_images, items)]
-                want = reference_orbits(group, [kn.edges[i] for i in items])
-                assert as_vertex_sets(got) == want, colors
+                items = [e for e, x in zip(kn.edges, colors) if x == c]
+                got = kn.orbits(aut, items)
+                assert as_vertex_sets(got) == reference_orbits(group, items), colors
+
+
+FOUR_LABELS = [AngleForm.pi_multiple(F(q)) for q in ("1/4", "1/3", "1/2", "2/3")]
+
+
+def test_last_edge_walk_returns_the_automorphism_group(monkeypatch):
+    """`aut_if_first` on every complete labeling the diagram search
+    reaches, in the three `final_case_analysis` keys, case-b, the case-a
+    enumeration and the unconstrained searches over four labels on K4 and
+    K5: None iff some image is smaller, else the automorphism group, both
+    by `oracles.first_aut_reference`.  The rich orbit count the search
+    makes on that group is made on the rich type's triangles and equals
+    the generic reference's count, and a labeling is kept iff it has four
+    orbits."""
+    searches = []  # per search: n, rich label ids, walks, labelings kept
+    run_walk, run_orbits = KnTables.aut_if_first, KnTables.orbits
+
+    def walk(self, colors):
+        group = run_walk(self, colors)
+        searches[-1]["walks"].append([tuple(colors), group, None])
+        return group
+
+    def count(group, items):
+        out = run_orbits(group, items)
+        last = searches[-1]["walks"][-1]
+        assert last[1] is group and last[2] is None
+        last[2] = (sorted(items), len(out))
+        return out
+
+    def search(n, alphabet, allowed, rich_type=None, relations=EMPTY_RELATIONS):
+        forms = [relations.normalize(f) for f in alphabet]
+        rich = None if rich_type is None else sorted(map(forms.index, rich_type))
+        searches.append({"n": n, "rich": rich, "walks": []})
+        found = coxeter.enumerate_diagrams(n, alphabet, allowed, rich_type, relations)
+        searches[-1]["kept"] = len(found)
+        return found
+
+    monkeypatch.setattr(KnTables, "aut_if_first", walk)
+    monkeypatch.setattr(KnTables, "orbits", staticmethod(count))
+    monkeypatch.setattr(scenarios, "enumerate_diagrams", search)
+    for key in ("quarter", "fifth", "ninth", "case-b"):
+        scenarios.final_case_analysis(key)
+    scenarios.case_a_enumeration()
+    for n in (4, 5):
+        search(n, FOUR_LABELS, lambda combo: True)
+    monkeypatch.undo()
+    assert len(searches) == 7
+
+    seen = set()
+    for rec in searches:
+        n, rich = rec["n"], rec["rich"]
+        pos = {e: i for i, e in enumerate(all_edges(n))}
+        kept = 0
+        for colors, group, counted in rec["walks"]:
+            first, aut = first_aut_reference(colors, n)
+            assert group == (aut if first else None), colors
+            seen.add("cut" if group is None else "trivial" if len(group) == 1 else "symmetric")
+            if group is None or rich is None:
+                assert counted is None
+                kept += group is not None
+                continue
+            tris = [t for t in combinations(range(n), 3)
+                    if sorted(colors[pos[e]] for e in combinations(t, 2)) == rich]
+            assert counted == (tris, len(reference_orbits(aut, tris))), colors
+            kept += counted[1] >= 4
+            seen.add("rich" if counted[1] >= 4 else "poor")
+        assert kept == rec["kept"]
+    assert seen == {"cut", "trivial", "symmetric", "rich", "poor"}
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
